@@ -1,7 +1,7 @@
 """Hybrid FABRIK + box-SQP inverse kinematics for UR5 and KUKA iiwa arms."""
 from __future__ import annotations
 
-from . import benchmark, fabrik, geometry, kuka, optimizer, robots, tracking, ur5
+from . import benchmark, fabrik, geometry, kuka, optimizer, pipeline, robots, tracking, ur5
 from .geometry import CartesianError, cartesian_error
 from .iktypes import IKQuery, IKResult, IKStatus, SolverConfig
 from .robots import (
@@ -33,6 +33,7 @@ __all__ = [
     "model_from_json",
     "model_to_json",
     "optimizer",
+    "pipeline",
     "pose_mismatch",
     "robots",
     "solve_ik",

@@ -22,6 +22,15 @@ def wrap_angle(theta):
     return wrapped
 
 
+def dedup_angles(values) -> list[float]:
+    """The values in order, dropping any within 1e-9 of an earlier one."""
+    out: list[float] = []
+    for v in values:
+        if all(abs(v - u) > 1e-9 for u in out):
+            out.append(v)
+    return out
+
+
 def clamped_arccos(x: float) -> float:
     """arccos with the argument clamped to [-1, 1] against fp drift."""
     return math.acos(min(1.0, max(-1.0, float(x))))

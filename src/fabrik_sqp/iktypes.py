@@ -93,11 +93,15 @@ class IKResult:
 
 def prepare_query(model: RobotModel, query: IKQuery) -> np.ndarray:
     """Validate the query against the model and sanitize the input pose."""
+    if not np.all(np.isfinite(query.t_des)):
+        raise ValueError("t_des must be finite")
     if query.theta_init.shape != (model.dof,):
         raise ValueError(
             f"theta_init must have {model.dof} entries for {model.name}, "
             f"got {query.theta_init.shape}"
         )
+    if not np.all(np.isfinite(query.theta_init)):
+        raise ValueError("theta_init must be finite")
     if not model.within_limits(query.theta_init, tol=1e-12):
         raise ValueError("theta_init must lie within the joint limits")
     t = query.t_des.copy()

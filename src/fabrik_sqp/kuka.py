@@ -15,25 +15,23 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import fabrik
+from . import fabrik, pipeline
 from .geometry import (
-    cartesian_error,
+    dedup_angles,
     inverse_transform,
     translation_of,
     unit,
     wrap_angle,
 )
-from .iktypes import IKQuery, IKResult, IKStatus, prepare_query, select_candidate
-from .optimizer import OptProblem, OptResult, minimize
+from .iktypes import IKQuery, IKResult, prepare_query, select_candidate
+from .optimizer import OptProblem, minimize
 from .robots import (
     RobotModel,
     dh_transform,
     fk_frames,
-    forward_kinematics,
     kuka_model,
     pose_mismatch,
 )
@@ -134,14 +132,6 @@ def bend_magnitudes(p1, p2, p3, p4, model: RobotModel) -> tuple[float, float, fl
         bend(pts[1], pts[2], pts[3]),
         bend(pts[2], pts[3], pts[4]),
     )
-
-
-def _dedup(values: list[float]) -> list[float]:
-    out: list[float] = []
-    for v in values:
-        if all(abs(v - u) > _DEDUP_TOL for u in out):
-            out.append(v)
-    return out
 
 
 def _signed_options(magnitude: float) -> list[float]:
@@ -272,7 +262,7 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
         azimuths = [az, wrap_angle(az + math.pi)]
     scored: list[tuple[float, np.ndarray]] = []
     for th2 in _signed_options(m2):
-        for th1 in _dedup(theta1_roots(th2, p2c, model, tol=seed_tol) + azimuths):
+        for th1 in dedup_angles(theta1_roots(th2, p2c, model, tol=seed_tol) + azimuths):
             for th4 in _signed_options(m4):
                 for th3 in theta3_roots(th1, th2, th4, p3c, model, tol=seed_tol):
                     theta = np.array([th1, th2, th3, th4])
@@ -291,11 +281,6 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     if not out:
         out.append(np.zeros(4))
     return out
-
-
-def seed_from_chain(chain: fabrik.ChainState, model: RobotModel) -> np.ndarray:
-    """Best-matching optimizer seed for the current chain positions."""
-    return seed_candidates_from_chain(chain, model)[0]
 
 
 def reference_elbow(model: RobotModel, theta_init, p3: np.ndarray) -> np.ndarray | None:
@@ -354,136 +339,84 @@ def _bend_bias_axis(model: RobotModel, theta_init, v_init) -> np.ndarray | None:
     return None
 
 
-@dataclass
-class KukaDiagnostics:
-    fabrik_iterations: int
-    converged: bool
-    optimizer: OptResult | None
-    candidates: list[np.ndarray]
-    mismatches: list[float]
-    admitted: list[np.ndarray]
+class Branch:
+    """The one shoulder-elbow-wrist chain, aimed at the wrist target."""
 
+    def __init__(self, t_des: np.ndarray, query: IKQuery, model: RobotModel):
+        self.query = query
+        self.model = model
+        self.v_init = DEFAULT_V_INIT if query.v_init is None else unit(query.v_init)
+        self.target = wrist_target(t_des, model)
 
-def solve_detailed(query: IKQuery, model: RobotModel | None = None):
-    model = kuka_model() if model is None else model
-    start = time.perf_counter()
-    t_des = prepare_query(model, query)
-    cfg = query.config
-    eps = cfg.eps_tol
-    l2, l3 = model.link_lengths[1], model.link_lengths[2]
-    shoulder = np.array([0.0, 0.0, model.link_lengths[0]])
-    v_init = DEFAULT_V_INIT if query.v_init is None else unit(query.v_init)
+    def chain(self) -> fabrik.ChainState:
+        return make_chain(self.model, self.query.config, self.v_init)
 
-    target = wrist_target(t_des, model)
-    diag = KukaDiagnostics(0, False, None, [], [], [])
-    if float(np.linalg.norm(target - shoulder)) > (l2 + l3) * (1.0 + 1e-12):
-        elapsed = time.perf_counter() - start
-        return IKResult(IKStatus.UNREACHABLE, None, None, 0, False, 0, elapsed), diag
+    def bend_axis(self) -> np.ndarray | None:
+        return _bend_bias_axis(self.model, self.query.theta_init, self.v_init)
 
-    chain = fabrik.pre_bend(
-        make_chain(model, cfg, v_init),
-        cfg.pre_bend,
-        cfg.collinear_tol,
-        axis=_bend_bias_axis(model, query.theta_init, v_init),
-    )
-    outcome = fabrik.solve(chain, target, eps, cfg.fabrik_cap(model.name))
-    diag.fabrik_iterations = outcome.iterations
-    diag.converged = outcome.converged
-    opt_used = False
-    opt_total = 0
+    def from_chain(self, chain: fabrik.ChainState):
+        return chain.positions[1], chain.positions[2]
 
-    if outcome.converged:
-        p2, p3 = outcome.chain.positions[1], outcome.chain.positions[2]
-    elif cfg.use_optimizer:
-        # collinear targets let the sweeps re-straighten the chain;
-        # re-bend so the seed is off the stationary ridge
-        seed_chain = fabrik.pre_bend(
-            outcome.chain,
-            cfg.pre_bend,
-            cfg.collinear_tol,
-            axis=_bend_bias_axis(model, query.theta_init, v_init),
-        )
-        objective = wrist_objective(model, target)
+    def optimize(self, seed_chain: fabrik.ChainState, config):
+        model = self.model
+        stop = config.eps_tol * config.eps_tol
+        objective = wrist_objective(model, self.target)
         bounds = model.joint_limits[:4]
-        result = None
-        opt_used = True
         # try the seed closest to the reference configuration first:
         # on degenerate (target-on-axis) geometry several seeds converge
         # to mirror folds, and the warm-start fold keeps tracking
         # trajectories continuous
         seeds = seed_candidates_from_chain(seed_chain, model)
-        seeds.sort(key=lambda s: float(np.sum(np.abs(s - query.theta_init[:4]))))
+        seeds.sort(key=lambda s: float(np.sum(np.abs(s - self.query.theta_init[:4]))))
+        results = []
         for seed in seeds[:12]:
             problem = OptProblem(
                 objective=objective,
                 bounds=bounds,
                 x0=np.clip(seed, bounds[:, 0], bounds[:, 1]),
             )
-            result = minimize(problem, eps * eps, cfg.opt_max_iters)
-            opt_total += result.iterations
-            if result.f <= eps * eps:
-                break
-        diag.optimizer = result
-        if result is None or result.f > eps * eps:
-            elapsed = time.perf_counter() - start
-            return (
-                IKResult(
-                    IKStatus.FAILED, None, None, diag.fabrik_iterations, True, opt_total, elapsed
-                ),
-                diag,
-            )
-        th = result.x
-        p2 = elbow_position(model, float(th[0]), float(th[1]))
-        p3, _ = wrist_analytic(th, model)
-    else:
-        elapsed = time.perf_counter() - start
-        return (
-            IKResult(IKStatus.FAILED, None, None, diag.fabrik_iterations, False, 0, elapsed),
-            diag,
-        )
+            results.append(minimize(problem, stop, config.opt_max_iters))
+            if results[-1].f <= stop:
+                th = results[-1].x
+                p3, _ = wrist_analytic(th, model)
+                return results, (elbow_position(model, float(th[0]), float(th[1])), p3)
+        return results, None
 
+
+def recover_all(p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, theta_init, model: RobotModel):
+    """Joint vectors for the reduced chain's elbow, then for the feasible
+    elbow nearest the reference configuration.
+
+    The arm is redundant; the second elbow keeps warm-started
+    trajectories on their fold.
+    """
     # The wrist equations are solved against the desired orientation
     # anchored at the achieved wrist point. This keeps the angle
     # recovery self-consistent (orientation closes exactly); the
     # remaining end-effector offset equals the wrist residual and is
-    # judged by the mismatch filter below.
+    # judged by the mismatch filter.
     t_recover = t_des.copy()
     t_recover[:3, 3] = p3 + t_des[:3, :3] @ np.array([0.0, 0.0, model.link_lengths[3]])
-    # besides the iterated chain's elbow, also enumerate the feasible
-    # elbow nearest the reference configuration (the arm is redundant;
-    # this keeps warm-started trajectories on their fold)
     elbows = [p2]
-    p2_ref = reference_elbow(model, query.theta_init, p3)
+    p2_ref = reference_elbow(model, theta_init, p3)
     if p2_ref is not None and float(np.max(np.abs(p2_ref - p2))) > 1e-9:
         elbows.append(p2_ref)
     for elbow in elbows:
-        for theta in recover_candidates(elbow, p3, t_recover, model):
-            diag.candidates.append(theta)
-            if not model.within_limits(theta):
-                diag.mismatches.append(math.inf)
-                continue
-            mismatch = pose_mismatch(model, theta, t_des)
-            diag.mismatches.append(mismatch)
-            if mismatch <= eps:
-                diag.admitted.append(theta)
+        yield from recover_candidates(elbow, p3, t_recover, model)
 
-    pick = select_candidate(diag.admitted, query.theta_init)
-    elapsed = time.perf_counter() - start
-    if pick is None:
-        return (
-            IKResult(
-                IKStatus.FAILED, None, None, diag.fabrik_iterations, opt_used, opt_total, elapsed
-            ),
-            diag,
-        )
-    theta = diag.admitted[pick]
-    err = cartesian_error(forward_kinematics(model, theta), t_des)
-    return (
-        IKResult(
-            IKStatus.SOLVED, theta, err, diag.fabrik_iterations, opt_used, opt_total, elapsed
-        ),
-        diag,
-    )
+
+def solve_detailed(query: IKQuery, model: RobotModel | None = None):
+    """Run the pipeline on the wrist chain; returns (IKResult, SolveDetail)."""
+    model = kuka_model() if model is None else model
+    start = time.perf_counter()
+    t_des = prepare_query(model, query)
+    detail = pipeline.SolveDetail()
+    branches = [Branch(t_des, query, model)]
+    for _, (p2, p3) in pipeline.reduced_solutions(branches, model, query.config, detail):
+        thetas = recover_all(p2, p3, t_des, query.theta_init, model)
+        pipeline.admit(detail, model, thetas, t_des, query.config.eps_tol, pose_mismatch)
+    pick = select_candidate(detail.admitted, query.theta_init)
+    return pipeline.finish(model, t_des, detail, pick, start)
 
 
 def solve(query: IKQuery, model: RobotModel | None = None) -> IKResult:

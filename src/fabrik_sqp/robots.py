@@ -89,8 +89,20 @@ class RobotModel:
         )
 
 
-def _default_limits(dof: int) -> np.ndarray:
-    return np.tile([-math.pi, math.pi], (dof, 1))
+def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
+    """Model of the named robot with its link lengths read off the DH table.
+
+    Joint limits default to [-pi, pi] per joint.
+    """
+    if name == UR5:
+        lengths = [dh[0].d, abs(dh[1].a), abs(dh[2].a), dh[3].d, dh[4].d, dh[5].d]
+    elif name == KUKA:
+        lengths = [dh[0].d, dh[2].d, dh[4].d, dh[6].d]
+    else:
+        raise ValueError(f"unknown robot name {name!r}")
+    if joint_limits is None:
+        joint_limits = np.tile([-math.pi, math.pi], (len(dh), 1))
+    return RobotModel(name=name, dh=dh, link_lengths=lengths, joint_limits=joint_limits)
 
 
 def ur5_model(joint_limits=None) -> RobotModel:
@@ -108,9 +120,7 @@ def ur5_model(joint_limits=None) -> RobotModel:
         DHRow(a=0.0, alpha=-math.pi / 2, d=0.09465),
         DHRow(a=0.0, alpha=0.0, d=0.0823),
     )
-    lengths = np.array([dh[0].d, abs(dh[1].a), abs(dh[2].a), dh[3].d, dh[4].d, dh[5].d])
-    limits = _default_limits(6) if joint_limits is None else joint_limits
-    return RobotModel(name=UR5, dh=dh, link_lengths=lengths, joint_limits=limits)
+    return _build_model(UR5, dh, joint_limits)
 
 
 def kuka_model(joint_limits=None) -> RobotModel:
@@ -128,9 +138,7 @@ def kuka_model(joint_limits=None) -> RobotModel:
         DHRow(a=0.0, alpha=math.pi / 2, d=0.0),
         DHRow(a=0.0, alpha=0.0, d=0.126),
     )
-    lengths = np.array([dh[0].d, dh[2].d, dh[4].d, dh[6].d])
-    limits = _default_limits(7) if joint_limits is None else joint_limits
-    return RobotModel(name=KUKA, dh=dh, link_lengths=lengths, joint_limits=limits)
+    return _build_model(KUKA, dh, joint_limits)
 
 
 def get_model(name: str) -> RobotModel:
@@ -140,14 +148,6 @@ def get_model(name: str) -> RobotModel:
     if key == KUKA:
         return kuka_model()
     raise ValueError(f"unknown robot {name!r} (expected 'ur5' or 'kuka')")
-
-
-def _derive_link_lengths(name: str, dh) -> np.ndarray:
-    if name == UR5:
-        return np.array([dh[0].d, abs(dh[1].a), abs(dh[2].a), dh[3].d, dh[4].d, dh[5].d])
-    if name == KUKA:
-        return np.array([dh[0].d, dh[2].d, dh[4].d, dh[6].d])
-    raise ValueError(f"unknown robot name {name!r}")
 
 
 def model_from_json(text: str) -> RobotModel:
@@ -166,13 +166,7 @@ def model_from_json(text: str) -> RobotModel:
         )
         for row in doc["dh"]
     )
-    limits = np.asarray(doc["limits"], dtype=float)
-    return RobotModel(
-        name=name,
-        dh=dh,
-        link_lengths=_derive_link_lengths(name, dh),
-        joint_limits=limits,
-    )
+    return _build_model(name, dh, np.asarray(doc["limits"], dtype=float))
 
 
 def model_to_json(model: RobotModel) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import make_transform, rotation_of, translation_of
+from .geometry import make_transform, rotation_of, translation_of, wrap_angle
 from .iktypes import IKQuery, IKStatus, SolverConfig
 from .robots import KUKA, UR5, RobotModel, fk_frames, forward_kinematics
 
@@ -115,11 +115,14 @@ class TrackingTrace:
         return self.failed_index is None
 
     def max_joint_step(self) -> float:
-        """Largest per-joint change between consecutive solved waypoints."""
+        """Largest per-joint change between consecutive solved waypoints.
+
+        Changes are wrapped to [-pi, pi), so crossing +-pi is a small step.
+        """
         thetas = [r.theta for r in self.records]
         if len(thetas) < 2:
             return 0.0
-        diffs = np.abs(np.diff(np.stack(thetas), axis=0))
+        diffs = np.abs(wrap_angle(np.diff(np.stack(thetas), axis=0)))
         return float(np.max(diffs))
 
 

@@ -17,20 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fabrik
+from . import fabrik, pipeline
 from .geometry import (
+    dedup_angles,
     rotate_about_axis,
     signed_angle,
     translation_of,
     unit,
     wrap_angle,
 )
-from .iktypes import IKQuery, IKResult, IKStatus, prepare_query, select_candidate
+from .iktypes import IKQuery, IKResult, prepare_query, select_candidate
 from .optimizer import OptProblem, OptResult, minimize
-from .robots import RobotModel, fk_prefix, forward_kinematics, pose_mismatch, ur5_model
-from .geometry import cartesian_error
+from .robots import RobotModel, fk_prefix, pose_mismatch, ur5_model
 
-_DEDUP_TOL = 1e-9
 _DEGENERATE_WRIST_TOL = 1e-8
 
 
@@ -207,148 +206,73 @@ def recover_angles(
     return wrap_angle(np.array([frame.theta1, theta2, theta3, theta4, theta5, theta6]))
 
 
-@dataclass
-class BranchOutcome:
-    """Diagnostics for one (theta1 sign, wrist-riser sign) branch."""
+class Branch:
+    """One (theta1, wrist-riser direction) branch of the planar reduction."""
 
-    theta1_sign: int
-    l5d_sign: int
-    theta1: float
-    reachable: bool
-    fabrik_iterations: int = 0
-    converged: bool = False
-    optimizer: OptResult | None = None
-    candidates: list = None  # (theta, mismatch, admitted) per elbow fold
+    def __init__(self, frame: PlanarFrame, l5d: np.ndarray, theta_init, model: RobotModel):
+        self.frame = frame
+        self.l5d = l5d
+        self.theta_init = theta_init
+        self.model = model
+        self.target = iteration_target(frame, l5d, model)
 
-    def __post_init__(self):
-        if self.candidates is None:
-            self.candidates = []
+    def chain(self) -> fabrik.ChainState:
+        return make_chain(self.frame, self.model)
 
-    @property
-    def admitted(self) -> bool:
-        return any(ok for _, _, ok in self.candidates)
+    def bend_axis(self) -> np.ndarray:
+        # bend toward the reference elbow sign so warm starts stay on
+        # their fold
+        return self.frame.z2d if self.theta_init[2] >= 0.0 else -self.frame.z2d
 
-    @property
-    def admitted_thetas(self) -> list:
-        return [theta for theta, _, ok in self.candidates if ok]
+    def from_chain(self, chain: fabrik.ChainState):
+        dirs = chain.link_directions()
+        return dirs[0], dirs[1]
 
-    @property
-    def mismatch(self) -> float | None:
-        values = [m for _, m, _ in self.candidates if m is not None]
-        return min(values) if values else None
+    def optimize(self, seed_chain: fabrik.ChainState, config):
+        frame = self.frame
+        dirs = seed_chain.link_directions()
+        seeds = (
+            signed_angle(frame.v_init, dirs[0], frame.z2d),
+            signed_angle(dirs[0], dirs[1], frame.z2d),
+        )
+        result, l2d, l3d = elbow_optimize(
+            frame.theta1,
+            self.target,
+            seeds,
+            self.model,
+            self.model.joint_limits[1:3],
+            config.eps_tol * config.eps_tol,
+            config.opt_max_iters,
+        )
+        return [result], None if l2d is None else (l2d, l3d)
 
 
-def _dedup_angles(values: list[float]) -> list[float]:
-    out: list[float] = []
-    for v in values:
-        if all(abs(v - u) > _DEDUP_TOL for u in out):
-            out.append(v)
-    return out
+def branches(t_des: np.ndarray, theta_init, model: RobotModel):
+    """The two wrist-riser branches of each distinct theta1 candidate."""
+    p_w = wrist_position(t_des, model)
+    for theta1 in dedup_angles(theta1_candidates(p_w, model)):
+        frame = planar_frame(theta1, t_des, p_w, model)
+        for l5d in frame.l5d_options:
+            yield Branch(frame, l5d, theta_init, model)
 
 
 def solve_detailed(query: IKQuery, model: RobotModel | None = None):
-    """Run the full pipeline and keep per-branch diagnostics."""
+    """Run the pipeline over every branch; returns (IKResult, SolveDetail)."""
     model = ur5_model() if model is None else model
     start = time.perf_counter()
     t_des = prepare_query(model, query)
-    cfg = query.config
-    eps = cfg.eps_tol
-    cap = cfg.fabrik_cap(model.name)
-    l2, l3 = model.link_lengths[1], model.link_lengths[2]
-    shoulder = np.array([0.0, 0.0, model.link_lengths[0]])
-
-    p_w = wrist_position(t_des, model)
-    theta1s = _dedup_angles(theta1_candidates(p_w, model))
-
-    branches: list[BranchOutcome] = []
-    candidates: list[np.ndarray] = []
-    candidate_branches: list[BranchOutcome] = []
-    fabrik_total = 0
-    opt_total = 0
-    opt_used = False
-    any_reachable = False
-
-    for t1_idx, theta1 in enumerate(theta1s):
-        frame = planar_frame(theta1, t_des, p_w, model)
-        for sign_idx, l5d in zip((1, -1), frame.l5d_options):
-            branch = BranchOutcome(
-                theta1_sign=1 if t1_idx == 0 else -1,
-                l5d_sign=sign_idx,
-                theta1=theta1,
-                reachable=False,
-            )
-            branches.append(branch)
-            target = iteration_target(frame, l5d, model)
-            if float(np.linalg.norm(target - shoulder)) > (l2 + l3) * (1.0 + 1e-12):
-                continue
-            branch.reachable = True
-            any_reachable = True
-
-            # targets along v_init leave the elbow fold free; bend the
-            # straight chain toward the reference elbow sign so warm
-            # starts stay on their fold
-            bend_axis = frame.z2d if query.theta_init[2] >= 0.0 else -frame.z2d
-            chain = fabrik.pre_bend(
-                make_chain(frame, model), cfg.pre_bend, cfg.collinear_tol, axis=bend_axis
-            )
-            outcome = fabrik.solve(chain, target, eps, cap)
-            branch.fabrik_iterations = outcome.iterations
-            branch.converged = outcome.converged
-            fabrik_total += outcome.iterations
-
-            if outcome.converged:
-                dirs = outcome.chain.link_directions()
-                l2d, l3d = dirs[0], dirs[1]
-            elif cfg.use_optimizer:
-                # collinear targets let the sweeps re-straighten the
-                # chain; re-bend so the seed is off the stationary ridge
-                seed_chain = fabrik.pre_bend(
-                    outcome.chain, cfg.pre_bend, cfg.collinear_tol, axis=bend_axis
-                )
-                dirs = seed_chain.link_directions()
-                seeds = (
-                    signed_angle(frame.v_init, dirs[0], frame.z2d),
-                    signed_angle(dirs[0], dirs[1], frame.z2d),
-                )
-                result, l2d, l3d = elbow_optimize(
-                    theta1,
-                    target,
-                    seeds,
-                    model,
-                    model.joint_limits[1:3],
-                    eps * eps,
-                    cfg.opt_max_iters,
-                )
-                branch.optimizer = result
-                opt_used = True
-                opt_total += result.iterations
-                if l2d is None:
-                    continue
-            else:
-                continue
-
-            for fold2, fold3 in fold_variants(l2d, l3d, model):
-                theta = recover_angles(fold2, fold3, l5d, frame, t_des, model)
-                if not model.within_limits(theta):
-                    branch.candidates.append((theta, None, False))
-                    continue
-                mismatch = pose_mismatch(model, theta, t_des)
-                ok = mismatch <= eps
-                branch.candidates.append((theta, mismatch, ok))
-                if ok:
-                    candidates.append(theta)
-                    candidate_branches.append(branch)
-
-    pick = select_candidate(candidates, query.theta_init)
-    elapsed = time.perf_counter() - start
-    if pick is None:
-        status = IKStatus.FAILED if any_reachable else IKStatus.UNREACHABLE
-        result = IKResult(status, None, None, fabrik_total, opt_used, opt_total, elapsed)
-        return result, branches
-    theta = candidates[pick]
-    err = cartesian_error(forward_kinematics(model, theta), t_des)
-    result = IKResult(IKStatus.SOLVED, theta, err, fabrik_total, opt_used, opt_total, elapsed)
-    return result, branches
+    detail = pipeline.SolveDetail()
+    reduced = pipeline.reduced_solutions(
+        branches(t_des, query.theta_init, model), model, query.config, detail
+    )
+    thetas = (
+        recover_angles(l2d, l3d, branch.l5d, branch.frame, t_des, model)
+        for branch, (chain_l2d, chain_l3d) in reduced
+        for l2d, l3d in fold_variants(chain_l2d, chain_l3d, model)
+    )
+    pipeline.admit(detail, model, thetas, t_des, query.config.eps_tol, pose_mismatch)
+    pick = select_candidate(detail.admitted, query.theta_init)
+    return pipeline.finish(model, t_des, detail, pick, start)
 
 
 def solve(query: IKQuery, model: RobotModel | None = None) -> IKResult:

@@ -87,9 +87,8 @@ class TestCriterion1GoldenUr5:
     )
     def test_candidate_matches_reference_within_5e3(self, ur5_model, golden_ur5_pose):
         query = IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15))
-        _, branches = ur5.solve_detailed(query, ur5_model)
-        admitted = [c for b in branches for c in b.admitted_thetas]
-        best = min(float(np.max(np.abs(c - UR5_REF_THETA))) for c in admitted)
+        _, detail = ur5.solve_detailed(query, ur5_model)
+        best = min(float(np.max(np.abs(c - UR5_REF_THETA))) for c in detail.admitted)
         print(f"\nACCEPTANCE 1 candidate-match: best per-joint deviation {best:.2e}")
         assert best <= 5e-3
 
@@ -98,9 +97,8 @@ class TestCriterion1GoldenUr5:
         # self-consistent target the printed vector is recovered tightly
         t_des = forward_kinematics(ur5_model, UR5_REF_THETA)
         query = IKQuery(t_des=t_des, theta_init=np.zeros(6), config=SolverConfig(n_l=15))
-        _, branches = ur5.solve_detailed(query, ur5_model)
-        admitted = [c for b in branches for c in b.admitted_thetas]
-        best = min(float(np.max(np.abs(c - UR5_REF_THETA))) for c in admitted)
+        _, detail = ur5.solve_detailed(query, ur5_model)
+        best = min(float(np.max(np.abs(c - UR5_REF_THETA))) for c in detail.admitted)
         assert best <= 5e-4
 
 
@@ -130,18 +128,18 @@ class TestCriterion2GoldenKuka:
     )
     def test_candidate_matches_reference_within_5e3(self, kuka_model, golden_kuka_pose):
         query = IKQuery(t_des=golden_kuka_pose, theta_init=KUKA_REF_THETA, config=SolverConfig(n_l=15))
-        _, diag = kuka.solve_detailed(query, kuka_model)
-        best = min(float(np.max(np.abs(c - KUKA_REF_THETA))) for c in diag.admitted)
+        _, detail = kuka.solve_detailed(query, kuka_model)
+        best = min(float(np.max(np.abs(c - KUKA_REF_THETA))) for c in detail.admitted)
         print(f"\nACCEPTANCE 2 candidate-match: best per-joint deviation {best:.2e}")
         assert best <= 5e-3
 
     def test_reference_joint_subset_reproduced(self, kuka_model, golden_kuka_pose):
         # the non-redundant joints are reproduced at the print-noise level
         query = IKQuery(t_des=golden_kuka_pose, theta_init=KUKA_REF_THETA, config=SolverConfig(n_l=15))
-        _, diag = kuka.solve_detailed(query, kuka_model)
+        _, detail = kuka.solve_detailed(query, kuka_model)
         deviations = [
             np.abs(c[[0, 1, 3, 5, 6]]) - np.abs(KUKA_REF_THETA[[0, 1, 3, 5, 6]])
-            for c in diag.admitted
+            for c in detail.admitted
         ]
         best = min(float(np.max(np.abs(d))) for d in deviations)
         assert best <= 2e-2

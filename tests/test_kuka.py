@@ -178,25 +178,25 @@ class TestSolve:
             theta = rng.uniform(-math.pi, math.pi, 7)
             init = rng.uniform(-math.pi, math.pi, 7)
             t_des = forward_kinematics(kuka_model, theta)
-            result, diag = kuka.solve_detailed(
+            result, detail = kuka.solve_detailed(
                 IKQuery(t_des=t_des, theta_init=init, config=SolverConfig()), kuka_model
             )
             if result.status is not IKStatus.SOLVED:
                 continue
-            best = min(float(np.sum(np.abs(c - init))) for c in diag.admitted)
+            best = min(float(np.sum(np.abs(c - init))) for c in detail.admitted)
             assert float(np.sum(np.abs(result.theta - init))) == pytest.approx(best, abs=1e-12)
 
     def test_post_optimizer_angles_recomputed(self, kuka_model, golden_kuka_pose):
         # the optimizer result never leaves the solver raw: returned
         # angles come from the full recovery and reproduce the pose
-        result, diag = kuka.solve_detailed(
+        result, detail = kuka.solve_detailed(
             IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)),
             kuka_model,
         )
         assert result.status is IKStatus.SOLVED
         assert result.optimizer_used
-        assert diag.optimizer is not None
-        opt_vec = np.concatenate([diag.optimizer.x, result.theta[4:]])
+        assert detail.optimizer is not None
+        opt_vec = np.concatenate([detail.optimizer.x, result.theta[4:]])
         # seven returned angles satisfy the pose; the four optimized
         # angles alone do not constitute the answer
         assert pose_mismatch(kuka_model, result.theta, golden_kuka_pose) <= 1e-6

@@ -1,0 +1,97 @@
+"""The shared solve pipeline: status rule, counters and input boundary."""
+import math
+
+import numpy as np
+import pytest
+
+from fabrik_sqp import benchmark, kuka, solve_ik, ur5
+from fabrik_sqp.geometry import make_transform
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
+
+SOLVERS = [(ur5, "ur5_model"), (kuka, "kuka_model")]
+
+
+@pytest.fixture(params=SOLVERS, ids=["ur5", "kuka"])
+def solver(request):
+    module, fixture = request.param
+    return module, request.getfixturevalue(fixture)
+
+
+def _first_seeded_query(model, config):
+    t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+    return IKQuery(t_des=t_des, theta_init=theta_init, config=config)
+
+
+class TestStatusRule:
+    def test_unreachable_runs_no_sweep(self, solver):
+        module, model = solver
+        t = make_transform(np.eye(3), [5.0, 0.0, 0.0])
+        result, detail = module.solve_detailed(
+            IKQuery(t_des=t, theta_init=np.zeros(model.dof), config=SolverConfig()), model
+        )
+        assert result.status is IKStatus.UNREACHABLE
+        assert result.theta is None and result.error is None
+        assert result.fabrik_iterations == 0
+        assert not result.optimizer_used
+        assert result.optimizer_iterations == 0
+        assert detail.branches >= 1 and not detail.reachable
+        assert detail.candidates == [] and detail.admitted == []
+
+    def test_sweep_cap_miss_without_optimizer_fails(self, solver):
+        module, model = solver
+        query = _first_seeded_query(model, SolverConfig(n_max=1, use_optimizer=False))
+        result, detail = module.solve_detailed(query, model)
+        assert result.status is IKStatus.FAILED
+        assert result.theta is None and result.error is None
+        assert 1 <= result.fabrik_iterations <= detail.branches
+        assert not result.optimizer_used
+        assert result.optimizer_iterations == 0
+        assert detail.reachable and detail.optimizer is None
+        assert detail.admitted == []
+
+    def test_optimizer_miss_fails(self, solver):
+        module, model = solver
+        config = SolverConfig(n_l=1, opt_max_iters=1)
+        result, detail = module.solve_detailed(_first_seeded_query(model, config), model)
+        assert result.status is IKStatus.FAILED
+        assert result.theta is None and result.error is None
+        assert 1 <= result.fabrik_iterations <= detail.branches
+        assert result.optimizer_used
+        assert result.optimizer_iterations >= 1
+        assert detail.optimizer is not None
+        assert detail.optimizer.f > config.eps_tol ** 2
+        assert detail.admitted == []
+
+    def test_detail_counters_match_result(self, solver):
+        module, model = solver
+        result, detail = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
+        assert result.status is IKStatus.SOLVED
+        assert (result.fabrik_iterations, result.optimizer_used, result.optimizer_iterations) == (
+            detail.fabrik_iterations,
+            detail.optimizer_used,
+            detail.optimizer_iterations,
+        )
+        assert any(theta is result.theta for theta in detail.admitted)
+        for theta, mismatch in detail.candidates:
+            admitted = any(theta is a for a in detail.admitted)
+            assert admitted == (mismatch <= SolverConfig().eps_tol)
+
+
+@pytest.mark.filterwarnings("error")
+class TestInputBoundary:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_position_rejected(self, solver, value):
+        _, model = solver
+        t = make_transform(np.eye(3), [0.3, value, 0.4])
+        query = IKQuery(t_des=t, theta_init=np.zeros(model.dof), config=SolverConfig())
+        with pytest.raises(ValueError, match="t_des must be finite"):
+            solve_ik(model, query)
+
+    def test_non_finite_theta_init_rejected(self, solver):
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        theta_init = theta_init.copy()
+        theta_init[1] = math.nan
+        query = IKQuery(t_des=t_des, theta_init=theta_init, config=SolverConfig())
+        with pytest.raises(ValueError, match="theta_init must be finite"):
+            solve_ik(model, query)

@@ -75,6 +75,15 @@ class TestTrack:
         assert all(r.eps_pos <= 1e-6 for r in trace.records)
         assert trace.max_joint_step() <= 1e-3
 
+    def test_max_joint_step_wraps_across_pi(self):
+        trace = tracking.TrackingTrace()
+        for index, theta in enumerate(([3.1, 0.5], [-3.1, 0.47])):
+            trace.records.append(
+                tracking.WaypointRecord(index, 2, np.array(theta), 0.0, 0.0, False, 0.0)
+            )
+        # 3.1 -> -3.1 crosses +-pi: a step of 2*pi - 6.2, not 6.2
+        assert abs(trace.max_joint_step() - (2 * np.pi - 6.2)) <= 1e-12
+
     def test_warm_start_is_previous_solution(self, ur5_model, monkeypatch):
         import fabrik_sqp
 

@@ -185,11 +185,11 @@ class TestSolve:
         for _ in range(20):
             theta = rng.uniform(-math.pi, math.pi, 6)
             t_des = forward_kinematics(ur5_model, theta)
-            result, branches = ur5.solve_detailed(
+            result, detail = ur5.solve_detailed(
                 IKQuery(t_des=t_des, theta_init=np.zeros(6), config=SolverConfig()), ur5_model
             )
-            assert len(branches) == 4 or (
-                len(branches) == 2
+            assert detail.branches == 4 or (
+                detail.branches == 2
                 and len(ur5.theta1_candidates(ur5.wrist_position(t_des, ur5_model), ur5_model)) == 1
             )
 
@@ -199,13 +199,12 @@ class TestSolve:
             theta = rng.uniform(-math.pi, math.pi, 6)
             init = rng.uniform(-math.pi, math.pi, 6)
             t_des = forward_kinematics(ur5_model, theta)
-            result, branches = ur5.solve_detailed(
+            result, detail = ur5.solve_detailed(
                 IKQuery(t_des=t_des, theta_init=init, config=SolverConfig()), ur5_model
             )
             if result.status is not IKStatus.SOLVED:
                 continue
-            admitted = [c for b in branches for c in b.admitted_thetas]
-            best = min(float(np.sum(np.abs(c - init))) for c in admitted)
+            best = min(float(np.sum(np.abs(c - init))) for c in detail.admitted)
             assert float(np.sum(np.abs(result.theta - init))) == pytest.approx(best, abs=1e-12)
 
     def test_solved_results_are_sound_and_within_limits(self, ur5_model):
