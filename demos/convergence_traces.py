@@ -12,7 +12,6 @@ import os
 import numpy as np
 
 from fabrik_sqp import fabrik, kuka, robots
-from fabrik_sqp.iktypes import SolverConfig
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
@@ -43,7 +42,7 @@ def main():
     run_case("near_extension", unit_chain(), [1.9995, 0.005, 0.0])
 
     model = robots.kuka_model()
-    chain = kuka.make_chain(model, SolverConfig(), kuka.DEFAULT_V_INIT)
+    chain = kuka.make_chain(model)
     # a wrist target a fraction of a millimetre inside the reach sphere,
     # well off the chain axis: the pathological slow-straightening regime
     shoulder = np.array([0.0, 0.0, model.link_lengths[0]])

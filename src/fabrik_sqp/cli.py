@@ -54,6 +54,8 @@ def _parse_floats(text: str, expected: int | None, what: str) -> np.ndarray:
         values = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise CliError(f"{what} must be comma-separated numbers") from exc
+    if not np.all(np.isfinite(values)):
+        raise CliError(f"{what} must be finite")
     if expected is not None and values.shape != (expected,):
         raise CliError(f"{what} must have {expected} entries")
     return values
@@ -144,16 +146,18 @@ def cmd_trace(args) -> int:
         if lengths.size < 1 or np.any(lengths <= 0):
             raise CliError("--links must be positive lengths")
         base = _parse_floats(args.base, 3, "--base")
-        direction = _parse_floats(args.v_init, 3, "--v-init")
+        try:
+            direction = unit(_parse_floats(args.v_init, 3, "--v-init"))
+        except ValueError as exc:
+            raise CliError("--v-init must be a non-zero direction") from exc
         joints = tuple(fabrik.Ball() for _ in lengths)
-        chain = fabrik.straight_chain(base, unit(direction), lengths, joints)
+        chain = fabrik.straight_chain(base, direction, lengths, joints)
     else:
         model = _resolve_model(args)
         if model.name == "kuka":
             from . import kuka as kuka_mod
 
-            cfg = SolverConfig()
-            chain = kuka_mod.make_chain(model, cfg, kuka_mod.DEFAULT_V_INIT)
+            chain = kuka_mod.make_chain(model)
         else:
             raise CliError("trace needs --links for chains other than the kuka reduction")
     chain = fabrik.pre_bend(chain)

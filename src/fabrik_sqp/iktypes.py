@@ -27,17 +27,15 @@ class SolverConfig:
     n_l caps the FABRIK sweeps before the optimizer takes over; n_max is
     the sweep cap when the optimizer is disabled (use_optimizer=False).
     A value of None for n_l picks the per-robot default (5 for the UR5,
-    15 for the KUKA).
+    15 for the KUKA). The pre-bend, the KUKA shoulder cone, the KUKA
+    chain's initial direction and the optimizer's iteration cap are
+    fixed in the modules that use them.
     """
 
     eps_tol: float = DEFAULT_EPS_TOL
     n_l: int | None = None
     n_max: int = 900
-    opt_max_iters: int = 200
     use_optimizer: bool = True
-    ball_limit: float = math.pi  # shoulder cone half-angle (KUKA chain)
-    pre_bend: float = 1e-3
-    collinear_tol: float = 1e-6
 
     def __post_init__(self):
         if self.eps_tol <= 0.0:
@@ -47,33 +45,23 @@ class SolverConfig:
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 
-    def switch_index(self, robot_name: str) -> int:
-        if self.n_l is not None:
-            return self.n_l
-        return DEFAULT_SWITCH_INDEX[robot_name]
-
     def fabrik_cap(self, robot_name: str) -> int:
-        return self.switch_index(robot_name) if self.use_optimizer else self.n_max
+        if not self.use_optimizer:
+            return self.n_max
+        return DEFAULT_SWITCH_INDEX[robot_name] if self.n_l is None else self.n_l
 
 
 @dataclass(frozen=True)
 class IKQuery:
-    """Desired end-effector pose plus the reference joint vector.
-
-    v_init overrides the initial iteration direction for the KUKA chain
-    (ignored by the UR5 solver, which derives its own from theta1).
-    """
+    """Desired end-effector pose plus the reference joint vector."""
 
     t_des: np.ndarray
     theta_init: np.ndarray
     config: SolverConfig = field(default_factory=SolverConfig)
-    v_init: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "t_des", require_transform(self.t_des))
         object.__setattr__(self, "theta_init", np.asarray(self.theta_init, dtype=float))
-        if self.v_init is not None:
-            object.__setattr__(self, "v_init", np.asarray(self.v_init, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -47,14 +48,14 @@ def wrist_target(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
     return translation_of(t_des) - t_des[:3, :3] @ np.array([0.0, 0.0, l4])
 
 
-def make_chain(model: RobotModel, config, v_init) -> fabrik.ChainState:
-    """Straight shoulder-elbow-wrist chain along v_init."""
+def make_chain(model: RobotModel) -> fabrik.ChainState:
+    """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT."""
     l1, l2, l3 = model.link_lengths[:3]
     shoulder = np.array([0.0, 0.0, l1])
     elbow_cone = min(math.pi, max(abs(model.joint_limits[3, 0]), abs(model.joint_limits[3, 1])))
-    joints = (fabrik.Ball(config.ball_limit), fabrik.Ball(elbow_cone))
+    joints = (fabrik.Ball(), fabrik.Ball(elbow_cone))
     return fabrik.straight_chain(
-        shoulder, v_init, np.array([l2, l3]), joints, anchor_dir=np.array([0.0, 0.0, 1.0])
+        shoulder, DEFAULT_V_INIT, np.array([l2, l3]), joints, anchor_dir=np.array([0.0, 0.0, 1.0])
     )
 
 
@@ -283,13 +284,24 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     return out
 
 
-def reference_elbow(model: RobotModel, theta_init, p3: np.ndarray) -> np.ndarray | None:
+def _lateral(arms, axis: np.ndarray) -> np.ndarray | None:
+    """Unit component normal to `axis` of the first arm not along it."""
+    for w in arms:
+        lateral = w - float(np.dot(w, axis)) * axis
+        norm = float(np.linalg.norm(lateral))
+        if norm > 1e-9:
+            return lateral / norm
+    return None
+
+
+def reference_elbow(model: RobotModel, reference_arms, p3: np.ndarray) -> np.ndarray | None:
     """Valid elbow position nearest the reference configuration's elbow.
 
     The elbow self-motion is a circle around the shoulder-to-wrist axis;
     projecting the reference elbow onto it yields the redundancy
-    resolution closest to the warm start. None when the projection is
-    undefined (reference elbow on the axis, or a degenerate circle).
+    resolution closest to the warm start. `reference_arms` holds the
+    reference elbow and wrist relative to the shoulder. None when the
+    projection is undefined (a degenerate circle).
     """
     l1, l2, l3 = model.link_lengths[:3]
     p1 = np.array([0.0, 0.0, l1])
@@ -305,61 +317,51 @@ def reference_elbow(model: RobotModel, theta_init, p3: np.ndarray) -> np.ndarray
     center = p1 + l2 * cos_a * u
     if radius < 1e-9:
         return None
-    frames = fk_frames(model, theta_init)
     # azimuth cue: reference elbow, then reference wrist, then the fixed
     # default azimuth (matches the default pre-bend direction), so a
     # fully on-axis reference still resolves deterministically
-    candidates = [frames[3][:3, 3] - p1, frames[5][:3, 3] - p1,
-                  np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    for w in candidates:
-        lateral = w - float(np.dot(w, u)) * u
-        norm = float(np.linalg.norm(lateral))
-        if norm > 1e-9:
-            return center + radius * (lateral / norm)
-    return None
-
-
-def _bend_bias_axis(model: RobotModel, theta_init, v_init) -> np.ndarray | None:
-    """Pre-bend axis that folds the straight chain toward theta_init.
-
-    Targets on the v_init line leave the fold azimuth free; biasing the
-    initial bend toward the reference configuration makes the recovered
-    chain (and hence the selected candidate) continuous under warm
-    starts. Uses the reference elbow's lateral direction, then the
-    wrist's; None when the reference chain is itself on the axis.
-    """
-    frames = fk_frames(model, theta_init)
-    shoulder = np.array([0.0, 0.0, model.link_lengths[0]])
-    for frame_idx in (3, 5):
-        arm = frames[frame_idx][:3, 3] - shoulder
-        lateral = arm - float(np.dot(arm, v_init)) * v_init
-        norm = float(np.linalg.norm(lateral))
-        if norm > 1e-9:
-            return unit(np.cross(v_init, lateral / norm))
-    return None
+    cues = reference_arms + [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+    lateral = _lateral(cues, u)
+    return None if lateral is None else center + radius * lateral
 
 
 class Branch:
     """The one shoulder-elbow-wrist chain, aimed at the wrist target."""
 
-    def __init__(self, t_des: np.ndarray, query: IKQuery, model: RobotModel):
-        self.query = query
+    def __init__(self, t_des: np.ndarray, theta_init, model: RobotModel):
+        self.theta_init = theta_init
         self.model = model
-        self.v_init = DEFAULT_V_INIT if query.v_init is None else unit(query.v_init)
         self.target = wrist_target(t_des, model)
 
+    @cached_property
+    def reference_arms(self) -> list[np.ndarray]:
+        """The reference elbow and wrist relative to the shoulder: the
+        one FK of theta_init per solve."""
+        frames = fk_frames(self.model, self.theta_init)
+        shoulder = np.array([0.0, 0.0, self.model.link_lengths[0]])
+        return [frames[3][:3, 3] - shoulder, frames[5][:3, 3] - shoulder]
+
     def chain(self) -> fabrik.ChainState:
-        return make_chain(self.model, self.query.config, self.v_init)
+        return make_chain(self.model)
 
     def bend_axis(self) -> np.ndarray | None:
-        return _bend_bias_axis(self.model, self.query.theta_init, self.v_init)
+        """Pre-bend axis that folds the straight chain toward theta_init.
+
+        Targets on the DEFAULT_V_INIT line leave the fold azimuth free;
+        biasing the initial bend toward the reference configuration
+        makes the recovered chain (and hence the selected candidate)
+        continuous under warm starts. Uses the reference elbow's lateral
+        direction, then the wrist's; None when the reference chain is
+        itself on the axis.
+        """
+        lateral = _lateral(self.reference_arms, DEFAULT_V_INIT)
+        return None if lateral is None else unit(np.cross(DEFAULT_V_INIT, lateral))
 
     def from_chain(self, chain: fabrik.ChainState):
         return chain.positions[1], chain.positions[2]
 
-    def optimize(self, seed_chain: fabrik.ChainState, config):
+    def optimize(self, seed_chain: fabrik.ChainState, stop: float):
         model = self.model
-        stop = config.eps_tol * config.eps_tol
         objective = wrist_objective(model, self.target)
         bounds = model.joint_limits[:4]
         # try the seed closest to the reference configuration first:
@@ -367,7 +369,7 @@ class Branch:
         # to mirror folds, and the warm-start fold keeps tracking
         # trajectories continuous
         seeds = seed_candidates_from_chain(seed_chain, model)
-        seeds.sort(key=lambda s: float(np.sum(np.abs(s - self.query.theta_init[:4]))))
+        seeds.sort(key=lambda s: float(np.sum(np.abs(s - self.theta_init[:4]))))
         results = []
         for seed in seeds[:12]:
             problem = OptProblem(
@@ -375,7 +377,7 @@ class Branch:
                 bounds=bounds,
                 x0=np.clip(seed, bounds[:, 0], bounds[:, 1]),
             )
-            results.append(minimize(problem, stop, config.opt_max_iters))
+            results.append(minimize(problem, stop))
             if results[-1].f <= stop:
                 th = results[-1].x
                 p3, _ = wrist_analytic(th, model)
@@ -383,7 +385,9 @@ class Branch:
         return results, None
 
 
-def recover_all(p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, theta_init, model: RobotModel):
+def recover_all(
+    p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, reference_arms, model: RobotModel
+):
     """Joint vectors for the reduced chain's elbow, then for the feasible
     elbow nearest the reference configuration.
 
@@ -398,7 +402,7 @@ def recover_all(p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, theta_init, m
     t_recover = t_des.copy()
     t_recover[:3, 3] = p3 + t_des[:3, :3] @ np.array([0.0, 0.0, model.link_lengths[3]])
     elbows = [p2]
-    p2_ref = reference_elbow(model, theta_init, p3)
+    p2_ref = reference_elbow(model, reference_arms, p3)
     if p2_ref is not None and float(np.max(np.abs(p2_ref - p2))) > 1e-9:
         elbows.append(p2_ref)
     for elbow in elbows:
@@ -411,9 +415,9 @@ def solve_detailed(query: IKQuery, model: RobotModel | None = None):
     start = time.perf_counter()
     t_des = prepare_query(model, query)
     detail = pipeline.SolveDetail()
-    branches = [Branch(t_des, query, model)]
-    for _, (p2, p3) in pipeline.reduced_solutions(branches, model, query.config, detail):
-        thetas = recover_all(p2, p3, t_des, query.theta_init, model)
+    branch = Branch(t_des, query.theta_init, model)
+    for _, (p2, p3) in pipeline.reduced_solutions([branch], model, query.config, detail):
+        thetas = recover_all(p2, p3, t_des, branch.reference_arms, model)
         pipeline.admit(detail, model, thetas, t_des, query.config.eps_tol, pose_mismatch)
     pick = select_candidate(detail.admitted, query.theta_init)
     return pipeline.finish(model, t_des, detail, pick, start)

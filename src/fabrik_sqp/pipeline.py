@@ -15,9 +15,9 @@ A branch is any object with:
 - ``chain()``: the straight chain, before the pre-bend
 - ``bend_axis()``: the pre-bend axis (None picks fabrik's default)
 - ``from_chain(chain)``: the reduced solution of a converged chain
-- ``optimize(seed_chain, config)``: ``(opt_results, reduced)`` with
+- ``optimize(seed_chain, stop)``: ``(opt_results, reduced)`` with
   every optimizer run in order and the reduced solution, or None when
-  the last run misses the tolerance
+  the last run ends above the stop value (the squared tolerance)
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def reduced_solutions(branches, model: RobotModel, config: SolverConfig, detail:
         # targets along the straight chain leave the fold free; the
         # branch's bend axis picks the fold of the reference
         axis = branch.bend_axis()
-        chain = fabrik.pre_bend(branch.chain(), config.pre_bend, config.collinear_tol, axis=axis)
+        chain = fabrik.pre_bend(branch.chain(), axis=axis)
         outcome = fabrik.solve(chain, branch.target, eps, cap)
         detail.fabrik_iterations += outcome.iterations
         if outcome.converged:
@@ -80,8 +80,8 @@ def reduced_solutions(branches, model: RobotModel, config: SolverConfig, detail:
         elif config.use_optimizer:
             # collinear targets let the sweeps re-straighten the chain;
             # re-bend so the seed is off the stationary ridge
-            seed = fabrik.pre_bend(outcome.chain, config.pre_bend, config.collinear_tol, axis=axis)
-            results, reduced = branch.optimize(seed, config)
+            seed = fabrik.pre_bend(outcome.chain, axis=axis)
+            results, reduced = branch.optimize(seed, eps * eps)
             detail.optimizer_iterations += sum(r.iterations for r in results)
             detail.optimizer = results[-1]
             if reduced is not None:

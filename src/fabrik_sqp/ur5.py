@@ -142,7 +142,6 @@ def elbow_optimize(
     model: RobotModel,
     bounds: np.ndarray,
     stop_value: float,
-    max_iters: int,
 ) -> tuple[OptResult, np.ndarray | None, np.ndarray | None]:
     """Optimize (theta2, theta3) and convert them back to link directions."""
     problem = OptProblem(
@@ -150,7 +149,7 @@ def elbow_optimize(
         bounds=bounds,
         x0=np.clip(np.asarray(seeds, dtype=float), bounds[:, 0], bounds[:, 1]),
     )
-    result = minimize(problem, stop_value, max_iters)
+    result = minimize(problem, stop_value)
     if result.f > stop_value:
         return result, None, None
     z2d = np.array([math.sin(theta1), -math.cos(theta1), 0.0])
@@ -228,7 +227,7 @@ class Branch:
         dirs = chain.link_directions()
         return dirs[0], dirs[1]
 
-    def optimize(self, seed_chain: fabrik.ChainState, config):
+    def optimize(self, seed_chain: fabrik.ChainState, stop: float):
         frame = self.frame
         dirs = seed_chain.link_directions()
         seeds = (
@@ -241,8 +240,7 @@ class Branch:
             seeds,
             self.model,
             self.model.joint_limits[1:3],
-            config.eps_tol * config.eps_tol,
-            config.opt_max_iters,
+            stop,
         )
         return [result], None if l2d is None else (l2d, l3d)
 

@@ -151,6 +151,23 @@ class TestTraceCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--target", "nan,0,0"],
+        ["trace", "--target", "inf,0,0"],
+        ["trace", "--links", "1,nan", "--target", "1,0,0"],
+        ["trace", "--links", "1,1", "--v-init", "0,0,0", "--target", "1,0,0"],
+        ["track", "--robot", "ur5", "--end-config", "nan,0,0,0,0,0"],
+    ],
+    ids=["nan-target", "inf-target", "nan-link", "zero-v-init", "nan-end-config"],
+)
+def test_bad_numbers_exit_one(tmp_path, capsys, argv):
+    code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestTrackCommand:
     def test_small_run_row_count(self, tmp_path, capsys):
         out = tmp_path / "track.csv"

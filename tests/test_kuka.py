@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fabrik_sqp import kuka
+from fabrik_sqp import benchmark, kuka
 from fabrik_sqp.geometry import make_transform
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
@@ -202,16 +202,18 @@ class TestSolve:
         assert pose_mismatch(kuka_model, result.theta, golden_kuka_pose) <= 1e-6
         assert result.theta.shape == (7,)
 
-    def test_custom_v_init(self, kuka_model):
-        theta = np.array([0.4, 0.9, -0.5, -1.2, 0.7, 0.8, -0.3])
-        t_des = forward_kinematics(kuka_model, theta)
-        result = kuka.solve(
-            IKQuery(
-                t_des=t_des,
-                theta_init=theta,
-                config=SolverConfig(),
-                v_init=np.array([1.0, 0.0, 0.0]),
-            ),
-            kuka_model,
+    def test_one_reference_fk_per_solve(self, kuka_model, monkeypatch):
+        calls = []
+
+        def counted(model, theta):
+            calls.append(theta)
+            return fk_frames(model, theta)
+
+        monkeypatch.setattr(kuka, "fk_frames", counted)
+        t_des, theta_init = benchmark.generate_queries(kuka_model, 1, 7).queries[0]
+        result, detail = kuka.solve_detailed(
+            IKQuery(t_des=t_des, theta_init=theta_init, config=SolverConfig()), kuka_model
         )
         assert result.status is IKStatus.SOLVED
+        assert len(detail.candidates) == 32
+        assert len(calls) == 1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, kuka, solve_ik, ur5
+from fabrik_sqp import benchmark, kuka, optimizer, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 
@@ -49,9 +49,14 @@ class TestStatusRule:
         assert detail.reachable and detail.optimizer is None
         assert detail.admitted == []
 
-    def test_optimizer_miss_fails(self, solver):
+    def test_optimizer_miss_fails(self, solver, monkeypatch):
         module, model = solver
-        config = SolverConfig(n_l=1, opt_max_iters=1)
+        # a one-iteration cap at the solver's minimize name makes every
+        # optimizer run stop short of the tolerance
+        monkeypatch.setattr(
+            module, "minimize", lambda problem, stop: optimizer.minimize(problem, stop, 1)
+        )
+        config = SolverConfig(n_l=1)
         result, detail = module.solve_detailed(_first_seeded_query(model, config), model)
         assert result.status is IKStatus.FAILED
         assert result.theta is None and result.error is None
@@ -94,4 +99,20 @@ class TestInputBoundary:
         theta_init[1] = math.nan
         query = IKQuery(t_des=t_des, theta_init=theta_init, config=SolverConfig())
         with pytest.raises(ValueError, match="theta_init must be finite"):
+            solve_ik(model, query)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [("wrong-length", "theta_init must have"), ("out-of-limit", "within the joint limits")],
+    )
+    def test_invalid_theta_init_rejected(self, solver, case, match):
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        if case == "wrong-length":
+            theta_init = theta_init[:-1]
+        else:
+            theta_init = theta_init.copy()
+            theta_init[0] = model.joint_limits[0, 1] + 0.1
+        query = IKQuery(t_des=t_des, theta_init=theta_init, config=SolverConfig())
+        with pytest.raises(ValueError, match=match):
             solve_ik(model, query)

@@ -129,7 +129,7 @@ class TestElbowOptimize:
         theta = np.array([0.3, -0.7, 1.2, 0.0, 0.0, 0.0])
         target = ur5.elbow_position(ur5_model, 0.3, -0.7, 1.2)
         result, l2d, l3d = ur5.elbow_optimize(
-            0.3, target, (-0.7, 1.2), ur5_model, ur5_model.joint_limits[1:3], 1e-12, 200
+            0.3, target, (-0.7, 1.2), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
         assert result.iterations == 0
         assert result.f <= 1e-12
@@ -139,7 +139,7 @@ class TestElbowOptimize:
         theta1 = 0.5
         target = ur5.elbow_position(ur5_model, theta1, 0.4, 0.0)  # straight elbow
         result, l2d, l3d = ur5.elbow_optimize(
-            theta1, target, (0.2, 0.9), ur5_model, ur5_model.joint_limits[1:3], 1e-12, 300
+            theta1, target, (0.2, 0.9), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
         assert result.f <= 1e-12
         # full extension: both links parallel within the boundary
