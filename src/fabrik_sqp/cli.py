@@ -24,6 +24,10 @@ EXIT_USAGE = 1
 EXIT_UNREACHABLE = 2
 EXIT_FAILED = 3
 
+# The sweeps square distances of up to about twice the chain's reach;
+# a longer chain would overflow them.
+MAX_CHAIN_REACH = 1e150
+
 
 class CliError(Exception):
     """Input problem that maps to the usage exit code."""
@@ -145,6 +149,8 @@ def cmd_trace(args) -> int:
         lengths = _parse_floats(args.links, None, "--links")
         if lengths.size < 1 or np.any(lengths <= 0):
             raise CliError("--links must be positive lengths")
+        if math.fsum(lengths) > MAX_CHAIN_REACH:
+            raise CliError(f"--links must sum to at most {MAX_CHAIN_REACH:g}")
         base = _parse_floats(args.base, 3, "--base")
         try:
             direction = unit(_parse_floats(args.v_init, 3, "--v-init"))
@@ -177,9 +183,12 @@ def cmd_track(args) -> int:
     theta_end = (
         None if args.end_config is None else _parse_floats(args.end_config, model.dof, "--end-config")
     )
-    theta_init, waypoints = tracking.scripted_waypoints(
-        model, phase1_n=args.phase1_n, phase2_n=args.phase2_n, theta_end=theta_end
-    )
+    try:
+        theta_init, waypoints = tracking.scripted_waypoints(
+            model, phase1_n=args.phase1_n, phase2_n=args.phase2_n, theta_end=theta_end
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     config = SolverConfig(eps_tol=args.eps)
     trace = tracking.track(model, waypoints, theta_init, config)
     tracking.write_trace_csv(trace, model.dof, args.out)

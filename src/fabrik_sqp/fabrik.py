@@ -134,18 +134,17 @@ def clamp_correction(phi: float, limit) -> float:
     return 0.0
 
 
-def ball_joint_axis(p0, p1, p2) -> np.ndarray:
-    """Correction axis at p1: normalized cross of the two link directions.
+def ball_joint_axis(l_in, l_out) -> np.ndarray:
+    """Correction axis of a ball joint: normalized cross of the unit link
+    directions entering and leaving it.
 
     Falls back to a deterministic perpendicular of the incoming link when
-    the three points are collinear.
+    the links are collinear.
     """
-    u1 = unit(np.asarray(p1, dtype=float) - np.asarray(p0, dtype=float))
-    u2 = unit(np.asarray(p2, dtype=float) - np.asarray(p1, dtype=float))
-    c = np.cross(u1, u2)
+    c = np.cross(l_in, l_out)
     n = float(np.linalg.norm(c))
     if n < 1e-9:
-        return perpendicular_axis(u1)
+        return perpendicular_axis(l_in)
     return c / n
 
 
@@ -167,10 +166,7 @@ def _limit_correction(l_in, l_out, joint):
     phi = clamped_arccos(float(np.dot(l_in, l_out)))
     if phi <= joint.max_angle:
         return None
-    c = np.cross(l_in, l_out)
-    n = float(np.linalg.norm(c))
-    axis = c / n if n >= 1e-9 else perpendicular_axis(l_in)
-    return joint.max_angle - phi, axis
+    return joint.max_angle - phi, ball_joint_axis(l_in, l_out)
 
 
 def forward_phase(chain: ChainState, target) -> ChainState:
@@ -310,11 +306,12 @@ def solve(
         raise ValueError("iter_cap must be at least 1")
     target = np.asarray(target, dtype=float)
     reach = chain.reach()
-    gap = float(np.linalg.norm(target - chain.base))
+    # math.dist scales its sum, so huge targets give no overflow
+    gap = math.dist(target, chain.base)
     # one-ulp tolerance: on-sphere targets are reachable by contract and
     # must not flip on fp rounding of the gap
     if gap > reach * (1.0 + 1e-12):
-        dist = float(np.linalg.norm(chain.end - target))
+        dist = math.dist(chain.end, target)
         return FabrikOutcome(False, 0, dist, chain, () if record_trace else None, True)
     if reach - gap <= 1e-12 * reach and gap > 0.0:
         # full-extension target: the straight chain is the unique solution

@@ -12,6 +12,7 @@ from .robots import KUKA, UR5, RobotModel
 
 DEFAULT_EPS_TOL = 1e-6
 DEFAULT_SWITCH_INDEX = {UR5: 5, KUKA: 15}
+SELECT_TIE_TOL = 1e-12  # L1 distances closer than this tie (radians)
 
 
 class IKStatus(enum.Enum):
@@ -79,19 +80,26 @@ class IKResult:
         return self.status is IKStatus.SOLVED
 
 
+def check_joint_vector(model: RobotModel, theta, name: str) -> np.ndarray:
+    """theta as a float array; ValueError unless it has one finite entry
+    per joint within the model's limits."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.dof,):
+        raise ValueError(
+            f"{name} must have {model.dof} entries for {model.name}, got {theta.shape}"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"{name} must be finite")
+    if not model.within_limits(theta, tol=1e-12):
+        raise ValueError(f"{name} must lie within the joint limits")
+    return theta
+
+
 def prepare_query(model: RobotModel, query: IKQuery) -> np.ndarray:
     """Validate the query against the model and sanitize the input pose."""
     if not np.all(np.isfinite(query.t_des)):
         raise ValueError("t_des must be finite")
-    if query.theta_init.shape != (model.dof,):
-        raise ValueError(
-            f"theta_init must have {model.dof} entries for {model.name}, "
-            f"got {query.theta_init.shape}"
-        )
-    if not np.all(np.isfinite(query.theta_init)):
-        raise ValueError("theta_init must be finite")
-    if not model.within_limits(query.theta_init, tol=1e-12):
-        raise ValueError("theta_init must lie within the joint limits")
+    check_joint_vector(model, query.theta_init, "theta_init")
     t = query.t_des.copy()
     t[:3, :3] = sanitize_rotation(t[:3, :3])
     return t
@@ -101,13 +109,16 @@ def select_candidate(candidates, theta_init) -> int | None:
     """Index of the admitted candidate closest to theta_init in L1 norm.
 
     Ties keep the earliest candidate, so the enumeration order of the
-    sign branches is the tie-break.
+    sign branches is the tie-break. A later candidate must be closer by
+    more than SELECT_TIE_TOL: distances that are equal in real
+    arithmetic (a UR5 fold and its mirror often are) can differ in the
+    last bits of the float sum, and those bits must not pick the winner.
     """
     best = None
     best_d = math.inf
     for idx, theta in enumerate(candidates):
         d = float(np.sum(np.abs(np.asarray(theta) - theta_init)))
-        if d < best_d:
+        if d < best_d - SELECT_TIE_TOL:
             best = idx
             best_d = d
     return best

@@ -25,8 +25,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import fabrik
 from .geometry import cartesian_error
 from .iktypes import IKResult, IKStatus, SolverConfig
@@ -63,10 +61,11 @@ def reduced_solutions(branches, model: RobotModel, config: SolverConfig, detail:
     eps = config.eps_tol
     cap = config.fabrik_cap(model.name)
     l1, l2, l3 = model.link_lengths[:3]
-    shoulder = np.array([0.0, 0.0, l1])
+    shoulder = (0.0, 0.0, l1)
     for branch in branches:
         detail.branches += 1
-        if float(np.linalg.norm(branch.target - shoulder)) > (l2 + l3) * (1.0 + 1e-12):
+        # math.dist scales its sum, so huge targets give no overflow
+        if math.dist(branch.target, shoulder) > (l2 + l3) * (1.0 + 1e-12):
             continue
         detail.reachable = True
         # targets along the straight chain leave the fold free; the

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import make_transform, rotation_of, translation_of, wrap_angle
-from .iktypes import IKQuery, IKStatus, SolverConfig
+from .iktypes import IKQuery, IKStatus, SolverConfig, check_joint_vector
 from .robots import KUKA, UR5, RobotModel, fk_frames, forward_kinematics
 
 # Scripted scenario constants: start/end configurations for the
@@ -168,10 +168,13 @@ def scripted_waypoints(
 
     Returns (theta_init, waypoints) where waypoints are (phase, pose)
     pairs: phase 1 slides the reduced-chain end to the zero position,
-    phase 2 tracks a joint-interpolated path from zero to theta_end.
+    phase 2 tracks a joint-interpolated path from zero to theta_end,
+    which must lie within the joint limits (ValueError otherwise).
     """
     theta_init = SCRIPTED_THETA_INIT[model.name]
-    theta_end = SCRIPTED_THETA_END[model.name] if theta_end is None else np.asarray(theta_end)
+    if theta_end is None:
+        theta_end = SCRIPTED_THETA_END[model.name]
+    theta_end = check_joint_vector(model, theta_end, "theta_end")
     points = build_phase1_path(model, theta_init, phase1_n)
     poses1 = phase1_poses(model, theta_init, points)
     poses2 = build_phase2_path(model, np.zeros(model.dof), theta_end, phase2_n)

@@ -1,13 +1,15 @@
 """Combined FABRIK + box-SQP inverse kinematics for the UR5.
 
-The 6-DOF problem is reduced to a two-link planar chain: theta1 fixes a
-vertical working plane, the wrist links are peeled off analytically, and
-FABRIK (with the optimizer as fallback) places the elbow chain at the
-projected wrist target. The remaining angles are recovered from signed
-angles between link directions. Since neither the sign of theta1 nor
-the wrist-link direction can be determined up front, four branches are
-evaluated and filtered by the pose-mismatch metric; the returned vector
-is the feasible candidate closest to theta_init in L1 norm.
+theta1 fixes a vertical working plane, the wrist links are peeled off
+analytically, and FABRIK (with the optimizer as fallback) solves the
+planar joint pair (theta2, theta3) that places the elbow chain at the
+projected wrist target. Since neither the sign of theta1 nor the
+wrist-link direction can be determined up front, four branches are
+evaluated. Joints 2-4 are parallel, so theta2 + theta3 + theta4, theta5
+and theta6 are solved once per branch, and each fold of the elbow chain
+sets theta4 to close that sum. The candidates are filtered by the
+pose-mismatch metric; the returned vector is the feasible candidate
+closest to theta_init in L1 norm.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import numpy as np
 from . import fabrik, pipeline
 from .geometry import (
     dedup_angles,
-    rotate_about_axis,
     signed_angle,
     translation_of,
     unit,
@@ -142,67 +143,54 @@ def elbow_optimize(
     model: RobotModel,
     bounds: np.ndarray,
     stop_value: float,
-) -> tuple[OptResult, np.ndarray | None, np.ndarray | None]:
-    """Optimize (theta2, theta3) and convert them back to link directions."""
+) -> tuple[OptResult, np.ndarray | None]:
+    """Optimize (theta2, theta3); None in place of x above the stop value."""
     problem = OptProblem(
         objective=elbow_objective(model, theta1, target),
         bounds=bounds,
         x0=np.clip(np.asarray(seeds, dtype=float), bounds[:, 0], bounds[:, 1]),
     )
     result = minimize(problem, stop_value)
-    if result.f > stop_value:
-        return result, None, None
-    z2d = np.array([math.sin(theta1), -math.cos(theta1), 0.0])
-    v_init = np.array([-math.cos(theta1), -math.sin(theta1), 0.0])
-    th2, th3 = float(result.x[0]), float(result.x[1])
-    l2d = rotate_about_axis(z2d, th2, v_init)
-    l3d = rotate_about_axis(z2d, th2 + th3, v_init)
-    return result, l2d, l3d
+    return result, None if result.f > stop_value else result.x
 
 
-def fold_variants(
-    l2d: np.ndarray, l3d: np.ndarray, model: RobotModel
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def fold_variants(theta2: float, theta3: float, model: RobotModel) -> list[tuple[float, float]]:
     """The chain's fold plus its elbow-up/down mirror.
 
     A planar two-link chain reaching a point admits two folds; the
     iteration produces one, and the mirror (links reflected across the
     base-to-end line) reaches the same point. Enumerating both lets the
-    closest-to-reference selection pick either.
+    closest-to-reference selection pick either. The mirror turns the
+    upper arm by twice the angle between it and the base-to-end line.
     """
-    out = [(l2d, l3d)]
     l2, l3 = model.link_lengths[1], model.link_lengths[2]
-    span = l2 * l2d + l3 * l3d
-    norm = float(np.linalg.norm(span))
-    if norm > 1e-9:
-        u = span / norm
-        m2 = 2.0 * float(np.dot(l2d, u)) * u - l2d
-        m3 = 2.0 * float(np.dot(l3d, u)) * u - l3d
-        if float(np.max(np.abs(m2 - l2d))) > 1e-9:
-            out.append((m2, m3))
-    return out
+    turn = 2.0 * math.atan2(l3 * math.sin(theta3), l2 + l3 * math.cos(theta3))
+    if abs(turn) <= 1e-9:
+        return [(theta2, theta3)]
+    return [(theta2, theta3), (theta2 + turn, -theta3)]
 
 
-def recover_angles(
-    l2d: np.ndarray,
-    l3d: np.ndarray,
-    l5d: np.ndarray,
-    frame: PlanarFrame,
-    t_des: np.ndarray,
-    model: RobotModel,
-) -> np.ndarray:
-    """All six joint angles from the link directions of one branch."""
-    theta2 = signed_angle(frame.v_init, l2d, frame.z2d)
-    theta3 = signed_angle(l2d, l3d, frame.z2d)
-    theta4 = wrap_angle(signed_angle(l3d, l5d, frame.z2d) - math.pi / 2)
+def wrist_angles(
+    frame: PlanarFrame, l5d: np.ndarray, t_des: np.ndarray, model: RobotModel
+) -> tuple[float, float, float]:
+    """(theta2 + theta3 + theta4, theta5, theta6), shared by every
+    (theta2, theta3) of the branch: the wrist rotation depends on joints
+    2-4 only through their sum."""
+    theta234 = signed_angle(frame.v_init, l5d, frame.z2d) - math.pi / 2
     if frame.degenerate:
-        theta5 = 0.0
-        theta6 = 0.0
-    else:
-        theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
-        x5d = fk_prefix(model, [frame.theta1, theta2, theta3, theta4, theta5])[:3, 0]
-        theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), unit(t_des[:3, 2]))
-    return wrap_angle(np.array([frame.theta1, theta2, theta3, theta4, theta5, theta6]))
+        return theta234, 0.0, 0.0
+    theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
+    x5d = fk_prefix(model, [frame.theta1, 0.0, 0.0, theta234, theta5])[:3, 0]
+    theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), unit(t_des[:3, 2]))
+    return theta234, theta5, theta6
+
+
+def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> np.ndarray:
+    """All six joint angles of one fold; theta4 closes the branch's sum."""
+    theta234, theta5, theta6 = wrist
+    return wrap_angle(
+        np.array([theta1, theta2, theta3, theta234 - theta2 - theta3, theta5, theta6])
+    )
 
 
 class Branch:
@@ -223,26 +211,22 @@ class Branch:
         # their fold
         return self.frame.z2d if self.theta_init[2] >= 0.0 else -self.frame.z2d
 
-    def from_chain(self, chain: fabrik.ChainState):
-        dirs = chain.link_directions()
-        return dirs[0], dirs[1]
+    def from_chain(self, chain: fabrik.ChainState) -> tuple[float, float]:
+        """(theta2, theta3) of a chain in the working plane."""
+        frame = self.frame
+        l2d, l3d = chain.link_directions()
+        return signed_angle(frame.v_init, l2d, frame.z2d), signed_angle(l2d, l3d, frame.z2d)
 
     def optimize(self, seed_chain: fabrik.ChainState, stop: float):
-        frame = self.frame
-        dirs = seed_chain.link_directions()
-        seeds = (
-            signed_angle(frame.v_init, dirs[0], frame.z2d),
-            signed_angle(dirs[0], dirs[1], frame.z2d),
-        )
-        result, l2d, l3d = elbow_optimize(
-            frame.theta1,
+        result, pair = elbow_optimize(
+            self.frame.theta1,
             self.target,
-            seeds,
+            self.from_chain(seed_chain),
             self.model,
             self.model.joint_limits[1:3],
             stop,
         )
-        return [result], None if l2d is None else (l2d, l3d)
+        return [result], pair
 
 
 def branches(t_des: np.ndarray, theta_init, model: RobotModel):
@@ -254,6 +238,14 @@ def branches(t_des: np.ndarray, theta_init, model: RobotModel):
             yield Branch(frame, l5d, theta_init, model)
 
 
+def candidates(reduced, t_des: np.ndarray, model: RobotModel):
+    """Joint vectors of every fold of every (branch, (theta2, theta3))."""
+    for branch, (theta2, theta3) in reduced:
+        wrist = wrist_angles(branch.frame, branch.l5d, t_des, model)
+        for fold in fold_variants(theta2, theta3, model):
+            yield recover_angles(branch.frame.theta1, *fold, wrist)
+
+
 def solve_detailed(query: IKQuery, model: RobotModel | None = None):
     """Run the pipeline over every branch; returns (IKResult, SolveDetail)."""
     model = ur5_model() if model is None else model
@@ -263,12 +255,9 @@ def solve_detailed(query: IKQuery, model: RobotModel | None = None):
     reduced = pipeline.reduced_solutions(
         branches(t_des, query.theta_init, model), model, query.config, detail
     )
-    thetas = (
-        recover_angles(l2d, l3d, branch.l5d, branch.frame, t_des, model)
-        for branch, (chain_l2d, chain_l3d) in reduced
-        for l2d, l3d in fold_variants(chain_l2d, chain_l3d, model)
+    pipeline.admit(
+        detail, model, candidates(reduced, t_des, model), t_des, query.config.eps_tol, pose_mismatch
     )
-    pipeline.admit(detail, model, thetas, t_des, query.config.eps_tol, pose_mismatch)
     pick = select_candidate(detail.admitted, query.theta_init)
     return pipeline.finish(model, t_des, detail, pick, start)
 

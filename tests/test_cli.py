@@ -168,6 +168,23 @@ def test_bad_numbers_exit_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_target_is_unreachable_without_warnings(tmp_path, capsys):
+    code = cli.main(["trace", "--target", "1e300,0,0", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: target is beyond the chain's reach\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_links_rejected(tmp_path, capsys):
+    code = cli.main(
+        ["trace", "--links", "1e200,1e200", "--target", "1,0,0", "--out", str(tmp_path / "t.csv")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --links") and err.count("\n") == 1
+
+
 class TestTrackCommand:
     def test_small_run_row_count(self, tmp_path, capsys):
         out = tmp_path / "track.csv"
@@ -180,3 +197,12 @@ class TestTrackCommand:
 
     def test_usage_error_exit_one(self, capsys):
         assert cli.main(["track", "--robot", "kuka", "--phase1-n", "0", "--out", "x.csv"]) == 1
+
+    def test_end_config_outside_limits_exit_one(self, tmp_path, capsys):
+        argv = [
+            "track", "--robot", "ur5", "--phase1-n", "2", "--phase2-n", "3",
+            "--end-config", "10,0,0,0,0,0", "--out", str(tmp_path / "t.csv"),
+        ]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: theta_end must lie within the joint limits\n"
+        assert not (tmp_path / "t.csv").exists()

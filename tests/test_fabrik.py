@@ -48,13 +48,19 @@ class TestClampCorrection:
             clamp_correction(0.0, (1.0, -1.0))
 
 
+def corner_axis(p0, p1, p2):
+    """ball_joint_axis at p1 of the links p0 -> p1 -> p2."""
+    p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
+    return ball_joint_axis(unit(p1 - p0), unit(p2 - p1))
+
+
 class TestBallJointAxis:
     def test_planar_corner(self):
-        axis = ball_joint_axis([0, 0, 0], [1, 0, 0], [1, 1, 0])
+        axis = corner_axis([0, 0, 0], [1, 0, 0], [1, 1, 0])
         assert np.allclose(axis, [0, 0, 1], atol=1e-12)
 
     def test_vertical_corner(self):
-        axis = ball_joint_axis([0, 0, 0], [0, 0, 1], [0, 1, 1])
+        axis = corner_axis([0, 0, 0], [0, 0, 1], [0, 1, 1])
         assert np.allclose(axis, [-1, 0, 0], atol=1e-12)
 
     def test_orthogonal_to_both_links(self):
@@ -62,7 +68,7 @@ class TestBallJointAxis:
         for _ in range(100):
             p0, p1 = rng.normal(size=3), rng.normal(size=3)
             p2 = rng.normal(size=3)
-            axis = ball_joint_axis(p0, p1, p2)
+            axis = corner_axis(p0, p1, p2)
             assert abs(np.dot(axis, unit(p1 - p0))) <= 1e-12 or np.allclose(
                 np.cross(unit(p1 - p0), unit(p2 - p1)), 0, atol=1e-9
             )
@@ -70,11 +76,22 @@ class TestBallJointAxis:
                 assert abs(np.dot(axis, unit(p2 - p1))) <= 1e-12
 
     def test_collinear_fallback_deterministic(self):
-        a1 = ball_joint_axis([0, 0, 0], [1, 0, 0], [2, 0, 0])
-        a2 = ball_joint_axis([0, 0, 0], [1, 0, 0], [2, 0, 0])
+        a1 = corner_axis([0, 0, 0], [1, 0, 0], [2, 0, 0])
+        a2 = corner_axis([0, 0, 0], [1, 0, 0], [2, 0, 0])
         assert np.array_equal(a1, a2)
         assert abs(np.dot(a1, [1, 0, 0])) <= 1e-12
         assert abs(np.linalg.norm(a1) - 1.0) <= 1e-12
+
+    def test_cone_clamp_turns_about_the_axis(self):
+        # a 90-degree bend at a 30-degree cone: the clamp turns the
+        # outgoing link back by 60 degrees about the corner axis
+        l_in, l_out = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        delta, axis = fabrik._limit_correction(l_in, l_out, Ball(math.pi / 6))
+        assert delta == pytest.approx(-math.pi / 3, abs=1e-15)
+        assert np.array_equal(axis, ball_joint_axis(l_in, l_out))
+        clamped = rotate_about_axis(axis, delta, l_out)
+        assert math.acos(float(np.dot(l_in, clamped))) == pytest.approx(math.pi / 6, abs=1e-12)
+        assert fabrik._limit_correction(l_in, l_out, Ball(math.pi / 2 + 1e-9)) is None
 
 
 class TestForwardPhase:

@@ -6,7 +6,7 @@ import pytest
 
 from fabrik_sqp import benchmark, kuka, optimizer, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform
-from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, select_candidate
 
 SOLVERS = [(ur5, "ur5_model"), (kuka, "kuka_model")]
 
@@ -82,8 +82,30 @@ class TestStatusRule:
             assert admitted == (mismatch <= SolverConfig().eps_tol)
 
 
+class TestSelection:
+    def test_near_tie_keeps_the_earliest(self):
+        # the later candidate is 1e-15 closer: a rounding-level
+        # difference that must not pick the winner
+        first, later = np.array([0.5, 0.5]), np.array([0.5, 0.5 - 1e-15])
+        assert float(np.sum(later)) < float(np.sum(first))
+        assert select_candidate([first, later], np.zeros(2)) == 0
+
+    def test_closer_candidate_wins(self):
+        candidates = [np.array([0.5, 0.5]), np.array([0.5, 0.5 - 1e-9])]
+        assert select_candidate(candidates, np.zeros(2)) == 1
+
+
 @pytest.mark.filterwarnings("error")
 class TestInputBoundary:
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_target_unreachable(self, solver, scale):
+        module, model = solver
+        t = make_transform(np.eye(3), [scale, -scale, 0.5 * scale])
+        query = IKQuery(t_des=t, theta_init=np.zeros(model.dof), config=SolverConfig())
+        result, detail = module.solve_detailed(query, model)
+        assert result.status is IKStatus.UNREACHABLE
+        assert not detail.reachable
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_position_rejected(self, solver, value):
         _, model = solver

@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from fabrik_sqp import tracking
 from fabrik_sqp.iktypes import SolverConfig
@@ -141,3 +142,16 @@ class TestScriptedScenario:
         # orientation held at the scripted initial value equals the zero
         # configuration's orientation for these start configurations
         assert np.allclose(last_phase1, zero_pose, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "theta_end, match",
+        [
+            (np.array([10.0, 0, 0, 0, 0, 0]), "theta_end must lie within the joint limits"),
+            (np.zeros(5), "theta_end must have 6 entries for ur5"),
+            (np.array([np.nan, 0, 0, 0, 0, 0]), "theta_end must be finite"),
+        ],
+        ids=["out-of-limit", "wrong-length", "nan"],
+    )
+    def test_bad_end_configuration_rejected(self, ur5_model, theta_end, match):
+        with pytest.raises(ValueError, match=match):
+            tracking.scripted_waypoints(ur5_model, 2, 3, theta_end=theta_end)

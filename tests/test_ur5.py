@@ -1,21 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fabrik_sqp import ur5
-from fabrik_sqp.geometry import make_transform, unit
+from fabrik_sqp import benchmark, ur5
+from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
 from conftest import UR5_REF_THETA
-
-
-def fk_chain_dirs(model, theta):
-    """Planar-chain link directions straight from forward kinematics."""
-    frames = fk_frames(model, theta)
-    p1, p2, p3 = (frames[i][:3, 3] for i in (1, 2, 3))
-    return unit(p2 - p1), unit(p3 - p2)
 
 
 class TestWristPosition:
@@ -93,6 +87,14 @@ class TestPlanarFrame:
             assert abs(float(np.dot(frame.z2d, frame.p_w_proj))) <= 1e-9
 
 
+def chain_angles(model, frame, theta):
+    """(theta2, theta3) of the planar chain that FK places for theta."""
+    frames = fk_frames(model, theta)
+    chain = ur5.make_chain(frame, model)
+    chain = replace(chain, positions=np.array([frames[i][:3, 3] for i in (1, 2, 3)]))
+    return ur5.Branch(frame, frame.l5d_options[0], theta, model).from_chain(chain)
+
+
 class TestRecoverAngles:
     def test_fk_roundtrip_over_random_configurations(self, ur5_model):
         rng = np.random.default_rng(1)
@@ -101,16 +103,27 @@ class TestRecoverAngles:
             theta = rng.uniform(-math.pi, math.pi, 6)
             t_des = forward_kinematics(ur5_model, theta)
             p_w = ur5.wrist_position(t_des, ur5_model)
-            l2d, l3d = fk_chain_dirs(ur5_model, theta)
             best = math.inf
             for theta1 in ur5.theta1_candidates(p_w, ur5_model):
                 frame = ur5.planar_frame(theta1, t_des, p_w, ur5_model)
+                theta2, theta3 = chain_angles(ur5_model, frame, theta)
                 for l5d in frame.l5d_options:
-                    rec = ur5.recover_angles(l2d, l3d, l5d, frame, t_des, ur5_model)
+                    wrist = ur5.wrist_angles(frame, l5d, t_des, ur5_model)
+                    rec = ur5.recover_angles(theta1, theta2, theta3, wrist)
                     best = min(best, pose_mismatch(ur5_model, rec, t_des))
             if best <= 1e-9:
                 hits += 1
         assert hits == 100
+
+    def test_chain_angles_are_the_fk_joint_angles(self, ur5_model):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            theta = rng.uniform(-math.pi, math.pi, 6)
+            t_des = forward_kinematics(ur5_model, theta)
+            p_w = ur5.wrist_position(t_des, ur5_model)
+            frame = ur5.planar_frame(float(theta[0]), t_des, p_w, ur5_model)
+            got = chain_angles(ur5_model, frame, theta)
+            assert np.allclose(wrap_angle(np.subtract(got, theta[1:3])), 0.0, atol=1e-9)
 
     def test_degenerate_wrist_zeroes_last_joints(self, ur5_model):
         theta = np.array([0.4, -0.8, 1.1, -0.3, 0.0, 0.0])
@@ -118,34 +131,58 @@ class TestRecoverAngles:
         p_w = ur5.wrist_position(t_des, ur5_model)
         frame = ur5.planar_frame(float(theta[0]), t_des, p_w, ur5_model)
         assert frame.degenerate
-        l2d, l3d = fk_chain_dirs(ur5_model, theta)
-        rec = ur5.recover_angles(l2d, l3d, frame.l5d_options[0], frame, t_des, ur5_model)
+        wrist = ur5.wrist_angles(frame, frame.l5d_options[0], t_des, ur5_model)
+        rec = ur5.recover_angles(frame.theta1, *chain_angles(ur5_model, frame, theta), wrist)
         assert rec[4] == 0.0 and rec[5] == 0.0
         assert pose_mismatch(ur5_model, rec, t_des) <= 1e-9
+
+    def test_fourth_joint_closes_the_branch_sum(self, ur5_model):
+        rec = ur5.recover_angles(0.2, 1.0, 2.5, (-3.0, 0.4, -0.5))
+        # -3.0 - 1.0 - 2.5 = -6.5 wraps to 2*pi - 6.5
+        assert rec == pytest.approx([0.2, 1.0, 2.5, 2 * math.pi - 6.5, 0.4, -0.5], abs=1e-15)
+
+
+class TestFoldVariants:
+    def test_mirror_reaches_the_same_point(self, ur5_model):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            theta1, theta2, theta3 = rng.uniform(-math.pi, math.pi, 3)
+            folds = ur5.fold_variants(theta2, theta3, ur5_model)
+            assert folds[0] == (theta2, theta3)
+            (m2, m3) = folds[1]
+            assert m3 == -theta3
+            want = ur5.elbow_position(ur5_model, theta1, theta2, theta3)
+            got = ur5.elbow_position(ur5_model, theta1, m2, m3)
+            assert np.allclose(got, want, atol=1e-12)
+
+    def test_straight_chain_has_one_fold(self, ur5_model):
+        assert ur5.fold_variants(0.7, 0.0, ur5_model) == [(0.7, 0.0)]
+        assert len(ur5.fold_variants(0.7, 1e-8, ur5_model)) == 2
 
 
 class TestElbowOptimize:
     def test_seeds_already_solving_return_immediately(self, ur5_model):
         theta = np.array([0.3, -0.7, 1.2, 0.0, 0.0, 0.0])
         target = ur5.elbow_position(ur5_model, 0.3, -0.7, 1.2)
-        result, l2d, l3d = ur5.elbow_optimize(
+        result, x = ur5.elbow_optimize(
             0.3, target, (-0.7, 1.2), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
         assert result.iterations == 0
         assert result.f <= 1e-12
+        assert np.array_equal(x, [-0.7, 1.2])
 
     def test_reach_boundary_gives_full_extension(self, ur5_model):
         l2, l3 = ur5_model.link_lengths[1], ur5_model.link_lengths[2]
         theta1 = 0.5
         target = ur5.elbow_position(ur5_model, theta1, 0.4, 0.0)  # straight elbow
-        result, l2d, l3d = ur5.elbow_optimize(
+        result, x = ur5.elbow_optimize(
             theta1, target, (0.2, 0.9), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
         assert result.f <= 1e-12
-        # full extension: both links parallel within the boundary
-        # sensitivity (a 1e-6 position residual maps to ~3e-3 rad here)
-        angle = math.acos(min(1.0, float(np.dot(l2d, l3d))))
-        assert angle <= 5e-3
+        # full extension: both links parallel (theta3 = 0) within the
+        # boundary sensitivity (a 1e-6 position residual maps to ~3e-3
+        # rad here)
+        assert abs(x[1]) <= 5e-3
 
     def test_gradient_matches_central_differences(self, ur5_model):
         rng = np.random.default_rng(2)
@@ -192,6 +229,25 @@ class TestSolve:
                 detail.branches == 2
                 and len(ur5.theta1_candidates(ur5.wrist_position(t_des, ur5_model), ur5_model)) == 1
             )
+
+    def test_wrist_solved_once_per_branch(self, ur5_model, monkeypatch):
+        calls = {"fk_prefix": 0, "fold_variants": 0}
+        for name in calls:
+
+            def counted(*args, _original=getattr(ur5, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(ur5, name, counted)
+        t_des, theta_init = benchmark.generate_queries(ur5_model, 1, 7).queries[0]
+        result, detail = ur5.solve_detailed(
+            IKQuery(t_des=t_des, theta_init=theta_init), ur5_model
+        )
+        assert result.status is IKStatus.SOLVED
+        # one FK prefix per branch that yields (theta2, theta3), not one
+        # per candidate: each such branch gives a fold and its mirror
+        assert calls["fk_prefix"] == calls["fold_variants"] == 4
+        assert len(detail.candidates) == 8
 
     def test_selection_rule_minimizes_l1(self, ur5_model):
         rng = np.random.default_rng(4)
