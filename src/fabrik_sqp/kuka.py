@@ -7,9 +7,10 @@ afterwards. FABRIK runs on a two-link chain in 3-D (ball-joint shoulder,
 free elbow); if it misses the sweep budget, a four-variable
 box-constrained minimization of the wrist distance takes over, seeded
 with the angles implied by the current chain. All seven joint angles are
-then recovered: bend magnitudes from the law of cosines, the remaining
-angles as roots of per-joint trigonometric equations, with every sign
-branch enumerated and filtered by the pose-mismatch metric.
+then recovered in closed form: theta1-theta4 from the elbow and wrist
+points, every arm sign branch enumerated, and theta5-theta7 as the exact
+Rz Ry Rz split of the wrist rotation, one triple per theta6 sign (Shimizu
+et al. 2008). The mismatch filter checks each candidate; no sign is guessed.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .robots import (
     RobotModel,
     dh_transform,
     fk_frames,
+    fk_prefix,
     kuka_model,
     pose_mismatch,
 )
@@ -111,28 +113,21 @@ def wrist_objective(model: RobotModel, target: np.ndarray):
 
 # --- angle recovery ---------------------------------------------------------
 
-def bend_magnitudes(p1, p2, p3, p4, model: RobotModel) -> tuple[float, float, float]:
-    """|theta2|, |theta4|, |theta6| from the joint positions.
+def bend_magnitudes(p1, p2, p3, model: RobotModel) -> tuple[float, float]:
+    """|theta2| and |theta4| from the shoulder, elbow and wrist positions.
 
     The bend at a joint is pi minus the interior angle of the triangle
     spanned by its two links (law of cosines on the outer points),
     evaluated in atan2 form on the link directions so near-straight and
     near-folded joints keep full precision.
     """
-    p0 = np.zeros(3)
-    pts = [p0, np.asarray(p1, dtype=float), np.asarray(p2, dtype=float),
-           np.asarray(p3, dtype=float), np.asarray(p4, dtype=float)]
-
     def bend(pa, pj, pb):
         u = pj - pa
         v = pb - pj
         return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
 
-    return (
-        bend(pts[0], pts[1], pts[2]),
-        bend(pts[1], pts[2], pts[3]),
-        bend(pts[2], pts[3], pts[4]),
-    )
+    p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p1, p2, p3))
+    return bend(np.zeros(3), p1, p2), bend(p1, p2, p3)
 
 
 def _signed_options(magnitude: float) -> list[float]:
@@ -181,60 +176,50 @@ def theta3_roots(
     return [math.atan2(sign * float(local[1]), sign * float(local[0]))]
 
 
-def theta5_roots(t04_inv_tdes: np.ndarray, theta6: float, model: RobotModel) -> list[float]:
-    """Solutions of the flange position equation for theta5.
+def arm_angles(p2, p3, model: RobotModel, tol: float = _SIN_TOL, azimuths=()):
+    """Yield every (theta1..theta4) placing the elbow at p2 and the wrist at p3.
 
-    In frame 4 the flange tip sits at (l4 s6 c5, l4 s6 s5, l3 + l4 c6);
-    the two lateral rows give theta5 via atan2. theta6 ~ 0 makes joints
-    5 and 7 coaxial; theta5 is set to 0 and theta7 carries the twist.
+    Sign branches nest as theta2 sign, theta1 roots (plus `azimuths`),
+    theta4 sign, theta3 roots, positive branch first.
     """
-    s6 = math.sin(theta6)
-    if abs(s6) < _SIN_TOL:
-        return [0.0]
-    sign = 1.0 if s6 > 0.0 else -1.0
-    return [math.atan2(sign * float(t04_inv_tdes[1, 3]), sign * float(t04_inv_tdes[0, 3]))]
+    p1 = np.array([0.0, 0.0, model.link_lengths[0]])
+    m2, m4 = bend_magnitudes(p1, p2, p3, model)
+    for th2 in _signed_options(m2):
+        for th1 in dedup_angles(theta1_roots(th2, p2, model, tol) + list(azimuths)):
+            for th4 in _signed_options(m4):
+                for th3 in theta3_roots(th1, th2, th4, p3, model, tol):
+                    yield np.array([th1, th2, th3, th4])
+
+
+def wrist_angles(t04: np.ndarray, r_des: np.ndarray) -> list[tuple[float, float, float]]:
+    """(theta5, theta6, theta7) closing the orientation, positive theta6 first.
+
+    With the iiwa DH table the wrist rotation R04^T R_des equals
+    Rz(theta5) Ry(theta6) Rz(theta7), one exact triple per sign of
+    theta6. When sin(theta6) ~ 0 joints 5 and 7 are coaxial; theta5 is
+    set to 0 and theta7 carries the twist.
+    """
+    r = t04[:3, :3].T @ r_des
+    th6 = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    if abs(math.sin(th6)) < _SIN_TOL:
+        return [(0.0, th6, math.atan2(r[1, 0], r[1, 1]))]
+    return [
+        (math.atan2(r[1, 2], r[0, 2]), th6, math.atan2(r[2, 1], -r[2, 0])),
+        (math.atan2(-r[1, 2], -r[0, 2]), -th6, math.atan2(-r[2, 1], r[2, 0])),
+    ]
 
 
 def recover_candidates(
     p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, model: RobotModel
 ) -> list[np.ndarray]:
-    """Enumerate all joint vectors consistent with the chain geometry.
-
-    Every sign branch of (theta2, theta4, theta6, theta7) and every root
-    of the per-joint equations is generated, positive branch first, in
-    deterministic order; the caller filters by pose mismatch.
-    """
-    l1 = model.link_lengths[0]
-    p1 = np.array([0.0, 0.0, l1])
-    p4 = translation_of(t_des)
-    m2, m4, m6 = bend_magnitudes(p1, p2, p3, p4, model)
-    x7 = unit(t_des[:3, 0])
-
-    out: list[np.ndarray] = []
-    for th2 in _signed_options(m2):
-        a2 = dh_transform(model.dh[1], th2)
-        for th1 in theta1_roots(th2, p2, model):
-            t02 = dh_transform(model.dh[0], th1) @ a2
-            for th4 in _signed_options(m4):
-                a4 = dh_transform(model.dh[3], th4)
-                for th3 in theta3_roots(th1, th2, th4, p3, model):
-                    t04 = t02 @ dh_transform(model.dh[2], th3) @ a4
-                    rhs = inverse_transform(t04) @ t_des
-                    for th6 in _signed_options(m6):
-                        a6 = dh_transform(model.dh[5], th6)
-                        for th5 in theta5_roots(rhs, th6, model):
-                            t06 = t04 @ dh_transform(model.dh[4], th5) @ a6
-                            x6 = t06[:3, 0]
-                            m7 = math.atan2(
-                                float(np.linalg.norm(np.cross(x6, x7))), float(np.dot(x6, x7))
-                            )
-                            for th7 in _signed_options(m7):
-                                out.append(
-                                    wrap_angle(
-                                        np.array([th1, th2, th3, th4, th5, th6, th7])
-                                    )
-                                )
-    return out
+    """Every joint vector with its elbow at p2, its wrist at p3 and the
+    orientation of t_des: each arm branch, then each wrist triple."""
+    r_des = t_des[:3, :3]
+    return [
+        wrap_angle(np.concatenate([arm, wrist]))
+        for arm in arm_angles(p2, p3, model)
+        for wrist in wrist_angles(fk_prefix(model, arm), r_des)
+    ]
 
 
 def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> list[np.ndarray]:
@@ -246,41 +231,31 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     symmetric (target-on-axis) geometry the best-matching seed can sit
     in a basin where the descent dies out and a sibling seed does not.
     """
-    p1 = np.array([0.0, 0.0, model.link_lengths[0]])
     p2c, p3c = chain.positions[1], chain.positions[2]
-    m2, m4, _ = bend_magnitudes(p1, p2c, p3c, p3c, model)
 
     # near-degenerate axes would make the atan2 roots fp noise and plant
     # the seed in an incoherent slice of the landscape; treat them as
     # degenerate well before that point and also offer the wrist's own
     # lateral azimuth, which aligns the shoulder tilt plane with the
     # chain's actual asymmetry when the elbow sits on the base axis
-    seed_tol = 1e-6
     azimuths: list[float] = []
-    lat3 = math.hypot(float(p3c[0]), float(p3c[1]))
-    if lat3 > 1e-12:
+    if math.hypot(float(p3c[0]), float(p3c[1])) > 1e-12:
         az = math.atan2(float(p3c[1]), float(p3c[0]))
         azimuths = [az, wrap_angle(az + math.pi)]
     scored: list[tuple[float, np.ndarray]] = []
-    for th2 in _signed_options(m2):
-        for th1 in dedup_angles(theta1_roots(th2, p2c, model, tol=seed_tol) + azimuths):
-            for th4 in _signed_options(m4):
-                for th3 in theta3_roots(th1, th2, th4, p3c, model, tol=seed_tol):
-                    theta = np.array([th1, th2, th3, th4])
-                    wrist, _ = wrist_analytic(theta, model)
-                    score = float(
-                        np.linalg.norm(elbow_position(model, th1, th2) - p2c)
-                        + np.linalg.norm(wrist - p3c)
-                    )
-                    scored.append((score, theta))
+    for theta in arm_angles(p2c, p3c, model, tol=1e-6, azimuths=azimuths):
+        wrist, _ = wrist_analytic(theta, model)
+        score = float(
+            np.linalg.norm(elbow_position(model, theta[0], theta[1]) - p2c)
+            + np.linalg.norm(wrist - p3c)
+        )
+        scored.append((score, theta))
     scored.sort(key=lambda pair: pair[0])
     out: list[np.ndarray] = []
     for _, theta in scored:
         # seeds are starting points, not answers: collapse near-twins
         if all(np.max(np.abs(theta - kept)) > 1e-4 for kept in out):
             out.append(theta)
-    if not out:
-        out.append(np.zeros(4))
     return out
 
 
@@ -394,19 +369,14 @@ def recover_all(
     The arm is redundant; the second elbow keeps warm-started
     trajectories on their fold.
     """
-    # The wrist equations are solved against the desired orientation
-    # anchored at the achieved wrist point. This keeps the angle
-    # recovery self-consistent (orientation closes exactly); the
-    # remaining end-effector offset equals the wrist residual and is
-    # judged by the mismatch filter.
-    t_recover = t_des.copy()
-    t_recover[:3, 3] = p3 + t_des[:3, :3] @ np.array([0.0, 0.0, model.link_lengths[3]])
+    # The wrist closes the orientation exactly at the achieved wrist point;
+    # the end-effector offset left equals the wrist residual.
     elbows = [p2]
     p2_ref = reference_elbow(model, reference_arms, p3)
     if p2_ref is not None and float(np.max(np.abs(p2_ref - p2))) > 1e-9:
         elbows.append(p2_ref)
     for elbow in elbows:
-        yield from recover_candidates(elbow, p3, t_recover, model)
+        yield from recover_candidates(elbow, p3, t_des, model)
 
 
 def solve_detailed(query: IKQuery, model: RobotModel | None = None):

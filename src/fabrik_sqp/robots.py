@@ -94,12 +94,15 @@ def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
 
     Joint limits default to [-pi, pi] per joint.
     """
+    rows = {UR5: 6, KUKA: 7}.get(name)
+    if rows is None:
+        raise ValueError(f"unknown robot name {name!r}")
+    if len(dh) != rows:
+        raise ValueError(f"{name} needs {rows} DH rows, got {len(dh)}")
     if name == UR5:
         lengths = [dh[0].d, abs(dh[1].a), abs(dh[2].a), dh[3].d, dh[4].d, dh[5].d]
-    elif name == KUKA:
-        lengths = [dh[0].d, dh[2].d, dh[4].d, dh[6].d]
     else:
-        raise ValueError(f"unknown robot name {name!r}")
+        lengths = [dh[0].d, dh[2].d, dh[4].d, dh[6].d]
     if joint_limits is None:
         joint_limits = np.tile([-math.pi, math.pi], (len(dh), 1))
     return RobotModel(name=name, dh=dh, link_lengths=lengths, joint_limits=joint_limits)
@@ -150,23 +153,36 @@ def get_model(name: str) -> RobotModel:
     raise ValueError(f"unknown robot {name!r} (expected 'ur5' or 'kuka')")
 
 
+def _dh_row(row) -> DHRow:
+    """One DH row from its JSON object; theta_offset is optional."""
+    if not isinstance(row, dict):
+        raise ValueError("robot JSON field 'dh' must be a list of objects")
+    values = {}
+    for key in ("a", "alpha", "d", "theta_offset"):
+        value = row.get(key, 0.0 if key == "theta_offset" else None)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"DH field {key!r} must be a number, got {value!r}")
+        values[key] = float(value)
+    return DHRow(**values)
+
+
 def model_from_json(text: str) -> RobotModel:
     """Load a robot from the JSON schema {"name", "dh", "limits"} (SI units)."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("robot JSON must be an object")
     for key in ("name", "dh", "limits"):
         if key not in doc:
             raise ValueError(f"robot JSON is missing field {key!r}")
     name = str(doc["name"]).lower()
-    dh = tuple(
-        DHRow(
-            a=float(row["a"]),
-            alpha=float(row["alpha"]),
-            d=float(row["d"]),
-            theta_offset=float(row.get("theta_offset", 0.0)),
-        )
-        for row in doc["dh"]
-    )
-    return _build_model(name, dh, np.asarray(doc["limits"], dtype=float))
+    if not isinstance(doc["dh"], list):
+        raise ValueError("robot JSON field 'dh' must be a list of objects")
+    dh = tuple(_dh_row(row) for row in doc["dh"])
+    try:
+        limits = np.asarray(doc["limits"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"robot JSON field 'limits' must hold numbers: {exc}") from exc
+    return _build_model(name, dh, limits)
 
 
 def model_to_json(model: RobotModel) -> str:

@@ -58,6 +58,21 @@ class TestSolveCommand:
         assert code in (0, 3)
         assert doc["opt_used"] is False
 
+    @pytest.mark.parametrize(
+        "dh",
+        [[{"a": 0.0, "alpha": 0.0, "d": 0.1}], "abc"],
+        ids=["one-row", "dh-string"],
+    )
+    def test_malformed_model_exit_one(self, tmp_path, solvable_pose, capsys, dh):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps({"name": "ur5", "dh": dh, "limits": [[-1.0, 1.0]]}))
+        code = cli.main(
+            ["solve", "--robot", "ur5", "--model", str(model_file), "--pose", solvable_pose]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
+
     def test_model_override(self, tmp_path, ur5_model, solvable_pose, capsys):
         model_file = tmp_path / "model.json"
         model_file.write_text(model_to_json(ur5_model))
@@ -159,8 +174,9 @@ class TestTraceCommand:
         ["trace", "--links", "1,nan", "--target", "1,0,0"],
         ["trace", "--links", "1,1", "--v-init", "0,0,0", "--target", "1,0,0"],
         ["track", "--robot", "ur5", "--end-config", "nan,0,0,0,0,0"],
+        ["trace", "--links", "1e-200,1e-200", "--target", "1e-200,0,0"],
     ],
-    ids=["nan-target", "inf-target", "nan-link", "zero-v-init", "nan-end-config"],
+    ids=["nan-target", "inf-target", "nan-link", "zero-v-init", "nan-end-config", "tiny-links"],
 )
 def test_bad_numbers_exit_one(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark, kuka
-from fabrik_sqp.geometry import make_transform
+from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
@@ -32,21 +32,18 @@ class TestBendMagnitudes:
     def test_fully_extended_chain_is_straight(self, kuka_model):
         l = kuka_model.link_lengths
         pts = np.cumsum([0.0] + list(l))
-        p1, p2, p3, p4 = ([0.0, 0.0, z] for z in pts[1:])
-        m2, m4, m6 = kuka.bend_magnitudes(p1, p2, p3, p4, kuka_model)
+        p1, p2, p3 = ([0.0, 0.0, z] for z in pts[1:4])
+        m2, m4 = kuka.bend_magnitudes(p1, p2, p3, kuka_model)
         assert m2 == pytest.approx(0.0, abs=1e-12)
         assert m4 == pytest.approx(0.0, abs=1e-12)
-        assert m6 == pytest.approx(0.0, abs=1e-12)
 
     def test_right_angle_elbow(self, kuka_model):
-        l1, l2, l3, l4 = kuka_model.link_lengths
+        l1, l2, l3, _ = kuka_model.link_lengths
         p1 = np.array([0.0, 0.0, l1])
         p2 = p1 + [0.0, 0.0, l2]
         p3 = p2 + [l3, 0.0, 0.0]
-        p4 = p3 + [l4, 0.0, 0.0]
-        _, m4, m6 = kuka.bend_magnitudes(p1, p2, p3, p4, kuka_model)
+        _, m4 = kuka.bend_magnitudes(p1, p2, p3, kuka_model)
         assert m4 == pytest.approx(math.pi / 2, abs=1e-12)
-        assert m6 == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_generating_configuration(self, kuka_model):
         rng = np.random.default_rng(0)
@@ -54,11 +51,49 @@ class TestBendMagnitudes:
             theta = rng.uniform(-math.pi, math.pi, 7)
             frames = fk_frames(kuka_model, theta)
             p1, p2, p3 = (frames[i][:3, 3] for i in (1, 3, 5))
-            p4 = frames[7][:3, 3]
-            m2, m4, m6 = kuka.bend_magnitudes(p1, p2, p3, p4, kuka_model)
+            m2, m4 = kuka.bend_magnitudes(p1, p2, p3, kuka_model)
             assert m2 == pytest.approx(abs(theta[1]), abs=1e-9)
             assert m4 == pytest.approx(abs(theta[3]), abs=1e-9)
-            assert m6 == pytest.approx(abs(theta[5]), abs=1e-9)
+
+
+def _wrist_triples(model, theta):
+    frames = fk_frames(model, theta)
+    return kuka.wrist_angles(frames[4], frames[7][:3, :3])
+
+
+class TestWristAngles:
+    def test_generator_among_exact_triples(self, kuka_model):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            theta = rng.uniform(-math.pi, math.pi, 7)
+            r_des = forward_kinematics(kuka_model, theta)[:3, :3]
+            triples = _wrist_triples(kuka_model, theta)
+            dev = [float(np.max(np.abs(wrap_angle(np.array(w) - theta[4:])))) for w in triples]
+            assert min(dev) <= 1e-9
+            for w in triples:
+                t = forward_kinematics(kuka_model, np.concatenate([theta[:4], w]))
+                assert float(np.max(np.abs(t[:3, :3] - r_des))) <= 1e-12
+
+    def test_positive_theta6_first_with_the_flange_bend(self, kuka_model):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            theta = rng.uniform(-math.pi, math.pi, 7)
+            triples = _wrist_triples(kuka_model, theta)
+            assert [w[1] for w in triples] == [triples[0][1], -triples[0][1]]
+            assert triples[0][1] == pytest.approx(abs(theta[5]), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "arm", [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, math.pi / 2], [0.3, 0.7, -0.4, 1.1]]
+    )
+    def test_coaxial_joints_give_one_triple(self, kuka_model, arm):
+        # fully extended, right-angle elbow, general arm: theta6 = 0
+        theta = np.array(arm + [0.5, 0.0, -0.9])
+        triples = _wrist_triples(kuka_model, theta)
+        assert len(triples) == 1
+        th5, th6, th7 = triples[0]
+        assert th5 == 0.0
+        assert abs(th6) <= 1e-12
+        assert th7 == pytest.approx(wrap_angle(theta[4] + theta[6]), abs=1e-12)
 
 
 class TestAngleRecovery:
@@ -111,6 +146,17 @@ class TestAngleRecovery:
         cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des, kuka_model)
         match = min(cands, key=lambda c: float(np.max(np.abs(c - theta))))
         assert match[6] == pytest.approx(0.0, abs=1e-9)
+
+    def test_every_candidate_passes_the_filter(self, kuka_model):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            theta = rng.uniform(-math.pi, math.pi, 7)
+            t_des = forward_kinematics(kuka_model, theta)
+            frames = fk_frames(kuka_model, theta)
+            cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des, kuka_model)
+            for c in cands:
+                assert pose_mismatch(kuka_model, c, t_des) <= 1e-9
+            assert len(cands) == 8
 
 
 class TestWristAnalytic:
@@ -215,5 +261,5 @@ class TestSolve:
             IKQuery(t_des=t_des, theta_init=theta_init, config=SolverConfig()), kuka_model
         )
         assert result.status is IKStatus.SOLVED
-        assert len(detail.candidates) == 32
+        assert len(detail.candidates) == 16
         assert len(calls) == 1

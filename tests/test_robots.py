@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -177,6 +178,35 @@ class TestModelData:
         doc["limits"][2] = [1.0, -1.0]
         with pytest.raises(ValueError):
             model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "robot, dh, match",
+        [
+            ("ur5", "abc", "'dh' must be a list of objects"),
+            ("ur5", [1.0] * 6, "'dh' must be a list of objects"),
+            ("ur5", [{"a": 0.0, "alpha": 0.0}] * 6, "'d' must be a number"),
+            ("kuka", [{"a": "0", "alpha": 0.0, "d": 0.1}] * 7, "'a' must be a number"),
+            ("kuka", [{"a": 0.0, "alpha": True, "d": 0.1}] * 7, "'alpha' must be a number"),
+            ("ur5", [{"a": 0.0, "alpha": 0.0, "d": 0.1}], "ur5 needs 6 DH rows, got 1"),
+            ("kuka", [{"a": 0.0, "alpha": 0.0, "d": 0.1}] * 6, "kuka needs 7 DH rows, got 6"),
+        ],
+        ids=["dh-string", "dh-numbers", "missing-d", "string-a", "bool-alpha", "ur5-one-row", "kuka-six-rows"],
+    )
+    def test_malformed_dh_rejected(self, robot, dh, match):
+        doc = {"name": robot, "dh": dh, "limits": [[-1.0, 1.0]] * len(dh)}
+        with pytest.raises(ValueError, match=match):
+            model_from_json(json.dumps(doc))
+
+    def test_theta_offset_optional(self):
+        doc = json.loads(model_to_json(ur5_model()))
+        for row in doc["dh"]:
+            del row["theta_offset"]
+        assert model_from_json(json.dumps(doc)).dh == ur5_model().dh
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"name": "ur5", "dh": [], "limits": {"a": 1}}'])
+    def test_malformed_document_rejected(self, text):
+        with pytest.raises(ValueError, match="robot JSON"):
+            model_from_json(text)
 
     def test_get_model(self):
         assert get_model("UR5").name == "ur5"
