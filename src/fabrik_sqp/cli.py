@@ -15,7 +15,7 @@ import numpy as np
 
 from . import benchmark as bench_mod
 from . import fabrik, solve_ik, tracking
-from .geometry import make_transform, unit
+from .geometry import make_transform
 from .iktypes import IKQuery, IKStatus, SolverConfig
 from .robots import RobotModel, get_model, load_model_file
 
@@ -154,12 +154,12 @@ def cmd_trace(args) -> int:
         if math.fsum(lengths) > MAX_CHAIN_REACH:
             raise CliError(f"--links must sum to at most {MAX_CHAIN_REACH:g}")
         base = _parse_floats(args.base, 3, "--base")
-        try:
-            direction = unit(_parse_floats(args.v_init, 3, "--v-init"))
-        except ValueError as exc:
-            raise CliError("--v-init must be a non-zero direction") from exc
+        direction = _parse_floats(args.v_init, 3, "--v-init")
         joints = tuple(fabrik.Ball() for _ in lengths)
-        chain = fabrik.straight_chain(base, direction, lengths, joints)
+        try:
+            chain = fabrik.straight_chain(base, direction, lengths, joints)
+        except ValueError as exc:
+            raise CliError(f"cannot build the --links chain: {exc}") from exc
     else:
         model = _resolve_model(args)
         if model.name == "kuka":

@@ -13,6 +13,10 @@ base-to-tip orientation, so both phases clamp the same physical
 interval. Hinges carry a fixed world axis; ball joints use the cross
 product of the adjacent link directions as the correction axis and a
 cone half-angle as the limit.
+
+`straight_chain` validates a chain once, when it is built; the sweeps,
+`pre_bend` and the full-extension shortcut trust it and only move its
+positions.
 """
 from __future__ import annotations
 
@@ -31,6 +35,8 @@ from .geometry import (
 )
 
 _FULL = math.pi
+PRE_BEND = 1e-3  # bend per joint that pre_bend gives a straight chain (rad)
+COLLINEAR_TOL = 1e-6  # largest angle between links that pre_bend treats as straight (rad)
 
 
 @dataclass(frozen=True)
@@ -68,32 +74,15 @@ class ChainState:
 
     joints[j] sits at positions[j] (j = 0..m-2); joints[0] is the base
     joint whose reference direction is anchor_dir (the fixed link feeding
-    the chain), or unconstrained when anchor_dir is None.
+    the chain), or unconstrained when anchor_dir is None. The sweeps
+    trust a chain that `straight_chain` has built and validated.
     """
 
-    positions: np.ndarray  # (m, 3)
-    lengths: np.ndarray  # (m-1,)
-    joints: tuple
+    positions: np.ndarray  # (m, 3) floats
+    lengths: np.ndarray  # (m-1,) positive floats
+    joints: tuple  # one joint per link
     base: np.ndarray  # fixed location of P_1
-    anchor_dir: np.ndarray | None = None
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        lengths = np.asarray(self.lengths, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 2:
-            raise ValueError("positions must be an (m, 3) array with m >= 2")
-        if lengths.shape != (pos.shape[0] - 1,):
-            raise ValueError("need one link length per consecutive position pair")
-        if np.any(lengths <= 0.0):
-            raise ValueError("link lengths must be positive")
-        if len(self.joints) != pos.shape[0] - 1:
-            raise ValueError("need one joint per movable position P_1..P_{m-1}")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "joints", tuple(self.joints))
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        if self.anchor_dir is not None:
-            object.__setattr__(self, "anchor_dir", unit(self.anchor_dir))
+    anchor_dir: np.ndarray | None = None  # unit
 
     @property
     def end(self) -> np.ndarray:
@@ -107,19 +96,32 @@ class ChainState:
         return float(np.sum(self.lengths))
 
 
+def _lay_out(base, direction, lengths) -> np.ndarray:
+    return base + np.outer(np.concatenate(([0.0], np.cumsum(lengths))), direction)
+
+
 def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
-    """Chain laid out straight from base along a unit direction."""
+    """Chain laid out straight from base along a direction.
+
+    The one place a chain is validated: positive lengths, one per joint;
+    non-zero, finite 3-vector direction and anchor_dir (both normalized);
+    laid-out links that keep their lengths to 1e-9 relative, which
+    rejects a link that rounding absorbs into the coordinates before it.
+    """
     base = np.asarray(base, dtype=float)
-    direction = unit(direction)
     lengths = np.asarray(lengths, dtype=float)
-    positions = base + np.outer(np.concatenate(([0.0], np.cumsum(lengths))), direction)
-    return ChainState(
-        positions=positions,
-        lengths=lengths,
-        joints=joints,
-        base=base,
-        anchor_dir=anchor_dir,
-    )
+    if lengths.ndim != 1 or lengths.size < 1 or np.any(lengths <= 0.0):
+        raise ValueError("link lengths must be a non-empty list of positive numbers")
+    if len(joints) != lengths.size:
+        raise ValueError("need one joint per link")
+    if base.shape != (3,) or np.shape(direction) != (3,):
+        raise ValueError("base and direction must be 3-vectors")
+    positions = _lay_out(base, unit(direction), lengths)
+    laid = np.linalg.norm(np.diff(positions, axis=0), axis=1)
+    if not np.all(np.abs(laid - lengths) <= 1e-9 * lengths):
+        raise ValueError("a link is too short to lay out at this base")
+    anchor = None if anchor_dir is None else unit(anchor_dir)
+    return ChainState(positions, lengths, tuple(joints), base, anchor)
 
 
 def clamp_correction(phi: float, limit) -> float:
@@ -172,8 +174,6 @@ def _limit_correction(l_in, l_out, joint):
 def forward_phase(chain: ChainState, target) -> ChainState:
     """Anchor the end at the target and pull the chain tip-to-base."""
     target = np.asarray(target, dtype=float)
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target must be finite")
     old = chain.positions
     q = old.copy()
     m = q.shape[0]
@@ -235,17 +235,13 @@ def backward_phase(chain: ChainState) -> ChainState:
     return replace(chain, positions=q)
 
 
-def pre_bend(
-    chain: ChainState,
-    bend: float = 1e-3,
-    collinear_tol: float = 1e-6,
-    axis=None,
-) -> ChainState:
+def pre_bend(chain: ChainState, axis=None) -> ChainState:
     """Break an all-collinear chain with a small fixed bend per joint.
 
     Straight chains can cycle endlessly under the convex updates (and
     park optimizer seeds on the straight-arm stationary ridge); bending
-    each interior joint by `bend` removes the degenerate configuration.
+    each interior joint by PRE_BEND removes the degenerate configuration.
+    Links are collinear when every pair is within COLLINEAR_TOL radians.
     The bend axis may be supplied by the caller (it resolves which way a
     degenerate, on-axis problem folds); otherwise the first hinge axis
     is used, so hinge chains stay in their working plane, and ball
@@ -258,7 +254,7 @@ def pre_bend(
     n_links = dirs.shape[0]
     for i in range(n_links):
         for j in range(i + 1, n_links):
-            if clamped_arccos(float(np.dot(dirs[i], dirs[j]))) >= collinear_tol:
+            if clamped_arccos(float(np.dot(dirs[i], dirs[j]))) >= COLLINEAR_TOL:
                 return chain
     if axis is None:
         for joint in chain.joints:
@@ -271,7 +267,7 @@ def pre_bend(
         axis = unit(axis)
     q = chain.positions.copy()
     for k in range(1, n_links):
-        direction = rotate_about_axis(axis, k * bend, dirs[0])
+        direction = rotate_about_axis(axis, k * PRE_BEND, dirs[0])
         q[k + 1] = q[k] + chain.lengths[k] * direction
     return replace(chain, positions=q)
 
@@ -298,13 +294,15 @@ def solve(
     Targets beyond the chain's total reach return immediately with
     unreachable=True. Targets exactly on the reach sphere (within fp
     noise) are solved directly by laying the chain straight toward them,
-    counted as one sweep.
+    counted as one sweep. A non-finite target raises ValueError.
     """
     if eps_tol <= 0.0:
         raise ValueError("eps_tol must be positive")
     if iter_cap < 1:
         raise ValueError("iter_cap must be at least 1")
     target = np.asarray(target, dtype=float)
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target must be finite")
     reach = chain.reach()
     # math.dist scales its sum, so huge targets give no overflow
     gap = math.dist(target, chain.base)
@@ -315,9 +313,8 @@ def solve(
         return FabrikOutcome(False, 0, dist, chain, () if record_trace else None, True)
     if reach - gap <= 1e-12 * reach and gap > 0.0:
         # full-extension target: the straight chain is the unique solution
-        stretched = straight_chain(
-            chain.base, (target - chain.base) / gap, chain.lengths, chain.joints, chain.anchor_dir
-        )
+        direction = unit((target - chain.base) / gap)
+        stretched = replace(chain, positions=_lay_out(chain.base, direction, chain.lengths))
         dist = float(np.linalg.norm(stretched.end - target))
         trace = ((1, dist),) if record_trace else None
         return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, trace)

@@ -39,8 +39,8 @@ def clamped_arccos(x: float) -> float:
 def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise ValueError("cannot normalize a near-zero vector")
+    if not 1e-12 <= n < math.inf:
+        raise ValueError("cannot normalize a near-zero or non-finite vector")
     return v / n
 
 

@@ -103,6 +103,8 @@ def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
         lengths = [dh[0].d, abs(dh[1].a), abs(dh[2].a), dh[3].d, dh[4].d, dh[5].d]
     else:
         lengths = [dh[0].d, dh[2].d, dh[4].d, dh[6].d]
+    if not (lengths[1] > 0.0 and lengths[2] > 0.0):
+        raise ValueError(f"{name} reduced-chain links l2 and l3 must be positive")
     if joint_limits is None:
         joint_limits = np.tile([-math.pi, math.pi], (len(dh), 1))
     return RobotModel(name=name, dh=dh, link_lengths=lengths, joint_limits=joint_limits)
@@ -213,11 +215,7 @@ def _check_theta(model: RobotModel, theta) -> np.ndarray:
 
 def forward_kinematics(model: RobotModel, theta) -> np.ndarray:
     """End-effector pose as the product of the link transforms."""
-    theta = _check_theta(model, theta)
-    T = np.eye(4)
-    for row, th in zip(model.dh, theta):
-        T = T @ dh_transform(row, th)
-    return T
+    return fk_prefix(model, _check_theta(model, theta))
 
 
 def fk_frames(model: RobotModel, theta) -> list[np.ndarray]:

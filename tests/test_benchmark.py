@@ -94,7 +94,7 @@ class TestExports:
         _, reports = small_run
         path = tmp_path / "report.csv"
         bm.export_report_csv(reports["combined:15"], path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == [
             "query_id",
             "mode",
@@ -112,7 +112,7 @@ class TestExports:
         _, reports = small_run
         path = tmp_path / "summary.json"
         bm.export_summary_json(reports["combined:15"], path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(path.read_text())
         assert doc["mode"] == "combined:15"
         assert doc["n"] == 25
         assert doc["seed"] == 42
@@ -128,7 +128,7 @@ class TestExports:
         report = bm.run_benchmark(ur5_model, qs, [bm.parse_mode("combined:5")])[0]
         path = tmp_path / "times.csv"
         bm.export_time_distribution(report, path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert len(rows) == 1 + 4 + 5  # header + data + summary set
         labels = [r[0] for r in rows[5:]]
         assert labels == ["min", "q1", "median", "q3", "max"]

@@ -1,11 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fabrik_sqp import cli
-from fabrik_sqp.robots import forward_kinematics, model_to_json
+from fabrik_sqp.robots import forward_kinematics, get_model, model_to_json
 
 
 def write_pose(path, t):
@@ -73,6 +74,26 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "robot, row, field, value",
+        [("ur5", 1, "a", 0.0), ("kuka", 2, "d", -0.42)],
+        ids=["ur5-l2-zero", "kuka-l2-negative"],
+    )
+    def test_non_positive_chain_link_exit_one(
+        self, tmp_path, solvable_pose, capsys, robot, row, field, value
+    ):
+        doc = json.loads(model_to_json(get_model(robot)))
+        doc["dh"][row][field] = value
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc))
+        code = cli.main(
+            ["solve", "--robot", robot, "--model", str(model_file), "--pose", solvable_pose]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
+        assert "l2 and l3 must be positive" in err
+
     def test_model_override(self, tmp_path, ur5_model, solvable_pose, capsys):
         model_file = tmp_path / "model.json"
         model_file.write_text(model_to_json(ur5_model))
@@ -92,9 +113,9 @@ class TestBenchCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.reader(open(prefix + "_combined_5.csv")))
+        rows = list(csv.reader(Path(prefix + "_combined_5.csv").read_text().splitlines()))
         assert len(rows) == 11
-        assert json.loads(open(prefix + "_combined_5_summary.json").read())["n"] == 10
+        assert json.loads(Path(prefix + "_combined_5_summary.json").read_text())["n"] == 10
         assert (tmp_path / "bench_combined_5_times.csv").exists()
 
     def test_same_seed_same_counts(self, tmp_path, capsys):
@@ -104,8 +125,8 @@ class TestBenchCommand:
         ]
         assert cli.main(args + ["--out-prefix", str(tmp_path / "a")]) == 0
         assert cli.main(args + ["--out-prefix", str(tmp_path / "b")]) == 0
-        a = json.loads(open(tmp_path / "a_fabrik_40_summary.json").read())
-        b = json.loads(open(tmp_path / "b_fabrik_40_summary.json").read())
+        a = json.loads((tmp_path / "a_fabrik_40_summary.json").read_text())
+        b = json.loads((tmp_path / "b_fabrik_40_summary.json").read_text())
         assert a["success_rate"] == b["success_rate"]
 
     def test_unwritable_output(self, tmp_path, capsys):
@@ -128,7 +149,7 @@ class TestTraceCommand:
             ]
         )
         assert code in (0,)
-        rows = list(csv.reader(open(out)))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["n", "dist"]
 
     def test_slight_bend_long_plateau(self, tmp_path, capsys):
@@ -140,7 +161,7 @@ class TestTraceCommand:
             ]
         )
         assert code == 0
-        rows = list(csv.reader(open(out)))[1:]
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
         assert len(rows) > 100
         dists = [float(r[1]) for r in rows]
         assert all(d > 0.0 for d in dists)
@@ -175,13 +196,22 @@ class TestTraceCommand:
         ["trace", "--links", "1,1", "--v-init", "0,0,0", "--target", "1,0,0"],
         ["track", "--robot", "ur5", "--end-config", "nan,0,0,0,0,0"],
         ["trace", "--links", "1e-200,1e-200", "--target", "1e-200,0,0"],
+        # rounding absorbs a link into the coordinates before it
+        ["trace", "--links", "1,1e-20", "--target", "1,0.5,0"],
+        ["trace", "--links", "1,1", "--base", "1e17,0,0", "--v-init", "1,0,0", "--target", "1e17,1,0"],
     ],
-    ids=["nan-target", "inf-target", "nan-link", "zero-v-init", "nan-end-config", "tiny-links"],
+    ids=[
+        "nan-target", "inf-target", "nan-link", "zero-v-init", "nan-end-config", "tiny-links",
+        "absorbed-link", "far-base",
+    ],
 )
 def test_bad_numbers_exit_one(tmp_path, capsys, argv):
-    code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+    out = tmp_path / "out.csv"
+    code = cli.main(argv + ["--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -208,7 +238,7 @@ class TestTrackCommand:
             ["track", "--robot", "kuka", "--phase1-n", "2", "--phase2-n", "2", "--out", str(out)]
         )
         assert code == 0
-        rows = list(csv.reader(open(out)))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 1 + 4
 
     def test_usage_error_exit_one(self, capsys):

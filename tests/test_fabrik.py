@@ -139,6 +139,61 @@ class TestForwardPhase:
         assert got == pytest.approx(hi, abs=1e-9)
 
 
+class TestStraightChain:
+    """straight_chain is the one place a chain is validated."""
+
+    X = np.array([1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[], [1.0, 0.0], [1.0, -0.5], [1.0, math.nan], [[1.0, 1.0]]],
+        ids=["empty", "zero", "negative", "nan", "2-d"],
+    )
+    def test_bad_lengths_rejected(self, lengths):
+        joints = tuple(Hinge(Z) for _ in range(np.size(lengths)))
+        with pytest.raises(ValueError):
+            straight_chain(np.zeros(3), self.X, lengths, joints)
+
+    def test_joint_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one joint per link"):
+            straight_chain(np.zeros(3), self.X, [1.0, 1.0], (Hinge(Z),))
+
+    def test_bad_shapes_rejected(self):
+        joints = (Hinge(Z), Hinge(Z))
+        with pytest.raises(ValueError, match="3-vectors"):
+            straight_chain(np.zeros(2), self.X[:2], [1.0, 1.0], joints)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_bad_direction_rejected(self, bad):
+        with pytest.raises(ValueError, match="near-zero or non-finite"):
+            straight_chain(np.zeros(3), [bad, 0.0, 0.0], [1.0, 1.0], (Hinge(Z), Hinge(Z)))
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_bad_anchor_rejected(self, bad):
+        with pytest.raises(ValueError, match="near-zero or non-finite"):
+            straight_chain(
+                np.zeros(3), self.X, [1.0, 1.0], (Hinge(Z), Hinge(Z)), anchor_dir=[bad, 0.0, 0.0]
+            )
+
+    @pytest.mark.parametrize(
+        "base, lengths",
+        [((0.0, 0.0, 0.0), [1.0, 1e-20]), ((1e17, 0.0, 0.0), [1.0, 1.0])],
+        ids=["tiny-link", "far-base"],
+    )
+    def test_link_absorbed_by_rounding_rejected(self, base, lengths):
+        with pytest.raises(ValueError, match="too short"):
+            straight_chain(np.array(base), self.X, lengths, (Ball(), Ball()))
+
+    def test_direction_and_anchor_normalized(self):
+        chain = straight_chain(
+            [0, 0, 0], [3, 0, 0], [1, 2], [Hinge(Z), Hinge(Z)], anchor_dir=[0, 0, 2]
+        )
+        assert np.array_equal(chain.positions, [[0, 0, 0], [1, 0, 0], [3, 0, 0]])
+        assert np.array_equal(chain.anchor_dir, Z)
+        assert isinstance(chain.joints, tuple) and len(chain.joints) == 2
+        assert chain.positions.dtype == chain.lengths.dtype == chain.base.dtype == float
+
+
 class TestBackwardPhase:
     def test_base_reanchoring_exact(self):
         chain = two_link_chain()
@@ -187,10 +242,10 @@ class TestBackwardPhase:
 class TestPreBend:
     def test_straight_chain_gets_exact_bend(self):
         chain = two_link_chain()
-        bent = pre_bend(chain, bend=1e-3)
+        bent = pre_bend(chain)
         d = bent.link_directions()
         angle = math.acos(min(1.0, float(np.dot(d[0], d[1]))))
-        assert angle == pytest.approx(1e-3, abs=1e-12)
+        assert angle == pytest.approx(fabrik.PRE_BEND, abs=1e-12)
         assert np.allclose(link_lengths(bent), [1.0, 1.0], atol=1e-12)
 
     def test_bent_chain_unchanged(self):
@@ -222,6 +277,15 @@ class TestPreBend:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected_before_the_first_sweep(self, bad, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept toward a non-finite target")
+
+        monkeypatch.setattr(fabrik, "forward_phase", no_sweep)
+        with pytest.raises(ValueError, match="target must be finite"):
+            solve(pre_bend(two_link_chain()), np.array([bad, 0.5, 0.0]), 1e-6, 50)
+
     def test_target_at_end_converges_immediately(self):
         chain = pre_bend(two_link_chain())
         target = chain.positions[-1].copy()

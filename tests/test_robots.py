@@ -197,6 +197,17 @@ class TestModelData:
         with pytest.raises(ValueError, match=match):
             model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "robot, row, field, value",
+        [("ur5", 1, "a", 0.0), ("ur5", 2, "a", 0.0), ("kuka", 2, "d", -0.42), ("kuka", 4, "d", 0.0)],
+        ids=["ur5-l2-zero", "ur5-l3-zero", "kuka-l2-negative", "kuka-l3-zero"],
+    )
+    def test_reduced_chain_links_must_be_positive(self, robot, row, field, value):
+        doc = json.loads(model_to_json(get_model(robot)))
+        doc["dh"][row][field] = value
+        with pytest.raises(ValueError, match=f"{robot} reduced-chain links l2 and l3 must be positive"):
+            model_from_json(json.dumps(doc))
+
     def test_theta_offset_optional(self):
         doc = json.loads(model_to_json(ur5_model()))
         for row in doc["dh"]:

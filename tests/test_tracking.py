@@ -120,7 +120,7 @@ class TestTrack:
         assert trace.completed
         path = tmp_path / "trace.csv"
         tracking.write_trace_csv(trace, kuka_model.dof, path)
-        rows = list(csv.reader(open(path)))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == (
             ["index", "phase"]
             + [f"theta_{i}" for i in range(1, 8)]
