@@ -154,10 +154,9 @@ def _limit_correction(l_in, l_out, joint):
     """(delta, axis) needed to clamp the joint angle, or None when legal.
 
     l_in/l_out are the unit link directions entering and leaving the
-    joint, in base-to-tip orientation.
+    joint, in base-to-tip orientation. The sweeps call it only for a
+    joint that can clamp (not `unconstrained`).
     """
-    if joint.unconstrained:
-        return None
     if isinstance(joint, Hinge):
         phi = signed_angle(l_in, l_out, joint.axis)
         delta = clamp_correction(phi, (joint.lo, joint.hi))
@@ -191,7 +190,7 @@ def forward_phase(chain: ChainState, target) -> ChainState:
                 direction = unit(old[i] - old[i + 1])
             q[i] = pivot + length * direction
             continue
-        if i + 2 < m:
+        if i + 2 < m and not chain.joints[i + 1].unconstrained:
             # clamp the joint at the pivot between the updated outgoing
             # link and the not-yet-moved incoming one
             corr = _limit_correction(-v / d, unit(q[i + 2] - pivot), chain.joints[i + 1])
@@ -225,9 +224,10 @@ def backward_phase(chain: ChainState) -> ChainState:
                 direction = unit(old[i] - old[i - 1])
             q[i] = pivot + length * direction
             continue
-        l_in = chain.anchor_dir if i == 1 else unit(pivot - q[i - 2])
-        if l_in is not None:
-            corr = _limit_correction(l_in, v / d, chain.joints[i - 1])
+        joint = chain.joints[i - 1]
+        if not joint.unconstrained and (i > 1 or chain.anchor_dir is not None):
+            l_in = chain.anchor_dir if i == 1 else unit(pivot - q[i - 2])
+            corr = _limit_correction(l_in, v / d, joint)
             if corr is not None:
                 delta, axis = corr
                 v = rotate_about_axis(axis, delta, v)

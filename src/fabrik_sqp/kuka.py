@@ -10,7 +10,8 @@ with the angles implied by the current chain. All seven joint angles are
 then recovered in closed form: theta1-theta4 from the elbow and wrist
 points, every arm sign branch enumerated, and theta5-theta7 as the exact
 Rz Ry Rz split of the wrist rotation, one triple per theta6 sign (Shimizu
-et al. 2008). The mismatch filter checks each candidate; no sign is guessed.
+et al. 2008). Every candidate is exact, so no sign is guessed; the
+pipeline checks the pose of the selected one only.
 """
 from __future__ import annotations
 
@@ -136,30 +137,23 @@ def _signed_options(magnitude: float) -> list[float]:
     return [magnitude, -magnitude]
 
 
-def theta1_roots(
-    theta2: float, p2: np.ndarray, model: RobotModel, tol: float = _SIN_TOL
-) -> list[float]:
+def theta1_roots(theta2: float, p2: np.ndarray, model: RobotModel) -> list[float]:
     """Solutions of the elbow position equation for theta1.
 
     The elbow sits at l2*sin(theta2)*(cos(theta1), sin(theta1)) in the
     base xy-plane, so both coordinate rows pin theta1 exactly via atan2.
     When the elbow is on the base axis (theta2 ~ 0) the rotation is
-    undetermined; 0 and pi are offered and the mismatch filter decides.
+    undetermined; 0 and pi are offered, and theta3 takes up the rotation.
     """
     s2 = math.sin(theta2)
-    if abs(s2) < tol:
+    if abs(s2) < _SIN_TOL:
         return [0.0, math.pi]
     sign = 1.0 if s2 > 0.0 else -1.0
     return [math.atan2(sign * float(p2[1]), sign * float(p2[0]))]
 
 
 def theta3_roots(
-    theta1: float,
-    theta2: float,
-    theta4: float,
-    p3: np.ndarray,
-    model: RobotModel,
-    tol: float = _SIN_TOL,
+    theta1: float, theta2: float, theta4: float, p3: np.ndarray, model: RobotModel
 ) -> list[float]:
     """Solutions of the wrist position equation (in frame 2) for theta3.
 
@@ -168,7 +162,7 @@ def theta3_roots(
     leaves theta3 free: 0 is used and the spherical wrist absorbs it.
     """
     s4 = math.sin(theta4)
-    if abs(s4) < tol:
+    if abs(s4) < _SIN_TOL:
         return [0.0]
     t02 = dh_transform(model.dh[0], theta1) @ dh_transform(model.dh[1], theta2)
     local = inverse_transform(t02) @ np.append(np.asarray(p3, dtype=float), 1.0)
@@ -176,7 +170,7 @@ def theta3_roots(
     return [math.atan2(sign * float(local[1]), sign * float(local[0]))]
 
 
-def arm_angles(p2, p3, model: RobotModel, tol: float = _SIN_TOL, azimuths=()):
+def arm_angles(p2, p3, model: RobotModel, azimuths=()):
     """Yield every (theta1..theta4) placing the elbow at p2 and the wrist at p3.
 
     Sign branches nest as theta2 sign, theta1 roots (plus `azimuths`),
@@ -185,9 +179,9 @@ def arm_angles(p2, p3, model: RobotModel, tol: float = _SIN_TOL, azimuths=()):
     p1 = np.array([0.0, 0.0, model.link_lengths[0]])
     m2, m4 = bend_magnitudes(p1, p2, p3, model)
     for th2 in _signed_options(m2):
-        for th1 in dedup_angles(theta1_roots(th2, p2, model, tol) + list(azimuths)):
+        for th1 in dedup_angles(theta1_roots(th2, p2, model) + list(azimuths)):
             for th4 in _signed_options(m4):
-                for th3 in theta3_roots(th1, th2, th4, p3, model, tol):
+                for th3 in theta3_roots(th1, th2, th4, p3, model):
                     yield np.array([th1, th2, th3, th4])
 
 
@@ -233,17 +227,15 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     """
     p2c, p3c = chain.positions[1], chain.positions[2]
 
-    # near-degenerate axes would make the atan2 roots fp noise and plant
-    # the seed in an incoherent slice of the landscape; treat them as
-    # degenerate well before that point and also offer the wrist's own
-    # lateral azimuth, which aligns the shoulder tilt plane with the
-    # chain's actual asymmetry when the elbow sits on the base axis
+    # also offer the wrist's own lateral azimuth, which aligns the
+    # shoulder tilt plane with the chain's actual asymmetry when the
+    # elbow sits on the base axis
     azimuths: list[float] = []
     if math.hypot(float(p3c[0]), float(p3c[1])) > 1e-12:
         az = math.atan2(float(p3c[1]), float(p3c[0]))
         azimuths = [az, wrap_angle(az + math.pi)]
     scored: list[tuple[float, np.ndarray]] = []
-    for theta in arm_angles(p2c, p3c, model, tol=1e-6, azimuths=azimuths):
+    for theta in arm_angles(p2c, p3c, model, azimuths=azimuths):
         wrist, _ = wrist_analytic(theta, model)
         score = float(
             np.linalg.norm(elbow_position(model, theta[0], theta[1]) - p2c)
@@ -388,9 +380,9 @@ def solve_detailed(query: IKQuery, model: RobotModel | None = None):
     branch = Branch(t_des, query.theta_init, model)
     for _, (p2, p3) in pipeline.reduced_solutions([branch], model, query.config, detail):
         thetas = recover_all(p2, p3, t_des, branch.reference_arms, model)
-        pipeline.admit(detail, model, thetas, t_des, query.config.eps_tol, pose_mismatch)
+        pipeline.admit(detail, model, thetas)
     pick = select_candidate(detail.admitted, query.theta_init)
-    return pipeline.finish(model, t_des, detail, pick, start)
+    return pipeline.finish(model, t_des, detail, pick, query.config.eps_tol, pose_mismatch, start)
 
 
 def solve(query: IKQuery, model: RobotModel | None = None) -> IKResult:

@@ -5,9 +5,10 @@ Both robots reduce the arm to a two-link chain from the shoulder at
 reduction the driver checks that the chain can reach the branch's
 target, pre-bends the straight chain, runs the capped FABRIK sweeps and,
 when they miss, re-bends the chain and hands it to the robot's optimizer
-fallback. Each robot recovers joint vectors from the reduced solutions;
-the driver filters them by joint limits and pose mismatch, and
-`finish` turns the selection into the one IKResult.
+fallback. Each robot recovers joint vectors from the reduced solutions
+in closed form, exactly; the driver filters them by the joint limits,
+and `finish` checks the pose of the selected one and turns it into the
+one IKResult.
 
 A branch is any object with:
 
@@ -41,10 +42,8 @@ class SolveDetail:
     fabrik_iterations: int = 0
     optimizer_iterations: int = 0
     optimizer: OptResult | None = None  # the last optimizer run
-    # (theta, mismatch) per recovered joint vector, in enumeration
-    # order; the mismatch is inf for vectors outside the joint limits
-    candidates: list = field(default_factory=list)
-    admitted: list = field(default_factory=list)  # thetas passing the filter
+    candidates: list = field(default_factory=list)  # recovered thetas, in enumeration order
+    admitted: list = field(default_factory=list)  # the candidates within the joint limits
 
     @property
     def optimizer_used(self) -> bool:
@@ -87,37 +86,35 @@ def reduced_solutions(branches, model: RobotModel, config: SolverConfig, detail:
                 yield branch, reduced
 
 
-def admit(detail: SolveDetail, model: RobotModel, thetas, t_des, eps: float, mismatch) -> None:
-    """FK mismatch filter: keep the joint vectors within the limits whose
-    pose mismatch is at most eps.
-
-    ``mismatch(model, theta, t_des)`` is the pose mismatch. The solvers
-    pass the ``pose_mismatch`` name they import, which is where the
-    benchmark's layer trace hooks it.
-    """
+def admit(detail: SolveDetail, model: RobotModel, thetas) -> None:
+    """Joint-limit filter: record every joint vector and admit those
+    within the limits."""
     for theta in thetas:
-        if not model.within_limits(theta):
-            detail.candidates.append((theta, math.inf))
-            continue
-        d = mismatch(model, theta, t_des)
-        detail.candidates.append((theta, d))
-        if d <= eps:
+        detail.candidates.append(theta)
+        if model.within_limits(theta):
             detail.admitted.append(theta)
 
 
-def finish(model: RobotModel, t_des, detail: SolveDetail, pick: int | None, start: float):
+def finish(
+    model: RobotModel, t_des, detail: SolveDetail, pick: int | None, eps: float, mismatch, start: float
+):
     """(IKResult, detail) for the admitted candidate at index `pick`.
 
-    No pick is FAILED when some branch was reachable, UNREACHABLE
-    otherwise. `start` is the perf_counter reading the solve began at.
+    Recovery is exact, so only the pick gets a pose check:
+    ``mismatch(model, theta, t_des)`` at most eps. The solvers pass the
+    ``pose_mismatch`` name they import, which is where the benchmark's
+    layer trace hooks it. A pick that misses, or no pick, is FAILED when
+    some branch was reachable, UNREACHABLE otherwise. `start` is the
+    perf_counter reading the solve began at.
     """
+    theta = error = None
+    if pick is not None and mismatch(model, detail.admitted[pick], t_des) <= eps:
+        theta = detail.admitted[pick]
     elapsed = time.perf_counter() - start
-    if pick is None:
+    if theta is None:
         status = IKStatus.FAILED if detail.reachable else IKStatus.UNREACHABLE
-        theta = error = None
     else:
         status = IKStatus.SOLVED
-        theta = detail.admitted[pick]
         error = cartesian_error(forward_kinematics(model, theta), t_des)
     counters = (detail.fabrik_iterations, detail.optimizer_used, detail.optimizer_iterations)
     return IKResult(status, theta, error, *counters, elapsed), detail

@@ -100,11 +100,17 @@ def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
     if len(dh) != rows:
         raise ValueError(f"{name} needs {rows} DH rows, got {len(dh)}")
     if name == UR5:
-        lengths = [dh[0].d, abs(dh[1].a), abs(dh[2].a), dh[3].d, dh[4].d, dh[5].d]
+        # UR tables give the upper arm and forearm as negative a2 and a3
+        lengths = [dh[0].d, -dh[1].a, -dh[2].a, dh[3].d, dh[4].d, dh[5].d]
+        convention = " (the UR sign convention: a2 and a3 negative)"
     else:
         lengths = [dh[0].d, dh[2].d, dh[4].d, dh[6].d]
+        convention = ""
+        # kuka.bend_magnitudes measures theta2 from the base-to-shoulder riser
+        if not lengths[0] > 0.0:
+            raise ValueError("kuka base riser l1 (dh[0].d) must be positive")
     if not (lengths[1] > 0.0 and lengths[2] > 0.0):
-        raise ValueError(f"{name} reduced-chain links l2 and l3 must be positive")
+        raise ValueError(f"{name} reduced-chain links l2 and l3 must be positive{convention}")
     if joint_limits is None:
         joint_limits = np.tile([-math.pi, math.pi], (len(dh), 1))
     return RobotModel(name=name, dh=dh, link_lengths=lengths, joint_limits=joint_limits)

@@ -7,9 +7,9 @@ projected wrist target. Since neither the sign of theta1 nor the
 wrist-link direction can be determined up front, four branches are
 evaluated. Joints 2-4 are parallel, so theta2 + theta3 + theta4, theta5
 and theta6 are solved once per branch, and each fold of the elbow chain
-sets theta4 to close that sum. The candidates are filtered by the
-pose-mismatch metric; the returned vector is the feasible candidate
-closest to theta_init in L1 norm.
+sets theta4 to close that sum. Every candidate is exact, the wrist
+singularity included; the returned vector is the candidate within the
+joint limits closest to theta_init in L1 norm, after one pose check.
 """
 from __future__ import annotations
 
@@ -66,7 +66,6 @@ class PlanarFrame:
     l6d: np.ndarray  # desired flange-link direction
     p_w_proj: np.ndarray  # wrist projected into the plane
     l5d_options: tuple  # candidate wrist-riser directions (+, -)
-    degenerate: bool  # flange link parallel to the plane normal
 
 
 def planar_frame(theta1: float, t_des: np.ndarray, p_w: np.ndarray, model: RobotModel) -> PlanarFrame:
@@ -76,13 +75,11 @@ def planar_frame(theta1: float, t_des: np.ndarray, p_w: np.ndarray, model: Robot
     p_w_proj = p_w - float(np.dot(z2d, p_w)) * z2d
     cross = np.cross(z2d, l6d)
     norm = float(np.linalg.norm(cross))
-    if norm < _DEGENERATE_WRIST_TOL:
-        # tool axis along the plane normal: theta5/theta6 are forced to
-        # zero, which pins the wrist riser to the tool-frame -y direction
-        base = -t_des[:3, 1]
-        return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, -base), True)
-    base = cross / norm
-    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, -base), False)
+    # tool axis along the plane normal (the wrist singularity, theta5 = 0
+    # or pi): every riser in the plane closes the orientation, theta6
+    # taking up the twist; the tool-frame -y direction is one of them
+    base = -t_des[:3, 1] if norm < _DEGENERATE_WRIST_TOL else cross / norm
+    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, -base))
 
 
 def iteration_target(frame: PlanarFrame, l5d: np.ndarray, model: RobotModel) -> np.ndarray:
@@ -177,8 +174,6 @@ def wrist_angles(
     (theta2, theta3) of the branch: the wrist rotation depends on joints
     2-4 only through their sum."""
     theta234 = signed_angle(frame.v_init, l5d, frame.z2d) - math.pi / 2
-    if frame.degenerate:
-        return theta234, 0.0, 0.0
     theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
     x5d = fk_prefix(model, [frame.theta1, 0.0, 0.0, theta234, theta5])[:3, 0]
     theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), unit(t_des[:3, 2]))
@@ -255,11 +250,9 @@ def solve_detailed(query: IKQuery, model: RobotModel | None = None):
     reduced = pipeline.reduced_solutions(
         branches(t_des, query.theta_init, model), model, query.config, detail
     )
-    pipeline.admit(
-        detail, model, candidates(reduced, t_des, model), t_des, query.config.eps_tol, pose_mismatch
-    )
+    pipeline.admit(detail, model, candidates(reduced, t_des, model))
     pick = select_candidate(detail.admitted, query.theta_init)
-    return pipeline.finish(model, t_des, detail, pick, start)
+    return pipeline.finish(model, t_des, detail, pick, query.config.eps_tol, pose_mismatch, start)
 
 
 def solve(query: IKQuery, model: RobotModel | None = None) -> IKResult:

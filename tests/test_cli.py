@@ -75,12 +75,17 @@ class TestSolveCommand:
         assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "robot, row, field, value",
-        [("ur5", 1, "a", 0.0), ("kuka", 2, "d", -0.42)],
-        ids=["ur5-l2-zero", "kuka-l2-negative"],
+        "robot, row, field, value, message",
+        [
+            ("ur5", 1, "a", 0.0, "l2 and l3 must be positive"),
+            ("kuka", 2, "d", -0.42, "l2 and l3 must be positive"),
+            ("ur5", 2, "a", 0.39225, "l2 and l3 must be positive (the UR sign convention"),
+            ("kuka", 0, "d", 0.0, "base riser l1 (dh[0].d) must be positive"),
+        ],
+        ids=["ur5-l2-zero", "kuka-l2-negative", "ur5-a3-positive", "kuka-l1-zero"],
     )
     def test_non_positive_chain_link_exit_one(
-        self, tmp_path, solvable_pose, capsys, robot, row, field, value
+        self, tmp_path, solvable_pose, capsys, robot, row, field, value, message
     ):
         doc = json.loads(model_to_json(get_model(robot)))
         doc["dh"][row][field] = value
@@ -92,7 +97,7 @@ class TestSolveCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
-        assert "l2 and l3 must be positive" in err
+        assert message in err
 
     def test_model_override(self, tmp_path, ur5_model, solvable_pose, capsys):
         model_file = tmp_path / "model.json"

@@ -7,6 +7,7 @@ import pytest
 from fabrik_sqp import benchmark, kuka, optimizer, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, select_candidate
+from fabrik_sqp.robots import pose_mismatch
 
 SOLVERS = [(ur5, "ur5_model"), (kuka, "kuka_model")]
 
@@ -69,7 +70,8 @@ class TestStatusRule:
 
     def test_detail_counters_match_result(self, solver):
         module, model = solver
-        result, detail = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
+        query = _first_seeded_query(model, SolverConfig())
+        result, detail = module.solve_detailed(query, model)
         assert result.status is IKStatus.SOLVED
         assert (result.fabrik_iterations, result.optimizer_used, result.optimizer_iterations) == (
             detail.fabrik_iterations,
@@ -77,9 +79,38 @@ class TestStatusRule:
             detail.optimizer_iterations,
         )
         assert any(theta is result.theta for theta in detail.admitted)
-        for theta, mismatch in detail.candidates:
-            admitted = any(theta is a for a in detail.admitted)
-            assert admitted == (mismatch <= SolverConfig().eps_tol)
+        in_limits = [theta for theta in detail.candidates if model.within_limits(theta)]
+        assert [id(theta) for theta in detail.admitted] == [id(theta) for theta in in_limits]
+        assert pose_mismatch(model, result.theta, query.t_des) <= SolverConfig().eps_tol
+
+    def test_solved_checks_only_the_pick(self, solver, monkeypatch):
+        module, model = solver
+        checked = []
+
+        def counted(robot, theta, t_des):
+            checked.append(theta)
+            return pose_mismatch(robot, theta, t_des)
+
+        monkeypatch.setattr(module, "pose_mismatch", counted)
+        result, detail = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
+        assert result.status is IKStatus.SOLVED
+        assert len(detail.admitted) > 1
+        assert len(checked) == 1 and checked[0] is result.theta
+
+    def test_pick_that_misses_fails(self, solver, monkeypatch):
+        module, model = solver
+        checked = []
+
+        def missing(robot, theta, t_des):
+            checked.append(theta)
+            return math.inf
+
+        monkeypatch.setattr(module, "pose_mismatch", missing)
+        result, detail = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
+        assert result.status is IKStatus.FAILED
+        assert result.theta is None and result.error is None
+        # no rescan: the other admitted candidates are never checked
+        assert len(detail.admitted) > 1 and len(checked) == 1
 
 
 class TestSelection:

@@ -198,15 +198,33 @@ class TestModelData:
             model_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "robot, row, field, value",
-        [("ur5", 1, "a", 0.0), ("ur5", 2, "a", 0.0), ("kuka", 2, "d", -0.42), ("kuka", 4, "d", 0.0)],
-        ids=["ur5-l2-zero", "ur5-l3-zero", "kuka-l2-negative", "kuka-l3-zero"],
+        "robot, row, field, value, match",
+        [
+            ("ur5", 1, "a", 0.0, "ur5 reduced-chain links l2 and l3 must be positive"),
+            ("ur5", 2, "a", 0.0, "ur5 reduced-chain links l2 and l3 must be positive"),
+            ("kuka", 2, "d", -0.42, "kuka reduced-chain links l2 and l3 must be positive"),
+            ("kuka", 4, "d", 0.0, "kuka reduced-chain links l2 and l3 must be positive"),
+            ("ur5", 1, "a", 0.425, "l2 and l3 must be positive .the UR sign convention"),
+            ("ur5", 2, "a", 0.39225, "l2 and l3 must be positive .the UR sign convention"),
+            ("kuka", 0, "d", 0.0, "kuka base riser l1 .dh.0..d. must be positive"),
+            ("kuka", 0, "d", -0.36, "kuka base riser l1 .dh.0..d. must be positive"),
+        ],
+        ids=[
+            "ur5-l2-zero", "ur5-l3-zero", "kuka-l2-negative", "kuka-l3-zero",
+            "ur5-a2-positive", "ur5-a3-positive", "kuka-l1-zero", "kuka-l1-negative",
+        ],
     )
-    def test_reduced_chain_links_must_be_positive(self, robot, row, field, value):
+    def test_reduced_chain_links_must_be_positive(self, robot, row, field, value, match):
         doc = json.loads(model_to_json(get_model(robot)))
         doc["dh"][row][field] = value
-        with pytest.raises(ValueError, match=f"{robot} reduced-chain links l2 and l3 must be positive"):
+        with pytest.raises(ValueError, match=match):
             model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("d1", [0.0, -0.2])
+    def test_ur5_base_riser_may_be_non_positive(self, d1):
+        doc = json.loads(model_to_json(ur5_model()))
+        doc["dh"][0]["d"] = d1
+        assert model_from_json(json.dumps(doc)).link_lengths[0] == d1
 
     def test_theta_offset_optional(self):
         doc = json.loads(model_to_json(ur5_model()))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, ur5
+from fabrik_sqp import benchmark, fabrik, ur5
 from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
@@ -71,7 +71,7 @@ class TestPlanarFrame:
         r = np.column_stack([np.array([1.0, 0, 0]), np.array([0, 0, 1.0]), np.array([0, -1.0, 0])])
         t = make_transform(r, [0.4, -0.2, 0.3])
         frame = ur5.planar_frame(0.0, t, ur5.wrist_position(t, ur5_model), ur5_model)
-        assert frame.degenerate
+        assert np.array_equal(frame.l5d_options[0], -t[:3, 1])
 
     def test_wrist_projection_removes_lateral_offset(self, ur5_model):
         rng = np.random.default_rng(0)
@@ -130,11 +130,24 @@ class TestRecoverAngles:
         t_des = forward_kinematics(ur5_model, theta)
         p_w = ur5.wrist_position(t_des, ur5_model)
         frame = ur5.planar_frame(float(theta[0]), t_des, p_w, ur5_model)
-        assert frame.degenerate
+        assert np.array_equal(frame.l5d_options[0], -t_des[:3, 1])
         wrist = ur5.wrist_angles(frame, frame.l5d_options[0], t_des, ur5_model)
         rec = ur5.recover_angles(frame.theta1, *chain_angles(ur5_model, frame, theta), wrist)
-        assert rec[4] == 0.0 and rec[5] == 0.0
+        assert abs(rec[4]) <= 1e-12 and abs(rec[5]) <= 1e-12
         assert pose_mismatch(ur5_model, rec, t_des) <= 1e-9
+        # joint 6 turns about the joint 2-4 axis, so the other riser, and
+        # both risers of a theta5 = pi frame, give exact (theta5, theta6) too
+        flipped = forward_kinematics(ur5_model, [0.4, -0.8, 1.1, -0.3, math.pi, 0.7])
+        for t in (t_des, flipped):
+            frame = ur5.planar_frame(frame.theta1, t, ur5.wrist_position(t, ur5_model), ur5_model)
+            assert np.array_equal(frame.l5d_options[0], -t[:3, 1])
+            for l5d in frame.l5d_options:
+                # a planar two-link solve at the riser's own elbow target
+                branch = ur5.Branch(frame, l5d, theta, ur5_model)
+                outcome = fabrik.solve(fabrik.pre_bend(branch.chain()), branch.target, 1e-12, 1000)
+                wrist = ur5.wrist_angles(frame, l5d, t, ur5_model)
+                rec = ur5.recover_angles(frame.theta1, *branch.from_chain(outcome.chain), wrist)
+                assert outcome.converged and pose_mismatch(ur5_model, rec, t) <= 1e-9
 
     def test_fourth_joint_closes_the_branch_sum(self, ur5_model):
         rec = ur5.recover_angles(0.2, 1.0, 2.5, (-3.0, 0.4, -0.5))
@@ -276,6 +289,28 @@ class TestSolve:
                 assert pose_mismatch(ur5_model, result.theta, t_des) <= 1e-6
                 assert ur5_model.within_limits(result.theta)
         assert solved / 200 >= 0.995
+
+    @pytest.mark.parametrize("theta5", [0.0, math.pi - 1e-13, 1e-12])
+    def test_every_candidate_reproduces_a_singular_wrist_pose(self, ur5_model, theta5):
+        rng = np.random.default_rng(8)
+        risers = set()
+        for _ in range(20):
+            theta = rng.uniform(-math.pi, math.pi, 6)
+            theta[4] = theta5
+            t_des = forward_kinematics(ur5_model, theta)
+            init = rng.uniform(-math.pi, math.pi, 6)
+            # a tight tolerance, so the reduced chain ends on its target
+            query = IKQuery(t_des=t_des, theta_init=init, config=SolverConfig(eps_tol=1e-11))
+            _, detail = ur5.solve_detailed(query, ur5_model)
+            for c in detail.candidates:
+                assert pose_mismatch(ur5_model, c, t_des) <= 1e-9
+                if abs(wrap_angle(c[0] - theta[0])) <= 1e-9:
+                    # the singular frame: which of its risers (the joint 4
+                    # to 5 link) the candidate uses
+                    frames = fk_frames(ur5_model, c)
+                    riser = frames[5][:3, 3] - frames[4][:3, 3]
+                    risers.add(float(np.dot(riser, -t_des[:3, 1])) > 0.0)
+        assert risers == {True, False}
 
     def test_fabrik_only_mode_can_fail_where_combined_succeeds(self, ur5_model, golden_ur5_pose):
         combined = ur5.solve(
