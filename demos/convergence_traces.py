@@ -25,7 +25,7 @@ def unit_chain():
 
 
 def run_case(name, chain, target, cap=20000):
-    outcome = fabrik.solve(fabrik.pre_bend(chain), np.asarray(target, float), 1e-6, cap, record_trace=True)
+    outcome = fabrik.solve(fabrik.pre_bend(chain), np.asarray(target, float), 1e-6, cap)
     path = os.path.join(OUT_DIR, f"trace_{name}.csv")
     fabrik.write_trace_csv(path, outcome.trace)
     print(

@@ -12,11 +12,12 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .iktypes import IKQuery, IKResult, IKStatus, SolverConfig
-from .robots import RobotModel, forward_kinematics, get_model, pose_mismatch
+from .robots import RobotModel, forward_kinematics, pose_mismatch
 
 RNG_NAME = "numpy-pcg64"
 
@@ -131,17 +132,11 @@ def _record(idx: int, result: IKResult) -> QueryRecord:
     )
 
 
-def _solve_chunk(args):
-    robot, mode, eps_tol, chunk = args
+def _solve_query(model: RobotModel, config: SolverConfig, item) -> QueryRecord:
     from . import solve_ik  # local import keeps workers picklable
 
-    model = get_model(robot)
-    config = mode.config(eps_tol)
-    out = []
-    for idx, t_des, theta_init in chunk:
-        result = solve_ik(model, IKQuery(t_des=t_des, theta_init=theta_init, config=config))
-        out.append(_record(idx, result))
-    return out
+    idx, (t_des, theta_init) = item
+    return _record(idx, solve_ik(model, IKQuery(t_des=t_des, theta_init=theta_init, config=config)))
 
 
 def run_benchmark(
@@ -151,25 +146,22 @@ def run_benchmark(
     eps_tol: float = 1e-6,
     workers: int = 1,
 ) -> list[BenchmarkReport]:
-    """Solve every query under every mode; per-query failures are data."""
+    """Solve every query under every mode; per-query failures are data.
+
+    Every solve uses the given model, in this process or in a worker.
+    """
     reports = []
-    indexed = [(i, t, th) for i, (t, th) in enumerate(queries.queries)]
+    items = list(enumerate(queries.queries))
     for mode in modes:
         report = BenchmarkReport(robot=queries.robot, seed=queries.seed, mode=mode, eps_tol=eps_tol)
+        solve = partial(_solve_query, model, mode.config(eps_tol))
         if workers <= 1:
-            (records,) = [_solve_chunk((queries.robot, mode, eps_tol, indexed))]
+            report.records = list(map(solve, items))
         else:
-            chunks = [indexed[i::workers] for i in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        _solve_chunk,
-                        [(queries.robot, mode, eps_tol, c) for c in chunks if c],
-                    )
-                )
-            records = [r for part in parts for r in part]
-            records.sort(key=lambda r: r.query_id)
-        report.records = list(records)
+                # map keeps the input order; one chunk per worker
+                chunk = -(-len(items) // workers)
+                report.records = list(pool.map(solve, items, chunksize=chunk))
         reports.append(report)
     return reports
 

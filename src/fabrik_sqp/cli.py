@@ -25,10 +25,9 @@ EXIT_UNREACHABLE = 2
 EXIT_FAILED = 3
 
 # The sweeps square distances of up to about twice the chain's reach;
-# a longer chain would overflow them, and the squared norm of a shorter
-# link than MIN_LINK_LENGTH would underflow.
+# a longer chain would overflow them. `fabrik.straight_chain` rejects
+# links too short for the sweeps.
 MAX_CHAIN_REACH = 1e150
-MIN_LINK_LENGTH = 1e-150
 
 
 class CliError(Exception):
@@ -149,8 +148,6 @@ def cmd_trace(args) -> int:
     target = _parse_floats(args.target, 3, "--target")
     if args.links:
         lengths = _parse_floats(args.links, None, "--links")
-        if lengths.size < 1 or np.any(lengths < MIN_LINK_LENGTH):
-            raise CliError(f"--links must be lengths of at least {MIN_LINK_LENGTH:g}")
         if math.fsum(lengths) > MAX_CHAIN_REACH:
             raise CliError(f"--links must sum to at most {MAX_CHAIN_REACH:g}")
         base = _parse_floats(args.base, 3, "--base")
@@ -169,7 +166,7 @@ def cmd_trace(args) -> int:
         else:
             raise CliError("trace needs --links for chains other than the kuka reduction")
     chain = fabrik.pre_bend(chain)
-    outcome = fabrik.solve(chain, target, args.eps, args.cap, record_trace=True)
+    outcome = fabrik.solve(chain, target, args.eps, args.cap)
     if outcome.unreachable:
         print("error: target is beyond the chain's reach", file=sys.stderr)
         return EXIT_UNREACHABLE

@@ -3,10 +3,11 @@
 A chain is an ordered list of joint positions P_1..P_m with fixed link
 lengths. One sweep is a forward phase (re-anchor the end at the target,
 pull the chain tip-to-base) followed by a backward phase (re-anchor the
-base, push base-to-tip). Each point update is a convex blend that
-preserves the link length; when the angle at the joint next to the point
-being placed violates its limit, the retained point is pre-rotated about
-the joint axis by the excess before blending.
+base, push base-to-tip). Both phases are one reach step, `_reach`, run
+from opposite ends. Each point update is a convex blend that preserves
+the link length; when the angle at the joint next to the point being
+placed violates its limit, the retained point is pre-rotated about the
+joint axis by the excess before blending.
 
 Joint angles are measured between consecutive link directions in
 base-to-tip orientation, so both phases clamp the same physical
@@ -14,9 +15,11 @@ interval. Hinges carry a fixed world axis; ball joints use the cross
 product of the adjacent link directions as the correction axis and a
 cone half-angle as the limit.
 
-`straight_chain` validates a chain once, when it is built; the sweeps,
-`pre_bend` and the full-extension shortcut trust it and only move its
-positions.
+`straight_chain` validates a chain once, when it is built, including a
+minimum link length well above the sweeps' 1e-12 coincidence scale; the
+sweeps, `pre_bend` and the full-extension shortcut trust it and only
+move its positions. `solve` sweeps the positions array and builds its
+outcome's chain once.
 """
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ from .geometry import (
 _FULL = math.pi
 PRE_BEND = 1e-3  # bend per joint that pre_bend gives a straight chain (rad)
 COLLINEAR_TOL = 1e-6  # largest angle between links that pre_bend treats as straight (rad)
+# The sweeps treat points closer than 1e-12 as coincident, and `unit`
+# refuses shorter vectors; links must stay well above that scale.
+MIN_LINK_LENGTH = 1e-9  # m
 
 
 @dataclass(frozen=True)
@@ -103,15 +109,18 @@ def _lay_out(base, direction, lengths) -> np.ndarray:
 def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
     """Chain laid out straight from base along a direction.
 
-    The one place a chain is validated: positive lengths, one per joint;
-    non-zero, finite 3-vector direction and anchor_dir (both normalized);
-    laid-out links that keep their lengths to 1e-9 relative, which
-    rejects a link that rounding absorbs into the coordinates before it.
+    The one place a chain is validated: lengths of at least
+    MIN_LINK_LENGTH, one per joint; non-zero, finite 3-vector direction
+    and anchor_dir (both normalized); laid-out links that keep their
+    lengths to 1e-9 relative, which rejects a link that rounding absorbs
+    into the coordinates before it.
     """
     base = np.asarray(base, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
-    if lengths.ndim != 1 or lengths.size < 1 or np.any(lengths <= 0.0):
-        raise ValueError("link lengths must be a non-empty list of positive numbers")
+    if lengths.ndim != 1 or lengths.size < 1:
+        raise ValueError("link lengths must be a non-empty list of numbers")
+    if not np.all(lengths >= MIN_LINK_LENGTH):
+        raise ValueError(f"a link is too short: every length must be at least {MIN_LINK_LENGTH:g}")
     if len(joints) != lengths.size:
         raise ValueError("need one joint per link")
     if base.shape != (3,) or np.shape(direction) != (3,):
@@ -170,69 +179,59 @@ def _limit_correction(l_in, l_out, joint):
     return joint.max_angle - phi, ball_joint_axis(l_in, l_out)
 
 
-def forward_phase(chain: ChainState, target) -> ChainState:
-    """Anchor the end at the target and pull the chain tip-to-base."""
-    target = np.asarray(target, dtype=float)
-    old = chain.positions
-    q = old.copy()
-    m = q.shape[0]
-    q[m - 1] = target
-    for i in range(m - 2, -1, -1):
-        pivot = q[i + 1]
-        v = old[i] - pivot
+def _reach(chain: ChainState, positions, start, tip_first: bool) -> np.ndarray:
+    """One reaching phase on a positions array; returns the new array.
+
+    Pins the first point of the traversal (the tip when tip_first, else
+    the base) at start, then pulls each next point onto its link from
+    the pivot placed just before it. A point that coincides with its
+    pivot extends straight past the link placed before the pivot, or
+    along the anchor, or along its old link. Joint angles are measured
+    base-to-tip, so the tip-first pass hands `_limit_correction` the
+    negated link directions and turns the retained point the other way;
+    both negations are exact.
+    """
+    m = positions.shape[0]
+    step, first = (-1, m - 1) if tip_first else (1, 0)
+    # the direction entering the first pivot: the anchor when the base
+    # is pinned; the tip has no joint
+    entry = None if tip_first else chain.anchor_dir
+    q = positions.copy()
+    q[first] = start
+    for i in range(first + step, first + m * step, step):
+        p = i - step  # the pivot
+        pivot = q[p]
+        v = positions[i] - pivot
         d = float(np.linalg.norm(v))
-        length = chain.lengths[i]
+        length = chain.lengths[min(i, p)]
         if d < 1e-12:
             # coincident points: extend straight past the pivot
-            if i + 2 < m:
-                direction = unit(pivot - q[i + 2])
-            else:
-                direction = unit(old[i] - old[i + 1])
+            direction = unit(pivot - q[p - step]) if p != first else entry
+            if direction is None:
+                direction = unit(positions[i] - positions[p])
             q[i] = pivot + length * direction
             continue
-        if i + 2 < m and not chain.joints[i + 1].unconstrained:
-            # clamp the joint at the pivot between the updated outgoing
-            # link and the not-yet-moved incoming one
-            corr = _limit_correction(-v / d, unit(q[i + 2] - pivot), chain.joints[i + 1])
+        if (p != first or entry is not None) and not chain.joints[p].unconstrained:
+            back = unit(pivot - q[p - step]) if p != first else entry
+            if tip_first:
+                corr = _limit_correction(-v / d, -back, chain.joints[p])
+            else:
+                corr = _limit_correction(back, v / d, chain.joints[p])
             if corr is not None:
                 delta, axis = corr
-                # rotating the retained point by -delta bends the joint
-                # angle by +delta (the incoming link moves, not the
-                # outgoing one)
-                v = rotate_about_axis(axis, -delta, v)
+                v = rotate_about_axis(axis, -delta if tip_first else delta, v)
         q[i] = pivot + (length / d) * v
-    return replace(chain, positions=q)
+    return q
+
+
+def forward_phase(chain: ChainState, target) -> ChainState:
+    """Anchor the end at the target and pull the chain tip-to-base."""
+    return replace(chain, positions=_reach(chain, chain.positions, target, True))
 
 
 def backward_phase(chain: ChainState) -> ChainState:
     """Anchor the base and push the chain base-to-tip."""
-    old = chain.positions
-    q = old.copy()
-    m = q.shape[0]
-    q[0] = chain.base
-    for i in range(1, m):
-        pivot = q[i - 1]
-        v = old[i] - pivot
-        d = float(np.linalg.norm(v))
-        length = chain.lengths[i - 1]
-        if d < 1e-12:
-            if i >= 2:
-                direction = unit(pivot - q[i - 2])
-            elif chain.anchor_dir is not None:
-                direction = chain.anchor_dir
-            else:
-                direction = unit(old[i] - old[i - 1])
-            q[i] = pivot + length * direction
-            continue
-        joint = chain.joints[i - 1]
-        if not joint.unconstrained and (i > 1 or chain.anchor_dir is not None):
-            l_in = chain.anchor_dir if i == 1 else unit(pivot - q[i - 2])
-            corr = _limit_correction(l_in, v / d, joint)
-            if corr is not None:
-                delta, axis = corr
-                v = rotate_about_axis(axis, delta, v)
-        q[i] = pivot + (length / d) * v
-    return replace(chain, positions=q)
+    return replace(chain, positions=_reach(chain, chain.positions, chain.base, False))
 
 
 def pre_bend(chain: ChainState, axis=None) -> ChainState:
@@ -278,23 +277,19 @@ class FabrikOutcome:
     iterations: int  # full forward+backward sweeps
     dist: float  # end-to-target distance after the last sweep
     chain: ChainState
-    trace: tuple | None = None  # ((n, dist), ...) when recorded
+    trace: tuple = ()  # ((n, dist), ...), one entry per sweep
     unreachable: bool = False
 
 
-def solve(
-    chain: ChainState,
-    target,
-    eps_tol: float,
-    iter_cap: int,
-    record_trace: bool = False,
-) -> FabrikOutcome:
+def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOutcome:
     """Iterate forward/backward sweeps until dist <= eps_tol or the cap.
 
     Targets beyond the chain's total reach return immediately with
     unreachable=True. Targets exactly on the reach sphere (within fp
     noise) are solved directly by laying the chain straight toward them,
-    counted as one sweep. A non-finite target raises ValueError.
+    counted as one sweep. A non-finite target raises ValueError. The
+    sweeps run on the positions array; the outcome's chain is built
+    once, on return.
     """
     if eps_tol <= 0.0:
         raise ValueError("eps_tol must be positive")
@@ -309,33 +304,28 @@ def solve(
     # one-ulp tolerance: on-sphere targets are reachable by contract and
     # must not flip on fp rounding of the gap
     if gap > reach * (1.0 + 1e-12):
-        dist = math.dist(chain.end, target)
-        return FabrikOutcome(False, 0, dist, chain, () if record_trace else None, True)
+        return FabrikOutcome(False, 0, math.dist(chain.end, target), chain, unreachable=True)
     if reach - gap <= 1e-12 * reach and gap > 0.0:
         # full-extension target: the straight chain is the unique solution
         direction = unit((target - chain.base) / gap)
         stretched = replace(chain, positions=_lay_out(chain.base, direction, chain.lengths))
         dist = float(np.linalg.norm(stretched.end - target))
-        trace = ((1, dist),) if record_trace else None
-        return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, trace)
+        return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, ((1, dist),))
 
-    cur = chain
-    dist = float(np.linalg.norm(cur.end - target))
+    dist = float(np.linalg.norm(chain.end - target))
     if dist <= eps_tol:
-        return FabrikOutcome(True, 0, dist, cur, () if record_trace else None)
-    trace = [] if record_trace else None
+        return FabrikOutcome(True, 0, dist, chain)
+    q = chain.positions
+    trace = []
     n = 0
     while n < iter_cap:
-        cur = backward_phase(forward_phase(cur, target))
+        q = _reach(chain, _reach(chain, q, target, True), chain.base, False)
         n += 1
-        dist = float(np.linalg.norm(cur.end - target))
-        if trace is not None:
-            trace.append((n, dist))
+        dist = float(np.linalg.norm(q[-1] - target))
+        trace.append((n, dist))
         if dist <= eps_tol:
             break
-    return FabrikOutcome(
-        dist <= eps_tol, n, dist, cur, tuple(trace) if trace is not None else None
-    )
+    return FabrikOutcome(dist <= eps_tol, n, dist, replace(chain, positions=q), tuple(trace))
 
 
 def write_trace_csv(path, trace) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fabrik import MIN_LINK_LENGTH
 from .geometry import (
     CartesianError,
     cartesian_error,
@@ -109,8 +110,11 @@ def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
         # kuka.bend_magnitudes measures theta2 from the base-to-shoulder riser
         if not lengths[0] > 0.0:
             raise ValueError("kuka base riser l1 (dh[0].d) must be positive")
-    if not (lengths[1] > 0.0 and lengths[2] > 0.0):
-        raise ValueError(f"{name} reduced-chain links l2 and l3 must be positive{convention}")
+    if not (lengths[1] >= MIN_LINK_LENGTH and lengths[2] >= MIN_LINK_LENGTH):
+        raise ValueError(
+            f"{name} reduced-chain links l2 and l3 must be positive{convention},"
+            f" at least {MIN_LINK_LENGTH:g} m"
+        )
     if joint_limits is None:
         joint_limits = np.tile([-math.pi, math.pi], (len(dh), 1))
     return RobotModel(name=name, dh=dh, link_lengths=lengths, joint_limits=joint_limits)

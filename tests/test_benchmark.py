@@ -1,11 +1,12 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark as bm
-from fabrik_sqp.robots import forward_kinematics
+from fabrik_sqp.robots import forward_kinematics, get_model, model_from_json, model_to_json
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,35 @@ class TestRunBenchmark:
                 assert b.theta is None
             else:
                 assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solves_with_the_given_model(self, ur5_model, workers):
+        # a shorter upper arm and tighter limits than the built-in UR5
+        doc = json.loads(model_to_json(ur5_model))
+        doc["dh"][1]["a"] = -0.30
+        doc["limits"] = [[-1.5, 1.5]] * 6
+        custom = model_from_json(json.dumps(doc))
+        queries = bm.generate_queries(custom, 30, seed=7)
+        report = bm.run_benchmark(custom, queries, [bm.parse_mode("combined:5")], workers=workers)[0]
+        assert [r.query_id for r in report.records] == list(range(30))
+        assert report.solved > 0
+        bm.audit_solved(custom, queries, report)
+        for r in report.records:
+            if r.theta is not None:
+                assert custom.within_limits(r.theta)
+
+    @pytest.mark.parametrize(
+        "robot, sweeps, solved, failed",
+        [("ur5", 107_019, 959, 41), ("kuka", 35_699, 799, 201)],
+    )
+    def test_seed_7_fabrik_only_totals(self, robot, sweeps, solved, failed):
+        # pins the sweep arithmetic end to end: any change to a reach
+        # step moves these seed-7 totals
+        model = get_model(robot)
+        queries = bm.generate_queries(model, 1000, 7)
+        report = bm.run_benchmark(model, queries, [bm.parse_mode("fabrik:100")])[0]
+        assert sum(r.fabrik_iters for r in report.records) == sweeps
+        assert Counter(r.status for r in report.records) == {"solved": solved, "failed": failed}
 
     def test_rerun_bit_identical(self, kuka_model):
         queries = bm.generate_queries(kuka_model, 15, seed=9)

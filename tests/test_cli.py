@@ -204,10 +204,15 @@ class TestTraceCommand:
         # rounding absorbs a link into the coordinates before it
         ["trace", "--links", "1,1e-20", "--target", "1,0.5,0"],
         ["trace", "--links", "1,1", "--base", "1e17,0,0", "--v-init", "1,0,0", "--target", "1e17,1,0"],
+        # links below the sweeps' 1e-12 coincidence scale
+        [
+            "trace", "--links", "1e-13,1e-13", "--target", "1e-13,5e-14,0", "--v-init", "1,0,0",
+            "--eps", "1e-20",
+        ],
     ],
     ids=[
         "nan-target", "inf-target", "nan-link", "zero-v-init", "nan-end-config", "tiny-links",
-        "absorbed-link", "far-base",
+        "absorbed-link", "far-base", "sub-sweep-scale-links",
     ],
 )
 def test_bad_numbers_exit_one(tmp_path, capsys, argv):

@@ -33,6 +33,14 @@ def link_lengths(chain):
     return np.linalg.norm(np.diff(chain.positions, axis=0), axis=1)
 
 
+def ball_chain(positions, base=(0.0, 0.0, 0.0), anchor_dir=None):
+    """Unconstrained chain at the given positions, unit links."""
+    positions = np.array(positions, dtype=float)
+    n = positions.shape[0] - 1
+    anchor = None if anchor_dir is None else np.array(anchor_dir, dtype=float)
+    return ChainState(positions, np.ones(n), (Ball(),) * n, np.array(base, dtype=float), anchor)
+
+
 class TestClampCorrection:
     def test_inside(self):
         assert clamp_correction(0.5, (-1.0, 1.0)) == 0.0
@@ -139,6 +147,21 @@ class TestForwardPhase:
         assert got == pytest.approx(hi, abs=1e-9)
 
 
+    def test_coincident_point_extends_past_the_placed_link(self):
+        # the middle point lands on the old base, which then extends
+        # straight past the link just placed
+        chain = ball_chain([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        out = forward_phase(chain, np.array([-1.0, 0.0, 0.0]))
+        assert np.array_equal(out.positions, [[1, 0, 0], [0, 0, 0], [-1, 0, 0]])
+
+    def test_coincident_point_at_the_target_keeps_its_old_direction(self):
+        # the target sits on the point next to the end: no link is placed
+        # yet, so the first link keeps its old direction
+        chain = ball_chain([[0, 0, 0], [1, 0, 0]])
+        out = forward_phase(chain, np.zeros(3))
+        assert np.array_equal(out.positions, [[-1, 0, 0], [0, 0, 0]])
+
+
 class TestStraightChain:
     """straight_chain is the one place a chain is validated."""
 
@@ -183,6 +206,15 @@ class TestStraightChain:
     def test_link_absorbed_by_rounding_rejected(self, base, lengths):
         with pytest.raises(ValueError, match="too short"):
             straight_chain(np.array(base), self.X, lengths, (Ball(), Ball()))
+
+    def test_link_below_the_minimum_rejected(self):
+        short = 0.5 * fabrik.MIN_LINK_LENGTH
+        with pytest.raises(ValueError, match="too short"):
+            straight_chain(np.zeros(3), self.X, [short, short], (Ball(), Ball()))
+        chain = straight_chain(
+            np.zeros(3), self.X, [fabrik.MIN_LINK_LENGTH] * 2, (Ball(), Ball())
+        )
+        assert np.array_equal(chain.lengths, [fabrik.MIN_LINK_LENGTH] * 2)
 
     def test_direction_and_anchor_normalized(self):
         chain = straight_chain(
@@ -239,6 +271,25 @@ class TestBackwardPhase:
         assert base_angle == pytest.approx(hi, abs=1e-9)
 
 
+    def test_coincident_point_extends_past_the_placed_link(self):
+        chain = ball_chain([[0, 0, 0], [1, 0, 0], [1, 0, 0]])
+        out = backward_phase(chain)
+        assert np.array_equal(out.positions, [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+
+    def test_coincident_point_at_the_base_follows_the_anchor(self):
+        chain = ball_chain([[0, 0, 0], [0, 0, 0], [1, 0, 0]], anchor_dir=[0, 1, 0])
+        out = backward_phase(chain)
+        assert np.array_equal(out.positions[:2], [[0, 0, 0], [0, 1, 0]])
+        assert np.allclose(link_lengths(out), [1.0, 1.0], atol=1e-15)
+
+    def test_coincident_point_at_the_base_keeps_its_old_direction(self):
+        # no anchor: the first link keeps its old direction, and the next
+        # point, now on the new pivot, extends past it
+        chain = ball_chain([[-1, 0, 0], [0, 0, 0], [1, 0, 0]])
+        out = backward_phase(chain)
+        assert np.array_equal(out.positions, [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+
+
 class TestPreBend:
     def test_straight_chain_gets_exact_bend(self):
         chain = two_link_chain()
@@ -282,7 +333,7 @@ class TestSolve:
         def no_sweep(*args):
             raise AssertionError("swept toward a non-finite target")
 
-        monkeypatch.setattr(fabrik, "forward_phase", no_sweep)
+        monkeypatch.setattr(fabrik, "_reach", no_sweep)
         with pytest.raises(ValueError, match="target must be finite"):
             solve(pre_bend(two_link_chain()), np.array([bad, 0.5, 0.0]), 1e-6, 50)
 
@@ -318,7 +369,7 @@ class TestSolve:
         # switch index
         chain = pre_bend(two_link_chain())
         target = np.array([1.99, 0.001, 0.0])
-        out = solve(chain, target, 1e-6, 20000, record_trace=True)
+        out = solve(chain, target, 1e-6, 20000)
         assert out.converged
         assert out.iterations > 15
         assert len(out.trace) == out.iterations
@@ -327,7 +378,7 @@ class TestSolve:
 
     def test_trace_length_matches_iterations(self):
         chain = pre_bend(two_link_chain())
-        out = solve(chain, np.array([0.6, 1.1, 0.0]), 1e-6, 500, record_trace=True)
+        out = solve(chain, np.array([0.6, 1.1, 0.0]), 1e-6, 500)
         assert out.converged
         assert len(out.trace) == out.iterations
         assert all(d > 0.0 for _, d in out.trace[:-1])
@@ -335,8 +386,8 @@ class TestSolve:
     def test_deterministic(self):
         chain = pre_bend(two_link_chain())
         target = np.array([0.3, 1.4, 0.0])
-        a = solve(chain, target, 1e-6, 500, record_trace=True)
-        b = solve(chain, target, 1e-6, 500, record_trace=True)
+        a = solve(chain, target, 1e-6, 500)
+        b = solve(chain, target, 1e-6, 500)
         assert a.iterations == b.iterations
         assert np.array_equal(a.chain.positions, b.chain.positions)
         assert a.trace == b.trace

@@ -1,0 +1,118 @@
+"""Check that this checkout solves every seeded benchmark input as a git revision does.
+
+    python3 tools/same_records.py REV
+
+Exports the package source of REV with `git archive` into a temporary
+directory, then solves the same inputs with REV's package and with this
+checkout's (the working tree, uncommitted edits included):
+
+- the seed-7 perfbench workloads, whose definitions come from this
+  checkout's perfbench/bench.py;
+- KUKA fabrik:100 on the kuka-random queries.
+
+Per solve it compares the status, the sweep count, optimizer use, the
+optimizer iterations and the selected theta (np.array_equal). It prints
+the number of differing solves per workload and exits 1 on any.
+"""
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import bench  # noqa: E402
+
+SEED = 7
+FIELDS = ("status", "sweeps", "opt_used", "opt_iters")
+SHOWN = 5  # differing solves printed per workload
+
+
+def workloads() -> list:
+    kuka = bench.WORKLOADS["kuka-random"]
+    fabrik_only = dataclasses.replace(
+        kuka, name="kuka-fabrik-only", why="KUKA fabrik:100 on the kuka-random queries",
+        mode="fabrik:100",
+    )
+    return [*bench.WORKLOADS.values(), fabrik_only]
+
+
+def records(src: Path) -> dict:
+    """{workload: [(status, sweeps, opt_used, opt_iters, theta), ...]} with
+    the package under src."""
+    sys.path.insert(0, str(src))
+    try:
+        out = {}
+        for workload in workloads():
+            inputs, _, _ = bench._set_up_once(workload, SEED)
+            if not Path(inputs.pkg.__file__).is_relative_to(src):
+                raise SystemExit(f"same_records: imported {inputs.pkg.__file__}, not {src}")
+            out[workload.name] = [
+                (r.status.value, r.fabrik_iterations, r.optimizer_used,
+                 r.optimizer_iterations, r.theta)
+                for fn, args in bench._requests(inputs, calibrate=False)
+                for r in fn(*args)[0]
+            ]
+        return out
+    finally:
+        sys.path.remove(str(src))
+
+
+def export(rev: str, into: Path) -> Path:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into / "src"
+
+
+def differing(theirs: list, ours: list) -> list:
+    if len(theirs) != len(ours):
+        return list(range(max(len(theirs), len(ours))))
+    return [
+        i for i, (a, b) in enumerate(zip(theirs, ours))
+        if a[:4] != b[:4] or not np.array_equal(a[4], b[4])
+    ]
+
+
+def describe(a, b) -> str:
+    """What differs between two records of one solve (a: REV's)."""
+    if a is None or b is None:
+        return "missing at REV" if a is None else "missing here"
+    parts = [f"{name} {x!r} -> {y!r}" for name, x, y in zip(FIELDS, a, b) if x != y]
+    if not np.array_equal(a[4], b[4]):
+        if a[4] is None or b[4] is None:
+            parts.append("theta present on one side only")
+        else:
+            parts.append(f"theta moves by {float(np.max(np.abs(a[4] - b[4]))):.3g} rad")
+    return "; ".join(parts)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        theirs = records(export(args.rev, Path(tmp)))
+    ours = records(ROOT / "src")
+    total = 0
+    for name, mine in ours.items():
+        diffs = differing(theirs[name], mine)
+        total += len(diffs)
+        print(f"{name:18s} {len(mine):5d} solves, {len(diffs)} differ")
+        for i in diffs[:SHOWN]:
+            a = theirs[name][i] if i < len(theirs[name]) else None
+            b = mine[i] if i < len(mine) else None
+            print(f"  solve {i}: {describe(a, b)}")
+    print("same records" if total == 0 else f"{total} solves differ from {args.rev}")
+    return 0 if total == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
