@@ -16,10 +16,10 @@ product of the adjacent link directions as the correction axis and a
 cone half-angle as the limit.
 
 `straight_chain` validates a chain once, when it is built, including a
-minimum link length well above the sweeps' 1e-12 coincidence scale; the
-sweeps, `pre_bend` and the full-extension shortcut trust it and only
-move its positions. `solve` sweeps the positions array and builds its
-outcome's chain once.
+minimum link length well above the sweeps' 1e-12 coincidence scale and
+a maximum reach that keeps their squares finite; the sweeps, `pre_bend`
+and the full-extension shortcut trust it and only move its positions.
+`solve` sweeps the positions array and builds its outcome's chain once.
 """
 from __future__ import annotations
 
@@ -43,6 +43,8 @@ COLLINEAR_TOL = 1e-6  # largest angle between links that pre_bend treats as stra
 # The sweeps treat points closer than 1e-12 as coincident, and `unit`
 # refuses shorter vectors; links must stay well above that scale.
 MIN_LINK_LENGTH = 1e-9  # m
+# The sweeps square distances of up to twice the reach; keep them finite.
+MAX_CHAIN_REACH = 1e150  # m
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,11 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
     """Chain laid out straight from base along a direction.
 
     The one place a chain is validated: lengths of at least
-    MIN_LINK_LENGTH, one per joint; non-zero, finite 3-vector direction
-    and anchor_dir (both normalized); laid-out links that keep their
-    lengths to 1e-9 relative, which rejects a link that rounding absorbs
-    into the coordinates before it.
+    MIN_LINK_LENGTH summing to at most MAX_CHAIN_REACH, one per joint;
+    non-zero, finite 3-vector direction and anchor_dir (both
+    normalized); laid-out links that keep their lengths to 1e-9
+    relative, which rejects a link that rounding absorbs into the
+    coordinates before it.
     """
     base = np.asarray(base, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
@@ -121,6 +124,9 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
         raise ValueError("link lengths must be a non-empty list of numbers")
     if not np.all(lengths >= MIN_LINK_LENGTH):
         raise ValueError(f"a link is too short: every length must be at least {MIN_LINK_LENGTH:g}")
+    # the maximum first: fsum overflows on links near the float range
+    if lengths.max() > MAX_CHAIN_REACH or math.fsum(lengths) > MAX_CHAIN_REACH:
+        raise ValueError(f"the chain's reach (its summed links) must be at most {MAX_CHAIN_REACH:g} m")
     if len(joints) != lengths.size:
         raise ValueError("need one joint per link")
     if base.shape != (3,) or np.shape(direction) != (3,):
@@ -134,10 +140,9 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
 
 
 def clamp_correction(phi: float, limit) -> float:
-    """Excess to add to phi so it lands inside [lo, hi] (0 when inside)."""
+    """Excess to add to phi so it lands inside [lo, hi] (0 when inside).
+    The limit is a `Hinge`'s, which checked lo < hi when it was built."""
     lo, hi = limit
-    if lo >= hi:
-        raise ValueError("limit must satisfy lo < hi")
     if phi > hi:
         return hi - phi
     if phi < lo:

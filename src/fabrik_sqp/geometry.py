@@ -3,6 +3,8 @@
 Conventions: vectors are plain (3,) float ndarrays, rotations are 3x3
 row-major matrices, rigid transforms are 4x4 homogeneous matrices with
 bottom row (0, 0, 0, 1). All angles are radians.
+The per-joint helpers trust values validated where they were built
+(`unit`, `fabrik.Hinge`) and check nothing per call.
 """
 from __future__ import annotations
 
@@ -44,10 +46,6 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def is_unit(v, tol: float = 1e-9) -> bool:
-    return abs(float(np.linalg.norm(v)) - 1.0) <= tol
-
-
 def perpendicular_axis(d) -> np.ndarray:
     """Deterministic unit vector orthogonal to d.
 
@@ -62,11 +60,10 @@ def perpendicular_axis(d) -> np.ndarray:
 
 
 def rotate_about_axis(axis, theta: float, v) -> np.ndarray:
-    """Rotate v by theta around the unit axis (Rodrigues form)."""
+    """Rotate v by theta around a unit axis (Rodrigues form): a `Hinge`'s,
+    or the normalized one of `fabrik.ball_joint_axis` or `fabrik.pre_bend`."""
     axis = np.asarray(axis, dtype=float)
     v = np.asarray(v, dtype=float)
-    if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
-        raise ValueError("rotation axis must be a unit vector")
     c = math.cos(theta)
     s = math.sin(theta)
     return v * c + np.cross(axis, v) * s + axis * (float(np.dot(axis, v)) * (1.0 - c))
@@ -76,15 +73,10 @@ def signed_angle(a, b, ref_axis) -> float:
     """Angle from a to b in [-pi, pi], signed by the ref_axis orientation.
 
     Sign is +1 when <ref_axis, a x b> >= 0, else -1. The magnitude is
-    arccos(<a, b>) evaluated as atan2(|a x b|, <a, b>), which keeps full
-    precision for nearly parallel and nearly opposite vectors.
+    atan2(|a x b|, <a, b>): full precision for nearly parallel and nearly
+    opposite vectors, and independent of the lengths, so a and b may be
+    any non-zero vectors.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ref_axis = np.asarray(ref_axis, dtype=float)
-    for v in (a, b, ref_axis):
-        if not is_unit(v):
-            raise ValueError("signed_angle expects unit vectors")
     cross = np.cross(a, b)
     ang = math.atan2(float(np.linalg.norm(cross)), float(np.dot(a, b)))
     if float(np.dot(ref_axis, cross)) >= 0.0:

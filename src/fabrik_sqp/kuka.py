@@ -30,7 +30,7 @@ from .geometry import (
     wrap_angle,
 )
 from .iktypes import IKQuery, IKResult, prepare_query, select_candidate
-from .optimizer import OptProblem, minimize
+from .optimizer import minimize
 from .robots import (
     RobotModel,
     dh_transform,
@@ -339,12 +339,7 @@ class Branch:
         seeds.sort(key=lambda s: float(np.sum(np.abs(s - self.theta_init[:4]))))
         results = []
         for seed in seeds[:12]:
-            problem = OptProblem(
-                objective=objective,
-                bounds=bounds,
-                x0=np.clip(seed, bounds[:, 0], bounds[:, 1]),
-            )
-            results.append(minimize(problem, stop))
+            results.append(minimize(objective, seed, bounds, stop))
             if results[-1].f <= stop:
                 th = results[-1].x
                 p3, _ = wrist_analytic(th, model)

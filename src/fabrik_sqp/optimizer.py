@@ -6,6 +6,8 @@ backtracking on the projected step path (the trial point is clipped to
 the box, so steps slide along active bounds and the objective is never
 evaluated outside it). Stops as soon as the objective drops to the
 requested value.
+`minimize` takes the objective, the start and the box; it clips the
+start into the box and checks nothing but the values it computes.
 """
 from __future__ import annotations
 
@@ -35,29 +37,6 @@ class NonFiniteObjectiveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OptProblem:
-    """Objective with analytic gradient, box bounds, and a start point."""
-
-    objective: object  # callable x -> (f, grad)
-    bounds: np.ndarray  # (n, 2)
-    x0: np.ndarray
-
-    def __post_init__(self):
-        bounds = np.asarray(self.bounds, dtype=float)
-        x0 = np.asarray(self.x0, dtype=float)
-        if bounds.ndim != 2 or bounds.shape[1] != 2:
-            raise ValueError("bounds must be an (n, 2) array")
-        if x0.shape != (bounds.shape[0],):
-            raise ValueError("x0 length must match the number of bounds")
-        if np.any(bounds[:, 0] > bounds[:, 1]):
-            raise ValueError("bounds must satisfy lo <= hi")
-        if np.any(x0 < bounds[:, 0]) or np.any(x0 > bounds[:, 1]):
-            raise ValueError("x0 must lie inside the bounds")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "x0", x0)
-
-
-@dataclass(frozen=True)
 class OptResult:
     x: np.ndarray
     f: float
@@ -65,13 +44,11 @@ class OptResult:
     status: OptStatus
 
 
-def _evaluate(problem: OptProblem, x):
-    f, g = problem.objective(x)
+def _evaluate(objective, x):
+    f, g = objective(x)
     g = np.asarray(g, dtype=float)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NonFiniteObjectiveError(x)
-    if g.shape != x.shape:
-        raise ValueError("gradient length must match the problem dimension")
     return float(f), g
 
 
@@ -83,21 +60,21 @@ def _freeze(d, x, lo, hi):
     return d
 
 
-def minimize(problem: OptProblem, stop_value: float, max_iters: int = 200) -> OptResult:
-    """Drive the objective to f <= stop_value inside the box.
+def minimize(objective, x0, bounds, stop_value: float, max_iters: int = 200) -> OptResult:
+    """Drive objective(x) -> (f, grad) to f <= stop_value inside the box.
 
-    Returns the first iterate reaching stop_value, or Stalled when no
+    bounds is an (n, 2) array of rows lo <= hi, such as a model's joint
+    limits; x0 is clipped into it. Returns the first iterate reaching
+    stop_value (only an exact zero reaches 0), or Stalled when no
     progress is possible (projected gradient and step below 1e-12), or
     IterationCap after max_iters accepted steps.
     """
-    if stop_value <= 0.0:
-        raise ValueError("stop_value must be positive")
-    lo = problem.bounds[:, 0]
-    hi = problem.bounds[:, 1]
+    lo = bounds[:, 0]
+    hi = bounds[:, 1]
     n = lo.shape[0]
 
-    x = np.clip(problem.x0, lo, hi)
-    f, g = _evaluate(problem, x)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = _evaluate(objective, x)
     if f <= stop_value:
         return OptResult(x, f, 0, OptStatus.TOLERANCE_REACHED)
 
@@ -143,7 +120,7 @@ def minimize(problem: OptProblem, stop_value: float, max_iters: int = 200) -> Op
             if float(np.max(np.abs(s), initial=0.0)) <= 1e-17:
                 break
             gs = float(np.dot(g, s))
-            f_new, g_new = _evaluate(problem, x_new)
+            f_new, g_new = _evaluate(objective, x_new)
             if gs < 0.0 and f_new <= f + ARMIJO_C * gs:
                 accepted = True
                 break

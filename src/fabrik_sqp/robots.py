@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fabrik import MIN_LINK_LENGTH
+from .fabrik import MAX_CHAIN_REACH, MIN_LINK_LENGTH
 from .geometry import (
     CartesianError,
     cartesian_error,
@@ -115,6 +115,8 @@ def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
             f"{name} reduced-chain links l2 and l3 must be positive{convention},"
             f" at least {MIN_LINK_LENGTH:g} m"
         )
+    if lengths[1] + lengths[2] > MAX_CHAIN_REACH:
+        raise ValueError(f"{name} reduced-chain reach l2 + l3 must be at most {MAX_CHAIN_REACH:g} m")
     if joint_limits is None:
         joint_limits = np.tile([-math.pi, math.pi], (len(dh), 1))
     return RobotModel(name=name, dh=dh, link_lengths=lengths, joint_limits=joint_limits)

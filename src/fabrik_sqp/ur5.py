@@ -28,7 +28,7 @@ from .geometry import (
     wrap_angle,
 )
 from .iktypes import IKQuery, IKResult, prepare_query, select_candidate
-from .optimizer import OptProblem, OptResult, minimize
+from .optimizer import OptResult, minimize
 from .robots import RobotModel, fk_prefix, pose_mismatch, ur5_model
 
 _DEGENERATE_WRIST_TOL = 1e-8
@@ -142,12 +142,7 @@ def elbow_optimize(
     stop_value: float,
 ) -> tuple[OptResult, np.ndarray | None]:
     """Optimize (theta2, theta3); None in place of x above the stop value."""
-    problem = OptProblem(
-        objective=elbow_objective(model, theta1, target),
-        bounds=bounds,
-        x0=np.clip(np.asarray(seeds, dtype=float), bounds[:, 0], bounds[:, 1]),
-    )
-    result = minimize(problem, stop_value)
+    result = minimize(elbow_objective(model, theta1, target), seeds, bounds, stop_value)
     return result, None if result.f > stop_value else result.x
 
 

@@ -16,7 +16,7 @@ from fabrik_sqp import benchmark as bm
 from fabrik_sqp import fabrik, kuka, tracking, ur5
 from fabrik_sqp.geometry import unit
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
-from fabrik_sqp.optimizer import OptProblem, OptStatus, minimize
+from fabrik_sqp.optimizer import OptStatus, minimize
 from fabrik_sqp.robots import forward_kinematics, pose_mismatch
 
 from conftest import KUKA_REF_THETA, UR5_REF_THETA
@@ -351,7 +351,7 @@ class TestCriterion7PropertySuites:
                 d = x - center
                 return float(0.5 * d @ hess @ d), hess @ d
 
-            result = minimize(OptProblem(fg, np.column_stack([lo, hi]), x0), 1e-14, 300)
+            result = minimize(fg, x0, np.column_stack([lo, hi]), 1e-14, 300)
             for x in evals:
                 assert np.all(x >= lo) and np.all(x <= hi)
             fs = [float(0.5 * (x - center) @ hess @ (x - center)) for x in evals]

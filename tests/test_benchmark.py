@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark as bm
+from fabrik_sqp import robots, solve_ik
+from fabrik_sqp.iktypes import IKQuery
 from fabrik_sqp.robots import forward_kinematics, get_model, model_from_json, model_to_json
 
 
@@ -107,6 +109,28 @@ class TestRunBenchmark:
         report = bm.run_benchmark(model, queries, [bm.parse_mode("fabrik:100")])[0]
         assert sum(r.fabrik_iters for r in report.records) == sweeps
         assert Counter(r.status for r in report.records) == {"solved": solved, "failed": failed}
+
+    @pytest.mark.parametrize(
+        "robot, half, statuses, sweeps, runs, iterations",
+        [
+            # the KUKA LBR iiwa 14 datasheet limits
+            ("kuka", np.radians([170, 120, 170, 120, 170, 120, 175]),
+             {"solved": 283, "failed": 17}, 2_791, 100, 1_410),
+            ("kuka", np.full(7, 0.5), {"solved": 196, "failed": 104}, 4_500, 300, 5_219),
+            ("ur5", np.full(6, 0.5), {"solved": 300}, 3_665, 300, 4_899),
+        ],
+        ids=["kuka-datasheet", "kuka-0.5rad", "ur5-0.5rad"],
+    )
+    def test_seed_7_tight_limit_totals(self, robot, half, statuses, sweeps, runs, iterations):
+        # the default [-pi, pi] limits never clamp a FABRIK joint; these
+        # limits do, so the totals pin the clamp path end to end
+        model = getattr(robots, f"{robot}_model")(np.column_stack([-half, half]))
+        queries = bm.generate_queries(model, 300, 7)
+        results = [solve_ik(model, IKQuery(t, th)) for t, th in queries.queries]
+        assert Counter(r.status.value for r in results) == statuses
+        assert sum(r.fabrik_iterations for r in results) == sweeps
+        assert sum(r.optimizer_used for r in results) == runs
+        assert sum(r.optimizer_iterations for r in results) == iterations
 
     def test_rerun_bit_identical(self, kuka_model):
         queries = bm.generate_queries(kuka_model, 15, seed=9)

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fabrik_sqp import cli
+from fabrik_sqp import cli, solve_ik
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import forward_kinematics, get_model, model_to_json
 
 
@@ -209,10 +210,13 @@ class TestTraceCommand:
             "trace", "--links", "1e-13,1e-13", "--target", "1e-13,5e-14,0", "--v-init", "1,0,0",
             "--eps", "1e-20",
         ],
+        # a reach whose squared distances would overflow
+        ["trace", "--links", "1e200,1e200", "--target", "1,0,0"],
+        ["trace", "--links", "1e308,1e308", "--target", "1,0,0"],
     ],
     ids=[
         "nan-target", "inf-target", "nan-link", "zero-v-init", "nan-end-config", "tiny-links",
-        "absorbed-link", "far-base", "sub-sweep-scale-links",
+        "absorbed-link", "far-base", "sub-sweep-scale-links", "huge-links", "overflowing-links",
     ],
 )
 def test_bad_numbers_exit_one(tmp_path, capsys, argv):
@@ -239,6 +243,21 @@ def test_huge_links_rejected(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --links") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("robot", ["ur5", "kuka"])
+@pytest.mark.parametrize("eps", [1e-150, 1e-200], ids=["tiny", "square-underflows"])
+def test_eps_below_the_float_noise_fails(tmp_path, capsys, robot, eps):
+    # no solve gets within 1e-150 m; at 1e-200 the optimizer's stop
+    # value eps * eps underflows to 0, which only an exact zero reaches
+    model = get_model(robot)
+    t = forward_kinematics(model, np.full(model.dof, 0.3))
+    query = IKQuery(t, np.zeros(model.dof), SolverConfig(eps_tol=eps))
+    assert solve_ik(model, query).status is IKStatus.FAILED
+    pose = write_pose(tmp_path / "pose.json", t)
+    code = cli.main(["solve", "--robot", robot, "--pose", pose, "--eps", repr(eps)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "failed"
 
 
 class TestTrackCommand:

@@ -41,6 +41,17 @@ def ball_chain(positions, base=(0.0, 0.0, 0.0), anchor_dir=None):
     return ChainState(positions, np.ones(n), (Ball(),) * n, np.array(base, dtype=float), anchor)
 
 
+class TestHinge:
+    @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5)], ids=["reversed", "empty"])
+    def test_limits_must_satisfy_lo_below_hi(self, lo, hi):
+        # the only check of a hinge's limits: clamp_correction trusts them
+        with pytest.raises(ValueError, match="lo < hi"):
+            Hinge(Z, lo, hi)
+
+    def test_axis_normalized(self):
+        assert np.array_equal(Hinge([0.0, 0.0, 2.0]).axis, Z)
+
+
 class TestClampCorrection:
     def test_inside(self):
         assert clamp_correction(0.5, (-1.0, 1.0)) == 0.0
@@ -50,10 +61,6 @@ class TestClampCorrection:
 
     def test_below(self):
         assert clamp_correction(-2.0, (-1.0, 1.0)) == 1.0
-
-    def test_bad_limit(self):
-        with pytest.raises(ValueError):
-            clamp_correction(0.0, (1.0, -1.0))
 
 
 def corner_axis(p0, p1, p2):
@@ -215,6 +222,21 @@ class TestStraightChain:
             np.zeros(3), self.X, [fabrik.MIN_LINK_LENGTH] * 2, (Ball(), Ball())
         )
         assert np.array_equal(chain.lengths, [fabrik.MIN_LINK_LENGTH] * 2)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1e200, 1e200], [0.6e150, 0.6e150], [1e308, 1e308], [1.0, math.inf]],
+        ids=["huge", "just-over", "near-float-max", "inf"],
+    )
+    def test_reach_above_the_maximum_rejected(self, lengths):
+        # pytest turns numpy's overflow warning into an error
+        with pytest.raises(ValueError, match="reach .* at most 1e\\+150"):
+            straight_chain(np.zeros(3), self.X, lengths, (Ball(), Ball()))
+
+    def test_reach_at_the_maximum_accepted(self):
+        half = 0.5 * fabrik.MAX_CHAIN_REACH
+        chain = straight_chain(np.zeros(3), self.X, [half, half], (Ball(), Ball()))
+        assert chain.reach() == fabrik.MAX_CHAIN_REACH
 
     def test_direction_and_anchor_normalized(self):
         chain = straight_chain(

@@ -5,7 +5,6 @@ import pytest
 
 from fabrik_sqp.optimizer import (
     NonFiniteObjectiveError,
-    OptProblem,
     OptResult,
     OptStatus,
     minimize,
@@ -31,27 +30,25 @@ def rosenbrock(x):
     return float(f), g
 
 
+BOX = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+
+
 class TestMinimize:
     def test_interior_quadratic(self):
-        problem = OptProblem(quadratic_1d(1.0), np.array([[0.0, 2.0]]), np.array([0.0]))
-        result = minimize(problem, 1e-12)
+        result = minimize(quadratic_1d(1.0), np.array([0.0]), np.array([[0.0, 2.0]]), 1e-12)
         assert result.status is OptStatus.TOLERANCE_REACHED
         assert result.f <= 1e-12
         assert result.x[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_bound_active_minimum(self):
         # unconstrained minimum at -1 sits outside [0, 2]
-        problem = OptProblem(quadratic_1d(-1.0), np.array([[0.0, 2.0]]), np.array([1.0]))
-        result = minimize(problem, 1e-12)
+        result = minimize(quadratic_1d(-1.0), np.array([1.0]), np.array([[0.0, 2.0]]), 1e-12)
         assert result.status is OptStatus.STALLED
         assert result.x[0] == 0.0
         assert result.f == pytest.approx(1.0, abs=1e-12)
 
     def test_rosenbrock(self):
-        problem = OptProblem(
-            rosenbrock, np.array([[-2.0, 2.0], [-2.0, 2.0]]), np.array([-1.2, 1.0])
-        )
-        result = minimize(problem, 1e-14, max_iters=500)
+        result = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14, max_iters=500)
         assert result.status is OptStatus.TOLERANCE_REACHED
         assert np.allclose(result.x, [1.0, 1.0], atol=1e-6)
         # dense grid refinement cross-check: nothing on a local grid beats it
@@ -62,38 +59,38 @@ class TestMinimize:
         assert result.f <= best_grid + 1e-14
 
     def test_already_at_tolerance_returns_zero_iterations(self):
-        problem = OptProblem(quadratic_1d(0.5), np.array([[0.0, 2.0]]), np.array([0.5]))
-        result = minimize(problem, 1e-9)
+        result = minimize(quadratic_1d(0.5), np.array([0.5]), np.array([[0.0, 2.0]]), 1e-9)
         assert result.iterations == 0
         assert result.status is OptStatus.TOLERANCE_REACHED
 
     def test_iteration_cap(self):
-        problem = OptProblem(
-            rosenbrock, np.array([[-2.0, 2.0], [-2.0, 2.0]]), np.array([-1.2, 1.0])
-        )
-        result = minimize(problem, 1e-18, max_iters=3)
+        result = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-18, max_iters=3)
         assert result.status is OptStatus.ITERATION_CAP
         assert result.iterations == 3
 
-    def test_x0_outside_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            OptProblem(quadratic_1d(0.0), np.array([[0.0, 1.0]]), np.array([2.0]))
+    def test_x0_outside_bounds_starts_from_the_clipped_x0(self):
+        evals = []
+
+        def fg(x):
+            evals.append(np.array(x))
+            return float(x @ x), 2.0 * x
+
+        result = minimize(fg, np.array([2.0, -3.0]), np.array([[0.0, 1.0], [-1.0, 1.0]]), 1e-12)
+        assert np.array_equal(evals[0], [1.0, -1.0])
+        assert result.status is OptStatus.TOLERANCE_REACHED
+        assert np.all(result.x >= [0.0, -1.0]) and np.all(result.x <= [1.0, 1.0])
 
     def test_non_finite_objective_reports_x(self):
         def bad(x):
             return math.nan, np.zeros(1)
 
-        problem = OptProblem(bad, np.array([[-1.0, 1.0]]), np.array([0.5]))
         with pytest.raises(NonFiniteObjectiveError) as info:
-            minimize(problem, 1e-9)
+            minimize(bad, np.array([0.5]), np.array([[-1.0, 1.0]]), 1e-9)
         assert info.value.x.shape == (1,)
 
     def test_deterministic(self):
-        problem = OptProblem(
-            rosenbrock, np.array([[-2.0, 2.0], [-2.0, 2.0]]), np.array([-1.2, 1.0])
-        )
-        a = minimize(problem, 1e-14, max_iters=500)
-        b = minimize(problem, 1e-14, max_iters=500)
+        a = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14, max_iters=500)
+        b = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14, max_iters=500)
         assert a.iterations == b.iterations
         assert np.array_equal(a.x, b.x)
 
@@ -114,12 +111,12 @@ class TestMinimizeProperties:
             d = x - center
             return float(0.5 * d @ h @ d), h @ d
 
-        return OptProblem(fg, np.column_stack([lo, hi]), x0), fg
+        return np.column_stack([lo, hi]), x0, fg
 
     def test_monotone_acceptance_and_feasibility(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            problem, fg = self.random_problem(rng)
+            bounds, x0, fg = self.random_problem(rng)
             evals = []
             accepted = []
 
@@ -127,10 +124,9 @@ class TestMinimizeProperties:
                 evals.append(np.array(x))
                 return fg(x)
 
-            tracked = OptProblem(wrapped, problem.bounds, problem.x0)
-            result = minimize(tracked, 1e-14, max_iters=300)
+            result = minimize(wrapped, x0, bounds, 1e-14, max_iters=300)
             # every evaluated point inside the box, componentwise
-            lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+            lo, hi = bounds[:, 0], bounds[:, 1]
             for x in evals:
                 assert np.all(x >= lo) and np.all(x <= hi)
             # result inside the box

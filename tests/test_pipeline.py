@@ -55,7 +55,8 @@ class TestStatusRule:
         # a one-iteration cap at the solver's minimize name makes every
         # optimizer run stop short of the tolerance
         monkeypatch.setattr(
-            module, "minimize", lambda problem, stop: optimizer.minimize(problem, stop, 1)
+            module, "minimize",
+            lambda objective, x0, bounds, stop: optimizer.minimize(objective, x0, bounds, stop, 1),
         )
         config = SolverConfig(n_l=1)
         result, detail = module.solve_detailed(_first_seeded_query(model, config), model)

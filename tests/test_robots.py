@@ -210,11 +210,13 @@ class TestModelData:
             ("kuka", 0, "d", -0.36, "kuka base riser l1 .dh.0..d. must be positive"),
             ("ur5", 1, "a", -1e-10, "ur5 reduced-chain links l2 and l3 .* at least 1e-09 m"),
             ("kuka", 4, "d", 1e-10, "kuka reduced-chain links l2 and l3 .* at least 1e-09 m"),
+            ("kuka", 2, "d", 1e200, "kuka reduced-chain reach l2 \\+ l3 must be at most 1e\\+150 m"),
+            ("ur5", 2, "a", -1e200, "ur5 reduced-chain reach l2 \\+ l3 must be at most 1e\\+150 m"),
         ],
         ids=[
             "ur5-l2-zero", "ur5-l3-zero", "kuka-l2-negative", "kuka-l3-zero",
             "ur5-a2-positive", "ur5-a3-positive", "kuka-l1-zero", "kuka-l1-negative",
-            "ur5-l2-below-min", "kuka-l3-below-min",
+            "ur5-l2-below-min", "kuka-l3-below-min", "kuka-l2-huge", "ur5-l3-huge",
         ],
     )
     def test_reduced_chain_links_must_be_positive(self, robot, row, field, value, match):

@@ -8,7 +8,11 @@ checkout's (the working tree, uncommitted edits included):
 
 - the seed-7 perfbench workloads, whose definitions come from this
   checkout's perfbench/bench.py;
-- KUKA fabrik:100 on the kuka-random queries.
+- KUKA fabrik:100 on the kuka-random queries;
+- 300 seed-7 queries each on the KUKA under its datasheet limits, the
+  KUKA under +-0.5 rad and the UR5 under +-0.5 rad, with the default
+  SolverConfig. The default [-pi, pi] limits never reach the FABRIK
+  joint-limit clamp; these do.
 
 Per solve it compares the status, the sweep count, optimizer use, the
 optimizer iterations and the selected theta (np.array_equal). It prints
@@ -32,6 +36,13 @@ import bench  # noqa: E402
 SEED = 7
 FIELDS = ("status", "sweeps", "opt_used", "opt_iters")
 SHOWN = 5  # differing solves printed per workload
+DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
+TIGHT = {  # name: (robot, joint limits)
+    "kuka-datasheet": ("kuka", np.column_stack([-DATASHEET, DATASHEET])),
+    "kuka-0.5rad": ("kuka", np.tile([-0.5, 0.5], (7, 1))),
+    "ur5-0.5rad": ("ur5", np.tile([-0.5, 0.5], (6, 1))),
+}
+TIGHT_QUERIES = 300
 
 
 def workloads() -> list:
@@ -41,6 +52,22 @@ def workloads() -> list:
         mode="fabrik:100",
     )
     return [*bench.WORKLOADS.values(), fabrik_only]
+
+
+def record(r) -> tuple:
+    return (r.status.value, r.fabrik_iterations, r.optimizer_used, r.optimizer_iterations, r.theta)
+
+
+def tight_records(pkg) -> dict:
+    out = {}
+    for name, (robot, limits) in TIGHT.items():
+        model = getattr(pkg, f"{robot}_model")(limits)
+        queries = pkg.benchmark.generate_queries(model, TIGHT_QUERIES, SEED)
+        out[name] = [
+            record(pkg.solve_ik(model, pkg.IKQuery(t_des, theta_init, pkg.SolverConfig())))
+            for t_des, theta_init in queries.queries
+        ]
+    return out
 
 
 def records(src: Path) -> dict:
@@ -54,11 +81,11 @@ def records(src: Path) -> dict:
             if not Path(inputs.pkg.__file__).is_relative_to(src):
                 raise SystemExit(f"same_records: imported {inputs.pkg.__file__}, not {src}")
             out[workload.name] = [
-                (r.status.value, r.fabrik_iterations, r.optimizer_used,
-                 r.optimizer_iterations, r.theta)
+                record(r)
                 for fn, args in bench._requests(inputs, calibrate=False)
                 for r in fn(*args)[0]
             ]
+        out.update(tight_records(inputs.pkg))
         return out
     finally:
         sys.path.remove(str(src))
