@@ -7,7 +7,7 @@ n_l sweeps and finishes in a few dozen total steps.
 """
 import numpy as np
 
-from fabrik_sqp import kuka, robots, ur5
+from fabrik_sqp import kuka, robots, solve_ik
 from fabrik_sqp.geometry import make_transform, polar_rotation
 from fabrik_sqp.iktypes import IKQuery, SolverConfig
 
@@ -50,10 +50,10 @@ def main():
     model = robots.ur5_model()
     pose = make_transform(polar_rotation(np.array(UR5_POSE_ROTATION)), UR5_POSE_POSITION)
     print("ur5 reference pose")
-    combined = ur5.solve(IKQuery(t_des=pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)), model)
-    fabrik_only = ur5.solve(
-        IKQuery(t_des=pose, theta_init=np.zeros(6), config=SolverConfig(n_max=900, use_optimizer=False)),
+    combined = solve_ik(model, IKQuery(t_des=pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)))
+    fabrik_only = solve_ik(
         model,
+        IKQuery(t_des=pose, theta_init=np.zeros(6), config=SolverConfig(n_max=900, use_optimizer=False)),
     )
     show("combined", combined)
     show("fabrik-only", fabrik_only)
@@ -61,10 +61,10 @@ def main():
 
     model, pose = kuka_pose()
     print("\nkuka reference pose")
-    combined = kuka.solve(IKQuery(t_des=pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)), model)
-    fabrik_only = kuka.solve(
-        IKQuery(t_des=pose, theta_init=np.zeros(7), config=SolverConfig(n_max=12000, use_optimizer=False)),
+    combined = solve_ik(model, IKQuery(t_des=pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)))
+    fabrik_only = solve_ik(
         model,
+        IKQuery(t_des=pose, theta_init=np.zeros(7), config=SolverConfig(n_max=12000, use_optimizer=False)),
     )
     show("combined", combined)
     show("fabrik-only", fabrik_only)

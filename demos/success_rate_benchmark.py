@@ -35,7 +35,6 @@ def main():
             tag = report.mode.label.replace(":", "_")
             bm.export_report_csv(report, os.path.join(OUT_DIR, f"bench_{name}_{tag}.csv"))
             bm.export_summary_json(report, os.path.join(OUT_DIR, f"bench_{name}_{tag}.json"))
-            bm.export_time_distribution(report, os.path.join(OUT_DIR, f"bench_{name}_{tag}_times.csv"))
             print(
                 f"{name:6s} {report.mode.label:13s} {100 * report.success_rate:8.2f} "
                 f"{1000 * report.avg_time:9.3f} {1000 * report.max_time:9.3f}"

@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 def solve_ik(model: RobotModel, query: IKQuery) -> IKResult:
     """Dispatch a query to the solver matching the model."""
     if model.name == robots.UR5:
-        return ur5.solve(query, model)
+        return ur5.solve_detailed(query, model)[0]
     if model.name == robots.KUKA:
-        return kuka.solve(query, model)
+        return kuka.solve_detailed(query, model)[0]
     raise ValueError(f"no solver for robot {model.name!r}")

@@ -2,8 +2,9 @@
 
 Queries are generated by forward kinematics from joint vectors drawn
 uniformly within the joint limits (reachable by construction), solved
-under one or more solver modes, and aggregated into per-mode reports
-with CSV/JSON exports.
+under one or more solver modes, and aggregated into per-mode reports.
+Each report exports to a per-query CSV and a JSON summary that holds
+the solve-time quartiles.
 """
 from __future__ import annotations
 
@@ -220,11 +221,14 @@ def export_report_csv(report: BenchmarkReport, path) -> None:
 
 
 def export_summary_json(report: BenchmarkReport, path) -> None:
+    """Mode, success rate and the solve-time quartiles of one report."""
+    quartiles = np.percentile(report.times, [0, 25, 50, 75, 100]).tolist()
     doc = {
         "mode": report.mode.label,
         "robot": report.robot,
         "success_rate": report.success_rate,
         "avg_time_s": report.avg_time,
+        "time_s": dict(zip(("min", "q1", "median", "q3", "max"), quartiles)),
         "n": len(report.records),
         "seed": report.seed,
         "rng": RNG_NAME,
@@ -233,31 +237,3 @@ def export_summary_json(report: BenchmarkReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def export_time_distribution(report: BenchmarkReport, path) -> None:
-    """Per-query times plus min/q1/median/q3/max summary rows."""
-    if not report.records:
-        raise ValueError("cannot export an empty report")
-    times = report.times
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "mode", "time_seconds", "log10_time"])
-        for r in report.records:
-            writer.writerow(
-                [
-                    r.query_id,
-                    report.mode.label,
-                    f"{r.time_seconds:.17g}",
-                    f"{math.log10(r.time_seconds):.17g}",
-                ]
-            )
-        stats = {
-            "min": float(np.min(times)),
-            "q1": float(np.percentile(times, 25)),
-            "median": float(np.median(times)),
-            "q3": float(np.percentile(times, 75)),
-            "max": float(np.max(times)),
-        }
-        for name, value in stats.items():
-            writer.writerow([name, report.mode.label, f"{value:.17g}", f"{math.log10(value):.17g}"])

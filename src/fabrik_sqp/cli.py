@@ -37,16 +37,23 @@ def load_pose_file(path) -> np.ndarray:
         raise CliError(f"cannot read pose file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"pose file is not valid JSON: {exc}") from exc
-    for key in ("position", "rotation"):
-        if key not in doc:
-            raise CliError(f"pose file is missing field {key!r}")
-    position = np.asarray(doc["position"], dtype=float)
-    rotation = np.asarray(doc["rotation"], dtype=float)
-    if position.shape != (3,):
-        raise CliError("pose field 'position' must be a list of 3 numbers")
-    if rotation.shape != (3, 3):
-        raise CliError("pose field 'rotation' must be a 3x3 row-major matrix")
+    if not isinstance(doc, dict):
+        raise CliError("pose file must hold a JSON object with 'position' and 'rotation'")
+    position = _pose_field(doc, "position", (3,), "a list of 3 numbers")
+    rotation = _pose_field(doc, "rotation", (3, 3), "a 3x3 row-major matrix")
     return make_transform(rotation, position)
+
+
+def _pose_field(doc: dict, key: str, shape: tuple, what: str) -> np.ndarray:
+    if key not in doc:
+        raise CliError(f"pose file is missing field {key!r}")
+    try:
+        value = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"pose field {key!r} must be {what}") from exc
+    if value.shape != shape:
+        raise CliError(f"pose field {key!r} must be {what}")
+    return value
 
 
 def _parse_floats(text: str, expected: int | None, what: str) -> np.ndarray:
@@ -128,7 +135,6 @@ def cmd_bench(args) -> int:
         try:
             bench_mod.export_report_csv(report, f"{args.out_prefix}_{tag}.csv")
             bench_mod.export_summary_json(report, f"{args.out_prefix}_{tag}_summary.json")
-            bench_mod.export_time_distribution(report, f"{args.out_prefix}_{tag}_times.csv")
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_USAGE

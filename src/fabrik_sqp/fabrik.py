@@ -139,17 +139,6 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
     return ChainState(positions, lengths, tuple(joints), base, anchor)
 
 
-def clamp_correction(phi: float, limit) -> float:
-    """Excess to add to phi so it lands inside [lo, hi] (0 when inside).
-    The limit is a `Hinge`'s, which checked lo < hi when it was built."""
-    lo, hi = limit
-    if phi > hi:
-        return hi - phi
-    if phi < lo:
-        return lo - phi
-    return 0.0
-
-
 def ball_joint_axis(l_in, l_out) -> np.ndarray:
     """Correction axis of a ball joint: normalized cross of the unit link
     directions entering and leaving it.
@@ -173,7 +162,9 @@ def _limit_correction(l_in, l_out, joint):
     """
     if isinstance(joint, Hinge):
         phi = signed_angle(l_in, l_out, joint.axis)
-        delta = clamp_correction(phi, (joint.lo, joint.hi))
+        # the excess that lands phi inside [lo, hi]; the Hinge checked
+        # lo < hi when it was built
+        delta = min(max(phi, joint.lo), joint.hi) - phi
         if delta == 0.0:
             return None
         return delta, joint.axis

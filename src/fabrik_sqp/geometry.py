@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+ROTATION_EXACT_TOL = 1e-9  # orthonormality defect passed through untouched
+ROTATION_REPAIR_TOL = 1e-3  # largest defect projected back onto SO(3)
 
 
 def wrap_angle(theta):
@@ -120,17 +122,18 @@ def polar_rotation(R) -> np.ndarray:
     return U @ D @ Vt
 
 
-def sanitize_rotation(R, exact_tol: float = 1e-9, repair_tol: float = 1e-3) -> np.ndarray:
+def sanitize_rotation(R) -> np.ndarray:
     """Accept, repair, or reject a nearly-orthonormal matrix.
 
-    Defects up to exact_tol pass through untouched; defects up to
-    repair_tol are projected back onto SO(3); anything worse is rejected.
+    Defects up to ROTATION_EXACT_TOL pass through untouched; defects up
+    to ROTATION_REPAIR_TOL are projected back onto SO(3); anything worse
+    is rejected.
     """
     R = np.asarray(R, dtype=float)
     defect = rotation_defect(R)
-    if defect <= exact_tol:
+    if defect <= ROTATION_EXACT_TOL:
         return R
-    if defect <= repair_tol:
+    if defect <= ROTATION_REPAIR_TOL:
         return polar_rotation(R)
     raise ValueError(f"matrix is too far from orthonormal (defect {defect:.3e})")
 

@@ -75,10 +75,6 @@ class IKResult:
     optimizer_iterations: int
     solve_time: float
 
-    @property
-    def solved(self) -> bool:
-        return self.status is IKStatus.SOLVED
-
 
 def check_joint_vector(model: RobotModel, theta, name: str) -> np.ndarray:
     """theta as a float array; ValueError unless it has one finite entry

@@ -29,16 +29,9 @@ from .geometry import (
     unit,
     wrap_angle,
 )
-from .iktypes import IKQuery, IKResult, prepare_query, select_candidate
+from .iktypes import IKQuery, prepare_query, select_candidate
 from .optimizer import minimize
-from .robots import (
-    RobotModel,
-    dh_transform,
-    fk_frames,
-    fk_prefix,
-    kuka_model,
-    pose_mismatch,
-)
+from .robots import RobotModel, fk_frames, fk_prefix, pose_mismatch
 
 _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
@@ -114,7 +107,7 @@ def wrist_objective(model: RobotModel, target: np.ndarray):
 
 # --- angle recovery ---------------------------------------------------------
 
-def bend_magnitudes(p1, p2, p3, model: RobotModel) -> tuple[float, float]:
+def bend_magnitudes(p1, p2, p3) -> tuple[float, float]:
     """|theta2| and |theta4| from the shoulder, elbow and wrist positions.
 
     The bend at a joint is pi minus the interior angle of the triangle
@@ -137,7 +130,7 @@ def _signed_options(magnitude: float) -> list[float]:
     return [magnitude, -magnitude]
 
 
-def theta1_roots(theta2: float, p2: np.ndarray, model: RobotModel) -> list[float]:
+def theta1_roots(theta2: float, p2: np.ndarray) -> list[float]:
     """Solutions of the elbow position equation for theta1.
 
     The elbow sits at l2*sin(theta2)*(cos(theta1), sin(theta1)) in the
@@ -164,7 +157,7 @@ def theta3_roots(
     s4 = math.sin(theta4)
     if abs(s4) < _SIN_TOL:
         return [0.0]
-    t02 = dh_transform(model.dh[0], theta1) @ dh_transform(model.dh[1], theta2)
+    t02 = fk_prefix(model, (theta1, theta2))
     local = inverse_transform(t02) @ np.append(np.asarray(p3, dtype=float), 1.0)
     sign = 1.0 if s4 > 0.0 else -1.0
     return [math.atan2(sign * float(local[1]), sign * float(local[0]))]
@@ -177,9 +170,9 @@ def arm_angles(p2, p3, model: RobotModel, azimuths=()):
     theta4 sign, theta3 roots, positive branch first.
     """
     p1 = np.array([0.0, 0.0, model.link_lengths[0]])
-    m2, m4 = bend_magnitudes(p1, p2, p3, model)
+    m2, m4 = bend_magnitudes(p1, p2, p3)
     for th2 in _signed_options(m2):
-        for th1 in dedup_angles(theta1_roots(th2, p2, model) + list(azimuths)):
+        for th1 in dedup_angles(theta1_roots(th2, p2) + list(azimuths)):
             for th4 in _signed_options(m4):
                 for th3 in theta3_roots(th1, th2, th4, p3, model):
                     yield np.array([th1, th2, th3, th4])
@@ -217,13 +210,16 @@ def recover_candidates(
 
 
 def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> list[np.ndarray]:
-    """Joint angles 1-4 reproducing the current chain, best match first.
+    """Distinct joint angles 1-4 reproducing the current chain.
 
     Used to seed the optimizer after a non-converged FABRIK run. The
     bend magnitudes and root equations admit several combinations; all
-    are returned ordered by elbow/wrist reconstruction error, because on
-    symmetric (target-on-axis) geometry the best-matching seed can sit
-    in a basin where the descent dies out and a sibling seed does not.
+    are returned, because on symmetric (target-on-axis) geometry one
+    seed can sit in a basin where the descent dies out and a sibling
+    seed does not. `Branch.optimize` tries them by L1 distance to the
+    reference. The elbow/wrist reconstruction error orders them here,
+    so it decides only which of two seeds within 1e-4 rad survives the
+    twin collapse, and the order of seeds tied in L1 distance.
     """
     p2c, p3c = chain.positions[1], chain.positions[2]
 
@@ -366,9 +362,8 @@ def recover_all(
         yield from recover_candidates(elbow, p3, t_des, model)
 
 
-def solve_detailed(query: IKQuery, model: RobotModel | None = None):
+def solve_detailed(query: IKQuery, model: RobotModel):
     """Run the pipeline on the wrist chain; returns (IKResult, SolveDetail)."""
-    model = kuka_model() if model is None else model
     start = time.perf_counter()
     t_des = prepare_query(model, query)
     detail = pipeline.SolveDetail()
@@ -378,8 +373,3 @@ def solve_detailed(query: IKQuery, model: RobotModel | None = None):
         pipeline.admit(detail, model, thetas)
     pick = select_candidate(detail.admitted, query.theta_init)
     return pipeline.finish(model, t_des, detail, pick, query.config.eps_tol, pose_mismatch, start)
-
-
-def solve(query: IKQuery, model: RobotModel | None = None) -> IKResult:
-    result, _ = solve_detailed(query, model)
-    return result

@@ -20,6 +20,7 @@ ARMIJO_C = 1e-4
 SHRINK = 0.5
 STALL_TOL = 1e-12
 _MAX_BACKTRACKS = 60
+MAX_ITERS = 200  # accepted steps per run
 
 
 class OptStatus(enum.Enum):
@@ -60,14 +61,14 @@ def _freeze(d, x, lo, hi):
     return d
 
 
-def minimize(objective, x0, bounds, stop_value: float, max_iters: int = 200) -> OptResult:
+def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
     """Drive objective(x) -> (f, grad) to f <= stop_value inside the box.
 
     bounds is an (n, 2) array of rows lo <= hi, such as a model's joint
     limits; x0 is clipped into it. Returns the first iterate reaching
     stop_value (only an exact zero reaches 0), or Stalled when no
     progress is possible (projected gradient and step below 1e-12), or
-    IterationCap after max_iters accepted steps.
+    IterationCap after MAX_ITERS accepted steps.
     """
     lo = bounds[:, 0]
     hi = bounds[:, 1]
@@ -83,7 +84,7 @@ def minimize(objective, x0, bounds, stop_value: float, max_iters: int = 200) -> 
     sd_alpha = 1.0  # step memory for the gradient fallback mode
     prev_active = None
     iterations = 0
-    while iterations < max_iters:
+    while iterations < MAX_ITERS:
         # curvature gathered under one active set misleads the next:
         # restart the model whenever a bound activates or releases
         active = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))

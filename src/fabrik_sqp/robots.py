@@ -74,6 +74,9 @@ class RobotModel:
         limits = np.asarray(self.joint_limits, dtype=float)
         if limits.shape != (len(self.dh), 2):
             raise ValueError("joint_limits must have one [lo, hi] pair per DH row")
+        # NaN fails every comparison, so check finiteness first
+        if not np.all(np.isfinite(limits)):
+            raise ValueError("joint limits must be finite")
         if np.any(limits[:, 0] >= limits[:, 1]):
             raise ValueError("each joint must satisfy lo < hi")
         object.__setattr__(self, "joint_limits", limits)

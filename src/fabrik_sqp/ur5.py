@@ -27,9 +27,9 @@ from .geometry import (
     unit,
     wrap_angle,
 )
-from .iktypes import IKQuery, IKResult, prepare_query, select_candidate
+from .iktypes import IKQuery, prepare_query, select_candidate
 from .optimizer import OptResult, minimize
-from .robots import RobotModel, fk_prefix, pose_mismatch, ur5_model
+from .robots import RobotModel, fk_prefix, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
 
@@ -236,9 +236,8 @@ def candidates(reduced, t_des: np.ndarray, model: RobotModel):
             yield recover_angles(branch.frame.theta1, *fold, wrist)
 
 
-def solve_detailed(query: IKQuery, model: RobotModel | None = None):
+def solve_detailed(query: IKQuery, model: RobotModel):
     """Run the pipeline over every branch; returns (IKResult, SolveDetail)."""
-    model = ur5_model() if model is None else model
     start = time.perf_counter()
     t_des = prepare_query(model, query)
     detail = pipeline.SolveDetail()
@@ -248,8 +247,3 @@ def solve_detailed(query: IKQuery, model: RobotModel | None = None):
     pipeline.admit(detail, model, candidates(reduced, t_des, model))
     pick = select_candidate(detail.admitted, query.theta_init)
     return pipeline.finish(model, t_des, detail, pick, query.config.eps_tol, pose_mismatch, start)
-
-
-def solve(query: IKQuery, model: RobotModel | None = None) -> IKResult:
-    result, _ = solve_detailed(query, model)
-    return result

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark as bm
-from fabrik_sqp import fabrik, kuka, tracking, ur5
+from fabrik_sqp import fabrik, kuka, optimizer, solve_ik, tracking, ur5
 from fabrik_sqp.geometry import unit
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.optimizer import OptStatus, minimize
@@ -65,7 +65,7 @@ def tracking_traces(ur5_model, kuka_model):
 class TestCriterion1GoldenUr5:
     def test_solved_sound_and_fast(self, ur5_model, golden_ur5_pose):
         query = IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15))
-        result = ur5.solve(query, ur5_model)
+        result = solve_ik(ur5_model, query)
         assert result.status is IKStatus.SOLVED
         assert pose_mismatch(ur5_model, result.theta, golden_ur5_pose) <= 1e-6
         assert result.solve_time < 0.050
@@ -105,7 +105,7 @@ class TestCriterion1GoldenUr5:
 class TestCriterion2GoldenKuka:
     def test_solved_sound_exact_orientation_fast(self, kuka_model, golden_kuka_pose):
         query = IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15))
-        result = kuka.solve(query, kuka_model)
+        result = solve_ik(kuka_model, query)
         assert result.status is IKStatus.SOLVED
         assert pose_mismatch(kuka_model, result.theta, golden_kuka_pose) <= 1e-6
         assert result.error.eps_rot <= 1e-9
@@ -147,17 +147,17 @@ class TestCriterion2GoldenKuka:
 
 class TestCriterion3ConvergenceGap:
     def test_kuka_gap(self, kuka_model, golden_kuka_pose):
-        fabrik_only = kuka.solve(
+        fabrik_only = solve_ik(
+            kuka_model,
             IKQuery(
                 t_des=golden_kuka_pose,
                 theta_init=np.zeros(7),
                 config=SolverConfig(n_max=12000, use_optimizer=False),
             ),
-            kuka_model,
         )
-        combined = kuka.solve(
-            IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)),
+        combined = solve_ik(
             kuka_model,
+            IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)),
         )
         total = combined.fabrik_iterations + combined.optimizer_iterations
         assert fabrik_only.fabrik_iterations > 1000
@@ -169,17 +169,17 @@ class TestCriterion3ConvergenceGap:
         )
 
     def test_ur5_gap(self, ur5_model, golden_ur5_pose):
-        fabrik_only = ur5.solve(
+        fabrik_only = solve_ik(
+            ur5_model,
             IKQuery(
                 t_des=golden_ur5_pose,
                 theta_init=np.zeros(6),
                 config=SolverConfig(n_max=900, use_optimizer=False),
             ),
-            ur5_model,
         )
-        combined = ur5.solve(
-            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)),
+        combined = solve_ik(
             ur5_model,
+            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)),
         )
         total = combined.fabrik_iterations + combined.optimizer_iterations
         assert fabrik_only.fabrik_iterations > 200
@@ -334,7 +334,8 @@ class TestCriterion7PropertySuites:
         assert worst <= 1e-4
         print(f"\nACCEPTANCE 7c wrist-jacobian: PASS (worst rel err {worst:.2e})")
 
-    def test_optimizer_monotone_and_feasible(self):
+    def test_optimizer_monotone_and_feasible(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 300)
         rng = np.random.default_rng(101)
         for _ in range(100):
             n = int(rng.integers(1, 5))
@@ -351,7 +352,7 @@ class TestCriterion7PropertySuites:
                 d = x - center
                 return float(0.5 * d @ hess @ d), hess @ d
 
-            result = minimize(fg, x0, np.column_stack([lo, hi]), 1e-14, 300)
+            result = minimize(fg, x0, np.column_stack([lo, hi]), 1e-14)
             for x in evals:
                 assert np.all(x >= lo) and np.all(x <= hi)
             fs = [float(0.5 * (x - center) @ hess @ (x - center)) for x in evals]

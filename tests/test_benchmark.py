@@ -173,19 +173,18 @@ class TestExports:
         assert doc["rng"] == bm.RNG_NAME
         assert 0.0 <= doc["success_rate"] <= 1.0
 
-    def test_time_distribution_rows(self, ur5_model, tmp_path):
+    def test_summary_time_quartiles(self, ur5_model, tmp_path):
         theta = np.array([0.3, -0.9, 1.2, -0.3, 0.8, 0.1])
         queries = tuple(
             (forward_kinematics(ur5_model, theta + 0.01 * k), theta) for k in range(4)
         )
         qs = bm.QuerySet(robot="ur5", seed=0, queries=queries)
         report = bm.run_benchmark(ur5_model, qs, [bm.parse_mode("combined:5")])[0]
-        path = tmp_path / "times.csv"
-        bm.export_time_distribution(report, path)
-        rows = list(csv.reader(path.read_text().splitlines()))
-        assert len(rows) == 1 + 4 + 5  # header + data + summary set
-        labels = [r[0] for r in rows[5:]]
-        assert labels == ["min", "q1", "median", "q3", "max"]
+        path = tmp_path / "summary.json"
+        bm.export_summary_json(report, path)
+        time_s = json.loads(path.read_text())["time_s"]
+        assert list(time_s) == ["min", "q1", "median", "q3", "max"]
+        assert list(time_s.values()) == np.percentile(report.times, [0, 25, 50, 75, 100]).tolist()
 
     def test_median_interpolates(self):
         assert float(np.median([1.0, 2.0, 3.0, 4.0])) == 2.5

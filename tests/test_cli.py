@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +43,22 @@ class TestSolveCommand:
         assert json.loads(capsys.readouterr().out)["status"] == "unreachable"
 
     def test_malformed_pose_names_field(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"position": [0, 0, 0]}))
-        code = cli.main(["solve", "--robot", "ur5", "--pose", str(path)])
-        assert code == 1
-        assert "rotation" in capsys.readouterr().err
+        identity = np.eye(3).tolist()
+        for doc, field in [
+            ({"position": [0, 0, 0]}, "rotation"),
+            (5, "position"),
+            ("position rotation", "position"),
+            ({"position": ["a", 0, 0], "rotation": identity}, "position"),
+            ({"position": [0, 0, 0], "rotation": [[1, 0, 0], [0, "b", 0], [0, 0, 1]]}, "rotation"),
+            ({"position": [0, 0, 0], "rotation": [[1, 0], [0, 1, 0], [0, 0, 1]]}, "rotation"),
+        ]:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            code = cli.main(["solve", "--robot", "ur5", "--pose", str(path)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert field in err
 
     def test_init_length_validated(self, solvable_pose, capsys):
         code = cli.main(["solve", "--robot", "ur5", "--pose", solvable_pose, "--init", "0,0"])
@@ -110,7 +122,7 @@ class TestSolveCommand:
 
 
 class TestBenchCommand:
-    def test_creates_three_files_per_mode(self, tmp_path, capsys):
+    def test_creates_two_files_per_mode(self, tmp_path, capsys):
         prefix = str(tmp_path / "bench")
         code = cli.main(
             [
@@ -119,10 +131,37 @@ class TestBenchCommand:
             ]
         )
         assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bench_combined_5.csv", "bench_combined_5_summary.json",
+        ]
         rows = list(csv.reader(Path(prefix + "_combined_5.csv").read_text().splitlines()))
         assert len(rows) == 11
-        assert json.loads(Path(prefix + "_combined_5_summary.json").read_text())["n"] == 10
-        assert (tmp_path / "bench_combined_5_times.csv").exists()
+        summary = json.loads(Path(prefix + "_combined_5_summary.json").read_text())
+        assert summary["n"] == 10
+        times = [float(r[7]) for r in rows[1:]]
+        quartiles = np.percentile(times, [0, 25, 50, 75, 100]).tolist()
+        assert summary["time_s"] == dict(zip(["min", "q1", "median", "q3", "max"], quartiles))
+
+    @pytest.mark.parametrize(
+        "limit", [[-1.0, math.nan], [-math.inf, 1.0]], ids=["nan-limit", "inf-limit"]
+    )
+    def test_non_finite_model_limit_exit_one(self, tmp_path, capsys, limit):
+        doc = json.loads(model_to_json(get_model("ur5")))
+        doc["limits"][1] = limit
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc))
+        prefix = str(tmp_path / "bench")
+        code = cli.main(
+            [
+                "bench", "--robot", "ur5", "--model", str(model_file), "--n", "4",
+                "--out-prefix", prefix, "--workers", "1",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
+        assert "finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
     def test_same_seed_same_counts(self, tmp_path, capsys):
         args = [

@@ -9,8 +9,8 @@ from fabrik_sqp.fabrik import (
     ChainState,
     Hinge,
     backward_phase,
+    _limit_correction,
     ball_joint_axis,
-    clamp_correction,
     forward_phase,
     pre_bend,
     solve,
@@ -44,7 +44,7 @@ def ball_chain(positions, base=(0.0, 0.0, 0.0), anchor_dir=None):
 class TestHinge:
     @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5)], ids=["reversed", "empty"])
     def test_limits_must_satisfy_lo_below_hi(self, lo, hi):
-        # the only check of a hinge's limits: clamp_correction trusts them
+        # the only check of a hinge's limits: _limit_correction trusts them
         with pytest.raises(ValueError, match="lo < hi"):
             Hinge(Z, lo, hi)
 
@@ -53,14 +53,26 @@ class TestHinge:
 
 
 class TestClampCorrection:
+    """The hinge clamp of `_limit_correction`: the excess that lands the
+    joint angle from the +x link to l_out inside [-1, 1]."""
+
+    @staticmethod
+    def correction(l_out):
+        return _limit_correction(np.array([1.0, 0.0, 0.0]), np.array(l_out), Hinge(Z, -1.0, 1.0))
+
     def test_inside(self):
-        assert clamp_correction(0.5, (-1.0, 1.0)) == 0.0
+        assert self.correction([math.cos(0.5), math.sin(0.5), 0.0]) is None
 
     def test_above(self):
-        assert clamp_correction(1.5, (-1.0, 1.0)) == -0.5
+        # the angle to +y is atan2(1, 0) = pi/2 exactly
+        delta, axis = self.correction([0.0, 1.0, 0.0])
+        assert delta == 1.0 - math.pi / 2
+        assert np.array_equal(axis, Z)
 
     def test_below(self):
-        assert clamp_correction(-2.0, (-1.0, 1.0)) == 1.0
+        delta, axis = self.correction([0.0, -1.0, 0.0])
+        assert delta == -1.0 + math.pi / 2
+        assert np.array_equal(axis, Z)
 
 
 def corner_axis(p0, p1, p2):
@@ -138,7 +150,7 @@ class TestForwardPhase:
         l_in = (q1 - p[0]) / np.linalg.norm(q1 - p[0])
         l_out = (q2 - q1) / np.linalg.norm(q2 - q1)
         phi = signed_angle(l_in, l_out, Z)
-        dphi = clamp_correction(phi, (lo, hi))
+        dphi = np.clip(phi, lo, hi) - phi
         v = p[0] - q1
         v = rotate_about_axis(Z, -dphi, v)
         q0 = q1 + v / np.linalg.norm(v)
@@ -283,7 +295,7 @@ class TestBackwardPhase:
         out = backward_phase(chain)
 
         phi = signed_angle(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), Z)
-        dphi = clamp_correction(phi, (lo, hi))  # = hi - pi/2
+        dphi = np.clip(phi, lo, hi) - phi  # = hi - pi/2
         v = rotate_about_axis(Z, dphi, positions[1] - np.zeros(3))
         q1 = np.zeros(3) + v / np.linalg.norm(v)
         assert np.allclose(out.positions[1], q1, atol=1e-12)

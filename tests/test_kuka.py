@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, kuka
+from fabrik_sqp import benchmark, kuka, solve_ik
 from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
@@ -33,7 +33,7 @@ class TestBendMagnitudes:
         l = kuka_model.link_lengths
         pts = np.cumsum([0.0] + list(l))
         p1, p2, p3 = ([0.0, 0.0, z] for z in pts[1:4])
-        m2, m4 = kuka.bend_magnitudes(p1, p2, p3, kuka_model)
+        m2, m4 = kuka.bend_magnitudes(p1, p2, p3)
         assert m2 == pytest.approx(0.0, abs=1e-12)
         assert m4 == pytest.approx(0.0, abs=1e-12)
 
@@ -42,7 +42,7 @@ class TestBendMagnitudes:
         p1 = np.array([0.0, 0.0, l1])
         p2 = p1 + [0.0, 0.0, l2]
         p3 = p2 + [l3, 0.0, 0.0]
-        _, m4 = kuka.bend_magnitudes(p1, p2, p3, kuka_model)
+        _, m4 = kuka.bend_magnitudes(p1, p2, p3)
         assert m4 == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_matches_generating_configuration(self, kuka_model):
@@ -51,7 +51,7 @@ class TestBendMagnitudes:
             theta = rng.uniform(-math.pi, math.pi, 7)
             frames = fk_frames(kuka_model, theta)
             p1, p2, p3 = (frames[i][:3, 3] for i in (1, 3, 5))
-            m2, m4 = kuka.bend_magnitudes(p1, p2, p3, kuka_model)
+            m2, m4 = kuka.bend_magnitudes(p1, p2, p3)
             assert m2 == pytest.approx(abs(theta[1]), abs=1e-9)
             assert m4 == pytest.approx(abs(theta[3]), abs=1e-9)
 
@@ -100,7 +100,7 @@ class TestAngleRecovery:
     def test_theta1_zero_configuration_symmetry(self, kuka_model):
         # elbow on the base axis: rotation undetermined, both 0 and pi offered
         p2 = np.array([0.0, 0.0, 0.78])
-        roots = kuka.theta1_roots(0.0, p2, kuka_model)
+        roots = kuka.theta1_roots(0.0, p2)
         assert roots == [0.0, math.pi]
 
     def test_theta1_recovers_generator(self, kuka_model):
@@ -110,7 +110,7 @@ class TestAngleRecovery:
             if abs(math.sin(theta[1])) < 1e-3:
                 continue
             p2 = kuka.elbow_position(kuka_model, theta[0], theta[1])
-            roots = kuka.theta1_roots(float(theta[1]), p2, kuka_model)
+            roots = kuka.theta1_roots(float(theta[1]), p2)
             assert min(abs(r - theta[0]) for r in roots) <= 1e-9
 
     def test_theta3_recovers_generator(self, kuka_model):
@@ -191,14 +191,14 @@ class TestSolve:
     def test_fixed_point_query(self, kuka_model):
         theta = np.array([0.4, 0.9, -0.5, -1.2, 0.7, 0.8, -0.3])
         t_des = forward_kinematics(kuka_model, theta)
-        result = kuka.solve(IKQuery(t_des=t_des, theta_init=theta, config=SolverConfig()), kuka_model)
+        result = solve_ik(kuka_model, IKQuery(t_des=t_des, theta_init=theta, config=SolverConfig()))
         assert result.status is IKStatus.SOLVED
         assert result.error.total <= 1e-6
         assert result.error.eps_rot <= 1e-9
 
     def test_unreachable_pose(self, kuka_model):
         t = make_transform(np.eye(3), [2.0, 0.0, 0.5])
-        result = kuka.solve(IKQuery(t_des=t, theta_init=np.zeros(7), config=SolverConfig()), kuka_model)
+        result = solve_ik(kuka_model, IKQuery(t_des=t, theta_init=np.zeros(7), config=SolverConfig()))
         assert result.status is IKStatus.UNREACHABLE
 
     def test_solved_results_sound_in_limits_exact_orientation(self, kuka_model):
@@ -208,9 +208,7 @@ class TestSolve:
             theta = rng.uniform(-math.pi, math.pi, 7)
             init = rng.uniform(-math.pi, math.pi, 7)
             t_des = forward_kinematics(kuka_model, theta)
-            result = kuka.solve(
-                IKQuery(t_des=t_des, theta_init=init, config=SolverConfig()), kuka_model
-            )
+            result = solve_ik(kuka_model, IKQuery(t_des=t_des, theta_init=init, config=SolverConfig()))
             if result.status is IKStatus.SOLVED:
                 solved += 1
                 assert pose_mismatch(kuka_model, result.theta, t_des) <= 1e-6

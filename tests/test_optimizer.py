@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fabrik_sqp import optimizer
 from fabrik_sqp.optimizer import (
     NonFiniteObjectiveError,
     OptResult,
@@ -47,8 +48,9 @@ class TestMinimize:
         assert result.x[0] == 0.0
         assert result.f == pytest.approx(1.0, abs=1e-12)
 
-    def test_rosenbrock(self):
-        result = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14, max_iters=500)
+    def test_rosenbrock(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 500)
+        result = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14)
         assert result.status is OptStatus.TOLERANCE_REACHED
         assert np.allclose(result.x, [1.0, 1.0], atol=1e-6)
         # dense grid refinement cross-check: nothing on a local grid beats it
@@ -63,8 +65,9 @@ class TestMinimize:
         assert result.iterations == 0
         assert result.status is OptStatus.TOLERANCE_REACHED
 
-    def test_iteration_cap(self):
-        result = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-18, max_iters=3)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 3)
+        result = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-18)
         assert result.status is OptStatus.ITERATION_CAP
         assert result.iterations == 3
 
@@ -88,9 +91,10 @@ class TestMinimize:
             minimize(bad, np.array([0.5]), np.array([[-1.0, 1.0]]), 1e-9)
         assert info.value.x.shape == (1,)
 
-    def test_deterministic(self):
-        a = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14, max_iters=500)
-        b = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14, max_iters=500)
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 500)
+        a = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14)
+        b = minimize(rosenbrock, np.array([-1.2, 1.0]), BOX, 1e-14)
         assert a.iterations == b.iterations
         assert np.array_equal(a.x, b.x)
 
@@ -113,7 +117,8 @@ class TestMinimizeProperties:
 
         return np.column_stack([lo, hi]), x0, fg
 
-    def test_monotone_acceptance_and_feasibility(self):
+    def test_monotone_acceptance_and_feasibility(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 300)
         rng = np.random.default_rng(13)
         for _ in range(100):
             bounds, x0, fg = self.random_problem(rng)
@@ -124,7 +129,7 @@ class TestMinimizeProperties:
                 evals.append(np.array(x))
                 return fg(x)
 
-            result = minimize(wrapped, x0, bounds, 1e-14, max_iters=300)
+            result = minimize(wrapped, x0, bounds, 1e-14)
             # every evaluated point inside the box, componentwise
             lo, hi = bounds[:, 0], bounds[:, 1]
             for x in evals:

@@ -52,12 +52,9 @@ class TestStatusRule:
 
     def test_optimizer_miss_fails(self, solver, monkeypatch):
         module, model = solver
-        # a one-iteration cap at the solver's minimize name makes every
-        # optimizer run stop short of the tolerance
-        monkeypatch.setattr(
-            module, "minimize",
-            lambda objective, x0, bounds, stop: optimizer.minimize(objective, x0, bounds, stop, 1),
-        )
+        # a one-iteration cap makes every optimizer run stop short of
+        # the tolerance
+        monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
         config = SolverConfig(n_l=1)
         result, detail = module.solve_detailed(_first_seeded_query(model, config), model)
         assert result.status is IKStatus.FAILED

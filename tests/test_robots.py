@@ -172,12 +172,22 @@ class TestModelData:
             model_from_json('{"name": "ur5", "limits": []}')
 
     def test_bad_limits_rejected(self):
-        import json
-
         doc = json.loads(model_to_json(ur5_model()))
-        doc["limits"][2] = [1.0, -1.0]
-        with pytest.raises(ValueError):
-            model_from_json(json.dumps(doc))
+        # json writes and reads NaN and Infinity literals
+        for limit, match in [
+            ([1.0, -1.0], "lo < hi"),
+            ([math.nan, 1.0], "finite"),
+            ([-1.0, math.nan], "finite"),
+            ([-1.0, math.inf], "finite"),
+            ([-math.inf, math.inf], "finite"),
+        ]:
+            doc["limits"][2] = limit
+            with pytest.raises(ValueError, match=match):
+                model_from_json(json.dumps(doc))
+            limits = np.tile([-math.pi, math.pi], (6, 1))
+            limits[2] = limit
+            with pytest.raises(ValueError, match=match):
+                ur5_model(limits)
 
     @pytest.mark.parametrize(
         "robot, dh, match",

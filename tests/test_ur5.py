@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, fabrik, ur5
+from fabrik_sqp import benchmark, fabrik, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
@@ -218,7 +218,7 @@ class TestSolve:
     def test_fixed_point_query(self, ur5_model):
         theta = np.array([0.5, -1.1, 1.4, -0.4, 0.9, -0.6])
         t_des = forward_kinematics(ur5_model, theta)
-        result = ur5.solve(IKQuery(t_des=t_des, theta_init=theta, config=SolverConfig()), ur5_model)
+        result = solve_ik(ur5_model, IKQuery(t_des=t_des, theta_init=theta, config=SolverConfig()))
         assert result.status is IKStatus.SOLVED
         assert result.error.total <= 1e-6
         # cold-start iteration still lands on the branch nearest the
@@ -227,7 +227,7 @@ class TestSolve:
 
     def test_out_of_reach_pose_unreachable(self, ur5_model):
         t = make_transform(np.eye(3), [5.0, 0.0, 0.0])
-        result = ur5.solve(IKQuery(t_des=t, theta_init=np.zeros(6), config=SolverConfig()), ur5_model)
+        result = solve_ik(ur5_model, IKQuery(t_des=t, theta_init=np.zeros(6), config=SolverConfig()))
         assert result.status is IKStatus.UNREACHABLE
 
     def test_branch_completeness(self, ur5_model):
@@ -283,7 +283,7 @@ class TestSolve:
             theta = rng.uniform(-math.pi, math.pi, 6)
             init = rng.uniform(-math.pi, math.pi, 6)
             t_des = forward_kinematics(ur5_model, theta)
-            result = ur5.solve(IKQuery(t_des=t_des, theta_init=init, config=SolverConfig()), ur5_model)
+            result = solve_ik(ur5_model, IKQuery(t_des=t_des, theta_init=init, config=SolverConfig()))
             if result.status is IKStatus.SOLVED:
                 solved += 1
                 assert pose_mismatch(ur5_model, result.theta, t_des) <= 1e-6
@@ -313,24 +313,24 @@ class TestSolve:
         assert risers == {True, False}
 
     def test_fabrik_only_mode_can_fail_where_combined_succeeds(self, ur5_model, golden_ur5_pose):
-        combined = ur5.solve(
-            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)),
+        combined = solve_ik(
             ur5_model,
+            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)),
         )
-        fabrik_only = ur5.solve(
+        fabrik_only = solve_ik(
+            ur5_model,
             IKQuery(
                 t_des=golden_ur5_pose,
                 theta_init=np.zeros(6),
                 config=SolverConfig(n_max=30, use_optimizer=False),
             ),
-            ur5_model,
         )
         assert combined.status is IKStatus.SOLVED
         assert fabrik_only.status is IKStatus.FAILED
 
     def test_theta_init_must_be_in_limits(self, ur5_model, golden_ur5_pose):
         with pytest.raises(ValueError):
-            ur5.solve(
-                IKQuery(t_des=golden_ur5_pose, theta_init=np.full(6, 4.0), config=SolverConfig()),
+            solve_ik(
                 ur5_model,
+                IKQuery(t_des=golden_ur5_pose, theta_init=np.full(6, 4.0), config=SolverConfig()),
             )
