@@ -31,6 +31,8 @@ import numpy as np
 
 from .geometry import (
     clamped_arccos,
+    cross,
+    norm,
     perpendicular_axis,
     rotate_about_axis,
     signed_angle,
@@ -146,8 +148,8 @@ def ball_joint_axis(l_in, l_out) -> np.ndarray:
     Falls back to a deterministic perpendicular of the incoming link when
     the links are collinear.
     """
-    c = np.cross(l_in, l_out)
-    n = float(np.linalg.norm(c))
+    c = cross(l_in, l_out)
+    n = norm(c)
     if n < 1e-9:
         return perpendicular_axis(l_in)
     return c / n
@@ -192,14 +194,15 @@ def _reach(chain: ChainState, positions, start, tip_first: bool) -> np.ndarray:
     # the direction entering the first pivot: the anchor when the base
     # is pinned; the tip has no joint
     entry = None if tip_first else chain.anchor_dir
+    lengths = chain.lengths.tolist()
     q = positions.copy()
     q[first] = start
     for i in range(first + step, first + m * step, step):
         p = i - step  # the pivot
         pivot = q[p]
         v = positions[i] - pivot
-        d = float(np.linalg.norm(v))
-        length = chain.lengths[min(i, p)]
+        d = math.sqrt(v.dot(v))  # `norm` of a fresh, contiguous difference
+        length = lengths[min(i, p)]
         if d < 1e-12:
             # coincident points: extend straight past the pivot
             direction = unit(pivot - q[p - step]) if p != first else entry
@@ -216,7 +219,10 @@ def _reach(chain: ChainState, positions, start, tip_first: bool) -> np.ndarray:
             if corr is not None:
                 delta, axis = corr
                 v = rotate_about_axis(axis, -delta if tip_first else delta, v)
-        q[i] = pivot + (length / d) * v
+        # pivot + (length / d) * v, rounded alike in Python floats
+        s = length / d
+        (x, y, z), (vx, vy, vz) = pivot.tolist(), v.tolist()
+        q[i] = (x + s * vx, y + s * vy, z + s * vz)
     return q
 
 
@@ -305,10 +311,10 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
         # full-extension target: the straight chain is the unique solution
         direction = unit((target - chain.base) / gap)
         stretched = replace(chain, positions=_lay_out(chain.base, direction, chain.lengths))
-        dist = float(np.linalg.norm(stretched.end - target))
+        dist = norm(stretched.end - target)
         return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, ((1, dist),))
 
-    dist = float(np.linalg.norm(chain.end - target))
+    dist = norm(chain.end - target)
     if dist <= eps_tol:
         return FabrikOutcome(True, 0, dist, chain)
     q = chain.positions
@@ -317,7 +323,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     while n < iter_cap:
         q = _reach(chain, _reach(chain, q, target, True), chain.base, False)
         n += 1
-        dist = float(np.linalg.norm(q[-1] - target))
+        dist = norm(q[-1] - target)
         trace.append((n, dist))
         if dist <= eps_tol:
             break

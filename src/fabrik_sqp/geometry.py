@@ -5,6 +5,13 @@ row-major matrices, rigid transforms are 4x4 homogeneous matrices with
 bottom row (0, 0, 0, 1). All angles are radians.
 The per-joint helpers trust values validated where they were built
 (`unit`, `fabrik.Hinge`) and check nothing per call.
+
+Rounding rule: the solve path works on 3-vectors, where numpy's per-call
+dispatch costs more than the arithmetic, so elementwise work may leave
+numpy for Python floats (`cross`), which round each operation alike.
+A reduction stays on `ndarray.dot` (`norm`): the BLAS kernel rounds a
+short dot as a chain of fused multiply-adds, which a Python sum does
+not reproduce, and every seeded solve keeps its bits only that way.
 """
 from __future__ import annotations
 
@@ -40,9 +47,23 @@ def clamped_arccos(x: float) -> float:
     return math.acos(min(1.0, max(-1.0, float(x))))
 
 
+def cross(a, b) -> np.ndarray:
+    """np.cross of two 3-vector ndarrays, bit for bit, without its dispatch."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def norm(v) -> float:
+    """np.linalg.norm of a 1-D ndarray, bit for bit: the same dot of the
+    same contiguous copy, without its dispatch."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if not 1e-12 <= n < math.inf:
         raise ValueError("cannot normalize a near-zero or non-finite vector")
     return v / n
@@ -58,17 +79,15 @@ def perpendicular_axis(d) -> np.ndarray:
     k = int(np.argmin(np.abs(d)))
     e = np.zeros(3)
     e[k] = 1.0
-    return unit(np.cross(d, e))
+    return unit(cross(d, e))
 
 
 def rotate_about_axis(axis, theta: float, v) -> np.ndarray:
     """Rotate v by theta around a unit axis (Rodrigues form): a `Hinge`'s,
     or the normalized one of `fabrik.ball_joint_axis` or `fabrik.pre_bend`."""
-    axis = np.asarray(axis, dtype=float)
-    v = np.asarray(v, dtype=float)
     c = math.cos(theta)
     s = math.sin(theta)
-    return v * c + np.cross(axis, v) * s + axis * (float(np.dot(axis, v)) * (1.0 - c))
+    return v * c + cross(axis, v) * s + axis * (axis.dot(v) * (1.0 - c))
 
 
 def signed_angle(a, b, ref_axis) -> float:
@@ -79,9 +98,9 @@ def signed_angle(a, b, ref_axis) -> float:
     opposite vectors, and independent of the lengths, so a and b may be
     any non-zero vectors.
     """
-    cross = np.cross(a, b)
-    ang = math.atan2(float(np.linalg.norm(cross)), float(np.dot(a, b)))
-    if float(np.dot(ref_axis, cross)) >= 0.0:
+    c = cross(a, b)
+    ang = math.atan2(norm(c), a.dot(b))
+    if ref_axis.dot(c) >= 0.0:
         return ang
     return -ang
 
@@ -176,5 +195,5 @@ def cartesian_error(t_temp, t_des) -> CartesianError:
         (m[2, 1] - m[1, 2]) ** 2 + (m[0, 2] - m[2, 0]) ** 2 + (m[1, 0] - m[0, 1]) ** 2
     )
     eps_rot = math.atan2(sin_term, cos_term)
-    eps_pos = float(np.linalg.norm(translation_of(t_temp) - translation_of(t_des)))
+    eps_pos = norm(translation_of(t_temp) - translation_of(t_des))
     return CartesianError(eps_pos=eps_pos, eps_rot=eps_rot)

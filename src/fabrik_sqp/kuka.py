@@ -23,8 +23,10 @@ import numpy as np
 
 from . import fabrik, pipeline
 from .geometry import (
+    cross,
     dedup_angles,
     inverse_transform,
+    norm,
     translation_of,
     unit,
     wrap_angle,
@@ -71,28 +73,30 @@ def wrist_analytic(theta: np.ndarray, model: RobotModel) -> tuple[np.ndarray, np
     Joints 5-7 do not move the wrist, so the closed form only involves
     theta1..theta4.
     """
-    l1, l2, l3 = model.link_lengths[:3]
-    t1, t2, t3, t4 = (float(v) for v in theta[:4])
+    l1, l2, l3 = model.link_lengths[:3].tolist()
+    t1, t2, t3, t4 = theta[:4].tolist()
     c1, s1 = math.cos(t1), math.sin(t1)
     c2, s2 = math.cos(t2), math.sin(t2)
     c3, s3 = math.cos(t3), math.sin(t3)
     c4, s4 = math.cos(t4), math.sin(t4)
 
-    u = np.array([c1 * s2, s1 * s2, c2])  # upper-arm direction
-    x3 = np.array([c1 * c2 * c3 - s1 * s3, s1 * c2 * c3 + c1 * s3, -s2 * c3])
-    p = np.array([0.0, 0.0, l1]) + (l2 + l3 * c4) * u + l3 * s4 * x3
+    # 3-vectors as Python floats, combined entry by entry in numpy's
+    # order of operations (zeros included), so the bits are numpy's
+    u = (c1 * s2, s1 * s2, c2)  # upper-arm direction
+    x3 = (c1 * c2 * c3 - s1 * s3, s1 * c2 * c3 + c1 * s3, -s2 * c3)
+    du1 = (-s1 * s2, c1 * s2, 0.0)
+    du2 = (c1 * c2, s1 * c2, -s2)
+    dx3_1 = (-s1 * c2 * c3 - c1 * s3, c1 * c2 * c3 - s1 * s3, 0.0)
+    dx3_2 = (-c1 * s2 * c3, -s1 * s2 * c3, -c2 * c3)
+    dx3_3 = (-c1 * c2 * s3 - s1 * c3, -s1 * c2 * s3 + c1 * c3, s2 * s3)
 
-    du1 = np.array([-s1 * s2, c1 * s2, 0.0])
-    du2 = np.array([c1 * c2, s1 * c2, -s2])
-    dx3_1 = np.array([-s1 * c2 * c3 - c1 * s3, c1 * c2 * c3 - s1 * s3, 0.0])
-    dx3_2 = np.array([-c1 * s2 * c3, -s1 * s2 * c3, -c2 * c3])
-    dx3_3 = np.array([-c1 * c2 * s3 - s1 * c3, -s1 * c2 * s3 + c1 * c3, s2 * s3])
-
-    jac = np.empty((3, 4))
-    jac[:, 0] = (l2 + l3 * c4) * du1 + l3 * s4 * dx3_1
-    jac[:, 1] = (l2 + l3 * c4) * du2 + l3 * s4 * dx3_2
-    jac[:, 2] = l3 * s4 * dx3_3
-    jac[:, 3] = -l3 * s4 * u + l3 * c4 * x3
+    a, b = l2 + l3 * c4, l3 * s4
+    k3, k4 = -l3 * s4, l3 * c4
+    p = np.array([o + a * ui + b * xi for o, ui, xi in zip((0.0, 0.0, l1), u, x3)])
+    jac = np.array([
+        [a * du1[i] + b * dx3_1[i], a * du2[i] + b * dx3_2[i], b * dx3_3[i], k3 * u[i] + k4 * x3[i]]
+        for i in range(3)
+    ])
     return p, jac
 
 
@@ -118,7 +122,7 @@ def bend_magnitudes(p1, p2, p3) -> tuple[float, float]:
     def bend(pa, pj, pb):
         u = pj - pa
         v = pb - pj
-        return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+        return math.atan2(norm(cross(u, v)), u.dot(v))
 
     p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p1, p2, p3))
     return bend(np.zeros(3), p1, p2), bend(p1, p2, p3)
@@ -233,10 +237,7 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     scored: list[tuple[float, np.ndarray]] = []
     for theta in arm_angles(p2c, p3c, model, azimuths=azimuths):
         wrist, _ = wrist_analytic(theta, model)
-        score = float(
-            np.linalg.norm(elbow_position(model, theta[0], theta[1]) - p2c)
-            + np.linalg.norm(wrist - p3c)
-        )
+        score = norm(elbow_position(model, theta[0], theta[1]) - p2c) + norm(wrist - p3c)
         scored.append((score, theta))
     scored.sort(key=lambda pair: pair[0])
     out: list[np.ndarray] = []
@@ -251,9 +252,9 @@ def _lateral(arms, axis: np.ndarray) -> np.ndarray | None:
     """Unit component normal to `axis` of the first arm not along it."""
     for w in arms:
         lateral = w - float(np.dot(w, axis)) * axis
-        norm = float(np.linalg.norm(lateral))
-        if norm > 1e-9:
-            return lateral / norm
+        n = norm(lateral)
+        if n > 1e-9:
+            return lateral / n
     return None
 
 
@@ -268,7 +269,7 @@ def reference_elbow(model: RobotModel, reference_arms, p3: np.ndarray) -> np.nda
     """
     l1, l2, l3 = model.link_lengths[:3]
     p1 = np.array([0.0, 0.0, l1])
-    d = float(np.linalg.norm(p3 - p1))
+    d = norm(p3 - p1)
     if d < 1e-12:
         return None
     u = (p3 - p1) / d
@@ -318,7 +319,7 @@ class Branch:
         itself on the axis.
         """
         lateral = _lateral(self.reference_arms, DEFAULT_V_INIT)
-        return None if lateral is None else unit(np.cross(DEFAULT_V_INIT, lateral))
+        return None if lateral is None else unit(cross(DEFAULT_V_INIT, lateral))
 
     def from_chain(self, chain: fabrik.ChainState):
         return chain.positions[1], chain.positions[2]

@@ -12,9 +12,12 @@ start into the box and checks nothing but the values it computes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import norm
 
 ARMIJO_C = 1e-4
 SHRINK = 0.5
@@ -48,7 +51,7 @@ class OptResult:
 def _evaluate(objective, x):
     f, g = objective(x)
     g = np.asarray(g, dtype=float)
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+    if not math.isfinite(f) or not all(map(math.isfinite, g.tolist())):
         raise NonFiniteObjectiveError(x)
     return float(f), g
 
@@ -79,7 +82,8 @@ def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
     if f <= stop_value:
         return OptResult(x, f, 0, OptStatus.TOLERANCE_REACHED)
 
-    H = np.eye(n)
+    eye = np.eye(n)  # never mutated: H is only ever rebound
+    H = eye
     fresh_h = True
     sd_alpha = 1.0  # step memory for the gradient fallback mode
     prev_active = None
@@ -87,21 +91,21 @@ def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
     while iterations < MAX_ITERS:
         # curvature gathered under one active set misleads the next:
         # restart the model whenever a bound activates or releases
-        active = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
-        if prev_active is not None and not np.array_equal(active, prev_active):
-            H = np.eye(n)
+        active = (((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))).tolist()
+        if prev_active is not None and active != prev_active:
+            H = eye
             fresh_h = True
         prev_active = active
 
         d = _freeze(-(H @ g), x, lo, hi)
         descent = float(np.dot(g, d))
-        if descent >= 0.0 or not np.all(np.isfinite(d)):
+        if descent >= 0.0 or not all(map(math.isfinite, d.tolist())):
             # curvature model unusable here: projected steepest descent
-            H = np.eye(n)
+            H = eye
             fresh_h = True
             d = _freeze(-g, x, lo, hi)
             descent = float(np.dot(g, d))
-        if float(np.max(np.abs(d), initial=0.0)) <= STALL_TOL:
+        if max(map(abs, d.tolist()), default=0.0) <= STALL_TOL:
             return OptResult(x, f, iterations, OptStatus.STALLED)
 
         # A scaled curvature model wants the unit step; the gradient
@@ -118,7 +122,7 @@ def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
         for _ in range(_MAX_BACKTRACKS):
             x_new = np.clip(x + alpha * d, lo, hi)
             s = x_new - x
-            if float(np.max(np.abs(s), initial=0.0)) <= 1e-17:
+            if max(map(abs, s.tolist()), default=0.0) <= 1e-17:
                 break
             gs = float(np.dot(g, s))
             f_new, g_new = _evaluate(objective, x_new)
@@ -140,8 +144,8 @@ def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
         if f <= stop_value:
             return OptResult(x, f, iterations, OptStatus.TOLERANCE_REACHED)
 
-        step = float(np.max(np.abs(s)))
-        proj_grad = float(np.max(np.abs(np.clip(x - g, lo, hi) - x)))
+        step = max(map(abs, s.tolist()))
+        proj_grad = max(map(abs, (np.clip(x - g, lo, hi) - x).tolist()))
         if step <= STALL_TOL and proj_grad <= STALL_TOL:
             return OptResult(x, f, iterations, OptStatus.STALLED)
 
@@ -150,19 +154,18 @@ def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
         # the free-subspace model
         y_eff = np.where(s == 0.0, 0.0, y)
         sy = float(np.dot(s, y_eff))
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y_eff)):
+        if sy > 1e-12 * norm(s) * norm(y_eff):
             if fresh_h:
                 # scale the unit model to the observed curvature before
                 # the first update after a reset
-                H = (sy / float(np.dot(y_eff, y_eff))) * np.eye(n)
+                H = (sy / float(np.dot(y_eff, y_eff))) * eye
                 fresh_h = False
             rho = 1.0 / sy
-            eye = np.eye(n)
-            V = eye - rho * np.outer(s, y_eff)
-            H = V @ H @ V.T + rho * np.outer(s, s)
+            V = eye - rho * (s[:, None] * y_eff)
+            H = V @ H @ V.T + rho * (s[:, None] * s)
         else:
             # curvature update would lose positive definiteness
-            H = np.eye(n)
+            H = eye
             fresh_h = True
 
     return OptResult(x, f, iterations, OptStatus.ITERATION_CAP)

@@ -86,11 +86,8 @@ class RobotModel:
         return len(self.dh)
 
     def within_limits(self, theta, tol: float = 0.0) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(
-            np.all(theta >= self.joint_limits[:, 0] - tol)
-            and np.all(theta <= self.joint_limits[:, 1] + tol)
-        )
+        pairs = zip(np.asarray(theta, dtype=float).tolist(), self.joint_limits.tolist(), strict=True)
+        return all(lo - tol <= t <= hi + tol for t, (lo, hi) in pairs)
 
 
 def _build_model(name: str, dh, joint_limits=None) -> RobotModel:

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import fabrik, pipeline
 from .geometry import (
+    cross,
     dedup_angles,
+    norm,
     signed_angle,
     translation_of,
     unit,
@@ -73,12 +75,12 @@ def planar_frame(theta1: float, t_des: np.ndarray, p_w: np.ndarray, model: Robot
     v_init = np.array([-math.cos(theta1), -math.sin(theta1), 0.0])
     l6d = unit(t_des[:3, 2])
     p_w_proj = p_w - float(np.dot(z2d, p_w)) * z2d
-    cross = np.cross(z2d, l6d)
-    norm = float(np.linalg.norm(cross))
+    riser = cross(z2d, l6d)
+    n = norm(riser)
     # tool axis along the plane normal (the wrist singularity, theta5 = 0
     # or pi): every riser in the plane closes the orientation, theta6
     # taking up the twist; the tool-frame -y direction is one of them
-    base = -t_des[:3, 1] if norm < _DEGENERATE_WRIST_TOL else cross / norm
+    base = -t_des[:3, 1] if n < _DEGENERATE_WRIST_TOL else riser / n
     return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, -base))
 
 

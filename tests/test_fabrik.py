@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -506,3 +507,155 @@ class TestPhaseProperties:
                 angles.append(signed_angle(dirs[j - 1], dirs[j], joints[j].axis))
             for angle, joint in zip(angles, joints):
                 assert joint.lo - 1e-6 <= angle <= joint.hi + 1e-6
+
+
+# --- the numpy reach step, kept as the oracle of `_reach` -------------------
+# The sweep body and the helpers it reaches as they were written on numpy
+# arrays (np.cross, np.linalg.norm, np.dot), before the per-point
+# arithmetic moved to Python floats. `_reach` must give the same bits.
+
+def _np_unit(v):
+    return v / float(np.linalg.norm(v))
+
+
+def _np_signed_angle(a, b, ref_axis):
+    c = np.cross(a, b)
+    ang = math.atan2(float(np.linalg.norm(c)), float(np.dot(a, b)))
+    return ang if float(np.dot(ref_axis, c)) >= 0.0 else -ang
+
+
+def _np_rotate(axis, theta, v):
+    c, s = math.cos(theta), math.sin(theta)
+    return v * c + np.cross(axis, v) * s + axis * (float(np.dot(axis, v)) * (1.0 - c))
+
+
+def _np_limit_correction(l_in, l_out, joint):
+    if isinstance(joint, Hinge):
+        phi = _np_signed_angle(l_in, l_out, joint.axis)
+        delta = min(max(phi, joint.lo), joint.hi) - phi
+        return None if delta == 0.0 else (delta, joint.axis)
+    phi = math.acos(min(1.0, max(-1.0, float(np.dot(l_in, l_out)))))
+    if phi <= joint.max_angle:
+        return None
+    c = np.cross(l_in, l_out)
+    n = float(np.linalg.norm(c))
+    if n < 1e-9:
+        k = int(np.argmin(np.abs(l_in)))
+        axis = _np_unit(np.cross(l_in, np.eye(3)[k]))
+    else:
+        axis = c / n
+    return joint.max_angle - phi, axis
+
+
+def _np_reach(chain, positions, start, tip_first):
+    m = positions.shape[0]
+    step, first = (-1, m - 1) if tip_first else (1, 0)
+    entry = None if tip_first else chain.anchor_dir
+    q = positions.copy()
+    q[first] = start
+    for i in range(first + step, first + m * step, step):
+        p = i - step
+        pivot = q[p]
+        v = positions[i] - pivot
+        d = float(np.linalg.norm(v))
+        length = chain.lengths[min(i, p)]
+        if d < 1e-12:
+            direction = _np_unit(pivot - q[p - step]) if p != first else entry
+            if direction is None:
+                direction = _np_unit(positions[i] - positions[p])
+            q[i] = pivot + length * direction
+            continue
+        if (p != first or entry is not None) and not chain.joints[p].unconstrained:
+            back = _np_unit(pivot - q[p - step]) if p != first else entry
+            if tip_first:
+                corr = _np_limit_correction(-v / d, -back, chain.joints[p])
+            else:
+                corr = _np_limit_correction(back, v / d, chain.joints[p])
+            if corr is not None:
+                delta, axis = corr
+                v = _np_rotate(axis, -delta if tip_first else delta, v)
+        q[i] = pivot + (length / d) * v
+    return q
+
+
+def _np_sweeps(chain, target, eps_tol, iter_cap):
+    """(positions, sweeps, dist, trace) of `solve`'s sweep loop."""
+    q = chain.positions
+    dist = float(np.linalg.norm(q[-1] - target))
+    n, trace = 0, []
+    while dist > eps_tol and n < iter_cap:
+        q = _np_reach(chain, _np_reach(chain, q, target, True), chain.base, False)
+        n += 1
+        dist = float(np.linalg.norm(q[-1] - target))
+        trace.append((n, dist))
+    return q, n, dist, tuple(trace)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestReachAgainstNumpyBody:
+    """`forward_phase`, `backward_phase` and `solve` against the numpy
+    reach step, bit for bit, on seeded chains of 2 to 6 links: hinges
+    with narrow limits, ball cones, anchored and free bases, and points
+    that coincide with their pivot. The seeded benchmark solves only
+    3-point chains; the `trace` command takes any."""
+
+    @staticmethod
+    def random_chain(rng):
+        n = int(rng.integers(2, 7))
+        lengths = rng.uniform(0.2, 1.5, n)
+        base = rng.normal(size=3)
+        joints = []
+        for _ in range(n):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                lo = rng.uniform(-1.5, 0.3)
+                joints.append(Hinge(rng.normal(size=3), lo, lo + rng.uniform(0.05, 1.5)))
+            elif kind == 1:
+                joints.append(Ball(rng.uniform(0.1, 1.5)))
+            else:
+                joints.append(Hinge(rng.normal(size=3)) if rng.integers(0, 2) else Ball())
+        anchor = unit(rng.normal(size=3)) if rng.integers(0, 2) else None
+        steps = np.array([unit(rng.normal(size=3)) * length for length in lengths])
+        positions = base + np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
+        return ChainState(positions, lengths, tuple(joints), base, anchor)
+
+    def test_phases_on_random_chains(self):
+        rng = np.random.default_rng(21)
+        for _ in range(1500):
+            chain = self.random_chain(rng)
+            target = chain.base + rng.normal(size=3) * chain.reach() / 2.0
+            fwd = forward_phase(chain, target)
+            assert _same_bits(fwd.positions, _np_reach(chain, chain.positions, target, True))
+            bwd = backward_phase(fwd)
+            assert _same_bits(bwd.positions, _np_reach(fwd, fwd.positions, chain.base, False))
+
+    def test_coincident_points(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            chain = self.random_chain(rng)
+            # the tip pass pins the tip onto the point before it; the base
+            # pass meets a point that the pass itself placed on its pivot
+            placed = _np_reach(chain, chain.positions, chain.base, False)
+            moved = chain.positions.copy()
+            moved[2] = placed[1]
+            bent = replace(chain, positions=moved)
+            tip = chain.positions[-2].copy()
+            assert _same_bits(forward_phase(chain, tip).positions,
+                              _np_reach(chain, chain.positions, tip, True))
+            assert _same_bits(backward_phase(bent).positions,
+                              _np_reach(bent, moved, chain.base, False))
+
+    def test_solve_on_random_chains(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            chain = self.random_chain(rng)
+            target = chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach()
+            out = solve(chain, target, 1e-6, 30)
+            q, n, dist, trace = _np_sweeps(chain, target, 1e-6, 30)
+            assert (out.iterations, out.converged) == (n, dist <= 1e-6)
+            assert _same_bits(out.chain.positions, q)
+            assert _same_bits(out.dist, dist)
+            assert _same_bits(out.trace, trace)

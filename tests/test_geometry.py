@@ -6,8 +6,10 @@ import pytest
 from fabrik_sqp.geometry import (
     cartesian_error,
     clamped_arccos,
+    cross,
     inverse_transform,
     make_transform,
+    norm,
     perpendicular_axis,
     polar_rotation,
     rotate_about_axis,
@@ -234,3 +236,48 @@ def test_perpendicular_axis_is_unit_and_orthogonal():
         p = perpendicular_axis(d)
         assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
         assert abs(np.dot(p, d)) <= 1e-12
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _bit_test_vectors() -> list:
+    """10,000 seeded 3-vectors, magnitudes 1e-9 to 1e3 (whole vectors and
+    single components), columns of 4x4 transforms as strided views, and
+    every vector with components from {+-0.0, +-1.0, 3e-9}."""
+    rng = np.random.default_rng(11)
+    scaled = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-9, 3, size=(4000, 1))
+    mixed = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-9, 3, size=(4000, 3))
+    transforms = rng.normal(size=(500, 4, 4)) * 10.0 ** rng.uniform(-9, 3, size=(500, 1, 1))
+    columns = [t[:3, k] for t in transforms for k in range(4)]
+    levels = (0.0, -0.0, 1.0, -1.0, 3e-9)
+    special = [np.array([a, b, c]) for a in levels for b in levels for c in levels]
+    return [*scaled, *mixed, *columns, *special]
+
+
+class TestNumpyBits:
+    """`cross` and `norm` replace np.cross and np.linalg.norm on the solve
+    path; every seeded record depends on their bits, so they are compared
+    bit for bit, signed zeros included."""
+
+    def test_norm_is_numpy_norm(self):
+        vectors = _bit_test_vectors()
+        assert len(vectors) > 10_000
+        assert any(not v.flags.c_contiguous for v in vectors)
+        for v in vectors:
+            assert _bits(norm(v)) == _bits(np.linalg.norm(v)), v
+
+    def test_cross_is_numpy_cross(self):
+        vectors = _bit_test_vectors()
+        rng = np.random.default_rng(12)
+        partners = [vectors[i] for i in rng.permutation(len(vectors))]
+        for a, b in zip(vectors, partners):
+            assert _bits(cross(a, b)) == _bits(np.cross(a, b)), (a, b)
+
+    def test_cross_signed_zeros_and_axes(self):
+        levels = (0.0, -0.0, 1.0, -1.0)
+        vectors = [np.array([a, b, c]) for a in levels for b in levels for c in levels]
+        for a in vectors:
+            for b in vectors:
+                assert _bits(cross(a, b)) == _bits(np.cross(a, b)), (a, b)
