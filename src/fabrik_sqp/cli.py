@@ -69,12 +69,15 @@ def _parse_floats(text: str, expected: int | None, what: str) -> np.ndarray:
 
 
 def _resolve_model(args) -> RobotModel:
-    if getattr(args, "model", None):
-        try:
-            return load_model_file(args.model)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot load robot model: {exc}") from exc
-    return get_model(args.robot)
+    if not getattr(args, "model", None):
+        return get_model(args.robot)
+    try:
+        model = load_model_file(args.model)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot load robot model: {exc}") from exc
+    if model.name != args.robot:
+        raise CliError(f"--model holds a {model.name} model, not --robot {args.robot}")
+    return model
 
 
 def _status_exit(status: IKStatus) -> int:

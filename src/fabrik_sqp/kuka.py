@@ -16,7 +16,6 @@ pipeline checks the pose of the selected one only.
 from __future__ import annotations
 
 import math
-import time
 from functools import cached_property
 
 import numpy as np
@@ -343,34 +342,28 @@ class Branch:
                 return results, (elbow_position(model, float(th[0]), float(th[1])), p3)
         return results, None
 
+    def candidates(self, reduced, t_des: np.ndarray):
+        """Joint vectors for the reduced chain's elbow, then for the
+        feasible elbow nearest the reference configuration.
 
-def recover_all(
-    p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, reference_arms, model: RobotModel
-):
-    """Joint vectors for the reduced chain's elbow, then for the feasible
-    elbow nearest the reference configuration.
+        The arm is redundant; the second elbow keeps warm-started
+        trajectories on their fold. The wrist closes the orientation
+        exactly at the achieved wrist point.
+        """
+        p2, p3 = reduced
+        elbows = [p2]
+        p2_ref = reference_elbow(self.model, self.reference_arms, p3)
+        if p2_ref is not None and float(np.max(np.abs(p2_ref - p2))) > 1e-9:
+            elbows.append(p2_ref)
+        for elbow in elbows:
+            yield from recover_candidates(elbow, p3, t_des, self.model)
 
-    The arm is redundant; the second elbow keeps warm-started
-    trajectories on their fold.
-    """
-    # The wrist closes the orientation exactly at the achieved wrist point;
-    # the end-effector offset left equals the wrist residual.
-    elbows = [p2]
-    p2_ref = reference_elbow(model, reference_arms, p3)
-    if p2_ref is not None and float(np.max(np.abs(p2_ref - p2))) > 1e-9:
-        elbows.append(p2_ref)
-    for elbow in elbows:
-        yield from recover_candidates(elbow, p3, t_des, model)
+
+def branches(t_des: np.ndarray, theta_init, model: RobotModel) -> list[Branch]:
+    """The one branch: the wrist chain."""
+    return [Branch(t_des, theta_init, model)]
 
 
 def solve_detailed(query: IKQuery, model: RobotModel):
     """Run the pipeline on the wrist chain; returns (IKResult, SolveDetail)."""
-    start = time.perf_counter()
-    t_des = prepare_query(model, query)
-    detail = pipeline.SolveDetail()
-    branch = Branch(t_des, query.theta_init, model)
-    for _, (p2, p3) in pipeline.reduced_solutions([branch], model, query.config, detail):
-        thetas = recover_all(p2, p3, t_des, branch.reference_arms, model)
-        pipeline.admit(detail, model, thetas)
-    pick = select_candidate(detail.admitted, query.theta_init)
-    return pipeline.finish(model, t_des, detail, pick, query.config.eps_tol, pose_mismatch, start)
+    return pipeline.solve(query, model, branches, prepare_query, select_candidate, pose_mismatch)

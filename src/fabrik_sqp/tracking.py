@@ -168,10 +168,11 @@ def scripted_waypoints(
 
     Returns (theta_init, waypoints) where waypoints are (phase, pose)
     pairs: phase 1 slides the reduced-chain end to the zero position,
-    phase 2 tracks a joint-interpolated path from zero to theta_end,
-    which must lie within the joint limits (ValueError otherwise).
+    phase 2 tracks a joint-interpolated path from zero to theta_end.
+    The scripted start and theta_end must lie within the joint limits
+    (ValueError otherwise).
     """
-    theta_init = SCRIPTED_THETA_INIT[model.name]
+    theta_init = check_joint_vector(model, SCRIPTED_THETA_INIT[model.name], "the scripted start")
     if theta_end is None:
         theta_end = SCRIPTED_THETA_END[model.name]
     theta_end = check_joint_vector(model, theta_end, "theta_end")

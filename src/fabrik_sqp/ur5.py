@@ -14,7 +14,6 @@ joint limits closest to theta_init in L1 norm, after one pose check.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +219,12 @@ class Branch:
         )
         return [result], pair
 
+    def candidates(self, reduced, t_des: np.ndarray):
+        """Joint vectors of every fold of (theta2, theta3)."""
+        wrist = wrist_angles(self.frame, self.l5d, t_des, self.model)
+        for fold in fold_variants(*reduced, self.model):
+            yield recover_angles(self.frame.theta1, *fold, wrist)
+
 
 def branches(t_des: np.ndarray, theta_init, model: RobotModel):
     """The two wrist-riser branches of each distinct theta1 candidate."""
@@ -230,22 +235,6 @@ def branches(t_des: np.ndarray, theta_init, model: RobotModel):
             yield Branch(frame, l5d, theta_init, model)
 
 
-def candidates(reduced, t_des: np.ndarray, model: RobotModel):
-    """Joint vectors of every fold of every (branch, (theta2, theta3))."""
-    for branch, (theta2, theta3) in reduced:
-        wrist = wrist_angles(branch.frame, branch.l5d, t_des, model)
-        for fold in fold_variants(theta2, theta3, model):
-            yield recover_angles(branch.frame.theta1, *fold, wrist)
-
-
 def solve_detailed(query: IKQuery, model: RobotModel):
     """Run the pipeline over every branch; returns (IKResult, SolveDetail)."""
-    start = time.perf_counter()
-    t_des = prepare_query(model, query)
-    detail = pipeline.SolveDetail()
-    reduced = pipeline.reduced_solutions(
-        branches(t_des, query.theta_init, model), model, query.config, detail
-    )
-    pipeline.admit(detail, model, candidates(reduced, t_des, model))
-    pick = select_candidate(detail.admitted, query.theta_init)
-    return pipeline.finish(model, t_des, detail, pick, query.config.eps_tol, pose_mismatch, start)
+    return pipeline.solve(query, model, branches, prepare_query, select_candidate, pose_mismatch)

@@ -30,6 +30,26 @@ DESK_SEED = 20240817
 WINDOW = range(70, 91)
 
 
+def alternated_reports(model, queries, modes) -> list:
+    """One report per mode, the modes solving each query back to back.
+
+    The host's speed drifts by tens of percent over seconds, so modes
+    timed one whole run after the other can swap their order. Here the
+    modes take turns query by query, and the one that goes first
+    alternates between queries.
+    """
+    reports = [
+        bm.BenchmarkReport(robot=queries.robot, seed=queries.seed, mode=mode, eps_tol=EPS)
+        for mode in modes
+    ]
+    configs = [mode.config(EPS) for mode in modes]
+    for idx, item in enumerate(queries.queries):
+        order = list(range(len(modes)))
+        for k in order if idx % 2 == 0 else order[::-1]:
+            reports[k].records.append(bm._solve_query(model, configs[k], (idx, item)))
+    return reports
+
+
 @pytest.fixture(scope="session")
 def desk_benchmarks(ur5_model, kuka_model):
     """The criterion-4/5 benchmark sweep, run once and shared."""
@@ -38,10 +58,11 @@ def desk_benchmarks(ur5_model, kuka_model):
     kuka_queries = bm.generate_queries(kuka_model, DESK_N, DESK_SEED)
     ur5_reports = bm.run_benchmark(ur5_model, ur5_queries, [bm.Mode("combined", 5)], eps_tol=EPS)
     kuka_reports = bm.run_benchmark(
-        kuka_model,
-        kuka_queries,
-        [bm.Mode("combined", 15), bm.Mode("fabrik", 100), bm.Mode("fabrik", 500), bm.Mode("fabrik", 900)],
-        eps_tol=EPS,
+        kuka_model, kuka_queries, [bm.Mode("fabrik", 100), bm.Mode("fabrik", 500)], eps_tol=EPS
+    )
+    # criterion 5 compares the times of these two
+    kuka_reports += alternated_reports(
+        kuka_model, kuka_queries, [bm.Mode("combined", 15), bm.Mode("fabrik", 900)]
     )
     elapsed = time.perf_counter() - t0
     return {

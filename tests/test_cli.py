@@ -112,6 +112,17 @@ class TestSolveCommand:
         assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
         assert message in err
 
+    def test_model_of_another_robot_exit_one(self, tmp_path, kuka_model, solvable_pose, capsys):
+        model_file = tmp_path / "kuka.json"
+        model_file.write_text(model_to_json(kuka_model))
+        code = cli.main(
+            ["solve", "--robot", "ur5", "--model", str(model_file), "--pose", solvable_pose]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --model holds a kuka model, not --robot ur5\n"
+
     def test_model_override(self, tmp_path, ur5_model, solvable_pose, capsys):
         model_file = tmp_path / "model.json"
         model_file.write_text(model_to_json(ur5_model))
@@ -319,4 +330,19 @@ class TestTrackCommand:
         ]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "error: theta_end must lie within the joint limits\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_limits_excluding_scripted_start_exit_one(self, tmp_path, ur5_model, capsys):
+        doc = json.loads(model_to_json(ur5_model))
+        doc["limits"] = [[-0.5, 0.5]] * 6
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc))
+        argv = [
+            "track", "--robot", "ur5", "--model", str(model_file), "--end-config", "0,0,0,0,0,0",
+            "--out", str(tmp_path / "t.csv"),
+        ]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: the scripted start must lie within the joint limits\n"
+        )
         assert not (tmp_path / "t.csv").exists()

@@ -111,6 +111,27 @@ class TestStatusRule:
         assert len(detail.admitted) > 1 and len(checked) == 1
 
 
+class TestHookLookup:
+    """The driver calls the helpers a robot module holds at solve time,
+    so a wrapper set on the module (as the benchmark's layer trace sets
+    one) sees every call."""
+
+    @pytest.mark.parametrize("name", ["prepare_query", "select_candidate"])
+    def test_module_helper_called_once_per_solve(self, solver, monkeypatch, name):
+        module, model = solver
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        result, _ = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
+        assert result.status is IKStatus.SOLVED
+        assert len(calls) == 1
+
+
 class TestSelection:
     def test_near_tie_keeps_the_earliest(self):
         # the later candidate is 1e-15 closer: a rounding-level

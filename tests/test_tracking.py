@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -155,3 +156,8 @@ class TestScriptedScenario:
     def test_bad_end_configuration_rejected(self, ur5_model, theta_end, match):
         with pytest.raises(ValueError, match=match):
             tracking.scripted_waypoints(ur5_model, 2, 3, theta_end=theta_end)
+
+    def test_scripted_start_outside_limits_rejected(self, ur5_model):
+        model = dataclasses.replace(ur5_model, joint_limits=np.tile([-0.5, 0.5], (6, 1)))
+        with pytest.raises(ValueError, match="scripted start must lie within the joint limits"):
+            tracking.scripted_waypoints(model, 2, 3, theta_end=np.zeros(6))
