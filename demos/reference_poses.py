@@ -3,13 +3,16 @@
 Both poses put the reduced chain within a millimetre of full extension,
 the regime where plain FABRIK needs hundreds to thousands of sweeps.
 The combined pipeline hands over to the box-constrained optimizer after
-n_l sweeps and finishes in a few dozen total steps.
+its sweep cap (the paper's n_l, here 15) and finishes in a few dozen
+total steps; FABRIK-only runs with a cap (the paper's n_max) of 900
+sweeps on the UR5 and 12000 on the KUKA.
 """
 import numpy as np
 
 from fabrik_sqp import kuka, robots, solve_ik
+from fabrik_sqp.benchmark import parse_mode
 from fabrik_sqp.geometry import make_transform, polar_rotation
-from fabrik_sqp.iktypes import IKQuery, SolverConfig
+from fabrik_sqp.iktypes import DEFAULT_EPS_TOL, IKQuery
 
 UR5_POSE_ROTATION = [
     [-0.770, 0.618, 0.156],
@@ -46,29 +49,27 @@ def show(name, result):
           f"eps_pos={result.error.eps_pos if result.error else float('nan'):.2e}")
 
 
+def solve_modes(model, pose, modes):
+    """Solve pose from the zero configuration in each mode; print each
+    result and the combined mode's joint vector."""
+    results = []
+    for text in modes:
+        config = parse_mode(text).config(DEFAULT_EPS_TOL)
+        result = solve_ik(model, IKQuery(t_des=pose, theta_init=np.zeros(model.dof), config=config))
+        show(text, result)
+        results.append(result)
+    print("  joint vector:", np.round(results[0].theta, 4))
+
+
 def main():
     model = robots.ur5_model()
     pose = make_transform(polar_rotation(np.array(UR5_POSE_ROTATION)), UR5_POSE_POSITION)
     print("ur5 reference pose")
-    combined = solve_ik(model, IKQuery(t_des=pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)))
-    fabrik_only = solve_ik(
-        model,
-        IKQuery(t_des=pose, theta_init=np.zeros(6), config=SolverConfig(n_max=900, use_optimizer=False)),
-    )
-    show("combined", combined)
-    show("fabrik-only", fabrik_only)
-    print("  joint vector:", np.round(combined.theta, 4))
+    solve_modes(model, pose, ("combined:15", "fabrik:900"))
 
     model, pose = kuka_pose()
     print("\nkuka reference pose")
-    combined = solve_ik(model, IKQuery(t_des=pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)))
-    fabrik_only = solve_ik(
-        model,
-        IKQuery(t_des=pose, theta_init=np.zeros(7), config=SolverConfig(n_max=12000, use_optimizer=False)),
-    )
-    show("combined", combined)
-    show("fabrik-only", fabrik_only)
-    print("  joint vector:", np.round(combined.theta, 4))
+    solve_modes(model, pose, ("combined:15", "fabrik:12000"))
 
 
 if __name__ == "__main__":

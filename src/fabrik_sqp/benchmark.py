@@ -25,32 +25,32 @@ RNG_NAME = "numpy-pcg64"
 
 @dataclass(frozen=True)
 class Mode:
-    """One benchmark configuration: combined(n_l) or fabrik(n_max)."""
+    """One solver mode: combined or fabrik, with an optional sweep cap
+    (None: the SolverConfig default)."""
 
     kind: str  # "combined" | "fabrik"
-    param: int
+    param: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("combined", "fabrik"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
-        if self.param < 1:
+        if self.param is not None and self.param < 1:
             raise ValueError("mode parameter must be >= 1")
 
     @property
     def label(self) -> str:
-        return f"{self.kind}:{self.param}"
+        return self.kind if self.param is None else f"{self.kind}:{self.param}"
 
     def config(self, eps_tol: float) -> SolverConfig:
-        if self.kind == "combined":
-            return SolverConfig(eps_tol=eps_tol, n_l=self.param, use_optimizer=True)
-        return SolverConfig(eps_tol=eps_tol, n_max=self.param, use_optimizer=False)
+        return SolverConfig(eps_tol, self.kind == "combined", self.param)
 
 
 def parse_mode(text: str) -> Mode:
-    kind, _, param = text.partition(":")
-    if not param:
-        raise ValueError(f"mode {text!r} must look like 'combined:5' or 'fabrik:100'")
-    return Mode(kind=kind.strip(), param=int(param))
+    """'combined', 'fabrik', or either with a sweep cap: 'combined:5'."""
+    kind, colon, param = text.partition(":")
+    if colon and not param.strip().isdigit():
+        raise ValueError(f"mode {text!r} must look like 'combined', 'combined:5' or 'fabrik:100'")
+    return Mode(kind.strip(), int(param) if colon else None)
 
 
 @dataclass(frozen=True)

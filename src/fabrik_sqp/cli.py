@@ -96,13 +96,8 @@ def cmd_solve(args) -> int:
         if args.init is None
         else _parse_floats(args.init, model.dof, "--init")
     )
-    config = SolverConfig(
-        eps_tol=args.eps,
-        n_l=args.n_l,
-        n_max=args.n_max,
-        use_optimizer=(args.mode == "combined"),
-    )
     try:
+        config = bench_mod.parse_mode(args.mode).config(args.eps)
         result = solve_ik(model, IKQuery(t_des=t_des, theta_init=theta_init, config=config))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -229,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose", required=True, help="JSON file with position/rotation")
     p.add_argument("--init", help="comma-separated initial joint angles (default zeros)")
     p.add_argument("--eps", type=_positive_float, default=1e-6)
-    p.add_argument("--n-l", type=_positive_int, default=None, help="FABRIK/optimizer switch index")
-    p.add_argument("--n-max", type=_positive_int, default=900, help="sweep cap in fabrik mode")
-    p.add_argument("--mode", choices=("combined", "fabrik"), default="combined")
+    p.add_argument("--mode", default="combined", help="combined or fabrik, e.g. fabrik:400")
     p.add_argument("--model", help="robot model JSON overriding the built-in table")
     p.set_defaults(func=cmd_solve)
 
@@ -239,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robot", choices=("ur5", "kuka"), required=True)
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--modes", default="combined:5", help="e.g. combined:5,fabrik:100")
+    p.add_argument("--modes", default="combined", help="e.g. combined,combined:5,fabrik:100")
     p.add_argument("--eps", type=_positive_float, default=1e-6)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)

@@ -12,6 +12,7 @@ from .robots import KUKA, UR5, RobotModel
 
 DEFAULT_EPS_TOL = 1e-6
 DEFAULT_SWITCH_INDEX = {UR5: 5, KUKA: 15}
+DEFAULT_FABRIK_ONLY_CAP = 900
 SELECT_TIE_TOL = 1e-12  # L1 distances closer than this tie (radians)
 
 
@@ -25,31 +26,29 @@ class IKStatus(enum.Enum):
 class SolverConfig:
     """Stopping and switching parameters for the combined pipeline.
 
-    n_l caps the FABRIK sweeps before the optimizer takes over; n_max is
-    the sweep cap when the optimizer is disabled (use_optimizer=False).
-    A value of None for n_l picks the per-robot default (5 for the UR5,
-    15 for the KUKA). The pre-bend, the KUKA shoulder cone, the KUKA
-    chain's initial direction and the optimizer's iteration cap are
-    fixed in the modules that use them.
+    sweep_cap caps the FABRIK sweeps per branch: the switch index n_l
+    after which the optimizer takes over, or the plain-FABRIK cap n_max
+    when the optimizer is disabled (use_optimizer=False). None picks
+    the default: the per-robot switch index (5 for the UR5, 15 for the
+    KUKA), or 900 sweeps without the optimizer. The pre-bend, the KUKA
+    shoulder cone, the KUKA chain's initial direction and the
+    optimizer's iteration cap are fixed in the modules that use them.
     """
 
     eps_tol: float = DEFAULT_EPS_TOL
-    n_l: int | None = None
-    n_max: int = 900
     use_optimizer: bool = True
+    sweep_cap: int | None = None
 
     def __post_init__(self):
         if self.eps_tol <= 0.0:
             raise ValueError("eps_tol must be positive")
-        if self.n_l is not None and self.n_l < 1:
-            raise ValueError("n_l must be at least 1")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if self.sweep_cap is not None and self.sweep_cap < 1:
+            raise ValueError("sweep_cap must be at least 1")
 
     def fabrik_cap(self, robot_name: str) -> int:
-        if not self.use_optimizer:
-            return self.n_max
-        return DEFAULT_SWITCH_INDEX[robot_name] if self.n_l is None else self.n_l
+        if self.sweep_cap is not None:
+            return self.sweep_cap
+        return DEFAULT_SWITCH_INDEX[robot_name] if self.use_optimizer else DEFAULT_FABRIK_ONLY_CAP
 
 
 @dataclass(frozen=True)

@@ -106,8 +106,6 @@ class WaypointRecord:
 @dataclass
 class TrackingTrace:
     records: list[WaypointRecord] = field(default_factory=list)
-    phase1_count: int = 0
-    phase2_count: int = 0
     failed_index: int | None = None
 
     @property
@@ -135,8 +133,6 @@ def track(model: RobotModel, waypoints, theta_init, config: SolverConfig) -> Tra
     from . import solve_ik
 
     trace = TrackingTrace()
-    trace.phase1_count = sum(1 for phase, _ in waypoints if phase == 1)
-    trace.phase2_count = sum(1 for phase, _ in waypoints if phase == 2)
     current = np.asarray(theta_init, dtype=float)
     for index, (phase, pose) in enumerate(waypoints):
         result = solve_ik(model, IKQuery(t_des=pose, theta_init=current, config=config))
@@ -169,16 +165,17 @@ def scripted_waypoints(
     Returns (theta_init, waypoints) where waypoints are (phase, pose)
     pairs: phase 1 slides the reduced-chain end to the zero position,
     phase 2 tracks a joint-interpolated path from zero to theta_end.
-    The scripted start and theta_end must lie within the joint limits
-    (ValueError otherwise).
+    The scripted start, the zero configuration between the phases and
+    theta_end must lie within the joint limits (ValueError otherwise).
     """
     theta_init = check_joint_vector(model, SCRIPTED_THETA_INIT[model.name], "the scripted start")
+    theta_zero = check_joint_vector(model, np.zeros(model.dof), "the zero configuration")
     if theta_end is None:
         theta_end = SCRIPTED_THETA_END[model.name]
     theta_end = check_joint_vector(model, theta_end, "theta_end")
     points = build_phase1_path(model, theta_init, phase1_n)
     poses1 = phase1_poses(model, theta_init, points)
-    poses2 = build_phase2_path(model, np.zeros(model.dof), theta_end, phase2_n)
+    poses2 = build_phase2_path(model, theta_zero, theta_end, phase2_n)
     waypoints = [(1, p) for p in poses1] + [(2, p) for p in poses2]
     return theta_init, waypoints
 

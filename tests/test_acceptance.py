@@ -85,7 +85,7 @@ def tracking_traces(ur5_model, kuka_model):
 
 class TestCriterion1GoldenUr5:
     def test_solved_sound_and_fast(self, ur5_model, golden_ur5_pose):
-        query = IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15))
+        query = IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(sweep_cap=15))
         result = solve_ik(ur5_model, query)
         assert result.status is IKStatus.SOLVED
         assert pose_mismatch(ur5_model, result.theta, golden_ur5_pose) <= 1e-6
@@ -107,7 +107,7 @@ class TestCriterion1GoldenUr5:
         ),
     )
     def test_candidate_matches_reference_within_5e3(self, ur5_model, golden_ur5_pose):
-        query = IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15))
+        query = IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(sweep_cap=15))
         _, detail = ur5.solve_detailed(query, ur5_model)
         best = min(float(np.max(np.abs(c - UR5_REF_THETA))) for c in detail.admitted)
         print(f"\nACCEPTANCE 1 candidate-match: best per-joint deviation {best:.2e}")
@@ -117,7 +117,7 @@ class TestCriterion1GoldenUr5:
         # supporting evidence for the expected failure above: with a
         # self-consistent target the printed vector is recovered tightly
         t_des = forward_kinematics(ur5_model, UR5_REF_THETA)
-        query = IKQuery(t_des=t_des, theta_init=np.zeros(6), config=SolverConfig(n_l=15))
+        query = IKQuery(t_des=t_des, theta_init=np.zeros(6), config=SolverConfig(sweep_cap=15))
         _, detail = ur5.solve_detailed(query, ur5_model)
         best = min(float(np.max(np.abs(c - UR5_REF_THETA))) for c in detail.admitted)
         assert best <= 5e-4
@@ -125,7 +125,7 @@ class TestCriterion1GoldenUr5:
 
 class TestCriterion2GoldenKuka:
     def test_solved_sound_exact_orientation_fast(self, kuka_model, golden_kuka_pose):
-        query = IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15))
+        query = IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(sweep_cap=15))
         result = solve_ik(kuka_model, query)
         assert result.status is IKStatus.SOLVED
         assert pose_mismatch(kuka_model, result.theta, golden_kuka_pose) <= 1e-6
@@ -148,7 +148,7 @@ class TestCriterion2GoldenKuka:
         ),
     )
     def test_candidate_matches_reference_within_5e3(self, kuka_model, golden_kuka_pose):
-        query = IKQuery(t_des=golden_kuka_pose, theta_init=KUKA_REF_THETA, config=SolverConfig(n_l=15))
+        query = IKQuery(t_des=golden_kuka_pose, theta_init=KUKA_REF_THETA, config=SolverConfig(sweep_cap=15))
         _, detail = kuka.solve_detailed(query, kuka_model)
         best = min(float(np.max(np.abs(c - KUKA_REF_THETA))) for c in detail.admitted)
         print(f"\nACCEPTANCE 2 candidate-match: best per-joint deviation {best:.2e}")
@@ -156,7 +156,7 @@ class TestCriterion2GoldenKuka:
 
     def test_reference_joint_subset_reproduced(self, kuka_model, golden_kuka_pose):
         # the non-redundant joints are reproduced at the print-noise level
-        query = IKQuery(t_des=golden_kuka_pose, theta_init=KUKA_REF_THETA, config=SolverConfig(n_l=15))
+        query = IKQuery(t_des=golden_kuka_pose, theta_init=KUKA_REF_THETA, config=SolverConfig(sweep_cap=15))
         _, detail = kuka.solve_detailed(query, kuka_model)
         deviations = [
             np.abs(c[[0, 1, 3, 5, 6]]) - np.abs(KUKA_REF_THETA[[0, 1, 3, 5, 6]])
@@ -173,12 +173,12 @@ class TestCriterion3ConvergenceGap:
             IKQuery(
                 t_des=golden_kuka_pose,
                 theta_init=np.zeros(7),
-                config=SolverConfig(n_max=12000, use_optimizer=False),
+                config=SolverConfig(use_optimizer=False, sweep_cap=12000),
             ),
         )
         combined = solve_ik(
             kuka_model,
-            IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)),
+            IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(sweep_cap=15)),
         )
         total = combined.fabrik_iterations + combined.optimizer_iterations
         assert fabrik_only.fabrik_iterations > 1000
@@ -195,12 +195,12 @@ class TestCriterion3ConvergenceGap:
             IKQuery(
                 t_des=golden_ur5_pose,
                 theta_init=np.zeros(6),
-                config=SolverConfig(n_max=900, use_optimizer=False),
+                config=SolverConfig(use_optimizer=False, sweep_cap=900),
             ),
         )
         combined = solve_ik(
             ur5_model,
-            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)),
+            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(sweep_cap=15)),
         )
         total = combined.fabrik_iterations + combined.optimizer_iterations
         assert fabrik_only.fabrik_iterations > 200

@@ -7,7 +7,7 @@ import pytest
 
 from fabrik_sqp import benchmark as bm
 from fabrik_sqp import robots, solve_ik
-from fabrik_sqp.iktypes import IKQuery
+from fabrik_sqp.iktypes import IKQuery, SolverConfig
 from fabrik_sqp.robots import forward_kinematics, get_model, model_from_json, model_to_json
 
 
@@ -201,7 +201,10 @@ class TestMonotonicity:
     def test_mode_parsing(self):
         mode = bm.parse_mode("fabrik:250")
         assert mode.kind == "fabrik" and mode.param == 250
-        with pytest.raises(ValueError):
-            bm.parse_mode("fabrik")
-        with pytest.raises(ValueError):
-            bm.parse_mode("annealing:3")
+        assert mode.config(1e-6) == SolverConfig(1e-6, use_optimizer=False, sweep_cap=250)
+        bare = bm.parse_mode("combined")
+        assert bare.param is None and bare.label == "combined"
+        assert bare.config(1e-6) == SolverConfig(1e-6)
+        for text in ("annealing:3", "combined:", "fabrik:x", "combined:0"):
+            with pytest.raises(ValueError):
+                bm.parse_mode(text)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fabrik_sqp import benchmark as bm
 from fabrik_sqp import cli, solve_ik
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import forward_kinematics, get_model, model_to_json
@@ -66,11 +67,39 @@ class TestSolveCommand:
 
     def test_fabrik_mode_flag(self, solvable_pose, capsys):
         code = cli.main(
-            ["solve", "--robot", "ur5", "--pose", solvable_pose, "--mode", "fabrik", "--n-max", "400"]
+            ["solve", "--robot", "ur5", "--pose", solvable_pose, "--mode", "fabrik:400"]
         )
         doc = json.loads(capsys.readouterr().out)
         assert code in (0, 3)
         assert doc["opt_used"] is False
+
+    @pytest.mark.parametrize(
+        "mode, config",
+        [
+            ("fabrik:400", SolverConfig(use_optimizer=False, sweep_cap=400)),
+            ("combined", SolverConfig()),
+        ],
+    )
+    def test_mode_matches_library_config(self, solvable_pose, capsys, ur5_model, mode, config):
+        init = np.array([0.1, -0.8, 1.0, -0.3, 0.5, 0.0])
+        argv = ["solve", "--robot", "ur5", "--pose", solvable_pose, "--mode", mode]
+        code = cli.main(argv + ["--init", ",".join(repr(float(v)) for v in init)])
+        doc = json.loads(capsys.readouterr().out)
+        pose = cli.load_pose_file(solvable_pose)
+        result = solve_ik(ur5_model, IKQuery(t_des=pose, theta_init=init, config=config))
+        assert code == 0 and result.status is IKStatus.SOLVED
+        assert doc["status"] == result.status.value
+        assert doc["theta"] == [float(v) for v in result.theta]
+        assert doc["fabrik_iters"] == result.fabrik_iterations
+        assert doc["opt_used"] == result.optimizer_used
+
+    @pytest.mark.parametrize("mode", ["combined:0", "sqp:5", "fabrik:x", "combined:"])
+    def test_malformed_mode_exit_one(self, solvable_pose, capsys, mode):
+        code = cli.main(["solve", "--robot", "ur5", "--pose", solvable_pose, "--mode", mode])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "dh",
@@ -184,6 +213,25 @@ class TestBenchCommand:
         a = json.loads((tmp_path / "a_fabrik_40_summary.json").read_text())
         b = json.loads((tmp_path / "b_fabrik_40_summary.json").read_text())
         assert a["success_rate"] == b["success_rate"]
+
+    def test_default_mode_uses_each_robots_switch_index(self, tmp_path, capsys):
+        prefix = str(tmp_path / "bench")
+        # seed 0: both queries run more than 5 sweeps under the KUKA's cap of 15
+        argv = ["bench", "--robot", "kuka", "--n", "2", "--seed", "0", "--workers", "1"]
+        assert cli.main(argv + ["--out-prefix", prefix]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bench_combined.csv", "bench_combined_summary.json",
+        ]
+        rows = list(csv.DictReader(Path(prefix + "_combined.csv").read_text().splitlines()))
+        model = get_model("kuka")
+        queries = bm.generate_queries(model, 2, 0)
+        kuka_default, ur5_default = bm.run_benchmark(
+            model, queries, [bm.parse_mode("combined:15"), bm.parse_mode("combined:5")]
+        )
+        sweeps = [int(row["fabrik_iters"]) for row in rows]
+        assert [row["mode"] for row in rows] == ["combined", "combined"]
+        assert sweeps == [r.fabrik_iters for r in kuka_default.records]
+        assert sweeps != [r.fabrik_iters for r in ur5_default.records]
 
     def test_unwritable_output(self, tmp_path, capsys):
         code = cli.main(
@@ -344,5 +392,19 @@ class TestTrackCommand:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == (
             "error: the scripted start must lie within the joint limits\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_limits_excluding_zero_configuration_exit_one(self, tmp_path, ur5_model, capsys):
+        # joint 3 admits the scripted start (2.05) and end (2.8) but not
+        # the zero configuration where phase 1 ends and phase 2 starts
+        doc = json.loads(model_to_json(ur5_model))
+        doc["limits"][2] = [0.5, 3.1]
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc))
+        argv = ["track", "--robot", "ur5", "--model", str(model_file)]
+        assert cli.main(argv + ["--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: the zero configuration must lie within the joint limits\n"
         )
         assert not (tmp_path / "t.csv").exists()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,3 +282,26 @@ class TestNumpyBits:
         for a in vectors:
             for b in vectors:
                 assert _bits(cross(a, b)) == _bits(np.cross(a, b)), (a, b)
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c computed exactly and rounded once."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def test_blas_dot_rounds_as_an_fma_chain():
+    """The pinned seed-7 counters hold where a 3-vector `ndarray.dot`
+    rounds as fma(z, w, fma(y, v, x * u)), as numpy's bundled OpenBLAS
+    does on FMA hardware. A BLAS that sums the products in another way
+    fails here, by name, before the counter pins move."""
+    rng = np.random.default_rng(13)
+    pairs = rng.normal(size=(2000, 2, 3))
+    chain_misses = plain_misses = 0
+    for a, b in pairs:
+        x, y, z = map(float, a)
+        u, v, w = map(float, b)
+        got = a.dot(b)
+        chain_misses += got != _fma(z, w, _fma(y, v, x * u))
+        plain_misses += got != x * u + y * v + z * w
+    assert plain_misses > 0  # the chain is distinguishable from a plain sum
+    assert chain_misses == 0

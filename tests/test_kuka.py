@@ -234,7 +234,7 @@ class TestSolve:
         # the optimizer result never leaves the solver raw: returned
         # angles come from the full recovery and reproduce the pose
         result, detail = kuka.solve_detailed(
-            IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(n_l=15)),
+            IKQuery(t_des=golden_kuka_pose, theta_init=np.zeros(7), config=SolverConfig(sweep_cap=15)),
             kuka_model,
         )
         assert result.status is IKStatus.SOLVED

@@ -40,7 +40,7 @@ class TestStatusRule:
 
     def test_sweep_cap_miss_without_optimizer_fails(self, solver):
         module, model = solver
-        query = _first_seeded_query(model, SolverConfig(n_max=1, use_optimizer=False))
+        query = _first_seeded_query(model, SolverConfig(use_optimizer=False, sweep_cap=1))
         result, detail = module.solve_detailed(query, model)
         assert result.status is IKStatus.FAILED
         assert result.theta is None and result.error is None
@@ -55,7 +55,7 @@ class TestStatusRule:
         # a one-iteration cap makes every optimizer run stop short of
         # the tolerance
         monkeypatch.setattr(optimizer, "MAX_ITERS", 1)
-        config = SolverConfig(n_l=1)
+        config = SolverConfig(sweep_cap=1)
         result, detail = module.solve_detailed(_first_seeded_query(model, config), model)
         assert result.status is IKStatus.FAILED
         assert result.theta is None and result.error is None
@@ -143,6 +143,19 @@ class TestSelection:
     def test_closer_candidate_wins(self):
         candidates = [np.array([0.5, 0.5]), np.array([0.5, 0.5 - 1e-9])]
         assert select_candidate(candidates, np.zeros(2)) == 1
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("use_optimizer", [True, False])
+    def test_sweep_cap_below_one_rejected(self, use_optimizer):
+        with pytest.raises(ValueError, match="sweep_cap must be at least 1"):
+            SolverConfig(use_optimizer=use_optimizer, sweep_cap=0)
+
+    def test_sweep_cap_applies_in_both_modes(self):
+        assert SolverConfig(sweep_cap=7).fabrik_cap("kuka") == 7
+        assert SolverConfig(use_optimizer=False, sweep_cap=7).fabrik_cap("kuka") == 7
+        assert [SolverConfig().fabrik_cap(name) for name in ("ur5", "kuka")] == [5, 15]
+        assert SolverConfig(use_optimizer=False).fabrik_cap("ur5") == 900
 
 
 @pytest.mark.filterwarnings("error")

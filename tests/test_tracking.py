@@ -161,3 +161,10 @@ class TestScriptedScenario:
         model = dataclasses.replace(ur5_model, joint_limits=np.tile([-0.5, 0.5], (6, 1)))
         with pytest.raises(ValueError, match="scripted start must lie within the joint limits"):
             tracking.scripted_waypoints(model, 2, 3, theta_end=np.zeros(6))
+
+    def test_zero_configuration_outside_limits_rejected(self, ur5_model):
+        limits = ur5_model.joint_limits.copy()
+        limits[2] = [0.5, 3.1]  # holds the scripted start and end, not zero
+        model = dataclasses.replace(ur5_model, joint_limits=limits)
+        with pytest.raises(ValueError, match="zero configuration must lie within the joint limits"):
+            tracking.scripted_waypoints(model, 2, 3)

@@ -315,14 +315,14 @@ class TestSolve:
     def test_fabrik_only_mode_can_fail_where_combined_succeeds(self, ur5_model, golden_ur5_pose):
         combined = solve_ik(
             ur5_model,
-            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(n_l=15)),
+            IKQuery(t_des=golden_ur5_pose, theta_init=np.zeros(6), config=SolverConfig(sweep_cap=15)),
         )
         fabrik_only = solve_ik(
             ur5_model,
             IKQuery(
                 t_des=golden_ur5_pose,
                 theta_init=np.zeros(6),
-                config=SolverConfig(n_max=30, use_optimizer=False),
+                config=SolverConfig(use_optimizer=False, sweep_cap=30),
             ),
         )
         assert combined.status is IKStatus.SOLVED
