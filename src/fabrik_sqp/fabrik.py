@@ -59,7 +59,7 @@ class Hinge:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit(self.axis))
-        if self.lo >= self.hi:
+        if not self.lo < self.hi:  # NaN fails too
             raise ValueError("hinge limits must satisfy lo < hi")
 
     @property
@@ -72,6 +72,10 @@ class Ball:
     """3-DOF joint limited by a cone half-angle (pi = unconstrained)."""
 
     max_angle: float = math.pi
+
+    def __post_init__(self):
+        if not self.max_angle >= 0.0:  # NaN fails too
+            raise ValueError("ball cone half-angle max_angle must be at least 0")
 
     @property
     def unconstrained(self) -> bool:
@@ -293,8 +297,8 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     sweeps run on the positions array; the outcome's chain is built
     once, on return.
     """
-    if eps_tol <= 0.0:
-        raise ValueError("eps_tol must be positive")
+    if not (math.isfinite(eps_tol) and eps_tol > 0.0):
+        raise ValueError("eps_tol must be positive and finite")
     if iter_cap < 1:
         raise ValueError("iter_cap must be at least 1")
     target = np.asarray(target, dtype=float)

@@ -40,8 +40,8 @@ class SolverConfig:
     sweep_cap: int | None = None
 
     def __post_init__(self):
-        if self.eps_tol <= 0.0:
-            raise ValueError("eps_tol must be positive")
+        if not (math.isfinite(self.eps_tol) and self.eps_tol > 0.0):
+            raise ValueError("eps_tol must be positive and finite")
         if self.sweep_cap is not None and self.sweep_cap < 1:
             raise ValueError("sweep_cap must be at least 1")
 

@@ -10,7 +10,8 @@ with the angles implied by the current chain. All seven joint angles are
 then recovered in closed form: theta1-theta4 from the elbow and wrist
 points, every arm sign branch enumerated, and theta5-theta7 as the exact
 Rz Ry Rz split of the wrist rotation, one triple per theta6 sign (Shimizu
-et al. 2008). Every candidate is exact, so no sign is guessed; the
+et al. 2008). Each FK prefix is built once: frame 2 per (theta1, theta2),
+frame 4 per arm. Every candidate is exact, so no sign is guessed; the
 pipeline checks the pose of the selected one only.
 """
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .geometry import (
 )
 from .iktypes import IKQuery, prepare_query, select_candidate
 from .optimizer import minimize
-from .robots import RobotModel, fk_frames, fk_prefix, pose_mismatch
+from .robots import RobotModel, fk_frames, pose_mismatch
 
 _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
@@ -148,10 +149,8 @@ def theta1_roots(theta2: float, p2: np.ndarray) -> list[float]:
     return [math.atan2(sign * float(p2[1]), sign * float(p2[0]))]
 
 
-def theta3_roots(
-    theta1: float, theta2: float, theta4: float, p3: np.ndarray, model: RobotModel
-) -> list[float]:
-    """Solutions of the wrist position equation (in frame 2) for theta3.
+def theta3_root(theta4: float, local: np.ndarray) -> float:
+    """theta3 from `local`, the homogeneous wrist point in frame 2.
 
     In frame 2 the wrist sits at (l3 s4 c3, l3 s4 s3, l2 + l3 c4); the
     two lateral rows give theta3 via atan2. Straight elbow (theta4 ~ 0)
@@ -159,26 +158,26 @@ def theta3_roots(
     """
     s4 = math.sin(theta4)
     if abs(s4) < _SIN_TOL:
-        return [0.0]
-    t02 = fk_prefix(model, (theta1, theta2))
-    local = inverse_transform(t02) @ np.append(np.asarray(p3, dtype=float), 1.0)
+        return 0.0
     sign = 1.0 if s4 > 0.0 else -1.0
-    return [math.atan2(sign * float(local[1]), sign * float(local[0]))]
+    return math.atan2(sign * float(local[1]), sign * float(local[0]))
 
 
 def arm_angles(p2, p3, model: RobotModel, azimuths=()):
     """Yield every (theta1..theta4) placing the elbow at p2 and the wrist at p3.
 
     Sign branches nest as theta2 sign, theta1 roots (plus `azimuths`),
-    theta4 sign, theta3 roots, positive branch first.
+    theta4 sign, positive branch first. The wrist point in frame 2 is
+    computed once per (theta1, theta2) and serves both theta4 signs.
     """
     p1 = np.array([0.0, 0.0, model.link_lengths[0]])
+    p3h = np.append(np.asarray(p3, dtype=float), 1.0)
     m2, m4 = bend_magnitudes(p1, p2, p3)
     for th2 in _signed_options(m2):
         for th1 in dedup_angles(theta1_roots(th2, p2) + list(azimuths)):
+            local = inverse_transform(fk_frames(model, (th1, th2))[-1]) @ p3h
             for th4 in _signed_options(m4):
-                for th3 in theta3_roots(th1, th2, th4, p3, model):
-                    yield np.array([th1, th2, th3, th4])
+                yield np.array([th1, th2, theta3_root(th4, local), th4])
 
 
 def wrist_angles(t04: np.ndarray, r_des: np.ndarray) -> list[tuple[float, float, float]]:
@@ -208,7 +207,7 @@ def recover_candidates(
     return [
         wrap_angle(np.concatenate([arm, wrist]))
         for arm in arm_angles(p2, p3, model)
-        for wrist in wrist_angles(fk_prefix(model, arm), r_des)
+        for wrist in wrist_angles(fk_frames(model, arm)[-1], r_des)
     ]
 
 
@@ -299,8 +298,8 @@ class Branch:
     @cached_property
     def reference_arms(self) -> list[np.ndarray]:
         """The reference elbow and wrist relative to the shoulder: the
-        one FK of theta_init per solve."""
-        frames = fk_frames(self.model, self.theta_init)
+        one FK of theta_init per solve, up to the wrist frame 5."""
+        frames = fk_frames(self.model, self.theta_init[:5])
         shoulder = np.array([0.0, 0.0, self.model.link_lengths[0]])
         return [frames[3][:3, 3] - shoulder, frames[5][:3, 3] - shoulder]
 

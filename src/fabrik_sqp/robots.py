@@ -3,13 +3,15 @@
 Ships the two supported manipulators (UR5 and KUKA LBR iiwa 14 R820)
 with manufacturer kinematic constants. Joint limits default to
 [-pi, pi] per joint; tighter limits can be configured or loaded from
-JSON.
+JSON. Each DH row holds the cosine and sine of its alpha; `fk_frames`,
+the one product of link transforms, stops at any prefix of the joints.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,6 +36,8 @@ class DHRow:
     alpha: float
     d: float
     theta_offset: float = 0.0
+    cos_alpha: float = field(init=False, repr=False, compare=False)
+    sin_alpha: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "alpha", "d", "theta_offset"):
@@ -44,13 +48,15 @@ class DHRow:
         if alpha == -math.pi:
             alpha = math.pi
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "cos_alpha", math.cos(alpha))
+        object.__setattr__(self, "sin_alpha", math.sin(alpha))
 
 
 def dh_transform(row: DHRow, theta: float) -> np.ndarray:
     """Link transform Rz(theta + offset) Tz(d) Tx(a) Rx(alpha)."""
     th = theta + row.theta_offset
     ct, st = math.cos(th), math.sin(th)
-    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
+    ca, sa = row.cos_alpha, row.sin_alpha
     return np.array(
         [
             [ct, -st * ca, st * sa, row.a * ct],
@@ -218,33 +224,22 @@ def load_model_file(path: str) -> RobotModel:
 
 # --- forward kinematics -----------------------------------------------------
 
-def _check_theta(model: RobotModel, theta) -> np.ndarray:
+def forward_kinematics(model: RobotModel, theta) -> np.ndarray:
+    """End-effector pose as the product of the link transforms."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"{model.name} expects {model.dof} joint angles, got shape {theta.shape}")
-    return theta
-
-
-def forward_kinematics(model: RobotModel, theta) -> np.ndarray:
-    """End-effector pose as the product of the link transforms."""
-    return fk_prefix(model, _check_theta(model, theta))
+    return fk_frames(model, theta)[-1]
 
 
 def fk_frames(model: RobotModel, theta) -> list[np.ndarray]:
-    """Cumulative transforms [I, A1, A1 A2, ...] for each frame."""
-    theta = _check_theta(model, theta)
-    frames = [np.eye(4)]
-    for row, th in zip(model.dh, theta):
-        frames.append(frames[-1] @ dh_transform(row, th))
-    return frames
-
-
-def fk_prefix(model: RobotModel, theta_prefix) -> np.ndarray:
-    """Product of the first len(theta_prefix) link transforms."""
-    T = np.eye(4)
-    for row, th in zip(model.dh, np.asarray(theta_prefix, dtype=float)):
-        T = T @ dh_transform(row, th)
-    return T
+    """Cumulative transforms [I, A1, A1 A2, ...] of the first len(theta)
+    links; a prefix of the joint vector stops at its last frame."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or theta.size > model.dof:
+        raise ValueError(f"{model.name} has {model.dof} joints, got angles of shape {theta.shape}")
+    links = (dh_transform(row, th) for row, th in zip(model.dh, theta.tolist()))
+    return [np.eye(4), *accumulate(links, np.matmul)]
 
 
 def pose_mismatch(model: RobotModel, theta, t_des) -> float:

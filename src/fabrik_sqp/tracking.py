@@ -37,7 +37,7 @@ _REDUCED_END_FRAME = {UR5: 3, KUKA: 5}
 
 def reduced_end_position(model: RobotModel, theta) -> np.ndarray:
     """Position of the reduced chain's end (forearm tip / wrist center)."""
-    return translation_of(fk_frames(model, theta)[_REDUCED_END_FRAME[model.name]])
+    return translation_of(fk_frames(model, theta[: _REDUCED_END_FRAME[model.name]])[-1])
 
 
 def initial_direction(model: RobotModel, theta_init) -> np.ndarray:

@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .iktypes import IKQuery, prepare_query, select_candidate
 from .optimizer import OptResult, minimize
-from .robots import RobotModel, fk_prefix, pose_mismatch
+from .robots import RobotModel, fk_frames, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
 
@@ -171,7 +171,7 @@ def wrist_angles(
     2-4 only through their sum."""
     theta234 = signed_angle(frame.v_init, l5d, frame.z2d) - math.pi / 2
     theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
-    x5d = fk_prefix(model, [frame.theta1, 0.0, 0.0, theta234, theta5])[:3, 0]
+    x5d = fk_frames(model, [frame.theta1, 0.0, 0.0, theta234, theta5])[-1][:3, 0]
     theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), unit(t_des[:3, 2]))
     return theta234, theta5, theta6
 

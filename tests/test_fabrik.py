@@ -43,7 +43,11 @@ def ball_chain(positions, base=(0.0, 0.0, 0.0), anchor_dir=None):
 
 
 class TestHinge:
-    @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (0.5, 0.5)], ids=["reversed", "empty"])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0), (0.0, math.nan)],
+        ids=["reversed", "empty", "nan-lo", "nan-hi"],
+    )
     def test_limits_must_satisfy_lo_below_hi(self, lo, hi):
         # the only check of a hinge's limits: _limit_correction trusts them
         with pytest.raises(ValueError, match="lo < hi"):
@@ -51,6 +55,17 @@ class TestHinge:
 
     def test_axis_normalized(self):
         assert np.array_equal(Hinge([0.0, 0.0, 2.0]).axis, Z)
+
+
+class TestBall:
+    @pytest.mark.parametrize("max_angle", [math.nan, -0.5])
+    def test_cone_half_angle_must_be_non_negative(self, max_angle):
+        # the only check of a cone: _limit_correction trusts it
+        with pytest.raises(ValueError, match="max_angle must be at least 0"):
+            Ball(max_angle)
+
+    def test_rigid_cone_builds(self):
+        assert not Ball(0.0).unconstrained
 
 
 class TestClampCorrection:
@@ -363,6 +378,11 @@ class TestPreBend:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("eps_tol", [math.nan, math.inf])
+    def test_non_finite_eps_tol_rejected(self, eps_tol):
+        with pytest.raises(ValueError, match="eps_tol must be positive and finite"):
+            solve(pre_bend(two_link_chain()), np.array([0.6, 1.1, 0.0]), eps_tol, 50)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected_before_the_first_sweep(self, bad, monkeypatch):
         def no_sweep(*args):

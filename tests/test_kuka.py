@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark, kuka, solve_ik
-from fabrik_sqp.geometry import make_transform, wrap_angle
+from fabrik_sqp.geometry import inverse_transform, make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
@@ -120,8 +120,8 @@ class TestAngleRecovery:
             if abs(math.sin(theta[3])) < 1e-3:
                 continue
             p3, _ = kuka.wrist_analytic(theta[:4], kuka_model)
-            roots = kuka.theta3_roots(theta[0], theta[1], theta[3], p3, kuka_model)
-            assert min(abs(r - theta[2]) for r in roots) <= 1e-9
+            local = inverse_transform(fk_frames(kuka_model, theta[:2])[-1]) @ np.append(p3, 1.0)
+            assert abs(kuka.theta3_root(theta[3], local) - theta[2]) <= 1e-9
 
     def test_full_candidate_roundtrip(self, kuka_model):
         rng = np.random.default_rng(3)
@@ -260,4 +260,5 @@ class TestSolve:
         )
         assert result.status is IKStatus.SOLVED
         assert len(detail.candidates) == 16
-        assert len(calls) == 1
+        # the recovery reads its own (theta1, theta2) and arm prefixes
+        assert sum(np.array_equal(theta, theta_init[: len(theta)]) for theta in calls) == 1

@@ -146,6 +146,11 @@ class TestSelection:
 
 
 class TestSolverConfig:
+    @pytest.mark.parametrize("eps_tol", [math.nan, math.inf])
+    def test_non_finite_eps_tol_rejected(self, eps_tol):
+        with pytest.raises(ValueError, match="eps_tol must be positive and finite"):
+            SolverConfig(eps_tol=eps_tol)
+
     @pytest.mark.parametrize("use_optimizer", [True, False])
     def test_sweep_cap_below_one_rejected(self, use_optimizer):
         with pytest.raises(ValueError, match="sweep_cap must be at least 1"):

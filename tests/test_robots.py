@@ -116,6 +116,30 @@ class TestForwardKinematics:
         assert len(frames) == 8
         assert np.allclose(frames[-1], forward_kinematics(kuka_model, theta), atol=1e-14)
 
+    def test_prefix_frames_are_bit_identical(self, ur5_model, kuka_model):
+        rng = np.random.default_rng(4)
+        for model in (ur5_model, kuka_model):
+            for _ in range(20):
+                theta = rng.uniform(-math.pi, math.pi, model.dof)
+                frames = fk_frames(model, theta)
+                for k in range(model.dof + 1):
+                    assert np.array_equal(fk_frames(model, theta[:k])[-1], frames[k])
+
+    def test_matches_left_to_right_product_of_rows(self, ur5_model, kuka_model):
+        rng = np.random.default_rng(5)
+        for model in (ur5_model, kuka_model):
+            for _ in range(20):
+                theta = rng.uniform(-math.pi, math.pi, model.dof)
+                product = np.eye(4)
+                for row, th in zip(model.dh, theta):
+                    product = product @ dh_transform(row, th)
+                assert np.array_equal(forward_kinematics(model, theta), product)
+
+    def test_frames_reject_more_angles_than_joints(self, ur5_model, kuka_model):
+        for model in (ur5_model, kuka_model):
+            with pytest.raises(ValueError, match=f"has {model.dof} joints"):
+                fk_frames(model, np.zeros(model.dof + 1))
+
 
 class TestPoseMismatch:
     def test_exact_roundtrip_is_zero(self, ur5_model, kuka_model):

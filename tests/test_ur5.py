@@ -244,7 +244,7 @@ class TestSolve:
             )
 
     def test_wrist_solved_once_per_branch(self, ur5_model, monkeypatch):
-        calls = {"fk_prefix": 0, "fold_variants": 0}
+        calls = {"fk_frames": 0, "fold_variants": 0}
         for name in calls:
 
             def counted(*args, _original=getattr(ur5, name), _name=name):
@@ -259,7 +259,7 @@ class TestSolve:
         assert result.status is IKStatus.SOLVED
         # one FK prefix per branch that yields (theta2, theta3), not one
         # per candidate: each such branch gives a fold and its mirror
-        assert calls["fk_prefix"] == calls["fold_variants"] == 4
+        assert calls["fk_frames"] == calls["fold_variants"] == 4
         assert len(detail.candidates) == 8
 
     def test_selection_rule_minimizes_l1(self, ur5_model):

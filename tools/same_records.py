@@ -15,7 +15,8 @@ checkout's (the working tree, uncommitted edits included):
   joint-limit clamp; these do.
 
 Per solve it compares the status, the sweep count, optimizer use, the
-optimizer iterations and the selected theta (np.array_equal). It prints
+optimizer iterations, the result's error (eps_pos, eps_rot; None for an
+unsolved query) and the selected theta (np.array_equal). It prints
 the number of differing solves per workload and exits 1 on any.
 """
 from __future__ import annotations
@@ -34,7 +35,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import bench  # noqa: E402
 
 SEED = 7
-FIELDS = ("status", "sweeps", "opt_used", "opt_iters")
+FIELDS = ("status", "sweeps", "opt_used", "opt_iters", "error")
+THETA = len(FIELDS)  # index of the selected theta in a record
 SHOWN = 5  # differing solves printed per workload
 DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
 TIGHT = {  # name: (robot, joint limits)
@@ -55,7 +57,11 @@ def workloads() -> list:
 
 
 def record(r) -> tuple:
-    return (r.status.value, r.fabrik_iterations, r.optimizer_used, r.optimizer_iterations, r.theta)
+    error = None if r.error is None else (r.error.eps_pos, r.error.eps_rot)
+    return (
+        r.status.value, r.fabrik_iterations, r.optimizer_used, r.optimizer_iterations, error,
+        r.theta,
+    )
 
 
 def tight_records(pkg) -> dict:
@@ -71,7 +77,7 @@ def tight_records(pkg) -> dict:
 
 
 def records(src: Path) -> dict:
-    """{workload: [(status, sweeps, opt_used, opt_iters, theta), ...]} with
+    """{workload: [(status, sweeps, opt_used, opt_iters, error, theta), ...]} with
     the package under src."""
     sys.path.insert(0, str(src))
     try:
@@ -104,7 +110,7 @@ def differing(theirs: list, ours: list) -> list:
         return list(range(max(len(theirs), len(ours))))
     return [
         i for i, (a, b) in enumerate(zip(theirs, ours))
-        if a[:4] != b[:4] or not np.array_equal(a[4], b[4])
+        if a[:THETA] != b[:THETA] or not np.array_equal(a[THETA], b[THETA])
     ]
 
 
@@ -113,11 +119,11 @@ def describe(a, b) -> str:
     if a is None or b is None:
         return "missing at REV" if a is None else "missing here"
     parts = [f"{name} {x!r} -> {y!r}" for name, x, y in zip(FIELDS, a, b) if x != y]
-    if not np.array_equal(a[4], b[4]):
-        if a[4] is None or b[4] is None:
+    if not np.array_equal(a[THETA], b[THETA]):
+        if a[THETA] is None or b[THETA] is None:
             parts.append("theta present on one side only")
         else:
-            parts.append(f"theta moves by {float(np.max(np.abs(a[4] - b[4]))):.3g} rad")
+            parts.append(f"theta moves by {float(np.max(np.abs(a[THETA] - b[THETA]))):.3g} rad")
     return "; ".join(parts)
 
 
