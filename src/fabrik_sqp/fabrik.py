@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -287,6 +288,20 @@ class FabrikOutcome:
     unreachable: bool = False
 
 
+def check_cap(value, name: str) -> int:
+    """A sweep cap as an int of at least 1; any integer type (np.int64
+    too) but a bool passes, anything else is a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not a bool")
+    try:
+        cap = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if cap < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return cap
+
+
 def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOutcome:
     """Iterate forward/backward sweeps until dist <= eps_tol or the cap.
 
@@ -299,8 +314,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     """
     if not (math.isfinite(eps_tol) and eps_tol > 0.0):
         raise ValueError("eps_tol must be positive and finite")
-    if iter_cap < 1:
-        raise ValueError("iter_cap must be at least 1")
+    iter_cap = check_cap(iter_cap, "iter_cap")
     target = np.asarray(target, dtype=float)
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")

@@ -9,9 +9,11 @@ The per-joint helpers trust values validated where they were built
 Rounding rule: the solve path works on 3-vectors, where numpy's per-call
 dispatch costs more than the arithmetic, so elementwise work may leave
 numpy for Python floats (`cross`), which round each operation alike.
-A reduction stays on `ndarray.dot` (`norm`): the BLAS kernel rounds a
-short dot as a chain of fused multiply-adds, which a Python sum does
-not reproduce, and every seeded solve keeps its bits only that way.
+A reduction stays on `ndarray.dot` (`norm`) or on a matrix-vector
+product (the optimizer's `jac.T @ diff`, which rounds as one dot per
+column): the BLAS kernel rounds a short dot as a chain of fused
+multiply-adds, which a Python sum does not reproduce, and every seeded
+solve keeps its bits only that way.
 """
 from __future__ import annotations
 
@@ -146,15 +148,16 @@ def sanitize_rotation(R) -> np.ndarray:
 
     Defects up to ROTATION_EXACT_TOL pass through untouched; defects up
     to ROTATION_REPAIR_TOL are projected back onto SO(3); anything worse
-    is rejected.
+    is rejected, and so is a reflection (determinant <= 0), which no
+    small repair turns into the rotation that was meant.
     """
     R = np.asarray(R, dtype=float)
     defect = rotation_defect(R)
-    if defect <= ROTATION_EXACT_TOL:
-        return R
-    if defect <= ROTATION_REPAIR_TOL:
-        return polar_rotation(R)
-    raise ValueError(f"matrix is too far from orthonormal (defect {defect:.3e})")
+    if not defect <= ROTATION_REPAIR_TOL:
+        raise ValueError(f"matrix is too far from orthonormal (defect {defect:.3e})")
+    if R[0].dot(cross(R[1], R[2])) <= 0.0:
+        raise ValueError("matrix is a reflection (determinant <= 0), not a rotation")
+    return R if defect <= ROTATION_EXACT_TOL else polar_rotation(R)
 
 
 def require_transform(T) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fabrik import check_cap
 from .geometry import CartesianError, require_transform, sanitize_rotation
 from .robots import KUKA, UR5, RobotModel
 
@@ -26,13 +27,14 @@ class IKStatus(enum.Enum):
 class SolverConfig:
     """Stopping and switching parameters for the combined pipeline.
 
-    sweep_cap caps the FABRIK sweeps per branch: the switch index n_l
-    after which the optimizer takes over, or the plain-FABRIK cap n_max
-    when the optimizer is disabled (use_optimizer=False). None picks
-    the default: the per-robot switch index (5 for the UR5, 15 for the
-    KUKA), or 900 sweeps without the optimizer. The pre-bend, the KUKA
-    shoulder cone, the KUKA chain's initial direction and the
-    optimizer's iteration cap are fixed in the modules that use them.
+    sweep_cap, an integer of at least 1 (not a bool), caps the FABRIK
+    sweeps per branch: the switch index n_l after which the optimizer
+    takes over, or the plain-FABRIK cap n_max when the optimizer is
+    disabled (use_optimizer=False). None picks the default: the
+    per-robot switch index (5 for the UR5, 15 for the KUKA), or 900
+    sweeps without the optimizer. The pre-bend, the KUKA shoulder cone,
+    the KUKA chain's initial direction and the optimizer's iteration cap
+    are fixed in the modules that use them.
     """
 
     eps_tol: float = DEFAULT_EPS_TOL
@@ -42,8 +44,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eps_tol) and self.eps_tol > 0.0):
             raise ValueError("eps_tol must be positive and finite")
-        if self.sweep_cap is not None and self.sweep_cap < 1:
-            raise ValueError("sweep_cap must be at least 1")
+        if self.sweep_cap is not None:
+            object.__setattr__(self, "sweep_cap", check_cap(self.sweep_cap, "sweep_cap"))
 
     def fabrik_cap(self, robot_name: str) -> int:
         if self.sweep_cap is not None:

@@ -17,7 +17,7 @@ pipeline checks the pose of the selected one only.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -98,15 +98,6 @@ def wrist_analytic(theta: np.ndarray, model: RobotModel) -> tuple[np.ndarray, np
         for i in range(3)
     ])
     return p, jac
-
-
-def wrist_objective(model: RobotModel, target: np.ndarray):
-    def fg(x):
-        p, jac = wrist_analytic(np.asarray(x, dtype=float), model)
-        diff = p - target
-        return float(np.dot(diff, diff)), 2.0 * (jac.T @ diff)
-
-    return fg
 
 
 # --- angle recovery ---------------------------------------------------------
@@ -324,7 +315,7 @@ class Branch:
 
     def optimize(self, seed_chain: fabrik.ChainState, stop: float):
         model = self.model
-        objective = wrist_objective(model, self.target)
+        position = partial(wrist_analytic, model=model)
         bounds = model.joint_limits[:4]
         # try the seed closest to the reference configuration first:
         # on degenerate (target-on-axis) geometry several seeds converge
@@ -334,7 +325,7 @@ class Branch:
         seeds.sort(key=lambda s: float(np.sum(np.abs(s - self.theta_init[:4]))))
         results = []
         for seed in seeds[:12]:
-            results.append(minimize(objective, seed, bounds, stop))
+            results.append(minimize(position, self.target, seed, bounds, stop))
             if results[-1].f <= stop:
                 th = results[-1].x
                 p3, _ = wrist_analytic(th, model)

@@ -1,13 +1,13 @@
-"""Box-constrained quasi-Newton minimizer.
+"""Box-constrained least-squares minimizer: the paper's SQP stage.
 
-Small projected-BFGS engine used as the fallback stage of the combined
-solvers: inverse-Hessian updates from gradient differences, Armijo
-backtracking on the projected step path (the trial point is clipped to
-the box, so steps slide along active bounds and the objective is never
-evaluated outside it). Stops as soon as the objective drops to the
-requested value.
-`minimize` takes the objective, the start and the box; it clips the
-start into the box and checks nothing but the values it computes.
+Drives the reduced chain's end onto its target by minimizing the
+squared distance over the joint box with a small projected-BFGS engine:
+inverse-Hessian updates from gradient differences, Armijo backtracking
+on the projected step path (the trial point is clipped to the box, so
+steps slide along active bounds and the position map is never evaluated
+outside it). `minimize` takes the chain end's position map, the target,
+the start and the box; it clips the start into the box and checks
+nothing but the values it computes.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ class OptStatus(enum.Enum):
 
 
 class NonFiniteObjectiveError(RuntimeError):
-    """Objective or gradient produced a non-finite value."""
+    """The squared distance or its gradient is non-finite."""
 
     def __init__(self, x):
         self.x = np.array(x, dtype=float)
@@ -48,12 +48,14 @@ class OptResult:
     status: OptStatus
 
 
-def _evaluate(objective, x):
-    f, g = objective(x)
-    g = np.asarray(g, dtype=float)
+def _evaluate(position, target, x):
+    p, jac = position(x)
+    diff = p - target
+    f = float(diff.dot(diff))
+    g = 2.0 * (jac.T @ diff)
     if not math.isfinite(f) or not all(map(math.isfinite, g.tolist())):
         raise NonFiniteObjectiveError(x)
-    return float(f), g
+    return f, g
 
 
 def _freeze(d, x, lo, hi):
@@ -64,21 +66,23 @@ def _freeze(d, x, lo, hi):
     return d
 
 
-def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
-    """Drive objective(x) -> (f, grad) to f <= stop_value inside the box.
+def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
+    """Drive f = |p - target|^2 to f <= stop_value inside the box.
 
-    bounds is an (n, 2) array of rows lo <= hi, such as a model's joint
-    limits; x0 is clipped into it. Returns the first iterate reaching
-    stop_value (only an exact zero reaches 0), or Stalled when no
-    progress is possible (projected gradient and step below 1e-12), or
-    IterationCap after MAX_ITERS accepted steps.
+    position(x) returns the chain end p, an (m,) array, and its (m, n)
+    jacobian J; the gradient is 2 J^T (p - target). bounds is an (n, 2)
+    array of rows lo <= hi, such as a model's joint limits; x0 is
+    clipped into it. Returns the first iterate reaching stop_value (only
+    an exact zero reaches 0), or Stalled when no progress is possible
+    (projected gradient and step below 1e-12), or IterationCap after
+    MAX_ITERS accepted steps.
     """
     lo = bounds[:, 0]
     hi = bounds[:, 1]
     n = lo.shape[0]
 
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g = _evaluate(objective, x)
+    f, g = _evaluate(position, target, x)
     if f <= stop_value:
         return OptResult(x, f, 0, OptStatus.TOLERANCE_REACHED)
 
@@ -125,7 +129,7 @@ def minimize(objective, x0, bounds, stop_value: float) -> OptResult:
             if max(map(abs, s.tolist()), default=0.0) <= 1e-17:
                 break
             gs = float(np.dot(g, s))
-            f_new, g_new = _evaluate(objective, x_new)
+            f_new, g_new = _evaluate(position, target, x_new)
             if gs < 0.0 and f_new <= f + ARMIJO_C * gs:
                 accepted = True
                 break

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -100,38 +101,21 @@ def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
     )
 
 
-def elbow_position(model: RobotModel, theta1: float, theta2: float, theta3: float) -> np.ndarray:
-    """Closed-form position of the planar chain end (forearm tip)."""
-    l1, l2, l3 = model.link_lengths[:3]
-    r = l2 * math.cos(theta2) + l3 * math.cos(theta2 + theta3)
-    z = l1 - (l2 * math.sin(theta2) + l3 * math.sin(theta2 + theta3))
-    return np.array([-math.cos(theta1) * r, -math.sin(theta1) * r, z])
-
-
-def elbow_objective(model: RobotModel, theta1: float, target: np.ndarray):
-    """Squared distance of the planar chain end to the target, with gradient."""
-    l1, l2, l3 = model.link_lengths[:3]
+def elbow_analytic(x, theta1: float, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
+    """Forearm tip at x = (theta2, theta3) in theta1's plane, and its 3x2 jacobian."""
+    l1, l2, l3 = model.link_lengths[:3].tolist()
     c1, s1 = math.cos(theta1), math.sin(theta1)
-
-    def fg(x):
-        th2, th3 = float(x[0]), float(x[1])
-        c2, s2 = math.cos(th2), math.sin(th2)
-        c23, s23 = math.cos(th2 + th3), math.sin(th2 + th3)
-        r = l2 * c2 + l3 * c23
-        z = l1 - (l2 * s2 + l3 * s23)
-        p = np.array([-c1 * r, -s1 * r, z])
-        diff = p - target
-        dr2 = -l2 * s2 - l3 * s23
-        dz2 = -(l2 * c2 + l3 * c23)
-        dp2 = np.array([-c1 * dr2, -s1 * dr2, dz2])
-        dr3 = -l3 * s23
-        dz3 = -l3 * c23
-        dp3 = np.array([-c1 * dr3, -s1 * dr3, dz3])
-        return float(np.dot(diff, diff)), 2.0 * np.array(
-            [float(np.dot(diff, dp2)), float(np.dot(diff, dp3))]
-        )
-
-    return fg
+    th2, th3 = float(x[0]), float(x[1])
+    c2, s2 = math.cos(th2), math.sin(th2)
+    c23, s23 = math.cos(th2 + th3), math.sin(th2 + th3)
+    r = l2 * c2 + l3 * c23
+    z = l1 - (l2 * s2 + l3 * s23)
+    dr2 = -l2 * s2 - l3 * s23
+    dz2 = -(l2 * c2 + l3 * c23)
+    dr3 = -l3 * s23
+    dz3 = -l3 * c23
+    jac = np.array([[-c1 * dr2, -c1 * dr3], [-s1 * dr2, -s1 * dr3], [dz2, dz3]])
+    return np.array([-c1 * r, -s1 * r, z]), jac
 
 
 def elbow_optimize(
@@ -143,7 +127,8 @@ def elbow_optimize(
     stop_value: float,
 ) -> tuple[OptResult, np.ndarray | None]:
     """Optimize (theta2, theta3); None in place of x above the stop value."""
-    result = minimize(elbow_objective(model, theta1, target), seeds, bounds, stop_value)
+    position = partial(elbow_analytic, theta1=theta1, model=model)
+    result = minimize(position, target, seeds, bounds, stop_value)
     return result, None if result.f > stop_value else result.x
 
 

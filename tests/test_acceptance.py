@@ -367,13 +367,14 @@ class TestCriterion7PropertySuites:
             hi = lo + rng.uniform(0.5, 4.0, n)
             x0 = rng.uniform(lo, hi)
             evals = []
+            # 0.5 d^T hess d = |root d|^2 with root = L^T / sqrt(2), hess = L L^T
+            root = np.linalg.cholesky(hess).T / math.sqrt(2.0)
 
-            def fg(x, hess=hess, center=center, evals=evals):
+            def position(x, root=root, evals=evals):
                 evals.append(np.array(x))
-                d = x - center
-                return float(0.5 * d @ hess @ d), hess @ d
+                return root @ x, root
 
-            result = minimize(fg, x0, np.column_stack([lo, hi]), 1e-14)
+            result = minimize(position, root @ center, x0, np.column_stack([lo, hi]), 1e-14)
             for x in evals:
                 assert np.all(x >= lo) and np.all(x <= hi)
             fs = [float(0.5 * (x - center) @ hess @ (x - center)) for x in evals]

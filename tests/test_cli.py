@@ -61,6 +61,16 @@ class TestSolveCommand:
             assert err.startswith("error:") and err.count("\n") == 1
             assert field in err
 
+    def test_reflected_pose_exit_one(self, tmp_path, ur5_model, capsys):
+        t = forward_kinematics(ur5_model, np.array([0.4, -1.0, 1.3, -0.5, 0.7, 0.2])).copy()
+        t[:3, 0] = -t[:3, 0]
+        pose = write_pose(tmp_path / "mirror.json", t)
+        assert cli.main(["solve", "--robot", "ur5", "--pose", pose]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "reflection" in captured.err
+
     def test_init_length_validated(self, solvable_pose, capsys):
         code = cli.main(["solve", "--robot", "ur5", "--pose", solvable_pose, "--init", "0,0"])
         assert code == 1

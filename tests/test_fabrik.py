@@ -378,6 +378,15 @@ class TestPreBend:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("cap", [1.5, True, None])
+    def test_non_integer_iter_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="iter_cap must be an integer"):
+            solve(pre_bend(two_link_chain()), np.array([0.6, 1.1, 0.0]), 1e-6, cap)
+
+    def test_numpy_integer_iter_cap_accepted(self):
+        out = solve(pre_bend(two_link_chain()), np.array([0.6, 1.1, 0.0]), 1e-30, np.int64(2))
+        assert out.iterations == 2
+
     @pytest.mark.parametrize("eps_tol", [math.nan, math.inf])
     def test_non_finite_eps_tol_rejected(self, eps_tol):
         with pytest.raises(ValueError, match="eps_tol must be positive and finite"):

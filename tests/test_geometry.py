@@ -219,8 +219,20 @@ class TestRotationHygiene:
         assert sanitize_rotation(r) is r
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            sanitize_rotation(np.eye(3) * 1.5)
+        for scale in (1.5, -1.5):  # a far reflection keeps the defect message
+            with pytest.raises(ValueError, match="too far from orthonormal"):
+                sanitize_rotation(np.eye(3) * scale)
+
+    def test_reflections_rejected(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            mirror = polar_rotation(rng.normal(size=(3, 3)))
+            mirror[:, 0] = -mirror[:, 0]
+            noisy = mirror + rng.uniform(-1e-6, 1e-6, size=(3, 3))
+            assert rotation_defect(mirror) <= 1e-9 < rotation_defect(noisy) <= 1e-3
+            for r in (mirror, noisy):
+                with pytest.raises(ValueError, match="reflection"):
+                    sanitize_rotation(r)
 
 
 def test_inverse_transform_roundtrip():
@@ -305,3 +317,22 @@ def test_blas_dot_rounds_as_an_fma_chain():
         plain_misses += got != x * u + y * v + z * w
     assert plain_misses > 0  # the chain is distinguishable from a plain sum
     assert chain_misses == 0
+
+
+def test_matvec_rounds_as_column_dots():
+    """The optimizer's gradient 2 J^T (p - target) is `jac.T @ diff`. For
+    the UR5's C-ordered 3x2 jacobian the pinned seed-7 counters hold
+    where that product rounds as one `ndarray.dot` per contiguous column,
+    the form whose rounding the fma test above pins."""
+    rng = np.random.default_rng(17)
+    draws = rng.normal(size=(4000, 3, 3))
+    misses = plain_misses = 0
+    for c0, c1, diff in draws:
+        jac = np.array([c0, c1]).T.copy()  # C-ordered 3x2
+        assert jac.flags.c_contiguous and jac.shape == (3, 2)
+        got = 2.0 * (jac.T @ diff)
+        misses += not np.array_equal(got, 2.0 * np.array([diff.dot(c0), diff.dot(c1)]))
+        plain = [sum(d * c for d, c in zip(diff.tolist(), col.tolist())) for col in (c0, c1)]
+        plain_misses += not np.array_equal(got, 2.0 * np.array(plain))
+    assert plain_misses > 0  # the column dots are distinguishable from plain sums
+    assert misses == 0

@@ -156,6 +156,15 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="sweep_cap must be at least 1"):
             SolverConfig(use_optimizer=use_optimizer, sweep_cap=0)
 
+    @pytest.mark.parametrize("cap", [1.5, 2.0, True, "3"])
+    def test_non_integer_sweep_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="sweep_cap must be an integer"):
+            SolverConfig(use_optimizer=False, sweep_cap=cap)
+
+    def test_numpy_integer_sweep_cap_accepted(self):
+        config = SolverConfig(use_optimizer=False, sweep_cap=np.int64(7))
+        assert config.fabrik_cap("ur5") == 7 and type(config.sweep_cap) is int
+
     def test_sweep_cap_applies_in_both_modes(self):
         assert SolverConfig(sweep_cap=7).fabrik_cap("kuka") == 7
         assert SolverConfig(use_optimizer=False, sweep_cap=7).fabrik_cap("kuka") == 7
@@ -180,6 +189,19 @@ class TestInputBoundary:
         t = make_transform(np.eye(3), [0.3, value, 0.4])
         query = IKQuery(t_des=t, theta_init=np.zeros(model.dof), config=SolverConfig())
         with pytest.raises(ValueError, match="t_des must be finite"):
+            solve_ik(model, query)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-6])
+    def test_reflected_pose_rejected(self, solver, noise):
+        # an exact reflection passes the orthonormality check untouched,
+        # a near one would be projected onto a far-away rotation
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        t = t_des.copy()
+        t[:3, 0] = -t[:3, 0]
+        t[:3, :3] += np.random.default_rng(1).uniform(-noise, noise, size=(3, 3))
+        query = IKQuery(t_des=t, theta_init=theta_init, config=SolverConfig())
+        with pytest.raises(ValueError, match="reflection"):
             solve_ik(model, query)
 
     def test_non_finite_theta_init_rejected(self, solver):

@@ -164,8 +164,8 @@ class TestFoldVariants:
             assert folds[0] == (theta2, theta3)
             (m2, m3) = folds[1]
             assert m3 == -theta3
-            want = ur5.elbow_position(ur5_model, theta1, theta2, theta3)
-            got = ur5.elbow_position(ur5_model, theta1, m2, m3)
+            want = ur5.elbow_analytic((theta2, theta3), theta1, ur5_model)[0]
+            got = ur5.elbow_analytic((m2, m3), theta1, ur5_model)[0]
             assert np.allclose(got, want, atol=1e-12)
 
     def test_straight_chain_has_one_fold(self, ur5_model):
@@ -176,7 +176,7 @@ class TestFoldVariants:
 class TestElbowOptimize:
     def test_seeds_already_solving_return_immediately(self, ur5_model):
         theta = np.array([0.3, -0.7, 1.2, 0.0, 0.0, 0.0])
-        target = ur5.elbow_position(ur5_model, 0.3, -0.7, 1.2)
+        target = ur5.elbow_analytic((-0.7, 1.2), 0.3, ur5_model)[0]
         result, x = ur5.elbow_optimize(
             0.3, target, (-0.7, 1.2), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
@@ -187,7 +187,7 @@ class TestElbowOptimize:
     def test_reach_boundary_gives_full_extension(self, ur5_model):
         l2, l3 = ur5_model.link_lengths[1], ur5_model.link_lengths[2]
         theta1 = 0.5
-        target = ur5.elbow_position(ur5_model, theta1, 0.4, 0.0)  # straight elbow
+        target = ur5.elbow_analytic((0.4, 0.0), theta1, ur5_model)[0]  # straight elbow
         result, x = ur5.elbow_optimize(
             theta1, target, (0.2, 0.9), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
@@ -197,21 +197,23 @@ class TestElbowOptimize:
         # rad here)
         assert abs(x[1]) <= 5e-3
 
-    def test_gradient_matches_central_differences(self, ur5_model):
+    def test_jacobian_matches_central_differences(self, ur5_model):
         rng = np.random.default_rng(2)
         h = 1e-6
         for _ in range(100):
             theta1 = rng.uniform(-math.pi, math.pi)
-            target = rng.normal(size=3) * 0.4
-            fg = ur5.elbow_objective(ur5_model, theta1, target)
             x = rng.uniform(-math.pi, math.pi, 2)
-            _, g = fg(x)
+            _, jac = ur5.elbow_analytic(x, theta1, ur5_model)
+            assert jac.shape == (3, 2) and jac.flags.c_contiguous
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd = (fg(xp)[0] - fg(xm)[0]) / (2 * h)
-                assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+                fd = (
+                    ur5.elbow_analytic(xp, theta1, ur5_model)[0]
+                    - ur5.elbow_analytic(xm, theta1, ur5_model)[0]
+                ) / (2 * h)
+                assert jac[:, i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 class TestSolve:
