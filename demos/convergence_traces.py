@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from fabrik_sqp import fabrik, kuka, robots
+from fabrik_sqp import benchmark, fabrik, kuka, robots
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
@@ -27,7 +27,7 @@ def unit_chain():
 def run_case(name, chain, target, cap=20000):
     outcome = fabrik.solve(fabrik.pre_bend(chain), np.asarray(target, float), 1e-6, cap)
     path = os.path.join(OUT_DIR, f"trace_{name}.csv")
-    fabrik.write_trace_csv(path, outcome.trace)
+    benchmark.write_csv(path, ["n", "dist"], outcome.trace)
     print(
         f"{name:24s} converged={outcome.converged!s:5s} sweeps={outcome.iterations:6d} "
         f"final dist={outcome.dist:.3e}  -> {path}"

@@ -29,9 +29,9 @@ def main():
         if not trace.completed:
             print(f"{name}: FAILED at waypoint {trace.failed_index}")
             continue
-        eps_pos = max(r.eps_pos for r in trace.records)
-        eps_rot = max(r.eps_rot for r in trace.records)
-        activations = [r.index for r in trace.records if r.optimizer_used]
+        eps_pos = max(r.error.eps_pos for _, r in trace.records)
+        eps_rot = max(r.error.eps_rot for _, r in trace.records)
+        activations = [i for i, (_, r) in enumerate(trace.records) if r.optimizer_used]
         boundary = [i for i in activations if 70 <= i <= 90]
         print(
             f"{name}: {len(trace.records)} waypoints solved, max eps_pos={eps_pos:.2e}, "

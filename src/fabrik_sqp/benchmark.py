@@ -8,8 +8,8 @@ the solve-time quartiles.
 """
 from __future__ import annotations
 
-import json
 import csv
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -190,34 +190,32 @@ def audit_solved(model: RobotModel, queries: QuerySet, report: BenchmarkReport) 
 
 # --- exports ----------------------------------------------------------------
 
-def export_report_csv(report: BenchmarkReport, path) -> None:
+def _cell(value):
+    if isinstance(value, bool):
+        return int(value)
+    return f"{value:.17g}" if isinstance(value, float) else value
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV format of every export: the header, then the rows,
+    with floats as %.17g (they read back bit-exact), bools as 0/1 and
+    any other cell as its str."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "query_id",
-                "mode",
-                "status",
-                "eps_pos",
-                "eps_rot",
-                "fabrik_iters",
-                "opt_used",
-                "time_seconds",
-            ]
-        )
-        for r in report.records:
-            writer.writerow(
-                [
-                    r.query_id,
-                    report.mode.label,
-                    r.status,
-                    f"{r.eps_pos:.17g}",
-                    f"{r.eps_rot:.17g}",
-                    r.fabrik_iters,
-                    int(r.opt_used),
-                    f"{r.time_seconds:.17g}",
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def export_report_csv(report: BenchmarkReport, path) -> None:
+    label = report.mode.label
+    header = ["query_id", "mode", "status", "eps_pos", "eps_rot", "fabrik_iters", "opt_used",
+              "time_seconds"]
+    rows = (
+        (r.query_id, label, r.status, r.eps_pos, r.eps_rot, r.fabrik_iters, r.opt_used,
+         r.time_seconds)
+        for r in report.records
+    )
+    write_csv(path, header, rows)
 
 
 def export_summary_json(report: BenchmarkReport, path) -> None:

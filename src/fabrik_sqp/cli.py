@@ -167,7 +167,7 @@ def cmd_trace(args) -> int:
     if outcome.unreachable:
         print("error: target is beyond the chain's reach", file=sys.stderr)
         return EXIT_UNREACHABLE
-    fabrik.write_trace_csv(args.out, outcome.trace)
+    bench_mod.write_csv(args.out, ["n", "dist"], outcome.trace)
     print(
         f"converged={outcome.converged} sweeps={outcome.iterations} dist={outcome.dist:.3e}"
     )

@@ -23,7 +23,6 @@ and the full-extension shortcut trust it and only move its positions.
 """
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -347,11 +346,3 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
             break
     return FabrikOutcome(dist <= eps_tol, n, dist, replace(chain, positions=q), tuple(trace))
 
-
-def write_trace_csv(path, trace) -> None:
-    """Dump a convergence trace as rows of (n, dist)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "dist"])
-        for n, dist in trace:
-            writer.writerow([n, f"{dist:.17g}"])

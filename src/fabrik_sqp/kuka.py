@@ -43,7 +43,7 @@ DEFAULT_V_INIT = np.array([0.0, 0.0, 1.0])
 def wrist_target(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
     """Iteration target: EE position minus the flange link."""
     l4 = model.link_lengths[3]
-    return translation_of(t_des) - t_des[:3, :3] @ np.array([0.0, 0.0, l4])
+    return translation_of(t_des) - l4 * t_des[:3, 2]
 
 
 def make_chain(model: RobotModel) -> fabrik.ChainState:
@@ -193,10 +193,11 @@ def recover_candidates(
     p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, model: RobotModel
 ) -> list[np.ndarray]:
     """Every joint vector with its elbow at p2, its wrist at p3 and the
-    orientation of t_des: each arm branch, then each wrist triple."""
+    orientation of t_des: each arm branch, then each wrist triple,
+    unwrapped."""
     r_des = t_des[:3, :3]
     return [
-        wrap_angle(np.concatenate([arm, wrist]))
+        np.concatenate([arm, wrist])
         for arm in arm_angles(p2, p3, model)
         for wrist in wrist_angles(fk_frames(model, arm)[-1], r_des)
     ]

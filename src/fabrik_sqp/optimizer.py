@@ -108,7 +108,6 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             H = eye
             fresh_h = True
             d = _freeze(-g, x, lo, hi)
-            descent = float(np.dot(g, d))
         if max(map(abs, d.tolist()), default=0.0) <= STALL_TOL:
             return OptResult(x, f, iterations, OptStatus.STALLED)
 

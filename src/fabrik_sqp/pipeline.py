@@ -6,9 +6,9 @@ reduction `solve` checks that the chain can reach the branch's target,
 pre-bends the straight chain, runs the capped FABRIK sweeps and, when
 they miss, re-bends the chain and hands it to the robot's optimizer
 fallback. The branch recovers joint vectors from its reduced solution
-in closed form, exactly; the driver filters them by the joint limits,
-selects one, checks its pose and turns it into the one IKResult. The
-robots differ only in their branches.
+in closed form, exactly; `solve` wraps them to [-pi, pi), filters
+them by the joint limits, selects one, checks its pose and turns it
+into the one IKResult. The robots differ only in their branches.
 
 A branch is any object with:
 
@@ -20,7 +20,7 @@ A branch is any object with:
   every optimizer run in order and the reduced solution, or None when
   the last run ends above the stop value (the squared tolerance)
 - ``candidates(reduced, t_des)``: every joint vector recovered from a
-  reduced solution, in enumeration order
+  reduced solution, in enumeration order, unwrapped
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import fabrik
-from .geometry import cartesian_error
+from .geometry import cartesian_error, wrap_angle
 from .iktypes import IKQuery, IKResult, IKStatus
 from .optimizer import OptResult
 from .robots import RobotModel, forward_kinematics
@@ -44,7 +44,7 @@ class SolveDetail:
     fabrik_iterations: int = 0
     optimizer_iterations: int = 0
     optimizer: OptResult | None = None  # the last optimizer run
-    candidates: list = field(default_factory=list)  # recovered thetas, in enumeration order
+    candidates: list = field(default_factory=list)  # wrapped recovered thetas, enumeration order
     admitted: list = field(default_factory=list)  # the candidates within the joint limits
 
     @property
@@ -99,6 +99,7 @@ def solve(
         if reduced is None:
             continue
         for theta in branch.candidates(reduced, t_des):
+            theta = wrap_angle(theta)
             detail.candidates.append(theta)
             if model.within_limits(theta):
                 detail.admitted.append(theta)

@@ -10,14 +10,14 @@ what produces continuous joint trajectories.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benchmark import write_csv
 from .geometry import make_transform, rotation_of, translation_of, wrap_angle
-from .iktypes import IKQuery, IKStatus, SolverConfig, check_joint_vector
+from .iktypes import IKQuery, IKResult, IKStatus, SolverConfig, check_joint_vector
 from .robots import KUKA, UR5, RobotModel, fk_frames, forward_kinematics
 
 # Scripted scenario constants: start/end configurations for the
@@ -92,20 +92,12 @@ def build_phase2_path(model: RobotModel, theta_start, theta_end, n_points: int =
     ]
 
 
-@dataclass(frozen=True)
-class WaypointRecord:
-    index: int
-    phase: int
-    theta: np.ndarray
-    eps_pos: float
-    eps_rot: float
-    optimizer_used: bool
-    time_seconds: float
-
-
 @dataclass
 class TrackingTrace:
-    records: list[WaypointRecord] = field(default_factory=list)
+    """The solved waypoints of one run, in path order, as (phase,
+    IKResult) pairs: a waypoint's index is its position here."""
+
+    records: list[tuple[int, IKResult]] = field(default_factory=list)
     failed_index: int | None = None
 
     @property
@@ -117,7 +109,7 @@ class TrackingTrace:
 
         Changes are wrapped to [-pi, pi), so crossing +-pi is a small step.
         """
-        thetas = [r.theta for r in self.records]
+        thetas = [r.theta for _, r in self.records]
         if len(thetas) < 2:
             return 0.0
         diffs = np.abs(wrap_angle(np.diff(np.stack(thetas), axis=0)))
@@ -139,17 +131,7 @@ def track(model: RobotModel, waypoints, theta_init, config: SolverConfig) -> Tra
         if result.status is not IKStatus.SOLVED:
             trace.failed_index = index
             return trace
-        trace.records.append(
-            WaypointRecord(
-                index=index,
-                phase=phase,
-                theta=result.theta,
-                eps_pos=result.error.eps_pos,
-                eps_rot=result.error.eps_rot,
-                optimizer_used=result.optimizer_used,
-                time_seconds=result.solve_time,
-            )
-        )
+        trace.records.append((phase, result))
         current = result.theta
     return trace
 
@@ -181,21 +163,10 @@ def scripted_waypoints(
 
 
 def write_trace_csv(trace: TrackingTrace, dof: int, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["index", "phase"]
-            + [f"theta_{i + 1}" for i in range(dof)]
-            + ["eps_pos", "eps_rot", "opt_used", "time_seconds"]
-        )
-        for r in trace.records:
-            writer.writerow(
-                [r.index, r.phase]
-                + [f"{v:.17g}" for v in r.theta]
-                + [
-                    f"{r.eps_pos:.17g}",
-                    f"{r.eps_rot:.17g}",
-                    int(r.optimizer_used),
-                    f"{r.time_seconds:.17g}",
-                ]
-            )
+    header = (["index", "phase"] + [f"theta_{i + 1}" for i in range(dof)]
+              + ["eps_pos", "eps_rot", "opt_used", "time_seconds"])
+    rows = (
+        (index, phase, *r.theta, r.error.eps_pos, r.error.eps_rot, r.optimizer_used, r.solve_time)
+        for index, (phase, r) in enumerate(trace.records)
+    )
+    write_csv(path, header, rows)

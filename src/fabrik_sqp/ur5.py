@@ -39,7 +39,7 @@ _DEGENERATE_WRIST_TOL = 1e-8
 def wrist_position(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
     """Wrist point in the base frame: EE position minus the flange link."""
     l6 = model.link_lengths[5]
-    return translation_of(t_des) - t_des[:3, :3] @ np.array([0.0, 0.0, l6])
+    return translation_of(t_des) - l6 * t_des[:3, 2]
 
 
 def theta1_candidates(p_w: np.ndarray, model: RobotModel) -> list[float]:
@@ -162,11 +162,10 @@ def wrist_angles(
 
 
 def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> np.ndarray:
-    """All six joint angles of one fold; theta4 closes the branch's sum."""
+    """All six joint angles of one fold, unwrapped; theta4 closes the
+    branch's sum."""
     theta234, theta5, theta6 = wrist
-    return wrap_angle(
-        np.array([theta1, theta2, theta3, theta234 - theta2 - theta3, theta5, theta6])
-    )
+    return np.array([theta1, theta2, theta3, theta234 - theta2 - theta3, theta5, theta6])
 
 
 class Branch:

@@ -253,9 +253,9 @@ class TestCriterion6Tracking:
         for name, trace in tracking_traces.items():
             assert trace.completed, f"{name} failed at waypoint {trace.failed_index}"
             assert len(trace.records) == 180
-            assert max(r.eps_pos for r in trace.records) <= 1e-6
-            assert max(r.eps_rot for r in trace.records) <= 1e-9
-            activations = [r.index for r in trace.records if r.optimizer_used]
+            assert max(r.error.eps_pos for _, r in trace.records) <= 1e-6
+            assert max(r.error.eps_rot for _, r in trace.records) <= 1e-9
+            activations = [i for i, (_, r) in enumerate(trace.records) if r.optimizer_used]
             assert any(i in WINDOW for i in activations)
         print("\nACCEPTANCE 6 tracking-errors: PASS (both robots, 180 waypoints each)")
 
@@ -278,7 +278,7 @@ class TestCriterion6Tracking:
         # supporting evidence: outside the full-extension approach and the
         # phase hand-off, the trajectories are tightly continuous
         for trace in tracking_traces.values():
-            thetas = np.stack([r.theta for r in trace.records])
+            thetas = np.stack([r.theta for _, r in trace.records])
             steps = np.abs(np.diff(thetas, axis=0)).max(axis=1)
             interior = np.concatenate([steps[:70], steps[90:]])
             assert float(interior.max()) <= 0.2

@@ -1,13 +1,15 @@
 import csv
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark as bm
-from fabrik_sqp import robots, solve_ik
-from fabrik_sqp.iktypes import IKQuery, SolverConfig
+from fabrik_sqp import robots, solve_ik, tracking
+from fabrik_sqp.geometry import CartesianError
+from fabrik_sqp.iktypes import IKQuery, IKResult, IKStatus, SolverConfig
 from fabrik_sqp.robots import forward_kinematics, get_model, model_from_json, model_to_json
 
 
@@ -161,6 +163,41 @@ class TestExports:
         ]
         assert len(rows) == 1 + 25
         assert rows[1][1] == "combined:15"
+
+    def test_report_csv_text(self, tmp_path):
+        records = [
+            bm.QueryRecord(0, "solved", 2.5e-07, 0.1, 3, True, 0.00125, np.array([0.1, -2.5, 3.0])),
+            bm.QueryRecord(1, "failed", math.nan, math.nan, 40, False, 0.5, None),
+        ]
+        report = bm.BenchmarkReport("ur5", 7, bm.parse_mode("combined:5"), 1e-6, records)
+        path = tmp_path / "report.csv"
+        bm.export_report_csv(report, path)
+        assert path.read_bytes() == (
+            b"query_id,mode,status,eps_pos,eps_rot,fabrik_iters,opt_used,time_seconds\r\n"
+            b"0,combined:5,solved,2.4999999999999999e-07,0.10000000000000001,3,1,0.00125\r\n"
+            b"1,combined:5,failed,nan,nan,40,0,0.5\r\n"
+        )
+
+    def test_tracking_csv_text(self, tmp_path):
+        trace = tracking.TrackingTrace()
+        for phase, theta, error, used, seconds in (
+            (1, [0.5, -0.25], CartesianError(0.0, 1e-10), False, 0.002),
+            (2, [0.75, -math.pi], CartesianError(3e-9, 0.0), True, 0.25),
+        ):
+            result = IKResult(IKStatus.SOLVED, np.array(theta), error, 4, used, 2, seconds)
+            trace.records.append((phase, result))
+        path = tmp_path / "track.csv"
+        tracking.write_trace_csv(trace, 2, path)
+        assert path.read_bytes() == (
+            b"index,phase,theta_1,theta_2,eps_pos,eps_rot,opt_used,time_seconds\r\n"
+            b"0,1,0.5,-0.25,0,1e-10,0,0.002\r\n"
+            b"1,2,0.75,-3.1415926535897931,3e-09,0,1,0.25\r\n"
+        )
+
+    def test_fabrik_trace_csv_text(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        bm.write_csv(path, ["n", "dist"], ((1, 0.5), (2, 0.1)))
+        assert path.read_bytes() == b"n,dist\r\n1,0.5\r\n2,0.10000000000000001\r\n"
 
     def test_summary_json(self, small_run, tmp_path):
         _, reports = small_run

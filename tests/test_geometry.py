@@ -189,7 +189,10 @@ class TestCartesianError:
             err = cartesian_error(make_transform(r1, p1), make_transform(r2, p2))
             q1 = rotation_matrix_to_quat(r1)
             q2 = rotation_matrix_to_quat(r2)
-            want = 2.0 * clamped_arccos(abs(float(np.dot(q1, q2))))
+            # the relative rotation's angle in atan2 form; 2 arccos|q1.q2|
+            # loses precision where its argument nears 1
+            rel = quat_mul(q1 * [1.0, -1.0, -1.0, -1.0], q2)
+            want = 2.0 * math.atan2(float(np.linalg.norm(rel[1:])), abs(float(rel[0])))
             assert err.eps_rot == pytest.approx(want, abs=1e-10)
             assert err.eps_pos == pytest.approx(float(np.linalg.norm(p1 - p2)), abs=1e-12)
 

@@ -81,6 +81,16 @@ class TestStatusRule:
         assert [id(theta) for theta in detail.admitted] == [id(theta) for theta in in_limits]
         assert pose_mismatch(model, result.theta, query.t_des) <= SolverConfig().eps_tol
 
+    def test_every_candidate_is_wrapped(self, solver):
+        module, model = solver
+        seen = 0
+        for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
+            _, detail = module.solve_detailed(IKQuery(t_des=t_des, theta_init=theta_init), model)
+            for theta in detail.candidates:
+                assert np.all((theta >= -math.pi) & (theta < math.pi))
+            seen += len(detail.candidates)
+        assert seen > 0
+
     def test_solved_checks_only_the_pick(self, solver, monkeypatch):
         module, model = solver
         checked = []

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fabrik_sqp import tracking
-from fabrik_sqp.iktypes import SolverConfig
+from fabrik_sqp.geometry import CartesianError
+from fabrik_sqp.iktypes import IKResult, IKStatus, SolverConfig
 from fabrik_sqp.robots import forward_kinematics
 
 
@@ -74,15 +75,15 @@ class TestTrack:
         waypoints = [(1, pose)] * 5
         trace = tracking.track(ur5_model, waypoints, theta, SolverConfig())
         assert trace.completed
-        assert all(r.eps_pos <= 1e-6 for r in trace.records)
+        assert all(r.error.eps_pos <= 1e-6 for _, r in trace.records)
         assert trace.max_joint_step() <= 1e-3
 
     def test_max_joint_step_wraps_across_pi(self):
         trace = tracking.TrackingTrace()
-        for index, theta in enumerate(([3.1, 0.5], [-3.1, 0.47])):
-            trace.records.append(
-                tracking.WaypointRecord(index, 2, np.array(theta), 0.0, 0.0, False, 0.0)
-            )
+        error = CartesianError(0.0, 0.0)
+        for theta in ([3.1, 0.5], [-3.1, 0.47]):
+            result = IKResult(IKStatus.SOLVED, np.array(theta), error, 0, False, 0, 0.0)
+            trace.records.append((2, result))
         # 3.1 -> -3.1 crosses +-pi: a step of 2*pi - 6.2, not 6.2
         assert abs(trace.max_joint_step() - (2 * np.pi - 6.2)) <= 1e-12
 
@@ -102,8 +103,8 @@ class TestTrack:
         monkeypatch.setattr("fabrik_sqp.solve_ik", spy)
         trace = tracking.track(ur5_model, waypoints, theta, SolverConfig())
         assert trace.completed
-        for record, init in zip(trace.records[:-1], seen[1:]):
-            assert np.array_equal(record.theta, init)
+        for (_, result), init in zip(trace.records[:-1], seen[1:]):
+            assert np.array_equal(result.theta, init)
 
     def test_failure_gives_partial_trace(self, ur5_model):
         theta = np.array([0.2, -0.9, 1.3, -0.4, 0.6, -0.2])

@@ -151,8 +151,8 @@ class TestRecoverAngles:
 
     def test_fourth_joint_closes_the_branch_sum(self, ur5_model):
         rec = ur5.recover_angles(0.2, 1.0, 2.5, (-3.0, 0.4, -0.5))
-        # -3.0 - 1.0 - 2.5 = -6.5 wraps to 2*pi - 6.5
-        assert rec == pytest.approx([0.2, 1.0, 2.5, 2 * math.pi - 6.5, 0.4, -0.5], abs=1e-15)
+        # -3.0 - 1.0 - 2.5 = -6.5, left unwrapped (pipeline.solve wraps)
+        assert rec == pytest.approx([0.2, 1.0, 2.5, -6.5, 0.4, -0.5], abs=1e-15)
 
 
 class TestFoldVariants:
