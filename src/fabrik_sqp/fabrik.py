@@ -19,7 +19,8 @@ cone half-angle as the limit.
 minimum link length well above the sweeps' 1e-12 coincidence scale and
 a maximum reach that keeps their squares finite; the sweeps, `pre_bend`
 and the full-extension shortcut trust it and only move its positions.
-`solve` sweeps the positions array and builds its outcome's chain once.
+`solve` sweeps the positions as (x, y, z) float tuples and builds its
+outcome's chain once.
 """
 from __future__ import annotations
 
@@ -181,8 +182,8 @@ def _limit_correction(l_in, l_out, joint):
     return joint.max_angle - phi, ball_joint_axis(l_in, l_out)
 
 
-def _reach(chain: ChainState, positions, start, tip_first: bool) -> np.ndarray:
-    """One reaching phase on a positions array; returns the new array.
+def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) -> list:
+    """One reaching phase on a list of (x, y, z) floats; returns the new list.
 
     Pins the first point of the traversal (the tip when tip_first, else
     the base) at start, then pulls each next point onto its link from
@@ -191,31 +192,37 @@ def _reach(chain: ChainState, positions, start, tip_first: bool) -> np.ndarray:
     along the anchor, or along its old link. Joint angles are measured
     base-to-tip, so the tip-first pass hands `_limit_correction` the
     negated link directions and turns the retained point the other way;
-    both negations are exact.
+    both negations are exact. A point's distance from its pivot is the
+    `norm` of its offset as an ndarray; the coincident and limit-clamp
+    cases work on ndarrays.
     """
-    m = positions.shape[0]
+    m = len(positions)
     step, first = (-1, m - 1) if tip_first else (1, 0)
     # the direction entering the first pivot: the anchor when the base
     # is pinned; the tip has no joint
     entry = None if tip_first else chain.anchor_dir
     lengths = chain.lengths.tolist()
-    q = positions.copy()
+    q = list(positions)
     q[first] = start
     for i in range(first + step, first + m * step, step):
         p = i - step  # the pivot
-        pivot = q[p]
-        v = positions[i] - pivot
-        d = math.sqrt(v.dot(v))  # `norm` of a fresh, contiguous difference
-        length = lengths[min(i, p)]
-        if d < 1e-12:
-            # coincident points: extend straight past the pivot
-            direction = unit(pivot - q[p - step]) if p != first else entry
-            if direction is None:
-                direction = unit(positions[i] - positions[p])
-            q[i] = pivot + length * direction
-            continue
-        if (p != first or entry is not None) and not chain.joints[p].unconstrained:
+        x, y, z = q[p]
+        ox, oy, oz = positions[i]
+        vx, vy, vz = ox - x, oy - y, oz - z
+        v = np.array((vx, vy, vz))
+        d = math.sqrt(v.dot(v))  # `norm(v)`
+        length = lengths[i if tip_first else p]
+        if d < 1e-12 or (
+            (p != first or entry is not None) and not chain.joints[p].unconstrained
+        ):
+            pivot = np.array(q[p])
             back = unit(pivot - q[p - step]) if p != first else entry
+            if d < 1e-12:
+                # coincident points: extend straight past the pivot
+                if back is None:
+                    back = unit(np.subtract(positions[i], positions[p]))
+                q[i] = tuple((pivot + length * back).tolist())
+                continue
             if tip_first:
                 corr = _limit_correction(-v / d, -back, chain.joints[p])
             else:
@@ -223,21 +230,27 @@ def _reach(chain: ChainState, positions, start, tip_first: bool) -> np.ndarray:
             if corr is not None:
                 delta, axis = corr
                 v = rotate_about_axis(axis, -delta if tip_first else delta, v)
+                vx, vy, vz = v.tolist()
         # pivot + (length / d) * v, rounded alike in Python floats
         s = length / d
-        (x, y, z), (vx, vy, vz) = pivot.tolist(), v.tolist()
         q[i] = (x + s * vx, y + s * vy, z + s * vz)
     return q
 
 
+def _points(positions: np.ndarray) -> list:
+    return [tuple(row) for row in positions.tolist()]
+
+
 def forward_phase(chain: ChainState, target) -> ChainState:
     """Anchor the end at the target and pull the chain tip-to-base."""
-    return replace(chain, positions=_reach(chain, chain.positions, target, True))
+    tip = tuple(np.asarray(target, dtype=float).tolist())
+    return replace(chain, positions=np.array(_reach(chain, _points(chain.positions), tip, True)))
 
 
 def backward_phase(chain: ChainState) -> ChainState:
     """Anchor the base and push the chain base-to-tip."""
-    return replace(chain, positions=_reach(chain, chain.positions, chain.base, False))
+    base = tuple(chain.base.tolist())
+    return replace(chain, positions=np.array(_reach(chain, _points(chain.positions), base, False)))
 
 
 def pre_bend(chain: ChainState, axis=None) -> ChainState:
@@ -334,15 +347,19 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     dist = norm(chain.end - target)
     if dist <= eps_tol:
         return FabrikOutcome(True, 0, dist, chain)
-    q = chain.positions
+    q = _points(chain.positions)
+    tip, base = tuple(target.tolist()), tuple(chain.base.tolist())
+    tx, ty, tz = tip
     trace = []
     n = 0
     while n < iter_cap:
-        q = _reach(chain, _reach(chain, q, target, True), chain.base, False)
+        q = _reach(chain, _reach(chain, q, tip, True), base, False)
         n += 1
-        dist = norm(q[-1] - target)
+        x, y, z = q[-1]
+        v = np.array((x - tx, y - ty, z - tz))
+        dist = math.sqrt(v.dot(v))  # `norm(q[-1] - target)`
         trace.append((n, dist))
         if dist <= eps_tol:
             break
-    return FabrikOutcome(dist <= eps_tol, n, dist, replace(chain, positions=q), tuple(trace))
-
+    chain = replace(chain, positions=np.array(q))
+    return FabrikOutcome(dist <= eps_tol, n, dist, chain, tuple(trace))

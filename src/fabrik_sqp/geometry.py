@@ -6,14 +6,26 @@ bottom row (0, 0, 0, 1). All angles are radians.
 The per-joint helpers trust values validated where they were built
 (`unit`, `fabrik.Hinge`) and check nothing per call.
 
-Rounding rule: the solve path works on 3-vectors, where numpy's per-call
-dispatch costs more than the arithmetic, so elementwise work may leave
-numpy for Python floats (`cross`), which round each operation alike.
-A reduction stays on `ndarray.dot` (`norm`) or on a matrix-vector
-product (the optimizer's `jac.T @ diff`, which rounds as one dot per
-column): the BLAS kernel rounds a short dot as a chain of fused
-multiply-adds, which a Python sum does not reproduce, and every seeded
-solve keeps its bits only that way.
+Rounding rule: the solve path works on short vectors, where numpy's
+per-call dispatch costs more than the arithmetic, so elementwise work
+leaves numpy for Python floats, which round each operation alike:
+`cross`, the KUKA wrist jacobian, the FABRIK sweeps (`fabrik._reach`
+and the loop of `fabrik.solve`) and the optimizer's iterates, which
+keep their state in floats and build an ndarray only as the operand of
+a position map or of a reduction. Every reduction stays on BLAS: the
+kernel may round a short dot as a chain of fused multiply-adds, which a
+Python sum does not reproduce, and every seeded solve keeps its bits
+only that way. The reductions of the sweep and optimizer loops are:
+
+- the 3-vector `ndarray.dot`s: the optimizer's `diff.dot(diff)`, the
+  reach step's `v.dot(v)` and the sweep's end-to-target distance;
+- the optimizer's `jac.T @ diff`, `H @ g`, `g.dot(d)`, `g.dot(s)` and
+  `s.dot(y_eff)`;
+- its `norm(s)`, `norm(y_eff)`, `y_eff.dot(y_eff)` and `V @ H @ V.T`.
+
+Outside those loops the dots of `norm`, `signed_angle` and
+`rotate_about_axis`, `cartesian_error`'s `r_temp.T @ r_des` and the 4x4
+products of `robots.fk_frames` and `inverse_transform` stay on BLAS too.
 """
 from __future__ import annotations
 

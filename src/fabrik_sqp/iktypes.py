@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,8 @@ class IKStatus(enum.Enum):
 class SolverConfig:
     """Stopping and switching parameters for the combined pipeline.
 
-    sweep_cap, an integer of at least 1 (not a bool), caps the FABRIK
+    eps_tol is a positive, finite real number (not a bool);
+    use_optimizer is a bool. sweep_cap, an integer of at least 1 (not a bool), caps the FABRIK
     sweeps per branch: the switch index n_l after which the optimizer
     takes over, or the plain-FABRIK cap n_max when the optimizer is
     disabled (use_optimizer=False). None picks the default: the
@@ -42,8 +44,12 @@ class SolverConfig:
     sweep_cap: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
+            raise ValueError("eps_tol must be a real number, not a bool")
         if not (math.isfinite(self.eps_tol) and self.eps_tol > 0.0):
             raise ValueError("eps_tol must be positive and finite")
+        if not isinstance(self.use_optimizer, bool):
+            raise ValueError("use_optimizer must be a bool")
         if self.sweep_cap is not None:
             object.__setattr__(self, "sweep_cap", check_cap(self.sweep_cap, "sweep_cap"))
 

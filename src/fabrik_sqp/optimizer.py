@@ -49,21 +49,32 @@ class OptResult:
 
 
 def _evaluate(position, target, x):
+    """f, g and g's floats at the ndarray x."""
     p, jac = position(x)
     diff = p - target
     f = float(diff.dot(diff))
     g = 2.0 * (jac.T @ diff)
-    if not math.isfinite(f) or not all(map(math.isfinite, g.tolist())):
+    gl = g.tolist()
+    if not math.isfinite(f) or not all(map(math.isfinite, gl)):
         raise NonFiniteObjectiveError(x)
-    return f, g
+    return f, g, gl
+
+
+def _clip(v, lo, hi):
+    """np.clip(v, lo, hi) on floats, signed zeros and NaN alike."""
+    out = []
+    for a, lo_i, hi_i in zip(v, lo, hi):
+        a = lo_i if lo_i >= a else a
+        out.append(hi_i if hi_i <= a else a)
+    return out
 
 
 def _freeze(d, x, lo, hi):
     """Zero direction components that push out of an active bound."""
-    d = d.copy()
-    d[(x <= lo) & (d < 0.0)] = 0.0
-    d[(x >= hi) & (d > 0.0)] = 0.0
-    return d
+    return [
+        0.0 if (xi <= lo_i and di < 0.0) or (xi >= hi_i and di > 0.0) else di
+        for di, xi, lo_i, hi_i in zip(d, x, lo, hi)
+    ]
 
 
 def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
@@ -76,17 +87,22 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     an exact zero reaches 0), or Stalled when no progress is possible
     (projected gradient and step below 1e-12), or IterationCap after
     MAX_ITERS accepted steps.
-    """
-    lo = bounds[:, 0]
-    hi = bounds[:, 1]
-    n = lo.shape[0]
 
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g = _evaluate(position, target, x)
+    The iterates are Python floats; an ndarray is built only for an
+    operand of `position` or of a BLAS reduction (the geometry module's
+    rounding rule).
+    """
+    lo, hi = np.asarray(bounds, dtype=float).T.tolist()
+    n = len(lo)
+
+    xl = _clip(np.asarray(x0, dtype=float).tolist(), lo, hi)
+    x = np.array(xl)
+    f, g, gl = _evaluate(position, target, x)
     if f <= stop_value:
         return OptResult(x, f, 0, OptStatus.TOLERANCE_REACHED)
 
     eye = np.eye(n)  # never mutated: H is only ever rebound
+    eye_rows = eye.tolist()
     H = eye
     fresh_h = True
     sd_alpha = 1.0  # step memory for the gradient fallback mode
@@ -95,20 +111,24 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     while iterations < MAX_ITERS:
         # curvature gathered under one active set misleads the next:
         # restart the model whenever a bound activates or releases
-        active = (((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))).tolist()
+        active = [
+            (xi <= lo_i and gi > 0.0) or (xi >= hi_i and gi < 0.0)
+            for xi, gi, lo_i, hi_i in zip(xl, gl, lo, hi)
+        ]
         if prev_active is not None and active != prev_active:
             H = eye
             fresh_h = True
         prev_active = active
 
-        d = _freeze(-(H @ g), x, lo, hi)
-        descent = float(np.dot(g, d))
-        if descent >= 0.0 or not all(map(math.isfinite, d.tolist())):
+        dl = _freeze([-v for v in (H @ g).tolist()], xl, lo, hi)
+        d = np.array(dl)
+        descent = float(g.dot(d))
+        if descent >= 0.0 or not all(map(math.isfinite, dl)):
             # curvature model unusable here: projected steepest descent
             H = eye
             fresh_h = True
-            d = _freeze(-g, x, lo, hi)
-        if max(map(abs, d.tolist()), default=0.0) <= STALL_TOL:
+            dl = _freeze([-v for v in gl], xl, lo, hi)
+        if max(map(abs, dl), default=0.0) <= STALL_TOL:
             return OptResult(x, f, iterations, OptStatus.STALLED)
 
         # A scaled curvature model wants the unit step; the gradient
@@ -123,12 +143,14 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
         accepted = False
         first_try = True
         for _ in range(_MAX_BACKTRACKS):
-            x_new = np.clip(x + alpha * d, lo, hi)
-            s = x_new - x
-            if max(map(abs, s.tolist()), default=0.0) <= 1e-17:
+            xl_new = _clip([xi + alpha * di for xi, di in zip(xl, dl)], lo, hi)
+            sl = [a - b for a, b in zip(xl_new, xl)]
+            if max(map(abs, sl), default=0.0) <= 1e-17:
                 break
-            gs = float(np.dot(g, s))
-            f_new, g_new = _evaluate(position, target, x_new)
+            s = np.array(sl)
+            gs = float(g.dot(s))
+            x_new = np.array(xl_new)
+            f_new, g_new, gl_new = _evaluate(position, target, x_new)
             if gs < 0.0 and f_new <= f + ARMIJO_C * gs:
                 accepted = True
                 break
@@ -142,30 +164,38 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             sd_alpha = 1.0
 
         iterations += 1
-        y = g_new - g
-        x, f, g = x_new, f_new, g_new
-        if f <= stop_value:
-            return OptResult(x, f, iterations, OptStatus.TOLERANCE_REACHED)
-
-        step = max(map(abs, s.tolist()))
-        proj_grad = max(map(abs, (np.clip(x - g, lo, hi) - x).tolist()))
-        if step <= STALL_TOL and proj_grad <= STALL_TOL:
-            return OptResult(x, f, iterations, OptStatus.STALLED)
-
         # bound-frozen components did not move; their gradient change is
         # cross-coupling, not curvature along the step, and would corrupt
         # the free-subspace model
-        y_eff = np.where(s == 0.0, 0.0, y)
-        sy = float(np.dot(s, y_eff))
+        yl = [0.0 if si == 0.0 else a - b for si, a, b in zip(sl, gl_new, gl)]
+        x, xl, f, g, gl = x_new, xl_new, f_new, g_new, gl_new
+        if f <= stop_value:
+            return OptResult(x, f, iterations, OptStatus.TOLERANCE_REACHED)
+
+        step = max(map(abs, sl))
+        proj_grad = max(
+            abs(a - b) for a, b in zip(_clip([xi - gi for xi, gi in zip(xl, gl)], lo, hi), xl)
+        )
+        if step <= STALL_TOL and proj_grad <= STALL_TOL:
+            return OptResult(x, f, iterations, OptStatus.STALLED)
+
+        y_eff = np.array(yl)
+        sy = float(s.dot(y_eff))
         if sy > 1e-12 * norm(s) * norm(y_eff):
             if fresh_h:
                 # scale the unit model to the observed curvature before
                 # the first update after a reset
-                H = (sy / float(np.dot(y_eff, y_eff))) * eye
+                H = (sy / float(y_eff.dot(y_eff))) * eye
                 fresh_h = False
             rho = 1.0 / sy
-            V = eye - rho * (s[:, None] * y_eff)
-            H = V @ H @ V.T + rho * (s[:, None] * s)
+            V = np.array([
+                [e - rho * (si * yj) for e, yj in zip(row, yl)]
+                for row, si in zip(eye_rows, sl)
+            ])
+            H = np.array([
+                [h + rho * (si * sj) for h, sj in zip(row, sl)]
+                for row, si in zip((V @ H @ V.T).tolist(), sl)
+            ])
         else:
             # curvature update would lose positive definiteness
             H = eye

@@ -161,6 +161,21 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="eps_tol must be positive and finite"):
             SolverConfig(eps_tol=eps_tol)
 
+    @pytest.mark.parametrize("eps_tol", [True, "1e-6", None])
+    def test_non_number_eps_tol_rejected(self, eps_tol):
+        # True would otherwise read as a 1.0 tolerance
+        with pytest.raises(ValueError, match="eps_tol must be a real number, not a bool"):
+            SolverConfig(eps_tol=eps_tol)
+
+    def test_numpy_float_eps_tol_accepted(self):
+        assert SolverConfig(eps_tol=np.float64(1e-6)).eps_tol == 1e-6
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None, np.bool_(False)])
+    def test_non_bool_use_optimizer_rejected(self, flag):
+        # a truthy "no" would otherwise turn the optimizer on
+        with pytest.raises(ValueError, match="use_optimizer must be a bool"):
+            SolverConfig(use_optimizer=flag)
+
     @pytest.mark.parametrize("use_optimizer", [True, False])
     def test_sweep_cap_below_one_rejected(self, use_optimizer):
         with pytest.raises(ValueError, match="sweep_cap must be at least 1"):
