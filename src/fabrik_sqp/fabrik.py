@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,10 @@ class ChainState:
         return diffs / np.linalg.norm(diffs, axis=1)[:, None]
 
     def reach(self) -> float:
+        return self._length_sum
+
+    @cached_property
+    def _length_sum(self) -> float:  # the lengths are fixed: summed once per chain
         return float(np.sum(self.lengths))
 
 
@@ -314,28 +319,36 @@ def check_cap(value, name: str) -> int:
     return cap
 
 
+def within_reach(chain: ChainState, target) -> bool:
+    """The one reach rule: target within the chain's reach of its base."""
+    return _in_reach(math.dist(target, chain.base), chain.reach())
+
+
+def _in_reach(gap: float, reach: float) -> bool:
+    # one ulp of slack, so on-sphere targets do not flip on the rounding of
+    # the gap (math.dist scales its sum: no overflow); a NaN gap is out
+    return gap <= reach * (1.0 + 1e-12)
+
+
 def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOutcome:
     """Iterate forward/backward sweeps until dist <= eps_tol or the cap.
 
-    Targets beyond the chain's total reach return immediately with
-    unreachable=True. Targets exactly on the reach sphere (within fp
-    noise) are solved directly by laying the chain straight toward them,
-    counted as one sweep. A non-finite target raises ValueError. The
-    sweeps run on the positions array; the outcome's chain is built
-    once, on return.
+    Targets out of reach (`within_reach`) return at once with
+    unreachable=True. Targets on the reach sphere (within fp noise) are
+    solved by laying the chain straight toward them, counted as one
+    sweep. A non-finite target raises ValueError. The sweeps run on
+    float tuples; the outcome's chain is built once, on return.
     """
     if not (math.isfinite(eps_tol) and eps_tol > 0.0):
         raise ValueError("eps_tol must be positive and finite")
     iter_cap = check_cap(iter_cap, "iter_cap")
     target = np.asarray(target, dtype=float)
-    if not np.all(np.isfinite(target)):
+    tip, base = tuple(target.tolist()), tuple(chain.base.tolist())
+    if not all(map(math.isfinite, tip)):
         raise ValueError("target must be finite")
+    gap = math.dist(tip, base)
     reach = chain.reach()
-    # math.dist scales its sum, so huge targets give no overflow
-    gap = math.dist(target, chain.base)
-    # one-ulp tolerance: on-sphere targets are reachable by contract and
-    # must not flip on fp rounding of the gap
-    if gap > reach * (1.0 + 1e-12):
+    if not _in_reach(gap, reach):
         return FabrikOutcome(False, 0, math.dist(chain.end, target), chain, unreachable=True)
     if reach - gap <= 1e-12 * reach and gap > 0.0:
         # full-extension target: the straight chain is the unique solution
@@ -348,7 +361,6 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     if dist <= eps_tol:
         return FabrikOutcome(True, 0, dist, chain)
     q = _points(chain.positions)
-    tip, base = tuple(target.tolist()), tuple(chain.base.tolist())
     tx, ty, tz = tip
     trace = []
     n = 0

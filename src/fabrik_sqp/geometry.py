@@ -176,7 +176,8 @@ def require_transform(T) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4):
         raise ValueError("transform must be a 4x4 matrix")
-    if not np.allclose(T[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
+    # each entry within 1e-9 absolute; NaN fails the comparison
+    if not all(abs(a - b) <= 1e-9 for a, b in zip(T[3].tolist(), (0.0, 0.0, 0.0, 1.0))):
         raise ValueError("transform bottom row must be (0, 0, 0, 1)")
     return T
 

@@ -68,6 +68,10 @@ class IKQuery:
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        if not isinstance(self.config, SolverConfig):
+            raise ValueError("config must be a SolverConfig")
+        if np.iscomplexobj(self.t_des) or np.iscomplexobj(self.theta_init):
+            raise ValueError("t_des and theta_init must be real")
         object.__setattr__(self, "t_des", require_transform(self.t_des))
         object.__setattr__(self, "theta_init", np.asarray(self.theta_init, dtype=float))
 

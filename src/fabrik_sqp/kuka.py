@@ -280,12 +280,22 @@ def reference_elbow(model: RobotModel, reference_arms, p3: np.ndarray) -> np.nda
 
 
 class Branch:
-    """The one shoulder-elbow-wrist chain, aimed at the wrist target."""
+    """The one shoulder-elbow-wrist chain, aimed at the wrist target.
+
+    ``start`` is the straight chain folded toward theta_init about
+    ``bend_axis``, from the reference elbow's lateral direction (then the
+    wrist's; None when the reference is on the DEFAULT_V_INIT line): targets
+    on that line leave the fold free, and the bias keeps picks continuous
+    under warm starts.
+    """
 
     def __init__(self, t_des: np.ndarray, theta_init, model: RobotModel):
         self.theta_init = theta_init
         self.model = model
         self.target = wrist_target(t_des, model)
+        lateral = _lateral(self.reference_arms, DEFAULT_V_INIT)
+        self.bend_axis = None if lateral is None else unit(cross(DEFAULT_V_INIT, lateral))
+        self.start = fabrik.pre_bend(make_chain(model), axis=self.bend_axis)
 
     @cached_property
     def reference_arms(self) -> list[np.ndarray]:
@@ -294,22 +304,6 @@ class Branch:
         frames = fk_frames(self.model, self.theta_init[:5])
         shoulder = np.array([0.0, 0.0, self.model.link_lengths[0]])
         return [frames[3][:3, 3] - shoulder, frames[5][:3, 3] - shoulder]
-
-    def chain(self) -> fabrik.ChainState:
-        return make_chain(self.model)
-
-    def bend_axis(self) -> np.ndarray | None:
-        """Pre-bend axis that folds the straight chain toward theta_init.
-
-        Targets on the DEFAULT_V_INIT line leave the fold azimuth free;
-        biasing the initial bend toward the reference configuration
-        makes the recovered chain (and hence the selected candidate)
-        continuous under warm starts. Uses the reference elbow's lateral
-        direction, then the wrist's; None when the reference chain is
-        itself on the axis.
-        """
-        lateral = _lateral(self.reference_arms, DEFAULT_V_INIT)
-        return None if lateral is None else unit(cross(DEFAULT_V_INIT, lateral))
 
     def from_chain(self, chain: fabrik.ChainState):
         return chain.positions[1], chain.positions[2]

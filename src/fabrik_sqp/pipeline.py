@@ -1,10 +1,10 @@
 """The one solve driver, shared by the UR5 and KUKA solvers.
 
-Both robots reduce the arm to a two-link chain from the shoulder at
-(0, 0, l1), with link lengths l2 and l3. For each branch of the
-reduction `solve` checks that the chain can reach the branch's target,
-pre-bends the straight chain, runs the capped FABRIK sweeps and, when
-they miss, re-bends the chain and hands it to the robot's optimizer
+Both robots reduce the arm to two-link chains, which their branches
+lay out and pre-bend. For each branch `solve` checks that the chain can
+reach the branch's target (`fabrik.within_reach`), runs the capped
+FABRIK sweeps from the branch's start chain and, when they miss,
+re-bends the swept chain and hands it to the robot's optimizer
 fallback. The branch recovers joint vectors from its reduced solution
 in closed form, exactly; `solve` wraps them to [-pi, pi), filters
 them by the joint limits, selects one, checks its pose and turns it
@@ -13,8 +13,8 @@ into the one IKResult. The robots differ only in their branches.
 A branch is any object with:
 
 - ``target``: the point the chain end must reach
-- ``chain()``: the straight chain, before the pre-bend
-- ``bend_axis()``: the pre-bend axis (None picks fabrik's default)
+- ``start``: the pre-bent chain the sweeps start from
+- ``bend_axis``: the axis that re-bends the optimizer's seed (None: fabrik's default)
 - ``from_chain(chain)``: the reduced solution of a converged chain
 - ``optimize(seed_chain, stop)``: ``(opt_results, reduced)`` with
   every optimizer run in order and the reduced solution, or None when
@@ -24,7 +24,6 @@ A branch is any object with:
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -73,26 +72,19 @@ def solve(
     config = query.config
     eps = config.eps_tol
     cap = config.fabrik_cap(model.name)
-    l1, l2, l3 = model.link_lengths[:3]
-    shoulder = (0.0, 0.0, l1)
     detail = SolveDetail()
     for branch in branches(t_des, query.theta_init, model):
         detail.branches += 1
-        # math.dist scales its sum, so huge targets give no overflow
-        if math.dist(branch.target, shoulder) > (l2 + l3) * (1.0 + 1e-12):
+        if not fabrik.within_reach(branch.start, branch.target):
             continue
         detail.reachable = True
-        # targets along the straight chain leave the fold free; the
-        # branch's bend axis picks the fold of the reference
-        axis = branch.bend_axis()
-        chain = fabrik.pre_bend(branch.chain(), axis=axis)
-        outcome = fabrik.solve(chain, branch.target, eps, cap)
+        outcome = fabrik.solve(branch.start, branch.target, eps, cap)
         detail.fabrik_iterations += outcome.iterations
         reduced = branch.from_chain(outcome.chain) if outcome.converged else None
         if reduced is None and config.use_optimizer:
             # collinear targets let the sweeps re-straighten the chain;
             # re-bend so the seed is off the stationary ridge
-            seed = fabrik.pre_bend(outcome.chain, axis=axis)
+            seed = fabrik.pre_bend(outcome.chain, axis=branch.bend_axis)
             results, reduced = branch.optimize(seed, eps * eps)
             detail.optimizer_iterations += sum(r.iterations for r in results)
             detail.optimizer = results[-1]

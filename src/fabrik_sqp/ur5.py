@@ -169,22 +169,15 @@ def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> np.nda
 
 
 class Branch:
-    """One (theta1, wrist-riser direction) branch of the planar reduction."""
+    """One (theta1, wrist-riser) branch; ``start`` is its plane's pre-bent chain."""
 
-    def __init__(self, frame: PlanarFrame, l5d: np.ndarray, theta_init, model: RobotModel):
+    def __init__(self, frame: PlanarFrame, l5d, start, bend_axis, model: RobotModel):
         self.frame = frame
         self.l5d = l5d
-        self.theta_init = theta_init
+        self.start = start
+        self.bend_axis = bend_axis
         self.model = model
         self.target = iteration_target(frame, l5d, model)
-
-    def chain(self) -> fabrik.ChainState:
-        return make_chain(self.frame, self.model)
-
-    def bend_axis(self) -> np.ndarray:
-        # bend toward the reference elbow sign so warm starts stay on
-        # their fold
-        return self.frame.z2d if self.theta_init[2] >= 0.0 else -self.frame.z2d
 
     def from_chain(self, chain: fabrik.ChainState) -> tuple[float, float]:
         """(theta2, theta3) of a chain in the working plane."""
@@ -211,12 +204,15 @@ class Branch:
 
 
 def branches(t_des: np.ndarray, theta_init, model: RobotModel):
-    """The two wrist-riser branches of each distinct theta1 candidate."""
+    """The two wrist-riser branches of each distinct theta1 candidate; both
+    share their plane's chain, pre-bent once toward the reference fold."""
     p_w = wrist_position(t_des, model)
     for theta1 in dedup_angles(theta1_candidates(p_w, model)):
         frame = planar_frame(theta1, t_des, p_w, model)
+        axis = frame.z2d if theta_init[2] >= 0.0 else -frame.z2d
+        start = fabrik.pre_bend(make_chain(frame, model), axis=axis)
         for l5d in frame.l5d_options:
-            yield Branch(frame, l5d, theta_init, model)
+            yield Branch(frame, l5d, start, axis, model)
 
 
 def solve_detailed(query: IKQuery, model: RobotModel):

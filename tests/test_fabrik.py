@@ -420,6 +420,17 @@ class TestSolve:
             assert np.allclose(out.chain.positions[-1], target, atol=1e-9)
             assert np.allclose(link_lengths(out.chain), [1.0, 1.0], atol=1e-9)
 
+    def test_within_reach_up_to_one_ulp_band_beyond_the_sphere(self):
+        chain = two_link_chain()  # base at the origin, reach 2
+        edge = chain.reach() * (1.0 + 1e-12)
+        for gap in (chain.reach(), edge):
+            assert fabrik.within_reach(chain, (gap, 0.0, 0.0))
+        assert not fabrik.within_reach(chain, (np.nextafter(edge, math.inf), 0.0, 0.0))
+        assert not fabrik.within_reach(chain, (math.nan, 0.0, 0.0))
+        # solve applies the same rule
+        assert not solve(chain, np.array([edge, 0.0, 0.0]), 1e-6, 50).unreachable
+        assert solve(chain, np.array([np.nextafter(edge, math.inf), 0.0, 0.0]), 1e-6, 50).unreachable
+
     def test_unreachable_returns_without_iterating(self):
         chain = two_link_chain()
         out = solve(chain, np.array([3.0, 0.0, 0.0]), 1e-6, 50)

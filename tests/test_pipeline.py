@@ -1,15 +1,19 @@
 """The shared solve pipeline: status rule, counters and input boundary."""
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fabrik_sqp
 from fabrik_sqp import benchmark, kuka, optimizer, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, select_candidate
 from fabrik_sqp.robots import pose_mismatch
 
 SOLVERS = [(ur5, "ur5_model"), (kuka, "kuka_model")]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(params=SOLVERS, ids=["ur5", "kuka"])
@@ -142,6 +146,26 @@ class TestHookLookup:
         assert len(calls) == 1
 
 
+class TestBenchmarkHookSites:
+    """Every (module, attribute) site that the benchmark's layer trace
+    hooks resolves on the package, so a rename or an inlined helper
+    shows here rather than only in a full traced benchmark run."""
+
+    def test_every_hook_site_resolves(self):
+        spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.HOOKS
+        missing = []
+        for _, module, attr in spans.HOOKS:
+            owner = getattr(fabrik_sqp, module, None) if module else fabrik_sqp
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module}.{attr}")
+        assert missing == []
+
+
 class TestSelection:
     def test_near_tie_keeps_the_earliest(self):
         # the later candidate is 1e-15 closer: a rounding-level
@@ -228,6 +252,35 @@ class TestInputBoundary:
         query = IKQuery(t_des=t, theta_init=theta_init, config=SolverConfig())
         with pytest.raises(ValueError, match="reflection"):
             solve_ik(model, query)
+
+    @pytest.mark.parametrize("entry, value", [(3, 1.0 + 9e-6), (0, 2e-9), (2, math.nan)])
+    def test_bottom_row_checked_entry_by_entry(self, solver, entry, value):
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        t = t_des.copy()
+        t[3, entry] = value
+        with pytest.raises(ValueError, match="bottom row must be"):
+            IKQuery(t_des=t, theta_init=theta_init, config=SolverConfig())
+        # within 1e-9 absolute of (0, 0, 0, 1) passes
+        t[3] = [1e-9, -1e-9, 0.0, 1.0 - 1e-9]
+        assert solve_ik(model, IKQuery(t_des=t, theta_init=theta_init)).status is IKStatus.SOLVED
+
+    @pytest.mark.parametrize("config", ["x", None, {"eps_tol": 1e-6}])
+    def test_config_must_be_a_solver_config(self, solver, config):
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        with pytest.raises(ValueError, match="config must be a SolverConfig"):
+            IKQuery(t_des=t_des, theta_init=theta_init, config=config)
+
+    @pytest.mark.parametrize("field", ["t_des", "theta_init"])
+    def test_complex_input_rejected(self, solver, field):
+        # the cast to float would drop the imaginary part
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        inputs = {"t_des": t_des, "theta_init": theta_init}
+        inputs[field] = inputs[field] + 1e-3j
+        with pytest.raises(ValueError, match="t_des and theta_init must be real"):
+            IKQuery(**inputs, config=SolverConfig())
 
     def test_non_finite_theta_init_rejected(self, solver):
         _, model = solver

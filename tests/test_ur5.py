@@ -92,7 +92,7 @@ def chain_angles(model, frame, theta):
     frames = fk_frames(model, theta)
     chain = ur5.make_chain(frame, model)
     chain = replace(chain, positions=np.array([frames[i][:3, 3] for i in (1, 2, 3)]))
-    return ur5.Branch(frame, frame.l5d_options[0], theta, model).from_chain(chain)
+    return ur5.Branch(frame, frame.l5d_options[0], chain, frame.z2d, model).from_chain(chain)
 
 
 class TestRecoverAngles:
@@ -143,8 +143,9 @@ class TestRecoverAngles:
             assert np.array_equal(frame.l5d_options[0], -t[:3, 1])
             for l5d in frame.l5d_options:
                 # a planar two-link solve at the riser's own elbow target
-                branch = ur5.Branch(frame, l5d, theta, ur5_model)
-                outcome = fabrik.solve(fabrik.pre_bend(branch.chain()), branch.target, 1e-12, 1000)
+                start = fabrik.pre_bend(ur5.make_chain(frame, ur5_model))
+                branch = ur5.Branch(frame, l5d, start, frame.z2d, ur5_model)
+                outcome = fabrik.solve(branch.start, branch.target, 1e-12, 1000)
                 wrist = ur5.wrist_angles(frame, l5d, t, ur5_model)
                 rec = ur5.recover_angles(frame.theta1, *branch.from_chain(outcome.chain), wrist)
                 assert outcome.converged and pose_mismatch(ur5_model, rec, t) <= 1e-9
@@ -263,6 +264,45 @@ class TestSolve:
         # per candidate: each such branch gives a fold and its mirror
         assert calls["fk_frames"] == calls["fold_variants"] == 4
         assert len(detail.candidates) == 8
+
+    def test_start_chain_laid_out_once_per_plane(self, ur5_model, monkeypatch):
+        # counted at the module attributes, where the benchmark's layer
+        # trace hooks them
+        made, bent = [], []
+        make_chain, pre_bend = ur5.make_chain, fabrik.pre_bend
+
+        def counted_make_chain(*args):
+            made.append(make_chain(*args))
+            return made[-1]
+
+        def counted_pre_bend(chain, axis=None):
+            if any(chain is m for m in made):
+                bent.append(chain)
+            return pre_bend(chain, axis=axis)
+
+        monkeypatch.setattr(ur5, "make_chain", counted_make_chain)
+        monkeypatch.setattr(fabrik, "pre_bend", counted_pre_bend)
+        for t_des, theta_init in benchmark.generate_queries(ur5_model, 20, 7).queries:
+            made.clear()
+            bent.clear()
+            result, detail = ur5.solve_detailed(IKQuery(t_des, theta_init), ur5_model)
+            assert result.status is IKStatus.SOLVED
+            planes = detail.branches // 2
+            assert 1 <= planes <= 2
+            assert len(made) == planes and len(bent) == planes
+
+    def test_riser_branches_share_the_plane_start(self, ur5_model):
+        t_des, theta_init = benchmark.generate_queries(ur5_model, 1, 7).queries[0]
+        for sign in (1.0, -1.0):
+            theta_init = theta_init.copy()
+            theta_init[2] = sign * abs(theta_init[2])
+            found = list(ur5.branches(t_des, theta_init, ur5_model))
+            assert len(found) == 4
+            for a, b in (found[:2], found[2:]):
+                assert a.frame is b.frame and a.start is b.start and a.bend_axis is b.bend_axis
+                assert np.array_equal(a.bend_axis, sign * a.frame.z2d)
+                assert not np.array_equal(a.target, b.target)
+            assert found[0].start is not found[2].start
 
     def test_selection_rule_minimizes_l1(self, ur5_model):
         rng = np.random.default_rng(4)
