@@ -105,8 +105,15 @@ class ChainState:
         return self.positions[-1]
 
     def link_directions(self) -> np.ndarray:
-        diffs = np.diff(self.positions, axis=0)
-        return diffs / np.linalg.norm(diffs, axis=1)[:, None]
+        """Unit link directions, as `np.diff` over `np.linalg.norm(axis=1)`
+        rounds them (its three-term sum runs left to right)."""
+        points = self.positions.tolist()
+        out = []
+        for (ax, ay, az), (bx, by, bz) in zip(points, points[1:]):
+            dx, dy, dz = bx - ax, by - ay, bz - az
+            n = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            out.append((dx / n, dy / n, dz / n))
+        return np.array(out)
 
     def reach(self) -> float:
         return self._length_sum

@@ -6,26 +6,40 @@ bottom row (0, 0, 0, 1). All angles are radians.
 The per-joint helpers trust values validated where they were built
 (`unit`, `fabrik.Hinge`) and check nothing per call.
 
-Rounding rule: the solve path works on short vectors, where numpy's
-per-call dispatch costs more than the arithmetic, so elementwise work
-leaves numpy for Python floats, which round each operation alike:
-`cross`, the KUKA wrist jacobian, the FABRIK sweeps (`fabrik._reach`
-and the loop of `fabrik.solve`) and the optimizer's iterates, which
-keep their state in floats and build an ndarray only as the operand of
-a position map or of a reduction. Every reduction stays on BLAS: the
+Rounding rule: the solve path works on short vectors and small
+matrices, where numpy's per-call dispatch costs more than the
+arithmetic, so elementwise work leaves numpy for Python floats, which
+round each operation alike: `cross`, the KUKA wrist jacobian, the
+FABRIK sweeps (`fabrik._reach` and the loop of `fabrik.solve`) and the
+optimizer's iterates, which keep their state in floats and build an
+ndarray only as the operand of a position map or of a reduction. So do
+the link norms of `ChainState.link_directions` and the L1 distance of
+`iktypes.select_candidate`, sums numpy adds left to right, and the
+candidate wrap of `pipeline.solve`, whose float `%` rounds as numpy's
+remainder. Every dot product stays on BLAS: the
 kernel may round a short dot as a chain of fused multiply-adds, which a
 Python sum does not reproduce, and every seeded solve keeps its bits
-only that way. The reductions of the sweep and optimizer loops are:
+only that way. The dot products of the sweep and optimizer loops are:
 
 - the 3-vector `ndarray.dot`s: the optimizer's `diff.dot(diff)`, the
   reach step's `v.dot(v)` and the sweep's end-to-target distance;
-- the optimizer's `jac.T @ diff`, `H @ g`, `g.dot(d)`, `g.dot(s)` and
-  `s.dot(y_eff)`;
-- its `norm(s)`, `norm(y_eff)`, `y_eff.dot(y_eff)` and `V @ H @ V.T`.
+- the optimizer's `jac.T.dot(diff)`, `H.dot(g)`, `g.dot(d)`, `g.dot(s)`
+  and `s.dot(y_eff)`;
+- its `norm(s)`, `norm(y_eff)`, `y_eff.dot(y_eff)` and
+  `V.dot(H).dot(V.T)`.
 
 Outside those loops the dots of `norm`, `signed_angle` and
-`rotate_about_axis`, `cartesian_error`'s `r_temp.T @ r_des` and the 4x4
-products of `robots.fk_frames` and `inverse_transform` stay on BLAS too.
+`rotate_about_axis`, `cartesian_error`'s `r_temp.T.dot(r_des)`, the 4x4
+products of `robots.fk_frames`, which accumulates with `ndarray.dot`,
+and those of `inverse_transform` stay on BLAS too.
+
+A product whose operands each have a unit stride along one axis
+(C-ordered arrays, their transposes, `[:3, :3]` blocks of a 4x4) is
+written `ndarray.dot`: it reaches the same BLAS routine as `@`, with
+less dispatch, so it keeps `@`'s bits. `inverse_transform` keeps
+`-R.T @ p`: its `p` is a strided column of a 4x4, for which `@` runs
+numpy's own loop and `.dot` calls BLAS, whose bits differ under the
+FMA kernels (`tests/test_geometry.py::test_dot_matches_matmul_at_solve_sites`).
 """
 from __future__ import annotations
 
@@ -205,7 +219,7 @@ def cartesian_error(t_temp, t_des) -> CartesianError:
     """
     r_temp = rotation_of(t_temp)
     r_des = rotation_of(t_des)
-    m = r_temp.T @ r_des
+    m = r_temp.T.dot(r_des)
     cos_term = (float(np.trace(m)) - 1.0) / 2.0
     sin_term = 0.5 * math.sqrt(
         (m[2, 1] - m[1, 2]) ** 2 + (m[0, 2] - m[2, 0]) ** 2 + (m[1, 0] - m[0, 1]) ** 2

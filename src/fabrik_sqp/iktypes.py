@@ -121,10 +121,15 @@ def select_candidate(candidates, theta_init) -> int | None:
     arithmetic (a UR5 fold and its mirror often are) can differ in the
     last bits of the float sum, and those bits must not pick the winner.
     """
+    reference = np.asarray(theta_init, dtype=float).tolist()
     best = None
     best_d = math.inf
     for idx, theta in enumerate(candidates):
-        d = float(np.sum(np.abs(np.asarray(theta) - theta_init)))
+        # left to right, as np.sum adds up to seven entries (the builtin
+        # sum compensates from Python 3.12 on)
+        d = 0.0
+        for t, r in zip(np.asarray(theta, dtype=float).tolist(), reference, strict=True):
+            d += abs(t - r)
         if d < best_d - SELECT_TIE_TOL:
             best = idx
             best_d = d

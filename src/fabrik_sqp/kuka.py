@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .iktypes import IKQuery, prepare_query, select_candidate
 from .optimizer import minimize
-from .robots import RobotModel, fk_frames, pose_mismatch
+from .robots import RobotModel, dh_transform, fk_frames, pose_mismatch
 
 _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
@@ -155,20 +155,22 @@ def theta3_root(theta4: float, local: np.ndarray) -> float:
 
 
 def arm_angles(p2, p3, model: RobotModel, azimuths=()):
-    """Yield every (theta1..theta4) placing the elbow at p2 and the wrist at p3.
+    """Yield every (theta1..theta4) placing the elbow at p2 and the wrist
+    at p3, each with its frame 2.
 
     Sign branches nest as theta2 sign, theta1 roots (plus `azimuths`),
-    theta4 sign, positive branch first. The wrist point in frame 2 is
-    computed once per (theta1, theta2) and serves both theta4 signs.
+    theta4 sign, positive branch first. Frame 2 and the wrist point in
+    it are computed once per (theta1, theta2) and serve both theta4 signs.
     """
     p1 = np.array([0.0, 0.0, model.link_lengths[0]])
     p3h = np.append(np.asarray(p3, dtype=float), 1.0)
     m2, m4 = bend_magnitudes(p1, p2, p3)
     for th2 in _signed_options(m2):
         for th1 in dedup_angles(theta1_roots(th2, p2) + list(azimuths)):
-            local = inverse_transform(fk_frames(model, (th1, th2))[-1]) @ p3h
+            t02 = fk_frames(model, (th1, th2))[-1]
+            local = inverse_transform(t02).dot(p3h)
             for th4 in _signed_options(m4):
-                yield np.array([th1, th2, theta3_root(th4, local), th4])
+                yield np.array([th1, th2, theta3_root(th4, local), th4]), t02
 
 
 def wrist_angles(t04: np.ndarray, r_des: np.ndarray) -> list[tuple[float, float, float]]:
@@ -179,7 +181,7 @@ def wrist_angles(t04: np.ndarray, r_des: np.ndarray) -> list[tuple[float, float,
     theta6. When sin(theta6) ~ 0 joints 5 and 7 are coaxial; theta5 is
     set to 0 and theta7 carries the twist.
     """
-    r = t04[:3, :3].T @ r_des
+    r = t04[:3, :3].T.dot(r_des)
     th6 = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
     if abs(math.sin(th6)) < _SIN_TOL:
         return [(0.0, th6, math.atan2(r[1, 0], r[1, 1]))]
@@ -194,13 +196,16 @@ def recover_candidates(
 ) -> list[np.ndarray]:
     """Every joint vector with its elbow at p2, its wrist at p3 and the
     orientation of t_des: each arm branch, then each wrist triple,
-    unwrapped."""
+    unwrapped. Frame 4 extends the arm's frame 2 in `fk_frames`'s
+    left-to-right order, so it has the same bits."""
     r_des = t_des[:3, :3]
-    return [
-        np.concatenate([arm, wrist])
-        for arm in arm_angles(p2, p3, model)
-        for wrist in wrist_angles(fk_frames(model, arm)[-1], r_des)
-    ]
+    row3, row4 = model.dh[2:4]
+    out = []
+    for arm, t02 in arm_angles(p2, p3, model):
+        th3, th4 = arm[2:].tolist()
+        t04 = t02.dot(dh_transform(row3, th3)).dot(dh_transform(row4, th4))
+        out.extend(np.concatenate([arm, wrist]) for wrist in wrist_angles(t04, r_des))
+    return out
 
 
 def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> list[np.ndarray]:
@@ -225,7 +230,7 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
         az = math.atan2(float(p3c[1]), float(p3c[0]))
         azimuths = [az, wrap_angle(az + math.pi)]
     scored: list[tuple[float, np.ndarray]] = []
-    for theta in arm_angles(p2c, p3c, model, azimuths=azimuths):
+    for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):
         wrist, _ = wrist_analytic(theta, model)
         score = norm(elbow_position(model, theta[0], theta[1]) - p2c) + norm(wrist - p3c)
         scored.append((score, theta))

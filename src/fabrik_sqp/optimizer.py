@@ -53,7 +53,7 @@ def _evaluate(position, target, x):
     p, jac = position(x)
     diff = p - target
     f = float(diff.dot(diff))
-    g = 2.0 * (jac.T @ diff)
+    g = 2.0 * jac.T.dot(diff)
     gl = g.tolist()
     if not math.isfinite(f) or not all(map(math.isfinite, gl)):
         raise NonFiniteObjectiveError(x)
@@ -120,7 +120,7 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             fresh_h = True
         prev_active = active
 
-        dl = _freeze([-v for v in (H @ g).tolist()], xl, lo, hi)
+        dl = _freeze([-v for v in H.dot(g).tolist()], xl, lo, hi)
         d = np.array(dl)
         descent = float(g.dot(d))
         if descent >= 0.0 or not all(map(math.isfinite, dl)):
@@ -194,7 +194,7 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             ])
             H = np.array([
                 [h + rho * (si * sj) for h, sj in zip(row, sl)]
-                for row, si in zip((V @ H @ V.T).tolist(), sl)
+                for row, si in zip(V.dot(H).dot(V.T).tolist(), sl)
             ])
         else:
             # curvature update would lose positive definiteness

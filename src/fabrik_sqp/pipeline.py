@@ -24,11 +24,14 @@ A branch is any object with:
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import fabrik
-from .geometry import cartesian_error, wrap_angle
+from .geometry import TWO_PI, cartesian_error
 from .iktypes import IKQuery, IKResult, IKStatus
 from .optimizer import OptResult
 from .robots import RobotModel, forward_kinematics
@@ -91,7 +94,8 @@ def solve(
         if reduced is None:
             continue
         for theta in branch.candidates(reduced, t_des):
-            theta = wrap_angle(theta)
+            # wrap_angle on floats: `%` rounds as numpy's remainder does
+            theta = np.array([(t + math.pi) % TWO_PI - math.pi for t in theta.tolist()])
             detail.candidates.append(theta)
             if model.within_limits(theta):
                 detail.admitted.append(theta)

@@ -57,27 +57,27 @@ def dh_transform(row: DHRow, theta: float) -> np.ndarray:
     th = theta + row.theta_offset
     ct, st = math.cos(th), math.sin(th)
     ca, sa = row.cos_alpha, row.sin_alpha
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, row.a * ct],
-            [st, ct * ca, -ct * sa, row.a * st],
-            [0.0, sa, ca, row.d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    # numpy builds a flat tuple faster than nested lists
+    return np.array((
+        ct, -st * ca, st * sa, row.a * ct,
+        st, ct * ca, -ct * sa, row.a * st,
+        0.0, sa, ca, row.d,
+        0.0, 0.0, 0.0, 1.0,
+    )).reshape(4, 4)
 
 
 @dataclass(frozen=True)
 class RobotModel:
     name: str
     dh: tuple[DHRow, ...]
-    link_lengths: np.ndarray
+    link_lengths: np.ndarray  # read-only, like joint_limits
     joint_limits: np.ndarray  # (dof, 2) [lo, hi] radians
+    limit_pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dh", tuple(self.dh))
-        object.__setattr__(self, "link_lengths", np.asarray(self.link_lengths, dtype=float))
-        limits = np.asarray(self.joint_limits, dtype=float)
+        object.__setattr__(self, "link_lengths", _frozen_copy(self.link_lengths))
+        limits = _frozen_copy(self.joint_limits)
         if limits.shape != (len(self.dh), 2):
             raise ValueError("joint_limits must have one [lo, hi] pair per DH row")
         # NaN fails every comparison, so check finiteness first
@@ -86,14 +86,26 @@ class RobotModel:
         if np.any(limits[:, 0] >= limits[:, 1]):
             raise ValueError("each joint must satisfy lo < hi")
         object.__setattr__(self, "joint_limits", limits)
+        object.__setattr__(self, "limit_pairs", tuple(map(tuple, limits.tolist())))
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled model is frozen too
+        return type(self), (self.name, self.dh, self.link_lengths, self.joint_limits)
 
     @property
     def dof(self) -> int:
         return len(self.dh)
 
     def within_limits(self, theta, tol: float = 0.0) -> bool:
-        pairs = zip(np.asarray(theta, dtype=float).tolist(), self.joint_limits.tolist(), strict=True)
+        pairs = zip(np.asarray(theta, dtype=float).tolist(), self.limit_pairs, strict=True)
         return all(lo - tol <= t <= hi + tol for t, (lo, hi) in pairs)
+
+
+def _frozen_copy(values) -> np.ndarray:
+    """A read-only float copy: the caller's array stays its own."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
@@ -232,14 +244,19 @@ def forward_kinematics(model: RobotModel, theta) -> np.ndarray:
     return fk_frames(model, theta)[-1]
 
 
+_IDENTITY = np.eye(4)
+_IDENTITY.flags.writeable = False
+
+
 def fk_frames(model: RobotModel, theta) -> list[np.ndarray]:
     """Cumulative transforms [I, A1, A1 A2, ...] of the first len(theta)
-    links; a prefix of the joint vector stops at its last frame."""
+    links; a prefix of the joint vector stops at its last frame. Frame 0
+    is one shared, read-only identity."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size > model.dof:
         raise ValueError(f"{model.name} has {model.dof} joints, got angles of shape {theta.shape}")
     links = (dh_transform(row, th) for row, th in zip(model.dh, theta.tolist()))
-    return [np.eye(4), *accumulate(links, np.matmul)]
+    return [_IDENTITY, *accumulate(links, np.ndarray.dot)]
 
 
 def pose_mismatch(model: RobotModel, theta, t_des) -> float:

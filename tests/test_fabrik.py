@@ -202,6 +202,15 @@ class TestStraightChain:
 
     X = np.array([1.0, 0.0, 0.0])
 
+    def test_link_directions_are_numpy_norm_bits(self):
+        rng = np.random.default_rng(23)
+        for _ in range(3000):
+            points = rng.normal(size=(int(rng.integers(2, 6)), 3)) * 10.0 ** rng.uniform(-6, 3)
+            chain = ball_chain(points)
+            diffs = np.diff(points, axis=0)
+            want = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+            assert chain.link_directions().tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "lengths",
         [[], [1.0, 0.0], [1.0, -0.5], [1.0, math.nan], [[1.0, 1.0]]],

@@ -323,10 +323,11 @@ def test_blas_dot_rounds_as_an_fma_chain():
 
 
 def test_matvec_rounds_as_column_dots():
-    """The optimizer's gradient 2 J^T (p - target) is `jac.T @ diff`. For
-    the UR5's C-ordered 3x2 jacobian the pinned seed-7 counters hold
-    where that product rounds as one `ndarray.dot` per contiguous column,
-    the form whose rounding the fma test above pins."""
+    """The optimizer's gradient 2 J^T (p - target) is `jac.T.dot(diff)`,
+    which rounds as `jac.T @ diff` (the test below). For the UR5's
+    C-ordered 3x2 jacobian the pinned seed-7 counters hold where that
+    product rounds as one `ndarray.dot` per contiguous column, the form
+    whose rounding the fma test above pins."""
     rng = np.random.default_rng(17)
     draws = rng.normal(size=(4000, 3, 3))
     misses = plain_misses = 0
@@ -339,3 +340,40 @@ def test_matvec_rounds_as_column_dots():
         plain_misses += not np.array_equal(got, 2.0 * np.array(plain))
     assert plain_misses > 0  # the column dots are distinguishable from plain sums
     assert misses == 0
+
+
+def test_dot_matches_matmul_at_solve_sites():
+    """Each operand layout the solve path multiplies with `ndarray.dot`
+    gives `@`'s bits: both reach the same BLAS routine. The exception is
+    `inverse_transform`'s `-R.T @ p`, whose p is a strided column of a
+    4x4: there `@` runs numpy's own loop, so it keeps `@`. That loop
+    differs from BLAS under the FMA kernels (SkylakeX, Haswell) and
+    agrees with the Sandybridge and Nehalem ones, where the last
+    assertion fails."""
+    rng = np.random.default_rng(19)
+
+    def transform():
+        t = np.eye(4)
+        t[:3] = rng.normal(size=(3, 4))
+        return t
+
+    def same(a, b):
+        return _bits(a) == _bits(b)
+
+    strided_misses = 0
+    for _ in range(2000):
+        t1, t2 = transform(), transform()
+        assert same(t1.dot(t2), t1 @ t2)  # fk_frames' accumulation
+        assert same(t1[:3, :3].T.dot(t2[:3, :3]), t1[:3, :3].T @ t2[:3, :3])  # rotation errors
+        diff = rng.normal(size=3)
+        for n in (2, 4):  # the UR5 and KUKA jacobians
+            jac = rng.normal(size=(3, n))
+            assert same(jac.T.dot(diff), jac.T @ diff)
+            h, v, g = rng.normal(size=(n, n)), rng.normal(size=(n, n)), rng.normal(size=n)
+            assert same(h.dot(g), h @ g)
+            assert same(v.dot(h).dot(v.T), v @ h @ v.T)
+        p3h = np.append(rng.normal(size=3), 1.0)
+        assert same(inverse_transform(t1).dot(p3h), inverse_transform(t1) @ p3h)
+        r, p = t1[:3, :3], t1[:3, 3]
+        strided_misses += not same(r.T.dot(p), r.T @ p)
+    assert strided_misses > 0

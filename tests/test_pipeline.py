@@ -8,7 +8,7 @@ import pytest
 
 import fabrik_sqp
 from fabrik_sqp import benchmark, kuka, optimizer, solve_ik, ur5
-from fabrik_sqp.geometry import make_transform
+from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, select_candidate
 from fabrik_sqp.robots import pose_mismatch
 
@@ -95,6 +95,30 @@ class TestStatusRule:
             seen += len(detail.candidates)
         assert seen > 0
 
+    def test_candidates_wrapped_as_wrap_angle(self, solver, monkeypatch):
+        module, model = solver
+        branches = module.branches
+        raw = []
+
+        def logged(*args):
+            for branch in branches(*args):
+                def candidates(*a, recover=branch.candidates):
+                    for theta in recover(*a):
+                        raw.append(theta)
+                        yield theta
+
+                branch.candidates = candidates
+                yield branch
+
+        monkeypatch.setattr(module, "branches", logged)
+        wrapped = []
+        for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
+            _, detail = module.solve_detailed(IKQuery(t_des=t_des, theta_init=theta_init), model)
+            wrapped += detail.candidates
+        assert len(raw) == len(wrapped) > 0
+        for theta, got in zip(raw, wrapped):
+            assert got.tobytes() == wrap_angle(theta).tobytes()
+
     def test_solved_checks_only_the_pick(self, solver, monkeypatch):
         module, model = solver
         checked = []
@@ -177,6 +201,17 @@ class TestSelection:
     def test_closer_candidate_wins(self):
         candidates = [np.array([0.5, 0.5]), np.array([0.5, 0.5 - 1e-9])]
         assert select_candidate(candidates, np.zeros(2)) == 1
+
+    def test_l1_distance_is_numpy_sum_bits(self):
+        """`select_candidate` sums the L1 distance left to right in
+        floats, which is how np.sum adds six or seven entries."""
+        rng = np.random.default_rng(29)
+        for n in (6, 7):
+            for a, b in rng.uniform(-math.pi, math.pi, size=(10_000, 2, n)):
+                d = 0.0
+                for x, y in zip(a.tolist(), b.tolist()):
+                    d += abs(x - y)
+                assert d == float(np.sum(np.abs(a - b)))
 
 
 class TestSolverConfig:

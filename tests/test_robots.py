@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ class TestForwardKinematics:
             with pytest.raises(ValueError, match=f"has {model.dof} joints"):
                 fk_frames(model, np.zeros(model.dof + 1))
 
+    def test_frame_zero_is_a_shared_read_only_identity(self, ur5_model, kuka_model):
+        first = fk_frames(ur5_model, np.zeros(6))[0]
+        assert np.array_equal(first, np.eye(4))
+        assert not first.flags.writeable
+        assert fk_frames(kuka_model, [0.3])[0] is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 2.0
+
 
 class TestPoseMismatch:
     def test_exact_roundtrip_is_zero(self, ur5_model, kuka_model):
@@ -179,6 +188,16 @@ class TestModelData:
     def test_default_limits(self, ur5_model):
         assert np.allclose(ur5_model.joint_limits[:, 0], -math.pi)
         assert np.allclose(ur5_model.joint_limits[:, 1], math.pi)
+
+    @pytest.mark.parametrize("name", ["joint_limits", "link_lengths"])
+    def test_model_arrays_are_read_only(self, name):
+        limits = np.tile([-1.0, 1.0], (6, 1))
+        model = ur5_model(limits)
+        for held in (model, pickle.loads(pickle.dumps(model))):
+            with pytest.raises(ValueError):
+                getattr(held, name)[0] = 0.5
+            assert held.limit_pairs == ((-1.0, 1.0),) * 6
+        assert limits.flags.writeable  # the model holds its own copy
 
     def test_json_roundtrip(self, kuka_model):
         doc = model_to_json(kuka_model)

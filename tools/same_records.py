@@ -16,8 +16,11 @@ checkout's (the working tree, uncommitted edits included):
 
 Per solve it compares the status, the sweep count, optimizer use, the
 optimizer iterations, the result's error (eps_pos, eps_rot; None for an
-unsolved query) and the selected theta (np.array_equal). It prints
-the number of differing solves per workload and exits 1 on any.
+unsolved query), the selected theta (np.array_equal) and every
+enumerated candidate, in order and bit for bit (`SolveDetail.candidates`,
+read through the robots' `solve_detailed`). It prints the
+number of differing solves and candidates per workload and exits 1 on
+any.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ import bench  # noqa: E402
 SEED = 7
 FIELDS = ("status", "sweeps", "opt_used", "opt_iters", "error")
 THETA = len(FIELDS)  # index of the selected theta in a record
+CANDIDATES = THETA + 1  # index of the enumerated candidates
 SHOWN = 5  # differing solves printed per workload
 DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
 TIGHT = {  # name: (robot, joint limits)
@@ -64,21 +68,42 @@ def record(r) -> tuple:
     )
 
 
+def with_candidates(pkg, solve) -> list:
+    """The records of the results `solve()` returns, each followed by the
+    candidates its solve enumerated."""
+    log = []
+    originals = [(module, module.solve_detailed) for module in (pkg.ur5, pkg.kuka)]
+    for module, original in originals:
+        def logged(query, model, original=original):
+            result, detail = original(query, model)
+            log.append(detail.candidates)
+            return result, detail
+        module.solve_detailed = logged
+    try:
+        results = solve()
+    finally:
+        for module, original in originals:
+            module.solve_detailed = original
+    if len(log) != len(results):
+        raise SystemExit(f"same_records: {len(log)} detailed solves for {len(results)} results")
+    return [(*record(r), candidates) for r, candidates in zip(results, log)]
+
+
 def tight_records(pkg) -> dict:
     out = {}
     for name, (robot, limits) in TIGHT.items():
         model = getattr(pkg, f"{robot}_model")(limits)
         queries = pkg.benchmark.generate_queries(model, TIGHT_QUERIES, SEED)
-        out[name] = [
-            record(pkg.solve_ik(model, pkg.IKQuery(t_des, theta_init, pkg.SolverConfig())))
+        out[name] = with_candidates(pkg, lambda: [
+            pkg.solve_ik(model, pkg.IKQuery(t_des, theta_init, pkg.SolverConfig()))
             for t_des, theta_init in queries.queries
-        ]
+        ])
     return out
 
 
 def records(src: Path) -> dict:
-    """{workload: [(status, sweeps, opt_used, opt_iters, error, theta), ...]} with
-    the package under src."""
+    """{workload: [(status, sweeps, opt_used, opt_iters, error, theta,
+    candidates), ...]} with the package under src."""
     sys.path.insert(0, str(src))
     try:
         out = {}
@@ -86,11 +111,9 @@ def records(src: Path) -> dict:
             inputs, _, _ = bench._set_up_once(workload, SEED)
             if not Path(inputs.pkg.__file__).is_relative_to(src):
                 raise SystemExit(f"same_records: imported {inputs.pkg.__file__}, not {src}")
-            out[workload.name] = [
-                record(r)
-                for fn, args in bench._requests(inputs, calibrate=False)
-                for r in fn(*args)[0]
-            ]
+            out[workload.name] = with_candidates(inputs.pkg, lambda: [
+                r for fn, args in bench._requests(inputs, calibrate=False) for r in fn(*args)[0]
+            ])
         out.update(tight_records(inputs.pkg))
         return out
     finally:
@@ -105,12 +128,22 @@ def export(rev: str, into: Path) -> Path:
     return into / "src"
 
 
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def differing_candidates(a: list, b: list) -> int:
+    """Positions at which two enumerations differ in any bit, either one missing."""
+    return max(len(a), len(b)) - sum(map(same_bits, a, b))
+
+
 def differing(theirs: list, ours: list) -> list:
     if len(theirs) != len(ours):
         return list(range(max(len(theirs), len(ours))))
     return [
         i for i, (a, b) in enumerate(zip(theirs, ours))
         if a[:THETA] != b[:THETA] or not np.array_equal(a[THETA], b[THETA])
+        or differing_candidates(a[CANDIDATES], b[CANDIDATES])
     ]
 
 
@@ -124,6 +157,11 @@ def describe(a, b) -> str:
             parts.append("theta present on one side only")
         else:
             parts.append(f"theta moves by {float(np.max(np.abs(a[THETA] - b[THETA]))):.3g} rad")
+    moved = differing_candidates(a[CANDIDATES], b[CANDIDATES])
+    if moved:
+        parts.append(
+            f"{moved} candidates differ ({len(a[CANDIDATES])} -> {len(b[CANDIDATES])} enumerated)"
+        )
     return "; ".join(parts)
 
 
@@ -138,7 +176,14 @@ def main(argv=None) -> int:
     for name, mine in ours.items():
         diffs = differing(theirs[name], mine)
         total += len(diffs)
-        print(f"{name:18s} {len(mine):5d} solves, {len(diffs)} differ")
+        candidates = sum(len(r[CANDIDATES]) for r in mine)
+        moved = sum(
+            differing_candidates(a[CANDIDATES], b[CANDIDATES]) for a, b in zip(theirs[name], mine)
+        )
+        print(
+            f"{name:18s} {len(mine):5d} solves, {len(diffs)} differ;"
+            f" {candidates:6d} candidates, {moved} differ"
+        )
         for i in diffs[:SHOWN]:
             a = theirs[name][i] if i < len(theirs[name]) else None
             b = mine[i] if i < len(mine) else None
