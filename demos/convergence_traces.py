@@ -45,9 +45,8 @@ def main():
     chain = kuka.make_chain(model)
     # a wrist target a fraction of a millimetre inside the reach sphere,
     # well off the chain axis: the pathological slow-straightening regime
-    shoulder = np.array([0.0, 0.0, model.link_lengths[0]])
     direction = np.array([0.6061158, -0.5479071, -0.0703400])
-    target = shoulder + 0.81996 * direction / np.linalg.norm(direction)
+    target = model.shoulder + 0.81996 * direction / np.linalg.norm(direction)
     print("\nkuka shoulder-elbow-wrist chain, eps_tol = 1e-6")
     run_case("kuka_near_extension", chain, target)
 

@@ -36,8 +36,7 @@ def kuka_pose():
     # sphere; pull it back to the radius of a 0.019 rad elbow bend
     l2, l3 = model.link_lengths[1], model.link_lengths[2]
     r = np.sqrt(l2 * l2 + l3 * l3 + 2 * l2 * l3 * np.cos(0.019))
-    shoulder = np.array([0.0, 0.0, model.link_lengths[0]])
-    d = kuka.wrist_target(t, model) - shoulder
+    d = kuka.wrist_target(t, model) - model.shoulder
     t[:3, 3] -= (np.linalg.norm(d) - r) * d / np.linalg.norm(d)
     return model, t
 

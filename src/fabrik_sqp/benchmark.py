@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .iktypes import IKQuery, IKResult, IKStatus, SolverConfig
+from .iktypes import DEFAULT_EPS_TOL, IKQuery, IKResult, IKStatus, SolverConfig
 from .robots import RobotModel, forward_kinematics, pose_mismatch
 
 RNG_NAME = "numpy-pcg64"
@@ -144,7 +144,7 @@ def run_benchmark(
     model: RobotModel,
     queries: QuerySet,
     modes,
-    eps_tol: float = 1e-6,
+    eps_tol: float = DEFAULT_EPS_TOL,
     workers: int = 1,
 ) -> list[BenchmarkReport]:
     """Solve every query under every mode; per-query failures are data.

@@ -16,7 +16,7 @@ import numpy as np
 from . import benchmark as bench_mod
 from . import fabrik, solve_ik, tracking
 from .geometry import make_transform
-from .iktypes import IKQuery, IKStatus, SolverConfig
+from .iktypes import DEFAULT_EPS_TOL, IKQuery, IKStatus, SolverConfig
 from .robots import RobotModel, get_model, load_model_file
 
 EXIT_OK = 0
@@ -162,11 +162,10 @@ def cmd_trace(args) -> int:
             chain = kuka_mod.make_chain(model)
         else:
             raise CliError("trace needs --links for chains other than the kuka reduction")
-    chain = fabrik.pre_bend(chain)
-    outcome = fabrik.solve(chain, target, args.eps, args.cap)
-    if outcome.unreachable:
+    if not fabrik.within_reach(chain, target):
         print("error: target is beyond the chain's reach", file=sys.stderr)
         return EXIT_UNREACHABLE
+    outcome = fabrik.solve(fabrik.pre_bend(chain), target, args.eps, args.cap)
     bench_mod.write_csv(args.out, ["n", "dist"], outcome.trace)
     print(
         f"converged={outcome.converged} sweeps={outcome.iterations} dist={outcome.dist:.3e}"
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robot", choices=("ur5", "kuka"), required=True)
     p.add_argument("--pose", required=True, help="JSON file with position/rotation")
     p.add_argument("--init", help="comma-separated initial joint angles (default zeros)")
-    p.add_argument("--eps", type=_positive_float, default=1e-6)
+    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
     p.add_argument("--mode", default="combined", help="combined or fabrik, e.g. fabrik:400")
     p.add_argument("--model", help="robot model JSON overriding the built-in table")
     p.set_defaults(func=cmd_solve)
@@ -233,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--modes", default="combined", help="e.g. combined,combined:5,fabrik:100")
-    p.add_argument("--eps", type=_positive_float, default=1e-6)
+    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--model", help="robot model JSON overriding the built-in table")
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="0,0,0")
     p.add_argument("--v-init", default="0,0,1")
     p.add_argument("--target", required=True, help="x,y,z iteration target")
-    p.add_argument("--eps", type=_positive_float, default=1e-6)
+    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
     p.add_argument("--cap", type=_positive_int, default=10000)
     p.add_argument("--out", required=True)
     p.add_argument("--model", help="robot model JSON overriding the built-in table")
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase1-n", type=_positive_int, default=80)
     p.add_argument("--phase2-n", type=_positive_int, default=100)
     p.add_argument("--end-config", help="comma-separated joint angles for the path end")
-    p.add_argument("--eps", type=_positive_float, default=1e-6)
+    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
     p.add_argument("--out", required=True)
     p.add_argument("--model", help="robot model JSON overriding the built-in table")
     p.set_defaults(func=cmd_track)

@@ -49,6 +49,8 @@ COLLINEAR_TOL = 1e-6  # largest angle between links that pre_bend treats as stra
 MIN_LINK_LENGTH = 1e-9  # m
 # The sweeps square distances of up to twice the reach; keep them finite.
 MAX_CHAIN_REACH = 1e150  # m
+# The stretched chain's distance to a target beyond its reach is squared too.
+MAX_TARGET_GAP = 1e154  # m
 
 
 @dataclass(frozen=True)
@@ -309,7 +311,6 @@ class FabrikOutcome:
     dist: float  # end-to-target distance after the last sweep
     chain: ChainState
     trace: tuple = ()  # ((n, dist), ...), one entry per sweep
-    unreachable: bool = False
 
 
 def check_cap(value, name: str) -> int:
@@ -327,38 +328,34 @@ def check_cap(value, name: str) -> int:
 
 
 def within_reach(chain: ChainState, target) -> bool:
-    """The one reach rule: target within the chain's reach of its base."""
-    return _in_reach(math.dist(target, chain.base), chain.reach())
-
-
-def _in_reach(gap: float, reach: float) -> bool:
-    # one ulp of slack, so on-sphere targets do not flip on the rounding of
-    # the gap (math.dist scales its sum: no overflow); a NaN gap is out
-    return gap <= reach * (1.0 + 1e-12)
+    """The one reach rule: target within the chain's reach of its base,
+    with one ulp of slack, so on-sphere targets do not flip on the rounding
+    of the gap (math.dist scales its sum: no overflow); a NaN gap is out."""
+    return math.dist(target, chain.base) <= chain.reach() * (1.0 + 1e-12)
 
 
 def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOutcome:
     """Iterate forward/backward sweeps until dist <= eps_tol or the cap.
 
-    Targets out of reach (`within_reach`) return at once with
-    unreachable=True. Targets on the reach sphere (within fp noise) are
-    solved by laying the chain straight toward them, counted as one
-    sweep. A non-finite target raises ValueError. The sweeps run on
-    float tuples; the outcome's chain is built once, on return.
+    A target on or beyond the reach sphere (within fp noise) gets the
+    chain laid straight toward it in one sweep, FABRIK's out-of-reach
+    case; callers that refuse such targets ask `within_reach` first. A
+    non-finite target, or one more than MAX_TARGET_GAP from the base,
+    raises ValueError. The sweeps run on float tuples; the outcome's
+    chain is built once, on return.
     """
     if not (math.isfinite(eps_tol) and eps_tol > 0.0):
         raise ValueError("eps_tol must be positive and finite")
     iter_cap = check_cap(iter_cap, "iter_cap")
     target = np.asarray(target, dtype=float)
     tip, base = tuple(target.tolist()), tuple(chain.base.tolist())
-    if not all(map(math.isfinite, tip)):
-        raise ValueError("target must be finite")
     gap = math.dist(tip, base)
+    if not gap <= MAX_TARGET_GAP:  # NaN and inf fail too
+        raise ValueError(f"target must be finite and within {MAX_TARGET_GAP:g} m of the base")
     reach = chain.reach()
-    if not _in_reach(gap, reach):
-        return FabrikOutcome(False, 0, math.dist(chain.end, target), chain, unreachable=True)
     if reach - gap <= 1e-12 * reach and gap > 0.0:
-        # full-extension target: the straight chain is the unique solution
+        # full-extension or out-of-reach target: the straight chain is the
+        # unique solution, or the closest the chain gets
         direction = unit((target - chain.base) / gap)
         stretched = replace(chain, positions=_lay_out(chain.base, direction, chain.lengths))
         dist = norm(stretched.end - target)

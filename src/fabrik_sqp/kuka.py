@@ -48,12 +48,11 @@ def wrist_target(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
 
 def make_chain(model: RobotModel) -> fabrik.ChainState:
     """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT."""
-    l1, l2, l3 = model.link_lengths[:3]
-    shoulder = np.array([0.0, 0.0, l1])
+    l2, l3 = model.link_lengths[1:3]
     elbow_cone = min(math.pi, max(abs(model.joint_limits[3, 0]), abs(model.joint_limits[3, 1])))
     joints = (fabrik.Ball(), fabrik.Ball(elbow_cone))
     return fabrik.straight_chain(
-        shoulder, DEFAULT_V_INIT, np.array([l2, l3]), joints, anchor_dir=np.array([0.0, 0.0, 1.0])
+        model.shoulder, DEFAULT_V_INIT, np.array([l2, l3]), joints, anchor_dir=DEFAULT_V_INIT
     )
 
 
@@ -162,9 +161,8 @@ def arm_angles(p2, p3, model: RobotModel, azimuths=()):
     theta4 sign, positive branch first. Frame 2 and the wrist point in
     it are computed once per (theta1, theta2) and serve both theta4 signs.
     """
-    p1 = np.array([0.0, 0.0, model.link_lengths[0]])
     p3h = np.append(np.asarray(p3, dtype=float), 1.0)
-    m2, m4 = bend_magnitudes(p1, p2, p3)
+    m2, m4 = bend_magnitudes(model.shoulder, p2, p3)
     for th2 in _signed_options(m2):
         for th1 in dedup_angles(theta1_roots(th2, p2) + list(azimuths)):
             t02 = fk_frames(model, (th1, th2))[-1]
@@ -262,8 +260,8 @@ def reference_elbow(model: RobotModel, reference_arms, p3: np.ndarray) -> np.nda
     reference elbow and wrist relative to the shoulder. None when the
     projection is undefined (a degenerate circle).
     """
-    l1, l2, l3 = model.link_lengths[:3]
-    p1 = np.array([0.0, 0.0, l1])
+    l2, l3 = model.link_lengths[1:3]
+    p1 = model.shoulder
     d = norm(p3 - p1)
     if d < 1e-12:
         return None
@@ -307,8 +305,7 @@ class Branch:
         """The reference elbow and wrist relative to the shoulder: the
         one FK of theta_init per solve, up to the wrist frame 5."""
         frames = fk_frames(self.model, self.theta_init[:5])
-        shoulder = np.array([0.0, 0.0, self.model.link_lengths[0]])
-        return [frames[3][:3, 3] - shoulder, frames[5][:3, 3] - shoulder]
+        return [frames[3][:3, 3] - self.model.shoulder, frames[5][:3, 3] - self.model.shoulder]
 
     def from_chain(self, chain: fabrik.ChainState):
         return chain.positions[1], chain.positions[2]

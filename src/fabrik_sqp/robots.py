@@ -68,29 +68,44 @@ def dh_transform(row: DHRow, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RobotModel:
+    """A "ur5" or "kuka" arm, checked once here; limits default to [-pi, pi].
+
+    `link_lengths` and `shoulder` (0, 0, l1), the base of both reduced
+    chains, are read off the DH table; the arrays are read-only copies.
+    Models compare and hash by name, table and limits.
+    """
+
     name: str
     dh: tuple[DHRow, ...]
-    link_lengths: np.ndarray  # read-only, like joint_limits
-    joint_limits: np.ndarray  # (dof, 2) [lo, hi] radians
-    limit_pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    joint_limits: np.ndarray | None = field(default=None, compare=False)  # (dof, 2) [lo, hi] radians
+    link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    shoulder: np.ndarray = field(init=False, repr=False, compare=False)
+    limit_pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dh", tuple(self.dh))
-        object.__setattr__(self, "link_lengths", _frozen_copy(self.link_lengths))
-        limits = _frozen_copy(self.joint_limits)
-        if limits.shape != (len(self.dh), 2):
+        dh = tuple(self.dh)
+        if not all(isinstance(row, DHRow) for row in dh):
+            raise ValueError("dh must be a sequence of DHRow")
+        lengths = _link_lengths(self.name, dh)
+        limits = _frozen_copy(
+            [(-math.pi, math.pi)] * len(dh) if self.joint_limits is None else self.joint_limits
+        )
+        if limits.shape != (len(dh), 2):
             raise ValueError("joint_limits must have one [lo, hi] pair per DH row")
         # NaN fails every comparison, so check finiteness first
         if not np.all(np.isfinite(limits)):
             raise ValueError("joint limits must be finite")
         if np.any(limits[:, 0] >= limits[:, 1]):
             raise ValueError("each joint must satisfy lo < hi")
+        object.__setattr__(self, "dh", dh)
         object.__setattr__(self, "joint_limits", limits)
+        object.__setattr__(self, "link_lengths", _frozen_copy(lengths))
+        object.__setattr__(self, "shoulder", _frozen_copy((0.0, 0.0, lengths[0])))
         object.__setattr__(self, "limit_pairs", tuple(map(tuple, limits.tolist())))
 
     def __reduce__(self):
-        # rebuild through __init__, so an unpickled model is frozen too
-        return type(self), (self.name, self.dh, self.link_lengths, self.joint_limits)
+        # rebuild through __init__, so an unpickled model is checked and frozen too
+        return type(self), (self.name, self.dh, self.joint_limits)
 
     @property
     def dof(self) -> int:
@@ -108,14 +123,12 @@ def _frozen_copy(values) -> np.ndarray:
     return out
 
 
-def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
-    """Model of the named robot with its link lengths read off the DH table.
-
-    Joint limits default to [-pi, pi] per joint.
-    """
-    rows = {UR5: 6, KUKA: 7}.get(name)
-    if rows is None:
-        raise ValueError(f"unknown robot name {name!r}")
+def _link_lengths(name, dh: tuple[DHRow, ...]) -> list[float]:
+    """The named robot's link lengths read off its DH table: UR5 l1..l6,
+    KUKA l1..l4."""
+    if name not in (UR5, KUKA):
+        raise ValueError(f"unknown robot name {name!r} (expected 'ur5' or 'kuka')")
+    rows = 6 if name == UR5 else 7
     if len(dh) != rows:
         raise ValueError(f"{name} needs {rows} DH rows, got {len(dh)}")
     if name == UR5:
@@ -135,9 +148,7 @@ def _build_model(name: str, dh, joint_limits=None) -> RobotModel:
         )
     if lengths[1] + lengths[2] > MAX_CHAIN_REACH:
         raise ValueError(f"{name} reduced-chain reach l2 + l3 must be at most {MAX_CHAIN_REACH:g} m")
-    if joint_limits is None:
-        joint_limits = np.tile([-math.pi, math.pi], (len(dh), 1))
-    return RobotModel(name=name, dh=dh, link_lengths=lengths, joint_limits=joint_limits)
+    return lengths
 
 
 def ur5_model(joint_limits=None) -> RobotModel:
@@ -155,7 +166,7 @@ def ur5_model(joint_limits=None) -> RobotModel:
         DHRow(a=0.0, alpha=-math.pi / 2, d=0.09465),
         DHRow(a=0.0, alpha=0.0, d=0.0823),
     )
-    return _build_model(UR5, dh, joint_limits)
+    return RobotModel(UR5, dh, joint_limits)
 
 
 def kuka_model(joint_limits=None) -> RobotModel:
@@ -173,7 +184,7 @@ def kuka_model(joint_limits=None) -> RobotModel:
         DHRow(a=0.0, alpha=math.pi / 2, d=0.0),
         DHRow(a=0.0, alpha=0.0, d=0.126),
     )
-    return _build_model(KUKA, dh, joint_limits)
+    return RobotModel(KUKA, dh, joint_limits)
 
 
 def get_model(name: str) -> RobotModel:
@@ -214,7 +225,7 @@ def model_from_json(text: str) -> RobotModel:
         limits = np.asarray(doc["limits"], dtype=float)
     except TypeError as exc:
         raise ValueError(f"robot JSON field 'limits' must hold numbers: {exc}") from exc
-    return _build_model(name, dh, limits)
+    return RobotModel(name, dh, limits)
 
 
 def model_to_json(model: RobotModel) -> str:

@@ -90,14 +90,13 @@ def iteration_target(frame: PlanarFrame, l5d: np.ndarray, model: RobotModel) -> 
 
 def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
     """Straight two-link elbow chain in the working plane."""
-    l1, l2, l3 = model.link_lengths[:3]
-    shoulder = np.array([0.0, 0.0, l1])
+    l2, l3 = model.link_lengths[1:3]
     joints = (
         fabrik.Hinge(frame.z2d, *model.joint_limits[1]),
         fabrik.Hinge(frame.z2d, *model.joint_limits[2]),
     )
     return fabrik.straight_chain(
-        shoulder, frame.v_init, np.array([l2, l3]), joints, anchor_dir=frame.v_init
+        model.shoulder, frame.v_init, np.array([l2, l3]), joints, anchor_dir=frame.v_init
     )
 
 

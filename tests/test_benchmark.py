@@ -48,6 +48,11 @@ class TestGenerateQueries:
     def test_requested_count(self, ur5_model):
         assert len(bm.generate_queries(ur5_model, 137, seed=0)) == 137
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_count_rejected(self, ur5_model, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            bm.generate_queries(ur5_model, n, seed=0)
+
 
 class TestRunBenchmark:
     def test_trivial_query_set_succeeds(self, ur5_model):

@@ -61,6 +61,46 @@ class TestSolveCommand:
             assert err.startswith("error:") and err.count("\n") == 1
             assert field in err
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (None, "cannot read pose file"),
+            ("{not json", "pose file is not valid JSON"),
+            ('{"position": [0, 0], "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}', "'position' must be a list of 3"),
+            ('{"position": [0, 0, 0], "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}', "'rotation' must be a 3x3"),
+        ],
+        ids=["missing-file", "not-json", "short-position", "flat-rotation"],
+    )
+    def test_bad_pose_file_exit_one(self, tmp_path, capsys, text, match):
+        path = tmp_path / "pose.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["solve", "--robot", "ur5", "--pose", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert match in captured.err
+
+    def test_non_numeric_init_exit_one(self, solvable_pose, capsys):
+        code = cli.main(["solve", "--robot", "ur5", "--pose", solvable_pose, "--init", "0,0,a,0,0,0"])
+        assert code == 1
+        assert "--init must be comma-separated numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "-1e-6", "nan"])
+    def test_non_positive_eps_exit_one(self, solvable_pose, capsys, eps):
+        assert cli.main(["solve", "--robot", "ur5", "--pose", solvable_pose, f"--eps={eps}"]) == 1
+        assert "must be a positive number" in capsys.readouterr().err
+
+    def test_default_eps_is_the_library_default(self):
+        parser = cli.build_parser()
+        for argv in (
+            ["solve", "--robot", "ur5", "--pose", "p.json"],
+            ["bench", "--robot", "ur5", "--out-prefix", "b"],
+            ["trace", "--target", "1,0,0", "--out", "t.csv"],
+            ["track", "--robot", "ur5", "--out", "t.csv"],
+        ):
+            assert parser.parse_args(argv).eps == SolverConfig().eps_tol
+
     def test_reflected_pose_exit_one(self, tmp_path, ur5_model, capsys):
         t = forward_kinematics(ur5_model, np.array([0.4, -1.0, 1.3, -0.5, 0.7, 0.2])).copy()
         t[:3, 0] = -t[:3, 0]
@@ -242,6 +282,15 @@ class TestBenchCommand:
         assert [row["mode"] for row in rows] == ["combined", "combined"]
         assert sweeps == [r.fabrik_iters for r in kuka_default.records]
         assert sweeps != [r.fabrik_iters for r in ur5_default.records]
+
+    @pytest.mark.parametrize("modes", [",", " , "])
+    def test_empty_mode_list_exit_one(self, tmp_path, capsys, modes):
+        code = cli.main(
+            ["bench", "--robot", "ur5", "--n", "2", "--modes", modes, "--out-prefix", str(tmp_path / "b")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: at least one mode is required\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output(self, tmp_path, capsys):
         code = cli.main(

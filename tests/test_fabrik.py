@@ -436,16 +436,37 @@ class TestSolve:
             assert fabrik.within_reach(chain, (gap, 0.0, 0.0))
         assert not fabrik.within_reach(chain, (np.nextafter(edge, math.inf), 0.0, 0.0))
         assert not fabrik.within_reach(chain, (math.nan, 0.0, 0.0))
-        # solve applies the same rule
-        assert not solve(chain, np.array([edge, 0.0, 0.0]), 1e-6, 50).unreachable
-        assert solve(chain, np.array([np.nextafter(edge, math.inf), 0.0, 0.0]), 1e-6, 50).unreachable
+        # solve lays the chain straight toward a target on either side of
+        # the band's edge, in one sweep, and lands within eps of both
+        for gap in (edge, np.nextafter(edge, math.inf)):
+            out = solve(chain, np.array([gap, 0.0, 0.0]), 1e-6, 50)
+            assert out.converged
+            assert out.iterations == 1
+            assert out.trace == ((1, out.dist),)
+            assert np.array_equal(out.chain.positions, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+            assert out.dist == pytest.approx(gap - 2.0, abs=1e-15)
 
-    def test_unreachable_returns_without_iterating(self):
+    @pytest.mark.filterwarnings("error")
+    def test_target_beyond_the_largest_gap_rejected(self):
         chain = two_link_chain()
-        out = solve(chain, np.array([3.0, 0.0, 0.0]), 1e-6, 50)
-        assert out.unreachable
+        out = solve(chain, np.array([0.0, fabrik.MAX_TARGET_GAP, 0.0]), 1e-6, 50)
+        assert out.iterations == 1 and np.allclose(out.chain.end, [0.0, 2.0, 0.0])
+        for target in ([1e155, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]):
+            with pytest.raises(ValueError, match="within 1e\\+154 m of the base"):
+                solve(chain, np.array(target), 1e-6, 50)
+
+    def test_out_of_reach_target_stretches_chain_in_one_sweep(self):
+        # FABRIK's out-of-reach case: the chain laid straight toward the
+        # target, its end as close as the chain gets
+        chain = two_link_chain()
+        target = np.array([1.8, 2.4, 0.0])  # 3 from the base, along (0.6, 0.8, 0)
+        out = solve(chain, target, 1e-6, 50)
         assert not out.converged
-        assert out.iterations == 0
+        assert out.iterations == 1
+        assert out.trace == ((1, out.dist),)
+        assert np.allclose(out.chain.positions, [[0.0, 0.0, 0.0], [0.6, 0.8, 0.0], [1.2, 1.6, 0.0]], atol=1e-15)
+        assert out.dist == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(link_lengths(out.chain), [1.0, 1.0], atol=1e-15)
 
     def test_slight_bend_target_needs_many_sweeps(self):
         # near-full-extension target barely off the chain's own line:

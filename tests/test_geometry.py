@@ -13,6 +13,7 @@ from fabrik_sqp.geometry import (
     norm,
     perpendicular_axis,
     polar_rotation,
+    require_transform,
     rotate_about_axis,
     rotation_defect,
     sanitize_rotation,
@@ -243,6 +244,14 @@ def test_inverse_transform_roundtrip():
     for _ in range(50):
         t = make_transform(polar_rotation(rng.normal(size=(3, 3))), rng.normal(size=3))
         assert np.allclose(inverse_transform(t) @ t, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "t", [np.eye(3), np.eye(4)[:3], np.zeros(16), np.eye(5)], ids=["3x3", "3x4", "flat", "5x5"]
+)
+def test_require_transform_rejects_non_4x4(t):
+    with pytest.raises(ValueError, match="transform must be a 4x4 matrix"):
+        require_transform(t)
 
 
 def test_perpendicular_axis_is_unit_and_orthogonal():

@@ -262,3 +262,22 @@ class TestSolve:
         assert len(detail.candidates) == 16
         # the recovery reads its own (theta1, theta2) and arm prefixes
         assert sum(np.array_equal(theta, theta_init[: len(theta)]) for theta in calls) == 1
+
+
+class TestReferenceElbow:
+    def test_on_the_self_motion_circle(self, kuka_model):
+        l2, l3 = kuka_model.link_lengths[1:3]
+        p3 = kuka_model.shoulder + np.array([0.3, 0.2, 0.4])
+        elbow = kuka.reference_elbow(kuka_model, [np.array([0.0, 1.0, 0.0])], p3)
+        assert np.linalg.norm(elbow - kuka_model.shoulder) == pytest.approx(l2, abs=1e-12)
+        assert np.linalg.norm(p3 - elbow) == pytest.approx(l3, abs=1e-12)
+
+    def test_wrist_at_the_shoulder_has_none(self, kuka_model):
+        reference = [np.array([0.1, 0.0, 0.3])]
+        assert kuka.reference_elbow(kuka_model, reference, kuka_model.shoulder.copy()) is None
+
+    @pytest.mark.parametrize("stretch", [1.01, 3.0])
+    def test_wrist_beyond_reach_has_none(self, kuka_model, stretch):
+        reach = float(np.sum(kuka_model.link_lengths[1:3]))
+        p3 = kuka_model.shoulder + stretch * reach * np.array([0.6, 0.0, 0.8])
+        assert kuka.reference_elbow(kuka_model, [np.array([0.1, 0.0, 0.3])], p3) is None

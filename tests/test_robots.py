@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -5,9 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
+from fabrik_sqp import benchmark, solve_ik
 from fabrik_sqp.geometry import rotation_defect
+from fabrik_sqp.iktypes import IKQuery, IKStatus
 from fabrik_sqp.robots import (
     DHRow,
+    RobotModel,
     dh_transform,
     fk_frames,
     forward_kinematics,
@@ -300,3 +304,100 @@ class TestModelData:
         assert get_model("kuka").dof == 7
         with pytest.raises(ValueError):
             get_model("puma")
+
+
+# UR10 standard DH table: the UR5's layout with longer links
+UR10_DH = (
+    DHRow(a=0.0, alpha=math.pi / 2, d=0.1273),
+    DHRow(a=-0.612, alpha=0.0, d=0.0),
+    DHRow(a=-0.5723, alpha=0.0, d=0.0),
+    DHRow(a=0.0, alpha=math.pi / 2, d=0.163941),
+    DHRow(a=0.0, alpha=-math.pi / 2, d=0.1157),
+    DHRow(a=0.0, alpha=0.0, d=0.0922),
+)
+
+
+class TestModelConstructor:
+    def test_equal_models_compare_equal(self):
+        assert ur5_model() == ur5_model()
+        assert kuka_model() == kuka_model()
+        assert hash(ur5_model()) == hash(ur5_model())
+
+    def test_pickled_model_equals_the_original(self, ur5_model, kuka_model):
+        for model in (ur5_model, kuka_model):
+            copy = pickle.loads(pickle.dumps(model))
+            assert copy == model
+            assert hash(copy) == hash(model)
+            assert np.array_equal(copy.shoulder, model.shoulder)
+
+    def test_different_models_differ(self):
+        assert ur5_model() != kuka_model()
+        assert ur5_model() != ur5_model(np.tile([-1.0, 1.0], (6, 1)))
+        assert len({ur5_model(), ur5_model(), kuka_model()}) == 2
+
+    def test_replaced_table_re_derives_link_lengths(self):
+        model = dataclasses.replace(ur5_model(), dh=UR10_DH)
+        assert model.link_lengths.tolist() == [0.1273, 0.612, 0.5723, 0.163941, 0.1157, 0.0922]
+        assert model.shoulder.tolist() == [0.0, 0.0, 0.1273]
+        doc = {
+            "name": "ur5",
+            "dh": [{"a": r.a, "alpha": r.alpha, "d": r.d} for r in UR10_DH],
+            "limits": [[-math.pi, math.pi]] * 6,
+        }
+        loaded = model_from_json(json.dumps(doc))
+        assert model == loaded
+        queries = benchmark.generate_queries(loaded, 20, seed=7)
+        for t_des, theta_init in queries.queries:
+            want = solve_ik(loaded, IKQuery(t_des, theta_init))
+            got = solve_ik(model, IKQuery(t_des, theta_init))
+            assert want.status is got.status is IKStatus.SOLVED
+            assert np.array_equal(got.theta, want.theta)
+
+    def test_shoulder_is_read_only(self, kuka_model):
+        assert kuka_model.shoulder.tolist() == [0.0, 0.0, 0.36]
+        with pytest.raises(ValueError):
+            kuka_model.shoulder[2] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kuka_model.shoulder = np.zeros(3)
+
+    @pytest.mark.parametrize("name", ["link_lengths", "shoulder", "limit_pairs"])
+    def test_derived_fields_cannot_be_passed(self, ur5_model, name):
+        with pytest.raises(TypeError):
+            RobotModel("ur5", ur5_model.dh, **{name: ur5_model.link_lengths})
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(ur5_model, **{name: ur5_model.link_lengths})
+
+    def test_default_limits_are_plus_minus_pi(self, kuka_model):
+        model = RobotModel("kuka", kuka_model.dh)
+        assert model == kuka_model
+        assert model.limit_pairs == ((-math.pi, math.pi),) * 7
+
+    @pytest.mark.parametrize(
+        "limits", [np.zeros((5, 2)), np.zeros((6, 3)), np.zeros(12)], ids=["five-rows", "three-columns", "flat"]
+    )
+    def test_wrong_limits_shape_rejected(self, ur5_model, limits):
+        with pytest.raises(ValueError, match="one \\[lo, hi\\] pair per DH row"):
+            RobotModel("ur5", ur5_model.dh, limits)
+
+    @pytest.mark.parametrize("name", ["ur10", "UR5", "", None])
+    def test_unknown_name_rejected(self, ur5_model, name):
+        with pytest.raises(ValueError, match="unknown robot name"):
+            RobotModel(name, ur5_model.dh)
+
+    @pytest.mark.parametrize("robot, row", [("ur5", 1), ("kuka", 4)])
+    def test_zero_link_rejected(self, robot, row):
+        dh = list(get_model(robot).dh)
+        dh[row] = DHRow(0.0, dh[row].alpha, 0.0)
+        with pytest.raises(ValueError, match="l2 and l3 must be positive"):
+            RobotModel(robot, dh)
+
+    def test_rows_must_be_dh_rows(self, ur5_model):
+        with pytest.raises(ValueError, match="sequence of DHRow"):
+            RobotModel("ur5", [(0.0, 0.0, 0.1)] * 6)
+
+    @pytest.mark.parametrize("field", ["a", "alpha", "d", "theta_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_dh_parameter_rejected(self, field, value):
+        values = {"a": 0.0, "alpha": 0.0, "d": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"DH parameter {field} must be finite"):
+            DHRow(**values)

@@ -35,6 +35,10 @@ class TestPhase1Path:
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert np.allclose(steps, steps[0], atol=1e-12)
 
+    def test_single_point_rejected(self, ur5_model):
+        with pytest.raises(ValueError, match="n_points must be at least 2"):
+            tracking.build_phase1_path(ur5_model, tracking.SCRIPTED_THETA_INIT["ur5"], 1)
+
     def test_phase1_pose_targets_recover_line_points(self, kuka_model):
         from fabrik_sqp import kuka as kuka_mod
 
@@ -61,6 +65,10 @@ class TestPhase2Path:
             poses[1], forward_kinematics(kuka_model, (start + end) / 2), atol=1e-12
         )
 
+    def test_single_point_rejected(self, kuka_model):
+        with pytest.raises(ValueError, match="n_points must be at least 2"):
+            tracking.build_phase2_path(kuka_model, np.zeros(7), tracking.SCRIPTED_THETA_END["kuka"], 1)
+
     def test_default_count(self, kuka_model):
         poses = tracking.build_phase2_path(
             kuka_model, np.zeros(7), tracking.SCRIPTED_THETA_END["kuka"], 100
@@ -77,6 +85,13 @@ class TestTrack:
         assert trace.completed
         assert all(r.error.eps_pos <= 1e-6 for _, r in trace.records)
         assert trace.max_joint_step() <= 1e-3
+
+    def test_max_joint_step_needs_two_records(self):
+        trace = tracking.TrackingTrace()
+        assert trace.max_joint_step() == 0.0
+        result = IKResult(IKStatus.SOLVED, np.array([3.1, 0.5]), CartesianError(0.0, 0.0), 0, False, 0, 0.0)
+        trace.records.append((1, result))
+        assert trace.max_joint_step() == 0.0
 
     def test_max_joint_step_wraps_across_pi(self):
         trace = tracking.TrackingTrace()
