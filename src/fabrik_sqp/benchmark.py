@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from .fabrik import check_cap
 from .iktypes import DEFAULT_EPS_TOL, IKQuery, IKResult, IKStatus, SolverConfig
 from .robots import RobotModel, forward_kinematics, pose_mismatch
 
@@ -34,8 +35,8 @@ class Mode:
     def __post_init__(self):
         if self.kind not in ("combined", "fabrik"):
             raise ValueError(f"unknown mode kind {self.kind!r}")
-        if self.param is not None and self.param < 1:
-            raise ValueError("mode parameter must be >= 1")
+        if self.param is not None:
+            object.__setattr__(self, "param", check_cap(self.param, "mode parameter"))
 
     @property
     def label(self) -> str:
@@ -65,8 +66,7 @@ class QuerySet:
 
 def generate_queries(model: RobotModel, n: int, seed: int) -> QuerySet:
     """n FK-generated poses plus independently drawn initial vectors."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = check_cap(n, "n")
     rng = np.random.Generator(np.random.PCG64(seed))
     lo = model.joint_limits[:, 0]
     hi = model.joint_limits[:, 1]

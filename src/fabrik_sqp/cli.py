@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import benchmark as bench_mod
-from . import fabrik, solve_ik, tracking
+from . import fabrik, kuka, solve_ik, tracking
 from .geometry import make_transform
 from .iktypes import DEFAULT_EPS_TOL, IKQuery, IKStatus, SolverConfig
 from .robots import RobotModel, get_model, load_model_file
@@ -69,7 +68,7 @@ def _parse_floats(text: str, expected: int | None, what: str) -> np.ndarray:
 
 
 def _resolve_model(args) -> RobotModel:
-    if not getattr(args, "model", None):
+    if not args.model:
         return get_model(args.robot)
     try:
         model = load_model_file(args.model)
@@ -156,12 +155,9 @@ def cmd_trace(args) -> int:
             raise CliError(f"--links: {exc}") from exc
     else:
         model = _resolve_model(args)
-        if model.name == "kuka":
-            from . import kuka as kuka_mod
-
-            chain = kuka_mod.make_chain(model)
-        else:
+        if model.name != "kuka":
             raise CliError("trace needs --links for chains other than the kuka reduction")
+        chain = kuka.make_chain(model)
     if not fabrik.within_reach(chain, target):
         print("error: target is beyond the chain's reach", file=sys.stderr)
         return EXIT_UNREACHABLE
@@ -197,18 +193,15 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _checked(parse, rule):
+    """An option type: the text parsed, then held to the library's rule."""
+    def convert(text: str):
+        try:
+            return rule(parse(text), "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError("must be a positive number")
-    return value
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,47 +210,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid FABRIK + SQP inverse kinematics for UR5 and KUKA iiwa arms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count = _checked(int, fabrik.check_cap)
+    tolerance = _checked(float, fabrik.check_tolerance)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--eps", type=tolerance, default=DEFAULT_EPS_TOL)
+    shared.add_argument("--model", help="robot model JSON overriding the built-in table")
 
-    p = sub.add_parser("solve", help="solve a single pose query")
+    p = sub.add_parser("solve", parents=[shared], help="solve a single pose query")
     p.add_argument("--robot", choices=("ur5", "kuka"), required=True)
     p.add_argument("--pose", required=True, help="JSON file with position/rotation")
     p.add_argument("--init", help="comma-separated initial joint angles (default zeros)")
-    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
     p.add_argument("--mode", default="combined", help="combined or fabrik, e.g. fabrik:400")
-    p.add_argument("--model", help="robot model JSON overriding the built-in table")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("bench", help="run a random-query benchmark")
+    p = sub.add_parser("bench", parents=[shared], help="run a random-query benchmark")
     p.add_argument("--robot", choices=("ur5", "kuka"), required=True)
-    p.add_argument("--n", type=_positive_int, default=1000)
+    p.add_argument("--n", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--modes", default="combined", help="e.g. combined,combined:5,fabrik:100")
-    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
-    p.add_argument("--model", help="robot model JSON overriding the built-in table")
+    p.add_argument("--workers", type=count, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("trace", help="record a FABRIK convergence trace")
+    p = sub.add_parser("trace", parents=[shared], help="record a FABRIK convergence trace")
     p.add_argument("--robot", choices=("ur5", "kuka"), default="kuka")
     p.add_argument("--links", help="comma-separated link lengths for a generic chain")
     p.add_argument("--base", default="0,0,0")
     p.add_argument("--v-init", default="0,0,1")
     p.add_argument("--target", required=True, help="x,y,z iteration target")
-    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
-    p.add_argument("--cap", type=_positive_int, default=10000)
+    p.add_argument("--cap", type=count, default=10000)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", help="robot model JSON overriding the built-in table")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("track", help="run the two-phase tracking scenario")
+    p = sub.add_parser("track", parents=[shared], help="run the two-phase tracking scenario")
     p.add_argument("--robot", choices=("ur5", "kuka"), required=True)
-    p.add_argument("--phase1-n", type=_positive_int, default=80)
-    p.add_argument("--phase2-n", type=_positive_int, default=100)
+    p.add_argument("--phase1-n", type=count, default=80)
+    p.add_argument("--phase2-n", type=count, default=100)
     p.add_argument("--end-config", help="comma-separated joint angles for the path end")
-    p.add_argument("--eps", type=_positive_float, default=DEFAULT_EPS_TOL)
     p.add_argument("--out", required=True)
-    p.add_argument("--model", help="robot model JSON overriding the built-in table")
     p.set_defaults(func=cmd_track)
 
     return parser
@@ -271,10 +261,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

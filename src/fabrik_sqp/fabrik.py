@@ -25,6 +25,7 @@ outcome's chain once.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -313,6 +314,15 @@ class FabrikOutcome:
     trace: tuple = ()  # ((n, dist), ...), one entry per sweep
 
 
+def check_tolerance(value, name: str) -> float:
+    """A tolerance as a float: a real number (not a bool), positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not a bool")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
 def check_cap(value, name: str) -> int:
     """A sweep cap as an int of at least 1; any integer type (np.int64
     too) but a bool passes, anything else is a ValueError."""
@@ -344,8 +354,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     raises ValueError. The sweeps run on float tuples; the outcome's
     chain is built once, on return.
     """
-    if not (math.isfinite(eps_tol) and eps_tol > 0.0):
-        raise ValueError("eps_tol must be positive and finite")
+    eps_tol = check_tolerance(eps_tol, "eps_tol")
     iter_cap = check_cap(iter_cap, "iter_cap")
     target = np.asarray(target, dtype=float)
     tip, base = tuple(target.tolist()), tuple(chain.base.tolist())

@@ -15,11 +15,11 @@ optimizer's iterates, which keep their state in floats and build an
 ndarray only as the operand of a position map or of a reduction. So do
 the link norms of `ChainState.link_directions` and the L1 distance of
 `iktypes.select_candidate`, sums numpy adds left to right, and the
-candidate wrap of `pipeline.solve`, whose float `%` rounds as numpy's
-remainder. Every dot product stays on BLAS: the
-kernel may round a short dot as a chain of fused multiply-adds, which a
-Python sum does not reproduce, and every seeded solve keeps its bits
-only that way. The dot products of the sweep and optimizer loops are:
+float path of `wrap_angle`, whose `%` rounds as numpy's remainder.
+Every dot product stays on BLAS: the kernel may round a short dot as a
+chain of fused multiply-adds, which a Python sum does not reproduce,
+and every seeded solve keeps its bits only that way. The dot products
+of the sweep and optimizer loops are:
 
 - the 3-vector `ndarray.dot`s: the optimizer's `diff.dot(diff)`, the
   reach step's `v.dot(v)` and the sweep's end-to-target distance;
@@ -54,11 +54,11 @@ ROTATION_REPAIR_TOL = 1e-3  # largest defect projected back onto SO(3)
 
 
 def wrap_angle(theta):
-    """Reduce an angle (scalar or array) to [-pi, pi)."""
-    wrapped = (np.asarray(theta, dtype=float) + np.pi) % TWO_PI - np.pi
-    if np.ndim(theta) == 0:
-        return float(wrapped)
-    return wrapped
+    """Reduce an angle to [-pi, pi): an ndarray elementwise, any other
+    value as a Python float, whose `%` rounds as numpy's remainder."""
+    if isinstance(theta, np.ndarray):
+        return (theta + np.pi) % TWO_PI - np.pi
+    return (float(theta) + math.pi) % TWO_PI - math.pi
 
 
 def dedup_angles(values) -> list[float]:
@@ -187,12 +187,14 @@ def sanitize_rotation(R) -> np.ndarray:
 
 
 def require_transform(T) -> np.ndarray:
+    """T as a float 4x4 of finite entries, its bottom row (0, 0, 0, 1) to 1e-9 absolute."""
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4):
         raise ValueError("transform must be a 4x4 matrix")
-    # each entry within 1e-9 absolute; NaN fails the comparison
     if not all(abs(a - b) <= 1e-9 for a, b in zip(T[3].tolist(), (0.0, 0.0, 0.0, 1.0))):
         raise ValueError("transform bottom row must be (0, 0, 0, 1)")
+    if not all(map(math.isfinite, T[:3].ravel().tolist())):
+        raise ValueError("transform entries must be finite")
     return T
 
 

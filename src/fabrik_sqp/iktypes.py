@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fabrik import check_cap
+from .fabrik import check_cap, check_tolerance
 from .geometry import CartesianError, require_transform, sanitize_rotation
 from .robots import KUKA, UR5, RobotModel
 
@@ -44,10 +43,7 @@ class SolverConfig:
     sweep_cap: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
-            raise ValueError("eps_tol must be a real number, not a bool")
-        if not (math.isfinite(self.eps_tol) and self.eps_tol > 0.0):
-            raise ValueError("eps_tol must be positive and finite")
+        object.__setattr__(self, "eps_tol", check_tolerance(self.eps_tol, "eps_tol"))
         if not isinstance(self.use_optimizer, bool):
             raise ValueError("use_optimizer must be a bool")
         if self.sweep_cap is not None:
@@ -72,7 +68,10 @@ class IKQuery:
             raise ValueError("config must be a SolverConfig")
         if np.iscomplexobj(self.t_des) or np.iscomplexobj(self.theta_init):
             raise ValueError("t_des and theta_init must be real")
-        object.__setattr__(self, "t_des", require_transform(self.t_des))
+        t = require_transform(self.t_des).copy()
+        t[:3, :3] = sanitize_rotation(t[:3, :3])
+        t.flags.writeable = False
+        object.__setattr__(self, "t_des", t)
         object.__setattr__(self, "theta_init", np.asarray(self.theta_init, dtype=float))
 
 
@@ -103,13 +102,9 @@ def check_joint_vector(model: RobotModel, theta, name: str) -> np.ndarray:
 
 
 def prepare_query(model: RobotModel, query: IKQuery) -> np.ndarray:
-    """Validate the query against the model and sanitize the input pose."""
-    if not np.all(np.isfinite(query.t_des)):
-        raise ValueError("t_des must be finite")
+    """The query's pose (checked when the query was built), once theta_init fits the model."""
     check_joint_vector(model, query.theta_init, "theta_init")
-    t = query.t_des.copy()
-    t[:3, :3] = sanitize_rotation(t[:3, :3])
-    return t
+    return query.t_des
 
 
 def select_candidate(candidates, theta_init) -> int | None:

@@ -24,14 +24,13 @@ A branch is any object with:
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fabrik
-from .geometry import TWO_PI, cartesian_error
+from .geometry import cartesian_error, wrap_angle
 from .iktypes import IKQuery, IKResult, IKStatus
 from .optimizer import OptResult
 from .robots import RobotModel, forward_kinematics
@@ -94,8 +93,7 @@ def solve(
         if reduced is None:
             continue
         for theta in branch.candidates(reduced, t_des):
-            # wrap_angle on floats: `%` rounds as numpy's remainder does
-            theta = np.array([(t + math.pi) % TWO_PI - math.pi for t in theta.tolist()])
+            theta = np.array([wrap_angle(t) for t in theta.tolist()])
             detail.candidates.append(theta)
             if model.within_limits(theta):
                 detail.admitted.append(theta)

@@ -26,6 +26,7 @@ from .geometry import (
 
 UR5 = "ur5"
 KUKA = "kuka"
+LAYOUT_MARGIN = 1e-6  # smallest reduced link, relative to its lay-out's largest coordinate
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,14 @@ def _link_lengths(name, dh: tuple[DHRow, ...]) -> list[float]:
         )
     if lengths[1] + lengths[2] > MAX_CHAIN_REACH:
         raise ValueError(f"{name} reduced-chain reach l2 + l3 must be at most {MAX_CHAIN_REACH:g} m")
+    # Each solve's `fabrik.straight_chain` wants every laid link within 1e-9 of
+    # its length. Its links err by <= 3u M (u = 2**-53), M the largest coordinate:
+    # l2 + l3 in any UR5 plane (the height is exact), l1 + l2 + l3 up the KUKA's z.
+    # So L >= LAYOUT_MARGIN * M errs by <= 3.3e-10 L (UR5, measured: fails < ~2e-7 M).
+    top = lengths[1] + lengths[2] + (lengths[0] if name == KUKA else 0.0)
+    if min(lengths[1], lengths[2]) < LAYOUT_MARGIN * top:
+        raise ValueError(f"{name} reduced-chain links l2 and l3 must each be at least"
+                         f" {LAYOUT_MARGIN:g} of their lay-out's largest coordinate, {top:g} m")
     return lengths
 
 

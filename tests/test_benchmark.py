@@ -250,3 +250,16 @@ class TestMonotonicity:
         for text in ("annealing:3", "combined:", "fabrik:x", "combined:0"):
             with pytest.raises(ValueError):
                 bm.parse_mode(text)
+
+    @pytest.mark.parametrize(
+        "param, match",
+        [(True, "must be an integer, not a bool"), (2.5, "must be an integer"), (0, "must be at least 1")],
+    )
+    def test_mode_param_checked_at_construction(self, param, match):
+        # a bool or a float would otherwise be labelled fabrik:True or fabrik:2.5
+        with pytest.raises(ValueError, match=f"mode parameter {match}"):
+            bm.Mode("fabrik", param)
+
+    def test_numpy_integer_mode_param_labelled_as_int(self):
+        mode = bm.Mode("fabrik", np.int64(5))
+        assert mode.label == "fabrik:5" and type(mode.param) is int

@@ -89,7 +89,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("eps", ["0", "-1e-6", "nan"])
     def test_non_positive_eps_exit_one(self, solvable_pose, capsys, eps):
         assert cli.main(["solve", "--robot", "ur5", "--pose", solvable_pose, f"--eps={eps}"]) == 1
-        assert "must be a positive number" in capsys.readouterr().err
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_default_eps_is_the_library_default(self):
         parser = cli.build_parser()
@@ -100,6 +100,7 @@ class TestSolveCommand:
             ["track", "--robot", "ur5", "--out", "t.csv"],
         ):
             assert parser.parse_args(argv).eps == SolverConfig().eps_tol
+            assert parser.parse_args(argv + ["--model", "m.json"]).model == "m.json"
 
     def test_reflected_pose_exit_one(self, tmp_path, ur5_model, capsys):
         t = forward_kinematics(ur5_model, np.array([0.4, -1.0, 1.3, -0.5, 0.7, 0.2])).copy()
@@ -173,8 +174,9 @@ class TestSolveCommand:
             ("kuka", 2, "d", -0.42, "l2 and l3 must be positive"),
             ("ur5", 2, "a", 0.39225, "l2 and l3 must be positive (the UR sign convention"),
             ("kuka", 0, "d", 0.0, "base riser l1 (dh[0].d) must be positive"),
+            ("ur5", 2, "a", -1e-8, "l2 and l3 must each be at least 1e-06 of their lay-out's"),
         ],
-        ids=["ur5-l2-zero", "kuka-l2-negative", "ur5-a3-positive", "kuka-l1-zero"],
+        ids=["ur5-l2-zero", "kuka-l2-negative", "ur5-a3-positive", "kuka-l1-zero", "ur5-a3-tiny"],
     )
     def test_non_positive_chain_link_exit_one(
         self, tmp_path, solvable_pose, capsys, robot, row, field, value, message

@@ -401,6 +401,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="eps_tol must be positive and finite"):
             solve(pre_bend(two_link_chain()), np.array([0.6, 1.1, 0.0]), eps_tol, 50)
 
+    @pytest.mark.parametrize("eps_tol", [True, "1e-6", None])
+    def test_non_number_eps_tol_rejected(self, eps_tol):
+        # True would otherwise run with eps = 1
+        with pytest.raises(ValueError, match="eps_tol must be a real number, not a bool"):
+            solve(pre_bend(two_link_chain()), np.array([0.6, 1.1, 0.0]), eps_tol, 50)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected_before_the_first_sweep(self, bad, monkeypatch):
         def no_sweep(*args):

@@ -167,6 +167,15 @@ class TestWrapAngle:
         vals = wrap_angle(rng.uniform(-50, 50, 1000))
         assert np.all(vals >= -math.pi) and np.all(vals < math.pi)
 
+    def test_float_path_matches_array_path_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        edges = [math.pi, -math.pi, 0.0, -0.0, 1e300, -1e300]
+        edges += [k * 2.0 * math.pi for k in (-3, -2, -1, 1, 2, 3)]
+        values = np.concatenate([rng.uniform(-50.0, 50.0, 100_000), rng.uniform(-1e6, 1e6, 100_000), edges])
+        floats = [wrap_angle(v) for v in values.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == wrap_angle(values).tobytes()
+
 
 class TestCartesianError:
     def test_identical_poses(self):

@@ -8,8 +8,8 @@ import pytest
 
 import fabrik_sqp
 from fabrik_sqp import benchmark, kuka, optimizer, solve_ik, ur5
-from fabrik_sqp.geometry import make_transform, wrap_angle
-from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, select_candidate
+from fabrik_sqp.geometry import make_transform, polar_rotation, wrap_angle
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, prepare_query, select_candidate
 from fabrik_sqp.robots import pose_mismatch
 
 SOLVERS = [(ur5, "ur5_model"), (kuka, "kuka_model")]
@@ -271,9 +271,31 @@ class TestInputBoundary:
     def test_non_finite_position_rejected(self, solver, value):
         _, model = solver
         t = make_transform(np.eye(3), [0.3, value, 0.4])
-        query = IKQuery(t_des=t, theta_init=np.zeros(model.dof), config=SolverConfig())
-        with pytest.raises(ValueError, match="t_des must be finite"):
-            solve_ik(model, query)
+        with pytest.raises(ValueError, match="transform entries must be finite"):
+            IKQuery(t_des=t, theta_init=np.zeros(model.dof), config=SolverConfig())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_top_row_entry_rejected_at_construction(self, value):
+        t_des = make_transform(np.eye(3), [0.3, 0.2, 0.4])
+        for row in range(3):
+            for col in range(4):
+                t = t_des.copy()
+                t[row, col] = value
+                with pytest.raises(ValueError, match="transform entries must be finite"):
+                    IKQuery(t_des=t, theta_init=np.zeros(6))
+
+    def test_query_keeps_its_own_sanitized_read_only_pose(self, solver):
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        t = t_des.copy()
+        t[:3, :3] *= 1.0 + 1e-6  # a defect the sanitizer projects away
+        query = IKQuery(t_des=t, theta_init=theta_init)
+        assert query.t_des[:3, :3].tobytes() == polar_rotation(t[:3, :3]).tobytes()
+        assert query.t_des[:, 3].tobytes() == t[:, 3].tobytes()
+        assert not query.t_des.flags.writeable
+        t[0, 3] += 1.0
+        assert query.t_des[0, 3] == t_des[0, 3]
+        assert prepare_query(model, query) is query.t_des
 
     @pytest.mark.parametrize("noise", [0.0, 1e-6])
     def test_reflected_pose_rejected(self, solver, noise):
@@ -284,9 +306,8 @@ class TestInputBoundary:
         t = t_des.copy()
         t[:3, 0] = -t[:3, 0]
         t[:3, :3] += np.random.default_rng(1).uniform(-noise, noise, size=(3, 3))
-        query = IKQuery(t_des=t, theta_init=theta_init, config=SolverConfig())
         with pytest.raises(ValueError, match="reflection"):
-            solve_ik(model, query)
+            IKQuery(t_des=t, theta_init=theta_init, config=SolverConfig())
 
     @pytest.mark.parametrize("entry, value", [(3, 1.0 + 9e-6), (0, 2e-9), (2, math.nan)])
     def test_bottom_row_checked_entry_by_entry(self, solver, entry, value):

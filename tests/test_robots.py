@@ -6,10 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, solve_ik
+from fabrik_sqp import benchmark, kuka, solve_ik, ur5
 from fabrik_sqp.geometry import rotation_defect
 from fabrik_sqp.iktypes import IKQuery, IKStatus
 from fabrik_sqp.robots import (
+    LAYOUT_MARGIN,
     DHRow,
     RobotModel,
     dh_transform,
@@ -401,3 +402,48 @@ class TestModelConstructor:
         values = {"a": 0.0, "alpha": 0.0, "d": 0.1, field: value}
         with pytest.raises(ValueError, match=f"DH parameter {field} must be finite"):
             DHRow(**values)
+
+
+def _table(robot, row, field, value):
+    doc = json.loads(model_to_json(get_model(robot)))
+    doc["dh"][row][field] = value
+    return json.dumps(doc)
+
+
+class TestReducedChainLayOut:
+    """A table the constructor accepts lays its reduced chain out in every
+    solve; one it would not lay out is rejected when it is built."""
+
+    @pytest.mark.parametrize(
+        "robot, row, field, value",
+        [("ur5", 2, "a", -1e-8), ("ur5", 1, "a", -1e-8), ("kuka", 0, "d", 1e12)],
+        ids=["ur5-a3-tiny", "ur5-a2-tiny", "kuka-d1-huge"],
+    )
+    def test_table_that_cannot_lay_out_rejected(self, robot, row, field, value):
+        with pytest.raises(ValueError, match="must each be at least 1e-06 of their lay-out's largest"):
+            model_from_json(_table(robot, row, field, value))
+
+    @pytest.mark.parametrize("row", [1, 2])
+    def test_ur5_link_at_the_margin_lays_out_in_every_plane(self, row):
+        other = 0.39225 if row == 1 else 0.425
+        small = LAYOUT_MARGIN * other / (1.0 - LAYOUT_MARGIN) * (1.0 + 1e-9)
+        model = model_from_json(_table("ur5", row, "a", -small))
+        with pytest.raises(ValueError, match="must each be at least"):
+            model_from_json(_table("ur5", row, "a", -small * (1.0 - 1e-6)))
+        for theta1 in np.linspace(-math.pi, math.pi, 721).tolist():
+            frame = ur5.planar_frame(theta1, np.eye(4), np.zeros(3), model)
+            ur5.make_chain(frame, model)
+        self._solves_without_raising(model)
+
+    def test_kuka_riser_at_the_margin_lays_out(self):
+        d1 = 0.4 / LAYOUT_MARGIN - 0.82 - 1.0
+        model = model_from_json(_table("kuka", 0, "d", d1))
+        with pytest.raises(ValueError, match="must each be at least"):
+            model_from_json(_table("kuka", 0, "d", d1 + 2.0))
+        kuka.make_chain(model)
+        self._solves_without_raising(model)
+
+    @staticmethod
+    def _solves_without_raising(model):
+        for t_des, theta_init in benchmark.generate_queries(model, 5, 7).queries:
+            assert solve_ik(model, IKQuery(t_des=t_des, theta_init=theta_init)).status in IKStatus
