@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .fabrik import check_cap
+from .fabrik import check_cap, check_integer
 from .iktypes import DEFAULT_EPS_TOL, IKQuery, IKResult, IKStatus, SolverConfig
 from .robots import RobotModel, forward_kinematics, pose_mismatch
 
@@ -54,6 +54,11 @@ def parse_mode(text: str) -> Mode:
     return Mode(kind.strip(), int(param) if colon else None)
 
 
+def check_seed(value, name: str) -> int:
+    """A generator seed: an integer of at least 0 (see `fabrik.check_integer`)."""
+    return check_integer(value, name, 0)
+
+
 @dataclass(frozen=True)
 class QuerySet:
     robot: str
@@ -67,6 +72,7 @@ class QuerySet:
 def generate_queries(model: RobotModel, n: int, seed: int) -> QuerySet:
     """n FK-generated poses plus independently drawn initial vectors."""
     n = check_cap(n, "n")
+    seed = check_seed(seed, "seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     lo = model.joint_limits[:, 0]
     hi = model.joint_limits[:, 1]

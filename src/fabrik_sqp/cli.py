@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[shared], help="run a random-query benchmark")
     p.add_argument("--robot", choices=("ur5", "kuka"), required=True)
     p.add_argument("--n", type=count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_checked(int, bench_mod.check_seed), default=0)
     p.add_argument("--modes", default="combined", help="e.g. combined,combined:5,fabrik:100")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--workers", type=count, default=os.cpu_count() or 1)

@@ -15,12 +15,16 @@ interval. Hinges carry a fixed world axis; ball joints use the cross
 product of the adjacent link directions as the correction axis and a
 cone half-angle as the limit.
 
-`straight_chain` validates a chain once, when it is built, including a
-minimum link length well above the sweeps' 1e-12 coincidence scale and
-a maximum reach that keeps their squares finite; the sweeps, `pre_bend`
-and the full-extension shortcut trust it and only move its positions.
-`solve` sweeps the positions as (x, y, z) float tuples and builds its
-outcome's chain once.
+A chain's links are checked once, where they come from: `RobotModel`
+checks the links of both robots' reduced chains when the model is built,
+and `straight_chain` checks every other chain (the CLI's, the demos'),
+including a minimum link length well above the sweeps' 1e-12 coincidence
+scale, a maximum reach that keeps their squares finite and a lay-out
+that keeps every link. The reductions lay their chains out with
+`lay_out_chain`, the same arithmetic without the checks; the sweeps,
+`pre_bend` and the full-extension shortcut trust the chain and only move
+its positions. `solve` sweeps the positions as (x, y, z) float tuples
+and builds its outcome's chain once.
 """
 from __future__ import annotations
 
@@ -94,7 +98,7 @@ class ChainState:
     joints[j] sits at positions[j] (j = 0..m-2); joints[0] is the base
     joint whose reference direction is anchor_dir (the fixed link feeding
     the chain), or unconstrained when anchor_dir is None. The sweeps
-    trust a chain that `straight_chain` has built and validated.
+    trust a chain laid out from checked links (see the module docstring).
     """
 
     positions: np.ndarray  # (m, 3) floats
@@ -121,24 +125,51 @@ class ChainState:
     def reach(self) -> float:
         return self._length_sum
 
+    # the lengths and joints are fixed: each is read once per chain
     @cached_property
-    def _length_sum(self) -> float:  # the lengths are fixed: summed once per chain
+    def _length_sum(self) -> float:
         return float(np.sum(self.lengths))
+
+    @cached_property
+    def _link_lengths(self) -> tuple:
+        return tuple(self.lengths.tolist())
+
+    @cached_property
+    def _can_clamp(self) -> tuple:
+        return tuple(not joint.unconstrained for joint in self.joints)
 
 
 def _lay_out(base, direction, lengths) -> np.ndarray:
-    return base + np.outer(np.concatenate(([0.0], np.cumsum(lengths))), direction)
+    """base + c * direction for c = 0 and each running sum of the lengths,
+    on Python floats: `np.outer` of `np.cumsum`, which adds left to
+    right, rounds each entry alike."""
+    bx, by, bz = base.tolist()
+    dx, dy, dz = direction.tolist()
+    c = 0.0
+    rows = [(bx + c * dx, by + c * dy, bz + c * dz)]
+    for length in lengths:
+        c += length
+        rows.append((bx + c * dx, by + c * dy, bz + c * dz))
+    return np.array(rows)
+
+
+def lay_out_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
+    """The chain of `straight_chain` without its checks, for links checked
+    where they were built (`robots.RobotModel`): base and lengths are
+    float ndarrays; direction and anchor_dir are normalized."""
+    positions = _lay_out(base, unit(direction), lengths.tolist())
+    anchor = None if anchor_dir is None else unit(anchor_dir)
+    return ChainState(positions, lengths, tuple(joints), base, anchor)
 
 
 def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
-    """Chain laid out straight from base along a direction.
+    """Chain laid out straight from base along a direction, checked.
 
-    The one place a chain is validated: lengths of at least
-    MIN_LINK_LENGTH summing to at most MAX_CHAIN_REACH, one per joint;
-    non-zero, finite 3-vector direction and anchor_dir (both
-    normalized); laid-out links that keep their lengths to 1e-9
-    relative, which rejects a link that rounding absorbs into the
-    coordinates before it.
+    Lengths of at least MIN_LINK_LENGTH summing to at most
+    MAX_CHAIN_REACH, one per joint; non-zero, finite 3-vector direction
+    and anchor_dir (both normalized); laid-out links that keep their
+    lengths to 1e-9 relative, which rejects a link that rounding absorbs
+    into the coordinates before it.
     """
     base = np.asarray(base, dtype=float)
     lengths = np.asarray(lengths, dtype=float)
@@ -153,12 +184,11 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
         raise ValueError("need one joint per link")
     if base.shape != (3,) or np.shape(direction) != (3,):
         raise ValueError("base and direction must be 3-vectors")
-    positions = _lay_out(base, unit(direction), lengths)
-    laid = np.linalg.norm(np.diff(positions, axis=0), axis=1)
+    chain = lay_out_chain(base, direction, lengths, joints, anchor_dir)
+    laid = np.linalg.norm(np.diff(chain.positions, axis=0), axis=1)
     if not np.all(np.abs(laid - lengths) <= 1e-9 * lengths):
         raise ValueError("a link is too short to lay out at this base")
-    anchor = None if anchor_dir is None else unit(anchor_dir)
-    return ChainState(positions, lengths, tuple(joints), base, anchor)
+    return chain
 
 
 def ball_joint_axis(l_in, l_out) -> np.ndarray:
@@ -216,7 +246,7 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) ->
     # the direction entering the first pivot: the anchor when the base
     # is pinned; the tip has no joint
     entry = None if tip_first else chain.anchor_dir
-    lengths = chain.lengths.tolist()
+    lengths, can_clamp = chain._link_lengths, chain._can_clamp
     q = list(positions)
     q[first] = start
     for i in range(first + step, first + m * step, step):
@@ -227,9 +257,7 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) ->
         v = np.array((vx, vy, vz))
         d = math.sqrt(v.dot(v))  # `norm(v)`
         length = lengths[i if tip_first else p]
-        if d < 1e-12 or (
-            (p != first or entry is not None) and not chain.joints[p].unconstrained
-        ):
+        if d < 1e-12 or ((p != first or entry is not None) and can_clamp[p]):
             pivot = np.array(q[p])
             back = unit(pivot - q[p - step]) if p != first else entry
             if d < 1e-12:
@@ -298,11 +326,14 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
         axis = perpendicular_axis(dirs[0])
     else:
         axis = unit(axis)
-    q = chain.positions.copy()
+    # q[k + 1] = q[k] + length * direction, on Python floats
+    q = chain.positions.tolist()
+    lengths = chain._link_lengths
     for k in range(1, n_links):
-        direction = rotate_about_axis(axis, k * PRE_BEND, dirs[0])
-        q[k + 1] = q[k] + chain.lengths[k] * direction
-    return replace(chain, positions=q)
+        dx, dy, dz = rotate_about_axis(axis, k * PRE_BEND, dirs[0]).tolist()
+        x, y, z = q[k]
+        q[k + 1] = [x + lengths[k] * dx, y + lengths[k] * dy, z + lengths[k] * dz]
+    return ChainState(np.array(q), chain.lengths, chain.joints, chain.base, chain.anchor_dir)
 
 
 @dataclass(frozen=True)
@@ -323,18 +354,23 @@ def check_tolerance(value, name: str) -> float:
     return float(value)
 
 
-def check_cap(value, name: str) -> int:
-    """A sweep cap as an int of at least 1; any integer type (np.int64
+def check_integer(value, name: str, least: int) -> int:
+    """value as an int of at least `least`; any integer type (np.int64
     too) but a bool passes, anything else is a ValueError."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, not a bool")
     try:
-        cap = operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
-    if cap < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return cap
+    if number < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return number
+
+
+def check_cap(value, name: str) -> int:
+    """A sweep cap: an integer of at least 1 (see `check_integer`)."""
+    return check_integer(value, name, 1)
 
 
 def within_reach(chain: ChainState, target) -> bool:
@@ -366,7 +402,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
         # full-extension or out-of-reach target: the straight chain is the
         # unique solution, or the closest the chain gets
         direction = unit((target - chain.base) / gap)
-        stretched = replace(chain, positions=_lay_out(chain.base, direction, chain.lengths))
+        stretched = replace(chain, positions=_lay_out(chain.base, direction, chain._link_lengths))
         dist = norm(stretched.end - target)
         return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, ((1, dist),))
 

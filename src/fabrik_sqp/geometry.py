@@ -9,16 +9,22 @@ The per-joint helpers trust values validated where they were built
 Rounding rule: the solve path works on short vectors and small
 matrices, where numpy's per-call dispatch costs more than the
 arithmetic, so elementwise work leaves numpy for Python floats, which
-round each operation alike: `cross`, the KUKA wrist jacobian, the
-FABRIK sweeps (`fabrik._reach` and the loop of `fabrik.solve`) and the
-optimizer's iterates, which keep their state in floats and build an
-ndarray only as the operand of a position map or of a reduction. So do
-the link norms of `ChainState.link_directions` and the L1 distance of
+round each operation alike: `cross`, the entries of
+`rotate_about_axis`, the KUKA wrist jacobian, the FABRIK sweeps
+(`fabrik._reach` and the loop of `fabrik.solve`), the chain lay-out
+(`fabrik._lay_out`, whose running sum is `np.cumsum`'s) and the bent
+links of `fabrik.pre_bend`, and the optimizer's iterates, which keep
+their state in floats and build an ndarray only as the operand of a
+position map or of a reduction. So do the link norms of
+`ChainState.link_directions` and the L1 distance of
 `iktypes.select_candidate`, sums numpy adds left to right, and the
 float path of `wrap_angle`, whose `%` rounds as numpy's remainder.
-Every dot product stays on BLAS: the kernel may round a short dot as a
-chain of fused multiply-adds, which a Python sum does not reproduce,
-and every seeded solve keeps its bits only that way. The dot products
+`rotation_defect` forms the entries of R^T R - I on floats too, their
+dots included: it only decides against ROTATION_EXACT_TOL and
+ROTATION_REPAIR_TOL, so its last bits need not be BLAS's. Every other
+dot product stays on BLAS: the kernel may round a short dot as a chain
+of fused multiply-adds, which a Python sum does not reproduce, and
+every seeded solve keeps its bits only that way. The dot products
 of the sweep and optimizer loops are:
 
 - the 3-vector `ndarray.dot`s: the optimizer's `diff.dot(diff)`, the
@@ -115,7 +121,15 @@ def rotate_about_axis(axis, theta: float, v) -> np.ndarray:
     or the normalized one of `fabrik.ball_joint_axis` or `fabrik.pre_bend`."""
     c = math.cos(theta)
     s = math.sin(theta)
-    return v * c + cross(axis, v) * s + axis * (axis.dot(v) * (1.0 - c))
+    k = axis.dot(v) * (1.0 - c)
+    ax, ay, az = axis.tolist()
+    vx, vy, vz = v.tolist()
+    # v * c + cross(axis, v) * s + axis * k, entry by entry
+    return np.array((
+        vx * c + (ay * vz - az * vy) * s + ax * k,
+        vy * c + (az * vx - ax * vz) * s + ay * k,
+        vz * c + (ax * vy - ay * vx) * s + az * k,
+    ))
 
 
 def signed_angle(a, b, ref_axis) -> float:
@@ -157,9 +171,22 @@ def inverse_transform(T) -> np.ndarray:
 
 
 def rotation_defect(R) -> float:
-    """Max absolute entry of R^T R - I (entrywise orthonormality defect)."""
-    R = np.asarray(R, dtype=float)
-    return float(np.max(np.abs(R.T @ R - np.eye(3))))
+    """Max absolute entry of R^T R - I (entrywise orthonormality defect),
+    on Python floats; NaN when any entry is NaN."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float).tolist()
+    # entry (j, k) is column j dot column k; the products commute, so the
+    # six entries on and above the diagonal give all nine
+    defects = [abs(x) for x in (
+        r00 * r00 + r10 * r10 + r20 * r20 - 1.0,
+        r01 * r01 + r11 * r11 + r21 * r21 - 1.0,
+        r02 * r02 + r12 * r12 + r22 * r22 - 1.0,
+        r00 * r01 + r10 * r11 + r20 * r21,
+        r00 * r02 + r10 * r12 + r20 * r22,
+        r01 * r02 + r11 * r12 + r21 * r22,
+    )]
+    # `max` alone could pass a NaN over: it keeps whichever side of a
+    # NaN comparison comes first
+    return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
 def polar_rotation(R) -> np.ndarray:

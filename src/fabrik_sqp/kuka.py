@@ -17,7 +17,7 @@ pipeline checks the pose of the selected one only.
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -46,14 +46,21 @@ def wrist_target(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
     return translation_of(t_des) - l4 * t_des[:3, 2]
 
 
+@lru_cache(maxsize=8)
 def make_chain(model: RobotModel) -> fabrik.ChainState:
-    """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT."""
-    l2, l3 = model.link_lengths[1:3]
+    """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT, laid out
+    from the links the model checked (`robots.LAYOUT_MARGIN` covers it).
+
+    One chain per model, shared by every solve: its arrays are read-only.
+    """
     elbow_cone = min(math.pi, max(abs(model.joint_limits[3, 0]), abs(model.joint_limits[3, 1])))
     joints = (fabrik.Ball(), fabrik.Ball(elbow_cone))
-    return fabrik.straight_chain(
-        model.shoulder, DEFAULT_V_INIT, np.array([l2, l3]), joints, anchor_dir=DEFAULT_V_INIT
+    chain = fabrik.lay_out_chain(
+        model.shoulder, DEFAULT_V_INIT, model.link_lengths[1:3], joints, anchor_dir=DEFAULT_V_INIT
     )
+    chain.positions.flags.writeable = False
+    chain.anchor_dir.flags.writeable = False
+    return chain
 
 
 # --- closed-form geometry ---------------------------------------------------

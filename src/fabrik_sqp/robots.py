@@ -149,7 +149,8 @@ def _link_lengths(name, dh: tuple[DHRow, ...]) -> list[float]:
         )
     if lengths[1] + lengths[2] > MAX_CHAIN_REACH:
         raise ValueError(f"{name} reduced-chain reach l2 + l3 must be at most {MAX_CHAIN_REACH:g} m")
-    # Each solve's `fabrik.straight_chain` wants every laid link within 1e-9 of
+    # The reductions lay their chains out unchecked (`fabrik.lay_out_chain`), so this
+    # is `fabrik.straight_chain`'s rule, checked once: every laid link within 1e-9 of
     # its length. Its links err by <= 3u M (u = 2**-53), M the largest coordinate:
     # l2 + l3 in any UR5 plane (the height is exact), l1 + l2 + l3 up the KUKA's z.
     # So L >= LAYOUT_MARGIN * M errs by <= 3.3e-10 L (UR5, measured: fails < ~2e-7 M).

@@ -89,14 +89,14 @@ def iteration_target(frame: PlanarFrame, l5d: np.ndarray, model: RobotModel) -> 
 
 
 def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
-    """Straight two-link elbow chain in the working plane."""
-    l2, l3 = model.link_lengths[1:3]
+    """Straight two-link elbow chain in the working plane, laid out from
+    the links the model checked (`robots.LAYOUT_MARGIN` covers every plane)."""
     joints = (
         fabrik.Hinge(frame.z2d, *model.joint_limits[1]),
         fabrik.Hinge(frame.z2d, *model.joint_limits[2]),
     )
-    return fabrik.straight_chain(
-        model.shoulder, frame.v_init, np.array([l2, l3]), joints, anchor_dir=frame.v_init
+    return fabrik.lay_out_chain(
+        model.shoulder, frame.v_init, model.link_lengths[1:3], joints, anchor_dir=frame.v_init
     )
 
 

@@ -53,6 +53,21 @@ class TestGenerateQueries:
         with pytest.raises(ValueError, match="n must be at least 1"):
             bm.generate_queries(ur5_model, n, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, match",
+        [(-1, "at least 0"), (True, "an integer, not a bool"), (1.5, "an integer"), ("7", "an integer")],
+        ids=["negative", "bool", "float", "text"],
+    )
+    def test_bad_seed_rejected(self, ur5_model, seed, match):
+        with pytest.raises(ValueError, match=f"seed must be {match}"):
+            bm.generate_queries(ur5_model, 1, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self, ur5_model):
+        a = bm.generate_queries(ur5_model, 2, seed=np.int64(0))
+        b = bm.generate_queries(ur5_model, 2, seed=0)
+        assert type(a.seed) is int and a.seed == 0
+        assert all(np.array_equal(ta, tb) for (ta, _), (tb, _) in zip(a.queries, b.queries))
+
 
 class TestRunBenchmark:
     def test_trivial_query_set_succeeds(self, ur5_model):

@@ -294,6 +294,16 @@ class TestBenchCommand:
         assert capsys.readouterr().err == "error: at least one mode is required\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5"], ids=["negative", "float"])
+    def test_bad_seed_exit_one(self, tmp_path, capsys, seed):
+        prefix = tmp_path / "b"
+        argv = ["bench", "--robot", "ur5", "--n", "1", "--seed", seed, "--out-prefix", str(prefix)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed:" in err and err.count("error:") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output(self, tmp_path, capsys):
         code = cli.main(
             [

@@ -17,7 +17,7 @@ from fabrik_sqp.fabrik import (
     solve,
     straight_chain,
 )
-from fabrik_sqp.geometry import rotate_about_axis, signed_angle, unit
+from fabrik_sqp.geometry import perpendicular_axis, rotate_about_axis, signed_angle, unit
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -735,3 +735,78 @@ class TestReachAgainstNumpyBody:
             assert _same_bits(out.chain.positions, q)
             assert _same_bits(out.dist, dist)
             assert _same_bits(out.trace, trace)
+
+
+# --- the numpy lay-out, bend and rotation, kept as oracles ------------------
+# `_lay_out`, the bend loop of `pre_bend` and `rotate_about_axis` as they
+# were written on numpy arrays, before their entries moved to Python floats.
+
+def _np_lay_out(base, direction, lengths):
+    return base + np.outer(np.concatenate(([0.0], np.cumsum(lengths))), direction)
+
+
+def _np_pre_bend(chain, axis=None):
+    """The bent positions of a straight chain."""
+    dirs = chain.link_directions()
+    if axis is None:
+        axis = next((joint.axis for joint in chain.joints if isinstance(joint, Hinge)), None)
+    axis = perpendicular_axis(dirs[0]) if axis is None else unit(axis)
+    q = chain.positions.copy()
+    for k in range(1, dirs.shape[0]):
+        q[k + 1] = q[k] + chain.lengths[k] * _np_rotate(axis, k * fabrik.PRE_BEND, dirs[0])
+    return q
+
+
+def _signed_zero_vectors(rng, count):
+    """Normal 3-vectors with about a fifth of their components 0.0 and a
+    fifth -0.0; a vector that draws all zeros gets a -1.0."""
+    v = rng.normal(size=(count, 3))
+    pick = rng.random(size=(count, 3))
+    v[pick < 0.2] = 0.0
+    v[(pick >= 0.2) & (pick < 0.4)] = -0.0
+    v[~v.any(axis=1), 0] = -1.0
+    return v
+
+
+class TestFloatPathsAgainstNumpyBody:
+    """`_lay_out` (and so `straight_chain` and `lay_out_chain`), `pre_bend`
+    and `rotate_about_axis` against their numpy bodies, bit for bit, on
+    seeded draws with negative, 0.0 and -0.0 components."""
+
+    def test_lay_out(self):
+        rng = np.random.default_rng(31)
+        for base, direction in zip(_signed_zero_vectors(rng, 3000), _signed_zero_vectors(rng, 3000)):
+            base = base * 10.0 ** rng.uniform(-3, 3)
+            lengths = rng.uniform(0.01, 2.0, int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-3, 3)
+            want = _np_lay_out(base, direction, lengths)
+            assert _same_bits(fabrik._lay_out(base, direction, lengths.tolist()), want)
+            laid = fabrik.lay_out_chain(base, direction, lengths, (Ball(),) * lengths.size)
+            assert _same_bits(laid.positions, _np_lay_out(base, unit(direction), lengths))
+
+    def test_straight_chain_and_unchecked_lay_out_agree(self):
+        rng = np.random.default_rng(32)
+        for base, direction, anchor in zip(*(_signed_zero_vectors(rng, 500) for _ in range(3))):
+            lengths = rng.uniform(0.2, 1.5, int(rng.integers(1, 7)))
+            joints = (Ball(),) * lengths.size
+            checked = straight_chain(base, direction, lengths, joints, anchor_dir=anchor)
+            laid = fabrik.lay_out_chain(base, direction, lengths, joints, anchor_dir=anchor)
+            for field in ("positions", "lengths", "base", "anchor_dir"):
+                assert _same_bits(getattr(laid, field), getattr(checked, field))
+
+    def test_pre_bend(self):
+        rng = np.random.default_rng(33)
+        for base, direction, axis in zip(*(_signed_zero_vectors(rng, 1500) for _ in range(3))):
+            lengths = rng.uniform(0.2, 1.5, int(rng.integers(2, 7)))
+            kinds = rng.integers(0, 2, lengths.size)
+            joints = tuple(Hinge(unit(axis)) if kind else Ball() for kind in kinds)
+            chain = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
+            given = axis * rng.uniform(0.5, 2.0) if rng.integers(0, 2) else None
+            assert _same_bits(pre_bend(chain, axis=given).positions, _np_pre_bend(chain, given))
+
+    def test_rotate_about_axis(self):
+        rng = np.random.default_rng(34)
+        vectors = _signed_zero_vectors(rng, 6000) * 10.0 ** rng.uniform(-9, 3, size=(6000, 1))
+        axes = [unit(a) for a in _signed_zero_vectors(rng, 6000)]
+        thetas = np.concatenate([[0.0, -0.0, math.pi, -math.pi], rng.uniform(-4.0, 4.0, 5996)])
+        for axis, theta, v in zip(axes, thetas.tolist(), vectors):
+            assert _same_bits(rotate_about_axis(axis, theta, v), _np_rotate(axis, theta, v))

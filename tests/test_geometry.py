@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from fabrik_sqp.geometry import (
+    ROTATION_EXACT_TOL,
+    ROTATION_REPAIR_TOL,
     cartesian_error,
     clamped_arccos,
     cross,
@@ -246,6 +248,65 @@ class TestRotationHygiene:
             for r in (mirror, noisy):
                 with pytest.raises(ValueError, match="reflection"):
                     sanitize_rotation(r)
+
+
+def _np_defect(r):
+    """`rotation_defect` as it was written on numpy arrays."""
+    return float(np.max(np.abs(r.T @ r - np.eye(3))))
+
+
+class TestRotationDefectOnFloats:
+    """`rotation_defect` forms R^T R - I on Python floats; it only decides
+    against the two tolerances, so it must fall on the same side of each
+    as numpy's R^T R - I, and a non-finite entry must never pass."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", range(9))
+    def test_non_finite_entry_rejected(self, entry, value):
+        for r in (np.eye(3), polar_rotation(np.random.default_rng(entry).normal(size=(3, 3)))):
+            r = r.copy()
+            r.flat[entry] = value
+            assert not rotation_defect(r) <= ROTATION_REPAIR_TOL
+            with pytest.raises(ValueError, match="too far from orthonormal"):
+                sanitize_rotation(r)
+
+    @pytest.mark.parametrize("entry", range(9))
+    def test_nan_entry_gives_nan(self, entry):
+        r = np.eye(3)
+        r.flat[entry] = math.nan
+        assert math.isnan(rotation_defect(r))
+
+    @staticmethod
+    def _scaled_to(r, noise, target):
+        """r + s * noise with numpy's defect nearest `target` from bisection on s."""
+        lo, hi = 0.0, 1.0
+        while _np_defect(r + hi * noise) < target:
+            hi *= 2.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _np_defect(r + mid * noise) < target else (lo, mid)
+        return r + hi * noise
+
+    @pytest.mark.parametrize(
+        "tol, margin", [(ROTATION_EXACT_TOL, 1e-14), (ROTATION_REPAIR_TOL, 1e-13)], ids=["exact", "repair"]
+    )
+    def test_same_side_of_each_tolerance_as_numpy(self, tol, margin):
+        # the two sums differ by a few ulps of the unit entries, so the
+        # draws straddle each tolerance at least `margin` away from it
+        rng = np.random.default_rng(41)
+        sides = set()
+        for _ in range(300):
+            r = polar_rotation(rng.normal(size=(3, 3)))
+            noise = rng.uniform(-1.0, 1.0, size=(3, 3)) * 1e-6
+            offset = margin * 10.0 ** rng.uniform(0.0, 4.0) * (1.0 if rng.integers(0, 2) else -1.0)
+            for m in (r, self._scaled_to(r, noise, tol + offset)):
+                want = _np_defect(m)
+                got = rotation_defect(m)
+                assert abs(got - want) <= 8 * 2.0 ** -52
+                if abs(want - tol) >= margin:
+                    assert (got <= tol) == (want <= tol)
+                    sides.add(want <= tol)
+        assert sides == {True, False}
 
 
 def test_inverse_transform_roundtrip():

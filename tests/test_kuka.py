@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, kuka, solve_ik
+from fabrik_sqp import benchmark, kuka, robots, solve_ik
 from fabrik_sqp.geometry import inverse_transform, make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
@@ -26,6 +26,34 @@ class TestWristTarget:
         t = golden_kuka_pose
         want = t[:3, 3] - t[:3, :3] @ np.array([0.0, 0.0, kuka_model.link_lengths[3]])
         assert np.allclose(kuka.wrist_target(t, kuka_model), want, atol=1e-15)
+
+
+class TestCachedChain:
+    """`make_chain` lays out one chain per model, shared by every solve."""
+
+    def test_arrays_are_read_only(self, kuka_model):
+        chain = kuka.make_chain(kuka_model)
+        for field in ("positions", "lengths", "base", "anchor_dir"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(chain, field)[0] = 1.0
+
+    def test_equal_models_share_one_chain(self):
+        tight = np.tile([-0.5, 0.5], (7, 1))
+        default = kuka.make_chain(robots.kuka_model())
+        assert kuka.make_chain(robots.kuka_model()) is default
+        narrow = kuka.make_chain(robots.kuka_model(tight))
+        assert kuka.make_chain(robots.kuka_model(tight.copy())) is narrow
+        # the limits are part of the key: they set the elbow cone
+        assert narrow is not default and narrow.joints[1].max_angle == 0.5
+
+    def test_solves_leave_the_chain_unchanged(self, kuka_model):
+        chain = kuka.make_chain(kuka_model)
+        before = [chain.positions.tobytes(), chain.anchor_dir.tobytes(), chain.joints]
+        for config in (SolverConfig(), SolverConfig(use_optimizer=False)):
+            for t_des, theta_init in benchmark.generate_queries(kuka_model, 20, 7).queries:
+                solve_ik(kuka_model, IKQuery(t_des, theta_init, config))
+        assert kuka.make_chain(kuka_model) is chain
+        assert [chain.positions.tobytes(), chain.anchor_dir.tobytes(), chain.joints] == before
 
 
 class TestBendMagnitudes:

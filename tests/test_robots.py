@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, kuka, solve_ik, ur5
+from fabrik_sqp import benchmark, fabrik, kuka, solve_ik, ur5
 from fabrik_sqp.geometry import rotation_defect
 from fabrik_sqp.iktypes import IKQuery, IKStatus
 from fabrik_sqp.robots import (
@@ -412,7 +412,10 @@ def _table(robot, row, field, value):
 
 class TestReducedChainLayOut:
     """A table the constructor accepts lays its reduced chain out in every
-    solve; one it would not lay out is rejected when it is built."""
+    solve; one it would not lay out is rejected when it is built. The
+    reductions lay their chains out without checks, so each is compared
+    with the checked `fabrik.straight_chain` of the same inputs, which
+    raises on a link the lay-out loses."""
 
     @pytest.mark.parametrize(
         "robot, row, field, value",
@@ -432,7 +435,7 @@ class TestReducedChainLayOut:
             model_from_json(_table("ur5", row, "a", -small * (1.0 - 1e-6)))
         for theta1 in np.linspace(-math.pi, math.pi, 721).tolist():
             frame = ur5.planar_frame(theta1, np.eye(4), np.zeros(3), model)
-            ur5.make_chain(frame, model)
+            self._same_as_checked(ur5.make_chain(frame, model), model, frame.v_init)
         self._solves_without_raising(model)
 
     def test_kuka_riser_at_the_margin_lays_out(self):
@@ -440,8 +443,17 @@ class TestReducedChainLayOut:
         model = model_from_json(_table("kuka", 0, "d", d1))
         with pytest.raises(ValueError, match="must each be at least"):
             model_from_json(_table("kuka", 0, "d", d1 + 2.0))
-        kuka.make_chain(model)
+        self._same_as_checked(kuka.make_chain(model), model, kuka.DEFAULT_V_INIT)
         self._solves_without_raising(model)
+
+    @staticmethod
+    def _same_as_checked(chain, model, direction):
+        checked = fabrik.straight_chain(
+            model.shoulder, direction, model.link_lengths[1:3], chain.joints, anchor_dir=direction
+        )
+        for field in ("positions", "lengths", "base", "anchor_dir"):
+            a, b = getattr(chain, field), getattr(checked, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
     @staticmethod
     def _solves_without_raising(model):
