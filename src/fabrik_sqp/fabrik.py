@@ -23,7 +23,7 @@ scale, a maximum reach that keeps their squares finite and a lay-out
 that keeps every link. The reductions lay their chains out with
 `lay_out_chain`, the same arithmetic without the checks; the sweeps,
 `pre_bend` and the full-extension shortcut trust the chain and only move
-its positions. `solve` sweeps the positions as (x, y, z) float tuples
+its positions. `solve` sweeps the positions as (x, y, z) float rows
 and builds its outcome's chain once.
 """
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _limit_correction(l_in, l_out, joint):
 
 
 def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) -> list:
-    """One reaching phase on a list of (x, y, z) floats; returns the new list.
+    """One reaching phase on a list of (x, y, z) float rows, never mutated; returns a new list.
 
     Pins the first point of the traversal (the tip when tip_first, else
     the base) at start, then pulls each next point onto its link from
@@ -280,20 +280,16 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) ->
     return q
 
 
-def _points(positions: np.ndarray) -> list:
-    return [tuple(row) for row in positions.tolist()]
-
-
 def forward_phase(chain: ChainState, target) -> ChainState:
     """Anchor the end at the target and pull the chain tip-to-base."""
     tip = tuple(np.asarray(target, dtype=float).tolist())
-    return replace(chain, positions=np.array(_reach(chain, _points(chain.positions), tip, True)))
+    return replace(chain, positions=np.array(_reach(chain, chain.positions.tolist(), tip, True)))
 
 
 def backward_phase(chain: ChainState) -> ChainState:
     """Anchor the base and push the chain base-to-tip."""
     base = tuple(chain.base.tolist())
-    return replace(chain, positions=np.array(_reach(chain, _points(chain.positions), base, False)))
+    return replace(chain, positions=np.array(_reach(chain, chain.positions.tolist(), base, False)))
 
 
 def pre_bend(chain: ChainState, axis=None) -> ChainState:
@@ -387,7 +383,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     chain laid straight toward it in one sweep, FABRIK's out-of-reach
     case; callers that refuse such targets ask `within_reach` first. A
     non-finite target, or one more than MAX_TARGET_GAP from the base,
-    raises ValueError. The sweeps run on float tuples; the outcome's
+    raises ValueError. The sweeps run on float rows; the outcome's
     chain is built once, on return.
     """
     eps_tol = check_tolerance(eps_tol, "eps_tol")
@@ -409,7 +405,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     dist = norm(chain.end - target)
     if dist <= eps_tol:
         return FabrikOutcome(True, 0, dist, chain)
-    q = _points(chain.positions)
+    q = chain.positions.tolist()
     tx, ty, tz = tip
     trace = []
     n = 0

@@ -16,8 +16,8 @@ round each operation alike: `cross`, the entries of
 links of `fabrik.pre_bend`, and the optimizer's iterates, which keep
 their state in floats and build an ndarray only as the operand of a
 position map or of a reduction. So do the link norms of
-`ChainState.link_directions` and the L1 distance of
-`iktypes.select_candidate`, sums numpy adds left to right, and the
+`ChainState.link_directions` and `iktypes.l1_distance`, which orders
+the pick and the KUKA seeds, sums numpy adds left to right, and the
 float path of `wrap_angle`, whose `%` rounds as numpy's remainder.
 `rotation_defect` forms the entries of R^T R - I on floats too, their
 dots included: it only decides against ROTATION_EXACT_TOL and

@@ -107,6 +107,15 @@ def prepare_query(model: RobotModel, query: IKQuery) -> np.ndarray:
     return query.t_des
 
 
+def l1_distance(a, b) -> float:
+    """sum |a_i - b_i| over equal-length float sequences, left to right as np.sum
+    adds up to seven entries (the builtin sum compensates from Python 3.12 on)."""
+    d = 0.0
+    for x, y in zip(a, b, strict=True):
+        d += abs(x - y)
+    return d
+
+
 def select_candidate(candidates, theta_init) -> int | None:
     """Index of the admitted candidate closest to theta_init in L1 norm.
 
@@ -120,11 +129,7 @@ def select_candidate(candidates, theta_init) -> int | None:
     best = None
     best_d = math.inf
     for idx, theta in enumerate(candidates):
-        # left to right, as np.sum adds up to seven entries (the builtin
-        # sum compensates from Python 3.12 on)
-        d = 0.0
-        for t, r in zip(np.asarray(theta, dtype=float).tolist(), reference, strict=True):
-            d += abs(t - r)
+        d = l1_distance(np.asarray(theta, dtype=float).tolist(), reference)
         if d < best_d - SELECT_TIE_TOL:
             best = idx
             best_d = d

@@ -31,7 +31,7 @@ from .geometry import (
     unit,
     wrap_angle,
 )
-from .iktypes import IKQuery, prepare_query, select_candidate
+from .iktypes import IKQuery, l1_distance, prepare_query, select_candidate
 from .optimizer import minimize
 from .robots import RobotModel, dh_transform, fk_frames, pose_mismatch
 
@@ -73,14 +73,14 @@ def elbow_position(model: RobotModel, theta1: float, theta2: float) -> np.ndarra
     )
 
 
-def wrist_analytic(theta: np.ndarray, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
-    """Wrist position and its 3x4 jacobian w.r.t. joints 1-4.
+def wrist_analytic(theta, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
+    """Wrist position and its 3x4 jacobian w.r.t. joints 1-4, theta[:4] of any sequence.
 
     Joints 5-7 do not move the wrist, so the closed form only involves
     theta1..theta4.
     """
     l1, l2, l3 = model.link_lengths[:3].tolist()
-    t1, t2, t3, t4 = theta[:4].tolist()
+    t1, t2, t3, t4 = theta[:4]
     c1, s1 = math.cos(t1), math.sin(t1)
     c2, s2 = math.cos(t2), math.sin(t2)
     c3, s3 = math.cos(t3), math.sin(t3)
@@ -161,8 +161,8 @@ def theta3_root(theta4: float, local: np.ndarray) -> float:
 
 
 def arm_angles(p2, p3, model: RobotModel, azimuths=()):
-    """Yield every (theta1..theta4) placing the elbow at p2 and the wrist
-    at p3, each with its frame 2.
+    """Yield every float tuple (theta1..theta4) placing the elbow at p2
+    and the wrist at p3, each with its frame 2.
 
     Sign branches nest as theta2 sign, theta1 roots (plus `azimuths`),
     theta4 sign, positive branch first. Frame 2 and the wrist point in
@@ -175,7 +175,7 @@ def arm_angles(p2, p3, model: RobotModel, azimuths=()):
             t02 = fk_frames(model, (th1, th2))[-1]
             local = inverse_transform(t02).dot(p3h)
             for th4 in _signed_options(m4):
-                yield np.array([th1, th2, theta3_root(th4, local), th4]), t02
+                yield (th1, th2, theta3_root(th4, local), th4), t02
 
 
 def wrist_angles(t04: np.ndarray, r_des: np.ndarray) -> list[tuple[float, float, float]]:
@@ -196,25 +196,22 @@ def wrist_angles(t04: np.ndarray, r_des: np.ndarray) -> list[tuple[float, float,
     ]
 
 
-def recover_candidates(
-    p2: np.ndarray, p3: np.ndarray, t_des: np.ndarray, model: RobotModel
-) -> list[np.ndarray]:
-    """Every joint vector with its elbow at p2, its wrist at p3 and the
-    orientation of t_des: each arm branch, then each wrist triple,
-    unwrapped. Frame 4 extends the arm's frame 2 in `fk_frames`'s
-    left-to-right order, so it has the same bits."""
+def recover_candidates(p2, p3, t_des: np.ndarray, model: RobotModel) -> list[tuple]:
+    """Every joint vector, a 7-tuple of floats, with its elbow at p2, its
+    wrist at p3 and the orientation of t_des: each arm branch, then each
+    wrist triple, unwrapped. Frame 4 extends the arm's frame 2 in
+    `fk_frames`'s left-to-right order, so it has the same bits."""
     r_des = t_des[:3, :3]
     row3, row4 = model.dh[2:4]
     out = []
     for arm, t02 in arm_angles(p2, p3, model):
-        th3, th4 = arm[2:].tolist()
-        t04 = t02.dot(dh_transform(row3, th3)).dot(dh_transform(row4, th4))
-        out.extend(np.concatenate([arm, wrist]) for wrist in wrist_angles(t04, r_des))
+        t04 = t02.dot(dh_transform(row3, arm[2])).dot(dh_transform(row4, arm[3]))
+        out.extend((*arm, *wrist) for wrist in wrist_angles(t04, r_des))
     return out
 
 
-def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> list[np.ndarray]:
-    """Distinct joint angles 1-4 reproducing the current chain.
+def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> list[tuple]:
+    """Distinct joint angles 1-4, as float 4-tuples, reproducing the current chain.
 
     Used to seed the optimizer after a non-converged FABRIK run. The
     bend magnitudes and root equations admit several combinations; all
@@ -234,16 +231,16 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     if math.hypot(float(p3c[0]), float(p3c[1])) > 1e-12:
         az = math.atan2(float(p3c[1]), float(p3c[0]))
         azimuths = [az, wrap_angle(az + math.pi)]
-    scored: list[tuple[float, np.ndarray]] = []
+    scored: list[tuple[float, tuple]] = []
     for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):
         wrist, _ = wrist_analytic(theta, model)
         score = norm(elbow_position(model, theta[0], theta[1]) - p2c) + norm(wrist - p3c)
         scored.append((score, theta))
     scored.sort(key=lambda pair: pair[0])
-    out: list[np.ndarray] = []
+    out: list[tuple] = []
     for _, theta in scored:
         # seeds are starting points, not answers: collapse near-twins
-        if all(np.max(np.abs(theta - kept)) > 1e-4 for kept in out):
+        if all(max(abs(a - b) for a, b in zip(theta, kept)) > 1e-4 for kept in out):
             out.append(theta)
     return out
 
@@ -326,7 +323,7 @@ class Branch:
         # to mirror folds, and the warm-start fold keeps tracking
         # trajectories continuous
         seeds = seed_candidates_from_chain(seed_chain, model)
-        seeds.sort(key=lambda s: float(np.sum(np.abs(s - self.theta_init[:4]))))
+        seeds.sort(key=partial(l1_distance, b=self.theta_init[:4].tolist()))
         results = []
         for seed in seeds[:12]:
             results.append(minimize(position, self.target, seed, bounds, stop))

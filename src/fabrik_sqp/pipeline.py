@@ -5,10 +5,10 @@ lay out and pre-bend. For each branch `solve` checks that the chain can
 reach the branch's target (`fabrik.within_reach`), runs the capped
 FABRIK sweeps from the branch's start chain and, when they miss,
 re-bends the swept chain and hands it to the robot's optimizer
-fallback. The branch recovers joint vectors from its reduced solution
-in closed form, exactly; `solve` wraps them to [-pi, pi), filters
-them by the joint limits, selects one, checks its pose and turns it
-into the one IKResult. The robots differ only in their branches.
+fallback. The branch recovers float tuples from its reduced solution in
+closed form, exactly; `solve` wraps them to [-pi, pi), filters them by
+the joint limits, builds one ndarray each, selects one, checks its pose
+and turns it into the one IKResult. The robots differ only in their branches.
 
 A branch is any object with:
 
@@ -20,7 +20,7 @@ A branch is any object with:
   every optimizer run in order and the reduced solution, or None when
   the last run ends above the stop value (the squared tolerance)
 - ``candidates(reduced, t_des)``: every joint vector recovered from a
-  reduced solution, in enumeration order, unwrapped
+  reduced solution, as a float tuple, in enumeration order, unwrapped
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ class SolveDetail:
     fabrik_iterations: int = 0
     optimizer_iterations: int = 0
     optimizer: OptResult | None = None  # the last optimizer run
-    candidates: list = field(default_factory=list)  # wrapped recovered thetas, enumeration order
+    candidates: list = field(default_factory=list)  # wrapped thetas, ndarrays, enumeration order
     admitted: list = field(default_factory=list)  # the candidates within the joint limits
 
     @property
@@ -92,20 +92,20 @@ def solve(
             detail.optimizer = results[-1]
         if reduced is None:
             continue
-        for theta in branch.candidates(reduced, t_des):
-            theta = np.array([wrap_angle(t) for t in theta.tolist()])
-            detail.candidates.append(theta)
-            if model.within_limits(theta):
-                detail.admitted.append(theta)
+        for raw in branch.candidates(reduced, t_des):
+            wrapped = [wrap_angle(t) for t in raw]
+            detail.candidates.append(np.array(wrapped))
+            if model.within_limits(wrapped):
+                detail.admitted.append(detail.candidates[-1])
     pick = select_candidate(detail.admitted, query.theta_init)
     theta = error = None
     if pick is not None and pose_mismatch(model, detail.admitted[pick], t_des) <= eps:
         theta = detail.admitted[pick]
-    elapsed = time.perf_counter() - start
     if theta is None:
         status = IKStatus.FAILED if detail.reachable else IKStatus.UNREACHABLE
     else:
         status = IKStatus.SOLVED
         error = cartesian_error(forward_kinematics(model, theta), t_des)
+    elapsed = time.perf_counter() - start
     counters = (detail.fabrik_iterations, detail.optimizer_used, detail.optimizer_iterations)
     return IKResult(status, theta, error, *counters, elapsed), detail

@@ -113,7 +113,8 @@ class RobotModel:
         return len(self.dh)
 
     def within_limits(self, theta, tol: float = 0.0) -> bool:
-        pairs = zip(np.asarray(theta, dtype=float).tolist(), self.limit_pairs, strict=True)
+        """theta, any sequence of one float per joint, within the limits +- tol."""
+        pairs = zip(theta, self.limit_pairs, strict=True)
         return all(lo - tol <= t <= hi + tol for t, (lo, hi) in pairs)
 
 

@@ -156,15 +156,15 @@ def wrist_angles(
     theta234 = signed_angle(frame.v_init, l5d, frame.z2d) - math.pi / 2
     theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
     x5d = fk_frames(model, [frame.theta1, 0.0, 0.0, theta234, theta5])[-1][:3, 0]
-    theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), unit(t_des[:3, 2]))
+    theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), frame.l6d)
     return theta234, theta5, theta6
 
 
-def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> np.ndarray:
-    """All six joint angles of one fold, unwrapped; theta4 closes the
-    branch's sum."""
+def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> tuple:
+    """All six joint angles of one fold as floats, unwrapped; theta4
+    closes the branch's sum."""
     theta234, theta5, theta6 = wrist
-    return np.array([theta1, theta2, theta3, theta234 - theta2 - theta3, theta5, theta6])
+    return theta1, theta2, theta3, theta234 - theta2 - theta3, theta5, theta6
 
 
 class Branch:

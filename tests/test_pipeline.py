@@ -1,15 +1,23 @@
 """The shared solve pipeline: status rule, counters and input boundary."""
 import importlib.util
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fabrik_sqp
-from fabrik_sqp import benchmark, kuka, optimizer, solve_ik, ur5
+from fabrik_sqp import benchmark, kuka, optimizer, pipeline, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform, polar_rotation, wrap_angle
-from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, prepare_query, select_candidate
+from fabrik_sqp.iktypes import (
+    IKQuery,
+    IKStatus,
+    SolverConfig,
+    l1_distance,
+    prepare_query,
+    select_candidate,
+)
 from fabrik_sqp.robots import pose_mismatch
 
 SOLVERS = [(ur5, "ur5_model"), (kuka, "kuka_model")]
@@ -117,7 +125,7 @@ class TestStatusRule:
             wrapped += detail.candidates
         assert len(raw) == len(wrapped) > 0
         for theta, got in zip(raw, wrapped):
-            assert got.tobytes() == wrap_angle(theta).tobytes()
+            assert got.tobytes() == wrap_angle(np.asarray(theta)).tobytes()
 
     def test_solved_checks_only_the_pick(self, solver, monkeypatch):
         module, model = solver
@@ -147,6 +155,19 @@ class TestStatusRule:
         assert result.theta is None and result.error is None
         # no rescan: the other admitted candidates are never checked
         assert len(detail.admitted) > 1 and len(checked) == 1
+
+    def test_solve_time_covers_the_picks_error(self, solver, monkeypatch):
+        module, model = solver
+        error_of = pipeline.cartesian_error
+
+        def slow(*args):
+            time.sleep(0.005)
+            return error_of(*args)
+
+        monkeypatch.setattr(pipeline, "cartesian_error", slow)
+        result, _ = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
+        assert result.status is IKStatus.SOLVED
+        assert result.solve_time >= 0.005
 
 
 class TestHookLookup:
@@ -203,15 +224,17 @@ class TestSelection:
         assert select_candidate(candidates, np.zeros(2)) == 1
 
     def test_l1_distance_is_numpy_sum_bits(self):
-        """`select_candidate` sums the L1 distance left to right in
-        floats, which is how np.sum adds six or seven entries."""
+        """`l1_distance` sums left to right in floats, which is how np.sum
+        adds the four entries of a KUKA seed (its old sort key) and the
+        six or seven of a pick."""
         rng = np.random.default_rng(29)
-        for n in (6, 7):
+        for n in (4, 6, 7):
             for a, b in rng.uniform(-math.pi, math.pi, size=(10_000, 2, n)):
-                d = 0.0
-                for x, y in zip(a.tolist(), b.tolist()):
-                    d += abs(x - y)
-                assert d == float(np.sum(np.abs(a - b)))
+                assert l1_distance(a.tolist(), b.tolist()) == float(np.sum(np.abs(a - b)))
+
+    def test_l1_distance_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            l1_distance((0.0, 1.0), (0.0,))
 
 
 class TestSolverConfig:

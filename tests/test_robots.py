@@ -194,6 +194,24 @@ class TestModelData:
         assert np.allclose(ur5_model.joint_limits[:, 0], -math.pi)
         assert np.allclose(ur5_model.joint_limits[:, 1], math.pi)
 
+    def test_within_limits_takes_any_sequence(self):
+        model = kuka_model(np.tile([-0.5, 0.5], (7, 1)))
+        rng = np.random.default_rng(31)
+        draws = [*rng.uniform(-0.6, 0.6, size=(200, 7)), np.full(7, 0.5), np.full(7, -0.5)]
+        answers = set()
+        for theta in draws:
+            for tol in (0.0, 0.05):
+                want = model.within_limits(theta, tol)
+                assert model.within_limits(theta.tolist(), tol) is want
+                assert model.within_limits(tuple(theta.tolist()), tol) is want
+                answers.add(want)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("theta", [np.zeros(6), [0.0] * 8, ()])
+    def test_within_limits_rejects_a_wrong_length(self, kuka_model, theta):
+        with pytest.raises(ValueError):
+            kuka_model.within_limits(theta)
+
     @pytest.mark.parametrize("name", ["joint_limits", "link_lengths"])
     def test_model_arrays_are_read_only(self, name):
         limits = np.tile([-1.0, 1.0], (6, 1))

@@ -128,7 +128,9 @@ def export(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+def same_bits(x, y) -> bool:
+    """Equal shape and bits as float arrays, whatever sequence holds them."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
