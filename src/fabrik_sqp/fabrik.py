@@ -23,15 +23,16 @@ scale, a maximum reach that keeps their squares finite and a lay-out
 that keeps every link. The reductions lay their chains out with
 `lay_out_chain`, the same arithmetic without the checks; the sweeps,
 `pre_bend` and the full-extension shortcut trust the chain and only move
-its positions. `solve` sweeps the positions as (x, y, z) float rows
-and builds its outcome's chain once.
+its positions. `solve` sweeps the positions as (x, y, z) float rows,
+measures every distance on one scratch 3-vector that it rewrites in
+place, and builds its outcome's chain once.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -124,6 +125,10 @@ class ChainState:
 
     def reach(self) -> float:
         return self._length_sum
+
+    def moved(self, rows) -> ChainState:
+        """This chain with its points at `rows`, (x, y, z) float rows."""
+        return ChainState(np.array(rows), self.lengths, self.joints, self.base, self.anchor_dir)
 
     # the lengths and joints are fixed: each is read once per chain
     @cached_property
@@ -227,7 +232,7 @@ def _limit_correction(l_in, l_out, joint):
     return joint.max_angle - phi, ball_joint_axis(l_in, l_out)
 
 
-def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) -> list:
+def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool, v) -> list:
     """One reaching phase on a list of (x, y, z) float rows, never mutated; returns a new list.
 
     Pins the first point of the traversal (the tip when tip_first, else
@@ -238,7 +243,8 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) ->
     base-to-tip, so the tip-first pass hands `_limit_correction` the
     negated link directions and turns the retained point the other way;
     both negations are exact. A point's distance from its pivot is the
-    `norm` of its offset as an ndarray; the coincident and limit-clamp
+    `norm` of its offset, written into the caller's scratch 3-vector `v`
+    (the phase's own: nothing keeps it); the coincident and limit-clamp
     cases work on ndarrays.
     """
     m = len(positions)
@@ -254,7 +260,7 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) ->
         x, y, z = q[p]
         ox, oy, oz = positions[i]
         vx, vy, vz = ox - x, oy - y, oz - z
-        v = np.array((vx, vy, vz))
+        v[0], v[1], v[2] = vx, vy, vz
         d = math.sqrt(v.dot(v))  # `norm(v)`
         length = lengths[i if tip_first else p]
         if d < 1e-12 or ((p != first or entry is not None) and can_clamp[p]):
@@ -272,8 +278,7 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) ->
                 corr = _limit_correction(back, v / d, chain.joints[p])
             if corr is not None:
                 delta, axis = corr
-                v = rotate_about_axis(axis, -delta if tip_first else delta, v)
-                vx, vy, vz = v.tolist()
+                vx, vy, vz = rotate_about_axis(axis, -delta if tip_first else delta, v).tolist()
         # pivot + (length / d) * v, rounded alike in Python floats
         s = length / d
         q[i] = (x + s * vx, y + s * vy, z + s * vz)
@@ -283,13 +288,13 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool) ->
 def forward_phase(chain: ChainState, target) -> ChainState:
     """Anchor the end at the target and pull the chain tip-to-base."""
     tip = tuple(np.asarray(target, dtype=float).tolist())
-    return replace(chain, positions=np.array(_reach(chain, chain.positions.tolist(), tip, True)))
+    return chain.moved(_reach(chain, chain.positions.tolist(), tip, True, np.empty(3)))
 
 
 def backward_phase(chain: ChainState) -> ChainState:
     """Anchor the base and push the chain base-to-tip."""
     base = tuple(chain.base.tolist())
-    return replace(chain, positions=np.array(_reach(chain, chain.positions.tolist(), base, False)))
+    return chain.moved(_reach(chain, chain.positions.tolist(), base, False, np.empty(3)))
 
 
 def pre_bend(chain: ChainState, axis=None) -> ChainState:
@@ -329,7 +334,7 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
         dx, dy, dz = rotate_about_axis(axis, k * PRE_BEND, dirs[0]).tolist()
         x, y, z = q[k]
         q[k + 1] = [x + lengths[k] * dx, y + lengths[k] * dy, z + lengths[k] * dz]
-    return ChainState(np.array(q), chain.lengths, chain.joints, chain.base, chain.anchor_dir)
+    return chain.moved(q)
 
 
 @dataclass(frozen=True)
@@ -383,8 +388,9 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     chain laid straight toward it in one sweep, FABRIK's out-of-reach
     case; callers that refuse such targets ask `within_reach` first. A
     non-finite target, or one more than MAX_TARGET_GAP from the base,
-    raises ValueError. The sweeps run on float rows; the outcome's
-    chain is built once, on return.
+    raises ValueError. The sweeps run on float rows and write every
+    distance's offset into one scratch 3-vector; the outcome's chain is
+    built once, on return.
     """
     eps_tol = check_tolerance(eps_tol, "eps_tol")
     iter_cap = check_cap(iter_cap, "iter_cap")
@@ -398,7 +404,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
         # full-extension or out-of-reach target: the straight chain is the
         # unique solution, or the closest the chain gets
         direction = unit((target - chain.base) / gap)
-        stretched = replace(chain, positions=_lay_out(chain.base, direction, chain._link_lengths))
+        stretched = chain.moved(_lay_out(chain.base, direction, chain._link_lengths))
         dist = norm(stretched.end - target)
         return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, ((1, dist),))
 
@@ -407,16 +413,16 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
         return FabrikOutcome(True, 0, dist, chain)
     q = chain.positions.tolist()
     tx, ty, tz = tip
+    v = np.empty(3)  # the scratch 3-vector of every norm below
     trace = []
     n = 0
     while n < iter_cap:
-        q = _reach(chain, _reach(chain, q, tip, True), base, False)
+        q = _reach(chain, _reach(chain, q, tip, True, v), base, False, v)
         n += 1
         x, y, z = q[-1]
-        v = np.array((x - tx, y - ty, z - tz))
+        v[0], v[1], v[2] = x - tx, y - ty, z - tz
         dist = math.sqrt(v.dot(v))  # `norm(q[-1] - target)`
         trace.append((n, dist))
         if dist <= eps_tol:
             break
-    chain = replace(chain, positions=np.array(q))
-    return FabrikOutcome(dist <= eps_tol, n, dist, chain, tuple(trace))
+    return FabrikOutcome(dist <= eps_tol, n, dist, chain.moved(q), tuple(trace))

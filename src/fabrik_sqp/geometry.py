@@ -14,8 +14,8 @@ round each operation alike: `cross`, the entries of
 (`fabrik._reach` and the loop of `fabrik.solve`), the chain lay-out
 (`fabrik._lay_out`, whose running sum is `np.cumsum`'s) and the bent
 links of `fabrik.pre_bend`, and the optimizer's iterates, which keep
-their state in floats and build an ndarray only as the operand of a
-position map or of a reduction. So do the link norms of
+their state in floats, hand them to the position maps as lists and
+build an ndarray only as the operand of a reduction. So do the link norms of
 `ChainState.link_directions` and `iktypes.l1_distance`, which orders
 the pick and the KUKA seeds, sums numpy adds left to right, and the
 float path of `wrap_angle`, whose `%` rounds as numpy's remainder.
@@ -28,7 +28,10 @@ every seeded solve keeps its bits only that way. The dot products
 of the sweep and optimizer loops are:
 
 - the 3-vector `ndarray.dot`s: the optimizer's `diff.dot(diff)`, the
-  reach step's `v.dot(v)` and the sweep's end-to-target distance;
+  reach step's `v.dot(v)` and the sweep's end-to-target distance; the
+  last two write their offset into one scratch 3-vector per phase (per
+  solve in `fabrik.solve`) before each dot, the same operand in the
+  same memory layout as a fresh array;
 - the optimizer's `jac.T.dot(diff)`, `H.dot(g)`, `g.dot(d)`, `g.dot(s)`
   and `s.dot(y_eff)`;
 - its `norm(s)`, `norm(y_eff)`, `y_eff.dot(y_eff)` and

@@ -117,7 +117,8 @@ def l1_distance(a, b) -> float:
 
 
 def select_candidate(candidates, theta_init) -> int | None:
-    """Index of the admitted candidate closest to theta_init in L1 norm.
+    """Index of the admitted candidate closest to theta_init in L1 norm;
+    each candidate is any sequence of floats (the pipeline's are lists).
 
     Ties keep the earliest candidate, so the enumeration order of the
     sign branches is the tie-break. A later candidate must be closer by
@@ -129,7 +130,7 @@ def select_candidate(candidates, theta_init) -> int | None:
     best = None
     best_d = math.inf
     for idx, theta in enumerate(candidates):
-        d = l1_distance(np.asarray(theta, dtype=float).tolist(), reference)
+        d = l1_distance(theta, reference)
         if d < best_d - SELECT_TIE_TOL:
             best = idx
             best_d = d

@@ -79,7 +79,7 @@ def wrist_analytic(theta, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
     Joints 5-7 do not move the wrist, so the closed form only involves
     theta1..theta4.
     """
-    l1, l2, l3 = model.link_lengths[:3].tolist()
+    l1, l2, l3 = model.arm_lengths
     t1, t2, t3, t4 = theta[:4]
     c1, s1 = math.cos(t1), math.sin(t1)
     c2, s2 = math.cos(t2), math.sin(t2)
@@ -114,15 +114,15 @@ def bend_magnitudes(p1, p2, p3) -> tuple[float, float]:
     The bend at a joint is pi minus the interior angle of the triangle
     spanned by its two links (law of cosines on the outer points),
     evaluated in atan2 form on the link directions so near-straight and
-    near-folded joints keep full precision.
+    near-folded joints keep full precision. The points may be any
+    3-sequences; each link is one `np.subtract`.
     """
-    def bend(pa, pj, pb):
-        u = pj - pa
-        v = pb - pj
+    def bend(u, v):
         return math.atan2(norm(cross(u, v)), u.dot(v))
 
-    p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p1, p2, p3))
-    return bend(np.zeros(3), p1, p2), bend(p1, p2, p3)
+    # the riser from the origin: p1 - 0.0 has p1's bits
+    riser, upper, fore = np.subtract(p1, 0.0), np.subtract(p2, p1), np.subtract(p3, p2)
+    return bend(riser, upper), bend(upper, fore)
 
 
 def _signed_options(magnitude: float) -> list[float]:

@@ -7,7 +7,9 @@ on the projected step path (the trial point is clipped to the box, so
 steps slide along active bounds and the position map is never evaluated
 outside it). `minimize` takes the chain end's position map, the target,
 the start and the box; it clips the start into the box and checks
-nothing but the values it computes.
+nothing but the values it computes. Its iterates are lists of floats,
+which the position maps read as they are; the returned x is the one
+ndarray built from them.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ class OptResult:
 
 
 def _evaluate(position, target, x):
-    """f, g and g's floats at the ndarray x."""
+    """f, g and g's floats at x, a list of floats."""
     p, jac = position(x)
     diff = p - target
     f = float(diff.dot(diff))
@@ -80,26 +82,24 @@ def _freeze(d, x, lo, hi):
 def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     """Drive f = |p - target|^2 to f <= stop_value inside the box.
 
-    position(x) returns the chain end p, an (m,) array, and its (m, n)
-    jacobian J; the gradient is 2 J^T (p - target). bounds is an (n, 2)
+    position(x), x a list of n floats, returns the chain end p, an (m,)
+    array, and its (m, n) jacobian J; the gradient is 2 J^T (p - target). bounds is an (n, 2)
     array of rows lo <= hi, such as a model's joint limits; x0 is
     clipped into it. Returns the first iterate reaching stop_value (only
     an exact zero reaches 0), or Stalled when no progress is possible
     (projected gradient and step below 1e-12), or IterationCap after
     MAX_ITERS accepted steps.
 
-    The iterates are Python floats; an ndarray is built only for an
-    operand of `position` or of a BLAS reduction (the geometry module's
-    rounding rule).
+    An ndarray is built only for an operand of a BLAS reduction (the
+    geometry module's rounding rule) and for the returned x.
     """
     lo, hi = np.asarray(bounds, dtype=float).T.tolist()
     n = len(lo)
 
     xl = _clip(np.asarray(x0, dtype=float).tolist(), lo, hi)
-    x = np.array(xl)
-    f, g, gl = _evaluate(position, target, x)
+    f, g, gl = _evaluate(position, target, xl)
     if f <= stop_value:
-        return OptResult(x, f, 0, OptStatus.TOLERANCE_REACHED)
+        return OptResult(np.array(xl), f, 0, OptStatus.TOLERANCE_REACHED)
 
     eye = np.eye(n)  # never mutated: H is only ever rebound
     eye_rows = eye.tolist()
@@ -129,7 +129,7 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             fresh_h = True
             dl = _freeze([-v for v in gl], xl, lo, hi)
         if max(map(abs, dl), default=0.0) <= STALL_TOL:
-            return OptResult(x, f, iterations, OptStatus.STALLED)
+            return OptResult(np.array(xl), f, iterations, OptStatus.STALLED)
 
         # A scaled curvature model wants the unit step; the gradient
         # fallback has no scale, so reuse (and grow) the last working
@@ -149,15 +149,14 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
                 break
             s = np.array(sl)
             gs = float(g.dot(s))
-            x_new = np.array(xl_new)
-            f_new, g_new, gl_new = _evaluate(position, target, x_new)
+            f_new, g_new, gl_new = _evaluate(position, target, xl_new)
             if gs < 0.0 and f_new <= f + ARMIJO_C * gs:
                 accepted = True
                 break
             alpha *= SHRINK
             first_try = False
         if not accepted:
-            return OptResult(x, f, iterations, OptStatus.STALLED)
+            return OptResult(np.array(xl), f, iterations, OptStatus.STALLED)
         if fresh_h:
             sd_alpha = min(alpha * 2.0, 1e8) if first_try else max(alpha, 1e-8)
         else:
@@ -168,16 +167,16 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
         # cross-coupling, not curvature along the step, and would corrupt
         # the free-subspace model
         yl = [0.0 if si == 0.0 else a - b for si, a, b in zip(sl, gl_new, gl)]
-        x, xl, f, g, gl = x_new, xl_new, f_new, g_new, gl_new
+        xl, f, g, gl = xl_new, f_new, g_new, gl_new
         if f <= stop_value:
-            return OptResult(x, f, iterations, OptStatus.TOLERANCE_REACHED)
+            return OptResult(np.array(xl), f, iterations, OptStatus.TOLERANCE_REACHED)
 
         step = max(map(abs, sl))
         proj_grad = max(
             abs(a - b) for a, b in zip(_clip([xi - gi for xi, gi in zip(xl, gl)], lo, hi), xl)
         )
         if step <= STALL_TOL and proj_grad <= STALL_TOL:
-            return OptResult(x, f, iterations, OptStatus.STALLED)
+            return OptResult(np.array(xl), f, iterations, OptStatus.STALLED)
 
         y_eff = np.array(yl)
         sy = float(s.dot(y_eff))
@@ -201,4 +200,4 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             H = eye
             fresh_h = True
 
-    return OptResult(x, f, iterations, OptStatus.ITERATION_CAP)
+    return OptResult(np.array(xl), f, iterations, OptStatus.ITERATION_CAP)

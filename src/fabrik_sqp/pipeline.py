@@ -7,8 +7,9 @@ FABRIK sweeps from the branch's start chain and, when they miss,
 re-bends the swept chain and hands it to the robot's optimizer
 fallback. The branch recovers float tuples from its reduced solution in
 closed form, exactly; `solve` wraps them to [-pi, pi), filters them by
-the joint limits, builds one ndarray each, selects one, checks its pose
-and turns it into the one IKResult. The robots differ only in their branches.
+the joint limits, selects one among the wrapped floats, builds one
+ndarray each for the SolveDetail, checks the pick's pose and turns it
+into the one IKResult. The robots differ only in their branches.
 
 A branch is any object with:
 
@@ -75,6 +76,7 @@ def solve(
     eps = config.eps_tol
     cap = config.fabrik_cap(model.name)
     detail = SolveDetail()
+    admitted = []  # the floats of detail.admitted, which the selection reads
     for branch in branches(t_des, query.theta_init, model):
         detail.branches += 1
         if not fabrik.within_reach(branch.start, branch.target):
@@ -97,7 +99,8 @@ def solve(
             detail.candidates.append(np.array(wrapped))
             if model.within_limits(wrapped):
                 detail.admitted.append(detail.candidates[-1])
-    pick = select_candidate(detail.admitted, query.theta_init)
+                admitted.append(wrapped)
+    pick = select_candidate(admitted, query.theta_init)
     theta = error = None
     if pick is not None and pose_mismatch(model, detail.admitted[pick], t_des) <= eps:
         theta = detail.admitted[pick]

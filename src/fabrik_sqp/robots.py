@@ -73,13 +73,15 @@ class RobotModel:
 
     `link_lengths` and `shoulder` (0, 0, l1), the base of both reduced
     chains, are read off the DH table; the arrays are read-only copies.
-    Models compare and hash by name, table and limits.
+    `arm_lengths` holds l1, l2 and l3 as floats, for the optimizer's
+    position maps. Models compare and hash by name, table and limits.
     """
 
     name: str
     dh: tuple[DHRow, ...]
     joint_limits: np.ndarray | None = field(default=None, compare=False)  # (dof, 2) [lo, hi] radians
     link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    arm_lengths: tuple[float, float, float] = field(init=False, repr=False, compare=False)
     shoulder: np.ndarray = field(init=False, repr=False, compare=False)
     limit_pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
@@ -101,6 +103,7 @@ class RobotModel:
         object.__setattr__(self, "dh", dh)
         object.__setattr__(self, "joint_limits", limits)
         object.__setattr__(self, "link_lengths", _frozen_copy(lengths))
+        object.__setattr__(self, "arm_lengths", tuple(self.link_lengths[:3].tolist()))
         object.__setattr__(self, "shoulder", _frozen_copy((0.0, 0.0, lengths[0])))
         object.__setattr__(self, "limit_pairs", tuple(map(tuple, limits.tolist())))
 

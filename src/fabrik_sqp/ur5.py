@@ -14,8 +14,8 @@ joint limits closest to theta_init in L1 norm, after one pose check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .geometry import (
 )
 from .iktypes import IKQuery, prepare_query, select_candidate
 from .optimizer import OptResult, minimize
-from .robots import RobotModel, fk_frames, pose_mismatch
+from .robots import RobotModel, dh_transform, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
 
@@ -68,6 +68,23 @@ class PlanarFrame:
     l6d: np.ndarray  # desired flange-link direction
     p_w_proj: np.ndarray  # wrist projected into the plane
     l5d_options: tuple  # candidate wrist-riser directions (+, -)
+    model: RobotModel = field(repr=False)
+
+    @cached_property
+    def t03(self) -> np.ndarray:
+        """Frame 3 at (theta1, 0, 0), in `fk_frames`' left-to-right order:
+        built when a riser's `wrist_angles` first reads it, then shared."""
+        link2, link3 = _zero_links(self.model)
+        return dh_transform(self.model.dh[0], self.theta1).dot(link2).dot(link3)
+
+
+@lru_cache(maxsize=8)
+def _zero_links(model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
+    """Links 2 and 3 at zero angle, the same in every plane: shared, so read-only."""
+    links = dh_transform(model.dh[1], 0.0), dh_transform(model.dh[2], 0.0)
+    for link in links:
+        link.flags.writeable = False
+    return links
 
 
 def planar_frame(theta1: float, t_des: np.ndarray, p_w: np.ndarray, model: RobotModel) -> PlanarFrame:
@@ -81,7 +98,7 @@ def planar_frame(theta1: float, t_des: np.ndarray, p_w: np.ndarray, model: Robot
     # or pi): every riser in the plane closes the orientation, theta6
     # taking up the twist; the tool-frame -y direction is one of them
     base = -t_des[:3, 1] if n < _DEGENERATE_WRIST_TOL else riser / n
-    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, -base))
+    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, -base), model)
 
 
 def iteration_target(frame: PlanarFrame, l5d: np.ndarray, model: RobotModel) -> np.ndarray:
@@ -102,7 +119,7 @@ def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
 
 def elbow_analytic(x, theta1: float, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
     """Forearm tip at x = (theta2, theta3) in theta1's plane, and its 3x2 jacobian."""
-    l1, l2, l3 = model.link_lengths[:3].tolist()
+    l1, l2, l3 = model.arm_lengths
     c1, s1 = math.cos(theta1), math.sin(theta1)
     th2, th3 = float(x[0]), float(x[1])
     c2, s2 = math.cos(th2), math.sin(th2)
@@ -152,10 +169,13 @@ def wrist_angles(
 ) -> tuple[float, float, float]:
     """(theta2 + theta3 + theta4, theta5, theta6), shared by every
     (theta2, theta3) of the branch: the wrist rotation depends on joints
-    2-4 only through their sum."""
+    2-4 only through their sum. Frame 5 at (theta1, 0, 0, theta234,
+    theta5) extends the plane's frame 3 with links 4 and 5, as
+    `fk_frames` does, so it has the same bits."""
     theta234 = signed_angle(frame.v_init, l5d, frame.z2d) - math.pi / 2
     theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
-    x5d = fk_frames(model, [frame.theta1, 0.0, 0.0, theta234, theta5])[-1][:3, 0]
+    row4, row5 = model.dh[3:5]
+    x5d = frame.t03.dot(dh_transform(row4, theta234)).dot(dh_transform(row5, theta5))[:3, 0]
     theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), frame.l6d)
     return theta234, theta5, theta6
 

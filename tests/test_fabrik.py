@@ -810,3 +810,44 @@ class TestFloatPathsAgainstNumpyBody:
         thetas = np.concatenate([[0.0, -0.0, math.pi, -math.pi], rng.uniform(-4.0, 4.0, 5996)])
         for axis, theta, v in zip(axes, thetas.tolist(), vectors):
             assert _same_bits(rotate_about_axis(axis, theta, v), _np_rotate(axis, theta, v))
+
+
+class TestNoScratchEscapes:
+    """The sweeps measure every distance on a scratch 3-vector that they
+    rewrite in place; none reaches a result, and no solve sees another's."""
+
+    @staticmethod
+    def chains_and_targets(rng, count):
+        out = []
+        for _ in range(count):
+            chain = TestReachAgainstNumpyBody.random_chain(rng)
+            targets = [chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach()
+                       for _ in range(4)]
+            out.append((chain, targets))
+        return out
+
+    def test_results_own_their_memory(self):
+        rng = np.random.default_rng(51)
+        for chain, (t1, t2, *_) in self.chains_and_targets(rng, 50):
+            a, b = solve(chain, t1, 1e-6, 30), solve(chain, t2, 1e-6, 30)
+            assert a.iterations and b.iterations
+            assert not np.shares_memory(a.chain.positions, b.chain.positions)
+            f1, f2 = forward_phase(chain, t1), forward_phase(chain, t2)
+            assert not np.shares_memory(f1.positions, f2.positions)
+            b1, b2 = backward_phase(f1), backward_phase(f2)
+            assert not np.shares_memory(b1.positions, b2.positions)
+
+    def test_interleaved_solves_match_solves_in_turn(self):
+        rng = np.random.default_rng(52)
+        pairs = [self.chains_and_targets(rng, 2) for _ in range(30)]
+
+        def record(outcome):
+            return (outcome.chain.positions.tobytes(), np.array(outcome.dist).tobytes(),
+                    outcome.iterations, outcome.trace)
+
+        for (a, targets_a), (b, targets_b) in pairs:
+            in_turn = [record(solve(a, t, 1e-6, 30)) for t in targets_a]
+            in_turn += [record(solve(b, t, 1e-6, 30)) for t in targets_b]
+            interleaved = [record(solve(chain, t, 1e-6, 30))
+                           for ta, tb in zip(targets_a, targets_b) for chain, t in ((a, ta), (b, tb))]
+            assert interleaved[0::2] + interleaved[1::2] == in_turn

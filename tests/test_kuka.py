@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark, kuka, robots, solve_ik
-from fabrik_sqp.geometry import inverse_transform, make_transform, wrap_angle
+from fabrik_sqp.geometry import cross, inverse_transform, make_transform, norm, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
@@ -82,6 +82,28 @@ class TestBendMagnitudes:
             m2, m4 = kuka.bend_magnitudes(p1, p2, p3)
             assert m2 == pytest.approx(abs(theta[1]), abs=1e-9)
             assert m4 == pytest.approx(abs(theta[3]), abs=1e-9)
+
+    def test_same_bits_as_the_array_body(self, kuka_model):
+        # the body before each link became one np.subtract of any sequences
+        def bend(pa, pj, pb):
+            u = pj - pa
+            v = pb - pj
+            return math.atan2(norm(cross(u, v)), u.dot(v))
+
+        rng = np.random.default_rng(9)
+        for k in range(500):
+            theta = rng.uniform(-math.pi, math.pi, 7)
+            if k % 5 == 0:
+                theta[1::2] = 0.0  # straight: exact zeros in the points
+            frames = fk_frames(kuka_model, theta)
+            points = [frames[i][:3, 3] for i in (1, 3, 5)]
+            if k % 7 == 0:
+                points[0] = -0.0 * points[0]
+            p1, p2, p3 = (np.asarray(p, dtype=float) for p in points)
+            want = (bend(np.zeros(3), p1, p2), bend(p1, p2, p3))
+            for given in (points, [p.tolist() for p in points]):
+                got = kuka.bend_magnitudes(*given)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def _wrist_triples(model, theta):

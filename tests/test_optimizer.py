@@ -92,6 +92,15 @@ class TestMinimize:
             minimize(bad, np.zeros(1), np.array([0.5]), np.array([[-1.0, 1.0]]), 1e-9)
         assert info.value.x.shape == (1,)
 
+    def test_results_own_their_x(self):
+        # the iterates are float lists; each result builds its own x
+        a = minimize(identity, np.array([1.0, -1.0]), ORIGIN, BOX, 1e-12)
+        b = minimize(identity, np.array([1.0, -1.0]), ORIGIN, BOX, 1e-12)
+        c = minimize(rosenbrock_residual, ORIGIN, np.array([-1.2, 1.0]), BOX, 1e-14)
+        assert a.iterations >= 1
+        for x, y in ((a.x, b.x), (a.x, c.x), (b.x, c.x)):
+            assert not np.shares_memory(x, y)
+
     def test_deterministic(self, monkeypatch):
         monkeypatch.setattr(optimizer, "MAX_ITERS", 500)
         a = minimize(rosenbrock_residual, ORIGIN, np.array([-1.2, 1.0]), BOX, 1e-14)

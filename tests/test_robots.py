@@ -372,6 +372,13 @@ class TestModelConstructor:
             assert want.status is got.status is IKStatus.SOLVED
             assert np.array_equal(got.theta, want.theta)
 
+    def test_arm_lengths_are_the_first_three_links_as_floats(self, ur5_model, kuka_model):
+        replaced = dataclasses.replace(ur5_model, dh=UR10_DH)
+        for model in (ur5_model, kuka_model, replaced, pickle.loads(pickle.dumps(kuka_model))):
+            assert model.arm_lengths == tuple(model.link_lengths[:3].tolist())
+            assert all(type(length) is float for length in model.arm_lengths)
+        assert replaced.arm_lengths == (0.1273, 0.612, 0.5723)
+
     def test_shoulder_is_read_only(self, kuka_model):
         assert kuka_model.shoulder.tolist() == [0.0, 0.0, 0.36]
         with pytest.raises(ValueError):

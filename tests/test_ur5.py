@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fabrik_sqp import benchmark, fabrik, solve_ik, ur5
-from fabrik_sqp.geometry import make_transform, wrap_angle
+from fabrik_sqp.geometry import make_transform, signed_angle, unit, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
@@ -156,6 +156,37 @@ class TestRecoverAngles:
         assert rec == pytest.approx([0.2, 1.0, 2.5, -6.5, 0.4, -0.5], abs=1e-15)
 
 
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestWristAnglesAgainstFkFrames:
+    """`wrist_angles` extends its plane's frame 3 with links 4 and 5; it
+    makes the products of `fk_frames(model, [theta1, 0, 0, theta234,
+    theta5])` on the same operands, in the same order, so it keeps their
+    bits under any BLAS kernel."""
+
+    def test_seeded_frames(self, ur5_model):
+        rng = np.random.default_rng(41)
+        risers = 0
+        for k in range(300):
+            theta = rng.uniform(-math.pi, math.pi, 6)
+            if k % 10 == 0:  # the singular frames, with their -y riser
+                theta[4] = (0.0, math.pi)[k % 20 // 10]
+            t_des = forward_kinematics(ur5_model, theta)
+            p_w = ur5.wrist_position(t_des, ur5_model)
+            for theta1 in ur5.theta1_candidates(p_w, ur5_model):
+                frame = ur5.planar_frame(theta1, t_des, p_w, ur5_model)
+                assert _same_bits(frame.t03, fk_frames(ur5_model, [theta1, 0.0, 0.0])[-1])
+                for l5d in frame.l5d_options:
+                    theta234, theta5, theta6 = ur5.wrist_angles(frame, l5d, t_des, ur5_model)
+                    x5d = fk_frames(ur5_model, [theta1, 0.0, 0.0, theta234, theta5])[-1][:3, 0]
+                    want = signed_angle(unit(x5d), unit(t_des[:3, 0]), frame.l6d)
+                    assert _same_bits(theta6, want)
+                    risers += 1
+        assert risers >= 1000
+
+
 class TestFoldVariants:
     def test_mirror_reaches_the_same_point(self, ur5_model):
         rng = np.random.default_rng(7)
@@ -247,7 +278,7 @@ class TestSolve:
             )
 
     def test_wrist_solved_once_per_branch(self, ur5_model, monkeypatch):
-        calls = {"fk_frames": 0, "fold_variants": 0}
+        calls = {"wrist_angles": 0, "fold_variants": 0}
         for name in calls:
 
             def counted(*args, _original=getattr(ur5, name), _name=name):
@@ -255,14 +286,26 @@ class TestSolve:
                 return _original(*args)
 
             monkeypatch.setattr(ur5, name, counted)
+        links = []  # the 1-based DH row of every link transform built
+
+        def counted_link(row, theta, _original=ur5.dh_transform):
+            links.append(next(k for k, r in enumerate(ur5_model.dh, 1) if r is row))
+            return _original(row, theta)
+
+        monkeypatch.setattr(ur5, "dh_transform", counted_link)
         t_des, theta_init = benchmark.generate_queries(ur5_model, 1, 7).queries[0]
         result, detail = ur5.solve_detailed(
             IKQuery(t_des=t_des, theta_init=theta_init), ur5_model
         )
         assert result.status is IKStatus.SOLVED
-        # one FK prefix per branch that yields (theta2, theta3), not one
+        # one frame-3 prefix per plane, shared by its two risers (link 1;
+        # links 2 and 3 at zero angle are cached per model), and one
+        # wrist solve per branch that yields (theta2, theta3), not one
         # per candidate: each such branch gives a fold and its mirror
-        assert calls["fk_frames"] == calls["fold_variants"] == 4
+        assert detail.branches == 4
+        assert links.count(1) == 2
+        assert links.count(4) == links.count(5) == 4
+        assert calls["wrist_angles"] == calls["fold_variants"] == 4
         assert len(detail.candidates) == 8
 
     def test_start_chain_laid_out_once_per_plane(self, ur5_model, monkeypatch):
