@@ -23,9 +23,10 @@ scale, a maximum reach that keeps their squares finite and a lay-out
 that keeps every link. The reductions lay their chains out with
 `lay_out_chain`, the same arithmetic without the checks; the sweeps,
 `pre_bend` and the full-extension shortcut trust the chain and only move
-its positions. `solve` sweeps the positions as (x, y, z) float rows,
-measures every distance on one scratch 3-vector that it rewrites in
-place, and builds its outcome's chain once.
+its points, (x, y, z) float rows from lay-out to recovery; the constants
+set where it is laid out ride along. `solve` measures every distance on
+one scratch 3-vector that it rewrites in place, and builds its
+outcome's chain once.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,73 +99,65 @@ class ChainState:
 
     joints[j] sits at positions[j] (j = 0..m-2); joints[0] is the base
     joint whose reference direction is anchor_dir (the fixed link feeding
-    the chain), or unconstrained when anchor_dir is None. The sweeps
-    trust a chain laid out from checked links (see the module docstring).
+    the chain), or unconstrained when anchor_dir is None. Points, base
+    and lengths are float tuples; anchor_dir, a BLAS operand, is an
+    ndarray. The sweeps trust a chain laid out from checked links, whose
+    builder set its reach and can_clamp once (see the module docstring).
     """
 
-    positions: np.ndarray  # (m, 3) floats
-    lengths: np.ndarray  # (m-1,) positive floats
+    positions: tuple  # m (x, y, z) float rows
+    lengths: tuple  # m-1 positive floats
     joints: tuple  # one joint per link
-    base: np.ndarray  # fixed location of P_1
+    base: tuple  # (x, y, z) floats, the fixed location of P_1
+    reach: float  # the summed lengths, as np.sum adds them
+    can_clamp: tuple  # per joint: not `unconstrained`
     anchor_dir: np.ndarray | None = None  # unit
 
     @property
-    def end(self) -> np.ndarray:
+    def end(self) -> tuple:
         return self.positions[-1]
 
     def link_directions(self) -> np.ndarray:
         """Unit link directions, as `np.diff` over `np.linalg.norm(axis=1)`
         rounds them (its three-term sum runs left to right)."""
-        points = self.positions.tolist()
         out = []
-        for (ax, ay, az), (bx, by, bz) in zip(points, points[1:]):
+        for (ax, ay, az), (bx, by, bz) in zip(self.positions, self.positions[1:]):
             dx, dy, dz = bx - ax, by - ay, bz - az
             n = math.sqrt((dx * dx + dy * dy) + dz * dz)
             out.append((dx / n, dy / n, dz / n))
         return np.array(out)
 
-    def reach(self) -> float:
-        return self._length_sum
-
     def moved(self, rows) -> ChainState:
         """This chain with its points at `rows`, (x, y, z) float rows."""
-        return ChainState(np.array(rows), self.lengths, self.joints, self.base, self.anchor_dir)
-
-    # the lengths and joints are fixed: each is read once per chain
-    @cached_property
-    def _length_sum(self) -> float:
-        return float(np.sum(self.lengths))
-
-    @cached_property
-    def _link_lengths(self) -> tuple:
-        return tuple(self.lengths.tolist())
-
-    @cached_property
-    def _can_clamp(self) -> tuple:
-        return tuple(not joint.unconstrained for joint in self.joints)
+        return ChainState(tuple(rows), self.lengths, self.joints, self.base,
+                          self.reach, self.can_clamp, self.anchor_dir)
 
 
-def _lay_out(base, direction, lengths) -> np.ndarray:
+def _lay_out(base: tuple, direction, lengths) -> tuple:
     """base + c * direction for c = 0 and each running sum of the lengths,
-    on Python floats: `np.outer` of `np.cumsum`, which adds left to
+    as (x, y, z) float rows: `np.outer` of `np.cumsum`, which adds left to
     right, rounds each entry alike."""
-    bx, by, bz = base.tolist()
-    dx, dy, dz = direction.tolist()
-    c = 0.0
-    rows = [(bx + c * dx, by + c * dy, bz + c * dz)]
-    for length in lengths:
-        c += length
-        rows.append((bx + c * dx, by + c * dy, bz + c * dz))
-    return np.array(rows)
+    (bx, by, bz), (dx, dy, dz) = base, direction.tolist()
+    return tuple((bx + c * dx, by + c * dy, bz + c * dz) for c in accumulate((0.0, *lengths)))
 
 
-def lay_out_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
-    """The chain of `straight_chain` without its checks, for links checked
-    where they were built (`robots.RobotModel`): base and lengths are
-    float ndarrays; direction and anchor_dir are normalized."""
-    positions = _lay_out(base, unit(direction), lengths.tolist())
-    anchor = None if anchor_dir is None else unit(anchor_dir)
-    return ChainState(positions, lengths, tuple(joints), base, anchor)
+def _laid_out(base, direction, lengths, joints, anchor_dir) -> ChainState:
+    """The chain laid straight from the base ndarray along the unit
+    direction, its constants set once: the lengths and base as floats,
+    their `np.sum` as its reach and each joint's can-clamp flag."""
+    base, rows, joints = tuple(base.tolist()), tuple(lengths.tolist()), tuple(joints)
+    can_clamp = tuple(not joint.unconstrained for joint in joints)
+    return ChainState(_lay_out(base, direction, rows), rows, joints, base,
+                      float(np.sum(lengths)), can_clamp, anchor_dir)
+
+
+def lay_out_chain(base, direction, lengths, joints) -> ChainState:
+    """The chain of `straight_chain` without its checks, anchored along its
+    own direction, for links checked where they were built
+    (`robots.RobotModel`): base and lengths are float ndarrays; the
+    direction is normalized here."""
+    direction = unit(direction)
+    return _laid_out(base, direction, lengths, joints, direction)
 
 
 def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
@@ -189,7 +182,9 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
         raise ValueError("need one joint per link")
     if base.shape != (3,) or np.shape(direction) != (3,):
         raise ValueError("base and direction must be 3-vectors")
-    chain = lay_out_chain(base, direction, lengths, joints, anchor_dir)
+    direction = unit(direction)
+    anchor = None if anchor_dir is None else unit(anchor_dir)
+    chain = _laid_out(base, direction, lengths, joints, anchor)
     laid = np.linalg.norm(np.diff(chain.positions, axis=0), axis=1)
     if not np.all(np.abs(laid - lengths) <= 1e-9 * lengths):
         raise ValueError("a link is too short to lay out at this base")
@@ -232,8 +227,8 @@ def _limit_correction(l_in, l_out, joint):
     return joint.max_angle - phi, ball_joint_axis(l_in, l_out)
 
 
-def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool, v) -> list:
-    """One reaching phase on a list of (x, y, z) float rows, never mutated; returns a new list.
+def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: bool, v) -> list:
+    """One reaching phase on a sequence of (x, y, z) float rows, never mutated; returns a new list.
 
     Pins the first point of the traversal (the tip when tip_first, else
     the base) at start, then pulls each next point onto its link from
@@ -245,14 +240,14 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool, v)
     both negations are exact. A point's distance from its pivot is the
     `norm` of its offset, written into the caller's scratch 3-vector `v`
     (the phase's own: nothing keeps it); the coincident and limit-clamp
-    cases work on ndarrays.
+    cases take each link direction as the `unit` of an `np.subtract`.
     """
     m = len(positions)
     step, first = (-1, m - 1) if tip_first else (1, 0)
     # the direction entering the first pivot: the anchor when the base
     # is pinned; the tip has no joint
     entry = None if tip_first else chain.anchor_dir
-    lengths, can_clamp = chain._link_lengths, chain._can_clamp
+    lengths, can_clamp = chain.lengths, chain.can_clamp
     q = list(positions)
     q[first] = start
     for i in range(first + step, first + m * step, step):
@@ -264,13 +259,13 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool, v)
         d = math.sqrt(v.dot(v))  # `norm(v)`
         length = lengths[i if tip_first else p]
         if d < 1e-12 or ((p != first or entry is not None) and can_clamp[p]):
-            pivot = np.array(q[p])
-            back = unit(pivot - q[p - step]) if p != first else entry
+            back = unit(np.subtract(q[p], q[p - step])) if p != first else entry
             if d < 1e-12:
                 # coincident points: extend straight past the pivot
                 if back is None:
                     back = unit(np.subtract(positions[i], positions[p]))
-                q[i] = tuple((pivot + length * back).tolist())
+                bx, by, bz = back.tolist()
+                q[i] = (x + length * bx, y + length * by, z + length * bz)
                 continue
             if tip_first:
                 corr = _limit_correction(-v / d, -back, chain.joints[p])
@@ -288,13 +283,12 @@ def _reach(chain: ChainState, positions: list, start: tuple, tip_first: bool, v)
 def forward_phase(chain: ChainState, target) -> ChainState:
     """Anchor the end at the target and pull the chain tip-to-base."""
     tip = tuple(np.asarray(target, dtype=float).tolist())
-    return chain.moved(_reach(chain, chain.positions.tolist(), tip, True, np.empty(3)))
+    return chain.moved(_reach(chain, chain.positions, tip, True, np.empty(3)))
 
 
 def backward_phase(chain: ChainState) -> ChainState:
     """Anchor the base and push the chain base-to-tip."""
-    base = tuple(chain.base.tolist())
-    return chain.moved(_reach(chain, chain.positions.tolist(), base, False, np.empty(3)))
+    return chain.moved(_reach(chain, chain.positions, chain.base, False, np.empty(3)))
 
 
 def pre_bend(chain: ChainState, axis=None) -> ChainState:
@@ -310,7 +304,7 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
     chains fall back to a deterministic perpendicular.
     Non-collinear chains are returned unchanged.
     """
-    if chain.positions.shape[0] < 3:
+    if len(chain.positions) < 3:
         return chain
     dirs = chain.link_directions()
     n_links = dirs.shape[0]
@@ -328,12 +322,12 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
     else:
         axis = unit(axis)
     # q[k + 1] = q[k] + length * direction, on Python floats
-    q = chain.positions.tolist()
-    lengths = chain._link_lengths
+    q = list(chain.positions)
+    lengths = chain.lengths
     for k in range(1, n_links):
         dx, dy, dz = rotate_about_axis(axis, k * PRE_BEND, dirs[0]).tolist()
         x, y, z = q[k]
-        q[k + 1] = [x + lengths[k] * dx, y + lengths[k] * dy, z + lengths[k] * dz]
+        q[k + 1] = (x + lengths[k] * dx, y + lengths[k] * dy, z + lengths[k] * dz)
     return chain.moved(q)
 
 
@@ -378,7 +372,7 @@ def within_reach(chain: ChainState, target) -> bool:
     """The one reach rule: target within the chain's reach of its base,
     with one ulp of slack, so on-sphere targets do not flip on the rounding
     of the gap (math.dist scales its sum: no overflow); a NaN gap is out."""
-    return math.dist(target, chain.base) <= chain.reach() * (1.0 + 1e-12)
+    return math.dist(target, chain.base) <= chain.reach * (1.0 + 1e-12)
 
 
 def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOutcome:
@@ -395,23 +389,23 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     eps_tol = check_tolerance(eps_tol, "eps_tol")
     iter_cap = check_cap(iter_cap, "iter_cap")
     target = np.asarray(target, dtype=float)
-    tip, base = tuple(target.tolist()), tuple(chain.base.tolist())
+    tip, base = tuple(target.tolist()), chain.base
     gap = math.dist(tip, base)
     if not gap <= MAX_TARGET_GAP:  # NaN and inf fail too
         raise ValueError(f"target must be finite and within {MAX_TARGET_GAP:g} m of the base")
-    reach = chain.reach()
+    reach = chain.reach
     if reach - gap <= 1e-12 * reach and gap > 0.0:
         # full-extension or out-of-reach target: the straight chain is the
         # unique solution, or the closest the chain gets
-        direction = unit((target - chain.base) / gap)
-        stretched = chain.moved(_lay_out(chain.base, direction, chain._link_lengths))
+        direction = unit((target - base) / gap)
+        stretched = chain.moved(_lay_out(base, direction, chain.lengths))
         dist = norm(stretched.end - target)
         return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, ((1, dist),))
 
     dist = norm(chain.end - target)
     if dist <= eps_tol:
         return FabrikOutcome(True, 0, dist, chain)
-    q = chain.positions.tolist()
+    q = chain.positions
     tx, ty, tz = tip
     v = np.empty(3)  # the scratch 3-vector of every norm below
     trace = []

@@ -13,10 +13,12 @@ round each operation alike: `cross`, the entries of
 `rotate_about_axis`, the KUKA wrist jacobian, the FABRIK sweeps
 (`fabrik._reach` and the loop of `fabrik.solve`), the chain lay-out
 (`fabrik._lay_out`, whose running sum is `np.cumsum`'s) and the bent
-links of `fabrik.pre_bend`, and the optimizer's iterates, which keep
-their state in floats, hand them to the position maps as lists and
-build an ndarray only as the operand of a reduction. So do the link norms of
-`ChainState.link_directions` and `iktypes.l1_distance`, which orders
+links of `fabrik.pre_bend` (a chain holds its points as float rows
+from lay-out to recovery: a BLAS dot reads only their differences,
+each written into a scratch vector or built by `np.subtract`), and the
+optimizer's iterates, which keep their state in floats, hand them to
+the position maps as lists and build an ndarray only as the operand of
+a reduction. So do the link norms of `ChainState.link_directions` and `iktypes.l1_distance`, which orders
 the pick and the KUKA seeds, sums numpy adds left to right, and the
 float path of `wrap_angle`, whose `%` rounds as numpy's remainder.
 `rotation_defect` forms the entries of R^T R - I on floats too, their

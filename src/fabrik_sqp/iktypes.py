@@ -72,7 +72,9 @@ class IKQuery:
         t[:3, :3] = sanitize_rotation(t[:3, :3])
         t.flags.writeable = False
         object.__setattr__(self, "t_des", t)
-        object.__setattr__(self, "theta_init", np.asarray(self.theta_init, dtype=float))
+        theta_init = np.array(self.theta_init, dtype=float)  # a copy, read-only like t_des
+        theta_init.flags.writeable = False
+        object.__setattr__(self, "theta_init", theta_init)
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,12 @@ def make_chain(model: RobotModel) -> fabrik.ChainState:
     """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT, laid out
     from the links the model checked (`robots.LAYOUT_MARGIN` covers it).
 
-    One chain per model, shared by every solve: its arrays are read-only.
+    One chain per model, shared by every solve: its points, lengths and
+    base are tuples, and its one array, anchor_dir, is read-only.
     """
     elbow_cone = min(math.pi, max(abs(model.joint_limits[3, 0]), abs(model.joint_limits[3, 1])))
     joints = (fabrik.Ball(), fabrik.Ball(elbow_cone))
-    chain = fabrik.lay_out_chain(
-        model.shoulder, DEFAULT_V_INIT, model.link_lengths[1:3], joints, anchor_dir=DEFAULT_V_INIT
-    )
-    chain.positions.flags.writeable = False
+    chain = fabrik.lay_out_chain(model.shoulder, DEFAULT_V_INIT, model.link_lengths[1:3], joints)
     chain.anchor_dir.flags.writeable = False
     return chain
 
@@ -228,8 +226,8 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     # shoulder tilt plane with the chain's actual asymmetry when the
     # elbow sits on the base axis
     azimuths: list[float] = []
-    if math.hypot(float(p3c[0]), float(p3c[1])) > 1e-12:
-        az = math.atan2(float(p3c[1]), float(p3c[0]))
+    if math.hypot(p3c[0], p3c[1]) > 1e-12:
+        az = math.atan2(p3c[1], p3c[0])
         azimuths = [az, wrap_angle(az + math.pi)]
     scored: list[tuple[float, tuple]] = []
     for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):

@@ -112,9 +112,7 @@ def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
         fabrik.Hinge(frame.z2d, *model.joint_limits[1]),
         fabrik.Hinge(frame.z2d, *model.joint_limits[2]),
     )
-    return fabrik.lay_out_chain(
-        model.shoulder, frame.v_init, model.link_lengths[1:3], joints, anchor_dir=frame.v_init
-    )
+    return fabrik.lay_out_chain(model.shoulder, frame.v_init, model.link_lengths[1:3], joints)
 
 
 def elbow_analytic(x, theta1: float, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:

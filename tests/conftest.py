@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fabrik_sqp import kuka, robots
+from fabrik_sqp import fabrik, kuka, robots
 from fabrik_sqp.geometry import make_transform, polar_rotation
 
 # Reference IK pair for the UR5: a desired pose and the joint vector
@@ -32,6 +32,27 @@ KUKA_REF_ROTATION = np.array(
 KUKA_REF_POSITION = np.array([0.618, -0.463, 0.382])
 KUKA_REF_THETA = np.array([-0.745, 1.655, -1.686, -0.019, 1.003, -2.025, -0.505])
 KUKA_REF_ELBOW_BEND = 0.019
+
+
+def rows(points) -> tuple:
+    """Points as a chain holds them: a tuple of (x, y, z) float rows."""
+    return tuple(map(tuple, np.asarray(points, dtype=float).tolist()))
+
+
+def chain_state(positions, lengths, joints, base, anchor_dir=None) -> fabrik.ChainState:
+    """A chain at arbitrary points, in the format and with the constants
+    that `fabrik`'s builders give a laid-out chain."""
+    lengths = np.asarray(lengths, dtype=float)
+    joints = tuple(joints)
+    return fabrik.ChainState(
+        rows(positions),
+        tuple(lengths.tolist()),
+        joints,
+        tuple(np.asarray(base, dtype=float).tolist()),
+        float(np.sum(lengths)),
+        tuple(not joint.unconstrained for joint in joints),
+        None if anchor_dir is None else np.asarray(anchor_dir, dtype=float),
+    )
 
 
 @pytest.fixture(scope="session")

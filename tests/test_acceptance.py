@@ -19,7 +19,7 @@ from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.optimizer import OptStatus, minimize
 from fabrik_sqp.robots import forward_kinematics, pose_mismatch
 
-from conftest import KUKA_REF_THETA, UR5_REF_THETA
+from conftest import KUKA_REF_THETA, UR5_REF_THETA, chain_state
 
 EPS = 1e-6
 DESK_N = 1000
@@ -307,11 +307,9 @@ class TestCriterion7PropertySuites:
                 joints = tuple(fabrik.Ball(rng.uniform(0.5, math.pi)) for _ in range(m - 1))
             base = rng.normal(size=3)
             chain = fabrik.straight_chain(base, unit(rng.normal(size=3)), lengths, joints)
-            scattered = chain.positions + rng.normal(scale=0.15, size=chain.positions.shape)
+            scattered = np.asarray(chain.positions) + rng.normal(scale=0.15, size=(m, 3))
             scattered[0] = base
-            chain = fabrik.ChainState(
-                positions=scattered, lengths=lengths, joints=joints, base=base
-            )
+            chain = chain_state(scattered, lengths, joints, base)
             target = base + rng.normal(size=3) * 0.8
             fwd = fabrik.forward_phase(chain, target)
             assert np.array_equal(fwd.positions[-1], target)

@@ -1,13 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fabrik_sqp import fabrik
+from fabrik_sqp import fabrik, kuka, ur5
 from fabrik_sqp.fabrik import (
     Ball,
-    ChainState,
     Hinge,
     backward_phase,
     _limit_correction,
@@ -18,6 +16,8 @@ from fabrik_sqp.fabrik import (
     straight_chain,
 )
 from fabrik_sqp.geometry import perpendicular_axis, rotate_about_axis, signed_angle, unit
+
+from conftest import chain_state, rows
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -36,10 +36,8 @@ def link_lengths(chain):
 
 def ball_chain(positions, base=(0.0, 0.0, 0.0), anchor_dir=None):
     """Unconstrained chain at the given positions, unit links."""
-    positions = np.array(positions, dtype=float)
-    n = positions.shape[0] - 1
-    anchor = None if anchor_dir is None else np.array(anchor_dir, dtype=float)
-    return ChainState(positions, np.ones(n), (Ball(),) * n, np.array(base, dtype=float), anchor)
+    n = len(positions) - 1
+    return chain_state(positions, np.ones(n), (Ball(),) * n, base, anchor_dir)
 
 
 class TestHinge:
@@ -157,7 +155,7 @@ class TestForwardPhase:
         chain = two_link_chain(lo, hi)
         target = np.array([1.0, 1.0, 0.0])
 
-        p = chain.positions
+        p = np.asarray(chain.positions)
         q2 = target.copy()  # end lands on target
         d3 = np.linalg.norm(p[1] - q2)
         q1 = q2 + (1.0 / d3) * (p[1] - q2)  # unclamped blend of the middle point
@@ -174,11 +172,8 @@ class TestForwardPhase:
         out = forward_phase(chain, target)
         assert np.allclose(out.positions, [q0, q1, q2], atol=1e-12)
         # reconstructed joint angle sits at the limit
-        got = signed_angle(
-            unit(out.positions[1] - out.positions[0]),
-            unit(out.positions[2] - out.positions[1]),
-            Z,
-        )
+        got_p = np.asarray(out.positions)
+        got = signed_angle(unit(got_p[1] - got_p[0]), unit(got_p[2] - got_p[1]), Z)
         assert got == pytest.approx(hi, abs=1e-9)
 
 
@@ -273,7 +268,7 @@ class TestStraightChain:
     def test_reach_at_the_maximum_accepted(self):
         half = 0.5 * fabrik.MAX_CHAIN_REACH
         chain = straight_chain(np.zeros(3), self.X, [half, half], (Ball(), Ball()))
-        assert chain.reach() == fabrik.MAX_CHAIN_REACH
+        assert chain.reach == fabrik.MAX_CHAIN_REACH
 
     def test_direction_and_anchor_normalized(self):
         chain = straight_chain(
@@ -282,19 +277,14 @@ class TestStraightChain:
         assert np.array_equal(chain.positions, [[0, 0, 0], [1, 0, 0], [3, 0, 0]])
         assert np.array_equal(chain.anchor_dir, Z)
         assert isinstance(chain.joints, tuple) and len(chain.joints) == 2
-        assert chain.positions.dtype == chain.lengths.dtype == chain.base.dtype == float
+        for field in (chain.positions, chain.lengths, chain.base):
+            assert np.asarray(field).dtype == float
 
 
 class TestBackwardPhase:
     def test_base_reanchoring_exact(self):
         chain = two_link_chain()
-        drifted = ChainState(
-            positions=chain.positions + np.array([0.1, 0.0, 0.0]),
-            lengths=chain.lengths,
-            joints=chain.joints,
-            base=chain.base,
-            anchor_dir=chain.anchor_dir,
-        )
+        drifted = chain.moved(rows(np.asarray(chain.positions) + np.array([0.1, 0.0, 0.0])))
         out = backward_phase(drifted)
         assert np.array_equal(out.positions[0], chain.base)
         assert np.allclose(link_lengths(out), [1.0, 1.0], atol=1e-9)
@@ -310,13 +300,7 @@ class TestBackwardPhase:
         lo, hi = -0.3, 0.3
         joints = (Hinge(Z, lo, hi), Hinge(Z, -math.pi, math.pi))
         positions = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
-        chain = ChainState(
-            positions=positions,
-            lengths=np.array([1.0, 1.0]),
-            joints=joints,
-            base=np.zeros(3),
-            anchor_dir=np.array([1.0, 0.0, 0.0]),
-        )
+        chain = chain_state(positions, [1.0, 1.0], joints, np.zeros(3), anchor_dir=[1.0, 0.0, 0.0])
         out = backward_phase(chain)
 
         phi = signed_angle(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), Z)
@@ -324,9 +308,10 @@ class TestBackwardPhase:
         v = rotate_about_axis(Z, dphi, positions[1] - np.zeros(3))
         q1 = np.zeros(3) + v / np.linalg.norm(v)
         assert np.allclose(out.positions[1], q1, atol=1e-12)
-        got = signed_angle(unit(out.positions[1] - out.positions[0]), unit(out.positions[1] - out.positions[0]), Z)
+        got_p = np.asarray(out.positions)
+        got = signed_angle(unit(got_p[1] - got_p[0]), unit(got_p[1] - got_p[0]), Z)
         # base angle after the sweep obeys the limit
-        base_angle = signed_angle(np.array([1.0, 0.0, 0.0]), unit(out.positions[1]), Z)
+        base_angle = signed_angle(np.array([1.0, 0.0, 0.0]), unit(got_p[1]), Z)
         assert base_angle == pytest.approx(hi, abs=1e-9)
 
 
@@ -367,7 +352,7 @@ class TestPreBend:
     def test_hinge_chain_stays_in_plane(self):
         chain = two_link_chain(axis=Z)
         bent = pre_bend(chain)
-        assert np.allclose(bent.positions[:, 2], 0.0, atol=1e-15)
+        assert np.allclose(np.asarray(bent.positions)[:, 2], 0.0, atol=1e-15)
 
     def test_unbent_chain_oscillates_where_bent_converges(self):
         # target on the chain's own line: the straight chain cycles
@@ -418,7 +403,7 @@ class TestSolve:
 
     def test_target_at_end_converges_immediately(self):
         chain = pre_bend(two_link_chain())
-        target = chain.positions[-1].copy()
+        target = np.array(chain.positions[-1])
         out = solve(chain, target, 1e-6, 50)
         assert out.converged
         assert out.iterations <= 1
@@ -437,8 +422,8 @@ class TestSolve:
 
     def test_within_reach_up_to_one_ulp_band_beyond_the_sphere(self):
         chain = two_link_chain()  # base at the origin, reach 2
-        edge = chain.reach() * (1.0 + 1e-12)
-        for gap in (chain.reach(), edge):
+        edge = chain.reach * (1.0 + 1e-12)
+        for gap in (chain.reach, edge):
             assert fabrik.within_reach(chain, (gap, 0.0, 0.0))
         assert not fabrik.within_reach(chain, (np.nextafter(edge, math.inf), 0.0, 0.0))
         assert not fabrik.within_reach(chain, (math.nan, 0.0, 0.0))
@@ -504,6 +489,52 @@ class TestSolve:
         assert a.trace == b.trace
 
 
+class TestChainFormat:
+    """Every chain the package builds holds its points as a tuple of
+    (x, y, z) Python floats, its base as a float 3-tuple and its lengths as
+    a float tuple; a moved chain carries the reach and can-clamp flags its
+    builder set, the same objects."""
+
+    @staticmethod
+    def assert_format(chain, built):
+        assert type(chain.positions) is tuple
+        for row in (*chain.positions, chain.base):
+            assert type(row) is tuple and len(row) == 3
+            assert all(type(x) is float for x in row)
+        assert type(chain.lengths) is tuple and all(type(x) is float for x in chain.lengths)
+        assert chain.reach is built.reach and chain.can_clamp is built.can_clamp
+
+    def test_every_built_chain_holds_float_rows(self, ur5_model, kuka_model):
+        frame = ur5.planar_frame(0.3, np.eye(4), np.zeros(3), ur5_model)
+        built = [
+            two_link_chain(),
+            fabrik.lay_out_chain(np.zeros(3), np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.5]),
+                                 (Ball(), Hinge(Z, -2.0, 2.0))),
+            ur5.make_chain(frame, ur5_model),
+            kuka.make_chain(kuka_model),
+        ]
+        for chain in built:
+            assert type(chain.reach) is float
+            self.assert_format(chain, chain)
+            bent = pre_bend(chain)
+            # along the bent chain's own chord, so hinge chains keep their plane
+            chord = np.subtract(bent.end, chain.base)
+            inside = chain.base + 0.8 * chord
+            fwd = forward_phase(bent, inside)
+            outcomes = {
+                "converged": solve(bent, inside, 1e-6, 500),
+                "capped": solve(bent, inside, 1e-6, 1),
+                "stretched": solve(bent, chain.base + 3.0 * chord, 1e-6, 50),
+                "at the target": solve(bent, np.array(bent.end), 1e-6, 50),
+            }
+            assert outcomes["converged"].converged
+            assert not outcomes["capped"].converged and outcomes["capped"].iterations == 1
+            assert not outcomes["stretched"].converged and outcomes["stretched"].iterations == 1
+            assert outcomes["at the target"].iterations == 0
+            for moved in (bent, fwd, backward_phase(fwd), *(o.chain for o in outcomes.values())):
+                self.assert_format(moved, chain)
+
+
 class TestPhaseProperties:
     """Randomized sweeps: length preservation, anchoring, limit respect."""
 
@@ -529,25 +560,13 @@ class TestPhaseProperties:
                 step = lengths[k] * (math.cos(heading) * u + math.sin(heading) * v)
                 positions.append(positions[-1] + step)
             direction = unit(positions[1] - positions[0])
-            return ChainState(
-                positions=np.array(positions),
-                lengths=lengths,
-                joints=joints,
-                base=base,
-                anchor_dir=u,
-            )
+            return chain_state(positions, lengths, joints, base, anchor_dir=u)
         joints = tuple(Ball(rng.uniform(0.5, math.pi)) for _ in range(m - 1))
         direction = unit(rng.normal(size=3))
         chain = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
-        scattered = chain.positions + rng.normal(scale=0.2, size=chain.positions.shape)
+        scattered = np.asarray(chain.positions) + rng.normal(scale=0.2, size=(m, 3))
         scattered[0] = base
-        return ChainState(
-            positions=scattered,
-            lengths=lengths,
-            joints=joints,
-            base=base,
-            anchor_dir=direction,
-        )
+        return chain_state(scattered, lengths, joints, base, anchor_dir=direction)
 
     def _planar_target(self, rng, chain):
         # keep hinge-chain targets in the working plane
@@ -656,7 +675,7 @@ def _np_reach(chain, positions, start, tip_first):
 
 def _np_sweeps(chain, target, eps_tol, iter_cap):
     """(positions, sweeps, dist, trace) of `solve`'s sweep loop."""
-    q = chain.positions
+    q = np.asarray(chain.positions)
     dist = float(np.linalg.norm(q[-1] - target))
     n, trace = 0, []
     while dist > eps_tol and n < iter_cap:
@@ -671,6 +690,7 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+@pytest.mark.blas_oracle
 class TestReachAgainstNumpyBody:
     """`forward_phase`, `backward_phase` and `solve` against the numpy
     reach step, bit for bit, on seeded chains of 2 to 6 links: hinges
@@ -696,17 +716,17 @@ class TestReachAgainstNumpyBody:
         anchor = unit(rng.normal(size=3)) if rng.integers(0, 2) else None
         steps = np.array([unit(rng.normal(size=3)) * length for length in lengths])
         positions = base + np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
-        return ChainState(positions, lengths, tuple(joints), base, anchor)
+        return chain_state(positions, lengths, joints, base, anchor)
 
     def test_phases_on_random_chains(self):
         rng = np.random.default_rng(21)
         for _ in range(1500):
             chain = self.random_chain(rng)
-            target = chain.base + rng.normal(size=3) * chain.reach() / 2.0
+            target = chain.base + rng.normal(size=3) * chain.reach / 2.0
             fwd = forward_phase(chain, target)
-            assert _same_bits(fwd.positions, _np_reach(chain, chain.positions, target, True))
+            assert _same_bits(fwd.positions, _np_reach(chain, np.asarray(chain.positions), target, True))
             bwd = backward_phase(fwd)
-            assert _same_bits(bwd.positions, _np_reach(fwd, fwd.positions, chain.base, False))
+            assert _same_bits(bwd.positions, _np_reach(fwd, np.asarray(fwd.positions), chain.base, False))
 
     def test_coincident_points(self):
         rng = np.random.default_rng(22)
@@ -714,13 +734,14 @@ class TestReachAgainstNumpyBody:
             chain = self.random_chain(rng)
             # the tip pass pins the tip onto the point before it; the base
             # pass meets a point that the pass itself placed on its pivot
-            placed = _np_reach(chain, chain.positions, chain.base, False)
-            moved = chain.positions.copy()
+            positions = np.array(chain.positions)
+            placed = _np_reach(chain, positions, chain.base, False)
+            moved = positions.copy()
             moved[2] = placed[1]
-            bent = replace(chain, positions=moved)
-            tip = chain.positions[-2].copy()
+            bent = chain.moved(rows(moved))
+            tip = positions[-2].copy()
             assert _same_bits(forward_phase(chain, tip).positions,
-                              _np_reach(chain, chain.positions, tip, True))
+                              _np_reach(chain, positions, tip, True))
             assert _same_bits(backward_phase(bent).positions,
                               _np_reach(bent, moved, chain.base, False))
 
@@ -728,7 +749,7 @@ class TestReachAgainstNumpyBody:
         rng = np.random.default_rng(23)
         for _ in range(200):
             chain = self.random_chain(rng)
-            target = chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach()
+            target = chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach
             out = solve(chain, target, 1e-6, 30)
             q, n, dist, trace = _np_sweeps(chain, target, 1e-6, 30)
             assert (out.iterations, out.converged) == (n, dist <= 1e-6)
@@ -751,7 +772,7 @@ def _np_pre_bend(chain, axis=None):
     if axis is None:
         axis = next((joint.axis for joint in chain.joints if isinstance(joint, Hinge)), None)
     axis = perpendicular_axis(dirs[0]) if axis is None else unit(axis)
-    q = chain.positions.copy()
+    q = np.array(chain.positions)
     for k in range(1, dirs.shape[0]):
         q[k + 1] = q[k] + chain.lengths[k] * _np_rotate(axis, k * fabrik.PRE_BEND, dirs[0])
     return q
@@ -768,6 +789,7 @@ def _signed_zero_vectors(rng, count):
     return v
 
 
+@pytest.mark.blas_oracle
 class TestFloatPathsAgainstNumpyBody:
     """`_lay_out` (and so `straight_chain` and `lay_out_chain`), `pre_bend`
     and `rotate_about_axis` against their numpy bodies, bit for bit, on
@@ -785,12 +807,13 @@ class TestFloatPathsAgainstNumpyBody:
 
     def test_straight_chain_and_unchecked_lay_out_agree(self):
         rng = np.random.default_rng(32)
-        for base, direction, anchor in zip(*(_signed_zero_vectors(rng, 500) for _ in range(3))):
+        for base, direction in zip(*(_signed_zero_vectors(rng, 500) for _ in range(2))):
             lengths = rng.uniform(0.2, 1.5, int(rng.integers(1, 7)))
             joints = (Ball(),) * lengths.size
-            checked = straight_chain(base, direction, lengths, joints, anchor_dir=anchor)
-            laid = fabrik.lay_out_chain(base, direction, lengths, joints, anchor_dir=anchor)
-            for field in ("positions", "lengths", "base", "anchor_dir"):
+            # lay_out_chain anchors the chain along its own direction
+            checked = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
+            laid = fabrik.lay_out_chain(base, direction, lengths, joints)
+            for field in ("positions", "lengths", "base", "reach", "can_clamp", "anchor_dir"):
                 assert _same_bits(getattr(laid, field), getattr(checked, field))
 
     def test_pre_bend(self):
@@ -812,6 +835,7 @@ class TestFloatPathsAgainstNumpyBody:
             assert _same_bits(rotate_about_axis(axis, theta, v), _np_rotate(axis, theta, v))
 
 
+@pytest.mark.blas_oracle
 class TestNoScratchEscapes:
     """The sweeps measure every distance on a scratch 3-vector that they
     rewrite in place; none reaches a result, and no solve sees another's."""
@@ -821,28 +845,30 @@ class TestNoScratchEscapes:
         out = []
         for _ in range(count):
             chain = TestReachAgainstNumpyBody.random_chain(rng)
-            targets = [chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach()
+            targets = [chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach
                        for _ in range(4)]
             out.append((chain, targets))
         return out
 
     def test_results_own_their_memory(self):
+        # a chain's points are a tuple of float tuples, which share no
+        # buffer by type: no result can alias another's, or the scratch
         rng = np.random.default_rng(51)
         for chain, (t1, t2, *_) in self.chains_and_targets(rng, 50):
             a, b = solve(chain, t1, 1e-6, 30), solve(chain, t2, 1e-6, 30)
             assert a.iterations and b.iterations
-            assert not np.shares_memory(a.chain.positions, b.chain.positions)
             f1, f2 = forward_phase(chain, t1), forward_phase(chain, t2)
-            assert not np.shares_memory(f1.positions, f2.positions)
             b1, b2 = backward_phase(f1), backward_phase(f2)
-            assert not np.shares_memory(b1.positions, b2.positions)
+            for out in (a.chain, b.chain, f1, f2, b1, b2):
+                assert type(out.positions) is tuple
+                assert all(type(row) is tuple for row in out.positions)
 
     def test_interleaved_solves_match_solves_in_turn(self):
         rng = np.random.default_rng(52)
         pairs = [self.chains_and_targets(rng, 2) for _ in range(30)]
 
         def record(outcome):
-            return (outcome.chain.positions.tobytes(), np.array(outcome.dist).tobytes(),
+            return (np.array(outcome.chain.positions).tobytes(), np.array(outcome.dist).tobytes(),
                     outcome.iterations, outcome.trace)
 
         for (a, targets_a), (b, targets_b) in pairs:

@@ -179,6 +179,7 @@ class TestWrapAngle:
         assert np.array(floats).tobytes() == wrap_angle(values).tobytes()
 
 
+@pytest.mark.blas_oracle
 class TestCartesianError:
     def test_identical_poses(self):
         t = make_transform(np.eye(3), [0.1, 0.2, 0.3])
@@ -421,6 +422,7 @@ def test_matvec_rounds_as_column_dots():
     assert misses == 0
 
 
+@pytest.mark.blas_oracle
 def test_dot_matches_matmul_at_solve_sites():
     """Each operand layout the solve path multiplies with `ndarray.dot`
     gives `@`'s bits: both reach the same BLAS routine. The exception is

@@ -33,9 +33,12 @@ class TestCachedChain:
 
     def test_arrays_are_read_only(self, kuka_model):
         chain = kuka.make_chain(kuka_model)
-        for field in ("positions", "lengths", "base", "anchor_dir"):
-            with pytest.raises(ValueError, match="read-only"):
+        # points, lengths and base are tuples: immutable by type
+        for field in ("positions", "lengths", "base"):
+            with pytest.raises(TypeError, match="does not support item assignment"):
                 getattr(chain, field)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            chain.anchor_dir[0] = 1.0
 
     def test_equal_models_share_one_chain(self):
         tight = np.tile([-0.5, 0.5], (7, 1))
@@ -48,12 +51,12 @@ class TestCachedChain:
 
     def test_solves_leave_the_chain_unchanged(self, kuka_model):
         chain = kuka.make_chain(kuka_model)
-        before = [chain.positions.tobytes(), chain.anchor_dir.tobytes(), chain.joints]
+        before = [np.array(chain.positions).tobytes(), chain.anchor_dir.tobytes(), chain.joints]
         for config in (SolverConfig(), SolverConfig(use_optimizer=False)):
             for t_des, theta_init in benchmark.generate_queries(kuka_model, 20, 7).queries:
                 solve_ik(kuka_model, IKQuery(t_des, theta_init, config))
         assert kuka.make_chain(kuka_model) is chain
-        assert [chain.positions.tobytes(), chain.anchor_dir.tobytes(), chain.joints] == before
+        assert [np.array(chain.positions).tobytes(), chain.anchor_dir.tobytes(), chain.joints] == before
 
 
 class TestBendMagnitudes:
@@ -83,6 +86,7 @@ class TestBendMagnitudes:
             assert m2 == pytest.approx(abs(theta[1]), abs=1e-9)
             assert m4 == pytest.approx(abs(theta[3]), abs=1e-9)
 
+    @pytest.mark.blas_oracle
     def test_same_bits_as_the_array_body(self, kuka_model):
         # the body before each link became one np.subtract of any sequences
         def bend(pa, pj, pb):

@@ -264,6 +264,7 @@ def _np_minimize(position, target, x0, bounds, stop_value):
     return OptResult(x, f, iterations, OptStatus.ITERATION_CAP)
 
 
+@pytest.mark.blas_oracle
 class TestMinimizeAgainstNumpyBody:
     """`minimize` against the ndarray body: the same x bytes, f,
     iterations and status, and the same evaluated points."""

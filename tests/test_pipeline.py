@@ -320,6 +320,20 @@ class TestInputBoundary:
         assert query.t_des[0, 3] == t_des[0, 3]
         assert prepare_query(model, query) is query.t_des
 
+    def test_query_keeps_its_own_read_only_reference(self, solver):
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        th = np.array(theta_init, dtype=float)
+        query = IKQuery(t_des=t_des, theta_init=th)
+        before = solve_ik(model, query)
+        th[2] = 2.5
+        assert query.theta_init.tobytes() == np.asarray(theta_init, dtype=float).tobytes()
+        assert not np.shares_memory(query.theta_init, th)
+        with pytest.raises(ValueError, match="read-only"):
+            query.theta_init[2] = 2.5
+        after = solve_ik(model, query)
+        assert np.array_equal(after.theta, before.theta)
+
     @pytest.mark.parametrize("noise", [0.0, 1e-6])
     def test_reflected_pose_rejected(self, solver, noise):
         # an exact reflection passes the orthonormality check untouched,

@@ -349,6 +349,18 @@ class TestModelConstructor:
             assert hash(copy) == hash(model)
             assert np.array_equal(copy.shoulder, model.shoulder)
 
+    def test_hash_is_computed_once(self, monkeypatch):
+        # the hash of the compared fields, taken when the model is built:
+        # a cache keyed on a model does not rehash its DH rows
+        model, equal = kuka_model(), kuka_model()
+        assert hash(model) == hash((model.name, model.dh, model.limit_pairs))
+
+        def no_rehash(row):
+            raise AssertionError("a DH row was rehashed")
+
+        monkeypatch.setattr(DHRow, "__hash__", no_rehash)
+        assert hash(model) == hash(equal)
+
     def test_different_models_differ(self):
         assert ur5_model() != kuka_model()
         assert ur5_model() != ur5_model(np.tile([-1.0, 1.0], (6, 1)))
@@ -477,7 +489,7 @@ class TestReducedChainLayOut:
             model.shoulder, direction, model.link_lengths[1:3], chain.joints, anchor_dir=direction
         )
         for field in ("positions", "lengths", "base", "anchor_dir"):
-            a, b = getattr(chain, field), getattr(checked, field)
+            a, b = np.asarray(getattr(chain, field)), np.asarray(getattr(checked, field))
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
     @staticmethod

@@ -160,6 +160,7 @@ def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+@pytest.mark.blas_oracle
 class TestWristAnglesAgainstFkFrames:
     """`wrist_angles` extends its plane's frame 3 with links 4 and 5; it
     makes the products of `fk_frames(model, [theta1, 0, 0, theta234,
