@@ -94,6 +94,7 @@ class QueryRecord:
     opt_used: bool
     time_seconds: float
     theta: np.ndarray | None
+    opt_iters: int = 0  # optimizer iterations (IKResult.optimizer_iterations)
 
 
 @dataclass
@@ -136,6 +137,7 @@ def _record(idx: int, result: IKResult) -> QueryRecord:
         opt_used=result.optimizer_used,
         time_seconds=result.solve_time,
         theta=result.theta,
+        opt_iters=result.optimizer_iterations,
     )
 
 
@@ -215,10 +217,10 @@ def write_csv(path, header, rows) -> None:
 def export_report_csv(report: BenchmarkReport, path) -> None:
     label = report.mode.label
     header = ["query_id", "mode", "status", "eps_pos", "eps_rot", "fabrik_iters", "opt_used",
-              "time_seconds"]
+              "time_seconds", "opt_iters"]
     rows = (
         (r.query_id, label, r.status, r.eps_pos, r.eps_rot, r.fabrik_iters, r.opt_used,
-         r.time_seconds)
+         r.time_seconds, r.opt_iters)
         for r in report.records
     )
     write_csv(path, header, rows)

@@ -107,6 +107,7 @@ def cmd_solve(args) -> int:
         "eps_rot": None if result.error is None else result.error.eps_rot,
         "fabrik_iters": result.fabrik_iterations,
         "opt_used": result.optimizer_used,
+        "opt_iters": result.optimizer_iterations,
         "time_s": result.solve_time,
     }
     print(json.dumps(doc))

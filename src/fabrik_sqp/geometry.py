@@ -16,9 +16,9 @@ round each operation alike: `cross`, the entries of
 links of `fabrik.pre_bend` (a chain holds its points as float rows
 from lay-out to recovery: a BLAS dot reads only their differences,
 each written into a scratch vector or built by `np.subtract`), and the
-optimizer's iterates, which keep their state in floats, hand them to
-the position maps as lists and build an ndarray only as the operand of
-a reduction. So do the link norms of `ChainState.link_directions` and `iktypes.l1_distance`, which orders
+optimizer loop, whose sums are `math.fsum`s (correctly rounded in every
+Python version) and which makes no BLAS call. So do the link norms of
+`ChainState.link_directions` and `iktypes.l1_distance`, which orders
 the pick and the KUKA seeds, sums numpy adds left to right, and the
 float path of `wrap_angle`, whose `%` rounds as numpy's remainder.
 `rotation_defect` forms the entries of R^T R - I on floats too, their
@@ -27,19 +27,13 @@ ROTATION_REPAIR_TOL, so its last bits need not be BLAS's. Every other
 dot product stays on BLAS: the kernel may round a short dot as a chain
 of fused multiply-adds, which a Python sum does not reproduce, and
 every seeded solve keeps its bits only that way. The dot products
-of the sweep and optimizer loops are:
+of the sweep loop are the 3-vector `ndarray.dot`s of the reach step's
+`v.dot(v)` and the sweep's end-to-target distance; both write their
+offset into one scratch 3-vector per phase (per solve in
+`fabrik.solve`) before each dot, the same operand in the same memory
+layout as a fresh array.
 
-- the 3-vector `ndarray.dot`s: the optimizer's `diff.dot(diff)`, the
-  reach step's `v.dot(v)` and the sweep's end-to-target distance; the
-  last two write their offset into one scratch 3-vector per phase (per
-  solve in `fabrik.solve`) before each dot, the same operand in the
-  same memory layout as a fresh array;
-- the optimizer's `jac.T.dot(diff)`, `H.dot(g)`, `g.dot(d)`, `g.dot(s)`
-  and `s.dot(y_eff)`;
-- its `norm(s)`, `norm(y_eff)`, `y_eff.dot(y_eff)` and
-  `V.dot(H).dot(V.T)`.
-
-Outside those loops the dots of `norm`, `signed_angle` and
+Outside that loop the dots of `norm`, `signed_angle` and
 `rotate_about_axis`, `cartesian_error`'s `r_temp.T.dot(r_des)`, the 4x4
 products of `robots.fk_frames`, which accumulates with `ndarray.dot`,
 and those of `inverse_transform` stay on BLAS too.

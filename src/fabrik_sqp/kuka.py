@@ -71,8 +71,9 @@ def elbow_position(model: RobotModel, theta1: float, theta2: float) -> np.ndarra
     )
 
 
-def wrist_analytic(theta, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
-    """Wrist position and its 3x4 jacobian w.r.t. joints 1-4, theta[:4] of any sequence.
+def wrist_analytic(theta, model: RobotModel):
+    """Wrist position, 3 floats, and its jacobian w.r.t. joints 1-4, 3
+    rows of 4 floats, at theta[:4] of any sequence.
 
     Joints 5-7 do not move the wrist, so the closed form only involves
     theta1..theta4.
@@ -96,11 +97,11 @@ def wrist_analytic(theta, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
 
     a, b = l2 + l3 * c4, l3 * s4
     k3, k4 = -l3 * s4, l3 * c4
-    p = np.array([o + a * ui + b * xi for o, ui, xi in zip((0.0, 0.0, l1), u, x3)])
-    jac = np.array([
-        [a * du1[i] + b * dx3_1[i], a * du2[i] + b * dx3_2[i], b * dx3_3[i], k3 * u[i] + k4 * x3[i]]
+    p = tuple(o + a * ui + b * xi for o, ui, xi in zip((0.0, 0.0, l1), u, x3))
+    jac = tuple(
+        (a * du1[i] + b * dx3_1[i], a * du2[i] + b * dx3_2[i], b * dx3_3[i], k3 * u[i] + k4 * x3[i])
         for i in range(3)
-    ])
+    )
     return p, jac
 
 
@@ -232,7 +233,7 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     scored: list[tuple[float, tuple]] = []
     for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):
         wrist, _ = wrist_analytic(theta, model)
-        score = norm(elbow_position(model, theta[0], theta[1]) - p2c) + norm(wrist - p3c)
+        score = norm(elbow_position(model, theta[0], theta[1]) - p2c) + norm(np.subtract(wrist, p3c))
         scored.append((score, theta))
     scored.sort(key=lambda pair: pair[0])
     out: list[tuple] = []
@@ -315,7 +316,7 @@ class Branch:
     def optimize(self, seed_chain: fabrik.ChainState, stop: float):
         model = self.model
         position = partial(wrist_analytic, model=model)
-        bounds = model.joint_limits[:4]
+        bounds = model.optimizer_box[:4]
         # try the seed closest to the reference configuration first:
         # on degenerate (target-on-axis) geometry several seeds converge
         # to mirror folds, and the warm-start fold keeps tracking

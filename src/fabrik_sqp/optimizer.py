@@ -1,31 +1,32 @@
 """Box-constrained least-squares minimizer: the paper's SQP stage.
 
 Drives the reduced chain's end onto its target by minimizing the
-squared distance over the joint box with a small projected-BFGS engine:
-inverse-Hessian updates from gradient differences, Armijo backtracking
-on the projected step path (the trial point is clipped to the box, so
-steps slide along active bounds and the position map is never evaluated
-outside it). `minimize` takes the chain end's position map, the target,
-the start and the box; it clips the start into the box and checks
-nothing but the values it computes. Its iterates are lists of floats,
-which the position maps read as they are; the returned x is the one
-ndarray built from them.
+squared distance f = |r|^2, r = p - target, over the joint box with
+projected Levenberg-Marquardt steps (Sugihara 2011): on the variables
+not held at a bound by their gradient, solve the damped normal
+equations (J^T J + mu I) d = -J^T r, clip x + d to the box and keep it
+if f drops. An accepted step divides the damping mu by 10 and a
+rejected one multiplies it by 10, so the step moves between
+Gauss-Newton and a short gradient step; on the KUKA's rank-3 J^T J it
+is the damped-least-squares step. `minimize` takes the chain end's
+position map, the target, the start and the box; it clips the start
+into the box and checks nothing but the values it computes. The loop
+runs on Python floats; the returned x is the one ndarray it builds.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from math import fsum
+from operator import mul
 
 import numpy as np
 
-from .geometry import norm
-
-ARMIJO_C = 1e-4
-SHRINK = 0.5
-STALL_TOL = 1e-12
-_MAX_BACKTRACKS = 60
 MAX_ITERS = 200  # accepted steps per run
+MU_INIT = 1e-3  # the first damping, relative to the largest diagonal entry of J^T J
+MU_MIN = 1e-15
+MU_MAX = 1e16  # damping beyond this: no step lowers f, the run is STALLED
 
 
 class OptStatus(enum.Enum):
@@ -50,18 +51,6 @@ class OptResult:
     status: OptStatus
 
 
-def _evaluate(position, target, x):
-    """f, g and g's floats at x, a list of floats."""
-    p, jac = position(x)
-    diff = p - target
-    f = float(diff.dot(diff))
-    g = 2.0 * jac.T.dot(diff)
-    gl = g.tolist()
-    if not math.isfinite(f) or not all(map(math.isfinite, gl)):
-        raise NonFiniteObjectiveError(x)
-    return f, g, gl
-
-
 def _clip(v, lo, hi):
     """np.clip(v, lo, hi) on floats, signed zeros and NaN alike."""
     out = []
@@ -71,133 +60,101 @@ def _clip(v, lo, hi):
     return out
 
 
-def _freeze(d, x, lo, hi):
-    """Zero direction components that push out of an active bound."""
-    return [
-        0.0 if (xi <= lo_i and di < 0.0) or (xi >= hi_i and di > 0.0) else di
-        for di, xi, lo_i, hi_i in zip(d, x, lo, hi)
-    ]
+def _damped_step(low, g, mu):
+    """d solving (A + mu I) d = -g by Cholesky, A given by its lower
+    triangle `low` (row i holds i + 1 entries), or None when A + mu I is
+    not numerically positive definite."""
+    chol = []
+    for i, row in enumerate(low):
+        li = list(row)
+        li[i] += mu
+        for j, lj in enumerate(chol):
+            s = li[j]
+            for m in range(j):
+                s -= li[m] * lj[m]
+            li[j] = s / lj[j]
+        s = li[i]
+        for m in range(i):
+            s -= li[m] * li[m]
+        if not s > 0.0:
+            return None
+        li[i] = math.sqrt(s)
+        chol.append(li)
+    d = []
+    for i, li in enumerate(chol):  # L y = -g
+        s = -g[i]
+        for m in range(i):
+            s -= li[m] * d[m]
+        d.append(s / li[i])
+    for i in reversed(range(len(d))):  # L^T d = y
+        s = d[i]
+        for m in range(i + 1, len(d)):
+            s -= chol[m][i] * d[m]
+        d[i] = s / chol[i][i]
+    return d
 
 
 def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     """Drive f = |p - target|^2 to f <= stop_value inside the box.
 
-    position(x), x a list of n floats, returns the chain end p, an (m,)
-    array, and its (m, n) jacobian J; the gradient is 2 J^T (p - target). bounds is an (n, 2)
-    array of rows lo <= hi, such as a model's joint limits; x0 is
-    clipped into it. Returns the first iterate reaching stop_value (only
-    an exact zero reaches 0), or Stalled when no progress is possible
-    (projected gradient and step below 1e-12), or IterationCap after
+    position(x), x a list of n floats, returns the chain end p, m
+    floats, and its jacobian J, m rows of n floats. bounds holds n rows
+    lo <= hi, infinite for an unbounded variable; x0 is clipped into it.
+    Returns the first iterate reaching stop_value (only an exact zero
+    reaches 0), or Stalled when every variable is held at a bound or no
+    step damped by at most MU_MAX lowers f, or IterationCap after
     MAX_ITERS accepted steps.
-
-    An ndarray is built only for an operand of a BLAS reduction (the
-    geometry module's rounding rule) and for the returned x.
     """
-    lo, hi = np.asarray(bounds, dtype=float).T.tolist()
-    n = len(lo)
+    lo, hi = ([float(v) for v in side] for side in zip(*bounds))
+    tl = np.asarray(target, dtype=float).tolist()
 
-    xl = _clip(np.asarray(x0, dtype=float).tolist(), lo, hi)
-    f, g, gl = _evaluate(position, target, xl)
-    if f <= stop_value:
-        return OptResult(np.array(xl), f, 0, OptStatus.TOLERANCE_REACHED)
+    def evaluate(x):
+        p, jac = position(x)
+        r = [a - b for a, b in zip(p, tl)]
+        f = fsum(map(mul, r, r))
+        if not math.isfinite(f):
+            raise NonFiniteObjectiveError(x)
+        return f, r, jac
 
-    eye = np.eye(n)  # never mutated: H is only ever rebound
-    eye_rows = eye.tolist()
-    H = eye
-    fresh_h = True
-    sd_alpha = 1.0  # step memory for the gradient fallback mode
-    prev_active = None
+    x = _clip(np.asarray(x0, dtype=float).tolist(), lo, hi)
+    f, r, jac = evaluate(x)
+    mu = None
     iterations = 0
-    while iterations < MAX_ITERS:
-        # curvature gathered under one active set misleads the next:
-        # restart the model whenever a bound activates or releases
-        active = [
-            (xi <= lo_i and gi > 0.0) or (xi >= hi_i and gi < 0.0)
-            for xi, gi, lo_i, hi_i in zip(xl, gl, lo, hi)
+    while f > stop_value:
+        if iterations == MAX_ITERS:
+            return OptResult(np.array(x), f, iterations, OptStatus.ITERATION_CAP)
+        cols = list(zip(*jac))
+        g = [fsum(map(mul, c, r)) for c in cols]
+        if not all(map(math.isfinite, g)):
+            raise NonFiniteObjectiveError(x)
+        # a variable at a bound whose descent direction -g points out of
+        # the box stays there for this step
+        free = [
+            j for j, (xj, gj) in enumerate(zip(x, g))
+            if not ((xj <= lo[j] and gj > 0.0) or (xj >= hi[j] and gj < 0.0))
         ]
-        if prev_active is not None and active != prev_active:
-            H = eye
-            fresh_h = True
-        prev_active = active
-
-        dl = _freeze([-v for v in H.dot(g).tolist()], xl, lo, hi)
-        d = np.array(dl)
-        descent = float(g.dot(d))
-        if descent >= 0.0 or not all(map(math.isfinite, dl)):
-            # curvature model unusable here: projected steepest descent
-            H = eye
-            fresh_h = True
-            dl = _freeze([-v for v in gl], xl, lo, hi)
-        if max(map(abs, dl), default=0.0) <= STALL_TOL:
-            return OptResult(np.array(xl), f, iterations, OptStatus.STALLED)
-
-        # A scaled curvature model wants the unit step; the gradient
-        # fallback has no scale, so reuse (and grow) the last working
-        # step length. Without this, flat or negative-curvature ridges,
-        # where every update pair is rejected, reduce progress to
-        # gradient-sized creep.
-        alpha = sd_alpha if fresh_h else 1.0
-
-        # Armijo backtracking on the projected path: the trial point is
-        # clipped to the box, so the step may bend along newly hit bounds
-        accepted = False
-        first_try = True
-        for _ in range(_MAX_BACKTRACKS):
-            xl_new = _clip([xi + alpha * di for xi, di in zip(xl, dl)], lo, hi)
-            sl = [a - b for a, b in zip(xl_new, xl)]
-            if max(map(abs, sl), default=0.0) <= 1e-17:
-                break
-            s = np.array(sl)
-            gs = float(g.dot(s))
-            f_new, g_new, gl_new = _evaluate(position, target, xl_new)
-            if gs < 0.0 and f_new <= f + ARMIJO_C * gs:
-                accepted = True
-                break
-            alpha *= SHRINK
-            first_try = False
-        if not accepted:
-            return OptResult(np.array(xl), f, iterations, OptStatus.STALLED)
-        if fresh_h:
-            sd_alpha = min(alpha * 2.0, 1e8) if first_try else max(alpha, 1e-8)
-        else:
-            sd_alpha = 1.0
-
+        if not free:
+            break
+        fc = [cols[j] for j in free]
+        a = [[fsum(map(mul, ci, cj)) for cj in fc[:i + 1]] for i, ci in enumerate(fc)]
+        if mu is None:
+            mu = max(MU_INIT * max(row[-1] for row in a), MU_MIN)
+        gf = [g[j] for j in free]
+        while True:
+            d = _damped_step(a, gf, mu)
+            if d is not None:
+                trial = list(x)
+                for j, dj in zip(free, d):
+                    trial[j] += dj
+                trial = _clip(trial, lo, hi)
+                f_new, r_new, jac_new = evaluate(trial)
+                if f_new < f:
+                    break
+            mu *= 10.0
+            if mu > MU_MAX:
+                return OptResult(np.array(x), f, iterations, OptStatus.STALLED)
+        x, f, r, jac = trial, f_new, r_new, jac_new
+        mu = max(mu / 10.0, MU_MIN)
         iterations += 1
-        # bound-frozen components did not move; their gradient change is
-        # cross-coupling, not curvature along the step, and would corrupt
-        # the free-subspace model
-        yl = [0.0 if si == 0.0 else a - b for si, a, b in zip(sl, gl_new, gl)]
-        xl, f, g, gl = xl_new, f_new, g_new, gl_new
-        if f <= stop_value:
-            return OptResult(np.array(xl), f, iterations, OptStatus.TOLERANCE_REACHED)
-
-        step = max(map(abs, sl))
-        proj_grad = max(
-            abs(a - b) for a, b in zip(_clip([xi - gi for xi, gi in zip(xl, gl)], lo, hi), xl)
-        )
-        if step <= STALL_TOL and proj_grad <= STALL_TOL:
-            return OptResult(np.array(xl), f, iterations, OptStatus.STALLED)
-
-        y_eff = np.array(yl)
-        sy = float(s.dot(y_eff))
-        if sy > 1e-12 * norm(s) * norm(y_eff):
-            if fresh_h:
-                # scale the unit model to the observed curvature before
-                # the first update after a reset
-                H = (sy / float(y_eff.dot(y_eff))) * eye
-                fresh_h = False
-            rho = 1.0 / sy
-            V = np.array([
-                [e - rho * (si * yj) for e, yj in zip(row, yl)]
-                for row, si in zip(eye_rows, sl)
-            ])
-            H = np.array([
-                [h + rho * (si * sj) for h, sj in zip(row, sl)]
-                for row, si in zip(V.dot(H).dot(V.T).tolist(), sl)
-            ])
-        else:
-            # curvature update would lose positive definiteness
-            H = eye
-            fresh_h = True
-
-    return OptResult(np.array(xl), f, iterations, OptStatus.ITERATION_CAP)
+    status = OptStatus.TOLERANCE_REACHED if f <= stop_value else OptStatus.STALLED
+    return OptResult(np.array(x), f, iterations, status)

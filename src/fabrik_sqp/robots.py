@@ -74,7 +74,11 @@ class RobotModel:
     `link_lengths` and `shoulder` (0, 0, l1), the base of both reduced
     chains, are read off the DH table; the arrays are read-only copies.
     `arm_lengths` holds l1, l2 and l3 as floats, for the optimizer's
-    position maps. Models compare and hash by name, table and limits (hashed once).
+    position maps, and `optimizer_box` the optimizer's joint box: the
+    limit pairs, with (-inf, inf) for a joint whose limits span a full
+    turn (recovery wraps every angle, so there the box would only wall
+    off solutions across +-pi). Models compare and hash by name, table
+    and limits (hashed once).
     """
 
     name: str
@@ -84,6 +88,7 @@ class RobotModel:
     arm_lengths: tuple[float, float, float] = field(init=False, repr=False, compare=False)
     shoulder: np.ndarray = field(init=False, repr=False, compare=False)
     limit_pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False)
+    optimizer_box: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,6 +112,10 @@ class RobotModel:
         object.__setattr__(self, "arm_lengths", tuple(self.link_lengths[:3].tolist()))
         object.__setattr__(self, "shoulder", _frozen_copy((0.0, 0.0, lengths[0])))
         object.__setattr__(self, "limit_pairs", tuple(map(tuple, limits.tolist())))
+        object.__setattr__(self, "optimizer_box", tuple(
+            (-math.inf, math.inf) if hi - lo >= 2.0 * math.pi else (lo, hi)
+            for lo, hi in self.limit_pairs
+        ))
         object.__setattr__(self, "_hash", hash((self.name, dh, self.limit_pairs)))
 
     def __hash__(self):

@@ -30,10 +30,11 @@ from .geometry import (
     wrap_angle,
 )
 from .iktypes import IKQuery, prepare_query, select_candidate
-from .optimizer import OptResult, minimize
+from .optimizer import OptResult, OptStatus, minimize
 from .robots import RobotModel, dh_transform, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
+GAP_MARGIN = 1e-12  # m: far above the rounding of `elbow_gap` and of the optimizer's f
 
 
 def wrist_position(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
@@ -115,11 +116,12 @@ def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
     return fabrik.lay_out_chain(model.shoulder, frame.v_init, model.link_lengths[1:3], joints)
 
 
-def elbow_analytic(x, theta1: float, model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
-    """Forearm tip at x = (theta2, theta3) in theta1's plane, and its 3x2 jacobian."""
+def elbow_analytic(x, theta1: float, model: RobotModel):
+    """Forearm tip at x = (theta2, theta3) in theta1's plane, 3 floats,
+    and its jacobian, 3 rows of 2 floats."""
     l1, l2, l3 = model.arm_lengths
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    th2, th3 = float(x[0]), float(x[1])
+    th2, th3 = x
     c2, s2 = math.cos(th2), math.sin(th2)
     c23, s23 = math.cos(th2 + th3), math.sin(th2 + th3)
     r = l2 * c2 + l3 * c23
@@ -128,8 +130,20 @@ def elbow_analytic(x, theta1: float, model: RobotModel) -> tuple[np.ndarray, np.
     dz2 = -(l2 * c2 + l3 * c23)
     dr3 = -l3 * s23
     dz3 = -l3 * c23
-    jac = np.array([[-c1 * dr2, -c1 * dr3], [-s1 * dr2, -s1 * dr3], [dz2, dz3]])
-    return np.array([-c1 * r, -s1 * r, z]), jac
+    jac = ((-c1 * dr2, -c1 * dr3), (-s1 * dr2, -s1 * dr3), (dz2, dz3))
+    return (-c1 * r, -s1 * r, z), jac
+
+
+def elbow_gap(target, theta1: float, model: RobotModel) -> float:
+    """Distance from `target` to every point the forearm tip reaches in
+    theta1's plane: the annulus of radii |l2 - l3| and l2 + l3 about the
+    shoulder, which no joint box enlarges."""
+    l1, l2, l3 = model.arm_lengths
+    c1, s1 = math.cos(theta1), math.sin(theta1)
+    tx, ty, tz = map(float, target)
+    rho = math.hypot(c1 * tx + s1 * ty, tz - l1)
+    short = max(abs(l2 - l3) - rho, rho - (l2 + l3), 0.0)
+    return math.hypot(c1 * ty - s1 * tx, short)
 
 
 def elbow_optimize(
@@ -137,10 +151,22 @@ def elbow_optimize(
     target: np.ndarray,
     seeds: tuple[float, float],
     model: RobotModel,
-    bounds: np.ndarray,
+    bounds,
     stop_value: float,
 ) -> tuple[OptResult, np.ndarray | None]:
-    """Optimize (theta2, theta3); None in place of x above the stop value."""
+    """Optimize (theta2, theta3) in `bounds`, two (lo, hi) rows; None in
+    place of x above the stop value.
+
+    A target whose `elbow_gap` exceeds the stop distance by more than
+    GAP_MARGIN is out of every run's reach: the optimizer would only
+    creep toward the gap (a folded elbow's rank-1 jacobian slows the
+    damped step to a linear rate), so no run is made and the result is
+    STALLED at the seeds clipped into the box."""
+    if elbow_gap(target, theta1, model) > math.sqrt(stop_value) + GAP_MARGIN:
+        x = np.clip(seeds, *zip(*bounds))
+        tip = elbow_analytic(x.tolist(), theta1, model)[0]
+        f = math.fsum((a - b) ** 2 for a, b in zip(tip, map(float, target)))
+        return OptResult(x, f, 0, OptStatus.STALLED), None
     position = partial(elbow_analytic, theta1=theta1, model=model)
     result = minimize(position, target, seeds, bounds, stop_value)
     return result, None if result.f > stop_value else result.x
@@ -208,7 +234,7 @@ class Branch:
             self.target,
             self.from_chain(seed_chain),
             self.model,
-            self.model.joint_limits[1:3],
+            self.model.optimizer_box[1:3],
             stop,
         )
         return [result], pair

@@ -341,14 +341,14 @@ class TestCriterion7PropertySuites:
         worst = 0.0
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 4)
-            _, jac = kuka.wrist_analytic(theta, kuka_model)
+            jac = np.array(kuka.wrist_analytic(theta, kuka_model)[1])
             for i in range(4):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
                 fd = (
-                    kuka.wrist_analytic(tp, kuka_model)[0]
-                    - kuka.wrist_analytic(tm, kuka_model)[0]
+                    np.array(kuka.wrist_analytic(tp, kuka_model)[0])
+                    - np.array(kuka.wrist_analytic(tm, kuka_model)[0])
                 ) / (2 * h)
                 denom = max(1e-8, float(np.max(np.abs(fd))))
                 worst = max(worst, float(np.max(np.abs(jac[:, i] - fd))) / denom)
@@ -372,7 +372,7 @@ class TestCriterion7PropertySuites:
 
             def position(x, root=root, evals=evals):
                 evals.append(np.array(x))
-                return root @ x, root
+                return (root @ np.asarray(x)).tolist(), root.tolist()
 
             result = minimize(position, root @ center, x0, np.column_stack([lo, hi]), 1e-14)
             for x in evals:

@@ -137,9 +137,9 @@ class TestRunBenchmark:
         [
             # the KUKA LBR iiwa 14 datasheet limits
             ("kuka", np.radians([170, 120, 170, 120, 170, 120, 175]),
-             {"solved": 283, "failed": 17}, 2_791, 100, 1_410),
-            ("kuka", np.full(7, 0.5), {"solved": 196, "failed": 104}, 4_500, 300, 5_219),
-            ("ur5", np.full(6, 0.5), {"solved": 300}, 3_665, 300, 4_899),
+             {"solved": 283, "failed": 17}, 2_791, 100, 550),
+            ("kuka", np.full(7, 0.5), {"solved": 196, "failed": 104}, 4_500, 300, 1_331),
+            ("ur5", np.full(6, 0.5), {"solved": 300}, 3_665, 300, 1_986),
         ],
         ids=["kuka-datasheet", "kuka-0.5rad", "ur5-0.5rad"],
     )
@@ -180,22 +180,23 @@ class TestExports:
             "fabrik_iters",
             "opt_used",
             "time_seconds",
+            "opt_iters",
         ]
         assert len(rows) == 1 + 25
         assert rows[1][1] == "combined:15"
 
     def test_report_csv_text(self, tmp_path):
         records = [
-            bm.QueryRecord(0, "solved", 2.5e-07, 0.1, 3, True, 0.00125, np.array([0.1, -2.5, 3.0])),
+            bm.QueryRecord(0, "solved", 2.5e-07, 0.1, 3, True, 0.00125, np.array([0.1, -2.5, 3.0]), 7),
             bm.QueryRecord(1, "failed", math.nan, math.nan, 40, False, 0.5, None),
         ]
         report = bm.BenchmarkReport("ur5", 7, bm.parse_mode("combined:5"), 1e-6, records)
         path = tmp_path / "report.csv"
         bm.export_report_csv(report, path)
         assert path.read_bytes() == (
-            b"query_id,mode,status,eps_pos,eps_rot,fabrik_iters,opt_used,time_seconds\r\n"
-            b"0,combined:5,solved,2.4999999999999999e-07,0.10000000000000001,3,1,0.00125\r\n"
-            b"1,combined:5,failed,nan,nan,40,0,0.5\r\n"
+            b"query_id,mode,status,eps_pos,eps_rot,fabrik_iters,opt_used,time_seconds,opt_iters\r\n"
+            b"0,combined:5,solved,2.4999999999999999e-07,0.10000000000000001,3,1,0.00125,7\r\n"
+            b"1,combined:5,failed,nan,nan,40,0,0.5,0\r\n"
         )
 
     def test_tracking_csv_text(self, tmp_path):

@@ -143,6 +143,7 @@ class TestSolveCommand:
         assert doc["theta"] == [float(v) for v in result.theta]
         assert doc["fabrik_iters"] == result.fabrik_iterations
         assert doc["opt_used"] == result.optimizer_used
+        assert doc["opt_iters"] == result.optimizer_iterations
 
     @pytest.mark.parametrize("mode", ["combined:0", "sqp:5", "fabrik:x", "combined:"])
     def test_malformed_mode_exit_one(self, solvable_pose, capsys, mode):
@@ -284,6 +285,9 @@ class TestBenchCommand:
         assert [row["mode"] for row in rows] == ["combined", "combined"]
         assert sweeps == [r.fabrik_iters for r in kuka_default.records]
         assert sweeps != [r.fabrik_iters for r in ur5_default.records]
+        iterations = [int(row["opt_iters"]) for row in rows]
+        assert iterations == [r.opt_iters for r in kuka_default.records]
+        assert sum(iterations) > 0
 
     @pytest.mark.parametrize("modes", [",", " , "])
     def test_empty_mode_list_exit_one(self, tmp_path, capsys, modes):

@@ -232,12 +232,15 @@ class TestWristAnalytic:
         h = 1e-6
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 4)
-            _, jac = kuka.wrist_analytic(theta, kuka_model)
+            jac = np.array(kuka.wrist_analytic(theta, kuka_model)[1])
             for i in range(4):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                fd = (kuka.wrist_analytic(tp, kuka_model)[0] - kuka.wrist_analytic(tm, kuka_model)[0]) / (2 * h)
+                fd = (
+                    np.array(kuka.wrist_analytic(tp, kuka_model)[0])
+                    - np.array(kuka.wrist_analytic(tm, kuka_model)[0])
+                ) / (2 * h)
                 assert np.allclose(jac[:, i], fd, rtol=1e-4, atol=1e-8)
 
 

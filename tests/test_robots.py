@@ -361,6 +361,17 @@ class TestModelConstructor:
         monkeypatch.setattr(DHRow, "__hash__", no_rehash)
         assert hash(model) == hash(equal)
 
+    def test_optimizer_box_opens_full_turn_joints_only(self):
+        # a joint whose limits span a full turn gets no wall in the
+        # optimizer's box; every other joint keeps its limits
+        limits = np.array([[-math.pi, math.pi], [0.0, 2.0 * math.pi], [-4.0, 4.0],
+                           [-1.0, 2.0], [-math.pi, 3.0], [-0.5, 0.5]])
+        box = ur5_model(limits).optimizer_box
+        inf = math.inf
+        assert box[:3] == ((-inf, inf),) * 3
+        assert box[3:] == ((-1.0, 2.0), (-math.pi, 3.0), (-0.5, 0.5))
+        assert kuka_model().optimizer_box == ((-inf, inf),) * 7
+
     def test_different_models_differ(self):
         assert ur5_model() != kuka_model()
         assert ur5_model() != ur5_model(np.tile([-1.0, 1.0], (6, 1)))

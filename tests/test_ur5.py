@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fabrik_sqp import benchmark, fabrik, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform, signed_angle, unit, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
+from fabrik_sqp.optimizer import OptStatus, minimize
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
 from conftest import UR5_REF_THETA
@@ -230,21 +232,97 @@ class TestElbowOptimize:
         # rad here)
         assert abs(x[1]) <= 5e-3
 
+    # (theta1, target, (theta2, theta3) seed) of the seed-7 `ur5-random`
+    # optimizer branches whose seeds lie within 0.17 rad of theta3 = +-pi,
+    # with the elbow folded: a box wall at +-pi stalls each of them there
+    NEAR_THE_THETA3_WRAP = [
+        (-2.1402685694327346, (-0.1013436030448359, -0.1582939220080834, 0.11488353727393161),
+         (-0.4087534986757822, -2.9757202207917093)),
+        (-2.803921073141745, (-0.209900682927401, -0.0737001714412683, 0.09600622718973986),
+         (-0.21296484050251935, -3.0579924413894037)),
+        (-2.4691345262234803, (-0.15345983117456813, -0.12219438583331832, 0.09396098476927309),
+         (-0.09281578947302668, -3.104565874440228)),
+        (0.31128055857049564, (0.20693280410328938, 0.0665785689974044, 0.08100283008561686),
+         (0.22863761310528014, 3.051718043393201)),
+        (-1.565939924791058, (0.001054306917061273, -0.21709459549100332, 0.09260541424438509),
+         (-0.09742801899554229, -3.103299021184942)),
+        (-0.06248207997893829, (0.2063747518120079, -0.012911530372322007, 0.09937352072335248),
+         (-0.23412857856561728, -3.049022915762234)),
+        (-2.113058830370539, (-0.10143291758351827, -0.16835080216503157, 0.07614486010049581),
+         (0.24845519729222962, 3.04238389255731)),
+        (1.5244999299417268, (0.008220148959673669, 0.17742795931867467, 0.0878927383038565),
+         (0.01822656271200792, 3.1341193457652716)),
+        (-1.3091507268173652, (0.019391993305077893, -0.07241644951142615, 0.10126318197584622),
+         (-0.0454574148788955, -3.110564966556778)),
+    ]
+
+    @pytest.mark.parametrize("theta1, target, seeds", NEAR_THE_THETA3_WRAP)
+    def test_seeds_near_the_theta3_wrap_reach_the_stop(self, ur5_model, theta1, target, seeds):
+        # the default limits span a full turn, so the optimizer's box is
+        # open there and the elbow turns through +-pi to its solution
+        assert math.pi - abs(seeds[1]) < 0.17
+        result, x = ur5.elbow_optimize(
+            theta1, np.array(target), seeds, ur5_model, ur5_model.optimizer_box[1:3], 1e-12
+        )
+        assert result.status is OptStatus.TOLERANCE_REACHED
+        assert x is not None
+
+    def test_gap_is_the_distance_to_the_reachable_annulus(self, ur5_model):
+        l1, l2, l3 = ur5_model.arm_lengths
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            theta1, theta2, theta3 = rng.uniform(-math.pi, math.pi, 3)
+            tip = ur5.elbow_analytic((theta2, theta3), theta1, ur5_model)[0]
+            assert ur5.elbow_gap(tip, theta1, ur5_model) <= 1e-15
+            # in the plane, along the ray from the shoulder through the tip,
+            # and off the plane along its normal
+            ray = np.subtract(tip, (0.0, 0.0, l1))
+            ray /= np.linalg.norm(ray)
+            normal = np.array([-math.sin(theta1), math.cos(theta1), 0.0])
+            for radius, short in ((0.0, l2 - l3), (0.5 * (l2 - l3), 0.5 * (l2 - l3)),
+                                  (l2 + l3 + 0.2, 0.2)):
+                for off in (0.0, 0.05):
+                    target = (0.0, 0.0, l1) + radius * ray + off * normal
+                    assert ur5.elbow_gap(target, theta1, ur5_model) == pytest.approx(
+                        math.hypot(short, off), abs=1e-15)
+
+    def test_targets_beyond_the_gap_stall_without_a_step(self, ur5_model):
+        # no run gets nearer than the gap, so skipping the run loses nothing
+        l1 = ur5_model.arm_lengths[0]
+        rng = np.random.default_rng(6)
+        box = ur5_model.optimizer_box[1:3]
+        for _ in range(50):
+            theta1 = rng.uniform(-math.pi, math.pi)
+            target = np.array([0.0, 0.0, l1]) + rng.uniform(-0.03, 0.03, 3)  # near the shoulder
+            seeds = tuple(rng.uniform(-math.pi, math.pi, 2).tolist())
+            gap = ur5.elbow_gap(target, theta1, ur5_model)
+            assert gap > 1e-6
+            result, x = ur5.elbow_optimize(theta1, target, seeds, ur5_model, box, 1e-12)
+            assert result.status is OptStatus.STALLED
+            assert result.iterations == 0
+            assert x is None
+            assert np.array_equal(result.x, seeds)
+            run = minimize(partial(ur5.elbow_analytic, theta1=theta1, model=ur5_model),
+                           target, seeds, box, 1e-12)
+            assert run.status is not OptStatus.TOLERANCE_REACHED
+            assert math.sqrt(run.f) >= gap - 1e-15
+            assert result.f >= run.f
+
     def test_jacobian_matches_central_differences(self, ur5_model):
         rng = np.random.default_rng(2)
         h = 1e-6
         for _ in range(100):
             theta1 = rng.uniform(-math.pi, math.pi)
             x = rng.uniform(-math.pi, math.pi, 2)
-            _, jac = ur5.elbow_analytic(x, theta1, ur5_model)
-            assert jac.shape == (3, 2) and jac.flags.c_contiguous
+            jac = np.array(ur5.elbow_analytic(x, theta1, ur5_model)[1])
+            assert jac.shape == (3, 2)
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
                 fd = (
-                    ur5.elbow_analytic(xp, theta1, ur5_model)[0]
-                    - ur5.elbow_analytic(xm, theta1, ur5_model)[0]
+                    np.array(ur5.elbow_analytic(xp, theta1, ur5_model)[0])
+                    - np.array(ur5.elbow_analytic(xm, theta1, ur5_model)[0])
                 ) / (2 * h)
                 assert jac[:, i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 

@@ -21,6 +21,13 @@ enumerated candidate, in order and bit for bit (`SolveDetail.candidates`,
 read through the robots' `solve_detailed`). It prints the
 number of differing solves and candidates per workload and exits 1 on
 any.
+
+Per workload it also prints what a change that moves records must
+account for: the solves lost and gained, the sweep, optimizer-iteration
+and optimizer-run totals of each side, the picks that move by more than
+PICK_MOVE rad (max over the joints) split into those nearer to and
+farther from the query's reference in L1, and each side's median
+pick-to-reference L1 distance over its solved queries.
 """
 from __future__ import annotations
 
@@ -41,6 +48,8 @@ SEED = 7
 FIELDS = ("status", "sweeps", "opt_used", "opt_iters", "error")
 THETA = len(FIELDS)  # index of the selected theta in a record
 CANDIDATES = THETA + 1  # index of the enumerated candidates
+REFERENCE = CANDIDATES + 1  # index of the query's theta_init
+PICK_MOVE = 1e-3  # rad: a pick that moves farther than this is reported
 SHOWN = 5  # differing solves printed per workload
 DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
 TIGHT = {  # name: (robot, joint limits)
@@ -70,13 +79,13 @@ def record(r) -> tuple:
 
 def with_candidates(pkg, solve) -> list:
     """The records of the results `solve()` returns, each followed by the
-    candidates its solve enumerated."""
+    candidates its solve enumerated and the query's reference."""
     log = []
     originals = [(module, module.solve_detailed) for module in (pkg.ur5, pkg.kuka)]
     for module, original in originals:
         def logged(query, model, original=original):
             result, detail = original(query, model)
-            log.append(detail.candidates)
+            log.append((detail.candidates, np.array(query.theta_init)))
             return result, detail
         module.solve_detailed = logged
     try:
@@ -86,7 +95,7 @@ def with_candidates(pkg, solve) -> list:
             module.solve_detailed = original
     if len(log) != len(results):
         raise SystemExit(f"same_records: {len(log)} detailed solves for {len(results)} results")
-    return [(*record(r), candidates) for r, candidates in zip(results, log)]
+    return [(*record(r), *logged) for r, logged in zip(results, log)]
 
 
 def tight_records(pkg) -> dict:
@@ -103,7 +112,7 @@ def tight_records(pkg) -> dict:
 
 def records(src: Path) -> dict:
     """{workload: [(status, sweeps, opt_used, opt_iters, error, theta,
-    candidates), ...]} with the package under src."""
+    candidates, reference), ...]} with the package under src."""
     sys.path.insert(0, str(src))
     try:
         out = {}
@@ -167,6 +176,39 @@ def describe(a, b) -> str:
     return "; ".join(parts)
 
 
+def l1_to_reference(rec) -> float:
+    return float(np.sum(np.abs(rec[THETA] - rec[REFERENCE])))
+
+
+def accounting(theirs: list, ours: list) -> list[str]:
+    """Lines on what moved between two record lists of one workload (theirs: REV's)."""
+    solved = [[r[0] == "solved" for r in side] for side in (theirs, ours)]
+    lost = sum(a and not b for a, b in zip(*solved))
+    gained = sum(b and not a for a, b in zip(*solved))
+    totals = [
+        f"{name} {sum(r[k] for r in theirs)} -> {sum(r[k] for r in ours)}"
+        for name, k in (("sweeps", 1), ("iterations", 3), ("optimizer runs", 2))
+    ]
+    nearer = farther = 0
+    for a, b, both in zip(theirs, ours, map(all, zip(*solved))):
+        if both and float(np.max(np.abs(a[THETA] - b[THETA]))) > PICK_MOVE:
+            if l1_to_reference(b) < l1_to_reference(a):
+                nearer += 1
+            else:
+                farther += 1
+    medians = [
+        f"{np.median([l1_to_reference(r) for r in side if r[0] == 'solved']):.4f}"
+        if any(r[0] == "solved" for r in side) else "-"
+        for side in (theirs, ours)
+    ]
+    return [
+        f"solves lost {lost}, gained {gained}; " + ", ".join(totals),
+        f"picks moved > {PICK_MOVE:g} rad: {nearer + farther} ({nearer} nearer the"
+        f" reference in L1, {farther} farther); median pick-to-reference L1"
+        f" {medians[0]} -> {medians[1]}",
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
@@ -186,6 +228,9 @@ def main(argv=None) -> int:
             f"{name:18s} {len(mine):5d} solves, {len(diffs)} differ;"
             f" {candidates:6d} candidates, {moved} differ"
         )
+        if len(theirs[name]) == len(mine):
+            for line in accounting(theirs[name], mine):
+                print(f"  {line}")
         for i in diffs[:SHOWN]:
             a = theirs[name][i] if i < len(theirs[name]) else None
             b = mine[i] if i < len(mine) else None
