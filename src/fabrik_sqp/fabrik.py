@@ -21,12 +21,12 @@ and `straight_chain` checks every other chain (the CLI's, the demos'),
 including a minimum link length well above the sweeps' 1e-12 coincidence
 scale, a maximum reach that keeps their squares finite and a lay-out
 that keeps every link. The reductions lay their chains out with
-`lay_out_chain`, the same arithmetic without the checks; the sweeps,
-`pre_bend` and the full-extension shortcut trust the chain and only move
-its points, (x, y, z) float rows from lay-out to recovery; the constants
-set where it is laid out ride along. `solve` measures every distance on
-one scratch 3-vector that it rewrites in place, and builds its
-outcome's chain once.
+`lay_out_chain`, the same arithmetic without the checks, pre-bent in
+the same step when they give a bend axis; the sweeps, `pre_bend` and the
+full-extension shortcut trust the chain and only move its points,
+(x, y, z) float rows from lay-out to recovery; the constants set where
+it is laid out ride along. Every vector is a float 3-tuple (see the
+`geometry` docstring).
 """
 from __future__ import annotations
 
@@ -41,10 +41,12 @@ import numpy as np
 from .geometry import (
     clamped_arccos,
     cross,
+    dot,
     norm,
     perpendicular_axis,
     rotate_about_axis,
     signed_angle,
+    sub,
     unit,
 )
 
@@ -62,9 +64,9 @@ MAX_TARGET_GAP = 1e154  # m
 
 @dataclass(frozen=True)
 class Hinge:
-    """1-DOF joint about a fixed world axis with signed limits."""
+    """1-DOF joint about a fixed world axis, a unit float 3-tuple, with signed limits."""
 
-    axis: np.ndarray
+    axis: tuple
     lo: float = -math.pi
     hi: float = math.pi
 
@@ -99,33 +101,27 @@ class ChainState:
 
     joints[j] sits at positions[j] (j = 0..m-2); joints[0] is the base
     joint whose reference direction is anchor_dir (the fixed link feeding
-    the chain), or unconstrained when anchor_dir is None. Points, base
-    and lengths are float tuples; anchor_dir, a BLAS operand, is an
-    ndarray. The sweeps trust a chain laid out from checked links, whose
-    builder set its reach and can_clamp once (see the module docstring).
+    the chain), or unconstrained when anchor_dir is None. Points, base,
+    lengths and anchor_dir are float tuples. The sweeps trust a chain
+    laid out from checked links, whose builder set its reach and
+    can_clamp once (see the module docstring).
     """
 
     positions: tuple  # m (x, y, z) float rows
     lengths: tuple  # m-1 positive floats
     joints: tuple  # one joint per link
     base: tuple  # (x, y, z) floats, the fixed location of P_1
-    reach: float  # the summed lengths, as np.sum adds them
+    reach: float  # the summed lengths, correctly rounded
     can_clamp: tuple  # per joint: not `unconstrained`
-    anchor_dir: np.ndarray | None = None  # unit
+    anchor_dir: tuple | None = None  # unit
 
     @property
     def end(self) -> tuple:
         return self.positions[-1]
 
-    def link_directions(self) -> np.ndarray:
-        """Unit link directions, as `np.diff` over `np.linalg.norm(axis=1)`
-        rounds them (its three-term sum runs left to right)."""
-        out = []
-        for (ax, ay, az), (bx, by, bz) in zip(self.positions, self.positions[1:]):
-            dx, dy, dz = bx - ax, by - ay, bz - az
-            n = math.sqrt((dx * dx + dy * dy) + dz * dz)
-            out.append((dx / n, dy / n, dz / n))
-        return np.array(out)
+    def link_directions(self) -> tuple:
+        """Unit link directions, as float 3-tuples."""
+        return tuple(map(_direction, self.positions, self.positions[1:]))
 
     def moved(self, rows) -> ChainState:
         """This chain with its points at `rows`, (x, y, z) float rows."""
@@ -133,31 +129,54 @@ class ChainState:
                           self.reach, self.can_clamp, self.anchor_dir)
 
 
-def _lay_out(base: tuple, direction, lengths) -> tuple:
-    """base + c * direction for c = 0 and each running sum of the lengths,
-    as (x, y, z) float rows: `np.outer` of `np.cumsum`, which adds left to
-    right, rounds each entry alike."""
-    (bx, by, bz), (dx, dy, dz) = base, direction.tolist()
+def _direction(a, b) -> tuple:
+    """The unit direction from point a to point b."""
+    dx, dy, dz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return (dx / n, dy / n, dz / n)
+
+
+def _lay_out(base: tuple, direction: tuple, lengths) -> tuple:
+    """base + c * direction for c = 0 and each running sum of the
+    lengths, added left to right, as (x, y, z) float rows."""
+    (bx, by, bz), (dx, dy, dz) = base, direction
     return tuple((bx + c * dx, by + c * dy, bz + c * dz) for c in accumulate((0.0, *lengths)))
 
 
-def _laid_out(base, direction, lengths, joints, anchor_dir) -> ChainState:
-    """The chain laid straight from the base ndarray along the unit
-    direction, its constants set once: the lengths and base as floats,
-    their `np.sum` as its reach and each joint's can-clamp flag."""
-    base, rows, joints = tuple(base.tolist()), tuple(lengths.tolist()), tuple(joints)
+def _bent(rows, lengths, axis) -> list:
+    """The rows with the first link kept and link k turned by k * PRE_BEND
+    about the unit axis from the first link's direction."""
+    first = _direction(rows[0], rows[1])
+    q = list(rows[:2])
+    for k in range(1, len(lengths)):
+        dx, dy, dz = rotate_about_axis(axis, k * PRE_BEND, first)
+        x, y, z = q[k]
+        q.append((x + lengths[k] * dx, y + lengths[k] * dy, z + lengths[k] * dz))
+    return q
+
+
+def _laid_out(base, direction, lengths, joints, anchor_dir, bend_axis=None) -> ChainState:
+    """The chain laid straight from base along the unit direction (and
+    bent about `bend_axis` as `pre_bend` bends it, when given), its
+    constants set once: the lengths and base as floats, their `fsum` as
+    its reach and each joint's can-clamp flag."""
+    base, rows, joints = tuple(map(float, base)), tuple(map(float, lengths)), tuple(joints)
     can_clamp = tuple(not joint.unconstrained for joint in joints)
-    return ChainState(_lay_out(base, direction, rows), rows, joints, base,
-                      float(np.sum(lengths)), can_clamp, anchor_dir)
+    points = _lay_out(base, direction, rows)
+    if bend_axis is not None and len(rows) > 1:
+        points = tuple(_bent(points, rows, unit(bend_axis)))
+    return ChainState(points, rows, joints, base, math.fsum(rows), can_clamp, anchor_dir)
 
 
-def lay_out_chain(base, direction, lengths, joints) -> ChainState:
+def lay_out_chain(base, direction, lengths, joints, bend_axis=None) -> ChainState:
     """The chain of `straight_chain` without its checks, anchored along its
     own direction, for links checked where they were built
-    (`robots.RobotModel`): base and lengths are float ndarrays; the
-    direction is normalized here."""
+    (`robots.RobotModel`): base, direction and lengths are sequences of
+    floats; the direction is normalized here. With a `bend_axis` the
+    chain comes pre-bent about it, the points `pre_bend` gives the
+    straight chain, in one step."""
     direction = unit(direction)
-    return _laid_out(base, direction, lengths, joints, direction)
+    return _laid_out(base, direction, lengths, joints, direction, bend_axis)
 
 
 def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
@@ -191,18 +210,18 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
     return chain
 
 
-def ball_joint_axis(l_in, l_out) -> np.ndarray:
+def ball_joint_axis(l_in, l_out) -> tuple:
     """Correction axis of a ball joint: normalized cross of the unit link
     directions entering and leaving it.
 
     Falls back to a deterministic perpendicular of the incoming link when
     the links are collinear.
     """
-    c = cross(l_in, l_out)
-    n = norm(c)
+    cx, cy, cz = cross(l_in, l_out)
+    n = math.sqrt(cx * cx + cy * cy + cz * cz)
     if n < 1e-9:
         return perpendicular_axis(l_in)
-    return c / n
+    return (cx / n, cy / n, cz / n)
 
 
 def _limit_correction(l_in, l_out, joint):
@@ -221,13 +240,13 @@ def _limit_correction(l_in, l_out, joint):
             return None
         return delta, joint.axis
     # ball joint: bend angle is non-negative, only the cone bound applies
-    phi = clamped_arccos(float(np.dot(l_in, l_out)))
+    phi = clamped_arccos(dot(l_in, l_out))
     if phi <= joint.max_angle:
         return None
     return joint.max_angle - phi, ball_joint_axis(l_in, l_out)
 
 
-def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: bool, v) -> list:
+def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: bool) -> list:
     """One reaching phase on a sequence of (x, y, z) float rows, never mutated; returns a new list.
 
     Pins the first point of the traversal (the tip when tip_first, else
@@ -237,10 +256,7 @@ def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: 
     along the anchor, or along its old link. Joint angles are measured
     base-to-tip, so the tip-first pass hands `_limit_correction` the
     negated link directions and turns the retained point the other way;
-    both negations are exact. A point's distance from its pivot is the
-    `norm` of its offset, written into the caller's scratch 3-vector `v`
-    (the phase's own: nothing keeps it); the coincident and limit-clamp
-    cases take each link direction as the `unit` of an `np.subtract`.
+    both negations are exact.
     """
     m = len(positions)
     step, first = (-1, m - 1) if tip_first else (1, 0)
@@ -255,26 +271,25 @@ def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: 
         x, y, z = q[p]
         ox, oy, oz = positions[i]
         vx, vy, vz = ox - x, oy - y, oz - z
-        v[0], v[1], v[2] = vx, vy, vz
-        d = math.sqrt(v.dot(v))  # `norm(v)`
+        d = math.sqrt(vx * vx + vy * vy + vz * vz)
         length = lengths[i if tip_first else p]
         if d < 1e-12 or ((p != first or entry is not None) and can_clamp[p]):
-            back = unit(np.subtract(q[p], q[p - step])) if p != first else entry
+            back = _direction(q[p - step], q[p]) if p != first else entry
             if d < 1e-12:
                 # coincident points: extend straight past the pivot
                 if back is None:
-                    back = unit(np.subtract(positions[i], positions[p]))
-                bx, by, bz = back.tolist()
+                    back = _direction(positions[p], positions[i])
+                bx, by, bz = back
                 q[i] = (x + length * bx, y + length * by, z + length * bz)
                 continue
+            bx, by, bz = back
             if tip_first:
-                corr = _limit_correction(-v / d, -back, chain.joints[p])
+                corr = _limit_correction((-vx / d, -vy / d, -vz / d), (-bx, -by, -bz), chain.joints[p])
             else:
-                corr = _limit_correction(back, v / d, chain.joints[p])
+                corr = _limit_correction(back, (vx / d, vy / d, vz / d), chain.joints[p])
             if corr is not None:
                 delta, axis = corr
-                vx, vy, vz = rotate_about_axis(axis, -delta if tip_first else delta, v).tolist()
-        # pivot + (length / d) * v, rounded alike in Python floats
+                vx, vy, vz = rotate_about_axis(axis, -delta if tip_first else delta, (vx, vy, vz))
         s = length / d
         q[i] = (x + s * vx, y + s * vy, z + s * vz)
     return q
@@ -282,13 +297,12 @@ def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: 
 
 def forward_phase(chain: ChainState, target) -> ChainState:
     """Anchor the end at the target and pull the chain tip-to-base."""
-    tip = tuple(np.asarray(target, dtype=float).tolist())
-    return chain.moved(_reach(chain, chain.positions, tip, True, np.empty(3)))
+    return chain.moved(_reach(chain, chain.positions, tuple(map(float, target)), True))
 
 
 def backward_phase(chain: ChainState) -> ChainState:
     """Anchor the base and push the chain base-to-tip."""
-    return chain.moved(_reach(chain, chain.positions, chain.base, False, np.empty(3)))
+    return chain.moved(_reach(chain, chain.positions, chain.base, False))
 
 
 def pre_bend(chain: ChainState, axis=None) -> ChainState:
@@ -307,28 +321,17 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
     if len(chain.positions) < 3:
         return chain
     dirs = chain.link_directions()
-    n_links = dirs.shape[0]
-    for i in range(n_links):
-        for j in range(i + 1, n_links):
-            if clamped_arccos(float(np.dot(dirs[i], dirs[j]))) >= COLLINEAR_TOL:
+    for i, a in enumerate(dirs):
+        for b in dirs[i + 1:]:
+            if clamped_arccos(dot(a, b)) >= COLLINEAR_TOL:
                 return chain
     if axis is None:
-        for joint in chain.joints:
-            if isinstance(joint, Hinge):
-                axis = joint.axis
-                break
-    if axis is None:
-        axis = perpendicular_axis(dirs[0])
+        axis = next((joint.axis for joint in chain.joints if isinstance(joint, Hinge)), None)
+        if axis is None:
+            axis = perpendicular_axis(dirs[0])
     else:
         axis = unit(axis)
-    # q[k + 1] = q[k] + length * direction, on Python floats
-    q = list(chain.positions)
-    lengths = chain.lengths
-    for k in range(1, n_links):
-        dx, dy, dz = rotate_about_axis(axis, k * PRE_BEND, dirs[0]).tolist()
-        x, y, z = q[k]
-        q[k + 1] = (x + lengths[k] * dx, y + lengths[k] * dy, z + lengths[k] * dz)
-    return chain.moved(q)
+    return chain.moved(_bent(chain.positions, chain.lengths, axis))
 
 
 @dataclass(frozen=True)
@@ -382,14 +385,12 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     chain laid straight toward it in one sweep, FABRIK's out-of-reach
     case; callers that refuse such targets ask `within_reach` first. A
     non-finite target, or one more than MAX_TARGET_GAP from the base,
-    raises ValueError. The sweeps run on float rows and write every
-    distance's offset into one scratch 3-vector; the outcome's chain is
-    built once, on return.
+    raises ValueError. The outcome's chain is built once, on return.
     """
     eps_tol = check_tolerance(eps_tol, "eps_tol")
     iter_cap = check_cap(iter_cap, "iter_cap")
-    target = np.asarray(target, dtype=float)
-    tip, base = tuple(target.tolist()), chain.base
+    tip = tx, ty, tz = tuple(map(float, target))
+    base = chain.base
     gap = math.dist(tip, base)
     if not gap <= MAX_TARGET_GAP:  # NaN and inf fail too
         raise ValueError(f"target must be finite and within {MAX_TARGET_GAP:g} m of the base")
@@ -397,25 +398,23 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     if reach - gap <= 1e-12 * reach and gap > 0.0:
         # full-extension or out-of-reach target: the straight chain is the
         # unique solution, or the closest the chain gets
-        direction = unit((target - base) / gap)
+        direction = unit([(t - b) / gap for t, b in zip(tip, base)])
         stretched = chain.moved(_lay_out(base, direction, chain.lengths))
-        dist = norm(stretched.end - target)
+        dist = norm(sub(stretched.end, tip))
         return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, ((1, dist),))
 
-    dist = norm(chain.end - target)
+    dist = norm(sub(chain.end, tip))
     if dist <= eps_tol:
         return FabrikOutcome(True, 0, dist, chain)
     q = chain.positions
-    tx, ty, tz = tip
-    v = np.empty(3)  # the scratch 3-vector of every norm below
     trace = []
     n = 0
     while n < iter_cap:
-        q = _reach(chain, _reach(chain, q, tip, True, v), base, False, v)
+        q = _reach(chain, _reach(chain, q, tip, True), base, False)
         n += 1
         x, y, z = q[-1]
-        v[0], v[1], v[2] = x - tx, y - ty, z - tz
-        dist = math.sqrt(v.dot(v))  # `norm(q[-1] - target)`
+        dx, dy, dz = x - tx, y - ty, z - tz
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         trace.append((n, dist))
         if dist <= eps_tol:
             break

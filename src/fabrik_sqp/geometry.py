@@ -1,50 +1,18 @@
 """Shared geometric primitives.
 
-Conventions: vectors are plain (3,) float ndarrays, rotations are 3x3
-row-major matrices, rigid transforms are 4x4 homogeneous matrices with
-bottom row (0, 0, 0, 1). All angles are radians.
+Conventions: on the solve path a vector is a 3-tuple of Python floats
+and a rigid transform is held as its top three rows, three 4-tuples of
+floats (the bottom row is (0, 0, 0, 1)). Poses at the API edge are 4x4
+float ndarrays whose bottom row is (0, 0, 0, 1). All angles are radians.
 The per-joint helpers trust values validated where they were built
-(`unit`, `fabrik.Hinge`) and check nothing per call.
+(`unit`, `fabrik.Hinge`) and check nothing per call; they take any
+3-sequences.
 
-Rounding rule: the solve path works on short vectors and small
-matrices, where numpy's per-call dispatch costs more than the
-arithmetic, so elementwise work leaves numpy for Python floats, which
-round each operation alike: `cross`, the entries of
-`rotate_about_axis`, the KUKA wrist jacobian, the FABRIK sweeps
-(`fabrik._reach` and the loop of `fabrik.solve`), the chain lay-out
-(`fabrik._lay_out`, whose running sum is `np.cumsum`'s) and the bent
-links of `fabrik.pre_bend` (a chain holds its points as float rows
-from lay-out to recovery: a BLAS dot reads only their differences,
-each written into a scratch vector or built by `np.subtract`), and the
-optimizer loop, whose sums are `math.fsum`s (correctly rounded in every
-Python version) and which makes no BLAS call. So do the link norms of
-`ChainState.link_directions` and `iktypes.l1_distance`, which orders
-the pick and the KUKA seeds, sums numpy adds left to right, and the
-float path of `wrap_angle`, whose `%` rounds as numpy's remainder.
-`rotation_defect` forms the entries of R^T R - I on floats too, their
-dots included: it only decides against ROTATION_EXACT_TOL and
-ROTATION_REPAIR_TOL, so its last bits need not be BLAS's. Every other
-dot product stays on BLAS: the kernel may round a short dot as a chain
-of fused multiply-adds, which a Python sum does not reproduce, and
-every seeded solve keeps its bits only that way. The dot products
-of the sweep loop are the 3-vector `ndarray.dot`s of the reach step's
-`v.dot(v)` and the sweep's end-to-target distance; both write their
-offset into one scratch 3-vector per phase (per solve in
-`fabrik.solve`) before each dot, the same operand in the same memory
-layout as a fresh array.
-
-Outside that loop the dots of `norm`, `signed_angle` and
-`rotate_about_axis`, `cartesian_error`'s `r_temp.T.dot(r_des)`, the 4x4
-products of `robots.fk_frames`, which accumulates with `ndarray.dot`,
-and those of `inverse_transform` stay on BLAS too.
-
-A product whose operands each have a unit stride along one axis
-(C-ordered arrays, their transposes, `[:3, :3]` blocks of a 4x4) is
-written `ndarray.dot`: it reaches the same BLAS routine as `@`, with
-less dispatch, so it keeps `@`'s bits. `inverse_transform` keeps
-`-R.T @ p`: its `p` is a strided column of a 4x4, for which `@` runs
-numpy's own loop and `.dot` calls BLAS, whose bits differ under the
-FMA kernels (`tests/test_geometry.py::test_dot_matches_matmul_at_solve_sites`).
+Rounding: the solve path runs on Python floats, which round every
+operation alike on every machine, so no record depends on the BLAS
+kernel numpy loads. numpy is used only at the API edge (checking and
+copying poses, the SVD repair of `polar_rotation`), and no float is
+summed with the builtin `sum`, whose rounding changed in Python 3.12.
 """
 from __future__ import annotations
 
@@ -80,55 +48,61 @@ def clamped_arccos(x: float) -> float:
     return math.acos(min(1.0, max(-1.0, float(x))))
 
 
-def cross(a, b) -> np.ndarray:
-    """np.cross of two 3-vector ndarrays, bit for bit, without its dispatch."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def dot(a, b) -> float:
+    (ax, ay, az), (bx, by, bz) = a, b
+    return ax * bx + ay * by + az * bz
+
+
+def cross(a, b) -> tuple:
+    (ax, ay, az), (bx, by, bz) = a, b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
+def sub(a, b) -> tuple:
+    """a - b."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    return (ax - bx, ay - by, az - bz)
 
 
 def norm(v) -> float:
-    """np.linalg.norm of a 1-D ndarray, bit for bit: the same dot of the
-    same contiguous copy, without its dispatch."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
 
 
-def unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = norm(v)
+def unit(v) -> tuple:
+    """v normalized, as floats; ValueError for a near-zero or non-finite v."""
+    x, y, z = map(float, v)
+    n = math.sqrt(x * x + y * y + z * z)
     if not 1e-12 <= n < math.inf:
         raise ValueError("cannot normalize a near-zero or non-finite vector")
-    return v / n
+    return (x / n, y / n, z / n)
 
 
-def perpendicular_axis(d) -> np.ndarray:
+def perpendicular_axis(d) -> tuple:
     """Deterministic unit vector orthogonal to d.
 
-    Crosses d with whichever basis vector is least parallel to it, so the
-    result is always well conditioned.
+    Crosses d with whichever basis vector is least parallel to it (the
+    first of equals), so the result is always well conditioned.
     """
-    d = np.asarray(d, dtype=float)
-    k = int(np.argmin(np.abs(d)))
-    e = np.zeros(3)
-    e[k] = 1.0
+    mags = [abs(c) for c in d]
+    e = [0.0, 0.0, 0.0]
+    e[mags.index(min(mags))] = 1.0
     return unit(cross(d, e))
 
 
-def rotate_about_axis(axis, theta: float, v) -> np.ndarray:
+def rotate_about_axis(axis, theta: float, v) -> tuple:
     """Rotate v by theta around a unit axis (Rodrigues form): a `Hinge`'s,
     or the normalized one of `fabrik.ball_joint_axis` or `fabrik.pre_bend`."""
     c = math.cos(theta)
     s = math.sin(theta)
-    k = axis.dot(v) * (1.0 - c)
-    ax, ay, az = axis.tolist()
-    vx, vy, vz = v.tolist()
+    (ax, ay, az), (vx, vy, vz) = axis, v
+    k = (ax * vx + ay * vy + az * vz) * (1.0 - c)
     # v * c + cross(axis, v) * s + axis * k, entry by entry
-    return np.array((
+    return (
         vx * c + (ay * vz - az * vy) * s + ax * k,
         vy * c + (az * vx - ax * vz) * s + ay * k,
         vz * c + (ax * vy - ay * vx) * s + az * k,
-    ))
+    )
 
 
 def signed_angle(a, b, ref_axis) -> float:
@@ -140,8 +114,8 @@ def signed_angle(a, b, ref_axis) -> float:
     any non-zero vectors.
     """
     c = cross(a, b)
-    ang = math.atan2(norm(c), a.dot(b))
-    if ref_axis.dot(c) >= 0.0:
+    ang = math.atan2(norm(c), dot(a, b))
+    if dot(ref_axis, c) >= 0.0:
         return ang
     return -ang
 
@@ -164,9 +138,11 @@ def translation_of(T) -> np.ndarray:
 
 
 def inverse_transform(T) -> np.ndarray:
-    R = rotation_of(T)
-    p = translation_of(T)
-    return make_transform(R.T, -R.T @ p)
+    """The inverse of a rigid transform: rotation R^T, translation -R^T p."""
+    rows = np.asarray(T, dtype=float)[:3].tolist()
+    (r00, r01, r02, px), (r10, r11, r12, py), (r20, r21, r22, pz) = rows
+    columns = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
+    return make_transform(columns, [-dot(c, (px, py, pz)) for c in columns])
 
 
 def rotation_defect(R) -> float:
@@ -207,7 +183,7 @@ def sanitize_rotation(R) -> np.ndarray:
     defect = rotation_defect(R)
     if not defect <= ROTATION_REPAIR_TOL:
         raise ValueError(f"matrix is too far from orthonormal (defect {defect:.3e})")
-    if R[0].dot(cross(R[1], R[2])) <= 0.0:
+    if dot(R[0].tolist(), cross(R[1].tolist(), R[2].tolist())) <= 0.0:
         raise ValueError("matrix is a reflection (determinant <= 0), not a rotation")
     return R if defect <= ROTATION_EXACT_TOL else polar_rotation(R)
 
@@ -224,7 +200,7 @@ def require_transform(T) -> np.ndarray:
     return T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CartesianError:
     """Position (m) and rotation (rad) error between two poses."""
 
@@ -238,20 +214,33 @@ class CartesianError:
 
 
 def cartesian_error(t_temp, t_des) -> CartesianError:
-    """Geodesic rotation angle plus Euclidean position distance.
+    """Geodesic rotation angle plus Euclidean position distance between
+    two 4x4 poses (see `frame_error`)."""
+    return frame_error(*(np.asarray(t, dtype=float)[:3].tolist() for t in (t_temp, t_des)))
 
-    The angle is arccos((tr(R_temp^-1 R_des) - 1) / 2) with the argument
+
+def frame_error(a, b) -> CartesianError:
+    """The error between two frames, each held as its top three rows.
+
+    The angle is arccos((tr(R_a^T R_b) - 1) / 2) with the argument
     clamped, evaluated in atan2 form: the plain arccos loses half the
     machine precision near zero (and pi), which would put a ~1e-8 floor
     under the rotation error of exactly matching poses.
     """
-    r_temp = rotation_of(t_temp)
-    r_des = rotation_of(t_des)
-    m = r_temp.T.dot(r_des)
-    cos_term = (float(np.trace(m)) - 1.0) / 2.0
-    sin_term = 0.5 * math.sqrt(
-        (m[2, 1] - m[1, 2]) ** 2 + (m[0, 2] - m[2, 0]) ** 2 + (m[1, 0] - m[0, 1]) ** 2
-    )
+    (a00, a01, a02, ax), (a10, a11, a12, ay), (a20, a21, a22, az) = a
+    (b00, b01, b02, bx), (b10, b11, b12, by), (b20, b21, b22, bz) = b
+    # m = R_a^T R_b: m[i][j] is column i of R_a dot column j of R_b
+    m00 = a00 * b00 + a10 * b10 + a20 * b20
+    m01 = a00 * b01 + a10 * b11 + a20 * b21
+    m02 = a00 * b02 + a10 * b12 + a20 * b22
+    m10 = a01 * b00 + a11 * b10 + a21 * b20
+    m11 = a01 * b01 + a11 * b11 + a21 * b21
+    m12 = a01 * b02 + a11 * b12 + a21 * b22
+    m20 = a02 * b00 + a12 * b10 + a22 * b20
+    m21 = a02 * b01 + a12 * b11 + a22 * b21
+    m22 = a02 * b02 + a12 * b12 + a22 * b22
+    cos_term = (m00 + m11 + m22 - 1.0) / 2.0
+    sin_term = 0.5 * norm((m21 - m12, m02 - m20, m10 - m01))
     eps_rot = math.atan2(sin_term, cos_term)
-    eps_pos = norm(translation_of(t_temp) - translation_of(t_des))
+    eps_pos = norm((ax - bx, ay - by, az - bz))
     return CartesianError(eps_pos=eps_pos, eps_rot=eps_rot)

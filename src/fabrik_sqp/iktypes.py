@@ -77,7 +77,7 @@ class IKQuery:
         object.__setattr__(self, "theta_init", theta_init)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IKResult:
     status: IKStatus
     theta: np.ndarray | None
@@ -110,8 +110,8 @@ def prepare_query(model: RobotModel, query: IKQuery) -> np.ndarray:
 
 
 def l1_distance(a, b) -> float:
-    """sum |a_i - b_i| over equal-length float sequences, left to right as np.sum
-    adds up to seven entries (the builtin sum compensates from Python 3.12 on)."""
+    """sum |a_i - b_i| over equal-length float sequences, added left to right
+    (the builtin `sum` compensates from Python 3.12 on, so it is not used)."""
     d = 0.0
     for x, y in zip(a, b, strict=True):
         d += abs(x - y)

@@ -12,7 +12,8 @@ points, every arm sign branch enumerated, and theta5-theta7 as the exact
 Rz Ry Rz split of the wrist rotation, one triple per theta6 sign (Shimizu
 et al. 2008). Each FK prefix is built once: frame 2 per (theta1, theta2),
 frame 4 per arm. Every candidate is exact, so no sign is guessed; the
-pipeline checks the pose of the selected one only.
+pipeline checks the pose of the selected one only. Points and frames
+are floats (see the `geometry` docstring).
 """
 from __future__ import annotations
 
@@ -22,28 +23,20 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from . import fabrik, pipeline
-from .geometry import (
-    cross,
-    dedup_angles,
-    inverse_transform,
-    norm,
-    translation_of,
-    unit,
-    wrap_angle,
-)
+from .geometry import cross, dedup_angles, dot, norm, sub, unit, wrap_angle
 from .iktypes import IKQuery, l1_distance, prepare_query, select_candidate
 from .optimizer import minimize
-from .robots import RobotModel, dh_transform, fk_frames, pose_mismatch
+from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
 
 _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
-DEFAULT_V_INIT = np.array([0.0, 0.0, 1.0])
+DEFAULT_V_INIT = (0.0, 0.0, 1.0)
 
 
-def wrist_target(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
-    """Iteration target: EE position minus the flange link."""
-    l4 = model.link_lengths[3]
-    return translation_of(t_des) - l4 * t_des[:3, 2]
+def wrist_target(t_des: np.ndarray, model: RobotModel) -> tuple:
+    """Iteration target, 3 floats: EE position minus the flange link."""
+    l4 = float(model.link_lengths[3])
+    return tuple(p - l4 * z for _, _, z, p in t_des[:3].tolist())
 
 
 @lru_cache(maxsize=8)
@@ -51,24 +44,19 @@ def make_chain(model: RobotModel) -> fabrik.ChainState:
     """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT, laid out
     from the links the model checked (`robots.LAYOUT_MARGIN` covers it).
 
-    One chain per model, shared by every solve: its points, lengths and
-    base are tuples, and its one array, anchor_dir, is read-only.
+    One chain per model, shared by every solve: it holds only tuples.
     """
-    elbow_cone = min(math.pi, max(abs(model.joint_limits[3, 0]), abs(model.joint_limits[3, 1])))
+    elbow_cone = min(math.pi, max(map(abs, model.limit_pairs[3])))
     joints = (fabrik.Ball(), fabrik.Ball(elbow_cone))
-    chain = fabrik.lay_out_chain(model.shoulder, DEFAULT_V_INIT, model.link_lengths[1:3], joints)
-    chain.anchor_dir.flags.writeable = False
-    return chain
+    return fabrik.lay_out_chain(model.shoulder, DEFAULT_V_INIT, model.arm_lengths[1:], joints)
 
 
 # --- closed-form geometry ---------------------------------------------------
 
-def elbow_position(model: RobotModel, theta1: float, theta2: float) -> np.ndarray:
-    l1, l2 = model.link_lengths[0], model.link_lengths[1]
+def elbow_position(model: RobotModel, theta1: float, theta2: float) -> tuple:
+    l1, l2, _ = model.arm_lengths
     s2 = math.sin(theta2)
-    return np.array(
-        [l2 * s2 * math.cos(theta1), l2 * s2 * math.sin(theta1), l1 + l2 * math.cos(theta2)]
-    )
+    return (l2 * s2 * math.cos(theta1), l2 * s2 * math.sin(theta1), l1 + l2 * math.cos(theta2))
 
 
 def wrist_analytic(theta, model: RobotModel):
@@ -85,8 +73,7 @@ def wrist_analytic(theta, model: RobotModel):
     c3, s3 = math.cos(t3), math.sin(t3)
     c4, s4 = math.cos(t4), math.sin(t4)
 
-    # 3-vectors as Python floats, combined entry by entry in numpy's
-    # order of operations (zeros included), so the bits are numpy's
+    # 3-vectors as Python floats, combined entry by entry
     u = (c1 * s2, s1 * s2, c2)  # upper-arm direction
     x3 = (c1 * c2 * c3 - s1 * s3, s1 * c2 * c3 + c1 * s3, -s2 * c3)
     du1 = (-s1 * s2, c1 * s2, 0.0)
@@ -114,14 +101,13 @@ def bend_magnitudes(p1, p2, p3) -> tuple[float, float]:
     spanned by its two links (law of cosines on the outer points),
     evaluated in atan2 form on the link directions so near-straight and
     near-folded joints keep full precision. The points may be any
-    3-sequences; each link is one `np.subtract`.
+    3-sequences; theta2 is measured from the riser, the origin to p1.
     """
     def bend(u, v):
-        return math.atan2(norm(cross(u, v)), u.dot(v))
+        return math.atan2(norm(cross(u, v)), dot(u, v))
 
-    # the riser from the origin: p1 - 0.0 has p1's bits
-    riser, upper, fore = np.subtract(p1, 0.0), np.subtract(p2, p1), np.subtract(p3, p2)
-    return bend(riser, upper), bend(upper, fore)
+    upper, fore = sub(p2, p1), sub(p3, p2)
+    return bend(p1, upper), bend(upper, fore)
 
 
 def _signed_options(magnitude: float) -> list[float]:
@@ -130,7 +116,7 @@ def _signed_options(magnitude: float) -> list[float]:
     return [magnitude, -magnitude]
 
 
-def theta1_roots(theta2: float, p2: np.ndarray) -> list[float]:
+def theta1_roots(theta2: float, p2) -> list[float]:
     """Solutions of the elbow position equation for theta1.
 
     The elbow sits at l2*sin(theta2)*(cos(theta1), sin(theta1)) in the
@@ -142,11 +128,11 @@ def theta1_roots(theta2: float, p2: np.ndarray) -> list[float]:
     if abs(s2) < _SIN_TOL:
         return [0.0, math.pi]
     sign = 1.0 if s2 > 0.0 else -1.0
-    return [math.atan2(sign * float(p2[1]), sign * float(p2[0]))]
+    return [math.atan2(sign * p2[1], sign * p2[0])]
 
 
-def theta3_root(theta4: float, local: np.ndarray) -> float:
-    """theta3 from `local`, the homogeneous wrist point in frame 2.
+def theta3_root(theta4: float, local) -> float:
+    """theta3 from `local`, the wrist point in frame 2 (x and y suffice).
 
     In frame 2 the wrist sits at (l3 s4 c3, l3 s4 s3, l2 + l3 c4); the
     two lateral rows give theta3 via atan2. Straight elbow (theta4 ~ 0)
@@ -156,55 +142,68 @@ def theta3_root(theta4: float, local: np.ndarray) -> float:
     if abs(s4) < _SIN_TOL:
         return 0.0
     sign = 1.0 if s4 > 0.0 else -1.0
-    return math.atan2(sign * float(local[1]), sign * float(local[0]))
+    return math.atan2(sign * local[1], sign * local[0])
 
 
 def arm_angles(p2, p3, model: RobotModel, azimuths=()):
     """Yield every float tuple (theta1..theta4) placing the elbow at p2
-    and the wrist at p3, each with its frame 2.
+    and the wrist at p3, each with its frame 2 (three float rows).
 
     Sign branches nest as theta2 sign, theta1 roots (plus `azimuths`),
     theta4 sign, positive branch first. Frame 2 and the wrist point in
     it are computed once per (theta1, theta2) and serve both theta4 signs.
     """
-    p3h = np.append(np.asarray(p3, dtype=float), 1.0)
     m2, m4 = bend_magnitudes(model.shoulder, p2, p3)
     for th2 in _signed_options(m2):
         for th1 in dedup_angles(theta1_roots(th2, p2) + list(azimuths)):
             t02 = fk_frames(model, (th1, th2))[-1]
-            local = inverse_transform(t02).dot(p3h)
+            # the wrist point in frame 2: R02^T (p3 - o2)
+            (r00, r01, _, ox), (r10, r11, _, oy), (r20, r21, _, oz) = t02
+            dx, dy, dz = p3[0] - ox, p3[1] - oy, p3[2] - oz
+            local = (r00 * dx + r10 * dy + r20 * dz, r01 * dx + r11 * dy + r21 * dz)
             for th4 in _signed_options(m4):
                 yield (th1, th2, theta3_root(th4, local), th4), t02
 
 
-def wrist_angles(t04: np.ndarray, r_des: np.ndarray) -> list[tuple[float, float, float]]:
+def wrist_angles(t04, r_des) -> list[tuple[float, float, float]]:
     """(theta5, theta6, theta7) closing the orientation, positive theta6 first.
 
-    With the iiwa DH table the wrist rotation R04^T R_des equals
+    t04 and r_des are frame 4 and the desired frame as three rows each,
+    of which the first three entries (the rotation) are read. With the
+    iiwa DH table the wrist rotation r = R04^T R_des equals
     Rz(theta5) Ry(theta6) Rz(theta7), one exact triple per sign of
     theta6. When sin(theta6) ~ 0 joints 5 and 7 are coaxial; theta5 is
     set to 0 and theta7 carries the twist.
     """
-    r = t04[:3, :3].T.dot(r_des)
-    th6 = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    (a00, a01, a02, *_), (a10, a11, a12, *_), (a20, a21, a22, *_) = t04
+    (b00, b01, b02, *_), (b10, b11, b12, *_), (b20, b21, b22, *_) = r_des
+    # r[i][j] = column i of R04 dot column j of R_des; r[0][0] and r[0][1] are not read
+    r02 = a00 * b02 + a10 * b12 + a20 * b22
+    r10 = a01 * b00 + a11 * b10 + a21 * b20
+    r11 = a01 * b01 + a11 * b11 + a21 * b21
+    r12 = a01 * b02 + a11 * b12 + a21 * b22
+    r20 = a02 * b00 + a12 * b10 + a22 * b20
+    r21 = a02 * b01 + a12 * b11 + a22 * b21
+    r22 = a02 * b02 + a12 * b12 + a22 * b22
+    th6 = math.atan2(math.hypot(r02, r12), r22)
     if abs(math.sin(th6)) < _SIN_TOL:
-        return [(0.0, th6, math.atan2(r[1, 0], r[1, 1]))]
+        return [(0.0, th6, math.atan2(r10, r11))]
     return [
-        (math.atan2(r[1, 2], r[0, 2]), th6, math.atan2(r[2, 1], -r[2, 0])),
-        (math.atan2(-r[1, 2], -r[0, 2]), -th6, math.atan2(-r[2, 1], r[2, 0])),
+        (math.atan2(r12, r02), th6, math.atan2(r21, -r20)),
+        (math.atan2(-r12, -r02), -th6, math.atan2(-r21, r20)),
     ]
 
 
 def recover_candidates(p2, p3, t_des: np.ndarray, model: RobotModel) -> list[tuple]:
     """Every joint vector, a 7-tuple of floats, with its elbow at p2, its
     wrist at p3 and the orientation of t_des: each arm branch, then each
-    wrist triple, unwrapped. Frame 4 extends the arm's frame 2 in
-    `fk_frames`'s left-to-right order, so it has the same bits."""
-    r_des = t_des[:3, :3]
+    wrist triple, unwrapped. Frame 4 extends the arm's frame 2 by links
+    3 and 4."""
+    r_des = t_des[:3].tolist()
     row3, row4 = model.dh[2:4]
     out = []
     for arm, t02 in arm_angles(p2, p3, model):
-        t04 = t02.dot(dh_transform(row3, arm[2])).dot(dh_transform(row4, arm[3]))
+        t04 = dh_step(dh_step(t02, row3, arm[2]), row4, arm[3])
         out.extend((*arm, *wrist) for wrist in wrist_angles(t04, r_des))
     return out
 
@@ -214,12 +213,10 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
 
     Used to seed the optimizer after a non-converged FABRIK run. The
     bend magnitudes and root equations admit several combinations; all
-    are returned, because on symmetric (target-on-axis) geometry one
-    seed can sit in a basin where the descent dies out and a sibling
-    seed does not. `Branch.optimize` tries them by L1 distance to the
-    reference. The elbow/wrist reconstruction error orders them here,
-    so it decides only which of two seeds within 1e-4 rad survives the
-    twin collapse, and the order of seeds tied in L1 distance.
+    are returned, in `arm_angles`' order, because on symmetric
+    (target-on-axis) geometry one seed can sit in a basin where the
+    descent dies out and a sibling seed does not. `Branch.optimize`
+    tries them by L1 distance to the reference.
     """
     p2c, p3c = chain.positions[1], chain.positions[2]
 
@@ -230,31 +227,26 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     if math.hypot(p3c[0], p3c[1]) > 1e-12:
         az = math.atan2(p3c[1], p3c[0])
         azimuths = [az, wrap_angle(az + math.pi)]
-    scored: list[tuple[float, tuple]] = []
-    for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):
-        wrist, _ = wrist_analytic(theta, model)
-        score = norm(elbow_position(model, theta[0], theta[1]) - p2c) + norm(np.subtract(wrist, p3c))
-        scored.append((score, theta))
-    scored.sort(key=lambda pair: pair[0])
     out: list[tuple] = []
-    for _, theta in scored:
+    for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):
         # seeds are starting points, not answers: collapse near-twins
         if all(max(abs(a - b) for a, b in zip(theta, kept)) > 1e-4 for kept in out):
             out.append(theta)
     return out
 
 
-def _lateral(arms, axis: np.ndarray) -> np.ndarray | None:
-    """Unit component normal to `axis` of the first arm not along it."""
+def _lateral(arms, axis) -> tuple | None:
+    """Unit component normal to the unit `axis` of the first arm not along it."""
     for w in arms:
-        lateral = w - float(np.dot(w, axis)) * axis
-        n = norm(lateral)
+        k = dot(w, axis)
+        lx, ly, lz = (c - k * a for c, a in zip(w, axis))
+        n = math.sqrt(lx * lx + ly * ly + lz * lz)
         if n > 1e-9:
-            return lateral / n
+            return (lx / n, ly / n, lz / n)
     return None
 
 
-def reference_elbow(model: RobotModel, reference_arms, p3: np.ndarray) -> np.ndarray | None:
+def reference_elbow(model: RobotModel, reference_arms, p3) -> tuple | None:
     """Valid elbow position nearest the reference configuration's elbow.
 
     The elbow self-motion is a circle around the shoulder-to-wrist axis;
@@ -263,26 +255,28 @@ def reference_elbow(model: RobotModel, reference_arms, p3: np.ndarray) -> np.nda
     reference elbow and wrist relative to the shoulder. None when the
     projection is undefined (a degenerate circle).
     """
-    l2, l3 = model.link_lengths[1:3]
+    _, l2, l3 = model.arm_lengths
     p1 = model.shoulder
-    d = norm(p3 - p1)
+    offset = sub(p3, p1)
+    d = norm(offset)
     if d < 1e-12:
         return None
-    u = (p3 - p1) / d
+    u = tuple(c / d for c in offset)
     cos_a = (l2 * l2 + d * d - l3 * l3) / (2.0 * l2 * d)
     if abs(cos_a) > 1.0 + 1e-9:
         return None
     cos_a = min(1.0, max(-1.0, cos_a))
     radius = l2 * math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
-    center = p1 + l2 * cos_a * u
     if radius < 1e-9:
         return None
     # azimuth cue: reference elbow, then reference wrist, then the fixed
     # default azimuth (matches the default pre-bend direction), so a
     # fully on-axis reference still resolves deterministically
-    cues = reference_arms + [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    lateral = _lateral(cues, u)
-    return None if lateral is None else center + radius * lateral
+    lateral = _lateral([*reference_arms, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], u)
+    if lateral is None:
+        return None
+    along = l2 * cos_a
+    return tuple(p + along * a + radius * w for p, a, w in zip(p1, u, lateral))
 
 
 class Branch:
@@ -304,11 +298,11 @@ class Branch:
         self.start = fabrik.pre_bend(make_chain(model), axis=self.bend_axis)
 
     @cached_property
-    def reference_arms(self) -> list[np.ndarray]:
+    def reference_arms(self) -> list[tuple]:
         """The reference elbow and wrist relative to the shoulder: the
         one FK of theta_init per solve, up to the wrist frame 5."""
-        frames = fk_frames(self.model, self.theta_init[:5])
-        return [frames[3][:3, 3] - self.model.shoulder, frames[5][:3, 3] - self.model.shoulder]
+        frames = fk_frames(self.model, self.theta_init[:5].tolist())
+        return [sub([r[3] for r in frames[k]], self.model.shoulder) for k in (3, 5)]
 
     def from_chain(self, chain: fabrik.ChainState):
         return chain.positions[1], chain.positions[2]
@@ -327,9 +321,9 @@ class Branch:
         for seed in seeds[:12]:
             results.append(minimize(position, self.target, seed, bounds, stop))
             if results[-1].f <= stop:
-                th = results[-1].x
+                th = results[-1].x.tolist()
                 p3, _ = wrist_analytic(th, model)
-                return results, (elbow_position(model, float(th[0]), float(th[1])), p3)
+                return results, (elbow_position(model, th[0], th[1]), p3)
         return results, None
 
     def candidates(self, reduced, t_des: np.ndarray):
@@ -343,7 +337,7 @@ class Branch:
         p2, p3 = reduced
         elbows = [p2]
         p2_ref = reference_elbow(self.model, self.reference_arms, p3)
-        if p2_ref is not None and float(np.max(np.abs(p2_ref - p2))) > 1e-9:
+        if p2_ref is not None and max(abs(a - b) for a, b in zip(p2_ref, p2)) > 1e-9:
             elbows.append(p2_ref)
         for elbow in elbows:
             yield from recover_candidates(elbow, p3, t_des, self.model)

@@ -11,7 +11,8 @@ Gauss-Newton and a short gradient step; on the KUKA's rank-3 J^T J it
 is the damped-least-squares step. `minimize` takes the chain end's
 position map, the target, the start and the box; it clips the start
 into the box and checks nothing but the values it computes. The loop
-runs on Python floats; the returned x is the one ndarray it builds.
+runs on Python floats (its sums are `math.fsum`s); the returned x is
+the one ndarray it builds.
 """
 from __future__ import annotations
 
@@ -51,8 +52,9 @@ class OptResult:
     status: OptStatus
 
 
-def _clip(v, lo, hi):
-    """np.clip(v, lo, hi) on floats, signed zeros and NaN alike."""
+def clip(v, lo, hi) -> list:
+    """Each entry of v clipped into [lo, hi], the bound kept where it ties
+    (a signed zero takes the bound's sign); a NaN stays NaN."""
     out = []
     for a, lo_i, hi_i in zip(v, lo, hi):
         a = lo_i if lo_i >= a else a
@@ -106,7 +108,7 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     MAX_ITERS accepted steps.
     """
     lo, hi = ([float(v) for v in side] for side in zip(*bounds))
-    tl = np.asarray(target, dtype=float).tolist()
+    tl = [float(t) for t in target]
 
     def evaluate(x):
         p, jac = position(x)
@@ -116,7 +118,7 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             raise NonFiniteObjectiveError(x)
         return f, r, jac
 
-    x = _clip(np.asarray(x0, dtype=float).tolist(), lo, hi)
+    x = clip([float(v) for v in x0], lo, hi)
     f, r, jac = evaluate(x)
     mu = None
     iterations = 0
@@ -146,7 +148,7 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
                 trial = list(x)
                 for j, dj in zip(free, d):
                     trial[j] += dj
-                trial = _clip(trial, lo, hi)
+                trial = clip(trial, lo, hi)
                 f_new, r_new, jac_new = evaluate(trial)
                 if f_new < f:
                     break

@@ -3,26 +3,21 @@
 Ships the two supported manipulators (UR5 and KUKA LBR iiwa 14 R820)
 with manufacturer kinematic constants. Joint limits default to
 [-pi, pi] per joint; tighter limits can be configured or loaded from
-JSON. Each DH row holds the cosine and sine of its alpha; `fk_frames`,
-the one product of link transforms, stops at any prefix of the joints.
+JSON. Each DH row holds the cosine and sine of its alpha. `dh_step`
+extends a frame, held as its top three float rows, by one link;
+`fk_frames`, the one product of link transforms, applies it joint by
+joint and stops at any prefix of the joints.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .fabrik import MAX_CHAIN_REACH, MIN_LINK_LENGTH
-from .geometry import (
-    CartesianError,
-    cartesian_error,
-    make_transform,
-    require_transform,
-    wrap_angle,
-)
+from .geometry import frame_error, require_transform, wrap_angle
 
 UR5 = "ur5"
 KUKA = "kuka"
@@ -53,29 +48,51 @@ class DHRow:
         object.__setattr__(self, "sin_alpha", math.sin(alpha))
 
 
-def dh_transform(row: DHRow, theta: float) -> np.ndarray:
-    """Link transform Rz(theta + offset) Tz(d) Tx(a) Rx(alpha)."""
+IDENTITY_ROWS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
+
+
+def dh_step(rows, row: DHRow, theta: float) -> tuple:
+    """rows times the link transform Rz(theta + offset) Tz(d) Tx(a) Rx(alpha).
+
+    rows are the top three rows of a rigid transform, each 4 floats, and
+    so is the product. The link's zeros and ones are not multiplied out:
+    with u and w the entries of a row turned by theta, each row costs
+    ten products.
+    """
     th = theta + row.theta_offset
     ct, st = math.cos(th), math.sin(th)
-    ca, sa = row.cos_alpha, row.sin_alpha
-    # numpy builds a flat tuple faster than nested lists
-    return np.array((
-        ct, -st * ca, st * sa, row.a * ct,
-        st, ct * ca, -ct * sa, row.a * st,
-        0.0, sa, ca, row.d,
-        0.0, 0.0, 0.0, 1.0,
-    )).reshape(4, 4)
+    ca, sa, a, d = row.cos_alpha, row.sin_alpha, row.a, row.d
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23) = rows
+    u0, w0 = r00 * ct + r01 * st, r01 * ct - r00 * st
+    u1, w1 = r10 * ct + r11 * st, r11 * ct - r10 * st
+    u2, w2 = r20 * ct + r21 * st, r21 * ct - r20 * st
+    return (
+        (u0, w0 * ca + r02 * sa, r02 * ca - w0 * sa, a * u0 + d * r02 + r03),
+        (u1, w1 * ca + r12 * sa, r12 * ca - w1 * sa, a * u1 + d * r12 + r13),
+        (u2, w2 * ca + r22 * sa, r22 * ca - w2 * sa, a * u2 + d * r22 + r23),
+    )
+
+
+def transform_of(rows) -> np.ndarray:
+    """The 4x4 ndarray of a transform held as its top three rows."""
+    r0, r1, r2 = rows
+    return np.array((*r0, *r1, *r2, 0.0, 0.0, 0.0, 1.0)).reshape(4, 4)
+
+
+def dh_transform(row: DHRow, theta: float) -> np.ndarray:
+    """Link transform Rz(theta + offset) Tz(d) Tx(a) Rx(alpha), as a 4x4 ndarray."""
+    return transform_of(dh_step(IDENTITY_ROWS, row, theta))
 
 
 @dataclass(frozen=True)
 class RobotModel:
     """A "ur5" or "kuka" arm, checked once here; limits default to [-pi, pi].
 
-    `link_lengths` and `shoulder` (0, 0, l1), the base of both reduced
-    chains, are read off the DH table; the arrays are read-only copies.
-    `arm_lengths` holds l1, l2 and l3 as floats, for the optimizer's
-    position maps, and `optimizer_box` the optimizer's joint box: the
-    limit pairs, with (-inf, inf) for a joint whose limits span a full
+    `link_lengths`, a read-only array copy, and `shoulder` (0, 0, l1), the
+    base of both reduced chains as a float 3-tuple, are read off the DH
+    table. `arm_lengths` holds l1, l2 and l3 as floats, for the
+    optimizer's position maps, and `optimizer_box` the optimizer's joint
+    box: the limit pairs, with (-inf, inf) for a joint whose limits span a full
     turn (recovery wraps every angle, so there the box would only wall
     off solutions across +-pi). Models compare and hash by name, table
     and limits (hashed once).
@@ -86,7 +103,7 @@ class RobotModel:
     joint_limits: np.ndarray | None = field(default=None, compare=False)  # (dof, 2) [lo, hi] radians
     link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
     arm_lengths: tuple[float, float, float] = field(init=False, repr=False, compare=False)
-    shoulder: np.ndarray = field(init=False, repr=False, compare=False)
+    shoulder: tuple[float, float, float] = field(init=False, repr=False, compare=False)
     limit_pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False)
     optimizer_box: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
@@ -110,7 +127,7 @@ class RobotModel:
         object.__setattr__(self, "joint_limits", limits)
         object.__setattr__(self, "link_lengths", _frozen_copy(lengths))
         object.__setattr__(self, "arm_lengths", tuple(self.link_lengths[:3].tolist()))
-        object.__setattr__(self, "shoulder", _frozen_copy((0.0, 0.0, lengths[0])))
+        object.__setattr__(self, "shoulder", (0.0, 0.0, self.arm_lengths[0]))
         object.__setattr__(self, "limit_pairs", tuple(map(tuple, limits.tolist())))
         object.__setattr__(self, "optimizer_box", tuple(
             (-math.inf, math.inf) if hi - lo >= 2.0 * math.pi else (lo, hi)
@@ -275,30 +292,34 @@ def load_model_file(path: str) -> RobotModel:
 
 # --- forward kinematics -----------------------------------------------------
 
-def forward_kinematics(model: RobotModel, theta) -> np.ndarray:
-    """End-effector pose as the product of the link transforms."""
+def _joint_angles(model: RobotModel, theta) -> list[float]:
+    """theta as floats, one per joint; ValueError for any other shape."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"{model.name} expects {model.dof} joint angles, got shape {theta.shape}")
-    return fk_frames(model, theta)[-1]
+    return theta.tolist()
 
 
-_IDENTITY = np.eye(4)
-_IDENTITY.flags.writeable = False
+def forward_kinematics(model: RobotModel, theta) -> np.ndarray:
+    """End-effector pose as the product of the link transforms, a 4x4 ndarray."""
+    return transform_of(fk_frames(model, _joint_angles(model, theta))[-1])
 
 
-def fk_frames(model: RobotModel, theta) -> list[np.ndarray]:
-    """Cumulative transforms [I, A1, A1 A2, ...] of the first len(theta)
-    links; a prefix of the joint vector stops at its last frame. Frame 0
-    is one shared, read-only identity."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size > model.dof:
-        raise ValueError(f"{model.name} has {model.dof} joints, got angles of shape {theta.shape}")
-    links = (dh_transform(row, th) for row, th in zip(model.dh, theta.tolist()))
-    return [_IDENTITY, *accumulate(links, np.ndarray.dot)]
+def fk_frames(model: RobotModel, theta) -> list[tuple]:
+    """Cumulative frames [I, A1, A1 A2, ...] of the first len(theta)
+    links of a sequence of floats, each frame as its top three rows (see
+    `dh_step`); a prefix of the joint vector stops at its last frame.
+    Frame 0 is IDENTITY_ROWS."""
+    if len(theta) > model.dof:
+        raise ValueError(f"{model.name} has {model.dof} joints, got {len(theta)} angles")
+    frames = [IDENTITY_ROWS]
+    for row, th in zip(model.dh, theta):
+        frames.append(dh_step(frames[-1], row, th))
+    return frames
 
 
 def pose_mismatch(model: RobotModel, theta, t_des) -> float:
     """Acceptance metric D = eps_rot + eps_pos for a candidate joint vector."""
     t_des = require_transform(t_des)
-    return cartesian_error(forward_kinematics(model, theta), t_des).total
+    frame = fk_frames(model, _joint_angles(model, theta))[-1]
+    return frame_error(frame, t_des[:3].tolist()).total

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmark import write_csv
-from .geometry import make_transform, rotation_of, translation_of, wrap_angle
+from .geometry import dot, make_transform, rotation_of, translation_of, wrap_angle
 from .iktypes import IKQuery, IKResult, IKStatus, SolverConfig, check_joint_vector
 from .robots import KUKA, UR5, RobotModel, fk_frames, forward_kinematics
 
@@ -37,7 +37,8 @@ _REDUCED_END_FRAME = {UR5: 3, KUKA: 5}
 
 def reduced_end_position(model: RobotModel, theta) -> np.ndarray:
     """Position of the reduced chain's end (forearm tip / wrist center)."""
-    return translation_of(fk_frames(model, theta[: _REDUCED_END_FRAME[model.name]])[-1])
+    frame = fk_frames(model, theta[: _REDUCED_END_FRAME[model.name]])[-1]
+    return np.array([row[3] for row in frame])
 
 
 def initial_direction(model: RobotModel, theta_init) -> np.ndarray:
@@ -62,7 +63,7 @@ def build_phase1_path(model: RobotModel, theta_init, n_points: int = 80) -> np.n
     v = initial_direction(model, theta_init)
     p_zero = reduced_end_position(model, np.zeros(model.dof))
     p_now = reduced_end_position(model, theta_init)
-    start = p_zero + float(np.dot(p_now - p_zero, v)) * v
+    start = p_zero + dot(p_now - p_zero, v) * v
     alphas = np.linspace(0.0, 1.0, n_points)
     return start[None, :] + alphas[:, None] * (p_zero - start)[None, :]
 

@@ -15,42 +15,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import fabrik, pipeline
-from .geometry import (
-    cross,
-    dedup_angles,
-    norm,
-    signed_angle,
-    translation_of,
-    unit,
-    wrap_angle,
-)
+from .geometry import cross, dedup_angles, dot, signed_angle, unit, wrap_angle
 from .iktypes import IKQuery, prepare_query, select_candidate
-from .optimizer import OptResult, OptStatus, minimize
-from .robots import RobotModel, dh_transform, pose_mismatch
+from .optimizer import OptResult, OptStatus, clip, minimize
+from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
 GAP_MARGIN = 1e-12  # m: far above the rounding of `elbow_gap` and of the optimizer's f
 
 
-def wrist_position(t_des: np.ndarray, model: RobotModel) -> np.ndarray:
-    """Wrist point in the base frame: EE position minus the flange link."""
-    l6 = model.link_lengths[5]
-    return translation_of(t_des) - l6 * t_des[:3, 2]
+def wrist_position(t_des: np.ndarray, model: RobotModel) -> tuple:
+    """Wrist point in the base frame, 3 floats: EE position minus the flange link."""
+    l6 = float(model.link_lengths[5])
+    return tuple(p - l6 * z for _, _, z, p in t_des[:3].tolist())
 
 
-def theta1_candidates(p_w: np.ndarray, model: RobotModel) -> list[float]:
+def theta1_candidates(p_w, model: RobotModel) -> list[float]:
     """Both base-rotation solutions placing the wrist on its offset cylinder.
 
     Empty when the wrist lies inside the lateral-offset cylinder (the
     pose is unreachable). The two values coincide on the cylinder
     boundary.
     """
-    l4 = model.link_lengths[3]
+    l4 = float(model.link_lengths[3])
     rho = math.hypot(p_w[0], p_w[1])
     if rho < l4:
         return []
@@ -61,59 +53,57 @@ def theta1_candidates(p_w: np.ndarray, model: RobotModel) -> list[float]:
 
 @dataclass(frozen=True)
 class PlanarFrame:
-    """Geometry of the working plane selected by one theta1 value."""
+    """Geometry of the working plane selected by one theta1 value; every
+    vector a float 3-tuple."""
 
     theta1: float
-    z2d: np.ndarray  # plane normal (axis of joints 2-4)
-    v_init: np.ndarray  # initial chain direction (zero-pose arm direction)
-    l6d: np.ndarray  # desired flange-link direction
-    p_w_proj: np.ndarray  # wrist projected into the plane
+    z2d: tuple  # plane normal (axis of joints 2-4)
+    v_init: tuple  # initial chain direction (zero-pose arm direction)
+    l6d: tuple  # desired flange-link direction
+    p_w_proj: tuple  # wrist projected into the plane
     l5d_options: tuple  # candidate wrist-riser directions (+, -)
     model: RobotModel = field(repr=False)
 
     @cached_property
-    def t03(self) -> np.ndarray:
-        """Frame 3 at (theta1, 0, 0), in `fk_frames`' left-to-right order:
-        built when a riser's `wrist_angles` first reads it, then shared."""
-        link2, link3 = _zero_links(self.model)
-        return dh_transform(self.model.dh[0], self.theta1).dot(link2).dot(link3)
+    def t03(self) -> tuple:
+        """Frame 3 at (theta1, 0, 0), as `fk_frames` gives it: built when a
+        riser's `wrist_angles` first reads it, then shared."""
+        return fk_frames(self.model, (self.theta1, 0.0, 0.0))[-1]
 
 
-@lru_cache(maxsize=8)
-def _zero_links(model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
-    """Links 2 and 3 at zero angle, the same in every plane: shared, so read-only."""
-    links = dh_transform(model.dh[1], 0.0), dh_transform(model.dh[2], 0.0)
-    for link in links:
-        link.flags.writeable = False
-    return links
-
-
-def planar_frame(theta1: float, t_des: np.ndarray, p_w: np.ndarray, model: RobotModel) -> PlanarFrame:
-    z2d = np.array([math.sin(theta1), -math.cos(theta1), 0.0])
-    v_init = np.array([-math.cos(theta1), -math.sin(theta1), 0.0])
-    l6d = unit(t_des[:3, 2])
-    p_w_proj = p_w - float(np.dot(z2d, p_w)) * z2d
-    riser = cross(z2d, l6d)
-    n = norm(riser)
+def planar_frame(theta1: float, t_des: np.ndarray, p_w, model: RobotModel) -> PlanarFrame:
+    s1, c1 = math.sin(theta1), math.cos(theta1)
+    z2d = (s1, -c1, 0.0)
+    v_init = (-c1, -s1, 0.0)
+    (_, y0, z0, _), (_, y1, z1, _), (_, y2, z2, _) = t_des[:3].tolist()
+    l6d = unit((z0, z1, z2))
+    k = dot(z2d, p_w)
+    p_w_proj = (p_w[0] - k * s1, p_w[1] + k * c1, p_w[2])
+    rx, ry, rz = cross(z2d, l6d)
+    n = math.sqrt(rx * rx + ry * ry + rz * rz)
     # tool axis along the plane normal (the wrist singularity, theta5 = 0
     # or pi): every riser in the plane closes the orientation, theta6
     # taking up the twist; the tool-frame -y direction is one of them
-    base = -t_des[:3, 1] if n < _DEGENERATE_WRIST_TOL else riser / n
-    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, -base), model)
+    base = (-y0, -y1, -y2) if n < _DEGENERATE_WRIST_TOL else (rx / n, ry / n, rz / n)
+    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, _negated(base)), model)
 
 
-def iteration_target(frame: PlanarFrame, l5d: np.ndarray, model: RobotModel) -> np.ndarray:
-    return frame.p_w_proj - model.link_lengths[4] * l5d
+def _negated(v) -> tuple:
+    return (-v[0], -v[1], -v[2])
 
 
-def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
-    """Straight two-link elbow chain in the working plane, laid out from
-    the links the model checked (`robots.LAYOUT_MARGIN` covers every plane)."""
-    joints = (
-        fabrik.Hinge(frame.z2d, *model.joint_limits[1]),
-        fabrik.Hinge(frame.z2d, *model.joint_limits[2]),
-    )
-    return fabrik.lay_out_chain(model.shoulder, frame.v_init, model.link_lengths[1:3], joints)
+def iteration_target(frame: PlanarFrame, l5d, model: RobotModel) -> tuple:
+    l5 = float(model.link_lengths[4])
+    return tuple(p - l5 * d for p, d in zip(frame.p_w_proj, l5d))
+
+
+def make_chain(frame: PlanarFrame, model: RobotModel, bend_axis) -> fabrik.ChainState:
+    """Two-link elbow chain in the working plane, pre-bent about bend_axis
+    as `fabrik.pre_bend` bends the straight chain, laid out in one step
+    from the links the model checked (`robots.LAYOUT_MARGIN` covers every
+    plane). Both hinges turn about the plane normal."""
+    joints = tuple(fabrik.Hinge(frame.z2d, *model.limit_pairs[k]) for k in (1, 2))
+    return fabrik.lay_out_chain(model.shoulder, frame.v_init, model.arm_lengths[1:], joints, bend_axis)
 
 
 def elbow_analytic(x, theta1: float, model: RobotModel):
@@ -140,7 +130,7 @@ def elbow_gap(target, theta1: float, model: RobotModel) -> float:
     shoulder, which no joint box enlarges."""
     l1, l2, l3 = model.arm_lengths
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    tx, ty, tz = map(float, target)
+    tx, ty, tz = target
     rho = math.hypot(c1 * tx + s1 * ty, tz - l1)
     short = max(abs(l2 - l3) - rho, rho - (l2 + l3), 0.0)
     return math.hypot(c1 * ty - s1 * tx, short)
@@ -148,14 +138,14 @@ def elbow_gap(target, theta1: float, model: RobotModel) -> float:
 
 def elbow_optimize(
     theta1: float,
-    target: np.ndarray,
+    target,
     seeds: tuple[float, float],
     model: RobotModel,
     bounds,
     stop_value: float,
-) -> tuple[OptResult, np.ndarray | None]:
-    """Optimize (theta2, theta3) in `bounds`, two (lo, hi) rows; None in
-    place of x above the stop value.
+) -> tuple[OptResult, list | None]:
+    """Optimize (theta2, theta3) in `bounds`, two (lo, hi) rows: the run and
+    its x as floats, or None in place of x above the stop value.
 
     A target whose `elbow_gap` exceeds the stop distance by more than
     GAP_MARGIN is out of every run's reach: the optimizer would only
@@ -163,13 +153,13 @@ def elbow_optimize(
     damped step to a linear rate), so no run is made and the result is
     STALLED at the seeds clipped into the box."""
     if elbow_gap(target, theta1, model) > math.sqrt(stop_value) + GAP_MARGIN:
-        x = np.clip(seeds, *zip(*bounds))
-        tip = elbow_analytic(x.tolist(), theta1, model)[0]
-        f = math.fsum((a - b) ** 2 for a, b in zip(tip, map(float, target)))
-        return OptResult(x, f, 0, OptStatus.STALLED), None
+        x = clip(seeds, *zip(*bounds))
+        tip = elbow_analytic(x, theta1, model)[0]
+        f = math.fsum((a - b) ** 2 for a, b in zip(tip, target))
+        return OptResult(np.array(x), f, 0, OptStatus.STALLED), None
     position = partial(elbow_analytic, theta1=theta1, model=model)
     result = minimize(position, target, seeds, bounds, stop_value)
-    return result, None if result.f > stop_value else result.x
+    return result, None if result.f > stop_value else result.x.tolist()
 
 
 def fold_variants(theta2: float, theta3: float, model: RobotModel) -> list[tuple[float, float]]:
@@ -181,7 +171,7 @@ def fold_variants(theta2: float, theta3: float, model: RobotModel) -> list[tuple
     closest-to-reference selection pick either. The mirror turns the
     upper arm by twice the angle between it and the base-to-end line.
     """
-    l2, l3 = model.link_lengths[1], model.link_lengths[2]
+    _, l2, l3 = model.arm_lengths
     turn = 2.0 * math.atan2(l3 * math.sin(theta3), l2 + l3 * math.cos(theta3))
     if abs(turn) <= 1e-9:
         return [(theta2, theta3)]
@@ -189,19 +179,18 @@ def fold_variants(theta2: float, theta3: float, model: RobotModel) -> list[tuple
 
 
 def wrist_angles(
-    frame: PlanarFrame, l5d: np.ndarray, t_des: np.ndarray, model: RobotModel
+    frame: PlanarFrame, l5d, t_des: np.ndarray, model: RobotModel
 ) -> tuple[float, float, float]:
     """(theta2 + theta3 + theta4, theta5, theta6), shared by every
     (theta2, theta3) of the branch: the wrist rotation depends on joints
     2-4 only through their sum. Frame 5 at (theta1, 0, 0, theta234,
-    theta5) extends the plane's frame 3 with links 4 and 5, as
-    `fk_frames` does, so it has the same bits."""
+    theta5) extends the plane's frame 3 with links 4 and 5."""
     theta234 = signed_angle(frame.v_init, l5d, frame.z2d) - math.pi / 2
     theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
     row4, row5 = model.dh[3:5]
-    x5d = frame.t03.dot(dh_transform(row4, theta234)).dot(dh_transform(row5, theta5))[:3, 0]
-    theta6 = signed_angle(unit(x5d), unit(t_des[:3, 0]), frame.l6d)
-    return theta234, theta5, theta6
+    x5 = [r[0] for r in dh_step(dh_step(frame.t03, row4, theta234), row5, theta5)]
+    x_des = [r[0] for r in t_des[:3].tolist()]
+    return theta234, theta5, signed_angle(x5, x_des, frame.l6d)
 
 
 def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> tuple:
@@ -248,12 +237,12 @@ class Branch:
 
 def branches(t_des: np.ndarray, theta_init, model: RobotModel):
     """The two wrist-riser branches of each distinct theta1 candidate; both
-    share their plane's chain, pre-bent once toward the reference fold."""
+    share their plane's chain, pre-bent toward the reference fold."""
     p_w = wrist_position(t_des, model)
     for theta1 in dedup_angles(theta1_candidates(p_w, model)):
         frame = planar_frame(theta1, t_des, p_w, model)
-        axis = frame.z2d if theta_init[2] >= 0.0 else -frame.z2d
-        start = fabrik.pre_bend(make_chain(frame, model), axis=axis)
+        axis = frame.z2d if theta_init[2] >= 0.0 else _negated(frame.z2d)
+        start = make_chain(frame, model, axis)
         for l5d in frame.l5d_options:
             yield Branch(frame, l5d, start, axis, model)
 

@@ -1,7 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from fabrik_sqp import fabrik, kuka, robots
+from fabrik_sqp import fabrik, geometry, kuka, robots
 from fabrik_sqp.geometry import make_transform, polar_rotation
 
 # Reference IK pair for the UR5: a desired pose and the joint vector
@@ -34,6 +37,52 @@ KUKA_REF_THETA = np.array([-0.745, 1.655, -1.686, -0.019, 1.003, -2.025, -0.505]
 KUKA_REF_ELBOW_BEND = 0.019
 
 
+U = 2.0 ** -53  # unit roundoff of a float
+
+
+def exact_sqrt(x: Fraction) -> Fraction:
+    """The square root of a non-negative rational, within 2**-300."""
+    return Fraction(math.isqrt((x.numerator << 600) // x.denominator), 1 << 300)
+
+
+def exact_unit(v) -> list:
+    """The unit vector along v, its entries taken as exact rationals."""
+    v = [Fraction(c) for c in v]
+    n = exact_sqrt(sum(c * c for c in v))
+    return [c / n for c in v]
+
+
+def exact_rotate(axis, theta: float, v) -> list:
+    """Rodrigues' v c + (axis x v) s + axis (axis . v)(1 - c) in exact
+    arithmetic on the floats axis, v, c = cos(theta) and s = sin(theta)."""
+    (ax, ay, az), (vx, vy, vz) = ([Fraction(c) for c in w] for w in (axis, v))
+    c, s = Fraction(math.cos(theta)), Fraction(math.sin(theta))
+    k = (ax * vx + ay * vy + az * vz) * (1 - c)
+    return [vx * c + (ay * vz - az * vy) * s + ax * k,
+            vy * c + (az * vx - ax * vz) * s + ay * k,
+            vz * c + (ax * vy - ay * vx) * s + az * k]
+
+
+def exact_frame(model, theta) -> list:
+    """The link matrices of `robots.dh_transform` for theta multiplied left
+    to right in exact arithmetic: 4 rows of 4 rationals."""
+    product = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for row, th in zip(model.dh, theta):
+        link = [[Fraction(x) for x in r] for r in robots.dh_transform(row, th).tolist()]
+        product = [[sum(a[k] * link[k][j] for k in range(4)) for j in range(4)] for a in product]
+    return product
+
+
+def within(got, want, bound) -> bool:
+    """Every float of got within bound of the exact rational it stands for."""
+    return all(abs(Fraction(g) - w) <= Fraction(bound) for g, w in zip(got, want, strict=True))
+
+
+def unit_array(v) -> np.ndarray:
+    """`geometry.unit` as an ndarray, for test arithmetic."""
+    return np.array(geometry.unit(v))
+
+
 def rows(points) -> tuple:
     """Points as a chain holds them: a tuple of (x, y, z) float rows."""
     return tuple(map(tuple, np.asarray(points, dtype=float).tolist()))
@@ -49,9 +98,9 @@ def chain_state(positions, lengths, joints, base, anchor_dir=None) -> fabrik.Cha
         tuple(lengths.tolist()),
         joints,
         tuple(np.asarray(base, dtype=float).tolist()),
-        float(np.sum(lengths)),
+        math.fsum(lengths),
         tuple(not joint.unconstrained for joint in joints),
-        None if anchor_dir is None else np.asarray(anchor_dir, dtype=float),
+        None if anchor_dir is None else tuple(np.asarray(anchor_dir, dtype=float).tolist()),
     )
 
 

@@ -137,9 +137,9 @@ class TestRunBenchmark:
         [
             # the KUKA LBR iiwa 14 datasheet limits
             ("kuka", np.radians([170, 120, 170, 120, 170, 120, 175]),
-             {"solved": 283, "failed": 17}, 2_791, 100, 550),
-            ("kuka", np.full(7, 0.5), {"solved": 196, "failed": 104}, 4_500, 300, 1_331),
-            ("ur5", np.full(6, 0.5), {"solved": 300}, 3_665, 300, 1_986),
+             {"solved": 283, "failed": 17}, 2_791, 100, 573),
+            ("kuka", np.full(7, 0.5), {"solved": 196, "failed": 104}, 4_500, 300, 1_330),
+            ("ur5", np.full(6, 0.5), {"solved": 300}, 3_665, 300, 1_967),
         ],
         ids=["kuka-datasheet", "kuka-0.5rad", "ur5-0.5rad"],
     )

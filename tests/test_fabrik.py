@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fabrik_sqp import fabrik, kuka, ur5
+from fabrik_sqp import fabrik, geometry, kuka, ur5
 from fabrik_sqp.fabrik import (
     Ball,
     Hinge,
@@ -15,9 +16,10 @@ from fabrik_sqp.fabrik import (
     solve,
     straight_chain,
 )
-from fabrik_sqp.geometry import perpendicular_axis, rotate_about_axis, signed_angle, unit
+from fabrik_sqp.geometry import perpendicular_axis, rotate_about_axis, signed_angle
 
-from conftest import chain_state, rows
+from conftest import U, chain_state, exact_rotate, exact_sqrt, exact_unit, rows, within
+from conftest import unit_array as unit
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -166,7 +168,7 @@ class TestForwardPhase:
         phi = signed_angle(l_in, l_out, Z)
         dphi = np.clip(phi, lo, hi) - phi
         v = p[0] - q1
-        v = rotate_about_axis(Z, -dphi, v)
+        v = np.array(rotate_about_axis(Z, -dphi, v))
         q0 = q1 + v / np.linalg.norm(v)
 
         out = forward_phase(chain, target)
@@ -204,7 +206,7 @@ class TestStraightChain:
             chain = ball_chain(points)
             diffs = np.diff(points, axis=0)
             want = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-            assert chain.link_directions().tobytes() == want.tobytes()
+            assert np.array(chain.link_directions()).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "lengths",
@@ -305,7 +307,7 @@ class TestBackwardPhase:
 
         phi = signed_angle(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), Z)
         dphi = np.clip(phi, lo, hi) - phi  # = hi - pi/2
-        v = rotate_about_axis(Z, dphi, positions[1] - np.zeros(3))
+        v = np.array(rotate_about_axis(Z, dphi, positions[1] - np.zeros(3)))
         q1 = np.zeros(3) + v / np.linalg.norm(v)
         assert np.allclose(out.positions[1], q1, atol=1e-12)
         got_p = np.asarray(out.positions)
@@ -491,14 +493,16 @@ class TestSolve:
 
 class TestChainFormat:
     """Every chain the package builds holds its points as a tuple of
-    (x, y, z) Python floats, its base as a float 3-tuple and its lengths as
-    a float tuple; a moved chain carries the reach and can-clamp flags its
-    builder set, the same objects."""
+    (x, y, z) Python floats, its base, anchor and hinge axes as float
+    3-tuples and its lengths as a float tuple; a moved chain carries the
+    reach and can-clamp flags its builder set, the same objects."""
 
     @staticmethod
     def assert_format(chain, built):
         assert type(chain.positions) is tuple
-        for row in (*chain.positions, chain.base):
+        axes = [joint.axis for joint in chain.joints if isinstance(joint, Hinge)]
+        anchor = [] if chain.anchor_dir is None else [chain.anchor_dir]
+        for row in (*chain.positions, chain.base, *axes, *anchor):
             assert type(row) is tuple and len(row) == 3
             assert all(type(x) is float for x in row)
         assert type(chain.lengths) is tuple and all(type(x) is float for x in chain.lengths)
@@ -510,7 +514,7 @@ class TestChainFormat:
             two_link_chain(),
             fabrik.lay_out_chain(np.zeros(3), np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.5]),
                                  (Ball(), Hinge(Z, -2.0, 2.0))),
-            ur5.make_chain(frame, ur5_model),
+            ur5.make_chain(frame, ur5_model, frame.z2d),
             kuka.make_chain(kuka_model),
         ]
         for chain in built:
@@ -570,7 +574,7 @@ class TestPhaseProperties:
 
     def _planar_target(self, rng, chain):
         # keep hinge-chain targets in the working plane
-        axis = chain.joints[0].axis if isinstance(chain.joints[0], Hinge) else None
+        axis = np.array(chain.joints[0].axis) if isinstance(chain.joints[0], Hinge) else None
         offset = rng.normal(size=3) * 0.8
         if axis is not None:
             offset = offset - float(np.dot(offset, axis)) * axis
@@ -604,178 +608,121 @@ class TestPhaseProperties:
                 assert joint.lo - 1e-6 <= angle <= joint.hi + 1e-6
 
 
-# --- the numpy reach step, kept as the oracle of `_reach` -------------------
-# The sweep body and the helpers it reaches as they were written on numpy
-# arrays (np.cross, np.linalg.norm, np.dot), before the per-point
-# arithmetic moved to Python floats. `_reach` must give the same bits.
+# --- exact-arithmetic oracles -----------------------------------------------
+# Each float path is checked against the same formula evaluated on its
+# float inputs in exact rational arithmetic (square roots to 2**-300),
+# within a stated error bound: a few units of roundoff U of the
+# magnitudes involved.
 
-def _np_unit(v):
-    return v / float(np.linalg.norm(v))
-
-
-def _np_signed_angle(a, b, ref_axis):
-    c = np.cross(a, b)
-    ang = math.atan2(float(np.linalg.norm(c)), float(np.dot(a, b)))
-    return ang if float(np.dot(ref_axis, c)) >= 0.0 else -ang
-
-
-def _np_rotate(axis, theta, v):
-    c, s = math.cos(theta), math.sin(theta)
-    return v * c + np.cross(axis, v) * s + axis * (float(np.dot(axis, v)) * (1.0 - c))
-
-
-def _np_limit_correction(l_in, l_out, joint):
-    if isinstance(joint, Hinge):
-        phi = _np_signed_angle(l_in, l_out, joint.axis)
-        delta = min(max(phi, joint.lo), joint.hi) - phi
-        return None if delta == 0.0 else (delta, joint.axis)
-    phi = math.acos(min(1.0, max(-1.0, float(np.dot(l_in, l_out)))))
-    if phi <= joint.max_angle:
-        return None
-    c = np.cross(l_in, l_out)
-    n = float(np.linalg.norm(c))
-    if n < 1e-9:
-        k = int(np.argmin(np.abs(l_in)))
-        axis = _np_unit(np.cross(l_in, np.eye(3)[k]))
-    else:
-        axis = c / n
-    return joint.max_angle - phi, axis
+def random_chain(rng):
+    """A chain of 2 to 6 links at scattered points: hinges with narrow
+    limits, ball cones, unconstrained joints, anchored and free bases."""
+    n = int(rng.integers(2, 7))
+    lengths = rng.uniform(0.2, 1.5, n)
+    base = rng.normal(size=3)
+    joints = []
+    for _ in range(n):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            lo = rng.uniform(-1.5, 0.3)
+            joints.append(Hinge(rng.normal(size=3), lo, lo + rng.uniform(0.05, 1.5)))
+        elif kind == 1:
+            joints.append(Ball(rng.uniform(0.1, 1.5)))
+        else:
+            joints.append(Hinge(rng.normal(size=3)) if rng.integers(0, 2) else Ball())
+    anchor = unit(rng.normal(size=3)) if rng.integers(0, 2) else None
+    steps = np.array([unit(rng.normal(size=3)) * length for length in lengths])
+    positions = base + np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
+    return chain_state(positions, lengths, joints, base, anchor)
 
 
-def _np_reach(chain, positions, start, tip_first):
-    m = positions.shape[0]
+def exact_distance(a, b) -> Fraction:
+    return exact_sqrt(sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a, b)))
+
+
+def check_phase(chain, positions, start, tip_first, q):
+    """Each point a reach phase placed, against the exact step from the
+    float pivot it was placed from: the old point pulled onto its link
+    (or, for a point on its pivot, the link extended straight past the
+    previous one, the anchor or its old link), to 16 U of the pivot's
+    magnitude plus the link. A joint that clamped turned the point, so
+    there only the link's length is checked, to the same bound.
+    Returns the number of clamped points."""
+    m = len(positions)
     step, first = (-1, m - 1) if tip_first else (1, 0)
-    entry = None if tip_first else chain.anchor_dir
-    q = positions.copy()
-    q[first] = start
+    assert q[first] == tuple(start)
+    clamped = 0
     for i in range(first + step, first + m * step, step):
         p = i - step
-        pivot = q[p]
-        v = positions[i] - pivot
-        d = float(np.linalg.norm(v))
         length = chain.lengths[min(i, p)]
-        if d < 1e-12:
-            direction = _np_unit(pivot - q[p - step]) if p != first else entry
-            if direction is None:
-                direction = _np_unit(positions[i] - positions[p])
-            q[i] = pivot + length * direction
+        bound = 16 * U * (max(map(abs, q[p])) + length)
+        v = [Fraction(a) - Fraction(b) for a, b in zip(positions[i], q[p])]
+        if exact_distance(positions[i], q[p]) < Fraction(1e-12):
+            if p != first:
+                back = exact_unit([Fraction(a) - Fraction(b) for a, b in zip(q[p], q[p - step])])
+            elif not tip_first and chain.anchor_dir is not None:
+                back = [Fraction(c) for c in chain.anchor_dir]
+            else:
+                back = exact_unit([Fraction(a) - Fraction(b) for a, b in zip(positions[i], positions[p])])
+            want = [Fraction(x) + Fraction(length) * b for x, b in zip(q[p], back)]
+            assert within(q[i], want, bound), (i, q[i])
             continue
-        if (p != first or entry is not None) and not chain.joints[p].unconstrained:
-            back = _np_unit(pivot - q[p - step]) if p != first else entry
-            if tip_first:
-                corr = _np_limit_correction(-v / d, -back, chain.joints[p])
-            else:
-                corr = _np_limit_correction(back, v / d, chain.joints[p])
-            if corr is not None:
-                delta, axis = corr
-                v = _np_rotate(axis, -delta if tip_first else delta, v)
-        q[i] = pivot + (length / d) * v
-    return q
+        d = exact_sqrt(sum(c * c for c in v))
+        want = [Fraction(x) + Fraction(length) * c / d for x, c in zip(q[p], v)]
+        if not within(q[i], want, bound):
+            assert chain.can_clamp[p], (i, q[i])
+            assert abs(exact_distance(q[i], q[p]) - Fraction(length)) <= Fraction(bound)
+            clamped += 1
+    return clamped
 
 
-def _np_sweeps(chain, target, eps_tol, iter_cap):
-    """(positions, sweeps, dist, trace) of `solve`'s sweep loop."""
-    q = np.asarray(chain.positions)
-    dist = float(np.linalg.norm(q[-1] - target))
-    n, trace = 0, []
-    while dist > eps_tol and n < iter_cap:
-        q = _np_reach(chain, _np_reach(chain, q, target, True), chain.base, False)
-        n += 1
-        dist = float(np.linalg.norm(q[-1] - target))
-        trace.append((n, dist))
-    return q, n, dist, tuple(trace)
-
-
-def _same_bits(a, b):
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
-
-
-@pytest.mark.blas_oracle
-class TestReachAgainstNumpyBody:
-    """`forward_phase`, `backward_phase` and `solve` against the numpy
-    reach step, bit for bit, on seeded chains of 2 to 6 links: hinges
-    with narrow limits, ball cones, anchored and free bases, and points
-    that coincide with their pivot. The seeded benchmark solves only
+class TestReachAgainstExactArithmetic:
+    """`forward_phase` and `backward_phase` point by point against the
+    exact reach step (`check_phase`), and `solve` as its phases, on
+    seeded chains of 2 to 6 links. The seeded benchmark solves only
     3-point chains; the `trace` command takes any."""
-
-    @staticmethod
-    def random_chain(rng):
-        n = int(rng.integers(2, 7))
-        lengths = rng.uniform(0.2, 1.5, n)
-        base = rng.normal(size=3)
-        joints = []
-        for _ in range(n):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                lo = rng.uniform(-1.5, 0.3)
-                joints.append(Hinge(rng.normal(size=3), lo, lo + rng.uniform(0.05, 1.5)))
-            elif kind == 1:
-                joints.append(Ball(rng.uniform(0.1, 1.5)))
-            else:
-                joints.append(Hinge(rng.normal(size=3)) if rng.integers(0, 2) else Ball())
-        anchor = unit(rng.normal(size=3)) if rng.integers(0, 2) else None
-        steps = np.array([unit(rng.normal(size=3)) * length for length in lengths])
-        positions = base + np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
-        return chain_state(positions, lengths, joints, base, anchor)
 
     def test_phases_on_random_chains(self):
         rng = np.random.default_rng(21)
-        for _ in range(1500):
-            chain = self.random_chain(rng)
+        clamped = 0
+        for _ in range(400):
+            chain = random_chain(rng)
             target = chain.base + rng.normal(size=3) * chain.reach / 2.0
             fwd = forward_phase(chain, target)
-            assert _same_bits(fwd.positions, _np_reach(chain, np.asarray(chain.positions), target, True))
+            clamped += check_phase(chain, chain.positions, target, True, fwd.positions)
             bwd = backward_phase(fwd)
-            assert _same_bits(bwd.positions, _np_reach(fwd, np.asarray(fwd.positions), chain.base, False))
+            clamped += check_phase(fwd, fwd.positions, chain.base, False, bwd.positions)
+        assert clamped > 100  # the clamp path ran
 
     def test_coincident_points(self):
         rng = np.random.default_rng(22)
-        for _ in range(300):
-            chain = self.random_chain(rng)
+        for _ in range(200):
+            chain = random_chain(rng)
             # the tip pass pins the tip onto the point before it; the base
             # pass meets a point that the pass itself placed on its pivot
-            positions = np.array(chain.positions)
-            placed = _np_reach(chain, positions, chain.base, False)
-            moved = positions.copy()
-            moved[2] = placed[1]
-            bent = chain.moved(rows(moved))
-            tip = positions[-2].copy()
-            assert _same_bits(forward_phase(chain, tip).positions,
-                              _np_reach(chain, positions, tip, True))
-            assert _same_bits(backward_phase(bent).positions,
-                              _np_reach(bent, moved, chain.base, False))
+            placed = backward_phase(chain).positions
+            bent = chain.moved((*chain.positions[:2], placed[1], *chain.positions[3:]))
+            tip = chain.positions[-2]
+            check_phase(chain, chain.positions, tip, True, forward_phase(chain, tip).positions)
+            check_phase(bent, bent.positions, chain.base, False, backward_phase(bent).positions)
 
     def test_solve_on_random_chains(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            chain = self.random_chain(rng)
+            chain = random_chain(rng)
             target = chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach
             out = solve(chain, target, 1e-6, 30)
-            q, n, dist, trace = _np_sweeps(chain, target, 1e-6, 30)
-            assert (out.iterations, out.converged) == (n, dist <= 1e-6)
-            assert _same_bits(out.chain.positions, q)
-            assert _same_bits(out.dist, dist)
-            assert _same_bits(out.trace, trace)
-
-
-# --- the numpy lay-out, bend and rotation, kept as oracles ------------------
-# `_lay_out`, the bend loop of `pre_bend` and `rotate_about_axis` as they
-# were written on numpy arrays, before their entries moved to Python floats.
-
-def _np_lay_out(base, direction, lengths):
-    return base + np.outer(np.concatenate(([0.0], np.cumsum(lengths))), direction)
-
-
-def _np_pre_bend(chain, axis=None):
-    """The bent positions of a straight chain."""
-    dirs = chain.link_directions()
-    if axis is None:
-        axis = next((joint.axis for joint in chain.joints if isinstance(joint, Hinge)), None)
-    axis = perpendicular_axis(dirs[0]) if axis is None else unit(axis)
-    q = np.array(chain.positions)
-    for k in range(1, dirs.shape[0]):
-        q[k + 1] = q[k] + chain.lengths[k] * _np_rotate(axis, k * fabrik.PRE_BEND, dirs[0])
-    return q
+            q = chain
+            for n, dist in out.trace:
+                q = backward_phase(forward_phase(q, target))
+                want = exact_distance(q.end, target)
+                assert abs(Fraction(dist) - want) <= 4 * U * want
+            assert out.chain.positions == q.positions
+            dists = [dist for _, dist in out.trace]
+            assert [n for n, _ in out.trace] == list(range(1, out.iterations + 1))
+            assert out.iterations >= 1 and all(dist > 1e-6 for dist in dists[:-1])
+            assert out.dist == dists[-1] and out.converged == (out.dist <= 1e-6)
+            assert out.converged or out.iterations == 30
 
 
 def _signed_zero_vectors(rng, count):
@@ -789,21 +736,25 @@ def _signed_zero_vectors(rng, count):
     return v
 
 
-@pytest.mark.blas_oracle
-class TestFloatPathsAgainstNumpyBody:
+class TestFloatPathsAgainstExactArithmetic:
     """`_lay_out` (and so `straight_chain` and `lay_out_chain`), `pre_bend`
-    and `rotate_about_axis` against their numpy bodies, bit for bit, on
-    seeded draws with negative, 0.0 and -0.0 components."""
+    and `rotate_about_axis` against their formulas in exact arithmetic,
+    on seeded draws with negative, 0.0 and -0.0 components."""
 
     def test_lay_out(self):
         rng = np.random.default_rng(31)
-        for base, direction in zip(_signed_zero_vectors(rng, 3000), _signed_zero_vectors(rng, 3000)):
+        for base, direction in zip(_signed_zero_vectors(rng, 1500), _signed_zero_vectors(rng, 1500)):
             base = base * 10.0 ** rng.uniform(-3, 3)
             lengths = rng.uniform(0.01, 2.0, int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-3, 3)
-            want = _np_lay_out(base, direction, lengths)
-            assert _same_bits(fabrik._lay_out(base, direction, lengths.tolist()), want)
-            laid = fabrik.lay_out_chain(base, direction, lengths, (Ball(),) * lengths.size)
-            assert _same_bits(laid.positions, _np_lay_out(base, unit(direction), lengths))
+            direction = geometry.unit(direction)
+            got = fabrik._lay_out(tuple(base.tolist()), direction, lengths.tolist())
+            # the running sums err by up to n U of the reach
+            bound = 8 * U * (lengths.size + 2) * (max(map(abs, base)) + math.fsum(lengths))
+            reach = Fraction(0)
+            for k, point in enumerate(got):
+                want = [Fraction(b) + reach * Fraction(d) for b, d in zip(base.tolist(), direction)]
+                assert within(point, want, bound), (k, point)
+                reach += Fraction(lengths[k]) if k < lengths.size else 0
 
     def test_straight_chain_and_unchecked_lay_out_agree(self):
         rng = np.random.default_rng(32)
@@ -814,28 +765,51 @@ class TestFloatPathsAgainstNumpyBody:
             checked = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
             laid = fabrik.lay_out_chain(base, direction, lengths, joints)
             for field in ("positions", "lengths", "base", "reach", "can_clamp", "anchor_dir"):
-                assert _same_bits(getattr(laid, field), getattr(checked, field))
+                assert getattr(laid, field) == getattr(checked, field)
 
     def test_pre_bend(self):
         rng = np.random.default_rng(33)
-        for base, direction, axis in zip(*(_signed_zero_vectors(rng, 1500) for _ in range(3))):
+        for base, direction, axis in zip(*(_signed_zero_vectors(rng, 800) for _ in range(3))):
             lengths = rng.uniform(0.2, 1.5, int(rng.integers(2, 7)))
             kinds = rng.integers(0, 2, lengths.size)
-            joints = tuple(Hinge(unit(axis)) if kind else Ball() for kind in kinds)
+            joints = tuple(Hinge(axis) if kind else Ball() for kind in kinds)
             chain = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
             given = axis * rng.uniform(0.5, 2.0) if rng.integers(0, 2) else None
-            assert _same_bits(pre_bend(chain, axis=given).positions, _np_pre_bend(chain, given))
+            bent = pre_bend(chain, axis=given).positions
+            # the bend axis: the given one normalized, else the first
+            # hinge's, else the perpendicular of the first link
+            first = exact_unit([Fraction(b) - Fraction(a) for a, b in zip(*chain.positions[:2])])
+            if given is not None:
+                used = [float(c) for c in exact_unit(given)]
+            else:
+                hinges = [joint.axis for joint in joints if isinstance(joint, Hinge)]
+                used = hinges[0] if hinges else perpendicular_axis(chain.link_directions()[0])
+            assert bent[:2] == chain.positions[:2]
+            for k in range(1, lengths.size):
+                turned = exact_rotate(used, k * fabrik.PRE_BEND, [float(c) for c in first])
+                want = [Fraction(x) + Fraction(lengths[k]) * t for x, t in zip(bent[k], turned)]
+                bound = 32 * U * (max(map(abs, bent[k])) + lengths[k])
+                assert within(bent[k + 1], want, bound), (k, bent[k + 1])
+
+    def test_lay_out_with_a_bend_is_pre_bend_of_the_straight_chain(self):
+        rng = np.random.default_rng(35)
+        for base, direction, axis in zip(*(_signed_zero_vectors(rng, 500) for _ in range(3))):
+            lengths = rng.uniform(0.2, 1.5, int(rng.integers(1, 7)))
+            joints = (Ball(),) * lengths.size
+            straight = fabrik.lay_out_chain(base, direction, lengths, joints)
+            bent = fabrik.lay_out_chain(base, direction, lengths, joints, bend_axis=axis)
+            assert bent == pre_bend(straight, axis=axis)
 
     def test_rotate_about_axis(self):
         rng = np.random.default_rng(34)
-        vectors = _signed_zero_vectors(rng, 6000) * 10.0 ** rng.uniform(-9, 3, size=(6000, 1))
-        axes = [unit(a) for a in _signed_zero_vectors(rng, 6000)]
-        thetas = np.concatenate([[0.0, -0.0, math.pi, -math.pi], rng.uniform(-4.0, 4.0, 5996)])
-        for axis, theta, v in zip(axes, thetas.tolist(), vectors):
-            assert _same_bits(rotate_about_axis(axis, theta, v), _np_rotate(axis, theta, v))
+        vectors = _signed_zero_vectors(rng, 3000) * 10.0 ** rng.uniform(-9, 3, size=(3000, 1))
+        axes = [geometry.unit(a) for a in _signed_zero_vectors(rng, 3000)]
+        thetas = np.concatenate([[0.0, -0.0, math.pi, -math.pi], rng.uniform(-4.0, 4.0, 2996)])
+        for axis, theta, v in zip(axes, thetas.tolist(), vectors.tolist()):
+            bound = 16 * U * max(map(abs, v))
+            assert within(rotate_about_axis(axis, theta, v), exact_rotate(axis, theta, v), bound)
 
 
-@pytest.mark.blas_oracle
 class TestNoScratchEscapes:
     """The sweeps measure every distance on a scratch 3-vector that they
     rewrite in place; none reaches a result, and no solve sees another's."""
@@ -844,7 +818,7 @@ class TestNoScratchEscapes:
     def chains_and_targets(rng, count):
         out = []
         for _ in range(count):
-            chain = TestReachAgainstNumpyBody.random_chain(rng)
+            chain = random_chain(rng)
             targets = [chain.base + unit(rng.normal(size=3)) * rng.uniform(0.1, 0.9) * chain.reach
                        for _ in range(4)]
             out.append((chain, targets))
@@ -852,7 +826,7 @@ class TestNoScratchEscapes:
 
     def test_results_own_their_memory(self):
         # a chain's points are a tuple of float tuples, which share no
-        # buffer by type: no result can alias another's, or the scratch
+        # buffer by type: no result can alias another's
         rng = np.random.default_rng(51)
         for chain, (t1, t2, *_) in self.chains_and_targets(rng, 50):
             a, b = solve(chain, t1, 1e-6, 30), solve(chain, t2, 1e-6, 30)

@@ -10,6 +10,7 @@ from fabrik_sqp.geometry import (
     cartesian_error,
     clamped_arccos,
     cross,
+    dot,
     inverse_transform,
     make_transform,
     norm,
@@ -20,9 +21,11 @@ from fabrik_sqp.geometry import (
     rotation_defect,
     sanitize_rotation,
     signed_angle,
-    unit,
     wrap_angle,
 )
+
+from conftest import U, exact_sqrt, within
+from conftest import unit_array as unit
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -179,7 +182,6 @@ class TestWrapAngle:
         assert np.array(floats).tobytes() == wrap_angle(values).tobytes()
 
 
-@pytest.mark.blas_oracle
 class TestCartesianError:
     def test_identical_poses(self):
         t = make_transform(np.eye(3), [0.1, 0.2, 0.3])
@@ -353,16 +355,8 @@ def _bit_test_vectors() -> list:
 
 
 class TestNumpyBits:
-    """`cross` and `norm` replace np.cross and np.linalg.norm on the solve
-    path; every seeded record depends on their bits, so they are compared
-    bit for bit, signed zeros included."""
-
-    def test_norm_is_numpy_norm(self):
-        vectors = _bit_test_vectors()
-        assert len(vectors) > 10_000
-        assert any(not v.flags.c_contiguous for v in vectors)
-        for v in vectors:
-            assert _bits(norm(v)) == _bits(np.linalg.norm(v)), v
+    """`cross` rounds each entry as np.cross does, one product each and
+    their difference (no BLAS call in either), signed zeros included."""
 
     def test_cross_is_numpy_cross(self):
         vectors = _bit_test_vectors()
@@ -379,82 +373,56 @@ class TestNumpyBits:
                 assert _bits(cross(a, b)) == _bits(np.cross(a, b)), (a, b)
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c computed exactly and rounded once."""
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
+class TestAgainstExactArithmetic:
+    """The float helpers of the solve path against their formulas in exact
+    rational arithmetic (square roots to 2**-300), within a few units of
+    roundoff U of the magnitudes involved."""
 
+    def test_norm(self):
+        vectors = _bit_test_vectors()
+        assert len(vectors) > 10_000
+        for v in vectors:
+            want = exact_sqrt(sum(Fraction(c) ** 2 for c in v.tolist()))
+            assert abs(Fraction(norm(v)) - want) <= 3 * U * want, v
 
-def test_blas_dot_rounds_as_an_fma_chain():
-    """The pinned seed-7 counters hold where a 3-vector `ndarray.dot`
-    rounds as fma(z, w, fma(y, v, x * u)), as numpy's bundled OpenBLAS
-    does on FMA hardware. A BLAS that sums the products in another way
-    fails here, by name, before the counter pins move."""
-    rng = np.random.default_rng(13)
-    pairs = rng.normal(size=(2000, 2, 3))
-    chain_misses = plain_misses = 0
-    for a, b in pairs:
-        x, y, z = map(float, a)
-        u, v, w = map(float, b)
-        got = a.dot(b)
-        chain_misses += got != _fma(z, w, _fma(y, v, x * u))
-        plain_misses += got != x * u + y * v + z * w
-    assert plain_misses > 0  # the chain is distinguishable from a plain sum
-    assert chain_misses == 0
+    def test_dot(self):
+        vectors = _bit_test_vectors()
+        rng = np.random.default_rng(14)
+        partners = [vectors[i] for i in rng.permutation(len(vectors))]
+        for a, b in zip(vectors, partners):
+            terms = [Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist())]
+            bound = 3 * U * sum(map(abs, terms))
+            assert abs(Fraction(dot(a, b)) - sum(terms)) <= bound, (a, b)
 
+    def test_inverse_transform(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            t = make_transform(polar_rotation(rng.normal(size=(3, 3))), rng.normal(size=3) * 10.0)
+            inv = inverse_transform(t)
+            exact = [[Fraction(x) for x in row] for row in t.tolist()]
+            for j in range(3):
+                want = [exact[k][j] for k in range(3)]
+                want.append(-sum(exact[k][j] * exact[k][3] for k in range(3)))
+                assert within(inv[j], want, 4 * U * (1.0 + np.abs(t[:3, 3]).sum())), (t, j)
+            assert inv[3].tolist() == [0.0, 0.0, 0.0, 1.0]
 
-def test_matvec_rounds_as_column_dots():
-    """The optimizer's gradient 2 J^T (p - target) is `jac.T.dot(diff)`,
-    which rounds as `jac.T @ diff` (the test below). For the UR5's
-    C-ordered 3x2 jacobian the pinned seed-7 counters hold where that
-    product rounds as one `ndarray.dot` per contiguous column, the form
-    whose rounding the fma test above pins."""
-    rng = np.random.default_rng(17)
-    draws = rng.normal(size=(4000, 3, 3))
-    misses = plain_misses = 0
-    for c0, c1, diff in draws:
-        jac = np.array([c0, c1]).T.copy()  # C-ordered 3x2
-        assert jac.flags.c_contiguous and jac.shape == (3, 2)
-        got = 2.0 * (jac.T @ diff)
-        misses += not np.array_equal(got, 2.0 * np.array([diff.dot(c0), diff.dot(c1)]))
-        plain = [sum(d * c for d, c in zip(diff.tolist(), col.tolist())) for col in (c0, c1)]
-        plain_misses += not np.array_equal(got, 2.0 * np.array(plain))
-    assert plain_misses > 0  # the column dots are distinguishable from plain sums
-    assert misses == 0
-
-
-@pytest.mark.blas_oracle
-def test_dot_matches_matmul_at_solve_sites():
-    """Each operand layout the solve path multiplies with `ndarray.dot`
-    gives `@`'s bits: both reach the same BLAS routine. The exception is
-    `inverse_transform`'s `-R.T @ p`, whose p is a strided column of a
-    4x4: there `@` runs numpy's own loop, so it keeps `@`. That loop
-    differs from BLAS under the FMA kernels (SkylakeX, Haswell) and
-    agrees with the Sandybridge and Nehalem ones, where the last
-    assertion fails."""
-    rng = np.random.default_rng(19)
-
-    def transform():
-        t = np.eye(4)
-        t[:3] = rng.normal(size=(3, 4))
-        return t
-
-    def same(a, b):
-        return _bits(a) == _bits(b)
-
-    strided_misses = 0
-    for _ in range(2000):
-        t1, t2 = transform(), transform()
-        assert same(t1.dot(t2), t1 @ t2)  # fk_frames' accumulation
-        assert same(t1[:3, :3].T.dot(t2[:3, :3]), t1[:3, :3].T @ t2[:3, :3])  # rotation errors
-        diff = rng.normal(size=3)
-        for n in (2, 4):  # the UR5 and KUKA jacobians
-            jac = rng.normal(size=(3, n))
-            assert same(jac.T.dot(diff), jac.T @ diff)
-            h, v, g = rng.normal(size=(n, n)), rng.normal(size=(n, n)), rng.normal(size=n)
-            assert same(h.dot(g), h @ g)
-            assert same(v.dot(h).dot(v.T), v @ h @ v.T)
-        p3h = np.append(rng.normal(size=3), 1.0)
-        assert same(inverse_transform(t1).dot(p3h), inverse_transform(t1) @ p3h)
-        r, p = t1[:3, :3], t1[:3, 3]
-        strided_misses += not same(r.T.dot(p), r.T @ p)
-    assert strided_misses > 0
+    def test_cartesian_error(self):
+        rng = np.random.default_rng(16)
+        for k in range(300):
+            ra = polar_rotation(rng.normal(size=(3, 3)))
+            # near-equal rotations too, where the angle is small
+            rb = ra if k % 3 else polar_rotation(rng.normal(size=(3, 3)))
+            rb = polar_rotation(rb + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-12, 0))
+            pa, pb = rng.normal(size=3), rng.normal(size=3)
+            err = cartesian_error(make_transform(ra, pa), make_transform(rb, pb))
+            a = [[Fraction(x) for x in row] for row in ra.tolist()]
+            b = [[Fraction(x) for x in row] for row in rb.tolist()]
+            m = [[sum(a[k][i] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+            cos_term = (m[0][0] + m[1][1] + m[2][2] - 1) / 2
+            sin_term = exact_sqrt((m[2][1] - m[1][2]) ** 2 + (m[0][2] - m[2][0]) ** 2
+                                  + (m[1][0] - m[0][1]) ** 2) / 2
+            # sin_term^2 + cos_term^2 is 1 up to the rotations' own defect,
+            # so rounding the terms by a few U moves the angle by a few U
+            assert abs(err.eps_rot - math.atan2(sin_term, cos_term)) <= 32 * U
+            want_pos = exact_sqrt(sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(pa, pb)))
+            assert abs(Fraction(err.eps_pos) - want_pos) <= 4 * U * want_pos

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, fabrik, kuka, solve_ik, ur5
+from fabrik_sqp import benchmark, fabrik, kuka, robots, solve_ik, ur5
 from fabrik_sqp.geometry import rotation_defect
 from fabrik_sqp.iktypes import IKQuery, IKStatus
 from fabrik_sqp.robots import (
@@ -15,6 +15,7 @@ from fabrik_sqp.robots import (
     RobotModel,
     dh_transform,
     fk_frames,
+    transform_of,
     forward_kinematics,
     get_model,
     kuka_model,
@@ -23,6 +24,8 @@ from fabrik_sqp.robots import (
     pose_mismatch,
     ur5_model,
 )
+
+from conftest import U, exact_frame, within
 
 
 def dh_oracle(a, alpha, d, theta):
@@ -120,7 +123,7 @@ class TestForwardKinematics:
         theta = np.linspace(-1.0, 1.0, 7)
         frames = fk_frames(kuka_model, theta)
         assert len(frames) == 8
-        assert np.allclose(frames[-1], forward_kinematics(kuka_model, theta), atol=1e-14)
+        assert np.array_equal(transform_of(frames[-1]), forward_kinematics(kuka_model, theta))
 
     def test_prefix_frames_are_bit_identical(self, ur5_model, kuka_model):
         rng = np.random.default_rng(4)
@@ -132,14 +135,17 @@ class TestForwardKinematics:
                     assert np.array_equal(fk_frames(model, theta[:k])[-1], frames[k])
 
     def test_matches_left_to_right_product_of_rows(self, ur5_model, kuka_model):
+        # the link matrices of `dh_transform` multiplied left to right in
+        # exact arithmetic: each link step rounds an entry by a few U of
+        # its scale, 1 for the rotation, the reach for the translation
         rng = np.random.default_rng(5)
         for model in (ur5_model, kuka_model):
+            reach = math.fsum(abs(row.a) + abs(row.d) for row in model.dh)
+            bound = 8 * U * model.dof * (1.0 + reach)
             for _ in range(20):
                 theta = rng.uniform(-math.pi, math.pi, model.dof)
-                product = np.eye(4)
-                for row, th in zip(model.dh, theta):
-                    product = product @ dh_transform(row, th)
-                assert np.array_equal(forward_kinematics(model, theta), product)
+                got = forward_kinematics(model, theta)
+                assert within(got.ravel(), np.ravel(exact_frame(model, theta)), bound)
 
     def test_frames_reject_more_angles_than_joints(self, ur5_model, kuka_model):
         for model in (ur5_model, kuka_model):
@@ -148,11 +154,10 @@ class TestForwardKinematics:
 
     def test_frame_zero_is_a_shared_read_only_identity(self, ur5_model, kuka_model):
         first = fk_frames(ur5_model, np.zeros(6))[0]
-        assert np.array_equal(first, np.eye(4))
-        assert not first.flags.writeable
-        assert fk_frames(kuka_model, [0.3])[0] is first
-        with pytest.raises(ValueError):
-            first[0, 0] = 2.0
+        assert np.array_equal(transform_of(first), np.eye(4))
+        assert fk_frames(kuka_model, [0.3])[0] is first is robots.IDENTITY_ROWS
+        with pytest.raises(TypeError):
+            first[0][0] = 2.0
 
 
 class TestPoseMismatch:
@@ -380,7 +385,7 @@ class TestModelConstructor:
     def test_replaced_table_re_derives_link_lengths(self):
         model = dataclasses.replace(ur5_model(), dh=UR10_DH)
         assert model.link_lengths.tolist() == [0.1273, 0.612, 0.5723, 0.163941, 0.1157, 0.0922]
-        assert model.shoulder.tolist() == [0.0, 0.0, 0.1273]
+        assert model.shoulder == (0.0, 0.0, 0.1273)
         doc = {
             "name": "ur5",
             "dh": [{"a": r.a, "alpha": r.alpha, "d": r.d} for r in UR10_DH],
@@ -403,8 +408,8 @@ class TestModelConstructor:
         assert replaced.arm_lengths == (0.1273, 0.612, 0.5723)
 
     def test_shoulder_is_read_only(self, kuka_model):
-        assert kuka_model.shoulder.tolist() == [0.0, 0.0, 0.36]
-        with pytest.raises(ValueError):
+        assert kuka_model.shoulder == (0.0, 0.0, 0.36)
+        with pytest.raises(TypeError):
             kuka_model.shoulder[2] = 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             kuka_model.shoulder = np.zeros(3)
@@ -483,7 +488,10 @@ class TestReducedChainLayOut:
             model_from_json(_table("ur5", row, "a", -small * (1.0 - 1e-6)))
         for theta1 in np.linspace(-math.pi, math.pi, 721).tolist():
             frame = ur5.planar_frame(theta1, np.eye(4), np.zeros(3), model)
-            self._same_as_checked(ur5.make_chain(frame, model), model, frame.v_init)
+            self._same_as_checked(ur5.make_chain(frame, model, None), model, frame.v_init)
+            bent = np.array(ur5.make_chain(frame, model, frame.z2d).positions)
+            laid = np.linalg.norm(np.diff(bent, axis=0), axis=1)
+            assert np.all(np.abs(laid - model.link_lengths[1:3]) <= 1e-9 * model.link_lengths[1:3])
         self._solves_without_raising(model)
 
     def test_kuka_riser_at_the_margin_lays_out(self):
