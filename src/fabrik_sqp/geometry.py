@@ -137,14 +137,6 @@ def translation_of(T) -> np.ndarray:
     return np.asarray(T, dtype=float)[:3, 3]
 
 
-def inverse_transform(T) -> np.ndarray:
-    """The inverse of a rigid transform: rotation R^T, translation -R^T p."""
-    rows = np.asarray(T, dtype=float)[:3].tolist()
-    (r00, r01, r02, px), (r10, r11, r12, py), (r20, r21, r22, pz) = rows
-    columns = ((r00, r10, r20), (r01, r11, r21), (r02, r12, r22))
-    return make_transform(columns, [-dot(c, (px, py, pz)) for c in columns])
-
-
 def rotation_defect(R) -> float:
     """Max absolute entry of R^T R - I (entrywise orthonormality defect),
     on Python floats; NaN when any entry is NaN."""

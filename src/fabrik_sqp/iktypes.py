@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,22 +117,19 @@ def l1_distance(a, b) -> float:
     return d
 
 
-def select_candidate(candidates, theta_init) -> int | None:
-    """Index of the admitted candidate closest to theta_init in L1 norm;
-    each candidate is any sequence of floats (the pipeline's are lists).
+def select_candidate(distances) -> int | None:
+    """Index of the pick among the admitted candidates, given their L1
+    distances to the reference in enumeration order: the first candidate
+    within SELECT_TIE_TOL of the nearest; None when there is none.
 
-    Ties keep the earliest candidate, so the enumeration order of the
-    sign branches is the tie-break. A later candidate must be closer by
-    more than SELECT_TIE_TOL: distances that are equal in real
-    arithmetic (a UR5 fold and its mirror often are) can differ in the
-    last bits of the float sum, and those bits must not pick the winner.
+    Distances that are equal in real arithmetic (a UR5 fold and its
+    mirror often are) can differ in the last bits of the float sum, and
+    those bits must not pick the winner, so the enumeration order of the
+    sign branches breaks the tie. The rule reads the distances, not the
+    order they were found in: leaving out a candidate farther than the
+    nearest plus SELECT_TIE_TOL cannot move the pick.
     """
-    reference = np.asarray(theta_init, dtype=float).tolist()
-    best = None
-    best_d = math.inf
-    for idx, theta in enumerate(candidates):
-        d = l1_distance(theta, reference)
-        if d < best_d - SELECT_TIE_TOL:
-            best = idx
-            best_d = d
-    return best
+    if not distances:
+        return None
+    band = min(distances) + SELECT_TIE_TOL
+    return next(i for i, d in enumerate(distances) if d <= band)

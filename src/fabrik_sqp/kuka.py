@@ -289,7 +289,10 @@ class Branch:
     under warm starts.
     """
 
+    admissible = True  # the branch fixes no joint before its sweeps
+
     def __init__(self, t_des: np.ndarray, theta_init, model: RobotModel):
+        self.t_des = t_des
         self.theta_init = theta_init
         self.model = model
         self.target = wrist_target(t_des, model)
@@ -303,6 +306,10 @@ class Branch:
         one FK of theta_init per solve, up to the wrist frame 5."""
         frames = fk_frames(self.model, self.theta_init[:5].tolist())
         return [sub([r[3] for r in frames[k]], self.model.shoulder) for k in (3, 5)]
+
+    def floor(self, reference) -> float:
+        """0.0: the only branch, so no bound would skip it."""
+        return 0.0
 
     def from_chain(self, chain: fabrik.ChainState):
         return chain.positions[1], chain.positions[2]
@@ -326,7 +333,7 @@ class Branch:
                 return results, (elbow_position(model, th[0], th[1]), p3)
         return results, None
 
-    def candidates(self, reduced, t_des: np.ndarray):
+    def candidates(self, reduced):
         """Joint vectors for the reduced chain's elbow, then for the
         feasible elbow nearest the reference configuration.
 
@@ -340,7 +347,7 @@ class Branch:
         if p2_ref is not None and max(abs(a - b) for a, b in zip(p2_ref, p2)) > 1e-9:
             elbows.append(p2_ref)
         for elbow in elbows:
-            yield from recover_candidates(elbow, p3, t_des, self.model)
+            yield from recover_candidates(elbow, p3, self.t_des, self.model)
 
 
 def branches(t_des: np.ndarray, theta_init, model: RobotModel) -> list[Branch]:

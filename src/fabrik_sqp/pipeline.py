@@ -16,15 +16,20 @@ A branch is any object with:
 - ``target``: the point the chain end must reach
 - ``start``: the pre-bent chain the sweeps start from
 - ``bend_axis``: the axis that re-bends the optimizer's seed (None: fabrik's default)
+- ``floor(reference)``: a float no larger than the `l1_distance` from
+  the reference (a list of floats) of any candidate of the branch
+- ``admissible``: False when a joint the branch fixes before any sweep
+  lies outside its limits, so no candidate of it can be admitted
 - ``from_chain(chain)``: the reduced solution of a converged chain
 - ``optimize(seed_chain, stop)``: ``(opt_results, reduced)`` with
   every optimizer run in order and the reduced solution, or None when
   the last run ends above the stop value (the squared tolerance)
-- ``candidates(reduced, t_des)``: every joint vector recovered from a
-  reduced solution, as a float tuple, in enumeration order, unwrapped
+- ``candidates(reduced)``: every joint vector recovered from a reduced
+  solution, as a float tuple, in enumeration order, unwrapped
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,20 +37,23 @@ import numpy as np
 
 from . import fabrik
 from .geometry import cartesian_error, wrap_angle
-from .iktypes import IKQuery, IKResult, IKStatus
+from .iktypes import SELECT_TIE_TOL, IKQuery, IKResult, IKStatus, l1_distance
 from .optimizer import OptResult
 from .robots import RobotModel, forward_kinematics
 
 
 @dataclass
 class SolveDetail:
-    """How one solve went, beside its IKResult."""
+    """How one solve went, beside its IKResult. Only the branches that
+    were solved give candidates: a skipped branch has no candidate that
+    the selection could pick."""
 
     branches: int = 0  # reduction branches enumerated
+    skipped: int = 0  # branches not solved: they could not win, or a fixed joint is out of limits
     reachable: bool = False  # some branch target lies within the chain's reach
     fabrik_iterations: int = 0
     optimizer_iterations: int = 0
-    optimizer: OptResult | None = None  # the last optimizer run
+    optimizer: OptResult | None = None  # the last optimizer run, in visiting order
     candidates: list = field(default_factory=list)  # wrapped thetas, ndarrays, enumeration order
     admitted: list = field(default_factory=list)  # the candidates within the joint limits
 
@@ -59,29 +67,46 @@ def solve(
 ):
     """Solve one query; returns (IKResult, SolveDetail).
 
-    ``branches(t_des, theta_init, model)`` gives the robot's branches.
-    FABRIK runs first on each reachable one, capped at the config's
-    sweep budget; a branch it leaves unconverged goes to the branch's
-    optimizer when the config enables it. Every candidate of every
-    reduced solution is recorded, and those within the joint limits are
-    admitted. Recovery is exact, so only the pick gets a pose check:
-    ``pose_mismatch(model, theta, t_des)`` at most eps. The solvers pass
-    the helpers they import, which is where the benchmark's layer trace
-    hooks them. A pick that misses, or no pick, is FAILED when some
-    branch was reachable, UNREACHABLE otherwise.
+    ``branches(t_des, theta_init, model)`` gives the robot's branches,
+    visited in (floor, enumeration index) order. A branch whose floor
+    exceeds the nearest admitted distance so far by more than
+    SELECT_TIE_TOL is skipped: ``select_candidate(distances)`` picks the
+    first admitted candidate within that tolerance of the nearest, so
+    none of its candidates could be picked. A reachable branch that is
+    not admissible is skipped too. FABRIK runs first on each other
+    reachable branch, capped at the config's sweep budget; a branch it
+    leaves unconverged goes to the branch's optimizer when the config
+    enables it. Every candidate of every reduced solution is recorded,
+    and those within the joint limits are admitted. Recovery is exact,
+    so only the pick gets a pose check: ``pose_mismatch(model, theta,
+    t_des)`` at most eps. The solvers pass the helpers they import,
+    which is where the benchmark's layer trace hooks them. A pick that
+    misses, or no pick, is FAILED when some branch was reachable,
+    UNREACHABLE otherwise (a skip by floor follows an admitted
+    candidate, so some branch was reachable).
     """
     start = time.perf_counter()
     t_des = prepare_query(model, query)
     config = query.config
     eps = config.eps_tol
     cap = config.fabrik_cap(model.name)
+    reference = query.theta_init.tolist()
     detail = SolveDetail()
-    admitted = []  # the floats of detail.admitted, which the selection reads
-    for branch in branches(t_des, query.theta_init, model):
-        detail.branches += 1
+    enumerated = list(branches(t_des, query.theta_init, model))
+    detail.branches = len(enumerated)
+    recovered = [()] * len(enumerated)  # per branch: (wrapped theta, distance or None)
+    nearest = math.inf  # the distance of the nearest candidate admitted so far
+    order = sorted((b.floor(reference), i, b) for i, b in enumerate(enumerated))
+    for floor, index, branch in order:
+        if floor > nearest + SELECT_TIE_TOL:
+            detail.skipped += 1
+            continue
         if not fabrik.within_reach(branch.start, branch.target):
             continue
         detail.reachable = True
+        if not branch.admissible:
+            detail.skipped += 1
+            continue
         outcome = fabrik.solve(branch.start, branch.target, eps, cap)
         detail.fabrik_iterations += outcome.iterations
         reduced = branch.from_chain(outcome.chain) if outcome.converged else None
@@ -94,13 +119,21 @@ def solve(
             detail.optimizer = results[-1]
         if reduced is None:
             continue
-        for raw in branch.candidates(reduced, t_des):
+        recovered[index] = found = []
+        for raw in branch.candidates(reduced):
             wrapped = [wrap_angle(t) for t in raw]
+            d = l1_distance(wrapped, reference) if model.within_limits(wrapped) else None
+            found.append((wrapped, d))
+            if d is not None and d < nearest:
+                nearest = d
+    distances = []  # of detail.admitted, which the selection reads
+    for found in recovered:
+        for wrapped, d in found:
             detail.candidates.append(np.array(wrapped))
-            if model.within_limits(wrapped):
+            if d is not None:
                 detail.admitted.append(detail.candidates[-1])
-                admitted.append(wrapped)
-    pick = select_candidate(admitted, query.theta_init)
+                distances.append(d)
+    pick = select_candidate(distances)
     theta = error = None
     if pick is not None and pose_mismatch(model, detail.admitted[pick], t_des) <= eps:
         theta = detail.admitted[pick]

@@ -5,11 +5,14 @@ analytically, and FABRIK (with the optimizer as fallback) solves the
 planar joint pair (theta2, theta3) that places the elbow chain at the
 projected wrist target. Since neither the sign of theta1 nor the
 wrist-link direction can be determined up front, four branches are
-evaluated. Joints 2-4 are parallel, so theta2 + theta3 + theta4, theta5
-and theta6 are solved once per branch, and each fold of the elbow chain
-sets theta4 to close that sum. Every candidate is exact, the wrist
-singularity included; the returned vector is the candidate within the
-joint limits closest to theta_init in L1 norm, after one pose check.
+enumerated. Joints 2-4 are parallel, so theta2 + theta3 + theta4, theta5
+and theta6 are solved once per branch, before any sweep, and each fold
+of the elbow chain sets theta4 to close that sum. So theta1, theta5 and
+theta6 bound each branch's L1 distance to theta_init from below, and the
+pipeline solves the branches nearest-first, skipping those that cannot
+win. Every candidate is exact, the wrist singularity included; the
+returned vector is the candidate within the joint limits closest to
+theta_init in L1 norm, after one pose check.
 """
 from __future__ import annotations
 
@@ -201,15 +204,45 @@ def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> tuple:
 
 
 class Branch:
-    """One (theta1, wrist-riser) branch; ``start`` is its plane's pre-bent chain."""
+    """One (theta1, wrist-riser) branch. Its wrist is solved when it is
+    built, so theta1, theta5 and theta6 of every candidate are known
+    before any sweep. ``start``, its plane's chain pre-bent about
+    ``bend_axis``, is laid out when a branch of the plane first reads
+    it and kept in ``plane_start``, a one-slot list the plane's risers
+    share."""
 
-    def __init__(self, frame: PlanarFrame, l5d, start, bend_axis, model: RobotModel):
+    def __init__(self, frame: PlanarFrame, l5d, t_des: np.ndarray, bend_axis, plane_start, model):
         self.frame = frame
         self.l5d = l5d
-        self.start = start
         self.bend_axis = bend_axis
+        self.plane_start = plane_start
         self.model = model
         self.target = iteration_target(frame, l5d, model)
+        self.wrist = wrist_angles(frame, l5d, t_des, model)
+        # (index, angle) of the joints every candidate shares, wrapped as the filter wraps them
+        _, theta5, theta6 = self.wrist
+        self.fixed = ((0, wrap_angle(frame.theta1)), (4, wrap_angle(theta5)), (5, wrap_angle(theta6)))
+
+    @property
+    def start(self) -> fabrik.ChainState:
+        if not self.plane_start:
+            self.plane_start.append(make_chain(self.frame, self.model, self.bend_axis))
+        return self.plane_start[0]
+
+    @property
+    def admissible(self) -> bool:
+        """The fixed joints within their limits, by the filter's rule."""
+        limits = self.model.limit_pairs
+        return all(limits[k][0] <= t <= limits[k][1] for k, t in self.fixed)
+
+    def floor(self, reference) -> float:
+        """The fixed joints' terms of `l1_distance`, added in its order.
+        No candidate's distance is smaller, in floats too: rounding is
+        monotone, and adding a non-negative term never lowers a float sum."""
+        d = 0.0
+        for k, theta in self.fixed:
+            d += abs(theta - reference[k])
+        return d
 
     def from_chain(self, chain: fabrik.ChainState) -> tuple[float, float]:
         """(theta2, theta3) of a chain in the working plane."""
@@ -228,23 +261,23 @@ class Branch:
         )
         return [result], pair
 
-    def candidates(self, reduced, t_des: np.ndarray):
+    def candidates(self, reduced):
         """Joint vectors of every fold of (theta2, theta3)."""
-        wrist = wrist_angles(self.frame, self.l5d, t_des, self.model)
         for fold in fold_variants(*reduced, self.model):
-            yield recover_angles(self.frame.theta1, *fold, wrist)
+            yield recover_angles(self.frame.theta1, *fold, self.wrist)
 
 
 def branches(t_des: np.ndarray, theta_init, model: RobotModel):
     """The two wrist-riser branches of each distinct theta1 candidate; both
-    share their plane's chain, pre-bent toward the reference fold."""
+    share their plane's chain, pre-bent toward the reference fold and
+    laid out when it is first read."""
     p_w = wrist_position(t_des, model)
     for theta1 in dedup_angles(theta1_candidates(p_w, model)):
         frame = planar_frame(theta1, t_des, p_w, model)
         axis = frame.z2d if theta_init[2] >= 0.0 else _negated(frame.z2d)
-        start = make_chain(frame, model, axis)
+        plane_start = []
         for l5d in frame.l5d_options:
-            yield Branch(frame, l5d, start, axis, model)
+            yield Branch(frame, l5d, t_des, axis, plane_start, model)
 
 
 def solve_detailed(query: IKQuery, model: RobotModel):

@@ -11,7 +11,6 @@ from fabrik_sqp.geometry import (
     clamped_arccos,
     cross,
     dot,
-    inverse_transform,
     make_transform,
     norm,
     perpendicular_axis,
@@ -312,13 +311,6 @@ class TestRotationDefectOnFloats:
         assert sides == {True, False}
 
 
-def test_inverse_transform_roundtrip():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        t = make_transform(polar_rotation(rng.normal(size=(3, 3))), rng.normal(size=3))
-        assert np.allclose(inverse_transform(t) @ t, np.eye(4), atol=1e-12)
-
-
 @pytest.mark.parametrize(
     "t", [np.eye(3), np.eye(4)[:3], np.zeros(16), np.eye(5)], ids=["3x3", "3x4", "flat", "5x5"]
 )
@@ -393,18 +385,6 @@ class TestAgainstExactArithmetic:
             terms = [Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist())]
             bound = 3 * U * sum(map(abs, terms))
             assert abs(Fraction(dot(a, b)) - sum(terms)) <= bound, (a, b)
-
-    def test_inverse_transform(self):
-        rng = np.random.default_rng(15)
-        for _ in range(300):
-            t = make_transform(polar_rotation(rng.normal(size=(3, 3))), rng.normal(size=3) * 10.0)
-            inv = inverse_transform(t)
-            exact = [[Fraction(x) for x in row] for row in t.tolist()]
-            for j in range(3):
-                want = [exact[k][j] for k in range(3)]
-                want.append(-sum(exact[k][j] * exact[k][3] for k in range(3)))
-                assert within(inv[j], want, 4 * U * (1.0 + np.abs(t[:3, 3]).sum())), (t, j)
-            assert inv[3].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_cartesian_error(self):
         rng = np.random.default_rng(16)

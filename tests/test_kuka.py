@@ -6,7 +6,7 @@ import pytest
 from fabrik_sqp import benchmark, kuka, robots, solve_ik
 from fractions import Fraction
 
-from fabrik_sqp.geometry import inverse_transform, make_transform, wrap_angle
+from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch, transform_of
 
@@ -177,7 +177,7 @@ class TestAngleRecovery:
             if abs(math.sin(theta[3])) < 1e-3:
                 continue
             p3, _ = kuka.wrist_analytic(theta[:4], kuka_model)
-            local = inverse_transform(fk_arrays(kuka_model, theta[:2])[-1]) @ np.append(p3, 1.0)
+            local = np.linalg.inv(fk_arrays(kuka_model, theta[:2])[-1]) @ np.append(p3, 1.0)
             assert abs(kuka.theta3_root(theta[3], local) - theta[2]) <= 1e-9
 
     def test_full_candidate_roundtrip(self, kuka_model):

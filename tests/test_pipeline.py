@@ -11,6 +11,7 @@ import fabrik_sqp
 from fabrik_sqp import benchmark, kuka, optimizer, pipeline, solve_ik, ur5
 from fabrik_sqp.geometry import make_transform, polar_rotation, wrap_angle
 from fabrik_sqp.iktypes import (
+    SELECT_TIE_TOL,
     IKQuery,
     IKStatus,
     SolverConfig,
@@ -109,10 +110,10 @@ class TestStatusRule:
         raw = []
 
         def logged(*args):
-            for branch in branches(*args):
-                def candidates(*a, recover=branch.candidates):
+            for index, branch in enumerate(branches(*args)):
+                def candidates(*a, recover=branch.candidates, index=index):
                     for theta in recover(*a):
-                        raw.append(theta)
+                        solve.append((index, theta))
                         yield theta
 
                 branch.candidates = candidates
@@ -121,8 +122,10 @@ class TestStatusRule:
         monkeypatch.setattr(module, "branches", logged)
         wrapped = []
         for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
+            solve = []  # (enumeration index, theta) in visiting order
             _, detail = module.solve_detailed(IKQuery(t_des=t_des, theta_init=theta_init), model)
             wrapped += detail.candidates
+            raw += [theta for _, theta in sorted(solve, key=lambda pair: pair[0])]
         assert len(raw) == len(wrapped) > 0
         for theta, got in zip(raw, wrapped):
             assert got.tobytes() == wrap_angle(np.asarray(theta)).tobytes()
@@ -215,13 +218,35 @@ class TestSelection:
     def test_near_tie_keeps_the_earliest(self):
         # the later candidate is 1e-15 closer: a rounding-level
         # difference that must not pick the winner
-        first, later = np.array([0.5, 0.5]), np.array([0.5, 0.5 - 1e-15])
-        assert float(np.sum(later)) < float(np.sum(first))
-        assert select_candidate([first, later], np.zeros(2)) == 0
+        assert select_candidate([1.0, 1.0 - 1e-15]) == 0
 
     def test_closer_candidate_wins(self):
-        candidates = [np.array([0.5, 0.5]), np.array([0.5, 0.5 - 1e-9])]
-        assert select_candidate(candidates, np.zeros(2)) == 1
+        assert select_candidate([1.0, 1.0 - 1e-9]) == 1
+
+    def test_nothing_admitted_picks_nothing(self):
+        assert select_candidate([]) is None
+
+    def test_first_within_the_tie_band_of_the_nearest(self):
+        # each distance is within SELECT_TIE_TOL of the next, and the
+        # first lies beyond the band of the nearest: the pick is the
+        # second candidate, the first in the band, with or without the
+        # first (a sequential "replace when closer by more than the
+        # tolerance" scan picks the third with it and the second without)
+        tol = SELECT_TIE_TOL
+        distances = [1.0, 1.0 - 0.75 * tol, 1.0 - 1.5 * tol]
+        assert distances[0] - distances[2] > tol
+        assert select_candidate(distances) == 1
+        assert select_candidate(distances[1:]) == 0
+
+    def test_a_candidate_beyond_the_band_never_moves_the_pick(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2_000):
+            distances = (1.0 + rng.integers(-3, 4, size=rng.integers(1, 6)) * 0.4e-12).tolist()
+            pick = select_candidate(distances)
+            far = min(distances) + SELECT_TIE_TOL + 1e-15
+            for at in range(len(distances) + 1):
+                grown = distances[:at] + [far] + distances[at:]
+                assert select_candidate(grown) == pick + (at <= pick)
 
     def test_l1_distance_is_numpy_sum_bits(self):
         """`l1_distance` sums left to right in floats, which is how np.sum

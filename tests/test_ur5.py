@@ -4,9 +4,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, fabrik, solve_ik, ur5
+from fabrik_sqp import benchmark, fabrik, robots, solve_ik, tracking, ur5
 from fabrik_sqp.geometry import make_transform, signed_angle, wrap_angle
-from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, l1_distance
 from fabrik_sqp.optimizer import OptStatus, minimize
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
@@ -93,7 +93,9 @@ def chain_angles(model, frame, theta):
     frames = fk_frames(model, theta)
     chain = ur5.make_chain(frame, model, None)
     chain = chain.moved(rows([[r[3] for r in frames[i]] for i in (1, 2, 3)]))
-    return ur5.Branch(frame, frame.l5d_options[0], chain, frame.z2d, model).from_chain(chain)
+    t_des = forward_kinematics(model, theta)
+    branch = ur5.Branch(frame, frame.l5d_options[0], t_des, frame.z2d, [chain], model)
+    return branch.from_chain(chain)
 
 
 class TestRecoverAngles:
@@ -145,10 +147,9 @@ class TestRecoverAngles:
             for l5d in frame.l5d_options:
                 # a planar two-link solve at the riser's own elbow target
                 start = ur5.make_chain(frame, ur5_model, frame.z2d)
-                branch = ur5.Branch(frame, l5d, start, frame.z2d, ur5_model)
+                branch = ur5.Branch(frame, l5d, t, frame.z2d, [start], ur5_model)
                 outcome = fabrik.solve(branch.start, branch.target, 1e-12, 1000)
-                wrist = ur5.wrist_angles(frame, l5d, t, ur5_model)
-                rec = ur5.recover_angles(frame.theta1, *branch.from_chain(outcome.chain), wrist)
+                rec = ur5.recover_angles(frame.theta1, *branch.from_chain(outcome.chain), branch.wrist)
                 assert outcome.converged and pose_mismatch(ur5_model, rec, t) <= 1e-9
 
     def test_fourth_joint_closes_the_branch_sum(self, ur5_model):
@@ -354,14 +355,14 @@ class TestSolve:
             )
 
     def test_wrist_solved_once_per_branch(self, ur5_model, monkeypatch):
-        calls = {"wrist_angles": 0, "fold_variants": 0}
-        for name in calls:
+        events = []  # "wrist_angles", "fold_variants" and "sweeps" (fabrik.solve), in call order
+        for owner, name in ((ur5, "wrist_angles"), (ur5, "fold_variants"), (fabrik, "solve")):
 
-            def counted(*args, _original=getattr(ur5, name), _name=name):
-                calls[_name] += 1
+            def counted(*args, _original=getattr(owner, name), _name=name):
+                events.append("sweeps" if _name == "solve" else _name)
                 return _original(*args)
 
-            monkeypatch.setattr(ur5, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         prefixes, links = [], []  # frame prefixes the planes build; 1-based DH rows ur5 adds
 
         def counted_frames(model, theta, _original=ur5.fk_frames):
@@ -380,13 +381,17 @@ class TestSolve:
         )
         assert result.status is IKStatus.SOLVED
         # one frame-3 prefix per plane, shared by its two risers, and one
-        # wrist solve per branch that yields (theta2, theta3), not one
-        # per candidate: each such branch gives a fold and its mirror
+        # wrist solve per branch, when the branch is built: before any
+        # sweep, since the floors that order the branches read it. Only
+        # the solved branches recover candidates, a fold and its mirror
+        # each, all sharing their branch's wrist.
         assert detail.branches == 4
         assert prefixes == [3, 3]
         assert links.count(4) == links.count(5) == 4 and len(links) == 8
-        assert calls["wrist_angles"] == calls["fold_variants"] == 4
-        assert len(detail.candidates) == 8
+        assert events[:4] == ["wrist_angles"] * 4 and events.count("wrist_angles") == 4
+        folds = events.count("fold_variants")
+        assert 1 <= folds <= events.count("sweeps") <= detail.branches - detail.skipped
+        assert len(detail.candidates) == 2 * folds
 
     def test_start_chain_laid_out_once_per_plane(self, ur5_model, monkeypatch):
         # counted at the module attributes, where the benchmark's layer
@@ -406,19 +411,22 @@ class TestSolve:
 
         monkeypatch.setattr(ur5, "make_chain", counted_make_chain)
         monkeypatch.setattr(fabrik, "pre_bend", counted_pre_bend)
+        lazy = 0  # solves that laid out fewer chains than they have planes
         for t_des, theta_init in benchmark.generate_queries(ur5_model, 20, 7).queries:
             made.clear()
             result, detail = ur5.solve_detailed(IKQuery(t_des, theta_init), ur5_model)
             assert result.status is IKStatus.SOLVED
             planes = detail.branches // 2
             assert 1 <= planes <= 2
-            assert len(made) == planes
+            # at most once per plane, and only for a plane whose branch is solved
+            assert 1 <= len(made) <= planes
+            lazy += len(made) < planes
             for chain in made:
                 # bent toward the reference fold: the sign of theta3
                 upper, fore = chain.link_directions()
                 bend = signed_angle(upper, fore, chain.joints[1].axis)
                 assert bend == pytest.approx(math.copysign(fabrik.PRE_BEND, theta_init[2]), abs=1e-12)
-        assert not bent
+        assert not bent and lazy > 0
 
     def test_riser_branches_share_the_plane_start(self, ur5_model):
         t_des, theta_init = benchmark.generate_queries(ur5_model, 1, 7).queries[0]
@@ -505,3 +513,73 @@ class TestSolve:
                 ur5_model,
                 IKQuery(t_des=golden_ur5_pose, theta_init=np.full(6, 4.0), config=SolverConfig()),
             )
+
+
+class TestBranchSkip:
+    """The pipeline solves the branches nearest-first by floor and skips
+    those that cannot win; both skips are exact."""
+
+    def test_floor_never_exceeds_a_candidate_distance(self, ur5_model):
+        rng = np.random.default_rng(32)
+        checked = 0
+        for t_des, theta_init in benchmark.generate_queries(ur5_model, 50, 7).queries:
+            for branch in ur5.branches(t_des, theta_init, ur5_model):
+                for reduced in rng.uniform(-math.pi, math.pi, size=(10, 2)).tolist():
+                    for raw in branch.candidates(reduced):
+                        wrapped = [wrap_angle(t) for t in raw]
+                        # far references, and near ones, where every term
+                        # is a few ulps and the rounding of the sums decides
+                        near = np.add(wrapped, rng.normal(size=6) * 1e-15)
+                        for reference in (rng.uniform(-math.pi, math.pi, 6), near):
+                            reference = reference.tolist()
+                            assert branch.floor(reference) <= l1_distance(wrapped, reference)
+                            checked += 1
+        assert checked > 5_000
+
+    @pytest.mark.parametrize(
+        "limits, config",
+        [
+            (None, SolverConfig()),
+            (None, SolverConfig(use_optimizer=False, sweep_cap=100)),
+            (np.tile([-0.5, 0.5], (6, 1)), SolverConfig()),
+        ],
+        ids=["default", "fabrik-100", "0.5rad"],
+    )
+    def test_seeded_records_as_without_skipping(self, limits, config, monkeypatch):
+        model = robots.ur5_model(limits)
+        queries = benchmark.generate_queries(model, 400, 7).queries
+
+        def solved():
+            out = [ur5.solve_detailed(IKQuery(t, th, config), model) for t, th in queries]
+            return [_record(r) for r, _ in out], sum(d.skipped for _, d in out)
+
+        shipped, skipped = solved()
+        _skip_nothing(monkeypatch)
+        everything, none = solved()
+        assert skipped > 0 and none == 0
+        assert shipped == everything
+
+    def test_scripted_path_as_without_skipping(self, ur5_model, monkeypatch):
+        theta_init, waypoints = tracking.scripted_waypoints(ur5_model)
+
+        def tracked():
+            trace = tracking.track(ur5_model, waypoints, theta_init, SolverConfig())
+            assert trace.failed_index is None
+            return [_record(r) for _, r in trace.records]
+
+        shipped = tracked()
+        _skip_nothing(monkeypatch)
+        assert tracked() == shipped
+
+
+def _skip_nothing(monkeypatch):
+    """No floor exceeds any distance, and every branch is admissible."""
+    monkeypatch.setattr(ur5.Branch, "floor", lambda self, reference: 0.0)
+    monkeypatch.setattr(ur5.Branch, "admissible", True)
+
+
+def _record(result) -> tuple:
+    """Status, pick and error of a result, to the bit."""
+    theta = None if result.theta is None else result.theta.tobytes()
+    error = None if result.error is None else (result.error.eps_pos, result.error.eps_rot)
+    return result.status, theta, error

@@ -16,11 +16,13 @@ checkout's (the working tree, uncommitted edits included):
 
 Per solve it compares the status, the sweep count, optimizer use, the
 optimizer iterations, the result's error (eps_pos, eps_rot; None for an
-unsolved query), the selected theta (np.array_equal) and every
-enumerated candidate, in order and bit for bit (`SolveDetail.candidates`,
-read through the robots' `solve_detailed`). It prints the
-number of differing solves and candidates per workload and exits 1 on
-any.
+unsolved query), the selected theta and every enumerated candidate, in
+order and bit for bit (`SolveDetail.candidates`, read through the
+robots' `solve_detailed`). Per workload it prints, apart, how many
+solves keep their outcome (status, pick and error, bit for bit) and how
+many differ in their work (sweeps, optimizer use or iterations) and
+candidates, so that a change that skips work on purpose can show that
+no pick moved. It exits 1 on any differing solve, outcome or work.
 
 Per workload it also prints what a change that moves records must
 account for: the solves lost and gained, the sweep, optimizer-iteration
@@ -148,13 +150,27 @@ def differing_candidates(a: list, b: list) -> int:
     return max(len(a), len(b)) - sum(map(same_bits, a, b))
 
 
+def same_pick(x, y) -> bool:
+    """Both unsolved, or the same selected theta bit for bit."""
+    return (x is None) == (y is None) and (x is None or same_bits(x, y))
+
+
+def outcome_differs(a, b) -> tuple[bool, bool, bool]:
+    """Whether the status, the pick and the error of two records of one solve differ."""
+    return a[0] != b[0], not same_pick(a[THETA], b[THETA]), a[4] != b[4]
+
+
+def work_differs(a, b) -> bool:
+    """Whether the sweeps, optimizer use, iterations or candidates of two records differ."""
+    return a[1:4] != b[1:4] or differing_candidates(a[CANDIDATES], b[CANDIDATES]) > 0
+
+
 def differing(theirs: list, ours: list) -> list:
     if len(theirs) != len(ours):
         return list(range(max(len(theirs), len(ours))))
     return [
         i for i, (a, b) in enumerate(zip(theirs, ours))
-        if a[:THETA] != b[:THETA] or not np.array_equal(a[THETA], b[THETA])
-        or differing_candidates(a[CANDIDATES], b[CANDIDATES])
+        if any(outcome_differs(a, b)) or work_differs(a, b)
     ]
 
 
@@ -163,7 +179,7 @@ def describe(a, b) -> str:
     if a is None or b is None:
         return "missing at REV" if a is None else "missing here"
     parts = [f"{name} {x!r} -> {y!r}" for name, x, y in zip(FIELDS, a, b) if x != y]
-    if not np.array_equal(a[THETA], b[THETA]):
+    if not same_pick(a[THETA], b[THETA]):
         if a[THETA] is None or b[THETA] is None:
             parts.append("theta present on one side only")
         else:
@@ -216,26 +232,39 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         theirs = records(export(args.rev, Path(tmp)))
     ours = records(ROOT / "src")
-    total = 0
+    total = outcomes = 0
     for name, mine in ours.items():
         diffs = differing(theirs[name], mine)
         total += len(diffs)
-        candidates = sum(len(r[CANDIDATES]) for r in mine)
-        moved = sum(
-            differing_candidates(a[CANDIDATES], b[CANDIDATES]) for a, b in zip(theirs[name], mine)
-        )
-        print(
-            f"{name:18s} {len(mine):5d} solves, {len(diffs)} differ;"
-            f" {candidates:6d} candidates, {moved} differ"
-        )
+        print(f"{name:18s} {len(mine):5d} solves, {len(diffs)} differ")
         if len(theirs[name]) == len(mine):
+            pairs = list(zip(theirs[name], mine))
+            flags = [outcome_differs(a, b) for a, b in pairs]
+            statuses, picks, errors = (sum(column) for column in zip(*flags)) if flags else (0, 0, 0)
+            changed = sum(map(any, flags))
+            outcomes += changed
+            candidates = sum(len(r[CANDIDATES]) for r in mine)
+            moved = sum(differing_candidates(a[CANDIDATES], b[CANDIDATES]) for a, b in pairs)
+            print(
+                f"  outcome: {len(mine) - changed} keep status, pick and error;"
+                f" {statuses} statuses, {picks} picks, {errors} errors differ"
+            )
+            print(
+                f"  work: {sum(work_differs(a, b) for a, b in pairs)} solves differ in sweeps,"
+                f" optimizer use, iterations or candidates; {candidates} candidates, {moved} differ"
+            )
             for line in accounting(theirs[name], mine):
                 print(f"  {line}")
+        else:
+            outcomes += len(diffs)
         for i in diffs[:SHOWN]:
             a = theirs[name][i] if i < len(theirs[name]) else None
             b = mine[i] if i < len(mine) else None
             print(f"  solve {i}: {describe(a, b)}")
-    print("same records" if total == 0 else f"{total} solves differ from {args.rev}")
+    print(
+        "same records" if total == 0
+        else f"{total} solves differ from {args.rev}, {outcomes} of them in status, pick or error"
+    )
     return 0 if total == 0 else 1
 
 
