@@ -157,10 +157,12 @@ def run_benchmark(
 ) -> list[BenchmarkReport]:
     """Solve every query under every mode; per-query failures are data.
 
-    Every solve uses the given model, in this process or in a worker.
+    Every solve uses the given model, in this process or in a worker:
+    at most one worker per query, and none for a single query.
     """
     reports = []
     items = list(enumerate(queries.queries))
+    workers = min(workers, len(items))
     for mode in modes:
         report = BenchmarkReport(robot=queries.robot, seed=queries.seed, mode=mode, eps_tol=eps_tol)
         solve = partial(_solve_query, model, mode.config(eps_tol))

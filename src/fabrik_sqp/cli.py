@@ -16,7 +16,7 @@ from . import benchmark as bench_mod
 from . import fabrik, kuka, solve_ik, tracking
 from .geometry import make_transform
 from .iktypes import DEFAULT_EPS_TOL, IKQuery, IKStatus, SolverConfig
-from .robots import RobotModel, get_model, load_model_file
+from .robots import RobotModel, get_model, json_numbers, load_model_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,8 +47,8 @@ def _pose_field(doc: dict, key: str, shape: tuple, what: str) -> np.ndarray:
     if key not in doc:
         raise CliError(f"pose file is missing field {key!r}")
     try:
-        value = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+        value = np.array(json_numbers(doc[key], f"pose field {key!r}"))
+    except ValueError as exc:  # not numbers, or ragged lists of them
         raise CliError(f"pose field {key!r} must be {what}") from exc
     if value.shape != shape:
         raise CliError(f"pose field {key!r} must be {what}")

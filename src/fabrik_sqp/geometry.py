@@ -129,14 +129,6 @@ def make_transform(rotation, translation) -> np.ndarray:
     return T
 
 
-def rotation_of(T) -> np.ndarray:
-    return np.asarray(T, dtype=float)[:3, :3]
-
-
-def translation_of(T) -> np.ndarray:
-    return np.asarray(T, dtype=float)[:3, 3]
-
-
 def rotation_defect(R) -> float:
     """Max absolute entry of R^T R - I (entrywise orthonormality defect),
     on Python floats; NaN when any entry is NaN."""

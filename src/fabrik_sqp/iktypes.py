@@ -102,10 +102,12 @@ def check_joint_vector(model: RobotModel, theta, name: str) -> np.ndarray:
     return theta
 
 
-def prepare_query(model: RobotModel, query: IKQuery) -> np.ndarray:
-    """The query's pose (checked when the query was built), once theta_init fits the model."""
-    check_joint_vector(model, query.theta_init, "theta_init")
-    return query.t_des
+def prepare_query(model: RobotModel, query: IKQuery) -> tuple[list, tuple]:
+    """The query as the solve reads it, once theta_init fits the model:
+    the pose (checked when the query was built) as its top three float
+    rows, and theta_init as a float tuple."""
+    reference = check_joint_vector(model, query.theta_init, "theta_init")
+    return query.t_des[:3].tolist(), tuple(reference.tolist())
 
 
 def l1_distance(a, b) -> float:

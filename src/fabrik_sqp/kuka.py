@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache, partial
 
-import numpy as np
-
 from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, norm, sub, unit, wrap_angle
 from .iktypes import IKQuery, l1_distance, prepare_query, select_candidate
@@ -33,10 +31,10 @@ _SIN_TOL = 1e-9
 DEFAULT_V_INIT = (0.0, 0.0, 1.0)
 
 
-def wrist_target(t_des: np.ndarray, model: RobotModel) -> tuple:
-    """Iteration target, 3 floats: EE position minus the flange link."""
+def wrist_target(rows, model: RobotModel) -> tuple:
+    """Iteration target, 3 floats: the EE position of the pose's rows minus the flange link."""
     l4 = float(model.link_lengths[3])
-    return tuple(p - l4 * z for _, _, z, p in t_des[:3].tolist())
+    return tuple(p - l4 * z for _, _, z, p in rows)
 
 
 @lru_cache(maxsize=8)
@@ -194,17 +192,16 @@ def wrist_angles(t04, r_des) -> list[tuple[float, float, float]]:
     ]
 
 
-def recover_candidates(p2, p3, t_des: np.ndarray, model: RobotModel) -> list[tuple]:
+def recover_candidates(p2, p3, rows, model: RobotModel) -> list[tuple]:
     """Every joint vector, a 7-tuple of floats, with its elbow at p2, its
-    wrist at p3 and the orientation of t_des: each arm branch, then each
-    wrist triple, unwrapped. Frame 4 extends the arm's frame 2 by links
-    3 and 4."""
-    r_des = t_des[:3].tolist()
+    wrist at p3 and the orientation of the desired pose, given as its top
+    three float rows: each arm branch, then each wrist triple, unwrapped.
+    Frame 4 extends the arm's frame 2 by links 3 and 4."""
     row3, row4 = model.dh[2:4]
     out = []
     for arm, t02 in arm_angles(p2, p3, model):
         t04 = dh_step(dh_step(t02, row3, arm[2]), row4, arm[3])
-        out.extend((*arm, *wrist) for wrist in wrist_angles(t04, r_des))
+        out.extend((*arm, *wrist) for wrist in wrist_angles(t04, rows))
     return out
 
 
@@ -291,11 +288,11 @@ class Branch:
 
     admissible = True  # the branch fixes no joint before its sweeps
 
-    def __init__(self, t_des: np.ndarray, theta_init, model: RobotModel):
-        self.t_des = t_des
-        self.theta_init = theta_init
+    def __init__(self, rows, reference, model: RobotModel):
+        self.rows = rows
+        self.reference = reference
         self.model = model
-        self.target = wrist_target(t_des, model)
+        self.target = wrist_target(rows, model)
         lateral = _lateral(self.reference_arms, DEFAULT_V_INIT)
         self.bend_axis = None if lateral is None else unit(cross(DEFAULT_V_INIT, lateral))
         self.start = fabrik.pre_bend(make_chain(model), axis=self.bend_axis)
@@ -303,8 +300,8 @@ class Branch:
     @cached_property
     def reference_arms(self) -> list[tuple]:
         """The reference elbow and wrist relative to the shoulder: the
-        one FK of theta_init per solve, up to the wrist frame 5."""
-        frames = fk_frames(self.model, self.theta_init[:5].tolist())
+        one FK of the reference per solve, up to the wrist frame 5."""
+        frames = fk_frames(self.model, self.reference[:5])
         return [sub([r[3] for r in frames[k]], self.model.shoulder) for k in (3, 5)]
 
     def floor(self, reference) -> float:
@@ -323,12 +320,12 @@ class Branch:
         # to mirror folds, and the warm-start fold keeps tracking
         # trajectories continuous
         seeds = seed_candidates_from_chain(seed_chain, model)
-        seeds.sort(key=partial(l1_distance, b=self.theta_init[:4].tolist()))
+        seeds.sort(key=partial(l1_distance, b=self.reference[:4]))
         results = []
         for seed in seeds[:12]:
             results.append(minimize(position, self.target, seed, bounds, stop))
             if results[-1].f <= stop:
-                th = results[-1].x.tolist()
+                th = results[-1].x
                 p3, _ = wrist_analytic(th, model)
                 return results, (elbow_position(model, th[0], th[1]), p3)
         return results, None
@@ -347,12 +344,12 @@ class Branch:
         if p2_ref is not None and max(abs(a - b) for a, b in zip(p2_ref, p2)) > 1e-9:
             elbows.append(p2_ref)
         for elbow in elbows:
-            yield from recover_candidates(elbow, p3, self.t_des, self.model)
+            yield from recover_candidates(elbow, p3, self.rows, self.model)
 
 
-def branches(t_des: np.ndarray, theta_init, model: RobotModel) -> list[Branch]:
+def branches(rows, reference, model: RobotModel) -> list[Branch]:
     """The one branch: the wrist chain."""
-    return [Branch(t_des, theta_init, model)]
+    return [Branch(rows, reference, model)]
 
 
 def solve_detailed(query: IKQuery, model: RobotModel):

@@ -10,9 +10,9 @@ rejected one multiplies it by 10, so the step moves between
 Gauss-Newton and a short gradient step; on the KUKA's rank-3 J^T J it
 is the damped-least-squares step. `minimize` takes the chain end's
 position map, the target, the start and the box; it clips the start
-into the box and checks nothing but the values it computes. The loop
-runs on Python floats (its sums are `math.fsum`s); the returned x is
-the one ndarray it builds.
+into the box and checks nothing but the values it computes. It runs on
+Python floats (its sums are `math.fsum`s) and returns x as a float
+tuple.
 """
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from math import fsum
 from operator import mul
-
-import numpy as np
 
 MAX_ITERS = 200  # accepted steps per run
 MU_INIT = 1e-3  # the first damping, relative to the largest diagonal entry of J^T J
@@ -40,13 +38,13 @@ class NonFiniteObjectiveError(RuntimeError):
     """The squared distance or its gradient is non-finite."""
 
     def __init__(self, x):
-        self.x = np.array(x, dtype=float)
-        super().__init__(f"objective returned a non-finite value at x={self.x.tolist()}")
+        self.x = tuple(x)
+        super().__init__(f"objective returned a non-finite value at x={list(self.x)}")
 
 
 @dataclass(frozen=True)
 class OptResult:
-    x: np.ndarray
+    x: tuple
     f: float
     iterations: int
     status: OptStatus
@@ -124,7 +122,7 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     iterations = 0
     while f > stop_value:
         if iterations == MAX_ITERS:
-            return OptResult(np.array(x), f, iterations, OptStatus.ITERATION_CAP)
+            return OptResult(tuple(x), f, iterations, OptStatus.ITERATION_CAP)
         cols = list(zip(*jac))
         g = [fsum(map(mul, c, r)) for c in cols]
         if not all(map(math.isfinite, g)):
@@ -154,9 +152,9 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
                     break
             mu *= 10.0
             if mu > MU_MAX:
-                return OptResult(np.array(x), f, iterations, OptStatus.STALLED)
+                return OptResult(tuple(x), f, iterations, OptStatus.STALLED)
         x, f, r, jac = trial, f_new, r_new, jac_new
         mu = max(mu / 10.0, MU_MIN)
         iterations += 1
     status = OptStatus.TOLERANCE_REACHED if f <= stop_value else OptStatus.STALLED
-    return OptResult(np.array(x), f, iterations, status)
+    return OptResult(tuple(x), f, iterations, status)

@@ -7,9 +7,11 @@ FABRIK sweeps from the branch's start chain and, when they miss,
 re-bends the swept chain and hands it to the robot's optimizer
 fallback. The branch recovers float tuples from its reduced solution in
 closed form, exactly; `solve` wraps them to [-pi, pi), filters them by
-the joint limits, selects one among the wrapped floats, builds one
-ndarray each for the SolveDetail, checks the pick's pose and turns it
-into the one IKResult. The robots differ only in their branches.
+the joint limits, selects one among the wrapped float tuples, checks
+the pick's pose and turns it into the one IKResult. The query is read
+once, by `prepare_query`, into float rows and a float tuple; the pick,
+as IKResult.theta, is the one ndarray the solve builds. The robots
+differ only in their branches.
 
 A branch is any object with:
 
@@ -17,7 +19,7 @@ A branch is any object with:
 - ``start``: the pre-bent chain the sweeps start from
 - ``bend_axis``: the axis that re-bends the optimizer's seed (None: fabrik's default)
 - ``floor(reference)``: a float no larger than the `l1_distance` from
-  the reference (a list of floats) of any candidate of the branch
+  the reference (a float tuple) of any candidate of the branch
 - ``admissible``: False when a joint the branch fixes before any sweep
   lies outside its limits, so no candidate of it can be admitted
 - ``from_chain(chain)``: the reduced solution of a converged chain
@@ -36,10 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fabrik
-from .geometry import cartesian_error, wrap_angle
+from .geometry import frame_error, wrap_angle
 from .iktypes import SELECT_TIE_TOL, IKQuery, IKResult, IKStatus, l1_distance
 from .optimizer import OptResult
-from .robots import RobotModel, forward_kinematics
+from .robots import RobotModel, fk_frames
 
 
 @dataclass
@@ -54,7 +56,7 @@ class SolveDetail:
     fabrik_iterations: int = 0
     optimizer_iterations: int = 0
     optimizer: OptResult | None = None  # the last optimizer run, in visiting order
-    candidates: list = field(default_factory=list)  # wrapped thetas, ndarrays, enumeration order
+    candidates: list = field(default_factory=list)  # wrapped thetas, float tuples, enumeration order
     admitted: list = field(default_factory=list)  # the candidates within the joint limits
 
     @property
@@ -67,8 +69,10 @@ def solve(
 ):
     """Solve one query; returns (IKResult, SolveDetail).
 
-    ``branches(t_des, theta_init, model)`` gives the robot's branches,
-    visited in (floor, enumeration index) order. A branch whose floor
+    ``prepare_query(model, query)`` gives the pose's top three float
+    rows and theta_init, the reference, as a float tuple, and
+    ``branches(rows, reference, model)`` the robot's branches, visited
+    in (floor, enumeration index) order. A branch whose floor
     exceeds the nearest admitted distance so far by more than
     SELECT_TIE_TOL is skipped: ``select_candidate(distances)`` picks the
     first admitted candidate within that tolerance of the nearest, so
@@ -78,7 +82,7 @@ def solve(
     leaves unconverged goes to the branch's optimizer when the config
     enables it. Every candidate of every reduced solution is recorded,
     and those within the joint limits are admitted. Recovery is exact,
-    so only the pick gets a pose check: ``pose_mismatch(model, theta,
+    so only the pick gets a pose check: ``pose_mismatch(model, pick,
     t_des)`` at most eps. The solvers pass the helpers they import,
     which is where the benchmark's layer trace hooks them. A pick that
     misses, or no pick, is FAILED when some branch was reachable,
@@ -86,13 +90,12 @@ def solve(
     candidate, so some branch was reachable).
     """
     start = time.perf_counter()
-    t_des = prepare_query(model, query)
+    rows, reference = prepare_query(model, query)
     config = query.config
     eps = config.eps_tol
     cap = config.fabrik_cap(model.name)
-    reference = query.theta_init.tolist()
     detail = SolveDetail()
-    enumerated = list(branches(t_des, query.theta_init, model))
+    enumerated = list(branches(rows, reference, model))
     detail.branches = len(enumerated)
     recovered = [()] * len(enumerated)  # per branch: (wrapped theta, distance or None)
     nearest = math.inf  # the distance of the nearest candidate admitted so far
@@ -121,7 +124,7 @@ def solve(
             continue
         recovered[index] = found = []
         for raw in branch.candidates(reduced):
-            wrapped = [wrap_angle(t) for t in raw]
+            wrapped = tuple(map(wrap_angle, raw))
             d = l1_distance(wrapped, reference) if model.within_limits(wrapped) else None
             found.append((wrapped, d))
             if d is not None and d < nearest:
@@ -129,19 +132,17 @@ def solve(
     distances = []  # of detail.admitted, which the selection reads
     for found in recovered:
         for wrapped, d in found:
-            detail.candidates.append(np.array(wrapped))
+            detail.candidates.append(wrapped)
             if d is not None:
-                detail.admitted.append(detail.candidates[-1])
+                detail.admitted.append(wrapped)
                 distances.append(d)
     pick = select_candidate(distances)
+    status = IKStatus.FAILED if detail.reachable else IKStatus.UNREACHABLE
     theta = error = None
-    if pick is not None and pose_mismatch(model, detail.admitted[pick], t_des) <= eps:
-        theta = detail.admitted[pick]
-    if theta is None:
-        status = IKStatus.FAILED if detail.reachable else IKStatus.UNREACHABLE
-    else:
-        status = IKStatus.SOLVED
-        error = cartesian_error(forward_kinematics(model, theta), t_des)
+    if pick is not None and pose_mismatch(model, detail.admitted[pick], query.t_des) <= eps:
+        pick = detail.admitted[pick]
+        status, theta = IKStatus.SOLVED, np.array(pick)
+        error = frame_error(fk_frames(model, pick)[-1], rows)
     elapsed = time.perf_counter() - start
     counters = (detail.fabrik_iterations, detail.optimizer_used, detail.optimizer_iterations)
     return IKResult(status, theta, error, *counters, elapsed), detail

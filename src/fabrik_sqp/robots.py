@@ -241,16 +241,32 @@ def get_model(name: str) -> RobotModel:
     raise ValueError(f"unknown robot {name!r} (expected 'ur5' or 'kuka')")
 
 
+def json_number(value, what: str) -> float:
+    """A number read from JSON, as a float; ValueError for an integer beyond the float
+    range and for any other value, a bool or a string too (float() reads "1" as 1.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a number within the float range") from None
+
+
+def json_numbers(value, what: str):
+    """A JSON number, or nested lists of them, read by `json_number`."""
+    if isinstance(value, list):
+        return [json_numbers(v, what) for v in value]
+    return json_number(value, what)
+
+
 def _dh_row(row) -> DHRow:
     """One DH row from its JSON object; theta_offset is optional."""
     if not isinstance(row, dict):
         raise ValueError("robot JSON field 'dh' must be a list of objects")
-    values = {}
-    for key in ("a", "alpha", "d", "theta_offset"):
-        value = row.get(key, 0.0 if key == "theta_offset" else None)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"DH field {key!r} must be a number, got {value!r}")
-        values[key] = float(value)
+    values = {
+        key: json_number(row.get(key, 0.0 if key == "theta_offset" else None), f"DH field {key!r}")
+        for key in ("a", "alpha", "d", "theta_offset")
+    }
     return DHRow(**values)
 
 
@@ -266,11 +282,7 @@ def model_from_json(text: str) -> RobotModel:
     if not isinstance(doc["dh"], list):
         raise ValueError("robot JSON field 'dh' must be a list of objects")
     dh = tuple(_dh_row(row) for row in doc["dh"])
-    try:
-        limits = np.asarray(doc["limits"], dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"robot JSON field 'limits' must hold numbers: {exc}") from exc
-    return RobotModel(name, dh, limits)
+    return RobotModel(name, dh, json_numbers(doc["limits"], "robot JSON 'limits' entry"))
 
 
 def model_to_json(model: RobotModel) -> str:

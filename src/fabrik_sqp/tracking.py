@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmark import write_csv
-from .geometry import dot, make_transform, rotation_of, translation_of, wrap_angle
+from .geometry import dot, make_transform, wrap_angle
 from .iktypes import IKQuery, IKResult, IKStatus, SolverConfig, check_joint_vector
 from .robots import KUKA, UR5, RobotModel, fk_frames, forward_kinematics
 
@@ -76,9 +76,8 @@ def phase1_poses(model: RobotModel, theta_init, points) -> list[np.ndarray]:
     the line point plus the initial offset.
     """
     t0 = forward_kinematics(model, theta_init)
-    offset = translation_of(t0) - reduced_end_position(model, theta_init)
-    rot = rotation_of(t0)
-    return [make_transform(rot, np.asarray(p, dtype=float) + offset) for p in points]
+    offset = t0[:3, 3] - reduced_end_position(model, theta_init)
+    return [make_transform(t0[:3, :3], np.asarray(p, dtype=float) + offset) for p in points]
 
 
 def build_phase2_path(model: RobotModel, theta_start, theta_end, n_points: int = 100):

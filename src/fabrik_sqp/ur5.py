@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-import numpy as np
-
 from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, signed_angle, unit, wrap_angle
 from .iktypes import IKQuery, prepare_query, select_candidate
@@ -32,10 +30,10 @@ _DEGENERATE_WRIST_TOL = 1e-8
 GAP_MARGIN = 1e-12  # m: far above the rounding of `elbow_gap` and of the optimizer's f
 
 
-def wrist_position(t_des: np.ndarray, model: RobotModel) -> tuple:
-    """Wrist point in the base frame, 3 floats: EE position minus the flange link."""
+def wrist_position(rows, model: RobotModel) -> tuple:
+    """Wrist point, 3 floats: the EE position of the pose's rows minus the flange link."""
     l6 = float(model.link_lengths[5])
-    return tuple(p - l6 * z for _, _, z, p in t_des[:3].tolist())
+    return tuple(p - l6 * z for _, _, z, p in rows)
 
 
 def theta1_candidates(p_w, model: RobotModel) -> list[float]:
@@ -74,11 +72,11 @@ class PlanarFrame:
         return fk_frames(self.model, (self.theta1, 0.0, 0.0))[-1]
 
 
-def planar_frame(theta1: float, t_des: np.ndarray, p_w, model: RobotModel) -> PlanarFrame:
+def planar_frame(theta1: float, rows, p_w, model: RobotModel) -> PlanarFrame:
     s1, c1 = math.sin(theta1), math.cos(theta1)
     z2d = (s1, -c1, 0.0)
     v_init = (-c1, -s1, 0.0)
-    (_, y0, z0, _), (_, y1, z1, _), (_, y2, z2, _) = t_des[:3].tolist()
+    (_, y0, z0, _), (_, y1, z1, _), (_, y2, z2, _) = rows
     l6d = unit((z0, z1, z2))
     k = dot(z2d, p_w)
     p_w_proj = (p_w[0] - k * s1, p_w[1] + k * c1, p_w[2])
@@ -146,7 +144,7 @@ def elbow_optimize(
     model: RobotModel,
     bounds,
     stop_value: float,
-) -> tuple[OptResult, list | None]:
+) -> tuple[OptResult, tuple | None]:
     """Optimize (theta2, theta3) in `bounds`, two (lo, hi) rows: the run and
     its x as floats, or None in place of x above the stop value.
 
@@ -159,10 +157,10 @@ def elbow_optimize(
         x = clip(seeds, *zip(*bounds))
         tip = elbow_analytic(x, theta1, model)[0]
         f = math.fsum((a - b) ** 2 for a, b in zip(tip, target))
-        return OptResult(np.array(x), f, 0, OptStatus.STALLED), None
+        return OptResult(tuple(x), f, 0, OptStatus.STALLED), None
     position = partial(elbow_analytic, theta1=theta1, model=model)
     result = minimize(position, target, seeds, bounds, stop_value)
-    return result, None if result.f > stop_value else result.x.tolist()
+    return result, None if result.f > stop_value else result.x
 
 
 def fold_variants(theta2: float, theta3: float, model: RobotModel) -> list[tuple[float, float]]:
@@ -181,9 +179,7 @@ def fold_variants(theta2: float, theta3: float, model: RobotModel) -> list[tuple
     return [(theta2, theta3), (theta2 + turn, -theta3)]
 
 
-def wrist_angles(
-    frame: PlanarFrame, l5d, t_des: np.ndarray, model: RobotModel
-) -> tuple[float, float, float]:
+def wrist_angles(frame: PlanarFrame, l5d, rows, model: RobotModel) -> tuple[float, float, float]:
     """(theta2 + theta3 + theta4, theta5, theta6), shared by every
     (theta2, theta3) of the branch: the wrist rotation depends on joints
     2-4 only through their sum. Frame 5 at (theta1, 0, 0, theta234,
@@ -192,7 +188,7 @@ def wrist_angles(
     theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
     row4, row5 = model.dh[3:5]
     x5 = [r[0] for r in dh_step(dh_step(frame.t03, row4, theta234), row5, theta5)]
-    x_des = [r[0] for r in t_des[:3].tolist()]
+    x_des = [r[0] for r in rows]
     return theta234, theta5, signed_angle(x5, x_des, frame.l6d)
 
 
@@ -211,14 +207,14 @@ class Branch:
     it and kept in ``plane_start``, a one-slot list the plane's risers
     share."""
 
-    def __init__(self, frame: PlanarFrame, l5d, t_des: np.ndarray, bend_axis, plane_start, model):
+    def __init__(self, frame: PlanarFrame, l5d, rows, bend_axis, plane_start, model):
         self.frame = frame
         self.l5d = l5d
         self.bend_axis = bend_axis
         self.plane_start = plane_start
         self.model = model
         self.target = iteration_target(frame, l5d, model)
-        self.wrist = wrist_angles(frame, l5d, t_des, model)
+        self.wrist = wrist_angles(frame, l5d, rows, model)
         # (index, angle) of the joints every candidate shares, wrapped as the filter wraps them
         _, theta5, theta6 = self.wrist
         self.fixed = ((0, wrap_angle(frame.theta1)), (4, wrap_angle(theta5)), (5, wrap_angle(theta6)))
@@ -267,17 +263,17 @@ class Branch:
             yield recover_angles(self.frame.theta1, *fold, self.wrist)
 
 
-def branches(t_des: np.ndarray, theta_init, model: RobotModel):
-    """The two wrist-riser branches of each distinct theta1 candidate; both
-    share their plane's chain, pre-bent toward the reference fold and
-    laid out when it is first read."""
-    p_w = wrist_position(t_des, model)
+def branches(rows, reference, model: RobotModel):
+    """The two wrist-riser branches of each distinct theta1 candidate of
+    the pose's top three float rows; both share their plane's chain,
+    pre-bent toward the reference fold and laid out when it is first read."""
+    p_w = wrist_position(rows, model)
     for theta1 in dedup_angles(theta1_candidates(p_w, model)):
-        frame = planar_frame(theta1, t_des, p_w, model)
-        axis = frame.z2d if theta_init[2] >= 0.0 else _negated(frame.z2d)
+        frame = planar_frame(theta1, rows, p_w, model)
+        axis = frame.z2d if reference[2] >= 0.0 else _negated(frame.z2d)
         plane_start = []
         for l5d in frame.l5d_options:
-            yield Branch(frame, l5d, t_des, axis, plane_start, model)
+            yield Branch(frame, l5d, rows, axis, plane_start, model)
 
 
 def solve_detailed(query: IKQuery, model: RobotModel):

@@ -138,7 +138,7 @@ def golden_kuka_pose(golden_kuka_pose_raw, kuka_model):
     l2, l3 = model.link_lengths[1], model.link_lengths[2]
     r_ref = np.sqrt(l2 * l2 + l3 * l3 + 2 * l2 * l3 * np.cos(KUKA_REF_ELBOW_BEND))
     shoulder = np.array([0.0, 0.0, model.link_lengths[0]])
-    d = kuka.wrist_target(t, model) - shoulder
+    d = kuka.wrist_target(t[:3].tolist(), model) - shoulder
     shift = (float(np.linalg.norm(d)) - r_ref) * d / float(np.linalg.norm(d))
     t[:3, 3] = t[:3, 3] - shift
     return t

@@ -159,7 +159,7 @@ class TestCriterion2GoldenKuka:
         query = IKQuery(t_des=golden_kuka_pose, theta_init=KUKA_REF_THETA, config=SolverConfig(sweep_cap=15))
         _, detail = kuka.solve_detailed(query, kuka_model)
         deviations = [
-            np.abs(c[[0, 1, 3, 5, 6]]) - np.abs(KUKA_REF_THETA[[0, 1, 3, 5, 6]])
+            np.abs(np.array(c)[[0, 1, 3, 5, 6]]) - np.abs(KUKA_REF_THETA[[0, 1, 3, 5, 6]])
             for c in detail.admitted
         ]
         best = min(float(np.max(np.abs(d))) for d in deviations)

@@ -42,7 +42,7 @@ class TestGenerateQueries:
         reach = float(np.sum(kuka_model.link_lengths[1:3]))
         for t_des, theta_init in qs.queries:
             assert kuka_model.within_limits(theta_init)
-            target = kuka_mod.wrist_target(t_des, kuka_model)
+            target = kuka_mod.wrist_target(t_des[:3].tolist(), kuka_model)
             assert np.linalg.norm(target - shoulder) <= reach * (1 + 1e-12)
 
     def test_requested_count(self, ur5_model):
@@ -102,6 +102,31 @@ class TestRunBenchmark:
                 assert b.theta is None
             else:
                 assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("n, workers, pool", [(1, 8, None), (3, 8, 3), (5, 2, 2), (4, 1, None)])
+    def test_workers_capped_by_the_queries(self, kuka_model, monkeypatch, n, workers, pool):
+        # under fork, ProcessPoolExecutor starts all max_workers processes at
+        # the first submit; a stand-in pool records the size it is asked for
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(bm, "ProcessPoolExecutor", Pool)
+        queries = bm.generate_queries(kuka_model, n, seed=5)
+        report = bm.run_benchmark(kuka_model, queries, [bm.parse_mode("fabrik:50")], workers=workers)[0]
+        assert asked == ([] if pool is None else [pool])
+        assert [r.query_id for r in report.records] == list(range(n))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solves_with_the_given_model(self, ur5_model, workers):

@@ -68,8 +68,19 @@ class TestSolveCommand:
             ("{not json", "pose file is not valid JSON"),
             ('{"position": [0, 0], "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}', "'position' must be a list of 3"),
             ('{"position": [0, 0, 0], "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}', "'rotation' must be a 3x3"),
+            ('{"position": ["0.3", 0, 0.2], "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+             "'position' must be a list of 3"),
+            ('{"position": [0.3, true, 0.2], "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+             "'position' must be a list of 3"),
+            ('{"position": [0, 0, 0], "rotation": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}', "'rotation' must be a 3x3"),
+            ('{"position": [0, 0, 0], "rotation": [[1, 0, 0], [0, 1, 0], [0, 0]]}', "'rotation' must be a 3x3"),
+            ('{"position": [1%s, 0, 0], "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}' % ("0" * 400),
+             "'position' must be a list of 3"),
         ],
-        ids=["missing-file", "not-json", "short-position", "flat-rotation"],
+        ids=[
+            "missing-file", "not-json", "short-position", "flat-rotation", "string-position",
+            "bool-position", "bool-rotation", "ragged-rotation", "huge-integer-position",
+        ],
     )
     def test_bad_pose_file_exit_one(self, tmp_path, capsys, text, match):
         path = tmp_path / "pose.json"
@@ -256,6 +267,24 @@ class TestBenchCommand:
         assert "finite" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
+    @pytest.mark.parametrize("limit", [[False, True], ["-1", "1"]], ids=["bool-limit", "string-limit"])
+    def test_non_number_model_limit_exit_one(self, tmp_path, capsys, limit):
+        doc = json.loads(model_to_json(get_model("ur5")))
+        doc["limits"][1] = limit
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(doc))
+        code = cli.main(
+            [
+                "bench", "--robot", "ur5", "--model", str(model_file), "--n", "4",
+                "--out-prefix", str(tmp_path / "bench"), "--workers", "1",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load robot model") and err.count("\n") == 1
+        assert "must be a number" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
     def test_same_seed_same_counts(self, tmp_path, capsys):
         args = [
             "bench", "--robot", "kuka", "--n", "8", "--seed", "5",
@@ -288,6 +317,16 @@ class TestBenchCommand:
         iterations = [int(row["opt_iters"]) for row in rows]
         assert iterations == [r.opt_iters for r in kuka_default.records]
         assert sum(iterations) > 0
+
+    def test_one_query_starts_no_worker_pool(self, tmp_path, capsys, monkeypatch):
+        # the default --workers is one per CPU; a single query runs in-process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(bm, "ProcessPoolExecutor", no_pool)
+        argv = ["bench", "--robot", "kuka", "--n", "1", "--workers", "64"]
+        assert cli.main(argv + ["--out-prefix", str(tmp_path / "b")]) == 0
+        assert cli.main(["bench", "--robot", "kuka", "--n", "1", "--out-prefix", str(tmp_path / "c")]) == 0
 
     @pytest.mark.parametrize("modes", [",", " , "])
     def test_empty_mode_list_exit_one(self, tmp_path, capsys, modes):

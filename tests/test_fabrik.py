@@ -509,7 +509,7 @@ class TestChainFormat:
         assert chain.reach is built.reach and chain.can_clamp is built.can_clamp
 
     def test_every_built_chain_holds_float_rows(self, ur5_model, kuka_model):
-        frame = ur5.planar_frame(0.3, np.eye(4), np.zeros(3), ur5_model)
+        frame = ur5.planar_frame(0.3, np.eye(4)[:3].tolist(), np.zeros(3), ur5_model)
         built = [
             two_link_chain(),
             fabrik.lay_out_chain(np.zeros(3), np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.5]),

@@ -23,17 +23,17 @@ class TestWristTarget:
         lengths = kuka_model.link_lengths
         t = make_transform(np.eye(3), [0.0, 0.0, float(np.sum(lengths))])
         want = [0.0, 0.0, float(np.sum(lengths[:3]))]
-        assert np.allclose(kuka.wrist_target(t, kuka_model), want, atol=1e-12)
+        assert np.allclose(kuka.wrist_target(t[:3].tolist(), kuka_model), want, atol=1e-12)
 
     def test_flipped_tool(self, kuka_model):
         l4 = kuka_model.link_lengths[3]
         t = make_transform(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 0.0])
-        assert np.allclose(kuka.wrist_target(t, kuka_model), [0.0, 0.0, l4], atol=1e-15)
+        assert np.allclose(kuka.wrist_target(t[:3].tolist(), kuka_model), [0.0, 0.0, l4], atol=1e-15)
 
     def test_matches_independent_script(self, kuka_model, golden_kuka_pose):
         t = golden_kuka_pose
         want = t[:3, 3] - t[:3, :3] @ np.array([0.0, 0.0, kuka_model.link_lengths[3]])
-        assert np.allclose(kuka.wrist_target(t, kuka_model), want, atol=1e-15)
+        assert np.allclose(kuka.wrist_target(t[:3].tolist(), kuka_model), want, atol=1e-15)
 
 
 class TestCachedChain:
@@ -187,7 +187,7 @@ class TestAngleRecovery:
             theta = rng.uniform(-math.pi, math.pi, 7)
             t_des = forward_kinematics(kuka_model, theta)
             frames = fk_arrays(kuka_model, theta)
-            cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des, kuka_model)
+            cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des[:3].tolist(), kuka_model)
             best = min(pose_mismatch(kuka_model, c, t_des) for c in cands)
             if best <= 1e-9:
                 hits += 1
@@ -200,7 +200,7 @@ class TestAngleRecovery:
         theta = np.array([0.3, 0.7, -0.4, 1.1, 0.5, -0.8, 0.0])
         t_des = forward_kinematics(kuka_model, theta)
         frames = fk_arrays(kuka_model, theta)
-        cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des, kuka_model)
+        cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des[:3].tolist(), kuka_model)
         match = min(cands, key=lambda c: float(np.max(np.abs(c - theta))))
         assert match[6] == pytest.approx(0.0, abs=1e-9)
 
@@ -210,7 +210,7 @@ class TestAngleRecovery:
             theta = rng.uniform(-math.pi, math.pi, 7)
             t_des = forward_kinematics(kuka_model, theta)
             frames = fk_arrays(kuka_model, theta)
-            cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des, kuka_model)
+            cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des[:3].tolist(), kuka_model)
             for c in cands:
                 assert pose_mismatch(kuka_model, c, t_des) <= 1e-9
             assert len(cands) == 8

@@ -77,7 +77,8 @@ class TestMinimize:
         result = minimize(position, ORIGIN, np.array([2.0, -3.0]), np.array([[0.0, 1.0], [-1.0, 1.0]]), 1e-12)
         assert np.array_equal(evals[0], [1.0, -1.0])
         assert result.status is OptStatus.TOLERANCE_REACHED
-        assert np.all(result.x >= [0.0, -1.0]) and np.all(result.x <= [1.0, 1.0])
+        x = np.array(result.x)
+        assert np.all(x >= [0.0, -1.0]) and np.all(x <= [1.0, 1.0])
 
     def test_clip_keeps_the_bound_on_signed_zeros(self):
         # as np.clip: +0.0 over a -0.0 start at lo = 0.0, and -0.0 over a
@@ -100,16 +101,18 @@ class TestMinimize:
 
         with pytest.raises(NonFiniteObjectiveError) as info:
             minimize(bad, np.zeros(1), np.array([0.5]), np.array([[-1.0, 1.0]]), 1e-9)
-        assert info.value.x.shape == (1,)
+        assert np.array(info.value.x).shape == (1,)
 
     def test_results_own_their_x(self):
-        # the iterates are float lists; each result builds its own x
+        # the iterates are float lists; each result holds its own x, a float tuple
         a = minimize(identity, np.array([1.0, -1.0]), ORIGIN, BOX, 1e-12)
         b = minimize(identity, np.array([1.0, -1.0]), ORIGIN, BOX, 1e-12)
         c = minimize(rosenbrock_residual, ORIGIN, np.array([-1.2, 1.0]), BOX, 1e-14)
         assert a.iterations >= 1
         for x, y in ((a.x, b.x), (a.x, c.x), (b.x, c.x)):
             assert not np.shares_memory(x, y)
+        for x in (a.x, b.x, c.x):
+            assert type(x) is tuple and all(type(v) is float for v in x)
 
     def test_deterministic(self, monkeypatch):
         monkeypatch.setattr(optimizer, "MAX_ITERS", 500)

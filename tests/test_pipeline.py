@@ -1,4 +1,5 @@
-"""The shared solve pipeline: status rule, counters and input boundary."""
+"""The shared solve pipeline: status rule, counters, format and input boundary."""
+import ast
 import importlib.util
 import math
 import time
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import fabrik_sqp
-from fabrik_sqp import benchmark, kuka, optimizer, pipeline, solve_ik, ur5
-from fabrik_sqp.geometry import make_transform, polar_rotation, wrap_angle
+from fabrik_sqp import benchmark, kuka, optimizer, pipeline, robots, solve_ik, ur5
+from fabrik_sqp.geometry import cartesian_error, make_transform, polar_rotation, wrap_angle
 from fabrik_sqp.iktypes import (
     SELECT_TIE_TOL,
     IKQuery,
@@ -19,7 +20,7 @@ from fabrik_sqp.iktypes import (
     prepare_query,
     select_candidate,
 )
-from fabrik_sqp.robots import pose_mismatch
+from fabrik_sqp.robots import forward_kinematics, pose_mismatch
 
 SOLVERS = [(ur5, "ur5_model"), (kuka, "kuka_model")]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -89,7 +90,7 @@ class TestStatusRule:
             detail.optimizer_used,
             detail.optimizer_iterations,
         )
-        assert any(theta is result.theta for theta in detail.admitted)
+        assert any(np.array(theta).tobytes() == result.theta.tobytes() for theta in detail.admitted)
         in_limits = [theta for theta in detail.candidates if model.within_limits(theta)]
         assert [id(theta) for theta in detail.admitted] == [id(theta) for theta in in_limits]
         assert pose_mismatch(model, result.theta, query.t_des) <= SolverConfig().eps_tol
@@ -100,7 +101,7 @@ class TestStatusRule:
         for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
             _, detail = module.solve_detailed(IKQuery(t_des=t_des, theta_init=theta_init), model)
             for theta in detail.candidates:
-                assert np.all((theta >= -math.pi) & (theta < math.pi))
+                assert all(-math.pi <= t < math.pi for t in theta)
             seen += len(detail.candidates)
         assert seen > 0
 
@@ -128,7 +129,7 @@ class TestStatusRule:
             raw += [theta for _, theta in sorted(solve, key=lambda pair: pair[0])]
         assert len(raw) == len(wrapped) > 0
         for theta, got in zip(raw, wrapped):
-            assert got.tobytes() == wrap_angle(np.asarray(theta)).tobytes()
+            assert np.array(got).tobytes() == wrap_angle(np.asarray(theta)).tobytes()
 
     def test_solved_checks_only_the_pick(self, solver, monkeypatch):
         module, model = solver
@@ -142,7 +143,8 @@ class TestStatusRule:
         result, detail = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
         assert result.status is IKStatus.SOLVED
         assert len(detail.admitted) > 1
-        assert len(checked) == 1 and checked[0] is result.theta
+        assert len(checked) == 1 and any(checked[0] is theta for theta in detail.admitted)
+        assert np.array(checked[0]).tobytes() == result.theta.tobytes()
 
     def test_pick_that_misses_fails(self, solver, monkeypatch):
         module, model = solver
@@ -161,16 +163,62 @@ class TestStatusRule:
 
     def test_solve_time_covers_the_picks_error(self, solver, monkeypatch):
         module, model = solver
-        error_of = pipeline.cartesian_error
+        error_of = pipeline.frame_error
 
         def slow(*args):
             time.sleep(0.005)
             return error_of(*args)
 
-        monkeypatch.setattr(pipeline, "cartesian_error", slow)
+        monkeypatch.setattr(pipeline, "frame_error", slow)
         result, _ = module.solve_detailed(_first_seeded_query(model, SolverConfig()), model)
         assert result.status is IKStatus.SOLVED
         assert result.solve_time >= 0.005
+
+
+class TestFloatFormat:
+    """Floats inside, ndarrays only at the edge: the detail holds float
+    tuples, and the pick, as IKResult.theta, is the one ndarray a solve
+    builds."""
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["default-limits", "tight-limits"])
+    def test_detail_holds_floats_and_the_pick_is_an_ndarray(self, solver, tight):
+        module, model = solver
+        if tight:
+            model = getattr(robots, f"{model.name}_model")(np.tile([-0.5, 0.5], (model.dof, 1)))
+        solved = optimized = 0
+        for t_des, theta_init in benchmark.generate_queries(model, 30, 7).queries:
+            query = IKQuery(t_des=t_des, theta_init=theta_init)
+            result, detail = module.solve_detailed(query, model)
+            for theta in detail.candidates:
+                assert type(theta) is tuple and len(theta) == model.dof
+                assert all(type(t) is float for t in theta)
+            if detail.optimizer is not None:
+                optimized += 1
+                assert type(detail.optimizer.x) is tuple
+                assert all(type(t) is float for t in detail.optimizer.x)
+            if result.status is not IKStatus.SOLVED:
+                assert result.theta is None
+                continue
+            solved += 1
+            reference = tuple(theta_init.tolist())
+            pick = select_candidate([l1_distance(theta, reference) for theta in detail.admitted])
+            assert type(result.theta) is np.ndarray and result.theta.dtype == np.float64
+            assert result.theta.tobytes() == np.array(detail.admitted[pick]).tobytes()
+            want = cartesian_error(forward_kinematics(model, result.theta), query.t_des)
+            got, want = (np.array([e.eps_pos, e.eps_rot]) for e in (result.error, want))
+            assert got.tobytes() == want.tobytes()
+        assert solved > 0 and optimized > 0
+
+    @pytest.mark.parametrize("name", ["ur5", "kuka", "optimizer"])
+    def test_solve_path_module_imports_no_numpy(self, name):
+        tree = ast.parse(Path(fabrik_sqp.__file__).with_name(f"{name}.py").read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append(node.module)
+        assert imported and not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
 class TestHookLookup:
@@ -343,7 +391,9 @@ class TestInputBoundary:
         assert not query.t_des.flags.writeable
         t[0, 3] += 1.0
         assert query.t_des[0, 3] == t_des[0, 3]
-        assert prepare_query(model, query) is query.t_des
+        rows, reference = prepare_query(model, query)
+        assert np.array(rows).tobytes() == query.t_des[:3].tobytes()
+        assert np.array(reference).tobytes() == query.theta_init.tobytes()
 
     def test_query_keeps_its_own_read_only_reference(self, solver):
         _, model = solver
@@ -411,13 +461,19 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize(
         "case, match",
-        [("wrong-length", "theta_init must have"), ("out-of-limit", "within the joint limits")],
+        [
+            ("wrong-length", "theta_init must have"),
+            ("0-d", "theta_init must have"),
+            ("out-of-limit", "within the joint limits"),
+        ],
     )
     def test_invalid_theta_init_rejected(self, solver, case, match):
         _, model = solver
         t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
         if case == "wrong-length":
             theta_init = theta_init[:-1]
+        elif case == "0-d":
+            theta_init = np.float64(theta_init[0])
         else:
             theta_init = theta_init.copy()
             theta_init[0] = model.joint_limits[0, 1] + 0.1

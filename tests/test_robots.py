@@ -261,6 +261,29 @@ class TestModelData:
                 ur5_model(limits)
 
     @pytest.mark.parametrize(
+        "limit",
+        [[False, True], ["-1", "1"], [-1.0, "1"], [None, 1.0], {"lo": -1.0, "hi": 1.0}],
+        ids=["bools", "strings", "one-string", "null", "object"],
+    )
+    def test_non_number_limits_rejected(self, limit):
+        # float() would read false as 0.0 and "1" as 1.0
+        doc = json.loads(model_to_json(ur5_model()))
+        doc["limits"][2] = limit
+        with pytest.raises(ValueError, match="robot JSON 'limits' entry must be a number"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", ["limits", "dh"])
+    def test_integer_beyond_the_float_range_rejected(self, where):
+        # float() raises OverflowError on it, which no caller handles
+        doc = json.loads(model_to_json(ur5_model()))
+        if where == "limits":
+            doc["limits"][2][1] = 10**400
+        else:
+            doc["dh"][2]["d"] = 10**400
+        with pytest.raises(ValueError, match="must be a number within the float range"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
         "robot, dh, match",
         [
             ("ur5", "abc", "'dh' must be a list of objects"),
@@ -268,10 +291,14 @@ class TestModelData:
             ("ur5", [{"a": 0.0, "alpha": 0.0}] * 6, "'d' must be a number"),
             ("kuka", [{"a": "0", "alpha": 0.0, "d": 0.1}] * 7, "'a' must be a number"),
             ("kuka", [{"a": 0.0, "alpha": True, "d": 0.1}] * 7, "'alpha' must be a number"),
+            ("ur5", [{"a": 0.0, "alpha": 0.0, "d": [0.1]}] * 6, "'d' must be a number"),
             ("ur5", [{"a": 0.0, "alpha": 0.0, "d": 0.1}], "ur5 needs 6 DH rows, got 1"),
             ("kuka", [{"a": 0.0, "alpha": 0.0, "d": 0.1}] * 6, "kuka needs 7 DH rows, got 6"),
         ],
-        ids=["dh-string", "dh-numbers", "missing-d", "string-a", "bool-alpha", "ur5-one-row", "kuka-six-rows"],
+        ids=[
+            "dh-string", "dh-numbers", "missing-d", "string-a", "bool-alpha", "list-d",
+            "ur5-one-row", "kuka-six-rows",
+        ],
     )
     def test_malformed_dh_rejected(self, robot, dh, match):
         doc = {"name": robot, "dh": dh, "limits": [[-1.0, 1.0]] * len(dh)}
@@ -487,7 +514,7 @@ class TestReducedChainLayOut:
         with pytest.raises(ValueError, match="must each be at least"):
             model_from_json(_table("ur5", row, "a", -small * (1.0 - 1e-6)))
         for theta1 in np.linspace(-math.pi, math.pi, 721).tolist():
-            frame = ur5.planar_frame(theta1, np.eye(4), np.zeros(3), model)
+            frame = ur5.planar_frame(theta1, np.eye(4)[:3].tolist(), np.zeros(3), model)
             self._same_as_checked(ur5.make_chain(frame, model, None), model, frame.v_init)
             bent = np.array(ur5.make_chain(frame, model, frame.z2d).positions)
             laid = np.linalg.norm(np.diff(bent, axis=0), axis=1)

@@ -46,7 +46,7 @@ class TestPhase1Path:
         pts = tracking.build_phase1_path(kuka_model, theta_init, 7)
         poses = tracking.phase1_poses(kuka_model, theta_init, pts)
         for p, pose in zip(pts, poses):
-            assert np.allclose(kuka_mod.wrist_target(pose, kuka_model), p, atol=1e-9)
+            assert np.allclose(kuka_mod.wrist_target(pose[:3].tolist(), kuka_model), p, atol=1e-9)
 
 
 class TestPhase2Path:

@@ -17,18 +17,18 @@ class TestWristPosition:
     def test_identity_pose_at_flange_height(self, ur5_model):
         l6 = ur5_model.link_lengths[5]
         t = make_transform(np.eye(3), [0.0, 0.0, l6])
-        assert np.allclose(ur5.wrist_position(t, ur5_model), [0.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(ur5.wrist_position(t[:3].tolist(), ur5_model), [0.0, 0.0, 0.0], atol=1e-15)
 
     def test_flipped_tool_axis(self, ur5_model):
         l6 = ur5_model.link_lengths[5]
         r = np.diag([1.0, -1.0, -1.0])  # pi about x
         t = make_transform(r, [0.0, 0.0, 0.0])
-        assert np.allclose(ur5.wrist_position(t, ur5_model), [0.0, 0.0, l6], atol=1e-15)
+        assert np.allclose(ur5.wrist_position(t[:3].tolist(), ur5_model), [0.0, 0.0, l6], atol=1e-15)
 
     def test_matches_independent_matrix_script(self, ur5_model, golden_ur5_pose):
         t = golden_ur5_pose
         want = t[:3, 3] - t[:3, :3] @ np.array([0.0, 0.0, ur5_model.link_lengths[5]])
-        assert np.allclose(ur5.wrist_position(t, ur5_model), want, atol=1e-15)
+        assert np.allclose(ur5.wrist_position(t[:3].tolist(), ur5_model), want, atol=1e-15)
 
 
 class TestTheta1Candidates:
@@ -56,14 +56,15 @@ class TestTheta1Candidates:
         assert ur5.theta1_candidates(p_w, ur5_model) == []
 
     def test_golden_pose_contains_reference_theta1(self, ur5_model, golden_ur5_pose):
-        p_w = ur5.wrist_position(golden_ur5_pose, ur5_model)
+        p_w = ur5.wrist_position(golden_ur5_pose[:3].tolist(), ur5_model)
         cands = ur5.theta1_candidates(p_w, ur5_model)
         assert min(abs(c - UR5_REF_THETA[0]) for c in cands) <= 5e-3
 
 
 class TestPlanarFrame:
     def test_zero_theta1_axes(self, ur5_model, golden_ur5_pose):
-        frame = ur5.planar_frame(0.0, golden_ur5_pose, ur5.wrist_position(golden_ur5_pose, ur5_model), ur5_model)
+        t = golden_ur5_pose[:3].tolist()
+        frame = ur5.planar_frame(0.0, t, ur5.wrist_position(t, ur5_model), ur5_model)
         assert np.allclose(frame.z2d, [0.0, -1.0, 0.0], atol=1e-15)
         assert np.allclose(frame.v_init, [-1.0, 0.0, 0.0], atol=1e-15)
 
@@ -71,7 +72,8 @@ class TestPlanarFrame:
         # tool z-axis along the joint-2 axis for theta1 = 0: (0,-1,0)
         r = np.column_stack([np.array([1.0, 0, 0]), np.array([0, 0, 1.0]), np.array([0, -1.0, 0])])
         t = make_transform(r, [0.4, -0.2, 0.3])
-        frame = ur5.planar_frame(0.0, t, ur5.wrist_position(t, ur5_model), ur5_model)
+        t_rows = t[:3].tolist()
+        frame = ur5.planar_frame(0.0, t_rows, ur5.wrist_position(t_rows, ur5_model), ur5_model)
         assert np.array_equal(frame.l5d_options[0], -t[:3, 1])
 
     def test_wrist_projection_removes_lateral_offset(self, ur5_model):
@@ -79,8 +81,8 @@ class TestPlanarFrame:
         for _ in range(50):
             theta = rng.uniform(-math.pi, math.pi, 6)
             t = forward_kinematics(ur5_model, theta)
-            p_w = ur5.wrist_position(t, ur5_model)
-            frame = ur5.planar_frame(float(theta[0]), t, p_w, ur5_model)
+            p_w = ur5.wrist_position(t[:3].tolist(), ur5_model)
+            frame = ur5.planar_frame(float(theta[0]), t[:3].tolist(), p_w, ur5_model)
             # offset along the plane normal equals the wrist lateral link
             assert float(np.dot(frame.z2d, p_w)) == pytest.approx(
                 ur5_model.link_lengths[3], abs=1e-9
@@ -94,7 +96,7 @@ def chain_angles(model, frame, theta):
     chain = ur5.make_chain(frame, model, None)
     chain = chain.moved(rows([[r[3] for r in frames[i]] for i in (1, 2, 3)]))
     t_des = forward_kinematics(model, theta)
-    branch = ur5.Branch(frame, frame.l5d_options[0], t_des, frame.z2d, [chain], model)
+    branch = ur5.Branch(frame, frame.l5d_options[0], t_des[:3].tolist(), frame.z2d, [chain], model)
     return branch.from_chain(chain)
 
 
@@ -105,13 +107,13 @@ class TestRecoverAngles:
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 6)
             t_des = forward_kinematics(ur5_model, theta)
-            p_w = ur5.wrist_position(t_des, ur5_model)
+            p_w = ur5.wrist_position(t_des[:3].tolist(), ur5_model)
             best = math.inf
             for theta1 in ur5.theta1_candidates(p_w, ur5_model):
-                frame = ur5.planar_frame(theta1, t_des, p_w, ur5_model)
+                frame = ur5.planar_frame(theta1, t_des[:3].tolist(), p_w, ur5_model)
                 theta2, theta3 = chain_angles(ur5_model, frame, theta)
                 for l5d in frame.l5d_options:
-                    wrist = ur5.wrist_angles(frame, l5d, t_des, ur5_model)
+                    wrist = ur5.wrist_angles(frame, l5d, t_des[:3].tolist(), ur5_model)
                     rec = ur5.recover_angles(theta1, theta2, theta3, wrist)
                     best = min(best, pose_mismatch(ur5_model, rec, t_des))
             if best <= 1e-9:
@@ -123,18 +125,18 @@ class TestRecoverAngles:
         for _ in range(50):
             theta = rng.uniform(-math.pi, math.pi, 6)
             t_des = forward_kinematics(ur5_model, theta)
-            p_w = ur5.wrist_position(t_des, ur5_model)
-            frame = ur5.planar_frame(float(theta[0]), t_des, p_w, ur5_model)
+            p_w = ur5.wrist_position(t_des[:3].tolist(), ur5_model)
+            frame = ur5.planar_frame(float(theta[0]), t_des[:3].tolist(), p_w, ur5_model)
             got = chain_angles(ur5_model, frame, theta)
             assert np.allclose(wrap_angle(np.subtract(got, theta[1:3])), 0.0, atol=1e-9)
 
     def test_degenerate_wrist_zeroes_last_joints(self, ur5_model):
         theta = np.array([0.4, -0.8, 1.1, -0.3, 0.0, 0.0])
         t_des = forward_kinematics(ur5_model, theta)
-        p_w = ur5.wrist_position(t_des, ur5_model)
-        frame = ur5.planar_frame(float(theta[0]), t_des, p_w, ur5_model)
+        p_w = ur5.wrist_position(t_des[:3].tolist(), ur5_model)
+        frame = ur5.planar_frame(float(theta[0]), t_des[:3].tolist(), p_w, ur5_model)
         assert np.array_equal(frame.l5d_options[0], -t_des[:3, 1])
-        wrist = ur5.wrist_angles(frame, frame.l5d_options[0], t_des, ur5_model)
+        wrist = ur5.wrist_angles(frame, frame.l5d_options[0], t_des[:3].tolist(), ur5_model)
         rec = ur5.recover_angles(frame.theta1, *chain_angles(ur5_model, frame, theta), wrist)
         assert abs(rec[4]) <= 1e-12 and abs(rec[5]) <= 1e-12
         assert pose_mismatch(ur5_model, rec, t_des) <= 1e-9
@@ -142,12 +144,13 @@ class TestRecoverAngles:
         # both risers of a theta5 = pi frame, give exact (theta5, theta6) too
         flipped = forward_kinematics(ur5_model, [0.4, -0.8, 1.1, -0.3, math.pi, 0.7])
         for t in (t_des, flipped):
-            frame = ur5.planar_frame(frame.theta1, t, ur5.wrist_position(t, ur5_model), ur5_model)
+            t_rows = t[:3].tolist()
+            frame = ur5.planar_frame(frame.theta1, t_rows, ur5.wrist_position(t_rows, ur5_model), ur5_model)
             assert np.array_equal(frame.l5d_options[0], -t[:3, 1])
             for l5d in frame.l5d_options:
                 # a planar two-link solve at the riser's own elbow target
                 start = ur5.make_chain(frame, ur5_model, frame.z2d)
-                branch = ur5.Branch(frame, l5d, t, frame.z2d, [start], ur5_model)
+                branch = ur5.Branch(frame, l5d, t_rows, frame.z2d, [start], ur5_model)
                 outcome = fabrik.solve(branch.start, branch.target, 1e-12, 1000)
                 rec = ur5.recover_angles(frame.theta1, *branch.from_chain(outcome.chain), branch.wrist)
                 assert outcome.converged and pose_mismatch(ur5_model, rec, t) <= 1e-9
@@ -174,13 +177,13 @@ class TestWristAnglesAgainstFkFrames:
             if k % 10 == 0:  # the singular frames, with their -y riser
                 theta[4] = (0.0, math.pi)[k % 20 // 10]
             t_des = forward_kinematics(ur5_model, theta)
-            p_w = ur5.wrist_position(t_des, ur5_model)
+            p_w = ur5.wrist_position(t_des[:3].tolist(), ur5_model)
             for theta1 in ur5.theta1_candidates(p_w, ur5_model):
-                frame = ur5.planar_frame(theta1, t_des, p_w, ur5_model)
+                frame = ur5.planar_frame(theta1, t_des[:3].tolist(), p_w, ur5_model)
                 assert within(np.ravel(frame.t03), np.ravel(exact_frame(ur5_model, [theta1, 0.0, 0.0])[:3]),
                               32 * U * (1.0 + reach))
                 for l5d in frame.l5d_options:
-                    theta234, theta5, theta6 = ur5.wrist_angles(frame, l5d, t_des, ur5_model)
+                    theta234, theta5, theta6 = ur5.wrist_angles(frame, l5d, t_des[:3].tolist(), ur5_model)
                     x5 = [float(row[0]) for row in exact_frame(ur5_model, [theta1, 0.0, 0.0, theta234, theta5])[:3]]
                     want = signed_angle(x5, t_des[:3, 0], frame.l6d)
                     assert abs(wrap_angle(theta6 - want)) <= 64 * U, (k, theta6, want)
@@ -351,7 +354,7 @@ class TestSolve:
             )
             assert detail.branches == 4 or (
                 detail.branches == 2
-                and len(ur5.theta1_candidates(ur5.wrist_position(t_des, ur5_model), ur5_model)) == 1
+                and len(ur5.theta1_candidates(ur5.wrist_position(t_des[:3].tolist(), ur5_model), ur5_model)) == 1
             )
 
     def test_wrist_solved_once_per_branch(self, ur5_model, monkeypatch):
@@ -433,7 +436,7 @@ class TestSolve:
         for sign in (1.0, -1.0):
             theta_init = theta_init.copy()
             theta_init[2] = sign * abs(theta_init[2])
-            found = list(ur5.branches(t_des, theta_init, ur5_model))
+            found = list(ur5.branches(t_des[:3].tolist(), tuple(theta_init.tolist()), ur5_model))
             assert len(found) == 4
             for a, b in (found[:2], found[2:]):
                 assert a.frame is b.frame and a.start is b.start and a.bend_axis is b.bend_axis
@@ -523,7 +526,7 @@ class TestBranchSkip:
         rng = np.random.default_rng(32)
         checked = 0
         for t_des, theta_init in benchmark.generate_queries(ur5_model, 50, 7).queries:
-            for branch in ur5.branches(t_des, theta_init, ur5_model):
+            for branch in ur5.branches(t_des[:3].tolist(), tuple(theta_init.tolist()), ur5_model):
                 for reduced in rng.uniform(-math.pi, math.pi, size=(10, 2)).tolist():
                     for raw in branch.candidates(reduced):
                         wrapped = [wrap_angle(t) for t in raw]
