@@ -56,10 +56,13 @@ def _pose_field(doc: dict, key: str, shape: tuple, what: str) -> np.ndarray:
 
 
 def _parse_floats(text: str, expected: int | None, what: str) -> np.ndarray:
+    bad = CliError(f"{what} must be comma-separated numbers")
+    if "_" in text:  # `float` reads Python literals: `1_0` would be 10
+        raise bad
     try:
         values = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
-        raise CliError(f"{what} must be comma-separated numbers") from exc
+        raise bad from exc
     if not np.all(np.isfinite(values)):
         raise CliError(f"{what} must be finite")
     if expected is not None and values.shape != (expected,):

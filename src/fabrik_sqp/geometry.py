@@ -28,10 +28,13 @@ ROTATION_REPAIR_TOL = 1e-3  # largest defect projected back onto SO(3)
 
 def wrap_angle(theta):
     """Reduce an angle to [-pi, pi): an ndarray elementwise, any other
-    value as a Python float, whose `%` rounds as numpy's remainder."""
-    if isinstance(theta, np.ndarray):
-        return (theta + np.pi) % TWO_PI - np.pi
-    return (float(theta) + math.pi) % TWO_PI - math.pi
+    value as a Python float, whose `%` rounds as numpy's remainder. A
+    float, the solve path's case, is tested for first."""
+    if type(theta) is not float:
+        if isinstance(theta, np.ndarray):
+            return (theta + np.pi) % TWO_PI - np.pi
+        theta = float(theta)
+    return (theta + math.pi) % TWO_PI - math.pi
 
 
 def dedup_angles(values) -> list[float]:

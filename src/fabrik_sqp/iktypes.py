@@ -119,6 +119,19 @@ def l1_distance(a, b) -> float:
     return d
 
 
+def admitted_distance(theta, limits, reference) -> float | None:
+    """`l1_distance(theta, reference)` when every theta_i lies within its
+    (lo, hi) pair of `limits`, the test of `RobotModel.within_limits`,
+    else None. The three sequences are read to the shortest, so a prefix
+    of a candidate gives the first terms of its distance."""
+    d = 0.0
+    for t, (lo, hi), r in zip(theta, limits, reference):
+        if not lo <= t <= hi:
+            return None
+        d += abs(t - r)
+    return d
+
+
 def select_candidate(distances) -> int | None:
     """Index of the pick among the admitted candidates, given their L1
     distances to the reference in enumeration order: the first candidate

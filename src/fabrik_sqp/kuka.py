@@ -10,10 +10,14 @@ with the angles implied by the current chain. All seven joint angles are
 then recovered in closed form: theta1-theta4 from the elbow and wrist
 points, every arm sign branch enumerated, and theta5-theta7 as the exact
 Rz Ry Rz split of the wrist rotation, one triple per theta6 sign (Shimizu
-et al. 2008). Each FK prefix is built once: frame 2 per (theta1, theta2),
-frame 4 per arm. Every candidate is exact, so no sign is guessed; the
-pipeline checks the pose of the selected one only. Points and frames
-are floats (see the `geometry` docstring).
+et al. 2008). The arm angles are known before the wrist, so each arm is
+one candidate group whose theta1-theta4 terms of the L1 distance to
+theta_init bound all its candidates from below: an arm out of the joint
+limits is dropped, and the pipeline recovers the wrist only of an arm
+whose floor can still win. Each FK prefix is built once: frame 2 per
+(theta1, theta2), frame 4 per recovered arm. Every candidate is exact,
+so no sign is guessed; the pipeline checks the pose of the selected one
+only. Points and frames are floats (see the `geometry` docstring).
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from functools import cached_property, lru_cache, partial
 
 from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, norm, sub, unit, wrap_angle
-from .iktypes import IKQuery, l1_distance, prepare_query, select_candidate
+from .iktypes import IKQuery, admitted_distance, l1_distance, prepare_query, select_candidate
 from .optimizer import minimize
 from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
 
@@ -192,17 +196,14 @@ def wrist_angles(t04, r_des) -> list[tuple[float, float, float]]:
     ]
 
 
-def recover_candidates(p2, p3, rows, model: RobotModel) -> list[tuple]:
-    """Every joint vector, a 7-tuple of floats, with its elbow at p2, its
-    wrist at p3 and the orientation of the desired pose, given as its top
-    three float rows: each arm branch, then each wrist triple, unwrapped.
-    Frame 4 extends the arm's frame 2 by links 3 and 4."""
+def recover_candidates(arm, t02, rows, model: RobotModel) -> list[tuple]:
+    """The joint vectors, 7-tuples of floats, of one arm of `arm_angles`
+    and its frame 2 that close the orientation of the desired pose, given
+    as its top three float rows: one per wrist triple, unwrapped. Frame 4
+    extends the arm's frame 2 by links 3 and 4."""
     row3, row4 = model.dh[2:4]
-    out = []
-    for arm, t02 in arm_angles(p2, p3, model):
-        t04 = dh_step(dh_step(t02, row3, arm[2]), row4, arm[3])
-        out.extend((*arm, *wrist) for wrist in wrist_angles(t04, rows))
-    return out
+    t04 = dh_step(dh_step(t02, row3, arm[2]), row4, arm[3])
+    return [(*arm, *wrist) for wrist in wrist_angles(t04, rows)]
 
 
 def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> list[tuple]:
@@ -305,7 +306,8 @@ class Branch:
         return [sub([r[3] for r in frames[k]], self.model.shoulder) for k in (3, 5)]
 
     def floor(self, reference) -> float:
-        """0.0: the only branch, so no bound would skip it."""
+        """0.0: the only branch, so no bound would skip it; `candidates`
+        bounds its arms."""
         return 0.0
 
     def from_chain(self, chain: fabrik.ChainState):
@@ -330,13 +332,13 @@ class Branch:
                 return results, (elbow_position(model, th[0], th[1]), p3)
         return results, None
 
-    def candidates(self, reduced):
-        """Joint vectors for the reduced chain's elbow, then for the
-        feasible elbow nearest the reference configuration.
+    def arms(self, reduced):
+        """(arm, frame 2) of every arm of `arm_angles`, for the reduced
+        chain's elbow, then for the feasible elbow nearest the reference
+        configuration.
 
         The arm is redundant; the second elbow keeps warm-started
-        trajectories on their fold. The wrist closes the orientation
-        exactly at the achieved wrist point.
+        trajectories on their fold.
         """
         p2, p3 = reduced
         elbows = [p2]
@@ -344,7 +346,23 @@ class Branch:
         if p2_ref is not None and max(abs(a - b) for a, b in zip(p2_ref, p2)) > 1e-9:
             elbows.append(p2_ref)
         for elbow in elbows:
-            yield from recover_candidates(elbow, p3, self.rows, self.model)
+            yield from arm_angles(elbow, p3, self.model)
+
+    def candidates(self, reduced, reference):
+        """One group per arm of `arms`. Its floor is the pipeline's
+        `admitted_distance` of the arm's theta1-theta4, wrapped as the
+        pipeline wraps them: the first terms of each candidate's distance,
+        added in its order, so no candidate of the arm is nearer, in floats
+        too (see `ur5.Branch.floor`). An arm with one of them out of limits
+        is left out. The wrist closes the orientation exactly at the
+        achieved wrist point."""
+        limits = self.model.limit_pairs
+        groups = []
+        for arm, t02 in self.arms(reduced):
+            floor = admitted_distance(map(wrap_angle, arm), limits, reference)
+            if floor is not None:
+                groups.append((floor, partial(recover_candidates, arm, t02, self.rows, self.model)))
+        return groups
 
 
 def branches(rows, reference, model: RobotModel) -> list[Branch]:

@@ -26,8 +26,12 @@ A branch is any object with:
 - ``optimize(seed_chain, stop)``: ``(opt_results, reduced)`` with
   every optimizer run in order and the reduced solution, or None when
   the last run ends above the stop value (the squared tolerance)
-- ``candidates(reduced)``: every joint vector recovered from a reduced
-  solution, as a float tuple, in enumeration order, unwrapped
+- ``candidates(reduced, reference)``: the groups of joint vectors of a
+  reduced solution in enumeration order, as ``(floor, recover)`` pairs:
+  ``floor`` bounds the group as ``floor(reference)`` bounds the branch,
+  and ``recover()`` gives the group's joint vectors as float tuples, in
+  enumeration order, unwrapped. A group none of whose vectors could be
+  admitted may be left out.
 """
 from __future__ import annotations
 
@@ -39,16 +43,17 @@ import numpy as np
 
 from . import fabrik
 from .geometry import frame_error, wrap_angle
-from .iktypes import SELECT_TIE_TOL, IKQuery, IKResult, IKStatus, l1_distance
+from .iktypes import SELECT_TIE_TOL, IKQuery, IKResult, IKStatus, admitted_distance
 from .optimizer import OptResult
 from .robots import RobotModel, fk_frames
 
 
 @dataclass
 class SolveDetail:
-    """How one solve went, beside its IKResult. Only the branches that
-    were solved give candidates: a skipped branch has no candidate that
-    the selection could pick."""
+    """How one solve went, beside its IKResult. Only the groups that
+    were recovered, of the branches that were solved, give candidates: a
+    skipped branch or group has no candidate that the selection could
+    pick."""
 
     branches: int = 0  # reduction branches enumerated
     skipped: int = 0  # branches not solved: they could not win, or a fixed joint is out of limits
@@ -72,7 +77,8 @@ def solve(
     ``prepare_query(model, query)`` gives the pose's top three float
     rows and theta_init, the reference, as a float tuple, and
     ``branches(rows, reference, model)`` the robot's branches, visited
-    in (floor, enumeration index) order. A branch whose floor
+    in (floor, enumeration index) order, and so are the candidate
+    groups of each reduced solution. A branch or group whose floor
     exceeds the nearest admitted distance so far by more than
     SELECT_TIE_TOL is skipped: ``select_candidate(distances)`` picks the
     first admitted candidate within that tolerance of the nearest, so
@@ -80,8 +86,9 @@ def solve(
     not admissible is skipped too. FABRIK runs first on each other
     reachable branch, capped at the config's sweep budget; a branch it
     leaves unconverged goes to the branch's optimizer when the config
-    enables it. Every candidate of every reduced solution is recorded,
-    and those within the joint limits are admitted. Recovery is exact,
+    enables it. Every candidate of every recovered group is recorded,
+    in enumeration order, and ``admitted_distance`` admits those within
+    the joint limits with their L1 distance. Recovery is exact,
     so only the pick gets a pose check: ``pose_mismatch(model, pick,
     t_des)`` at most eps. The solvers pass the helpers they import,
     which is where the benchmark's layer trace hooks them. A pick that
@@ -97,7 +104,7 @@ def solve(
     detail = SolveDetail()
     enumerated = list(branches(rows, reference, model))
     detail.branches = len(enumerated)
-    recovered = [()] * len(enumerated)  # per branch: (wrapped theta, distance or None)
+    recovered = {}  # (branch index, group index): [(wrapped theta, distance or None)]
     nearest = math.inf  # the distance of the nearest candidate admitted so far
     order = sorted((b.floor(reference), i, b) for i, b in enumerate(enumerated))
     for floor, index, branch in order:
@@ -122,16 +129,20 @@ def solve(
             detail.optimizer = results[-1]
         if reduced is None:
             continue
-        recovered[index] = found = []
-        for raw in branch.candidates(reduced):
-            wrapped = tuple(map(wrap_angle, raw))
-            d = l1_distance(wrapped, reference) if model.within_limits(wrapped) else None
-            found.append((wrapped, d))
-            if d is not None and d < nearest:
-                nearest = d
+        groups = branch.candidates(reduced, reference)
+        for floor, group, recover in sorted((f, g, r) for g, (f, r) in enumerate(groups)):
+            if floor > nearest + SELECT_TIE_TOL:
+                continue
+            recovered[index, group] = found = []
+            for raw in recover():
+                wrapped = tuple(map(wrap_angle, raw))
+                d = admitted_distance(wrapped, model.limit_pairs, reference)
+                found.append((wrapped, d))
+                if d is not None and d < nearest:
+                    nearest = d
     distances = []  # of detail.admitted, which the selection reads
-    for found in recovered:
-        for wrapped, d in found:
+    for key in sorted(recovered):
+        for wrapped, d in recovered[key]:
             detail.candidates.append(wrapped)
             if d is not None:
                 detail.admitted.append(wrapped)

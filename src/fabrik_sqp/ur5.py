@@ -257,10 +257,13 @@ class Branch:
         )
         return [result], pair
 
-    def candidates(self, reduced):
-        """Joint vectors of every fold of (theta2, theta3)."""
-        for fold in fold_variants(*reduced, self.model):
-            yield recover_angles(self.frame.theta1, *fold, self.wrist)
+    def candidates(self, reduced, reference):
+        """One group, floor 0.0 (``floor`` has bounded it already): the
+        joint vectors of every fold of (theta2, theta3)."""
+        return [(0.0, lambda: [
+            recover_angles(self.frame.theta1, *fold, self.wrist)
+            for fold in fold_variants(*reduced, self.model)
+        ])]
 
 
 def branches(rows, reference, model: RobotModel):

@@ -78,6 +78,13 @@ def within(got, want, bound) -> bool:
     return all(abs(Fraction(g) - w) <= Fraction(bound) for g, w in zip(got, want, strict=True))
 
 
+def outcome_bits(result) -> tuple:
+    """Status, pick and error of a result, to the bit."""
+    theta = None if result.theta is None else result.theta.tobytes()
+    error = None if result.error is None else (result.error.eps_pos, result.error.eps_rot)
+    return result.status, theta, error
+
+
 def unit_array(v) -> np.ndarray:
     """`geometry.unit` as an ndarray, for test arithmetic."""
     return np.array(geometry.unit(v))

@@ -97,6 +97,23 @@ class TestSolveCommand:
         assert code == 1
         assert "--init must be comma-separated numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["trace", "--links", "1_0,1", "--v-init", "1,0,0", "--target", "10.5,0.1,0"], "--links"),
+            (["solve", "--robot", "ur5", "--init", "0,0,1_0,0,0,0"], "--init"),
+        ],
+        ids=["links", "init"],
+    )
+    def test_digit_separator_exit_one(self, solvable_pose, tmp_path, capsys, argv, what):
+        # Python's float() would read 1_0 as 10
+        argv += ["--out", str(tmp_path / "t.csv")] if argv[0] == "trace" else ["--pose", solvable_pose]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {what} must be comma-separated numbers")
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("eps", ["0", "-1e-6", "nan"])
     def test_non_positive_eps_exit_one(self, solvable_pose, capsys, eps):
         assert cli.main(["solve", "--robot", "ur5", "--pose", solvable_pose, f"--eps={eps}"]) == 1

@@ -179,6 +179,10 @@ class TestWrapAngle:
         floats = [wrap_angle(v) for v in values.tolist()]
         assert all(type(v) is float for v in floats)
         assert np.array(floats).tobytes() == wrap_angle(values).tobytes()
+        # numpy scalars and ints take the float's value
+        scalars = [wrap_angle(v) for v in values[:1_000]] + [wrap_angle(k) for k in range(-9, 10)]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == floats[:1_000] + [wrap_angle(float(k)) for k in range(-9, 10)]
 
 
 class TestCartesianError:

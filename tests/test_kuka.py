@@ -1,21 +1,41 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, kuka, robots, solve_ik
+from fabrik_sqp import benchmark, kuka, robots, solve_ik, tracking
 from fractions import Fraction
 
 from fabrik_sqp.geometry import make_transform, wrap_angle
-from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, l1_distance
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch, transform_of
 
-from conftest import U, exact_sqrt
+from conftest import U, exact_sqrt, outcome_bits
 
 
 def fk_arrays(model, theta) -> list:
     """`fk_frames` as 4x4 ndarrays."""
     return [transform_of(frame) for frame in fk_frames(model, theta)]
+
+
+DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
+LIMITS = {
+    "default": None,
+    "datasheet": np.column_stack([-DATASHEET, DATASHEET]),
+    "0.5rad": np.tile([-0.5, 0.5], (7, 1)),
+}
+
+
+def every_candidate(model, theta, t_des) -> list:
+    """`recover_candidates` of every arm placing theta's elbow and wrist, in order."""
+    frames = fk_arrays(model, theta)
+    rows = t_des[:3].tolist()
+    return [
+        candidate
+        for arm, t02 in kuka.arm_angles(frames[3][:3, 3], frames[5][:3, 3], model)
+        for candidate in kuka.recover_candidates(arm, t02, rows, model)
+    ]
 
 
 class TestWristTarget:
@@ -186,8 +206,7 @@ class TestAngleRecovery:
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 7)
             t_des = forward_kinematics(kuka_model, theta)
-            frames = fk_arrays(kuka_model, theta)
-            cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des[:3].tolist(), kuka_model)
+            cands = every_candidate(kuka_model, theta, t_des)
             best = min(pose_mismatch(kuka_model, c, t_des) for c in cands)
             if best <= 1e-9:
                 hits += 1
@@ -199,8 +218,7 @@ class TestAngleRecovery:
     def test_flange_alignment_zeroes_theta7(self, kuka_model):
         theta = np.array([0.3, 0.7, -0.4, 1.1, 0.5, -0.8, 0.0])
         t_des = forward_kinematics(kuka_model, theta)
-        frames = fk_arrays(kuka_model, theta)
-        cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des[:3].tolist(), kuka_model)
+        cands = every_candidate(kuka_model, theta, t_des)
         match = min(cands, key=lambda c: float(np.max(np.abs(c - theta))))
         assert match[6] == pytest.approx(0.0, abs=1e-9)
 
@@ -209,8 +227,7 @@ class TestAngleRecovery:
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 7)
             t_des = forward_kinematics(kuka_model, theta)
-            frames = fk_arrays(kuka_model, theta)
-            cands = kuka.recover_candidates(frames[3][:3, 3], frames[5][:3, 3], t_des[:3].tolist(), kuka_model)
+            cands = every_candidate(kuka_model, theta, t_des)
             for c in cands:
                 assert pose_mismatch(kuka_model, c, t_des) <= 1e-9
             assert len(cands) == 8
@@ -319,7 +336,8 @@ class TestSolve:
             IKQuery(t_des=t_des, theta_init=theta_init, config=SolverConfig()), kuka_model
         )
         assert result.status is IKStatus.SOLVED
-        assert len(detail.candidates) == 16
+        # 5 of the 8 arms are recovered, 2 wrist triples each; the rest cannot win
+        assert len(detail.candidates) == 10
         # the recovery reads its own (theta1, theta2) and arm prefixes
         assert sum(np.array_equal(theta, theta_init[: len(theta)]) for theta in calls) == 1
 
@@ -341,3 +359,84 @@ class TestReferenceElbow:
         reach = float(np.sum(kuka_model.link_lengths[1:3]))
         p3 = kuka_model.shoulder + stretch * reach * np.array([0.6, 0.0, 0.8])
         assert kuka.reference_elbow(kuka_model, [np.array([0.1, 0.0, 0.3])], p3) is None
+
+
+class TestArmSkip:
+    """The pipeline recovers the arms nearest-first by floor and skips
+    those that cannot win, and the branch leaves out an arm out of
+    limits; both skips are exact."""
+
+    @pytest.mark.parametrize("limits", LIMITS.values(), ids=LIMITS.keys())
+    def test_floor_never_exceeds_a_candidate_distance(self, limits):
+        model = robots.kuka_model(limits)
+        rng = np.random.default_rng(33)
+        checked = dropped = 0
+        for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
+            branch = kuka.Branch(t_des[:3].tolist(), tuple(theta_init.tolist()), model)
+            # arms through a configuration in limits, and their sign mirrors
+            for theta in rng.uniform(*np.transpose(model.limit_pairs), size=(3, 7)):
+                frames = fk_arrays(model, theta)
+                reduced = (tuple(frames[3][:3, 3].tolist()), tuple(frames[5][:3, 3].tolist()))
+                arms = [
+                    [tuple(map(wrap_angle, c)) for c in kuka.recover_candidates(arm, t02, branch.rows, model)]
+                    for arm, t02 in branch.arms(reduced)
+                ]
+                # far references, and one a few ulps from a candidate,
+                # where the rounding of the sums decides
+                near = np.add(arms[0][0], rng.normal(size=7) * 1e-15)
+                for reference in (theta_init, rng.uniform(-math.pi, math.pi, 7), near):
+                    reference = reference.tolist()
+                    groups = iter(branch.candidates(reduced, reference))
+                    kept = next(groups, None)
+                    for wrapped in arms:
+                        if kept is None or [tuple(map(wrap_angle, c)) for c in kept[1]()] != wrapped:
+                            # a left-out arm has no candidate in limits
+                            assert not any(map(model.within_limits, wrapped))
+                            dropped += 1
+                            continue
+                        for candidate in wrapped:
+                            assert kept[0] <= l1_distance(candidate, reference)
+                            checked += 1
+                        kept = next(groups, None)
+                    assert kept is None
+        assert checked > 500
+        assert (dropped > 0) == (limits is not None)
+
+    @pytest.mark.parametrize("limits", LIMITS.values(), ids=LIMITS.keys())
+    def test_seeded_records_as_with_every_arm(self, limits, monkeypatch):
+        # the seed-7 kuka-random queries, and 300 under each tight limit
+        model = robots.kuka_model(limits)
+        queries = benchmark.generate_queries(model, 1000 if limits is None else 300, 7).queries
+
+        def solved():
+            out = [kuka.solve_detailed(IKQuery(t, th, SolverConfig()), model) for t, th in queries]
+            return [outcome_bits(r) for r, _ in out], sum(len(d.candidates) for _, d in out)
+
+        shipped, recovered = solved()
+        _recover_every_arm(monkeypatch)
+        everything, enumerated = solved()
+        assert recovered < enumerated
+        assert shipped == everything
+
+    def test_scripted_path_as_with_every_arm(self, kuka_model, monkeypatch):
+        theta_init, waypoints = tracking.scripted_waypoints(kuka_model)
+
+        def tracked():
+            trace = tracking.track(kuka_model, waypoints, theta_init, SolverConfig())
+            assert trace.failed_index is None
+            return [outcome_bits(r) for _, r in trace.records]
+
+        shipped = tracked()
+        _recover_every_arm(monkeypatch)
+        assert tracked() == shipped
+
+
+def _recover_every_arm(monkeypatch):
+    """Every arm a group, floor 0.0, whatever its limits: the full enumeration."""
+    def every_arm(self, reduced, reference):
+        return [
+            (0.0, partial(kuka.recover_candidates, arm, t02, self.rows, self.model))
+            for arm, t02 in self.arms(reduced)
+        ]
+
+    monkeypatch.setattr(kuka.Branch, "candidates", every_arm)

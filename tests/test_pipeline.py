@@ -3,6 +3,7 @@ import ast
 import importlib.util
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fabrik_sqp.iktypes import (
     IKQuery,
     IKStatus,
     SolverConfig,
+    admitted_distance,
     l1_distance,
     prepare_query,
     select_candidate,
@@ -112,18 +114,24 @@ class TestStatusRule:
 
         def logged(*args):
             for index, branch in enumerate(branches(*args)):
-                def candidates(*a, recover=branch.candidates, index=index):
-                    for theta in recover(*a):
-                        solve.append((index, theta))
-                        yield theta
+                def candidates(*a, groups=branch.candidates, index=index):
+                    return [
+                        (floor, partial(log, (index, group), recover))
+                        for group, (floor, recover) in enumerate(groups(*a))
+                    ]
 
                 branch.candidates = candidates
                 yield branch
 
+        def log(key, recover):
+            out = recover()
+            solve.extend((key, theta) for theta in out)
+            return out
+
         monkeypatch.setattr(module, "branches", logged)
         wrapped = []
         for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
-            solve = []  # (enumeration index, theta) in visiting order
+            solve = []  # ((branch index, group index), theta) in visiting order
             _, detail = module.solve_detailed(IKQuery(t_des=t_des, theta_init=theta_init), model)
             wrapped += detail.candidates
             raw += [theta for _, theta in sorted(solve, key=lambda pair: pair[0])]
@@ -308,6 +316,22 @@ class TestSelection:
     def test_l1_distance_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
             l1_distance((0.0, 1.0), (0.0,))
+
+    def test_admitted_distance_is_the_limit_test_and_l1_distance(self):
+        rng = np.random.default_rng(30)
+        model = robots.kuka_model(np.tile([-0.5, 0.5], (7, 1)))
+        admitted = 0
+        for theta, reference in rng.uniform(-0.6, 0.6, size=(5_000, 2, 7)).tolist():
+            # angles on a limit, which the test admits
+            theta[rng.integers(7)] = rng.choice([-0.5, 0.5])
+            want = l1_distance(theta, reference) if model.within_limits(theta) else None
+            assert admitted_distance(theta, model.limit_pairs, reference) == want
+            admitted += want is not None
+            # a prefix gives the first terms of the sum, in its order
+            prefix = admitted_distance(theta[:4], model.limit_pairs, reference)
+            if model.within_limits(theta):
+                assert prefix == l1_distance(theta[:4], reference[:4])
+        assert 0 < admitted < 5_000
 
 
 class TestSolverConfig:

@@ -10,7 +10,7 @@ from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, l1_distance
 from fabrik_sqp.optimizer import OptStatus, minimize
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
-from conftest import UR5_REF_THETA, U, exact_frame, rows, within
+from conftest import UR5_REF_THETA, U, exact_frame, outcome_bits, rows, within
 
 
 class TestWristPosition:
@@ -528,7 +528,10 @@ class TestBranchSkip:
         for t_des, theta_init in benchmark.generate_queries(ur5_model, 50, 7).queries:
             for branch in ur5.branches(t_des[:3].tolist(), tuple(theta_init.tolist()), ur5_model):
                 for reduced in rng.uniform(-math.pi, math.pi, size=(10, 2)).tolist():
-                    for raw in branch.candidates(reduced):
+                    # one group, which the branch's floor bounds
+                    (group_floor, recover), = branch.candidates(reduced, theta_init.tolist())
+                    assert group_floor == 0.0
+                    for raw in recover():
                         wrapped = [wrap_angle(t) for t in raw]
                         # far references, and near ones, where every term
                         # is a few ulps and the rounding of the sums decides
@@ -554,7 +557,7 @@ class TestBranchSkip:
 
         def solved():
             out = [ur5.solve_detailed(IKQuery(t, th, config), model) for t, th in queries]
-            return [_record(r) for r, _ in out], sum(d.skipped for _, d in out)
+            return [outcome_bits(r) for r, _ in out], sum(d.skipped for _, d in out)
 
         shipped, skipped = solved()
         _skip_nothing(monkeypatch)
@@ -568,7 +571,7 @@ class TestBranchSkip:
         def tracked():
             trace = tracking.track(ur5_model, waypoints, theta_init, SolverConfig())
             assert trace.failed_index is None
-            return [_record(r) for _, r in trace.records]
+            return [outcome_bits(r) for _, r in trace.records]
 
         shipped = tracked()
         _skip_nothing(monkeypatch)
@@ -579,10 +582,3 @@ def _skip_nothing(monkeypatch):
     """No floor exceeds any distance, and every branch is admissible."""
     monkeypatch.setattr(ur5.Branch, "floor", lambda self, reference: 0.0)
     monkeypatch.setattr(ur5.Branch, "admissible", True)
-
-
-def _record(result) -> tuple:
-    """Status, pick and error of a result, to the bit."""
-    theta = None if result.theta is None else result.theta.tobytes()
-    error = None if result.error is None else (result.error.eps_pos, result.error.eps_rot)
-    return result.status, theta, error

@@ -25,11 +25,11 @@ candidates, so that a change that skips work on purpose can show that
 no pick moved. It exits 1 on any differing solve, outcome or work.
 
 Per workload it also prints what a change that moves records must
-account for: the solves lost and gained, the sweep, optimizer-iteration
-and optimizer-run totals of each side, the picks that move by more than
-PICK_MOVE rad (max over the joints) split into those nearer to and
-farther from the query's reference in L1, and each side's median
-pick-to-reference L1 distance over its solved queries.
+account for: the solves lost and gained, the sweep, optimizer-iteration,
+optimizer-run and enumerated-candidate totals of each side, the picks
+that move by more than PICK_MOVE rad (max over the joints) split into
+those nearer to and farther from the query's reference in L1, and each
+side's median pick-to-reference L1 distance over its solved queries.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ import dataclasses
 import subprocess
 import sys
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -202,8 +203,13 @@ def accounting(theirs: list, ours: list) -> list[str]:
     lost = sum(a and not b for a, b in zip(*solved))
     gained = sum(b and not a for a, b in zip(*solved))
     totals = [
-        f"{name} {sum(r[k] for r in theirs)} -> {sum(r[k] for r in ours)}"
-        for name, k in (("sweeps", 1), ("iterations", 3), ("optimizer runs", 2))
+        f"{name} {sum(map(count, theirs))} -> {sum(map(count, ours))}"
+        for name, count in (
+            ("sweeps", itemgetter(1)),
+            ("iterations", itemgetter(3)),
+            ("optimizer runs", itemgetter(2)),
+            ("candidates enumerated", lambda r: len(r[CANDIDATES])),
+        )
     ]
     nearer = farther = 0
     for a, b, both in zip(theirs, ours, map(all, zip(*solved))):
@@ -243,7 +249,6 @@ def main(argv=None) -> int:
             statuses, picks, errors = (sum(column) for column in zip(*flags)) if flags else (0, 0, 0)
             changed = sum(map(any, flags))
             outcomes += changed
-            candidates = sum(len(r[CANDIDATES]) for r in mine)
             moved = sum(differing_candidates(a[CANDIDATES], b[CANDIDATES]) for a, b in pairs)
             print(
                 f"  outcome: {len(mine) - changed} keep status, pick and error;"
@@ -251,7 +256,7 @@ def main(argv=None) -> int:
             )
             print(
                 f"  work: {sum(work_differs(a, b) for a, b in pairs)} solves differ in sweeps,"
-                f" optimizer use, iterations or candidates; {candidates} candidates, {moved} differ"
+                f" optimizer use, iterations or candidates; {moved} candidates differ"
             )
             for line in accounting(theirs[name], mine):
                 print(f"  {line}")
