@@ -20,13 +20,15 @@ checks the links of both robots' reduced chains when the model is built,
 and `straight_chain` checks every other chain (the CLI's, the demos'),
 including a minimum link length well above the sweeps' 1e-12 coincidence
 scale, a maximum reach that keeps their squares finite and a lay-out
-that keeps every link. The reductions lay their chains out with
-`lay_out_chain`, the same arithmetic without the checks, pre-bent in
-the same step when they give a bend axis; the sweeps, `pre_bend` and the
-full-extension shortcut trust the chain and only move its points,
-(x, y, z) float rows from lay-out to recovery; the constants set where
-it is laid out ride along. Every vector is a float 3-tuple (see the
-`geometry` docstring).
+that keeps every link. The reductions lay their chains out straight
+with `lay_out_chain`, the same arithmetic without the checks, and the
+sweeps start from them as laid out: the forward phase pins the tip at
+the target, so only `solve`'s zero-sweep test and `_reach`'s
+coincident-point rule read a two-link start's tip. The sweeps,
+`pre_bend` and the full-extension shortcut trust the chain and only
+move its points, (x, y, z) float rows from lay-out to recovery; the
+constants set where it is laid out ride along. Every vector is a float
+3-tuple (see the `geometry` docstring).
 """
 from __future__ import annotations
 
@@ -51,8 +53,8 @@ from .geometry import (
 )
 
 _FULL = math.pi
-PRE_BEND = 1e-3  # bend per joint that pre_bend gives a straight chain (rad)
-COLLINEAR_TOL = 1e-6  # largest angle between links that pre_bend treats as straight (rad)
+PRE_BEND = 1e-3  # bend per joint that pre_bend gives a degenerate chain (rad)
+COLLINEAR_TOL = 1e-6  # largest angle off (anti-)parallel that pre_bend treats as degenerate (rad)
 # The sweeps treat points closer than 1e-12 as coincident, and `unit`
 # refuses shorter vectors; links must stay well above that scale.
 MIN_LINK_LENGTH = 1e-9  # m
@@ -143,40 +145,23 @@ def _lay_out(base: tuple, direction: tuple, lengths) -> tuple:
     return tuple((bx + c * dx, by + c * dy, bz + c * dz) for c in accumulate((0.0, *lengths)))
 
 
-def _bent(rows, lengths, axis) -> list:
-    """The rows with the first link kept and link k turned by k * PRE_BEND
-    about the unit axis from the first link's direction."""
-    first = _direction(rows[0], rows[1])
-    q = list(rows[:2])
-    for k in range(1, len(lengths)):
-        dx, dy, dz = rotate_about_axis(axis, k * PRE_BEND, first)
-        x, y, z = q[k]
-        q.append((x + lengths[k] * dx, y + lengths[k] * dy, z + lengths[k] * dz))
-    return q
-
-
-def _laid_out(base, direction, lengths, joints, anchor_dir, bend_axis=None) -> ChainState:
-    """The chain laid straight from base along the unit direction (and
-    bent about `bend_axis` as `pre_bend` bends it, when given), its
+def _laid_out(base, direction, lengths, joints, anchor_dir) -> ChainState:
+    """The chain laid straight from base along the unit direction, its
     constants set once: the lengths and base as floats, their `fsum` as
     its reach and each joint's can-clamp flag."""
     base, rows, joints = tuple(map(float, base)), tuple(map(float, lengths)), tuple(joints)
     can_clamp = tuple(not joint.unconstrained for joint in joints)
-    points = _lay_out(base, direction, rows)
-    if bend_axis is not None and len(rows) > 1:
-        points = tuple(_bent(points, rows, unit(bend_axis)))
-    return ChainState(points, rows, joints, base, math.fsum(rows), can_clamp, anchor_dir)
+    return ChainState(_lay_out(base, direction, rows), rows, joints, base, math.fsum(rows),
+                      can_clamp, anchor_dir)
 
 
-def lay_out_chain(base, direction, lengths, joints, bend_axis=None) -> ChainState:
+def lay_out_chain(base, direction, lengths, joints) -> ChainState:
     """The chain of `straight_chain` without its checks, anchored along its
     own direction, for links checked where they were built
     (`robots.RobotModel`): base, direction and lengths are sequences of
-    floats; the direction is normalized here. With a `bend_axis` the
-    chain comes pre-bent about it, the points `pre_bend` gives the
-    straight chain, in one step."""
+    floats; the direction is normalized here."""
     direction = unit(direction)
-    return _laid_out(base, direction, lengths, joints, direction, bend_axis)
+    return _laid_out(base, direction, lengths, joints, direction)
 
 
 def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
@@ -306,24 +291,25 @@ def backward_phase(chain: ChainState) -> ChainState:
 
 
 def pre_bend(chain: ChainState, axis=None) -> ChainState:
-    """Break an all-collinear chain with a small fixed bend per joint.
+    """Break a degenerate chain with a small fixed bend per joint.
 
-    Straight chains can cycle endlessly under the convex updates (and
-    park optimizer seeds on the straight-arm stationary ridge); bending
-    each interior joint by PRE_BEND removes the degenerate configuration.
-    Links are collinear when every pair is within COLLINEAR_TOL radians.
-    The bend axis may be supplied by the caller (it resolves which way a
-    degenerate, on-axis problem folds); otherwise the first hinge axis
-    is used, so hinge chains stay in their working plane, and ball
-    chains fall back to a deterministic perpendicular.
-    Non-collinear chains are returned unchanged.
+    A chain is degenerate when every pair of its links is within
+    COLLINEAR_TOL radians of parallel or anti-parallel: straight, or
+    folded back on itself. Such chains can cycle endlessly under the
+    convex updates and park optimizer seeds where the gradient vanishes.
+    Link k is turned by k * PRE_BEND about the axis from the first
+    link's direction, taken with link k's own sense. The bend axis may
+    be supplied by the caller (it resolves which way a degenerate,
+    on-axis problem folds); otherwise the first hinge axis is used, so
+    hinge chains stay in their working plane, and ball chains fall back
+    to a deterministic perpendicular. Other chains are returned unchanged.
     """
     if len(chain.positions) < 3:
         return chain
     dirs = chain.link_directions()
     for i, a in enumerate(dirs):
         for b in dirs[i + 1:]:
-            if clamped_arccos(dot(a, b)) >= COLLINEAR_TOL:
+            if clamped_arccos(abs(dot(a, b))) >= COLLINEAR_TOL:
                 return chain
     if axis is None:
         axis = next((joint.axis for joint in chain.joints if isinstance(joint, Hinge)), None)
@@ -331,7 +317,14 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
             axis = perpendicular_axis(dirs[0])
     else:
         axis = unit(axis)
-    return chain.moved(_bent(chain.positions, chain.lengths, axis))
+    first, lengths = dirs[0], chain.lengths
+    q = list(chain.positions[:2])
+    for k in range(1, len(lengths)):
+        dx, dy, dz = rotate_about_axis(axis, k * PRE_BEND, first)
+        length = lengths[k] if dot(dirs[k], first) > 0.0 else -lengths[k]
+        x, y, z = q[k]
+        q.append((x + length * dx, y + length * dy, z + length * dz))
+    return chain.moved(q)
 
 
 @dataclass(frozen=True)

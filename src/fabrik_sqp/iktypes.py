@@ -32,9 +32,11 @@ class SolverConfig:
     takes over, or the plain-FABRIK cap n_max when the optimizer is
     disabled (use_optimizer=False). None picks the default: the
     per-robot switch index (5 for the UR5, 15 for the KUKA), or 900
-    sweeps without the optimizer. The pre-bend, the KUKA shoulder cone,
+    sweeps without the optimizer. The re-bend of the optimizer's seed,
     the KUKA chain's initial direction and the optimizer's iteration cap
-    are fixed in the modules that use them.
+    are fixed in the modules that use them; the KUKA chain's shoulder is
+    an unconstrained ball, and its elbow cone comes from the theta4
+    limits.
     """
 
     eps_tol: float = DEFAULT_EPS_TOL

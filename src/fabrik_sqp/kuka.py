@@ -267,9 +267,8 @@ def reference_elbow(model: RobotModel, reference_arms, p3) -> tuple | None:
     radius = l2 * math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
     if radius < 1e-9:
         return None
-    # azimuth cue: reference elbow, then reference wrist, then the fixed
-    # default azimuth (matches the default pre-bend direction), so a
-    # fully on-axis reference still resolves deterministically
+    # azimuth cue: reference elbow, then reference wrist, then x and y,
+    # so a fully on-axis reference still resolves deterministically
     lateral = _lateral([*reference_arms, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], u)
     if lateral is None:
         return None
@@ -278,14 +277,8 @@ def reference_elbow(model: RobotModel, reference_arms, p3) -> tuple | None:
 
 
 class Branch:
-    """The one shoulder-elbow-wrist chain, aimed at the wrist target.
-
-    ``start`` is the straight chain folded toward theta_init about
-    ``bend_axis``, from the reference elbow's lateral direction (then the
-    wrist's; None when the reference is on the DEFAULT_V_INIT line): targets
-    on that line leave the fold free, and the bias keeps picks continuous
-    under warm starts.
-    """
+    """The one shoulder-elbow-wrist chain, aimed at the wrist target;
+    ``start`` is the model's straight chain, as `make_chain` lays it out."""
 
     admissible = True  # the branch fixes no joint before its sweeps
 
@@ -294,9 +287,17 @@ class Branch:
         self.reference = reference
         self.model = model
         self.target = wrist_target(rows, model)
+        self.start = make_chain(model)
+
+    @cached_property
+    def bend_axis(self) -> tuple | None:
+        """The axis that re-bends the optimizer's seed toward theta_init,
+        from the reference elbow's lateral direction (then the wrist's;
+        None when the reference is on the DEFAULT_V_INIT line): targets on
+        that line leave the fold free, and the bias keeps picks continuous
+        under warm starts."""
         lateral = _lateral(self.reference_arms, DEFAULT_V_INIT)
-        self.bend_axis = None if lateral is None else unit(cross(DEFAULT_V_INIT, lateral))
-        self.start = fabrik.pre_bend(make_chain(model), axis=self.bend_axis)
+        return None if lateral is None else unit(cross(DEFAULT_V_INIT, lateral))
 
     @cached_property
     def reference_arms(self) -> list[tuple]:

@@ -1,12 +1,12 @@
 """The one solve driver, shared by the UR5 and KUKA solvers.
 
 Both robots reduce the arm to two-link chains, which their branches
-lay out and pre-bend. For each branch `solve` checks that the chain can
+lay out straight. For each branch `solve` checks that the chain can
 reach the branch's target (`fabrik.within_reach`), runs the capped
 FABRIK sweeps from the branch's start chain and, when they miss,
-re-bends the swept chain and hands it to the robot's optimizer
-fallback. The branch recovers float tuples from its reduced solution in
-closed form, exactly; `solve` wraps them to [-pi, pi), filters them by
+re-bends the swept chain if it is straight or folded and hands it to
+the robot's optimizer fallback. The branch recovers float tuples from
+its reduced solution in closed form, exactly; `solve` wraps them to [-pi, pi), filters them by
 the joint limits, selects one among the wrapped float tuples, checks
 the pick's pose and turns it into the one IKResult. The query is read
 once, by `prepare_query`, into float rows and a float tuple; the pick,
@@ -16,7 +16,7 @@ differ only in their branches.
 A branch is any object with:
 
 - ``target``: the point the chain end must reach
-- ``start``: the pre-bent chain the sweeps start from
+- ``start``: the chain the sweeps start from, as laid out
 - ``bend_axis``: the axis that re-bends the optimizer's seed (None: fabrik's default)
 - ``floor(reference)``: a float no larger than the `l1_distance` from
   the reference (a float tuple) of any candidate of the branch
@@ -121,8 +121,8 @@ def solve(
         detail.fabrik_iterations += outcome.iterations
         reduced = branch.from_chain(outcome.chain) if outcome.converged else None
         if reduced is None and config.use_optimizer:
-            # collinear targets let the sweeps re-straighten the chain;
-            # re-bend so the seed is off the stationary ridge
+            # collinear targets let the sweeps straighten or fold the
+            # chain; re-bend so the seed is off the stationary ridge
             seed = fabrik.pre_bend(outcome.chain, axis=branch.bend_axis)
             results, reduced = branch.optimize(seed, eps * eps)
             detail.optimizer_iterations += sum(r.iterations for r in results)

@@ -71,6 +71,12 @@ class PlanarFrame:
         riser's `wrist_angles` first reads it, then shared."""
         return fk_frames(self.model, (self.theta1, 0.0, 0.0))[-1]
 
+    @cached_property
+    def start(self) -> fabrik.ChainState:
+        """The chain both risers' sweeps start from: laid out straight
+        when a branch of the plane is first solved, then shared."""
+        return make_chain(self, self.model)
+
 
 def planar_frame(theta1: float, rows, p_w, model: RobotModel) -> PlanarFrame:
     s1, c1 = math.sin(theta1), math.cos(theta1)
@@ -98,13 +104,12 @@ def iteration_target(frame: PlanarFrame, l5d, model: RobotModel) -> tuple:
     return tuple(p - l5 * d for p, d in zip(frame.p_w_proj, l5d))
 
 
-def make_chain(frame: PlanarFrame, model: RobotModel, bend_axis) -> fabrik.ChainState:
-    """Two-link elbow chain in the working plane, pre-bent about bend_axis
-    as `fabrik.pre_bend` bends the straight chain, laid out in one step
-    from the links the model checked (`robots.LAYOUT_MARGIN` covers every
-    plane). Both hinges turn about the plane normal."""
+def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
+    """Two-link elbow chain in the working plane, laid out straight along
+    v_init from the links the model checked (`robots.LAYOUT_MARGIN`
+    covers every plane). Both hinges turn about the plane normal."""
     joints = tuple(fabrik.Hinge(frame.z2d, *model.limit_pairs[k]) for k in (1, 2))
-    return fabrik.lay_out_chain(model.shoulder, frame.v_init, model.arm_lengths[1:], joints, bend_axis)
+    return fabrik.lay_out_chain(model.shoulder, frame.v_init, model.arm_lengths[1:], joints)
 
 
 def elbow_analytic(x, theta1: float, model: RobotModel):
@@ -202,16 +207,14 @@ def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> tuple:
 class Branch:
     """One (theta1, wrist-riser) branch. Its wrist is solved when it is
     built, so theta1, theta5 and theta6 of every candidate are known
-    before any sweep. ``start``, its plane's chain pre-bent about
-    ``bend_axis``, is laid out when a branch of the plane first reads
-    it and kept in ``plane_start``, a one-slot list the plane's risers
-    share."""
+    before any sweep. ``start`` is its plane's straight chain, and
+    ``bend_axis`` re-bends the optimizer's seed toward the reference
+    fold."""
 
-    def __init__(self, frame: PlanarFrame, l5d, rows, bend_axis, plane_start, model):
+    def __init__(self, frame: PlanarFrame, l5d, rows, bend_axis, model):
         self.frame = frame
         self.l5d = l5d
         self.bend_axis = bend_axis
-        self.plane_start = plane_start
         self.model = model
         self.target = iteration_target(frame, l5d, model)
         self.wrist = wrist_angles(frame, l5d, rows, model)
@@ -221,9 +224,7 @@ class Branch:
 
     @property
     def start(self) -> fabrik.ChainState:
-        if not self.plane_start:
-            self.plane_start.append(make_chain(self.frame, self.model, self.bend_axis))
-        return self.plane_start[0]
+        return self.frame.start
 
     @property
     def admissible(self) -> bool:
@@ -268,15 +269,15 @@ class Branch:
 
 def branches(rows, reference, model: RobotModel):
     """The two wrist-riser branches of each distinct theta1 candidate of
-    the pose's top three float rows; both share their plane's chain,
-    pre-bent toward the reference fold and laid out when it is first read."""
+    the pose's top three float rows; both share their plane's start chain
+    and its re-bend axis, the plane normal signed by the reference's
+    theta3."""
     p_w = wrist_position(rows, model)
     for theta1 in dedup_angles(theta1_candidates(p_w, model)):
         frame = planar_frame(theta1, rows, p_w, model)
         axis = frame.z2d if reference[2] >= 0.0 else _negated(frame.z2d)
-        plane_start = []
         for l5d in frame.l5d_options:
-            yield Branch(frame, l5d, rows, axis, plane_start, model)
+            yield Branch(frame, l5d, rows, axis, model)
 
 
 def solve_detailed(query: IKQuery, model: RobotModel):

@@ -85,6 +85,33 @@ def outcome_bits(result) -> tuple:
     return result.status, theta, error
 
 
+def kuka_on_axis_queries(model, n: int, seed: int) -> list:
+    """n KUKA queries (t_des, theta_init, h), seeded, whose wrist centre
+    lies on the base axis (to rounding) at height h above the shoulder:
+    up or down, at any reachable distance, and last the two edge cases up
+    the axis, the elbow's straight-arm height l2 and 1e-7 m short of full
+    extension. theta3 = 0, theta2 tilts the upper arm so the forearm
+    brings the wrist back onto the axis, and the other joints and
+    theta_init are drawn within the limits. `tools/same_records.py`
+    solves the same set."""
+    _, l2, l3 = model.arm_lengths
+    rng = np.random.default_rng(seed)
+    lo, hi = model.joint_limits[:, 0], model.joint_limits[:, 1]
+    heights = [*(rng.uniform(abs(l2 - l3), l2 + l3, n - 2) * rng.choice([-1.0, 1.0], n - 2)),
+               l2, l2 + l3 - 1e-7]
+    queries = []
+    for h in heights:
+        c4 = (h * h - l2 * l2 - l3 * l3) / (2.0 * l2 * l3)
+        th4 = math.acos(min(1.0, max(-1.0, c4))) * rng.choice([-1.0, 1.0])
+        # the wrist in the (upper arm, frame-2 x) plane is (a, b); turn it onto +-z
+        a, b = l2 + l3 * math.cos(th4), l3 * math.sin(th4)
+        th2 = math.atan2(-b, a) if h > 0.0 else math.atan2(b, -a)
+        theta = rng.uniform(lo, hi)
+        theta[1:4] = th2, 0.0, th4
+        queries.append((robots.forward_kinematics(model, theta), rng.uniform(lo, hi), h))
+    return queries
+
+
 def unit_array(v) -> np.ndarray:
     """`geometry.unit` as an ndarray, for test arithmetic."""
     return np.array(geometry.unit(v))

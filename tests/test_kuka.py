@@ -11,7 +11,7 @@ from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, l1_distance
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch, transform_of
 
-from conftest import U, exact_sqrt, outcome_bits
+from conftest import U, exact_sqrt, kuka_on_axis_queries, outcome_bits
 
 
 def fk_arrays(model, theta) -> list:
@@ -322,6 +322,19 @@ class TestSolve:
         # angles alone do not constitute the answer
         assert pose_mismatch(kuka_model, result.theta, golden_kuka_pose) <= 1e-6
         assert result.theta.shape == (7,)
+
+    def test_wrist_on_the_base_axis_solves(self, kuka_model):
+        # below the elbow's straight-arm height the sweeps fold the chain
+        # back onto the axis, where the optimizer's gradient vanishes
+        # until `fabrik.pre_bend` breaks the fold
+        l2 = kuka_model.arm_lengths[1]
+        queries = kuka_on_axis_queries(kuka_model, 300, 0)
+        heights = [h for *_, h in queries]
+        assert min(heights) < 0.0 and any(0.0 < h < l2 for h in heights) and max(heights) > l2
+        for t_des, theta_init, h in queries:
+            result = solve_ik(kuka_model, IKQuery(t_des, theta_init))
+            assert result.status is IKStatus.SOLVED, h
+            assert pose_mismatch(kuka_model, result.theta, t_des) <= 1e-6
 
     def test_one_reference_fk_per_solve(self, kuka_model, monkeypatch):
         calls = []

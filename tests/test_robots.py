@@ -515,8 +515,8 @@ class TestReducedChainLayOut:
             model_from_json(_table("ur5", row, "a", -small * (1.0 - 1e-6)))
         for theta1 in np.linspace(-math.pi, math.pi, 721).tolist():
             frame = ur5.planar_frame(theta1, np.eye(4)[:3].tolist(), np.zeros(3), model)
-            self._same_as_checked(ur5.make_chain(frame, model, None), model, frame.v_init)
-            bent = np.array(ur5.make_chain(frame, model, frame.z2d).positions)
+            self._same_as_checked(ur5.make_chain(frame, model), model, frame.v_init)
+            bent = np.array(fabrik.pre_bend(ur5.make_chain(frame, model), frame.z2d).positions)
             laid = np.linalg.norm(np.diff(bent, axis=0), axis=1)
             assert np.all(np.abs(laid - model.link_lengths[1:3]) <= 1e-9 * model.link_lengths[1:3])
         self._solves_without_raising(model)

@@ -93,10 +93,10 @@ class TestPlanarFrame:
 def chain_angles(model, frame, theta):
     """(theta2, theta3) of the planar chain that FK places for theta."""
     frames = fk_frames(model, theta)
-    chain = ur5.make_chain(frame, model, None)
+    chain = ur5.make_chain(frame, model)
     chain = chain.moved(rows([[r[3] for r in frames[i]] for i in (1, 2, 3)]))
     t_des = forward_kinematics(model, theta)
-    branch = ur5.Branch(frame, frame.l5d_options[0], t_des[:3].tolist(), frame.z2d, [chain], model)
+    branch = ur5.Branch(frame, frame.l5d_options[0], t_des[:3].tolist(), frame.z2d, model)
     return branch.from_chain(chain)
 
 
@@ -149,8 +149,7 @@ class TestRecoverAngles:
             assert np.array_equal(frame.l5d_options[0], -t[:3, 1])
             for l5d in frame.l5d_options:
                 # a planar two-link solve at the riser's own elbow target
-                start = ur5.make_chain(frame, ur5_model, frame.z2d)
-                branch = ur5.Branch(frame, l5d, t_rows, frame.z2d, [start], ur5_model)
+                branch = ur5.Branch(frame, l5d, t_rows, frame.z2d, ur5_model)
                 outcome = fabrik.solve(branch.start, branch.target, 1e-12, 1000)
                 rec = ur5.recover_angles(frame.theta1, *branch.from_chain(outcome.chain), branch.wrist)
                 assert outcome.converged and pose_mismatch(ur5_model, rec, t) <= 1e-9
@@ -398,17 +397,17 @@ class TestSolve:
 
     def test_start_chain_laid_out_once_per_plane(self, ur5_model, monkeypatch):
         # counted at the module attributes, where the benchmark's layer
-        # trace hooks them: the start chain is laid out pre-bent, so
-        # `pre_bend` never sees it
+        # trace hooks them: the sweeps start from the straight chain as
+        # laid out, so `pre_bend` never sees it
         made, bent = [], []
         make_chain, pre_bend = ur5.make_chain, fabrik.pre_bend
 
-        def counted_make_chain(*args):
-            made.append(make_chain(*args))
-            return made[-1]
+        def counted_make_chain(frame, model):
+            made.append((frame, make_chain(frame, model)))
+            return made[-1][1]
 
         def counted_pre_bend(chain, axis=None):
-            if any(chain is m for m in made):
+            if any(chain is m for _, m in made):
                 bent.append(chain)
             return pre_bend(chain, axis=axis)
 
@@ -424,11 +423,14 @@ class TestSolve:
             # at most once per plane, and only for a plane whose branch is solved
             assert 1 <= len(made) <= planes
             lazy += len(made) < planes
-            for chain in made:
-                # bent toward the reference fold: the sign of theta3
+            for frame, chain in made:
+                # straight along the plane's zero-pose arm direction
+                assert frame.start is chain
+                laid = fabrik.lay_out_chain(ur5_model.shoulder, frame.v_init,
+                                            ur5_model.arm_lengths[1:], chain.joints)
+                assert chain.positions == laid.positions
                 upper, fore = chain.link_directions()
-                bend = signed_angle(upper, fore, chain.joints[1].axis)
-                assert bend == pytest.approx(math.copysign(fabrik.PRE_BEND, theta_init[2]), abs=1e-12)
+                assert signed_angle(upper, fore, chain.joints[1].axis) == pytest.approx(0.0, abs=1e-12)
         assert not bent and lazy > 0
 
     def test_riser_branches_share_the_plane_start(self, ur5_model):

@@ -12,7 +12,12 @@ checkout's (the working tree, uncommitted edits included):
 - 300 seed-7 queries each on the KUKA under its datasheet limits, the
   KUKA under +-0.5 rad and the UR5 under +-0.5 rad, with the default
   SolverConfig. The default [-pi, pi] limits never reach the FABRIK
-  joint-limit clamp; these do.
+  joint-limit clamp; these do;
+- kuka-on-axis: 300 seed-0 KUKA queries whose wrist lies on the base
+  axis, built by tests/conftest.py's `kuka_on_axis_queries` with this
+  checkout's package, solved with the default SolverConfig. Below the
+  elbow's straight-arm height the sweeps fold the chain onto the axis,
+  and only `fabrik.pre_bend`'s re-bend breaks the fold.
 
 Per solve it compares the status, the sweep count, optimizer use, the
 optimizer iterations, the result's error (eps_pos, eps_rot; None for an
@@ -61,6 +66,7 @@ TIGHT = {  # name: (robot, joint limits)
     "ur5-0.5rad": ("ur5", np.tile([-0.5, 0.5], (6, 1))),
 }
 TIGHT_QUERIES = 300
+ON_AXIS = (300, 0)  # kuka-on-axis queries and seed, as the test solves them
 
 
 def workloads() -> list:
@@ -113,7 +119,20 @@ def tight_records(pkg) -> dict:
     return out
 
 
-def records(src: Path) -> dict:
+def on_axis_queries() -> list:
+    """The kuka-on-axis (t_des, theta_init) pairs, built with this checkout's package."""
+    paths = [str(ROOT / "src"), str(ROOT / "tests")]
+    sys.path[:0] = paths
+    try:
+        pkg = bench.import_package()
+        import conftest
+        return [(t, th) for t, th, _ in conftest.kuka_on_axis_queries(pkg.kuka_model(), *ON_AXIS)]
+    finally:
+        for path in paths:
+            sys.path.remove(path)
+
+
+def records(src: Path, on_axis: list) -> dict:
     """{workload: [(status, sweeps, opt_used, opt_iters, error, theta,
     candidates, reference), ...]} with the package under src."""
     sys.path.insert(0, str(src))
@@ -126,7 +145,12 @@ def records(src: Path) -> dict:
             out[workload.name] = with_candidates(inputs.pkg, lambda: [
                 r for fn, args in bench._requests(inputs, calibrate=False) for r in fn(*args)[0]
             ])
-        out.update(tight_records(inputs.pkg))
+        pkg = inputs.pkg
+        out.update(tight_records(pkg))
+        model = pkg.kuka_model()
+        out["kuka-on-axis"] = with_candidates(pkg, lambda: [
+            pkg.solve_ik(model, pkg.IKQuery(t_des, theta_init)) for t_des, theta_init in on_axis
+        ])
         return out
     finally:
         sys.path.remove(str(src))
@@ -235,9 +259,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     args = parser.parse_args(argv)
+    on_axis = on_axis_queries()
     with tempfile.TemporaryDirectory() as tmp:
-        theirs = records(export(args.rev, Path(tmp)))
-    ours = records(ROOT / "src")
+        theirs = records(export(args.rev, Path(tmp)), on_axis)
+    ours = records(ROOT / "src", on_axis)
     total = outcomes = 0
     for name, mine in ours.items():
         diffs = differing(theirs[name], mine)
