@@ -27,8 +27,10 @@ ROTATION_REPAIR_TOL = 1e-3  # largest defect projected back onto SO(3)
 
 
 def wrap_angle(theta):
-    """Reduce an angle to [-pi, pi): an ndarray elementwise, any other
-    value as a Python float, whose `%` rounds as numpy's remainder. A
+    """Reduce an angle to [-pi, pi]: an ndarray elementwise, any other
+    value as a Python float, whose `%` rounds as numpy's remainder. The
+    range is closed: just below -pi, the remainder of a tiny negative
+    sum rounds up to 2*pi, so `wrap_angle(-math.pi - 4e-16)` is +pi. A
     float, the solve path's case, is tested for first."""
     if type(theta) is not float:
         if isinstance(theta, np.ndarray):

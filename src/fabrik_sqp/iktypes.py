@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fabrik import check_cap, check_tolerance
-from .geometry import CartesianError, require_transform, sanitize_rotation
+from .geometry import CartesianError, require_transform, sanitize_rotation, wrap_angle
 from .robots import KUKA, UR5, RobotModel
 
 DEFAULT_EPS_TOL = 1e-6
@@ -121,17 +121,24 @@ def l1_distance(a, b) -> float:
     return d
 
 
-def admitted_distance(theta, limits, reference) -> float | None:
-    """`l1_distance(theta, reference)` when every theta_i lies within its
-    (lo, hi) pair of `limits`, the test of `RobotModel.within_limits`,
-    else None. The three sequences are read to the shortest, so a prefix
-    of a candidate gives the first terms of its distance."""
+def admitted(pairs, limits, reference) -> tuple[tuple, float | None]:
+    """The angles of `pairs`, (joint index, raw angle) in index order,
+    wrapped by `wrap_angle` to [-pi, pi], and their distance: the sum of
+    |wrapped - reference[k]| in pair order, or None once a wrapped angle
+    lies outside its (lo, hi) of `limits` (`RobotModel.within_limits`).
+    Over a candidate that is the limit filter and `l1_distance`; over
+    the joints a branch or group fixes, their first terms of that sum,
+    which no candidate of theirs undercuts in floats either (rounding is
+    monotone, and a non-negative term never lowers a float sum)."""
+    wrapped = []
     d = 0.0
-    for t, (lo, hi), r in zip(theta, limits, reference):
-        if not lo <= t <= hi:
-            return None
-        d += abs(t - r)
-    return d
+    for k, theta in pairs:
+        t = wrap_angle(theta)
+        wrapped.append(t)
+        if d is not None:
+            lo, hi = limits[k]
+            d = d + abs(t - reference[k]) if lo <= t <= hi else None
+    return tuple(wrapped), d
 
 
 def select_candidate(distances) -> int | None:

@@ -11,9 +11,10 @@ then recovered in closed form: theta1-theta4 from the elbow and wrist
 points, every arm sign branch enumerated, and theta5-theta7 as the exact
 Rz Ry Rz split of the wrist rotation, one triple per theta6 sign (Shimizu
 et al. 2008). The arm angles are known before the wrist, so each arm is
-one candidate group whose theta1-theta4 terms of the L1 distance to
-theta_init bound all its candidates from below: an arm out of the joint
-limits is dropped, and the pipeline recovers the wrist only of an arm
+one candidate group whose theta1-theta4 are its fixed joints: by the
+pipeline's one joint rule (`iktypes.admitted`) their terms of the L1
+distance to theta_init bound all its candidates from below, so the
+pipeline recovers the wrist only of an arm within the joint limits
 whose floor can still win. Each FK prefix is built once: frame 2 per
 (theta1, theta2), frame 4 per recovered arm. Every candidate is exact,
 so no sign is guessed; the pipeline checks the pose of the selected one
@@ -26,7 +27,7 @@ from functools import cached_property, lru_cache, partial
 
 from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, norm, sub, unit, wrap_angle
-from .iktypes import IKQuery, admitted_distance, l1_distance, prepare_query, select_candidate
+from .iktypes import IKQuery, l1_distance, prepare_query, select_candidate
 from .optimizer import minimize
 from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
 
@@ -280,7 +281,7 @@ class Branch:
     """The one shoulder-elbow-wrist chain, aimed at the wrist target;
     ``start`` is the model's straight chain, as `make_chain` lays it out."""
 
-    admissible = True  # the branch fixes no joint before its sweeps
+    fixed = ()  # the branch fixes no joint before its sweeps
 
     def __init__(self, rows, reference, model: RobotModel):
         self.rows = rows
@@ -305,11 +306,6 @@ class Branch:
         one FK of the reference per solve, up to the wrist frame 5."""
         frames = fk_frames(self.model, self.reference[:5])
         return [sub([r[3] for r in frames[k]], self.model.shoulder) for k in (3, 5)]
-
-    def floor(self, reference) -> float:
-        """0.0: the only branch, so no bound would skip it; `candidates`
-        bounds its arms."""
-        return 0.0
 
     def from_chain(self, chain: fabrik.ChainState):
         return chain.positions[1], chain.positions[2]
@@ -349,21 +345,15 @@ class Branch:
         for elbow in elbows:
             yield from arm_angles(elbow, p3, self.model)
 
-    def candidates(self, reduced, reference):
-        """One group per arm of `arms`. Its floor is the pipeline's
-        `admitted_distance` of the arm's theta1-theta4, wrapped as the
-        pipeline wraps them: the first terms of each candidate's distance,
-        added in its order, so no candidate of the arm is nearer, in floats
-        too (see `ur5.Branch.floor`). An arm with one of them out of limits
-        is left out. The wrist closes the orientation exactly at the
-        achieved wrist point."""
-        limits = self.model.limit_pairs
-        groups = []
-        for arm, t02 in self.arms(reduced):
-            floor = admitted_distance(map(wrap_angle, arm), limits, reference)
-            if floor is not None:
-                groups.append((floor, partial(recover_candidates, arm, t02, self.rows, self.model)))
-        return groups
+    def candidates(self, reduced):
+        """One group per arm of `arms`, whose pairs are its theta1-theta4:
+        the first terms of each candidate's distance, known before frame 4
+        and the wrist triples. The wrist closes the orientation exactly at
+        the achieved wrist point."""
+        return [
+            (enumerate(arm), partial(recover_candidates, arm, t02, self.rows, self.model))
+            for arm, t02 in self.arms(reduced)
+        ]
 
 
 def branches(rows, reference, model: RobotModel) -> list[Branch]:

@@ -6,32 +6,31 @@ reach the branch's target (`fabrik.within_reach`), runs the capped
 FABRIK sweeps from the branch's start chain and, when they miss,
 re-bends the swept chain if it is straight or folded and hands it to
 the robot's optimizer fallback. The branch recovers float tuples from
-its reduced solution in closed form, exactly; `solve` wraps them to [-pi, pi), filters them by
-the joint limits, selects one among the wrapped float tuples, checks
-the pick's pose and turns it into the one IKResult. The query is read
-once, by `prepare_query`, into float rows and a float tuple; the pick,
-as IKResult.theta, is the one ndarray the solve builds. The robots
-differ only in their branches.
+its reduced solution in closed form, exactly; one joint rule,
+`iktypes.admitted`, wraps them to [-pi, pi], limit-tests and scores
+them, and bounds branches and groups by the joints they fix. `solve`
+selects one among the wrapped float tuples, checks the pick's pose and
+turns it into the one IKResult. The query is read once, by
+`prepare_query`, into float rows and a float tuple; the pick, as
+IKResult.theta, is the one ndarray the solve builds. The robots differ
+only in their branches.
 
 A branch is any object with:
 
 - ``target``: the point the chain end must reach
 - ``start``: the chain the sweeps start from, as laid out
 - ``bend_axis``: the axis that re-bends the optimizer's seed (None: fabrik's default)
-- ``floor(reference)``: a float no larger than the `l1_distance` from
-  the reference (a float tuple) of any candidate of the branch
-- ``admissible``: False when a joint the branch fixes before any sweep
-  lies outside its limits, so no candidate of it can be admitted
+- ``fixed``: the ``(joint index, raw angle)`` pairs, in index order,
+  that every candidate of the branch shares, known before any sweep
 - ``from_chain(chain)``: the reduced solution of a converged chain
 - ``optimize(seed_chain, stop)``: ``(opt_results, reduced)`` with
   every optimizer run in order and the reduced solution, or None when
   the last run ends above the stop value (the squared tolerance)
-- ``candidates(reduced, reference)``: the groups of joint vectors of a
-  reduced solution in enumeration order, as ``(floor, recover)`` pairs:
-  ``floor`` bounds the group as ``floor(reference)`` bounds the branch,
-  and ``recover()`` gives the group's joint vectors as float tuples, in
-  enumeration order, unwrapped. A group none of whose vectors could be
-  admitted may be left out.
+- ``candidates(reduced)``: the groups of joint vectors of a reduced
+  solution in enumeration order, as ``(fixed, recover)`` pairs:
+  ``fixed`` holds the pairs every vector of the group shares, as the
+  branch's ``fixed`` does, and ``recover()`` gives the group's joint
+  vectors as float tuples, in enumeration order, unwrapped.
 """
 from __future__ import annotations
 
@@ -42,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fabrik
-from .geometry import frame_error, wrap_angle
-from .iktypes import SELECT_TIE_TOL, IKQuery, IKResult, IKStatus, admitted_distance
+from .geometry import frame_error
+from .iktypes import SELECT_TIE_TOL, IKQuery, IKResult, IKStatus, admitted
 from .optimizer import OptResult
 from .robots import RobotModel, fk_frames
 
@@ -76,25 +75,26 @@ def solve(
 
     ``prepare_query(model, query)`` gives the pose's top three float
     rows and theta_init, the reference, as a float tuple, and
-    ``branches(rows, reference, model)`` the robot's branches, visited
-    in (floor, enumeration index) order, and so are the candidate
-    groups of each reduced solution. A branch or group whose floor
-    exceeds the nearest admitted distance so far by more than
-    SELECT_TIE_TOL is skipped: ``select_candidate(distances)`` picks the
-    first admitted candidate within that tolerance of the nearest, so
-    none of its candidates could be picked. A reachable branch that is
-    not admissible is skipped too. FABRIK runs first on each other
-    reachable branch, capped at the config's sweep budget; a branch it
-    leaves unconverged goes to the branch's optimizer when the config
-    enables it. Every candidate of every recovered group is recorded,
-    in enumeration order, and ``admitted_distance`` admits those within
-    the joint limits with their L1 distance. Recovery is exact,
-    so only the pick gets a pose check: ``pose_mismatch(model, pick,
-    t_des)`` at most eps. The solvers pass the helpers they import,
-    which is where the benchmark's layer trace hooks them. A pick that
-    misses, or no pick, is FAILED when some branch was reachable,
-    UNREACHABLE otherwise (a skip by floor follows an admitted
-    candidate, so some branch was reachable).
+    ``branches(rows, reference, model)`` the robot's branches. The floor
+    of a branch, or of a candidate group of its reduced solution, is
+    the distance `admitted` gives its fixed pairs, inf for None (no
+    candidate of it within the limits); both are visited in (floor,
+    enumeration index) order. One whose floor exceeds the nearest
+    admitted distance so far by more than SELECT_TIE_TOL is skipped:
+    ``select_candidate(distances)`` picks the first admitted candidate
+    within that tolerance of the nearest, so none of its candidates
+    could be picked. A reachable branch or a group with floor inf is
+    skipped too. FABRIK runs first on each other reachable branch,
+    capped at the config's sweep budget; a branch it leaves unconverged
+    goes to the branch's optimizer when the config enables it. Every
+    candidate of every recovered group is recorded as `admitted` wraps
+    it, in enumeration order, and admitted with its L1 distance when it
+    is within the limits. Recovery is exact, so only the pick gets a
+    pose check: ``pose_mismatch(model, pick, t_des)`` at most eps. The
+    solvers pass the helpers they import, which is where the benchmark's
+    layer trace hooks them. A pick that misses, or no pick, is FAILED
+    when some branch was reachable, UNREACHABLE otherwise (a skip by
+    floor follows an admitted candidate, so some branch was reachable).
     """
     start = time.perf_counter()
     rows, reference = prepare_query(model, query)
@@ -106,15 +106,19 @@ def solve(
     detail.branches = len(enumerated)
     recovered = {}  # (branch index, group index): [(wrapped theta, distance or None)]
     nearest = math.inf  # the distance of the nearest candidate admitted so far
-    order = sorted((b.floor(reference), i, b) for i, b in enumerate(enumerated))
-    for floor, index, branch in order:
+
+    def floor_of(pairs) -> float:
+        d = admitted(pairs, model.limit_pairs, reference)[1]
+        return math.inf if d is None else d
+
+    for floor, index, branch in sorted((floor_of(b.fixed), i, b) for i, b in enumerate(enumerated)):
         if floor > nearest + SELECT_TIE_TOL:
             detail.skipped += 1
             continue
         if not fabrik.within_reach(branch.start, branch.target):
             continue
         detail.reachable = True
-        if not branch.admissible:
+        if floor == math.inf:
             detail.skipped += 1
             continue
         outcome = fabrik.solve(branch.start, branch.target, eps, cap)
@@ -129,14 +133,13 @@ def solve(
             detail.optimizer = results[-1]
         if reduced is None:
             continue
-        groups = branch.candidates(reduced, reference)
-        for floor, group, recover in sorted((f, g, r) for g, (f, r) in enumerate(groups)):
-            if floor > nearest + SELECT_TIE_TOL:
+        groups = enumerate(branch.candidates(reduced))
+        for floor, group, recover in sorted((floor_of(f), g, r) for g, (f, r) in groups):
+            if floor == math.inf or floor > nearest + SELECT_TIE_TOL:
                 continue
             recovered[index, group] = found = []
             for raw in recover():
-                wrapped = tuple(map(wrap_angle, raw))
-                d = admitted_distance(wrapped, model.limit_pairs, reference)
+                wrapped, d = admitted(enumerate(raw), model.limit_pairs, reference)
                 found.append((wrapped, d))
                 if d is not None and d < nearest:
                     nearest = d

@@ -107,7 +107,7 @@ class TrackingTrace:
     def max_joint_step(self) -> float:
         """Largest per-joint change between consecutive solved waypoints.
 
-        Changes are wrapped to [-pi, pi), so crossing +-pi is a small step.
+        Changes are wrapped to [-pi, pi], so crossing +-pi is a small step.
         """
         thetas = [r.theta for _, r in self.records]
         if len(thetas) < 2:

@@ -207,9 +207,9 @@ def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> tuple:
 class Branch:
     """One (theta1, wrist-riser) branch. Its wrist is solved when it is
     built, so theta1, theta5 and theta6 of every candidate are known
-    before any sweep. ``start`` is its plane's straight chain, and
-    ``bend_axis`` re-bends the optimizer's seed toward the reference
-    fold."""
+    before any sweep: they are its ``fixed`` pairs. ``start`` is its
+    plane's straight chain, and ``bend_axis`` re-bends the optimizer's
+    seed toward the reference fold."""
 
     def __init__(self, frame: PlanarFrame, l5d, rows, bend_axis, model):
         self.frame = frame
@@ -218,28 +218,11 @@ class Branch:
         self.model = model
         self.target = iteration_target(frame, l5d, model)
         self.wrist = wrist_angles(frame, l5d, rows, model)
-        # (index, angle) of the joints every candidate shares, wrapped as the filter wraps them
-        _, theta5, theta6 = self.wrist
-        self.fixed = ((0, wrap_angle(frame.theta1)), (4, wrap_angle(theta5)), (5, wrap_angle(theta6)))
+        self.fixed = ((0, frame.theta1), (4, self.wrist[1]), (5, self.wrist[2]))
 
     @property
     def start(self) -> fabrik.ChainState:
         return self.frame.start
-
-    @property
-    def admissible(self) -> bool:
-        """The fixed joints within their limits, by the filter's rule."""
-        limits = self.model.limit_pairs
-        return all(limits[k][0] <= t <= limits[k][1] for k, t in self.fixed)
-
-    def floor(self, reference) -> float:
-        """The fixed joints' terms of `l1_distance`, added in its order.
-        No candidate's distance is smaller, in floats too: rounding is
-        monotone, and adding a non-negative term never lowers a float sum."""
-        d = 0.0
-        for k, theta in self.fixed:
-            d += abs(theta - reference[k])
-        return d
 
     def from_chain(self, chain: fabrik.ChainState) -> tuple[float, float]:
         """(theta2, theta3) of a chain in the working plane."""
@@ -258,10 +241,10 @@ class Branch:
         )
         return [result], pair
 
-    def candidates(self, reduced, reference):
-        """One group, floor 0.0 (``floor`` has bounded it already): the
-        joint vectors of every fold of (theta2, theta3)."""
-        return [(0.0, lambda: [
+    def candidates(self, reduced):
+        """One group, with no pairs of its own (``fixed`` has bounded it
+        already): the joint vectors of every fold of (theta2, theta3)."""
+        return [((), lambda: [
             recover_angles(self.frame.theta1, *fold, self.wrist)
             for fold in fold_variants(*reduced, self.model)
         ])]

@@ -171,6 +171,15 @@ class TestWrapAngle:
         vals = wrap_angle(rng.uniform(-50, 50, 1000))
         assert np.all(vals >= -math.pi) and np.all(vals < math.pi)
 
+    def test_just_below_minus_pi_wraps_to_plus_pi(self):
+        # the range is closed: the remainder of the tiny negative sum
+        # -pi - 4e-16 + pi rounds up to 2*pi, on either path
+        below = -math.pi - 4e-16
+        assert below < -math.pi
+        assert wrap_angle(below) == math.pi
+        assert wrap_angle(np.array([below])).tolist() == [math.pi]
+        assert wrap_angle(-math.pi) == -math.pi
+
     def test_float_path_matches_array_path_bit_for_bit(self):
         rng = np.random.default_rng(23)
         edges = [math.pi, -math.pi, 0.0, -0.0, 1e300, -1e300]

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from fabrik_sqp import benchmark, kuka, robots, solve_ik, tracking
 from fractions import Fraction
 
 from fabrik_sqp.geometry import make_transform, wrap_angle
-from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, l1_distance
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, admitted, l1_distance
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch, transform_of
 
 from conftest import U, exact_sqrt, kuka_on_axis_queries, outcome_bits
@@ -376,42 +375,49 @@ class TestReferenceElbow:
 
 class TestArmSkip:
     """The pipeline recovers the arms nearest-first by floor and skips
-    those that cannot win, and the branch leaves out an arm out of
-    limits; both skips are exact."""
+    those that cannot win or lie out of limits; both skips are exact."""
 
     @pytest.mark.parametrize("limits", LIMITS.values(), ids=LIMITS.keys())
     def test_floor_never_exceeds_a_candidate_distance(self, limits):
+        """`admitted` over an arm's pairs, its theta1-theta4, is never
+        above a candidate's distance, and is None exactly when those
+        joints lie out of limits, so that none of the arm's candidates
+        is admitted."""
         model = robots.kuka_model(limits)
+        pairs = model.limit_pairs
         rng = np.random.default_rng(33)
         checked = dropped = 0
         for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
             branch = kuka.Branch(t_des[:3].tolist(), tuple(theta_init.tolist()), model)
+            assert branch.fixed == ()
             # arms through a configuration in limits, and their sign mirrors
             for theta in rng.uniform(*np.transpose(model.limit_pairs), size=(3, 7)):
                 frames = fk_arrays(model, theta)
                 reduced = (tuple(frames[3][:3, 3].tolist()), tuple(frames[5][:3, 3].tolist()))
                 arms = [
-                    [tuple(map(wrap_angle, c)) for c in kuka.recover_candidates(arm, t02, branch.rows, model)]
+                    (arm, kuka.recover_candidates(arm, t02, branch.rows, model))
                     for arm, t02 in branch.arms(reduced)
                 ]
                 # far references, and one a few ulps from a candidate,
                 # where the rounding of the sums decides
-                near = np.add(arms[0][0], rng.normal(size=7) * 1e-15)
+                near = np.add([wrap_angle(t) for t in arms[0][1][0]], rng.normal(size=7) * 1e-15)
                 for reference in (theta_init, rng.uniform(-math.pi, math.pi, 7), near):
                     reference = reference.tolist()
-                    groups = iter(branch.candidates(reduced, reference))
-                    kept = next(groups, None)
-                    for wrapped in arms:
-                        if kept is None or [tuple(map(wrap_angle, c)) for c in kept[1]()] != wrapped:
-                            # a left-out arm has no candidate in limits
-                            assert not any(map(model.within_limits, wrapped))
-                            dropped += 1
-                            continue
-                        for candidate in wrapped:
-                            assert kept[0] <= l1_distance(candidate, reference)
-                            checked += 1
-                        kept = next(groups, None)
-                    assert kept is None
+                    groups = branch.candidates(reduced)
+                    assert [recover() for _, recover in groups] == [raws for _, raws in arms]
+                    for (group, _), (arm, raws) in zip(groups, arms):
+                        floor = admitted(group, pairs, reference)[1]
+                        inside = all(lo <= wrap_angle(t) <= hi for t, (lo, hi) in zip(arm, pairs))
+                        assert (floor is None) == (not inside)
+                        for raw in raws:
+                            assert raw[:4] == arm
+                            wrapped, d = admitted(enumerate(raw), pairs, reference)
+                            if floor is None:
+                                assert d is None
+                                dropped += 1
+                            else:
+                                assert floor <= l1_distance(wrapped, reference)
+                                checked += 1
         assert checked > 500
         assert (dropped > 0) == (limits is not None)
 
@@ -423,13 +429,20 @@ class TestArmSkip:
 
         def solved():
             out = [kuka.solve_detailed(IKQuery(t, th, SolverConfig()), model) for t, th in queries]
-            return [outcome_bits(r) for r, _ in out], sum(len(d.candidates) for _, d in out)
+            candidates = [c for _, d in out for c in d.candidates]
+            # whether theta1-theta4 of every candidate are within limits
+            arms_inside = all(
+                lo <= t <= hi for c in candidates for t, (lo, hi) in zip(c[:4], model.limit_pairs)
+            )
+            return [outcome_bits(r) for r, _ in out], len(candidates), arms_inside
 
-        shipped, recovered = solved()
+        shipped, recovered, inside = solved()
         _recover_every_arm(monkeypatch)
-        everything, enumerated = solved()
+        everything, enumerated, inside_every_arm = solved()
         assert recovered < enumerated
         assert shipped == everything
+        # an arm out of limits is never recovered
+        assert inside and inside_every_arm == (limits is None)
 
     def test_scripted_path_as_with_every_arm(self, kuka_model, monkeypatch):
         theta_init, waypoints = tracking.scripted_waypoints(kuka_model)
@@ -445,11 +458,10 @@ class TestArmSkip:
 
 
 def _recover_every_arm(monkeypatch):
-    """Every arm a group, floor 0.0, whatever its limits: the full enumeration."""
-    def every_arm(self, reduced, reference):
-        return [
-            (0.0, partial(kuka.recover_candidates, arm, t02, self.rows, self.model))
-            for arm, t02 in self.arms(reduced)
-        ]
+    """Every arm a group with no pairs, whatever its limits: the full enumeration."""
+    candidates = kuka.Branch.candidates
+
+    def every_arm(self, reduced):
+        return [((), recover) for _, recover in candidates(self, reduced)]
 
     monkeypatch.setattr(kuka.Branch, "candidates", every_arm)

@@ -17,7 +17,7 @@ from fabrik_sqp.iktypes import (
     IKQuery,
     IKStatus,
     SolverConfig,
-    admitted_distance,
+    admitted,
     l1_distance,
     prepare_query,
     select_candidate,
@@ -116,8 +116,8 @@ class TestStatusRule:
             for index, branch in enumerate(branches(*args)):
                 def candidates(*a, groups=branch.candidates, index=index):
                     return [
-                        (floor, partial(log, (index, group), recover))
-                        for group, (floor, recover) in enumerate(groups(*a))
+                        (fixed, partial(log, (index, group), recover))
+                        for group, (fixed, recover) in enumerate(groups(*a))
                     ]
 
                 branch.candidates = candidates
@@ -250,15 +250,22 @@ class TestHookLookup:
         assert len(calls) == 1
 
 
+def _spans():
+    """perfbench/spans.py, loaded read-only, as the benchmark imports it."""
+    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 class TestBenchmarkHookSites:
     """Every (module, attribute) site that the benchmark's layer trace
-    hooks resolves on the package, so a rename or an inlined helper
-    shows here rather than only in a full traced benchmark run."""
+    hooks resolves on the package and is called, so a rename, an inlined
+    helper or a call that no longer happens shows here rather than only
+    in a full traced benchmark run."""
 
     def test_every_hook_site_resolves(self):
-        spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = _spans()
         assert spans.HOOKS
         missing = []
         for _, module, attr in spans.HOOKS:
@@ -268,6 +275,19 @@ class TestBenchmarkHookSites:
             if not callable(owner):
                 missing.append(f"{module}.{attr}")
         assert missing == []
+
+    def test_every_layer_is_called_on_the_scripted_paths(self):
+        # the benchmark's gate on its tracking workload: no hook absent,
+        # and no layer at 0 calls; both robots' scripted paths reach them
+        spans = _spans()
+        config = SolverConfig()
+        tracer = spans.Tracer(fabrik_sqp, config.eps_tol)
+        with tracer.installed():
+            for model in (robots.ur5_model(), robots.kuka_model()):
+                theta_init, waypoints = fabrik_sqp.tracking.scripted_waypoints(model)
+                tracer.request(fabrik_sqp.tracking.track, model, waypoints, theta_init, config)
+        assert tracer.absent == []
+        assert [layer for layer in spans.LAYERS if tracer.calls[layer] == 0] == []
 
 
 class TestSelection:
@@ -318,20 +338,38 @@ class TestSelection:
             l1_distance((0.0, 1.0), (0.0,))
 
     def test_admitted_distance_is_the_limit_test_and_l1_distance(self):
+        """`admitted` over a whole candidate wraps it as `wrap_angle`, and
+        its distance is the limit test and `l1_distance`; over the pairs
+        of a prefix, or of the UR5's fixed theta1, theta5 and theta6, it
+        is their terms of that sum, in its order."""
         rng = np.random.default_rng(30)
         model = robots.kuka_model(np.tile([-0.5, 0.5], (7, 1)))
-        admitted = 0
+        limits = model.limit_pairs
+
+        def want(wrapped, reference, ks):
+            inside = all(limits[k][0] <= wrapped[k] <= limits[k][1] for k in ks)
+            return l1_distance([wrapped[k] for k in ks], [reference[k] for k in ks]) if inside else None
+
+        counts = {"full": 0, "prefix": 0, "ur5": 0}
         for theta, reference in rng.uniform(-0.6, 0.6, size=(5_000, 2, 7)).tolist():
             # angles on a limit, which the test admits
             theta[rng.integers(7)] = rng.choice([-0.5, 0.5])
-            want = l1_distance(theta, reference) if model.within_limits(theta) else None
-            assert admitted_distance(theta, model.limit_pairs, reference) == want
-            admitted += want is not None
-            # a prefix gives the first terms of the sum, in its order
-            prefix = admitted_distance(theta[:4], model.limit_pairs, reference)
-            if model.within_limits(theta):
-                assert prefix == l1_distance(theta[:4], reference[:4])
-        assert 0 < admitted < 5_000
+            # raw angles, some a turn away, as a recovery gives them
+            raw = [t + 2.0 * math.pi * n for t, n in zip(theta, rng.integers(-1, 2, size=7).tolist())]
+            wrapped = tuple(map(wrap_angle, raw))
+            d = want(wrapped, reference, range(7))
+            assert d == (l1_distance(wrapped, reference) if model.within_limits(wrapped) else None)
+            assert admitted(enumerate(raw), limits, reference) == (wrapped, d)
+            prefix = admitted(enumerate(raw[:4]), limits, reference)
+            assert prefix == (wrapped[:4], want(wrapped, reference, range(4)))
+            ur5_fixed = admitted([(k, raw[k]) for k in (0, 4, 5)], limits, reference)
+            assert ur5_fixed == ((wrapped[0], wrapped[4], wrapped[5]), want(wrapped, reference, (0, 4, 5)))
+            for name, result in (("full", d), ("prefix", prefix[1]), ("ur5", ur5_fixed[1])):
+                counts[name] += result is not None
+        assert all(0 < n < 5_000 for n in counts.values())
+        assert counts["full"] < counts["prefix"] and counts["full"] < counts["ur5"]
+        # no pairs: the KUKA branch's, and the UR5 group's
+        assert admitted((), limits, reference) == ((), 0.0)
 
 
 class TestSolverConfig:

@@ -6,7 +6,7 @@ import pytest
 
 from fabrik_sqp import benchmark, fabrik, robots, solve_ik, tracking, ur5
 from fabrik_sqp.geometry import make_transform, signed_angle, wrap_angle
-from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, l1_distance
+from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, admitted, l1_distance
 from fabrik_sqp.optimizer import OptStatus, minimize
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
 
@@ -524,25 +524,40 @@ class TestBranchSkip:
     """The pipeline solves the branches nearest-first by floor and skips
     those that cannot win; both skips are exact."""
 
-    def test_floor_never_exceeds_a_candidate_distance(self, ur5_model):
+    def test_floor_never_exceeds_a_candidate_distance(self):
+        """`admitted` over a branch's fixed pairs, theta1, theta5 and
+        theta6, and over its one group's pairs, none, is never above a
+        candidate's distance, and is None exactly when those joints of
+        the candidates lie out of limits, so that none is admitted."""
         rng = np.random.default_rng(32)
-        checked = 0
-        for t_des, theta_init in benchmark.generate_queries(ur5_model, 50, 7).queries:
-            for branch in ur5.branches(t_des[:3].tolist(), tuple(theta_init.tolist()), ur5_model):
-                for reduced in rng.uniform(-math.pi, math.pi, size=(10, 2)).tolist():
-                    # one group, which the branch's floor bounds
-                    (group_floor, recover), = branch.candidates(reduced, theta_init.tolist())
-                    assert group_floor == 0.0
-                    for raw in recover():
-                        wrapped = [wrap_angle(t) for t in raw]
-                        # far references, and near ones, where every term
-                        # is a few ulps and the rounding of the sums decides
-                        near = np.add(wrapped, rng.normal(size=6) * 1e-15)
-                        for reference in (rng.uniform(-math.pi, math.pi, 6), near):
-                            reference = reference.tolist()
-                            assert branch.floor(reference) <= l1_distance(wrapped, reference)
-                            checked += 1
-        assert checked > 5_000
+        checked = dropped = 0
+        for limits in (None, np.tile([-0.5, 0.5], (6, 1))):
+            model = robots.ur5_model(limits)
+            pairs = model.limit_pairs
+            for t_des, theta_init in benchmark.generate_queries(model, 50, 7).queries:
+                for branch in ur5.branches(t_des[:3].tolist(), tuple(theta_init.tolist()), model):
+                    for reduced in rng.uniform(-math.pi, math.pi, size=(10, 2)).tolist():
+                        (group, recover), = branch.candidates(reduced)
+                        assert group == ()
+                        for raw in recover():
+                            wrapped = [wrap_angle(t) for t in raw]
+                            fixed_inside = all(pairs[k][0] <= wrapped[k] <= pairs[k][1] for k in (0, 4, 5))
+                            # far references, and near ones, where every term
+                            # is a few ulps and the rounding of the sums decides
+                            near = np.add(wrapped, rng.normal(size=6) * 1e-15)
+                            for reference in (rng.uniform(-math.pi, math.pi, 6), near):
+                                reference = reference.tolist()
+                                floor = admitted(branch.fixed, pairs, reference)[1]
+                                assert admitted(group, pairs, reference) == ((), 0.0)
+                                d = admitted(enumerate(raw), pairs, reference)[1]
+                                assert (floor is None) == (not fixed_inside)
+                                if floor is None:
+                                    assert d is None
+                                    dropped += 1
+                                else:
+                                    assert floor <= l1_distance(wrapped, reference)
+                                    checked += 1
+        assert checked > 5_000 and dropped > 0
 
     @pytest.mark.parametrize(
         "limits, config",
@@ -559,13 +574,34 @@ class TestBranchSkip:
 
         def solved():
             out = [ur5.solve_detailed(IKQuery(t, th, config), model) for t, th in queries]
-            return [outcome_bits(r) for r, _ in out], sum(d.skipped for _, d in out)
+            # whether theta1, theta5 and theta6 of every candidate are within limits
+            fixed_inside = all(
+                model.limit_pairs[k][0] <= c[k] <= model.limit_pairs[k][1]
+                for _, d in out for c in d.candidates for k in (0, 4, 5)
+            )
+            return [outcome_bits(r) for r, _ in out], sum(d.skipped for _, d in out), fixed_inside
 
-        shipped, skipped = solved()
+        shipped, skipped, inside = solved()
         _skip_nothing(monkeypatch)
-        everything, none = solved()
+        everything, none, inside_unfixed = solved()
         assert skipped > 0 and none == 0
         assert shipped == everything
+        # a branch whose fixed joints are out of limits is never solved
+        assert inside and inside_unfixed == (limits is None)
+
+    def test_branch_with_a_fixed_joint_out_of_limits_is_not_solved(self):
+        # poses of the full-turn arm under +-0.5 rad limits: many of their
+        # branches fix a joint out of limits, and none of those is solved,
+        # even when no other branch admits a candidate
+        model = robots.ur5_model(np.tile([-0.5, 0.5], (6, 1)))
+        skipped = unanswered = 0
+        for t_des, _ in benchmark.generate_queries(robots.ur5_model(), 100, 7).queries:
+            result, detail = ur5.solve_detailed(IKQuery(t_des, np.zeros(6)), model)
+            for c in detail.candidates:
+                assert all(-0.5 <= c[k] <= 0.5 for k in (0, 4, 5))
+            skipped += detail.skipped
+            unanswered += detail.reachable and not detail.admitted
+        assert skipped > 0 and unanswered > 0
 
     def test_scripted_path_as_without_skipping(self, ur5_model, monkeypatch):
         theta_init, waypoints = tracking.scripted_waypoints(ur5_model)
@@ -581,6 +617,13 @@ class TestBranchSkip:
 
 
 def _skip_nothing(monkeypatch):
-    """No floor exceeds any distance, and every branch is admissible."""
-    monkeypatch.setattr(ur5.Branch, "floor", lambda self, reference: 0.0)
-    monkeypatch.setattr(ur5.Branch, "admissible", True)
+    """No branch fixes a joint, so no floor exceeds any distance or is
+    out of limits."""
+    branches = ur5.branches
+
+    def unfixed(*args):
+        for branch in branches(*args):
+            branch.fixed = ()
+            yield branch
+
+    monkeypatch.setattr(ur5, "branches", unfixed)

@@ -21,17 +21,19 @@ checkout's (the working tree, uncommitted edits included):
 
 Per solve it compares the status, the sweep count, optimizer use, the
 optimizer iterations, the result's error (eps_pos, eps_rot; None for an
-unsolved query), the selected theta and every enumerated candidate, in
-order and bit for bit (`SolveDetail.candidates`, read through the
-robots' `solve_detailed`). Per workload it prints, apart, how many
-solves keep their outcome (status, pick and error, bit for bit) and how
-many differ in their work (sweeps, optimizer use or iterations) and
+unsolved query), the selected theta, every enumerated candidate, in
+order and bit for bit (`SolveDetail.candidates`), and the branches
+skipped unsolved (`SolveDetail.skipped`), both read through the robots'
+`solve_detailed`. Per workload it prints, apart, how many solves keep
+their outcome (status, pick and error, bit for bit) and how many differ
+in their work (sweeps, optimizer use, iterations or skips) and
 candidates, so that a change that skips work on purpose can show that
 no pick moved. It exits 1 on any differing solve, outcome or work.
 
 Per workload it also prints what a change that moves records must
 account for: the solves lost and gained, the sweep, optimizer-iteration,
-optimizer-run and enumerated-candidate totals of each side, the picks
+optimizer-run, skipped-branch and enumerated-candidate totals of each
+side, the picks
 that move by more than PICK_MOVE rad (max over the joints) split into
 those nearer to and farther from the query's reference in L1, and each
 side's median pick-to-reference L1 distance over its solved queries.
@@ -57,6 +59,7 @@ FIELDS = ("status", "sweeps", "opt_used", "opt_iters", "error")
 THETA = len(FIELDS)  # index of the selected theta in a record
 CANDIDATES = THETA + 1  # index of the enumerated candidates
 REFERENCE = CANDIDATES + 1  # index of the query's theta_init
+SKIPPED = REFERENCE + 1  # index of the branches skipped unsolved
 PICK_MOVE = 1e-3  # rad: a pick that moves farther than this is reported
 SHOWN = 5  # differing solves printed per workload
 DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
@@ -88,13 +91,14 @@ def record(r) -> tuple:
 
 def with_candidates(pkg, solve) -> list:
     """The records of the results `solve()` returns, each followed by the
-    candidates its solve enumerated and the query's reference."""
+    candidates its solve enumerated, the query's reference and the
+    branches its solve skipped."""
     log = []
     originals = [(module, module.solve_detailed) for module in (pkg.ur5, pkg.kuka)]
     for module, original in originals:
         def logged(query, model, original=original):
             result, detail = original(query, model)
-            log.append((detail.candidates, np.array(query.theta_init)))
+            log.append((detail.candidates, np.array(query.theta_init), detail.skipped))
             return result, detail
         module.solve_detailed = logged
     try:
@@ -134,7 +138,7 @@ def on_axis_queries() -> list:
 
 def records(src: Path, on_axis: list) -> dict:
     """{workload: [(status, sweeps, opt_used, opt_iters, error, theta,
-    candidates, reference), ...]} with the package under src."""
+    candidates, reference, skipped), ...]} with the package under src."""
     sys.path.insert(0, str(src))
     try:
         out = {}
@@ -186,8 +190,11 @@ def outcome_differs(a, b) -> tuple[bool, bool, bool]:
 
 
 def work_differs(a, b) -> bool:
-    """Whether the sweeps, optimizer use, iterations or candidates of two records differ."""
-    return a[1:4] != b[1:4] or differing_candidates(a[CANDIDATES], b[CANDIDATES]) > 0
+    """Whether the sweeps, optimizer use, iterations, skips or candidates of two records differ."""
+    return (
+        a[1:4] != b[1:4] or a[SKIPPED] != b[SKIPPED]
+        or differing_candidates(a[CANDIDATES], b[CANDIDATES]) > 0
+    )
 
 
 def differing(theirs: list, ours: list) -> list:
@@ -209,6 +216,8 @@ def describe(a, b) -> str:
             parts.append("theta present on one side only")
         else:
             parts.append(f"theta moves by {float(np.max(np.abs(a[THETA] - b[THETA]))):.3g} rad")
+    if a[SKIPPED] != b[SKIPPED]:
+        parts.append(f"skipped {a[SKIPPED]} -> {b[SKIPPED]}")
     moved = differing_candidates(a[CANDIDATES], b[CANDIDATES])
     if moved:
         parts.append(
@@ -232,6 +241,7 @@ def accounting(theirs: list, ours: list) -> list[str]:
             ("sweeps", itemgetter(1)),
             ("iterations", itemgetter(3)),
             ("optimizer runs", itemgetter(2)),
+            ("skipped", itemgetter(SKIPPED)),
             ("candidates enumerated", lambda r: len(r[CANDIDATES])),
         )
     ]
@@ -281,7 +291,7 @@ def main(argv=None) -> int:
             )
             print(
                 f"  work: {sum(work_differs(a, b) for a, b in pairs)} solves differ in sweeps,"
-                f" optimizer use, iterations or candidates; {moved} candidates differ"
+                f" optimizer use, iterations, skips or candidates; {moved} candidates differ"
             )
             for line in accounting(theirs[name], mine):
                 print(f"  {line}")
