@@ -33,6 +33,7 @@ from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
 
 _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
+_TWIN_TOL = 1e-4  # rad: seeds closer than this in every joint are one seed
 DEFAULT_V_INIT = (0.0, 0.0, 1.0)
 
 
@@ -229,9 +230,17 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
     out: list[tuple] = []
     for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):
         # seeds are starting points, not answers: collapse near-twins
-        if all(max(abs(a - b) for a, b in zip(theta, kept)) > 1e-4 for kept in out):
+        if not any(_near_twin(theta, kept) for kept in out):
             out.append(theta)
     return out
+
+
+def _near_twin(a, b) -> bool:
+    """Whether each angle of `a` is within _TWIN_TOL of `b`'s; stops at the first that is not."""
+    for x, y in zip(a, b):
+        if abs(x - y) > _TWIN_TOL:
+            return False
+    return True
 
 
 def _lateral(arms, axis) -> tuple | None:
@@ -282,6 +291,7 @@ class Branch:
     ``start`` is the model's straight chain, as `make_chain` lays it out."""
 
     fixed = ()  # the branch fixes no joint before its sweeps
+    rest = 0.0  # nor bounds the other terms of a distance
 
     def __init__(self, rows, reference, model: RobotModel):
         self.rows = rows

@@ -8,12 +8,12 @@ re-bends the swept chain if it is straight or folded and hands it to
 the robot's optimizer fallback. The branch recovers float tuples from
 its reduced solution in closed form, exactly; one joint rule,
 `iktypes.admitted`, wraps them to [-pi, pi], limit-tests and scores
-them, and bounds branches and groups by the joints they fix. `solve`
-selects one among the wrapped float tuples, checks the pick's pose and
-turns it into the one IKResult. The query is read once, by
-`prepare_query`, into float rows and a float tuple; the pick, as
-IKResult.theta, is the one ndarray the solve builds. The robots differ
-only in their branches.
+them, and bounds branches and groups by the joints they fix, a branch
+with its rest added. `solve` selects one among the wrapped float
+tuples, checks the pick's pose and turns it into the one IKResult.
+The query is read once, by `prepare_query`, into float rows and a
+float tuple; the pick, as IKResult.theta, is the one ndarray the solve
+builds. The robots differ only in their branches.
 
 A branch is any object with:
 
@@ -22,6 +22,8 @@ A branch is any object with:
 - ``bend_axis``: the axis that re-bends the optimizer's seed (None: fabrik's default)
 - ``fixed``: the ``(joint index, raw angle)`` pairs, in index order,
   that every candidate of the branch shares, known before any sweep
+- ``rest``: a float, known before any sweep, at or below the sum of
+  every candidate's L1 terms of the joints ``fixed`` leaves out
 - ``from_chain(chain)``: the reduced solution of a converged chain
 - ``optimize(seed_chain, stop)``: ``(opt_results, reduced)`` with
   every optimizer run in order and the reduced solution, or None when
@@ -56,6 +58,7 @@ class SolveDetail:
 
     branches: int = 0  # reduction branches enumerated
     skipped: int = 0  # branches not solved: they could not win, or a fixed joint is out of limits
+    solved: int = 0  # branches FABRIK ran on
     reachable: bool = False  # some branch target lies within the chain's reach
     fabrik_iterations: int = 0
     optimizer_iterations: int = 0
@@ -76,17 +79,18 @@ def solve(
     ``prepare_query(model, query)`` gives the pose's top three float
     rows and theta_init, the reference, as a float tuple, and
     ``branches(rows, reference, model)`` the robot's branches. The floor
-    of a branch, or of a candidate group of its reduced solution, is
-    the distance `admitted` gives its fixed pairs, inf for None (no
-    candidate of it within the limits); both are visited in (floor,
-    enumeration index) order. One whose floor exceeds the nearest
-    admitted distance so far by more than SELECT_TIE_TOL is skipped:
-    ``select_candidate(distances)`` picks the first admitted candidate
-    within that tolerance of the nearest, so none of its candidates
-    could be picked. A reachable branch or a group with floor inf is
-    skipped too. FABRIK runs first on each other reachable branch,
-    capped at the config's sweep budget; a branch it leaves unconverged
-    goes to the branch's optimizer when the config enables it. Every
+    of a candidate group of a branch's reduced solution is the distance
+    `admitted` gives its fixed pairs, inf for None (no candidate of it
+    within the limits); a branch's floor is that of its fixed pairs plus
+    its rest. Both are visited in (floor, enumeration index) order. One
+    whose floor exceeds the nearest admitted distance so far by more
+    than SELECT_TIE_TOL is skipped: ``select_candidate(distances)``
+    picks the first admitted candidate within that tolerance of the
+    nearest, so none of its candidates could be picked. A reachable
+    branch or a group with floor inf is skipped too (a rest is finite).
+    FABRIK runs first on each other reachable branch, capped at the
+    config's sweep budget; a branch it leaves unconverged goes to the
+    branch's optimizer when the config enables it. Every
     candidate of every recovered group is recorded as `admitted` wraps
     it, in enumeration order, and admitted with its L1 distance when it
     is within the limits. Recovery is exact, so only the pick gets a
@@ -111,7 +115,8 @@ def solve(
         d = admitted(pairs, model.limit_pairs, reference)[1]
         return math.inf if d is None else d
 
-    for floor, index, branch in sorted((floor_of(b.fixed), i, b) for i, b in enumerate(enumerated)):
+    floors = ((floor_of(b.fixed) + b.rest, i, b) for i, b in enumerate(enumerated))
+    for floor, index, branch in sorted(floors):
         if floor > nearest + SELECT_TIE_TOL:
             detail.skipped += 1
             continue
@@ -121,6 +126,7 @@ def solve(
         if floor == math.inf:
             detail.skipped += 1
             continue
+        detail.solved += 1
         outcome = fabrik.solve(branch.start, branch.target, eps, cap)
         detail.fabrik_iterations += outcome.iterations
         reduced = branch.from_chain(outcome.chain) if outcome.converged else None

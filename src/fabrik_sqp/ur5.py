@@ -7,12 +7,13 @@ projected wrist target. Since neither the sign of theta1 nor the
 wrist-link direction can be determined up front, four branches are
 enumerated. Joints 2-4 are parallel, so theta2 + theta3 + theta4, theta5
 and theta6 are solved once per branch, before any sweep, and each fold
-of the elbow chain sets theta4 to close that sum. So theta1, theta5 and
-theta6 bound each branch's L1 distance to theta_init from below, and the
-pipeline solves the branches nearest-first, skipping those that cannot
-win. Every candidate is exact, the wrist singularity included; the
-returned vector is the candidate within the joint limits closest to
-theta_init in L1 norm, after one pose check.
+of the elbow chain sets theta4 to close that sum (Hawkins 2013). So
+theta1, theta5 and theta6, plus the circular distance of that sum from
+the reference's, bound each branch's L1 distance to theta_init from
+below, and the pipeline solves the branches nearest-first, skipping
+those that cannot win. Every candidate is exact, the wrist singularity
+included; the returned vector is the candidate within the joint limits
+closest to theta_init in L1 norm, after one pose check.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
 GAP_MARGIN = 1e-12  # m: far above the rounding of `elbow_gap` and of the optimizer's f
+REST_MARGIN = 1e-12  # rad: far above the rounding of a candidate's theta2-theta4 and of its L1 sum
 
 
 def wrist_position(rows, model: RobotModel) -> tuple:
@@ -207,11 +209,16 @@ def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> tuple:
 class Branch:
     """One (theta1, wrist-riser) branch. Its wrist is solved when it is
     built, so theta1, theta5 and theta6 of every candidate are known
-    before any sweep: they are its ``fixed`` pairs. ``start`` is its
-    plane's straight chain, and ``bend_axis`` re-bends the optimizer's
-    seed toward the reference fold."""
+    before any sweep: they are its ``fixed`` pairs. So is theta234, to
+    which the wrapped theta2, theta3 and theta4 of every candidate, w2,
+    w3 and w4, sum modulo 2 pi. For a reference r whose r2 + r3 + r4 is
+    `r234`, |w2 - r2| + |w3 - r3| + |w4 - r4| is thus at least the
+    circular distance from theta234 to r234, under any limits; that
+    distance less REST_MARGIN is its ``rest``. ``start`` is its plane's
+    straight chain, and ``bend_axis`` re-bends the optimizer's seed
+    toward the reference fold."""
 
-    def __init__(self, frame: PlanarFrame, l5d, rows, bend_axis, model):
+    def __init__(self, frame: PlanarFrame, l5d, rows, bend_axis, model, r234: float = 0.0):
         self.frame = frame
         self.l5d = l5d
         self.bend_axis = bend_axis
@@ -219,6 +226,7 @@ class Branch:
         self.target = iteration_target(frame, l5d, model)
         self.wrist = wrist_angles(frame, l5d, rows, model)
         self.fixed = ((0, frame.theta1), (4, self.wrist[1]), (5, self.wrist[2]))
+        self.rest = abs(wrap_angle(self.wrist[0] - r234)) - REST_MARGIN
 
     @property
     def start(self) -> fabrik.ChainState:
@@ -256,11 +264,12 @@ def branches(rows, reference, model: RobotModel):
     and its re-bend axis, the plane normal signed by the reference's
     theta3."""
     p_w = wrist_position(rows, model)
+    r234 = reference[1] + reference[2] + reference[3]
     for theta1 in dedup_angles(theta1_candidates(p_w, model)):
         frame = planar_frame(theta1, rows, p_w, model)
         axis = frame.z2d if reference[2] >= 0.0 else _negated(frame.z2d)
         for l5d in frame.l5d_options:
-            yield Branch(frame, l5d, rows, axis, model)
+            yield Branch(frame, l5d, rows, axis, model, r234)
 
 
 def solve_detailed(query: IKQuery, model: RobotModel):

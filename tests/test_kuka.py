@@ -389,7 +389,7 @@ class TestArmSkip:
         checked = dropped = 0
         for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
             branch = kuka.Branch(t_des[:3].tolist(), tuple(theta_init.tolist()), model)
-            assert branch.fixed == ()
+            assert branch.fixed == () and branch.rest == 0.0
             # arms through a configuration in limits, and their sign mirrors
             for theta in rng.uniform(*np.transpose(model.limit_pairs), size=(3, 7)):
                 frames = fk_arrays(model, theta)

@@ -51,7 +51,7 @@ class TestStatusRule:
         assert result.fabrik_iterations == 0
         assert not result.optimizer_used
         assert result.optimizer_iterations == 0
-        assert detail.branches >= 1 and not detail.reachable
+        assert detail.branches >= 1 and not detail.reachable and detail.solved == 0
         assert detail.candidates == [] and detail.admitted == []
 
     def test_sweep_cap_miss_without_optimizer_fails(self, solver):
@@ -96,6 +96,21 @@ class TestStatusRule:
         in_limits = [theta for theta in detail.candidates if model.within_limits(theta)]
         assert [id(theta) for theta in detail.admitted] == [id(theta) for theta in in_limits]
         assert pose_mismatch(model, result.theta, query.t_des) <= SolverConfig().eps_tol
+
+    def test_solved_counts_the_branches_fabrik_ran_on(self, solver, monkeypatch):
+        module, model = solver
+        calls = []
+        sweeps = pipeline.fabrik.solve
+        monkeypatch.setattr(pipeline.fabrik, "solve", lambda *args: calls.append(args) or sweeps(*args))
+        solved = skipped = 0
+        for t_des, theta_init in benchmark.generate_queries(model, 20, 7).queries:
+            calls.clear()
+            _, detail = module.solve_detailed(IKQuery(t_des=t_des, theta_init=theta_init), model)
+            assert detail.solved == len(calls)
+            assert detail.solved + detail.skipped <= detail.branches
+            solved += detail.solved
+            skipped += detail.skipped
+        assert solved >= 20 and (skipped > 0) == (module is ur5)
 
     def test_every_candidate_is_wrapped(self, solver):
         module, model = solver

@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -528,26 +529,37 @@ class TestBranchSkip:
         """`admitted` over a branch's fixed pairs, theta1, theta5 and
         theta6, and over its one group's pairs, none, is never above a
         candidate's distance, and is None exactly when those joints of
-        the candidates lie out of limits, so that none is admitted."""
+        the candidates lie out of limits, so that none is admitted. With
+        the branch's rest added, the circular distance of theta2 +
+        theta3 + theta4 from the reference's, it is not above it either,
+        at any limits and for references in any 2 pi form."""
         rng = np.random.default_rng(32)
         checked = dropped = 0
-        for limits in (None, np.tile([-0.5, 0.5], (6, 1))):
-            model = robots.ur5_model(limits)
+        for half in (math.pi, 0.5, 2 * math.pi):
+            model = robots.ur5_model(np.tile([-half, half], (6, 1)))
             pairs = model.limit_pairs
             for t_des, theta_init in benchmark.generate_queries(model, 50, 7).queries:
-                for branch in ur5.branches(t_des[:3].tolist(), tuple(theta_init.tolist()), model):
+                top = t_des[:3].tolist()
+                for index, branch in enumerate(ur5.branches(top, tuple(theta_init.tolist()), model)):
                     for reduced in rng.uniform(-math.pi, math.pi, size=(10, 2)).tolist():
                         (group, recover), = branch.candidates(reduced)
                         assert group == ()
                         for raw in recover():
                             wrapped = [wrap_angle(t) for t in raw]
                             fixed_inside = all(pairs[k][0] <= wrapped[k] <= pairs[k][1] for k in (0, 4, 5))
-                            # far references, and near ones, where every term
-                            # is a few ulps and the rounding of the sums decides
+                            # far references, within [-pi, pi] and within
+                            # the limits, and near ones, where every term is
+                            # a few ulps and the rounding of the sums
+                            # decides, also whole turns away on some joints
                             near = np.add(wrapped, rng.normal(size=6) * 1e-15)
-                            for reference in (rng.uniform(-math.pi, math.pi, 6), near):
+                            turns = 2 * math.pi * rng.integers(-1, 2, size=6)
+                            far = rng.uniform(-math.pi, math.pi, 6), rng.uniform(-half, half, 6)
+                            for reference in (*far, near, near + turns):
                                 reference = reference.tolist()
-                                floor = admitted(branch.fixed, pairs, reference)[1]
+                                # the branch as the solve builds it for this reference
+                                bound = next(islice(ur5.branches(top, reference, model), index, None))
+                                assert bound.fixed == branch.fixed
+                                floor = admitted(bound.fixed, pairs, reference)[1]
                                 assert admitted(group, pairs, reference) == ((), 0.0)
                                 d = admitted(enumerate(raw), pairs, reference)[1]
                                 assert (floor is None) == (not fixed_inside)
@@ -556,6 +568,7 @@ class TestBranchSkip:
                                     dropped += 1
                                 else:
                                     assert floor <= l1_distance(wrapped, reference)
+                                    assert floor + bound.rest <= l1_distance(wrapped, reference)
                                     checked += 1
         assert checked > 5_000 and dropped > 0
 
@@ -617,13 +630,13 @@ class TestBranchSkip:
 
 
 def _skip_nothing(monkeypatch):
-    """No branch fixes a joint, so no floor exceeds any distance or is
-    out of limits."""
+    """No branch fixes a joint or bounds the rest, so no floor exceeds
+    any distance or is out of limits."""
     branches = ur5.branches
 
     def unfixed(*args):
         for branch in branches(*args):
-            branch.fixed = ()
+            branch.fixed, branch.rest = (), 0.0
             yield branch
 
     monkeypatch.setattr(ur5, "branches", unfixed)

@@ -22,18 +22,20 @@ checkout's (the working tree, uncommitted edits included):
 Per solve it compares the status, the sweep count, optimizer use, the
 optimizer iterations, the result's error (eps_pos, eps_rot; None for an
 unsolved query), the selected theta, every enumerated candidate, in
-order and bit for bit (`SolveDetail.candidates`), and the branches
-skipped unsolved (`SolveDetail.skipped`), both read through the robots'
-`solve_detailed`. Per workload it prints, apart, how many solves keep
-their outcome (status, pick and error, bit for bit) and how many differ
-in their work (sweeps, optimizer use, iterations or skips) and
-candidates, so that a change that skips work on purpose can show that
-no pick moved. It exits 1 on any differing solve, outcome or work.
+order and bit for bit (`SolveDetail.candidates`), the branches skipped
+unsolved (`SolveDetail.skipped`) and the branches FABRIK ran on
+(`SolveDetail.solved`, compared when both sides record it), all read
+through the robots' `solve_detailed`. Per workload it prints, apart, how
+many solves keep their outcome (status, pick and error, bit for bit)
+and how many differ in their work (sweeps, optimizer use, iterations,
+skips or branches solved) and candidates, so that a change that skips
+work on purpose can show that no pick moved. It exits 1 on any
+differing solve, outcome or work.
 
 Per workload it also prints what a change that moves records must
 account for: the solves lost and gained, the sweep, optimizer-iteration,
-optimizer-run, skipped-branch and enumerated-candidate totals of each
-side, the picks
+optimizer-run, skipped-branch, solved-branch and enumerated-candidate
+totals of each side ("-" where a side does not record it), the picks
 that move by more than PICK_MOVE rad (max over the joints) split into
 those nearer to and farther from the query's reference in L1, and each
 side's median pick-to-reference L1 distance over its solved queries.
@@ -60,6 +62,7 @@ THETA = len(FIELDS)  # index of the selected theta in a record
 CANDIDATES = THETA + 1  # index of the enumerated candidates
 REFERENCE = CANDIDATES + 1  # index of the query's theta_init
 SKIPPED = REFERENCE + 1  # index of the branches skipped unsolved
+SOLVED = SKIPPED + 1  # index of the branches FABRIK ran on, None where not recorded
 PICK_MOVE = 1e-3  # rad: a pick that moves farther than this is reported
 SHOWN = 5  # differing solves printed per workload
 DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
@@ -91,14 +94,15 @@ def record(r) -> tuple:
 
 def with_candidates(pkg, solve) -> list:
     """The records of the results `solve()` returns, each followed by the
-    candidates its solve enumerated, the query's reference and the
-    branches its solve skipped."""
+    candidates its solve enumerated, the query's reference, the
+    branches its solve skipped and those it solved."""
     log = []
     originals = [(module, module.solve_detailed) for module in (pkg.ur5, pkg.kuka)]
     for module, original in originals:
         def logged(query, model, original=original):
             result, detail = original(query, model)
-            log.append((detail.candidates, np.array(query.theta_init), detail.skipped))
+            solved = getattr(detail, "solved", None)
+            log.append((detail.candidates, np.array(query.theta_init), detail.skipped, solved))
             return result, detail
         module.solve_detailed = logged
     try:
@@ -138,7 +142,7 @@ def on_axis_queries() -> list:
 
 def records(src: Path, on_axis: list) -> dict:
     """{workload: [(status, sweeps, opt_used, opt_iters, error, theta,
-    candidates, reference, skipped), ...]} with the package under src."""
+    candidates, reference, skipped, solved), ...]} with the package under src."""
     sys.path.insert(0, str(src))
     try:
         out = {}
@@ -189,11 +193,17 @@ def outcome_differs(a, b) -> tuple[bool, bool, bool]:
     return a[0] != b[0], not same_pick(a[THETA], b[THETA]), a[4] != b[4]
 
 
+def solved_differs(a, b) -> bool:
+    """Whether two records of one solve differ in branches solved, where both record them."""
+    return None not in (a[SOLVED], b[SOLVED]) and a[SOLVED] != b[SOLVED]
+
+
 def work_differs(a, b) -> bool:
-    """Whether the sweeps, optimizer use, iterations, skips or candidates of two records differ."""
+    """Whether the sweeps, optimizer use, iterations, skips, branches
+    solved (where both record them) or candidates of two records differ."""
     return (
         a[1:4] != b[1:4] or a[SKIPPED] != b[SKIPPED]
-        or differing_candidates(a[CANDIDATES], b[CANDIDATES]) > 0
+        or solved_differs(a, b) or differing_candidates(a[CANDIDATES], b[CANDIDATES]) > 0
     )
 
 
@@ -218,6 +228,8 @@ def describe(a, b) -> str:
             parts.append(f"theta moves by {float(np.max(np.abs(a[THETA] - b[THETA]))):.3g} rad")
     if a[SKIPPED] != b[SKIPPED]:
         parts.append(f"skipped {a[SKIPPED]} -> {b[SKIPPED]}")
+    if solved_differs(a, b):
+        parts.append(f"branches solved {a[SOLVED]} -> {b[SOLVED]}")
     moved = differing_candidates(a[CANDIDATES], b[CANDIDATES])
     if moved:
         parts.append(
@@ -230,18 +242,25 @@ def l1_to_reference(rec) -> float:
     return float(np.sum(np.abs(rec[THETA] - rec[REFERENCE])))
 
 
+def total(side: list, count) -> str:
+    """The sum of `count` over one side's records, "-" where one is not recorded."""
+    counts = list(map(count, side))
+    return "-" if None in counts else str(sum(counts))
+
+
 def accounting(theirs: list, ours: list) -> list[str]:
     """Lines on what moved between two record lists of one workload (theirs: REV's)."""
     solved = [[r[0] == "solved" for r in side] for side in (theirs, ours)]
     lost = sum(a and not b for a, b in zip(*solved))
     gained = sum(b and not a for a, b in zip(*solved))
     totals = [
-        f"{name} {sum(map(count, theirs))} -> {sum(map(count, ours))}"
+        f"{name} {total(theirs, count)} -> {total(ours, count)}"
         for name, count in (
             ("sweeps", itemgetter(1)),
             ("iterations", itemgetter(3)),
             ("optimizer runs", itemgetter(2)),
             ("skipped", itemgetter(SKIPPED)),
+            ("branches solved", itemgetter(SOLVED)),
             ("candidates enumerated", lambda r: len(r[CANDIDATES])),
         )
     ]
@@ -291,7 +310,8 @@ def main(argv=None) -> int:
             )
             print(
                 f"  work: {sum(work_differs(a, b) for a, b in pairs)} solves differ in sweeps,"
-                f" optimizer use, iterations, skips or candidates; {moved} candidates differ"
+                f" optimizer use, iterations, skips, branches solved or candidates;"
+                f" {moved} candidates differ"
             )
             for line in accounting(theirs[name], mine):
                 print(f"  {line}")
