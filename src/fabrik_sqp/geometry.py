@@ -10,9 +10,10 @@ The per-joint helpers trust values validated where they were built
 
 Rounding: the solve path runs on Python floats, which round every
 operation alike on every machine, so no record depends on the BLAS
-kernel numpy loads. numpy is used only at the API edge (checking and
-copying poses, the SVD repair of `polar_rotation`), and no float is
-summed with the builtin `sum`, whose rounding changed in Python 3.12.
+kernel numpy loads. numpy only copies poses at the API edge (they are
+checked on their floats) and makes the SVD repair of `polar_rotation`;
+no float is summed with the builtin `sum`, whose rounding changed in
+Python 3.12.
 """
 from __future__ import annotations
 
@@ -135,9 +136,11 @@ def make_transform(rotation, translation) -> np.ndarray:
 
 
 def rotation_defect(R) -> float:
-    """Max absolute entry of R^T R - I (entrywise orthonormality defect),
-    on Python floats; NaN when any entry is NaN."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.asarray(R, dtype=float).tolist()
+    """Max absolute entry of R^T R - I (entrywise orthonormality defect)
+    of three rows of three floats, or of a 3x3 array-like read as floats;
+    NaN when any entry is NaN."""
+    rows = R if type(R) is list else np.asarray(R, dtype=float).tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     # entry (j, k) is column j dot column k; the products commute, so the
     # six entries on and above the diagonal give all nine
     defects = [abs(x) for x in (
@@ -160,33 +163,38 @@ def polar_rotation(R) -> np.ndarray:
     return U @ D @ Vt
 
 
-def sanitize_rotation(R) -> np.ndarray:
-    """Accept, repair, or reject a nearly-orthonormal matrix.
-
-    Defects up to ROTATION_EXACT_TOL pass through untouched; defects up
-    to ROTATION_REPAIR_TOL are projected back onto SO(3); anything worse
-    is rejected, and so is a reflection (determinant <= 0), which no
-    small repair turns into the rotation that was meant.
-    """
-    R = np.asarray(R, dtype=float)
+def check_rotation(R) -> float:
+    """The defect of R, three rows of three floats, unless it is above
+    ROTATION_REPAIR_TOL or R is a reflection (determinant <= 0), which no
+    small repair turns into the rotation that was meant: ValueError."""
     defect = rotation_defect(R)
     if not defect <= ROTATION_REPAIR_TOL:
         raise ValueError(f"matrix is too far from orthonormal (defect {defect:.3e})")
-    if dot(R[0].tolist(), cross(R[1].tolist(), R[2].tolist())) <= 0.0:
+    if dot(R[0], cross(R[1], R[2])) <= 0.0:
         raise ValueError("matrix is a reflection (determinant <= 0), not a rotation")
-    return R if defect <= ROTATION_EXACT_TOL else polar_rotation(R)
+    return defect
 
 
-def require_transform(T) -> np.ndarray:
-    """T as a float 4x4 of finite entries, its bottom row (0, 0, 0, 1) to 1e-9 absolute."""
+def sanitize_rotation(R) -> np.ndarray:
+    """R if its defect is at most ROTATION_EXACT_TOL, else its
+    `polar_rotation`, once `check_rotation` accepts it."""
+    R = np.asarray(R, dtype=float)
+    return R if check_rotation(R.tolist()) <= ROTATION_EXACT_TOL else polar_rotation(R)
+
+
+def require_transform(T) -> list:
+    """The rows of T, four lists of 4 floats, once T is a float 4x4 of
+    finite entries, its bottom row (0, 0, 0, 1) to 1e-9 absolute."""
     T = np.asarray(T, dtype=float)
     if T.shape != (4, 4):
         raise ValueError("transform must be a 4x4 matrix")
-    if not all(abs(a - b) <= 1e-9 for a, b in zip(T[3].tolist(), (0.0, 0.0, 0.0, 1.0))):
+    rows = T.tolist()
+    b0, b1, b2, b3 = rows[3]
+    if not (abs(b0) <= 1e-9 and abs(b1) <= 1e-9 and abs(b2) <= 1e-9 and abs(b3 - 1.0) <= 1e-9):
         raise ValueError("transform bottom row must be (0, 0, 0, 1)")
-    if not all(map(math.isfinite, T[:3].ravel().tolist())):
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
         raise ValueError("transform entries must be finite")
-    return T
+    return rows
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,13 +1,19 @@
-"""Query, configuration, and result types shared by the two solvers."""
+"""Query, configuration, and result types shared by the two solvers.
+
+An IKQuery checks its pose in one pass over the pose's floats and keeps
+the three rows the solve reads; `prepare_query` checks theta_init, as a
+float tuple, against the model."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fabrik import check_cap, check_tolerance
-from .geometry import CartesianError, require_transform, sanitize_rotation, wrap_angle
+from .geometry import ROTATION_EXACT_TOL, CartesianError, check_rotation, polar_rotation
+from .geometry import require_transform, wrap_angle
 from .robots import KUKA, UR5, RobotModel
 
 DEFAULT_EPS_TOL = 1e-6
@@ -58,22 +64,28 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IKQuery:
-    """Desired end-effector pose plus the reference joint vector."""
+    """Desired end-effector pose, its rotation as `sanitize_rotation` leaves it, plus the
+    reference joint vector, as read-only float copies; `pose_rows`: the pose's top three rows."""
 
     t_des: np.ndarray
     theta_init: np.ndarray
     config: SolverConfig = field(default_factory=SolverConfig)
+    pose_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.config, SolverConfig):
             raise ValueError("config must be a SolverConfig")
         if np.iscomplexobj(self.t_des) or np.iscomplexobj(self.theta_init):
             raise ValueError("t_des and theta_init must be real")
-        t = require_transform(self.t_des).copy()
-        t[:3, :3] = sanitize_rotation(t[:3, :3])
+        t = np.array(self.t_des, dtype=float)
+        rows = require_transform(t)[:3]
+        if check_rotation([r[:3] for r in rows]) > ROTATION_EXACT_TOL:
+            t[:3, :3] = polar_rotation(t[:3, :3])
+            rows = t[:3].tolist()
         t.flags.writeable = False
         object.__setattr__(self, "t_des", t)
-        theta_init = np.array(self.theta_init, dtype=float)  # a copy, read-only like t_des
+        object.__setattr__(self, "pose_rows", tuple(map(tuple, rows)))
+        theta_init = np.array(self.theta_init, dtype=float)
         theta_init.flags.writeable = False
         object.__setattr__(self, "theta_init", theta_init)
 
@@ -89,27 +101,27 @@ class IKResult:
     solve_time: float
 
 
-def check_joint_vector(model: RobotModel, theta, name: str) -> np.ndarray:
-    """theta as a float array; ValueError unless it has one finite entry
-    per joint within the model's limits."""
+def check_joint_vector(model: RobotModel, theta, name: str) -> tuple:
+    """theta as a float tuple; ValueError unless it has one finite entry
+    per joint within the model's limits, to 1e-12."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(
             f"{name} must have {model.dof} entries for {model.name}, got {theta.shape}"
         )
-    if not np.all(np.isfinite(theta)):
+    values = tuple(theta.tolist())
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    if not model.within_limits(theta, tol=1e-12):
+    if not model.within_limits(values, tol=1e-12):
         raise ValueError(f"{name} must lie within the joint limits")
-    return theta
+    return values
 
 
-def prepare_query(model: RobotModel, query: IKQuery) -> tuple[list, tuple]:
+def prepare_query(model: RobotModel, query: IKQuery) -> tuple[tuple, tuple]:
     """The query as the solve reads it, once theta_init fits the model:
-    the pose (checked when the query was built) as its top three float
-    rows, and theta_init as a float tuple."""
-    reference = check_joint_vector(model, query.theta_init, "theta_init")
-    return query.t_des[:3].tolist(), tuple(reference.tolist())
+    the pose's top three rows (checked when the query was built) and
+    theta_init, each as float tuples."""
+    return query.pose_rows, check_joint_vector(model, query.theta_init, "theta_init")
 
 
 def l1_distance(a, b) -> float:

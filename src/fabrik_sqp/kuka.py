@@ -77,21 +77,18 @@ def wrist_analytic(theta, model: RobotModel):
     c3, s3 = math.cos(t3), math.sin(t3)
     c4, s4 = math.cos(t4), math.sin(t4)
 
-    # 3-vectors as Python floats, combined entry by entry
-    u = (c1 * s2, s1 * s2, c2)  # upper-arm direction
-    x3 = (c1 * c2 * c3 - s1 * s3, s1 * c2 * c3 + c1 * s3, -s2 * c3)
-    du1 = (-s1 * s2, c1 * s2, 0.0)
-    du2 = (c1 * c2, s1 * c2, -s2)
-    dx3_1 = (-s1 * c2 * c3 - c1 * s3, c1 * c2 * c3 - s1 * s3, 0.0)
-    dx3_2 = (-c1 * s2 * c3, -s1 * s2 * c3, -c2 * c3)
-    dx3_3 = (-c1 * c2 * s3 - s1 * c3, -s1 * c2 * s3 + c1 * c3, s2 * s3)
-
+    # u: the upper-arm direction, x3: the forearm's lateral axis, entry by entry
+    u0, u1, u2 = c1 * s2, s1 * s2, c2
+    x30, x31, x32 = c1 * c2 * c3 - s1 * s3, s1 * c2 * c3 + c1 * s3, -s2 * c3
     a, b = l2 + l3 * c4, l3 * s4
     k3, k4 = -l3 * s4, l3 * c4
-    p = tuple(o + a * ui + b * xi for o, ui, xi in zip((0.0, 0.0, l1), u, x3))
-    jac = tuple(
-        (a * du1[i] + b * dx3_1[i], a * du2[i] + b * dx3_2[i], b * dx3_3[i], k3 * u[i] + k4 * x3[i])
-        for i in range(3)
+    p = (0.0 + a * u0 + b * x30, 0.0 + a * u1 + b * x31, l1 + a * u2 + b * x32)
+    jac = (
+        (a * (-s1 * s2) + b * (-s1 * c2 * c3 - c1 * s3), a * (c1 * c2) + b * (-c1 * s2 * c3),
+         b * (-c1 * c2 * s3 - s1 * c3), k3 * u0 + k4 * x30),
+        (a * (c1 * s2) + b * (c1 * c2 * c3 - s1 * s3), a * (s1 * c2) + b * (-s1 * s2 * c3),
+         b * (-s1 * c2 * s3 + c1 * c3), k3 * u1 + k4 * x31),
+        (a * 0.0 + b * 0.0, a * -s2 + b * (-c2 * c3), b * (s2 * s3), k3 * u2 + k4 * x32),
     )
     return p, jac
 

@@ -11,8 +11,8 @@ Gauss-Newton and a short gradient step; on the KUKA's rank-3 J^T J it
 is the damped-least-squares step. `minimize` takes the chain end's
 position map, the target, the start and the box; it clips the start
 into the box and checks nothing but the values it computes. It runs on
-Python floats (its sums are `math.fsum`s) and returns x as a float
-tuple.
+Python floats and returns x as a float tuple. Its sums are `math.fsum`s,
+which round the exact sum once, so no order of their terms moves a bit.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from math import fsum
-from operator import mul
+from operator import mul, sub
 
 MAX_ITERS = 200  # accepted steps per run
 MU_INIT = 1e-3  # the first damping, relative to the largest diagonal entry of J^T J
@@ -94,6 +94,16 @@ def _damped_step(low, g, mu):
     return d
 
 
+def _residual(position, x, target):
+    """f = |r|^2, r = p - target, and the jacobian at x, or the error of a non-finite f."""
+    p, jac = position(x)
+    r = list(map(sub, p, target))
+    f = fsum(map(mul, r, r))
+    if not math.isfinite(f):
+        raise NonFiniteObjectiveError(x)
+    return f, r, jac
+
+
 def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     """Drive f = |p - target|^2 to f <= stop_value inside the box.
 
@@ -107,17 +117,8 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     """
     lo, hi = ([float(v) for v in side] for side in zip(*bounds))
     tl = [float(t) for t in target]
-
-    def evaluate(x):
-        p, jac = position(x)
-        r = [a - b for a, b in zip(p, tl)]
-        f = fsum(map(mul, r, r))
-        if not math.isfinite(f):
-            raise NonFiniteObjectiveError(x)
-        return f, r, jac
-
     x = clip([float(v) for v in x0], lo, hi)
-    f, r, jac = evaluate(x)
+    f, r, jac = _residual(position, x, tl)
     mu = None
     iterations = 0
     while f > stop_value:
@@ -130,24 +131,24 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
         # a variable at a bound whose descent direction -g points out of
         # the box stays there for this step
         free = [
-            j for j, (xj, gj) in enumerate(zip(x, g))
-            if not ((xj <= lo[j] and gj > 0.0) or (xj >= hi[j] and gj < 0.0))
+            j for j, (xj, gj, lj, hj) in enumerate(zip(x, g, lo, hi))
+            if not ((xj <= lj and gj > 0.0) or (xj >= hj and gj < 0.0))
         ]
         if not free:
             break
-        fc = [cols[j] for j in free]
-        a = [[fsum(map(mul, ci, cj)) for cj in fc[:i + 1]] for i, ci in enumerate(fc)]
+        if len(free) < len(x):
+            cols, g = [cols[j] for j in free], [g[j] for j in free]
+        a = [[fsum(map(mul, ci, cj)) for cj in cols[:i + 1]] for i, ci in enumerate(cols)]
         if mu is None:
             mu = max(MU_INIT * max(row[-1] for row in a), MU_MIN)
-        gf = [g[j] for j in free]
         while True:
-            d = _damped_step(a, gf, mu)
+            d = _damped_step(a, g, mu)
             if d is not None:
                 trial = list(x)
                 for j, dj in zip(free, d):
                     trial[j] += dj
                 trial = clip(trial, lo, hi)
-                f_new, r_new, jac_new = evaluate(trial)
+                f_new, r_new, jac_new = _residual(position, trial, tl)
                 if f_new < f:
                     break
             mu *= 10.0

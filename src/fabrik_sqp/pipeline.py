@@ -11,9 +11,10 @@ its reduced solution in closed form, exactly; one joint rule,
 them, and bounds branches and groups by the joints they fix, a branch
 with its rest added. `solve` selects one among the wrapped float
 tuples, checks the pick's pose and turns it into the one IKResult.
-The query is read once, by `prepare_query`, into float rows and a
-float tuple; the pick, as IKResult.theta, is the one ndarray the solve
-builds. The robots differ only in their branches.
+The query is read once: its pose into float rows when the IKQuery is
+built, theta_init into a float tuple by `prepare_query`. The pick, as
+IKResult.theta, is the one ndarray the solve builds. The robots differ
+only in their branches.
 
 A branch is any object with:
 

@@ -332,6 +332,6 @@ def fk_frames(model: RobotModel, theta) -> list[tuple]:
 
 def pose_mismatch(model: RobotModel, theta, t_des) -> float:
     """Acceptance metric D = eps_rot + eps_pos for a candidate joint vector."""
-    t_des = require_transform(t_des)
+    rows = require_transform(t_des)
     frame = fk_frames(model, _joint_angles(model, theta))[-1]
-    return frame_error(frame, t_des[:3].tolist()).total
+    return frame_error(frame, rows[:3]).total

@@ -159,7 +159,7 @@ def scripted_waypoints(
     poses1 = phase1_poses(model, theta_init, points)
     poses2 = build_phase2_path(model, theta_zero, theta_end, phase2_n)
     waypoints = [(1, p) for p in poses1] + [(2, p) for p in poses2]
-    return theta_init, waypoints
+    return np.array(theta_init), waypoints
 
 
 def write_trace_csv(trace: TrackingTrace, dof: int, path) -> None:

@@ -25,7 +25,7 @@ from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, signed_angle, unit, wrap_angle
 from .iktypes import IKQuery, prepare_query, select_candidate
 from .optimizer import OptResult, OptStatus, clip, minimize
-from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
+from .robots import RobotModel, fk_frames, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
 GAP_MARGIN = 1e-12  # m: far above the rounding of `elbow_gap` and of the optimizer's f
@@ -54,10 +54,10 @@ def theta1_candidates(p_w, model: RobotModel) -> list[float]:
     return [wrap_angle(half + base), wrap_angle(-half + base)]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PlanarFrame:
-    """Geometry of the working plane selected by one theta1 value; every
-    vector a float 3-tuple."""
+    """Geometry of the working plane selected by one theta1 value, as
+    `planar_frame` builds it; every vector a float 3-tuple."""
 
     theta1: float
     z2d: tuple  # plane normal (axis of joints 2-4)
@@ -65,13 +65,8 @@ class PlanarFrame:
     l6d: tuple  # desired flange-link direction
     p_w_proj: tuple  # wrist projected into the plane
     l5d_options: tuple  # candidate wrist-riser directions (+, -)
+    t03: tuple  # frame 3 at (theta1, 0, 0), as `fk_frames` gives it
     model: RobotModel = field(repr=False)
-
-    @cached_property
-    def t03(self) -> tuple:
-        """Frame 3 at (theta1, 0, 0), as `fk_frames` gives it: built when a
-        riser's `wrist_angles` first reads it, then shared."""
-        return fk_frames(self.model, (self.theta1, 0.0, 0.0))[-1]
 
     @cached_property
     def start(self) -> fabrik.ChainState:
@@ -94,7 +89,8 @@ def planar_frame(theta1: float, rows, p_w, model: RobotModel) -> PlanarFrame:
     # or pi): every riser in the plane closes the orientation, theta6
     # taking up the twist; the tool-frame -y direction is one of them
     base = (-y0, -y1, -y2) if n < _DEGENERATE_WRIST_TOL else (rx / n, ry / n, rz / n)
-    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, _negated(base)), model)
+    t03 = fk_frames(model, (theta1, 0.0, 0.0))[-1]
+    return PlanarFrame(theta1, z2d, v_init, l6d, p_w_proj, (base, _negated(base)), t03, model)
 
 
 def _negated(v) -> tuple:
@@ -186,17 +182,27 @@ def fold_variants(theta2: float, theta3: float, model: RobotModel) -> list[tuple
     return [(theta2, theta3), (theta2 + turn, -theta3)]
 
 
+def wrist_x_axis(t03, theta234: float, theta5: float, model: RobotModel) -> list:
+    """Column 0 of `dh_step(dh_step(t03, row4, theta234), row5, theta5)`,
+    frame 5's x axis, from frame 3 t03 by dh_step's own products: it
+    reads only frame 4's columns 0 and 1 (u and w ca + r2 sa there)."""
+    row4, row5 = model.dh[3:5]
+    th4, th5 = theta234 + row4.theta_offset, theta5 + row5.theta_offset
+    c4, s4, c5, s5 = math.cos(th4), math.sin(th4), math.cos(th5), math.sin(th5)
+    ca, sa = row4.cos_alpha, row4.sin_alpha
+    return [(r0 * c4 + r1 * s4) * c5 + ((r1 * c4 - r0 * s4) * ca + r2 * sa) * s5
+            for r0, r1, r2, _ in t03]
+
+
 def wrist_angles(frame: PlanarFrame, l5d, rows, model: RobotModel) -> tuple[float, float, float]:
     """(theta2 + theta3 + theta4, theta5, theta6), shared by every
     (theta2, theta3) of the branch: the wrist rotation depends on joints
-    2-4 only through their sum. Frame 5 at (theta1, 0, 0, theta234,
-    theta5) extends the plane's frame 3 with links 4 and 5."""
+    2-4 only through their sum. theta6 turns frame 5's x axis
+    (`wrist_x_axis`) onto the pose's about the flange link."""
     theta234 = signed_angle(frame.v_init, l5d, frame.z2d) - math.pi / 2
     theta5 = signed_angle(frame.z2d, frame.l6d, l5d)
-    row4, row5 = model.dh[3:5]
-    x5 = [r[0] for r in dh_step(dh_step(frame.t03, row4, theta234), row5, theta5)]
-    x_des = [r[0] for r in rows]
-    return theta234, theta5, signed_angle(x5, x_des, frame.l6d)
+    x5 = wrist_x_axis(frame.t03, theta234, theta5, model)
+    return theta234, theta5, signed_angle(x5, [r[0] for r in rows], frame.l6d)
 
 
 def recover_angles(theta1: float, theta2: float, theta3: float, wrist) -> tuple:

@@ -11,7 +11,13 @@ import pytest
 
 import fabrik_sqp
 from fabrik_sqp import benchmark, kuka, optimizer, pipeline, robots, solve_ik, ur5
-from fabrik_sqp.geometry import cartesian_error, make_transform, polar_rotation, wrap_angle
+from fabrik_sqp.geometry import (
+    cartesian_error,
+    make_transform,
+    polar_rotation,
+    rotation_defect,
+    wrap_angle,
+)
 from fabrik_sqp.iktypes import (
     SELECT_TIE_TOL,
     IKQuery,
@@ -471,6 +477,54 @@ class TestInputBoundary:
         rows, reference = prepare_query(model, query)
         assert np.array(rows).tobytes() == query.t_des[:3].tobytes()
         assert np.array(reference).tobytes() == query.theta_init.tobytes()
+
+    @pytest.mark.parametrize("case, match", [
+        ("3x4 pose", "transform must be a 4x4 matrix"),
+        ("4x4x1 pose", "transform must be a 4x4 matrix"),
+        ("defect just above the repair tolerance", "too far from orthonormal"),
+        ("theta_init 2e-12 above a limit", "within the joint limits"),
+        ("theta_init 2e-12 below a limit", "within the joint limits"),
+    ])
+    def test_malformed_input_keeps_its_message(self, solver, case, match):
+        # the cases the checks on either side of the query's one float pass
+        # do not meet elsewhere in this class
+        module, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        t, theta = t_des.copy(), theta_init.copy()
+        if case == "3x4 pose":
+            t = t[:3]
+        elif case == "4x4x1 pose":
+            t = t[:, :, None]
+        elif case.startswith("defect"):
+            # each column 1 + 1.0001e-3 / 2 long: the defect, (1 + e)^2 - 1, just above 1e-3
+            t[:3, :3] *= math.sqrt(1.0 + 1.0001e-3)
+            assert 1e-3 < rotation_defect(t[:3, :3]) < 1.001e-3
+        else:
+            lo, hi = model.joint_limits[2]
+            theta[2] = hi + 2e-12 if "above" in case else lo - 2e-12
+            within = theta.copy()
+            within[2] = hi + 1e-12 if "above" in case else lo - 1e-12
+            assert prepare_query(model, IKQuery(t_des=t, theta_init=within))[1][2] == within[2]
+        with pytest.raises(ValueError, match=match):
+            module.solve_detailed(IKQuery(t_des=t, theta_init=theta), model)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9, 1.0 + 4e-4])
+    def test_pose_keeps_its_bits_or_becomes_its_polar_rotation(self, solver, scale):
+        # an exact pose (defect <= 1e-9) keeps its bits; one with a defect
+        # in (1e-9, 1e-3] becomes polar_rotation of it, bit for bit
+        _, model = solver
+        t_des, theta_init = benchmark.generate_queries(model, 1, 7).queries[0]
+        t = t_des.copy()
+        t[:3, :3] *= scale
+        defect = rotation_defect(t[:3, :3])
+        query = IKQuery(t_des=t, theta_init=theta_init)
+        if scale == 1.0:
+            assert defect <= 1e-9 and query.t_des.tobytes() == t.tobytes()
+        else:
+            assert 1e-9 < defect <= 1e-3
+            assert query.t_des[:3, :3].tobytes() == polar_rotation(t[:3, :3]).tobytes()
+            assert query.t_des[:, 3].tobytes() == t[:, 3].tobytes()
+        assert np.array(query.pose_rows).tobytes() == query.t_des[:3].tobytes()
 
     def test_query_keeps_its_own_read_only_reference(self, solver):
         _, model = solver

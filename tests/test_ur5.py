@@ -9,7 +9,7 @@ from fabrik_sqp import benchmark, fabrik, robots, solve_ik, tracking, ur5
 from fabrik_sqp.geometry import make_transform, signed_angle, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, admitted, l1_distance
 from fabrik_sqp.optimizer import OptStatus, minimize
-from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch
+from fabrik_sqp.robots import dh_step, fk_frames, forward_kinematics, pose_mismatch
 
 from conftest import UR5_REF_THETA, U, exact_frame, outcome_bits, rows, within
 
@@ -166,7 +166,8 @@ class TestWristAnglesAgainstFkFrames:
     3 and the angle theta6 it reads off frame 5 are checked against the
     exact product of the link matrices for (theta1, 0, 0, theta234,
     theta5). theta6 is the angle between two unit vectors about a third,
-    which rounding moves by a few U."""
+    which rounding moves by a few U. The x axis of frame 5 that it reads
+    (`wrist_x_axis`) is the one two `dh_step`s give, bit for bit."""
 
     def test_seeded_frames(self, ur5_model):
         rng = np.random.default_rng(41)
@@ -184,6 +185,11 @@ class TestWristAnglesAgainstFkFrames:
                               32 * U * (1.0 + reach))
                 for l5d in frame.l5d_options:
                     theta234, theta5, theta6 = ur5.wrist_angles(frame, l5d, t_des[:3].tolist(), ur5_model)
+                    # the column wrist_angles reads is dh_step's column 0 of frame 5, bit for bit
+                    row4, row5 = ur5_model.dh[3:5]
+                    frame5 = dh_step(dh_step(frame.t03, row4, theta234), row5, theta5)
+                    column = ur5.wrist_x_axis(frame.t03, theta234, theta5, ur5_model)
+                    assert np.array(column).tobytes() == np.array([r[0] for r in frame5]).tobytes()
                     x5 = [float(row[0]) for row in exact_frame(ur5_model, [theta1, 0.0, 0.0, theta234, theta5])[:3]]
                     want = signed_angle(x5, t_des[:3, 0], frame.l6d)
                     assert abs(wrap_angle(theta6 - want)) <= 64 * U, (k, theta6, want)
@@ -366,18 +372,18 @@ class TestSolve:
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        prefixes, links = [], []  # frame prefixes the planes build; 1-based DH rows ur5 adds
+        prefixes, axes = [], []  # frame prefixes the planes build; the frames 3 of the wrists
 
         def counted_frames(model, theta, _original=ur5.fk_frames):
             prefixes.append(len(theta))
             return _original(model, theta)
 
-        def counted_link(rows, row, theta, _original=ur5.dh_step):
-            links.append(next(k for k, r in enumerate(ur5_model.dh, 1) if r is row))
-            return _original(rows, row, theta)
+        def counted_axis(t03, theta234, theta5, model, _original=ur5.wrist_x_axis):
+            axes.append(t03)
+            return _original(t03, theta234, theta5, model)
 
         monkeypatch.setattr(ur5, "fk_frames", counted_frames)
-        monkeypatch.setattr(ur5, "dh_step", counted_link)
+        monkeypatch.setattr(ur5, "wrist_x_axis", counted_axis)
         t_des, theta_init = benchmark.generate_queries(ur5_model, 1, 7).queries[0]
         result, detail = ur5.solve_detailed(
             IKQuery(t_des=t_des, theta_init=theta_init), ur5_model
@@ -390,7 +396,7 @@ class TestSolve:
         # each, all sharing their branch's wrist.
         assert detail.branches == 4
         assert prefixes == [3, 3]
-        assert links.count(4) == links.count(5) == 4 and len(links) == 8
+        assert len(axes) == 4 and len({id(t03) for t03 in axes}) == 2
         assert events[:4] == ["wrist_angles"] * 4 and events.count("wrist_angles") == 4
         folds = events.count("fold_variants")
         assert 1 <= folds <= events.count("sweeps") <= detail.branches - detail.skipped

@@ -141,19 +141,28 @@ def report(entry: dict) -> None:
         print(f"  counters {side:6s} " + " ".join(f"{k}={v}" for k, v in c.items()))
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision of the parent side, e.g. HEAD~1")
-    parser.add_argument("--workload", nargs="+", required=True,
+    # a repeated flag adds its values to the earlier ones
+    parser.add_argument("--workload", nargs="+", action="extend", required=True,
                         help="perfbench workload(s), e.g. ur5-fabrik-only")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[7])
+    parser.add_argument("--seeds", type=int, nargs="+", action="extend",
+                        help="seeds (default: 7)")
     parser.add_argument("--seconds", type=float, default=CONFIG["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, help="JSON file for the full comparison")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.seeds is None:
+        args.seeds = [7]
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.rev],
                          capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
