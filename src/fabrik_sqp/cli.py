@@ -162,8 +162,8 @@ def cmd_trace(args) -> int:
         if model.name != "kuka":
             raise CliError("trace needs --links for chains other than the kuka reduction")
         chain = kuka.make_chain(model)
-    if not fabrik.within_reach(chain, target):
-        print("error: target is beyond the chain's reach", file=sys.stderr)
+    if not fabrik.within_reach(chain, target, args.eps):
+        print("error: target is out of the chain's reach", file=sys.stderr)
         return EXIT_UNREACHABLE
     outcome = fabrik.solve(fabrik.pre_bend(chain), target, args.eps, args.cap)
     bench_mod.write_csv(args.out, ["n", "dist"], outcome.trace)

@@ -28,7 +28,9 @@ coincident-point rule read a two-link start's tip. The sweeps,
 `pre_bend` and the full-extension shortcut trust the chain and only
 move its points, (x, y, z) float rows from lay-out to recovery; the
 constants set where it is laid out ride along. Every vector is a float
-3-tuple (see the `geometry` docstring).
+3-tuple (see the `geometry` docstring). Reach is decided once, before
+any sweep: `within_reach` asks for the target within the solve's
+tolerance of the shell the chain's end sweeps.
 """
 from __future__ import annotations
 
@@ -364,11 +366,14 @@ def check_cap(value, name: str) -> int:
     return check_integer(value, name, 1)
 
 
-def within_reach(chain: ChainState, target) -> bool:
-    """The one reach rule: target within the chain's reach of its base,
-    with one ulp of slack, so on-sphere targets do not flip on the rounding
-    of the gap (math.dist scales its sum: no overflow); a NaN gap is out."""
-    return math.dist(target, chain.base) <= chain.reach * (1.0 + 1e-12)
+def within_reach(chain: ChainState, target, eps: float) -> bool:
+    """The one reach rule: the target's distance d from the base within eps
+    of the shell an unlimited chain's end sweeps, hole - eps <= d <= reach
+    + eps with hole = max(0, 2 * longest link - reach). Limits only shrink
+    the shell, so no solve gets within eps of a target it refuses. False
+    for a NaN d or one above MAX_TARGET_GAP, whatever eps is."""
+    hole = max(0.0, 2.0 * max(chain.lengths) - chain.reach)
+    return hole - eps <= math.dist(target, chain.base) <= min(chain.reach + eps, MAX_TARGET_GAP)
 
 
 def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOutcome:
@@ -376,9 +381,9 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
 
     A target on or beyond the reach sphere (within fp noise) gets the
     chain laid straight toward it in one sweep, FABRIK's out-of-reach
-    case; callers that refuse such targets ask `within_reach` first. A
-    non-finite target, or one more than MAX_TARGET_GAP from the base,
-    raises ValueError. The outcome's chain is built once, on return.
+    case; callers ask `within_reach` first. A non-finite target, or one
+    more than MAX_TARGET_GAP from the base, raises ValueError. The
+    outcome's chain is built once, on return.
     """
     eps_tol = check_tolerance(eps_tol, "eps_tol")
     iter_cap = check_cap(iter_cap, "iter_cap")

@@ -175,13 +175,6 @@ def check_rotation(R) -> float:
     return defect
 
 
-def sanitize_rotation(R) -> np.ndarray:
-    """R if its defect is at most ROTATION_EXACT_TOL, else its
-    `polar_rotation`, once `check_rotation` accepts it."""
-    R = np.asarray(R, dtype=float)
-    return R if check_rotation(R.tolist()) <= ROTATION_EXACT_TOL else polar_rotation(R)
-
-
 def require_transform(T) -> list:
     """The rows of T, four lists of 4 floats, once T is a float 4x4 of
     finite entries, its bottom row (0, 0, 0, 1) to 1e-9 absolute."""

@@ -64,8 +64,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IKQuery:
-    """Desired end-effector pose, its rotation as `sanitize_rotation` leaves it, plus the
-    reference joint vector, as read-only float copies; `pose_rows`: the pose's top three rows."""
+    """Desired end-effector pose plus the reference joint vector, as read-only float copies,
+    the rotation kept if `check_rotation` gives it a defect of at most ROTATION_EXACT_TOL,
+    else replaced by its `polar_rotation`; `pose_rows`: the pose's top three rows."""
 
     t_des: np.ndarray
     theta_init: np.ndarray

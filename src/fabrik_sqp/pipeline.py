@@ -1,8 +1,9 @@
 """The one solve driver, shared by the UR5 and KUKA solvers.
 
 Both robots reduce the arm to two-link chains, which their branches
-lay out straight. For each branch `solve` checks that the chain can
-reach the branch's target (`fabrik.within_reach`), runs the capped
+lay out straight. For each branch `solve` checks that the chain's end
+can come within eps of the branch's target (`fabrik.within_reach`; a
+branch it refuses is neither solved nor reachable), runs the capped
 FABRIK sweeps from the branch's start chain and, when they miss,
 re-bends the swept chain if it is straight or folded and hands it to
 the robot's optimizer fallback. The branch recovers float tuples from
@@ -121,7 +122,7 @@ def solve(
         if floor > nearest + SELECT_TIE_TOL:
             detail.skipped += 1
             continue
-        if not fabrik.within_reach(branch.start, branch.target):
+        if not fabrik.within_reach(branch.start, branch.target, eps):
             continue
         detail.reachable = True
         if floor == math.inf:

@@ -3,14 +3,15 @@
 theta1 fixes a vertical working plane, the wrist links are peeled off
 analytically, and FABRIK (with the optimizer as fallback) solves the
 planar joint pair (theta2, theta3) that places the elbow chain at the
-projected wrist target. Since neither the sign of theta1 nor the
-wrist-link direction can be determined up front, four branches are
-enumerated. Joints 2-4 are parallel, so theta2 + theta3 + theta4, theta5
-and theta6 are solved once per branch, before any sweep, and each fold
-of the elbow chain sets theta4 to close that sum (Hawkins 2013). So
-theta1, theta5 and theta6, plus the circular distance of that sum from
-the reference's, bound each branch's L1 distance to theta_init from
-below, and the pipeline solves the branches nearest-first, skipping
+projected wrist target, once `fabrik.within_reach` puts that target
+within eps of the annulus the forearm tip sweeps. Since neither the sign
+of theta1 nor the wrist-link direction can be determined up front, four
+branches are enumerated. Joints 2-4 are parallel, so theta2 + theta3 +
+theta4, theta5 and theta6 are solved once per branch, before any sweep,
+and each fold of the elbow chain sets theta4 to close that sum (Hawkins
+2013). So theta1, theta5 and theta6, plus the circular distance of that
+sum from the reference's, bound each branch's L1 distance to theta_init
+from below, and the pipeline solves the branches nearest-first, skipping
 those that cannot win. Every candidate is exact, the wrist singularity
 included; the returned vector is the candidate within the joint limits
 closest to theta_init in L1 norm, after one pose check.
@@ -24,11 +25,10 @@ from functools import cached_property, partial
 from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, signed_angle, unit, wrap_angle
 from .iktypes import IKQuery, prepare_query, select_candidate
-from .optimizer import OptResult, OptStatus, clip, minimize
+from .optimizer import OptResult, minimize
 from .robots import RobotModel, fk_frames, pose_mismatch
 
 _DEGENERATE_WRIST_TOL = 1e-8
-GAP_MARGIN = 1e-12  # m: far above the rounding of `elbow_gap` and of the optimizer's f
 REST_MARGIN = 1e-12  # rad: far above the rounding of a candidate's theta2-theta4 and of its L1 sum
 
 
@@ -128,39 +128,11 @@ def elbow_analytic(x, theta1: float, model: RobotModel):
     return (-c1 * r, -s1 * r, z), jac
 
 
-def elbow_gap(target, theta1: float, model: RobotModel) -> float:
-    """Distance from `target` to every point the forearm tip reaches in
-    theta1's plane: the annulus of radii |l2 - l3| and l2 + l3 about the
-    shoulder, which no joint box enlarges."""
-    l1, l2, l3 = model.arm_lengths
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    tx, ty, tz = target
-    rho = math.hypot(c1 * tx + s1 * ty, tz - l1)
-    short = max(abs(l2 - l3) - rho, rho - (l2 + l3), 0.0)
-    return math.hypot(c1 * ty - s1 * tx, short)
-
-
-def elbow_optimize(
-    theta1: float,
-    target,
-    seeds: tuple[float, float],
-    model: RobotModel,
-    bounds,
-    stop_value: float,
-) -> tuple[OptResult, tuple | None]:
+def elbow_optimize(theta1: float, target, seeds: tuple[float, float], model: RobotModel, bounds,
+                   stop_value: float) -> tuple[OptResult, tuple | None]:
     """Optimize (theta2, theta3) in `bounds`, two (lo, hi) rows: the run and
-    its x as floats, or None in place of x above the stop value.
-
-    A target whose `elbow_gap` exceeds the stop distance by more than
-    GAP_MARGIN is out of every run's reach: the optimizer would only
-    creep toward the gap (a folded elbow's rank-1 jacobian slows the
-    damped step to a linear rate), so no run is made and the result is
-    STALLED at the seeds clipped into the box."""
-    if elbow_gap(target, theta1, model) > math.sqrt(stop_value) + GAP_MARGIN:
-        x = clip(seeds, *zip(*bounds))
-        tip = elbow_analytic(x, theta1, model)[0]
-        f = math.fsum((a - b) ** 2 for a, b in zip(tip, target))
-        return OptResult(tuple(x), f, 0, OptStatus.STALLED), None
+    its x as floats, or None in place of x above the stop value. The
+    pipeline hands it only targets that `fabrik.within_reach` passes."""
     position = partial(elbow_analytic, theta1=theta1, model=model)
     result = minimize(position, target, seeds, bounds, stop_value)
     return result, None if result.f > stop_value else result.x

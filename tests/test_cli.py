@@ -8,6 +8,7 @@ import pytest
 
 from fabrik_sqp import benchmark as bm
 from fabrik_sqp import cli, solve_ik
+from fabrik_sqp.geometry import make_transform
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig
 from fabrik_sqp.robots import forward_kinematics, get_model, model_to_json
 
@@ -40,6 +41,16 @@ class TestSolveCommand:
         t[:3, 3] = [4.0, 0.0, 0.0]
         pose = write_pose(tmp_path / "far.json", t)
         code = cli.main(["solve", "--robot", "ur5", "--pose", pose])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "unreachable"
+
+    def test_kuka_wrist_at_the_shoulder_exit_two(self, tmp_path, kuka_model, capsys):
+        # the elbow's links differ by 0.02 m: the wrist never gets nearer
+        # the shoulder than that
+        # the flange link points up from a wrist at the shoulder
+        position = np.add(kuka_model.shoulder, (0.0, 0.0, kuka_model.link_lengths[3]))
+        pose = write_pose(tmp_path / "hole.json", make_transform(np.eye(3), position))
+        code = cli.main(["solve", "--robot", "kuka", "--pose", pose])
         assert code == 2
         assert json.loads(capsys.readouterr().out)["status"] == "unreachable"
 
@@ -411,6 +422,22 @@ class TestTraceCommand:
         )
         assert code == 2
 
+    def test_target_in_the_hole_exit_two(self, tmp_path, capsys):
+        # links 2 and 1 never bring the end within 1 of the base
+        code = cli.main(
+            ["trace", "--links", "2,1", "--target", "0.5,0,0", "--out", str(tmp_path / "t.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: target is out of the chain's reach\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_target_within_eps_beyond_the_reach_converges(self, tmp_path, capsys):
+        code = cli.main(
+            ["trace", "--links", "1,1", "--target", "2.0000005,0,0", "--out", str(tmp_path / "t.csv")]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("converged=True sweeps=1 ")
+
     def test_kuka_reduced_chain_trace(self, tmp_path, capsys):
         out = tmp_path / "k.csv"
         code = cli.main(["trace", "--robot", "kuka", "--target", "0.3,0.2,0.9", "--out", str(out)])
@@ -461,7 +488,7 @@ def test_bad_numbers_exit_one(tmp_path, capsys, argv):
 def test_huge_target_is_unreachable_without_warnings(tmp_path, capsys):
     code = cli.main(["trace", "--target", "1e300,0,0", "--out", str(tmp_path / "t.csv")])
     assert code == 2
-    assert capsys.readouterr().err == "error: target is beyond the chain's reach\n"
+    assert capsys.readouterr().err == "error: target is out of the chain's reach\n"
 
 
 @pytest.mark.filterwarnings("error")

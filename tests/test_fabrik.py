@@ -461,22 +461,37 @@ class TestSolve:
             assert np.allclose(out.chain.positions[-1], target, atol=1e-9)
             assert np.allclose(link_lengths(out.chain), [1.0, 1.0], atol=1e-9)
 
-    def test_within_reach_up_to_one_ulp_band_beyond_the_sphere(self):
-        chain = two_link_chain()  # base at the origin, reach 2
-        edge = chain.reach * (1.0 + 1e-12)
-        for gap in (chain.reach, edge):
-            assert fabrik.within_reach(chain, (gap, 0.0, 0.0))
-        assert not fabrik.within_reach(chain, (np.nextafter(edge, math.inf), 0.0, 0.0))
-        assert not fabrik.within_reach(chain, (math.nan, 0.0, 0.0))
-        # solve lays the chain straight toward a target on either side of
-        # the band's edge, in one sweep, and lands within eps of both
-        for gap in (edge, np.nextafter(edge, math.inf)):
-            out = solve(chain, np.array([gap, 0.0, 0.0]), 1e-6, 50)
-            assert out.converged
+    def test_within_reach_is_the_eps_band_about_the_shell(self):
+        # links 2 and 1 from the origin: reach 3, and a hole of radius
+        # 2 * 2 - 3 = 1 that the end never enters
+        chain = straight_chain(np.zeros(3), (1.0, 0.0, 0.0), (2.0, 1.0), (Ball(), Ball()))
+        eps = 1e-6
+        inner, outer = 1.0 - eps, 3.0 + eps
+        for gap in (inner, 1.0, 2.0, 3.0, outer):
+            assert fabrik.within_reach(chain, (0.0, gap, 0.0), eps)
+        for gap in (0.0, 0.5, np.nextafter(inner, 0.0), np.nextafter(outer, math.inf)):
+            assert not fabrik.within_reach(chain, (0.0, gap, 0.0), eps)
+        assert not fabrik.within_reach(chain, (math.nan, 0.0, 0.0), eps)
+        # equal links leave no hole: the end reaches the base itself
+        assert fabrik.within_reach(two_link_chain(), (0.0, 0.0, 0.0), eps)
+        # solve lays the chain straight toward a target in the outer band,
+        # in one sweep, and lands within eps of it
+        for gap in (3.0 + 0.5 * eps, outer):
+            out = solve(chain, np.array([gap, 0.0, 0.0]), eps, 50)
             assert out.iterations == 1
             assert out.trace == ((1, out.dist),)
-            assert np.array_equal(out.chain.positions, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-            assert out.dist == pytest.approx(gap - 2.0, abs=1e-15)
+            assert np.array_equal(out.chain.positions, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+            assert out.dist == pytest.approx(gap - 3.0, abs=1e-15)
+
+    def test_within_reach_refuses_a_target_solve_rejects(self):
+        # whatever eps is, a target more than MAX_TARGET_GAP from the base
+        # is out, so no caller hands solve a target it raises on
+        chain = two_link_chain()
+        for gap in (fabrik.MAX_TARGET_GAP * 1.01, 1e200):
+            assert not fabrik.within_reach(chain, (gap, 0.0, 0.0), 1e300)
+            with pytest.raises(ValueError, match="target must be finite"):
+                solve(chain, np.array([gap, 0.0, 0.0]), 1e300, 50)
+        assert fabrik.within_reach(chain, (fabrik.MAX_TARGET_GAP, 0.0, 0.0), 1e300)
 
     @pytest.mark.filterwarnings("error")
     def test_target_beyond_the_largest_gap_rejected(self):

@@ -8,6 +8,7 @@ from fabrik_sqp.geometry import (
     ROTATION_EXACT_TOL,
     ROTATION_REPAIR_TOL,
     cartesian_error,
+    check_rotation,
     clamped_arccos,
     cross,
     dot,
@@ -18,10 +19,10 @@ from fabrik_sqp.geometry import (
     require_transform,
     rotate_about_axis,
     rotation_defect,
-    sanitize_rotation,
     signed_angle,
     wrap_angle,
 )
+from fabrik_sqp.iktypes import IKQuery
 
 from conftest import U, exact_sqrt, within
 from conftest import unit_array as unit
@@ -233,6 +234,13 @@ class TestCartesianError:
             )
 
 
+def _kept_rotation(r):
+    """The rotation an IKQuery keeps of a pose whose rotation block is r:
+    r itself if its defect is at most ROTATION_EXACT_TOL, else its
+    `polar_rotation`, once `check_rotation` accepts it."""
+    return IKQuery(make_transform(r, np.zeros(3)), np.zeros(6)).t_des[:3, :3]
+
+
 class TestRotationHygiene:
     def test_polar_projection_restores_orthonormality(self):
         rng = np.random.default_rng(8)
@@ -240,18 +248,20 @@ class TestRotationHygiene:
             r = polar_rotation(rng.normal(size=(3, 3)))
             noisy = r + rng.uniform(-2e-4, 2e-4, size=(3, 3))  # print-rounding scale
             assert rotation_defect(noisy) <= 1e-3
-            fixed = sanitize_rotation(noisy)
+            fixed = _kept_rotation(noisy)
+            assert fixed.tobytes() == polar_rotation(noisy).tobytes()
             assert rotation_defect(fixed) <= 1e-12
             assert np.linalg.det(fixed) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_rotation_untouched(self):
         r = np.column_stack([rotate_about_axis(Z, 0.4, e) for e in np.eye(3)])
-        assert sanitize_rotation(r) is r
+        assert rotation_defect(r) <= ROTATION_EXACT_TOL
+        assert _kept_rotation(r).tobytes() == r.tobytes()
 
     def test_garbage_rejected(self):
         for scale in (1.5, -1.5):  # a far reflection keeps the defect message
             with pytest.raises(ValueError, match="too far from orthonormal"):
-                sanitize_rotation(np.eye(3) * scale)
+                _kept_rotation(np.eye(3) * scale)
 
     def test_reflections_rejected(self):
         rng = np.random.default_rng(1)
@@ -262,7 +272,7 @@ class TestRotationHygiene:
             assert rotation_defect(mirror) <= 1e-9 < rotation_defect(noisy) <= 1e-3
             for r in (mirror, noisy):
                 with pytest.raises(ValueError, match="reflection"):
-                    sanitize_rotation(r)
+                    _kept_rotation(r)
 
 
 def _np_defect(r):
@@ -283,7 +293,10 @@ class TestRotationDefectOnFloats:
             r.flat[entry] = value
             assert not rotation_defect(r) <= ROTATION_REPAIR_TOL
             with pytest.raises(ValueError, match="too far from orthonormal"):
-                sanitize_rotation(r)
+                check_rotation(r.tolist())
+            # an IKQuery refuses the pose before it measures the rotation
+            with pytest.raises(ValueError, match="transform entries must be finite"):
+                _kept_rotation(r)
 
     @pytest.mark.parametrize("entry", range(9))
     def test_nan_entry_gives_nan(self, entry):

@@ -204,6 +204,77 @@ class TestStatusRule:
         assert result.solve_time >= 0.005
 
 
+def _kuka_wrist_at(model, distance):
+    """A KUKA query whose wrist sits `distance` from the shoulder along x,
+    its flange link pointing up."""
+    position = np.add(model.shoulder, (distance, 0.0, model.link_lengths[3]))
+    return IKQuery(make_transform(np.eye(3), position), np.zeros(model.dof))
+
+
+class TestReachRule:
+    """`fabrik.within_reach` is the one reach rule: a branch target more
+    than eps outside the shell its chain's end sweeps gets no sweep and no
+    optimizer run, and makes the solve neither solved nor reachable."""
+
+    @pytest.mark.parametrize("distance", [0.0, 0.01, 0.019])
+    def test_kuka_wrist_in_the_elbow_hole_is_unreachable(self, kuka_model, distance):
+        # the elbow's links are 0.42 and 0.4 m: a hole of 0.02 m
+        result, detail = kuka.solve_detailed(_kuka_wrist_at(kuka_model, distance), kuka_model)
+        assert result.status is IKStatus.UNREACHABLE
+        assert (result.fabrik_iterations, result.optimizer_iterations) == (0, 0)
+        assert not detail.reachable and detail.solved == 0
+
+    def test_kuka_wrist_within_eps_of_the_hole_solves(self, kuka_model):
+        result, _ = kuka.solve_detailed(_kuka_wrist_at(kuka_model, 0.0199999), kuka_model)
+        assert result.status is IKStatus.SOLVED
+        assert result.error.eps_pos <= SolverConfig().eps_tol
+
+    @pytest.mark.parametrize("beyond, status", [
+        (5e-7, IKStatus.SOLVED), (9e-7, IKStatus.SOLVED), (2e-6, IKStatus.UNREACHABLE),
+    ])
+    def test_kuka_wrist_beyond_the_reach(self, kuka_model, beyond, status):
+        reach = math.fsum(kuka_model.arm_lengths[1:])
+        result, _ = kuka.solve_detailed(_kuka_wrist_at(kuka_model, reach + beyond), kuka_model)
+        assert result.status is status
+        if status is IKStatus.SOLVED:
+            assert result.fabrik_iterations == 1
+            assert result.error.eps_pos <= SolverConfig().eps_tol
+        else:
+            assert result.fabrik_iterations == 0
+
+    def test_huge_eps_keeps_a_far_target_unreachable(self, solver):
+        module, model = solver
+        t = make_transform(np.eye(3), [1e200, 0.0, 0.0])
+        query = IKQuery(t, np.zeros(model.dof), SolverConfig(eps_tol=1e300))
+        result, detail = module.solve_detailed(query, model)
+        assert result.status is IKStatus.UNREACHABLE
+        assert not detail.reachable and detail.solved == 0
+
+    def test_ur5_hole_branch_is_not_solved(self, ur5_model, monkeypatch):
+        # seed-7 query 135 of the UR5 benchmark: one of its four branch
+        # targets lies in the elbow's hole
+        t_des, theta_init = benchmark.generate_queries(ur5_model, 1000, 7).queries[135]
+        config = benchmark.parse_mode("combined:5").config(SolverConfig().eps_tol)
+        query = IKQuery(t_des, theta_init, config)
+        rows, reference = prepare_query(ur5_model, query)
+        reach = [pipeline.fabrik.within_reach(b.start, b.target, config.eps_tol)
+                 for b in ur5.branches(rows, reference, ur5_model)]
+        assert reach.count(False) == 1
+        result, detail = ur5.solve_detailed(query, ur5_model)
+        # the outer sphere alone passes the hole branch, which then only
+        # adds work: five sweeps and a failed optimizer run
+        monkeypatch.setattr(pipeline.fabrik, "within_reach",
+                            lambda chain, target, eps: math.dist(target, chain.base) <= chain.reach)
+        sphere, sphere_detail = ur5.solve_detailed(query, ur5_model)
+        assert result.status is sphere.status is IKStatus.SOLVED
+        assert result.theta.tobytes() == sphere.theta.tobytes()
+        assert result.error == sphere.error
+        assert detail.candidates == sphere_detail.candidates
+        assert sphere_detail.solved == detail.solved + 1
+        assert sphere.fabrik_iterations == result.fabrik_iterations + 5
+        assert sphere.optimizer_iterations > result.optimizer_iterations
+
+
 class TestFloatFormat:
     """Floats inside, ndarrays only at the edge: the detail holds float
     tuples, and the pick, as IKResult.theta, is the one ndarray a solve

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from fabrik_sqp import benchmark, fabrik, robots, solve_ik, tracking, ur5
 from fabrik_sqp.geometry import make_transform, signed_angle, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, admitted, l1_distance
-from fabrik_sqp.optimizer import OptStatus, minimize
+from fabrik_sqp.optimizer import OptStatus
 from fabrik_sqp.robots import dh_step, fk_frames, forward_kinematics, pose_mismatch
 
 from conftest import UR5_REF_THETA, U, exact_frame, outcome_bits, rows, within
@@ -215,6 +214,11 @@ class TestFoldVariants:
         assert len(ur5.fold_variants(0.7, 1e-8, ur5_model)) == 2
 
 
+def _plane_chain(theta1, model):
+    """The elbow chain of theta1's working plane, as the branches lay it out."""
+    return ur5.planar_frame(theta1, np.eye(4)[:3].tolist(), (0.0, 0.0, 0.0), model).start
+
+
 class TestElbowOptimize:
     def test_seeds_already_solving_return_immediately(self, ur5_model):
         theta = np.array([0.3, -0.7, 1.2, 0.0, 0.0, 0.0])
@@ -274,46 +278,50 @@ class TestElbowOptimize:
         assert result.status is OptStatus.TOLERANCE_REACHED
         assert x is not None
 
-    def test_gap_is_the_distance_to_the_reachable_annulus(self, ur5_model):
+    def test_within_reach_is_the_forearm_annulus(self, ur5_model):
+        # the plane chain's shell is the annulus of radii l2 - l3 and
+        # l2 + l3 about the shoulder that the forearm tip sweeps
         l1, l2, l3 = ur5_model.arm_lengths
+        eps = 1e-6
         rng = np.random.default_rng(5)
         for _ in range(100):
             theta1, theta2, theta3 = rng.uniform(-math.pi, math.pi, 3)
+            chain = _plane_chain(theta1, ur5_model)
             tip = ur5.elbow_analytic((theta2, theta3), theta1, ur5_model)[0]
-            assert ur5.elbow_gap(tip, theta1, ur5_model) <= 1e-15
-            # in the plane, along the ray from the shoulder through the tip,
-            # and off the plane along its normal
-            ray = np.subtract(tip, (0.0, 0.0, l1))
+            assert fabrik.within_reach(chain, tip, 1e-15)
+            # along the ray from the shoulder through the tip
+            ray = np.subtract(tip, chain.base)
             ray /= np.linalg.norm(ray)
-            normal = np.array([-math.sin(theta1), math.cos(theta1), 0.0])
-            for radius, short in ((0.0, l2 - l3), (0.5 * (l2 - l3), 0.5 * (l2 - l3)),
-                                  (l2 + l3 + 0.2, 0.2)):
-                for off in (0.0, 0.05):
-                    target = (0.0, 0.0, l1) + radius * ray + off * normal
-                    assert ur5.elbow_gap(target, theta1, ur5_model) == pytest.approx(
-                        math.hypot(short, off), abs=1e-15)
+            for radius, inside in ((0.0, False), (0.5 * (l2 - l3), False),
+                                   (l2 - l3 - 2.0 * eps, False), (l2 - l3 - 0.5 * eps, True),
+                                   (l2 + l3 + 0.5 * eps, True), (l2 + l3 + 2.0 * eps, False)):
+                target = chain.base + radius * ray
+                assert fabrik.within_reach(chain, target, eps) is inside
 
-    def test_targets_beyond_the_gap_stall_without_a_step(self, ur5_model):
-        # no run gets nearer than the gap, so skipping the run loses nothing
-        l1 = ur5_model.arm_lengths[0]
+    def test_targets_in_the_hole_are_refused_before_a_step(self, ur5_model):
+        # near-shoulder targets, put into theta1's plane as every branch
+        # target is: the reach rule refuses exactly those that no run
+        # reaches, and no run gets nearer to them than the hole, so
+        # refusing them before a sweep loses nothing
+        l1, l2, l3 = ur5_model.arm_lengths
         rng = np.random.default_rng(6)
         box = ur5_model.optimizer_box[1:3]
+        refused = 0
         for _ in range(50):
             theta1 = rng.uniform(-math.pi, math.pi)
             target = np.array([0.0, 0.0, l1]) + rng.uniform(-0.03, 0.03, 3)  # near the shoulder
             seeds = tuple(rng.uniform(-math.pi, math.pi, 2).tolist())
-            gap = ur5.elbow_gap(target, theta1, ur5_model)
-            assert gap > 1e-6
+            normal = np.array([math.sin(theta1), -math.cos(theta1), 0.0])
+            target -= (normal @ target) * normal
+            chain = _plane_chain(theta1, ur5_model)
             result, x = ur5.elbow_optimize(theta1, target, seeds, ur5_model, box, 1e-12)
-            assert result.status is OptStatus.STALLED
-            assert result.iterations == 0
-            assert x is None
-            assert np.array_equal(result.x, seeds)
-            run = minimize(partial(ur5.elbow_analytic, theta1=theta1, model=ur5_model),
-                           target, seeds, box, 1e-12)
-            assert run.status is not OptStatus.TOLERANCE_REACHED
-            assert math.sqrt(run.f) >= gap - 1e-15
-            assert result.f >= run.f
+            if fabrik.within_reach(chain, target, 1e-6):
+                assert result.status is OptStatus.TOLERANCE_REACHED and x is not None
+                continue
+            refused += 1
+            assert result.status is not OptStatus.TOLERANCE_REACHED and x is None
+            assert math.sqrt(result.f) >= (l2 - l3) - math.dist(target, chain.base) - 1e-15
+        assert refused == 42
 
     def test_jacobian_matches_central_differences(self, ur5_model):
         rng = np.random.default_rng(2)
