@@ -21,8 +21,9 @@ and `straight_chain` checks every other chain (the CLI's, the demos'),
 including a minimum link length well above the sweeps' 1e-12 coincidence
 scale, a maximum reach that keeps their squares finite and a lay-out
 that keeps every link. The reductions lay their chains out straight
-with `lay_out_chain`, the same arithmetic without the checks, and the
-sweeps start from them as laid out: the forward phase pins the tip at
+with `lay_out_chain`, the same arithmetic without the checks (the UR5
+lays its chain out once per model and `relaid` turns it into each
+working plane), and the sweeps start from them as laid out: the forward phase pins the tip at
 the target, so only `solve`'s zero-sweep test and `_reach`'s
 coincident-point rule read a two-link start's tip. The sweeps,
 `pre_bend` and the full-extension shortcut trust the chain and only
@@ -39,6 +40,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,18 +68,16 @@ MAX_CHAIN_REACH = 1e150  # m
 MAX_TARGET_GAP = 1e154  # m
 
 
-@dataclass(frozen=True)
-class Hinge:
+class Hinge(NamedTuple("_Hinge", [("axis", tuple), ("lo", float), ("hi", float)])):
     """1-DOF joint about a fixed world axis, a unit float 3-tuple, with signed limits."""
 
-    axis: tuple
-    lo: float = -math.pi
-    hi: float = math.pi
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "axis", unit(self.axis))
-        if not self.lo < self.hi:  # NaN fails too
+    def __new__(cls, axis, lo: float = -math.pi, hi: float = math.pi):
+        axis = unit(axis)
+        if not lo < hi:  # NaN fails too
             raise ValueError("hinge limits must satisfy lo < hi")
+        return super().__new__(cls, axis, lo, hi)
 
     @property
     def unconstrained(self) -> bool:
@@ -99,8 +99,7 @@ class Ball:
         return self.max_angle >= _FULL
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(NamedTuple):
     """Joint positions P_1..P_m plus link lengths and per-joint limits.
 
     joints[j] sits at positions[j] (j = 0..m-2); joints[0] is the base
@@ -108,7 +107,8 @@ class ChainState:
     the chain), or unconstrained when anchor_dir is None. Points, base,
     lengths and anchor_dir are float tuples. The sweeps trust a chain
     laid out from checked links, whose builder set its reach and
-    can_clamp once (see the module docstring).
+    can_clamp once (see the module docstring). A named tuple, so it is
+    immutable and cheap to build: one chain can be shared by every solve.
     """
 
     positions: tuple  # m (x, y, z) float rows
@@ -155,6 +155,14 @@ def _laid_out(base, direction, lengths, joints, anchor_dir) -> ChainState:
     can_clamp = tuple(not joint.unconstrained for joint in joints)
     return ChainState(_lay_out(base, direction, rows), rows, joints, base, math.fsum(rows),
                       can_clamp, anchor_dir)
+
+
+def relaid(chain: ChainState, direction: tuple, axis: tuple) -> ChainState:
+    """A hinge chain laid out again as `lay_out_chain` lays it, along the unit
+    `direction`, its hinges turned about the unit `axis`: its constants carry over."""
+    joints = tuple(Hinge._make((axis, joint.lo, joint.hi)) for joint in chain.joints)
+    return ChainState(_lay_out(chain.base, direction, chain.lengths), chain.lengths, joints,
+                      chain.base, chain.reach, chain.can_clamp, direction)
 
 
 def lay_out_chain(base, direction, lengths, joints) -> ChainState:
@@ -329,8 +337,7 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
     return chain.moved(q)
 
 
-@dataclass(frozen=True)
-class FabrikOutcome:
+class FabrikOutcome(NamedTuple):
     converged: bool
     iterations: int  # full forward+backward sweeps
     dist: float  # end-to-target distance after the last sweep

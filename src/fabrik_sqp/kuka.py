@@ -29,7 +29,7 @@ from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, norm, sub, unit, wrap_angle
 from .iktypes import IKQuery, l1_distance, prepare_query, select_candidate
 from .optimizer import minimize
-from .robots import RobotModel, dh_step, fk_frames, pose_mismatch
+from .robots import IDENTITY_ROWS, RobotModel, dh_step, fk_frames, pose_mismatch
 
 _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
@@ -63,34 +63,34 @@ def elbow_position(model: RobotModel, theta1: float, theta2: float) -> tuple:
     return (l2 * s2 * math.cos(theta1), l2 * s2 * math.sin(theta1), l1 + l2 * math.cos(theta2))
 
 
-def wrist_analytic(theta, model: RobotModel):
-    """Wrist position, 3 floats, and its jacobian w.r.t. joints 1-4, 3
-    rows of 4 floats, at theta[:4] of any sequence.
-
-    Joints 5-7 do not move the wrist, so the closed form only involves
-    theta1..theta4.
-    """
+def wrist_analytic(model: RobotModel):
+    """The wrist's map, built once per run: theta1-theta4, any sequence of
+    4 floats, to the wrist position, 3 floats, and its jacobian, 3 rows of
+    4 floats. Joints 5-7 do not move the wrist."""
     l1, l2, l3 = model.arm_lengths
-    t1, t2, t3, t4 = theta[:4]
-    c1, s1 = math.cos(t1), math.sin(t1)
-    c2, s2 = math.cos(t2), math.sin(t2)
-    c3, s3 = math.cos(t3), math.sin(t3)
-    c4, s4 = math.cos(t4), math.sin(t4)
 
-    # u: the upper-arm direction, x3: the forearm's lateral axis, entry by entry
-    u0, u1, u2 = c1 * s2, s1 * s2, c2
-    x30, x31, x32 = c1 * c2 * c3 - s1 * s3, s1 * c2 * c3 + c1 * s3, -s2 * c3
-    a, b = l2 + l3 * c4, l3 * s4
-    k3, k4 = -l3 * s4, l3 * c4
-    p = (0.0 + a * u0 + b * x30, 0.0 + a * u1 + b * x31, l1 + a * u2 + b * x32)
-    jac = (
-        (a * (-s1 * s2) + b * (-s1 * c2 * c3 - c1 * s3), a * (c1 * c2) + b * (-c1 * s2 * c3),
-         b * (-c1 * c2 * s3 - s1 * c3), k3 * u0 + k4 * x30),
-        (a * (c1 * s2) + b * (c1 * c2 * c3 - s1 * s3), a * (s1 * c2) + b * (-s1 * s2 * c3),
-         b * (-s1 * c2 * s3 + c1 * c3), k3 * u1 + k4 * x31),
-        (a * 0.0 + b * 0.0, a * -s2 + b * (-c2 * c3), b * (s2 * s3), k3 * u2 + k4 * x32),
-    )
-    return p, jac
+    def position(theta):
+        t1, t2, t3, t4 = theta
+        c1, s1 = math.cos(t1), math.sin(t1)
+        c2, s2 = math.cos(t2), math.sin(t2)
+        c3, s3 = math.cos(t3), math.sin(t3)
+        c4, s4 = math.cos(t4), math.sin(t4)
+        # u: the upper-arm direction, x3: the forearm's lateral axis, entry by entry
+        u0, u1, u2 = c1 * s2, s1 * s2, c2
+        x30, x31, x32 = c1 * c2 * c3 - s1 * s3, s1 * c2 * c3 + c1 * s3, -s2 * c3
+        a, b = l2 + l3 * c4, l3 * s4
+        k3, k4 = -l3 * s4, l3 * c4
+        p = (0.0 + a * u0 + b * x30, 0.0 + a * u1 + b * x31, l1 + a * u2 + b * x32)
+        jac = (
+            (a * (-s1 * s2) + b * (-s1 * c2 * c3 - c1 * s3), a * (c1 * c2) + b * (-c1 * s2 * c3),
+             b * (-c1 * c2 * s3 - s1 * c3), k3 * u0 + k4 * x30),
+            (a * (c1 * s2) + b * (c1 * c2 * c3 - s1 * s3), a * (s1 * c2) + b * (-s1 * s2 * c3),
+             b * (-s1 * c2 * s3 + c1 * c3), k3 * u1 + k4 * x31),
+            (a * 0.0 + b * 0.0, a * -s2 + b * (-c2 * c3), b * (s2 * s3), k3 * u2 + k4 * x32),
+        )
+        return p, jac
+
+    return position
 
 
 # --- angle recovery ---------------------------------------------------------
@@ -155,9 +155,10 @@ def arm_angles(p2, p3, model: RobotModel, azimuths=()):
     it are computed once per (theta1, theta2) and serve both theta4 signs.
     """
     m2, m4 = bend_magnitudes(model.shoulder, p2, p3)
+    row1, row2 = model.dh[:2]
     for th2 in _signed_options(m2):
         for th1 in dedup_angles(theta1_roots(th2, p2) + list(azimuths)):
-            t02 = fk_frames(model, (th1, th2))[-1]
+            t02 = dh_step(dh_step(IDENTITY_ROWS, row1, th1), row2, th2)
             # the wrist point in frame 2: R02^T (p3 - o2)
             (r00, r01, _, ox), (r10, r11, _, oy), (r20, r21, _, oz) = t02
             dx, dy, dz = p3[0] - ox, p3[1] - oy, p3[2] - oz
@@ -226,18 +227,16 @@ def seed_candidates_from_chain(chain: fabrik.ChainState, model: RobotModel) -> l
         azimuths = [az, wrap_angle(az + math.pi)]
     out: list[tuple] = []
     for theta, _ in arm_angles(p2c, p3c, model, azimuths=azimuths):
-        # seeds are starting points, not answers: collapse near-twins
-        if not any(_near_twin(theta, kept) for kept in out):
+        # seeds are starting points, not answers: collapse near-twins,
+        # within _TWIN_TOL in every angle
+        t1, t2, t3, t4 = theta
+        for k1, k2, k3, k4 in out:
+            if not (abs(t1 - k1) > _TWIN_TOL or abs(t2 - k2) > _TWIN_TOL
+                    or abs(t3 - k3) > _TWIN_TOL or abs(t4 - k4) > _TWIN_TOL):
+                break
+        else:
             out.append(theta)
     return out
-
-
-def _near_twin(a, b) -> bool:
-    """Whether each angle of `a` is within _TWIN_TOL of `b`'s; stops at the first that is not."""
-    for x, y in zip(a, b):
-        if abs(x - y) > _TWIN_TOL:
-            return False
-    return True
 
 
 def _lateral(arms, axis) -> tuple | None:
@@ -319,7 +318,7 @@ class Branch:
 
     def optimize(self, seed_chain: fabrik.ChainState, stop: float):
         model = self.model
-        position = partial(wrist_analytic, model=model)
+        position = wrist_analytic(model)
         bounds = model.optimizer_box[:4]
         # try the seed closest to the reference configuration first:
         # on degenerate (target-on-axis) geometry several seeds converge
@@ -332,7 +331,7 @@ class Branch:
             results.append(minimize(position, self.target, seed, bounds, stop))
             if results[-1].f <= stop:
                 th = results[-1].x
-                p3, _ = wrist_analytic(th, model)
+                p3, _ = position(th)
                 return results, (elbow_position(model, th[0], th[1]), p3)
         return results, None
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from math import fsum
-from operator import mul, sub
+from operator import add, mul, sub
+from typing import NamedTuple
 
 MAX_ITERS = 200  # accepted steps per run
 MU_INIT = 1e-3  # the first damping, relative to the largest diagonal entry of J^T J
@@ -42,43 +42,40 @@ class NonFiniteObjectiveError(RuntimeError):
         super().__init__(f"objective returned a non-finite value at x={list(self.x)}")
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     x: tuple
     f: float
     iterations: int
     status: OptStatus
 
 
-def clip(v, lo, hi) -> list:
-    """Each entry of v clipped into [lo, hi], the bound kept where it ties
-    (a signed zero takes the bound's sign); a NaN stays NaN."""
-    out = []
-    for a, lo_i, hi_i in zip(v, lo, hi):
-        a = lo_i if lo_i >= a else a
-        out.append(hi_i if hi_i <= a else a)
-    return out
+def _clip(v, box) -> None:
+    """Clip v's entries in `box`, (index, lo, hi) rows, into [lo, hi] in place, the
+    bound kept where it ties (a signed zero takes the bound's sign); a NaN stays NaN."""
+    for j, lo, hi in box:
+        a = v[j]
+        a = lo if lo >= a else a
+        v[j] = hi if hi <= a else a
 
 
 def _damped_step(low, g, mu):
     """d solving (A + mu I) d = -g by Cholesky, A given by its lower
     triangle `low` (row i holds i + 1 entries), or None when A + mu I is
     not numerically positive definite."""
-    chol = []
+    chol = []  # the rows of L
     for i, row in enumerate(low):
-        li = list(row)
-        li[i] += mu
+        li = []
         for j, lj in enumerate(chol):
-            s = li[j]
+            s = row[j]
             for m in range(j):
                 s -= li[m] * lj[m]
-            li[j] = s / lj[j]
-        s = li[i]
-        for m in range(i):
-            s -= li[m] * li[m]
+            li.append(s / lj[j])
+        s = row[i] + mu
+        for a in li:
+            s -= a * a
         if not s > 0.0:
             return None
-        li[i] = math.sqrt(s)
+        li.append(math.sqrt(s))
         chol.append(li)
     d = []
     for i, li in enumerate(chol):  # L y = -g
@@ -110,14 +107,21 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
     position(x), x a list of n floats, returns the chain end p, m
     floats, and its jacobian J, m rows of n floats. bounds holds n rows
     lo <= hi, infinite for an unbounded variable; x0 is clipped into it.
+    The box is read once: a variable whose bounds are both infinite is
+    never clipped (that moves no float) nor held at a bound.
     Returns the first iterate reaching stop_value (only an exact zero
     reaches 0), or Stalled when every variable is held at a bound or no
     step damped by at most MU_MAX lowers f, or IterationCap after
     MAX_ITERS accepted steps.
     """
-    lo, hi = ([float(v) for v in side] for side in zip(*bounds))
+    box = []  # (index, lo, hi) of each variable with a finite bound
+    for j, (lo, hi) in enumerate(bounds):
+        lo, hi = float(lo), float(hi)
+        if lo > -math.inf or hi < math.inf:
+            box.append((j, lo, hi))
     tl = [float(t) for t in target]
-    x = clip([float(v) for v in x0], lo, hi)
+    x = [float(v) for v, _ in zip(x0, bounds)]
+    _clip(x, box)
     f, r, jac = _residual(position, x, tl)
     mu = None
     iterations = 0
@@ -130,13 +134,12 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
             raise NonFiniteObjectiveError(x)
         # a variable at a bound whose descent direction -g points out of
         # the box stays there for this step
-        free = [
-            j for j, (xj, gj, lj, hj) in enumerate(zip(x, g, lo, hi))
-            if not ((xj <= lj and gj > 0.0) or (xj >= hj and gj < 0.0))
-        ]
-        if not free:
-            break
-        if len(free) < len(x):
+        held = [j for j, lo, hi in box if (x[j] <= lo and g[j] > 0.0) or (x[j] >= hi and g[j] < 0.0)]
+        free = None  # no variable is held
+        if held:
+            if len(held) == len(x):
+                break
+            free = [j for j in range(len(x)) if j not in held]
             cols, g = [cols[j] for j in free], [g[j] for j in free]
         a = [[fsum(map(mul, ci, cj)) for cj in cols[:i + 1]] for i, ci in enumerate(cols)]
         if mu is None:
@@ -144,10 +147,13 @@ def minimize(position, target, x0, bounds, stop_value: float) -> OptResult:
         while True:
             d = _damped_step(a, g, mu)
             if d is not None:
-                trial = list(x)
-                for j, dj in zip(free, d):
-                    trial[j] += dj
-                trial = clip(trial, lo, hi)
+                if free is None:
+                    trial = list(map(add, x, d))
+                else:
+                    trial = list(x)
+                    for j, dj in zip(free, d):
+                        trial[j] += dj
+                _clip(trial, box)
                 f_new, r_new, jac_new = _residual(position, trial, tl)
                 if f_new < f:
                     break

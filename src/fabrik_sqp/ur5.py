@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 
 from . import fabrik, pipeline
 from .geometry import cross, dedup_angles, dot, signed_angle, unit, wrap_angle
@@ -102,30 +102,42 @@ def iteration_target(frame: PlanarFrame, l5d, model: RobotModel) -> tuple:
     return tuple(p - l5 * d for p, d in zip(frame.p_w_proj, l5d))
 
 
+@lru_cache(maxsize=8)
+def _plane_chain(model: RobotModel) -> fabrik.ChainState:
+    """What every plane's chain shares, set once per model: its base, links,
+    reach and can-clamp flags, laid out along x with both hinges about z."""
+    joints = tuple(fabrik.Hinge((0.0, 0.0, 1.0), *model.limit_pairs[k]) for k in (1, 2))
+    return fabrik.lay_out_chain(model.shoulder, (1.0, 0.0, 0.0), model.arm_lengths[1:], joints)
+
+
 def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
     """Two-link elbow chain in the working plane, laid out straight along
     v_init from the links the model checked (`robots.LAYOUT_MARGIN`
-    covers every plane). Both hinges turn about the plane normal."""
-    joints = tuple(fabrik.Hinge(frame.z2d, *model.limit_pairs[k]) for k in (1, 2))
-    return fabrik.lay_out_chain(model.shoulder, frame.v_init, model.arm_lengths[1:], joints)
+    covers every plane), as `fabrik.lay_out_chain` lays it out. Both
+    hinges turn about the plane normal, normalized once."""
+    return fabrik.relaid(_plane_chain(model), unit(frame.v_init), unit(frame.z2d))
 
 
-def elbow_analytic(x, theta1: float, model: RobotModel):
-    """Forearm tip at x = (theta2, theta3) in theta1's plane, 3 floats,
-    and its jacobian, 3 rows of 2 floats."""
+def elbow_analytic(theta1: float, model: RobotModel):
+    """The forearm tip's map in theta1's plane, built once per run: x =
+    (theta2, theta3) to the tip, 3 floats, and its jacobian, 3 rows of 2
+    floats."""
     l1, l2, l3 = model.arm_lengths
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    th2, th3 = x
-    c2, s2 = math.cos(th2), math.sin(th2)
-    c23, s23 = math.cos(th2 + th3), math.sin(th2 + th3)
-    r = l2 * c2 + l3 * c23
-    z = l1 - (l2 * s2 + l3 * s23)
-    dr2 = -l2 * s2 - l3 * s23
-    dz2 = -(l2 * c2 + l3 * c23)
-    dr3 = -l3 * s23
-    dz3 = -l3 * c23
-    jac = ((-c1 * dr2, -c1 * dr3), (-s1 * dr2, -s1 * dr3), (dz2, dz3))
-    return (-c1 * r, -s1 * r, z), jac
+    nc1, ns1, nl3 = -c1, -s1, -l3
+
+    def position(x):
+        th2, th3 = x
+        c2, s2 = math.cos(th2), math.sin(th2)
+        c23, s23 = math.cos(th2 + th3), math.sin(th2 + th3)
+        r = l2 * c2 + l3 * c23
+        w = l2 * s2 + l3 * s23
+        # d(r, z)/dtheta2 = (-w, -r) for z = l1 - w; -w rounds as -l2 * s2 - l3 * s23 does
+        dr3, dz3 = nl3 * s23, nl3 * c23
+        jac = ((nc1 * -w, nc1 * dr3), (ns1 * -w, ns1 * dr3), (-r, dz3))
+        return (nc1 * r, ns1 * r, l1 - w), jac
+
+    return position
 
 
 def elbow_optimize(theta1: float, target, seeds: tuple[float, float], model: RobotModel, bounds,
@@ -133,8 +145,7 @@ def elbow_optimize(theta1: float, target, seeds: tuple[float, float], model: Rob
     """Optimize (theta2, theta3) in `bounds`, two (lo, hi) rows: the run and
     its x as floats, or None in place of x above the stop value. The
     pipeline hands it only targets that `fabrik.within_reach` passes."""
-    position = partial(elbow_analytic, theta1=theta1, model=model)
-    result = minimize(position, target, seeds, bounds, stop_value)
+    result = minimize(elbow_analytic(theta1, model), target, seeds, bounds, stop_value)
     return result, None if result.f > stop_value else result.x
 
 

@@ -39,6 +39,9 @@ KUKA_REF_ELBOW_BEND = 0.019
 
 U = 2.0 ** -53  # unit roundoff of a float
 
+# the KUKA LBR iiwa 14 datasheet limits, +-these per joint (rad)
+KUKA_DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])
+
 
 def exact_sqrt(x: Fraction) -> Fraction:
     """The square root of a non-negative rational, within 2**-300."""

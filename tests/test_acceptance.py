@@ -341,14 +341,14 @@ class TestCriterion7PropertySuites:
         worst = 0.0
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 4)
-            jac = np.array(kuka.wrist_analytic(theta, kuka_model)[1])
+            jac = np.array(kuka.wrist_analytic(kuka_model)(theta)[1])
             for i in range(4):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
                 fd = (
-                    np.array(kuka.wrist_analytic(tp, kuka_model)[0])
-                    - np.array(kuka.wrist_analytic(tm, kuka_model)[0])
+                    np.array(kuka.wrist_analytic(kuka_model)(tp)[0])
+                    - np.array(kuka.wrist_analytic(kuka_model)(tm)[0])
                 ) / (2 * h)
                 denom = max(1e-8, float(np.max(np.abs(fd))))
                 worst = max(worst, float(np.max(np.abs(jac[:, i] - fd))) / denom)

@@ -12,6 +12,8 @@ from fabrik_sqp.geometry import CartesianError
 from fabrik_sqp.iktypes import IKQuery, IKResult, IKStatus, SolverConfig
 from fabrik_sqp.robots import forward_kinematics, get_model, model_from_json, model_to_json
 
+from conftest import KUKA_DATASHEET
+
 
 @pytest.fixture(scope="module")
 def small_run(kuka_model):
@@ -161,7 +163,7 @@ class TestRunBenchmark:
         "robot, half, statuses, sweeps, runs, iterations",
         [
             # the KUKA LBR iiwa 14 datasheet limits
-            ("kuka", np.radians([170, 120, 170, 120, 170, 120, 175]),
+            ("kuka", KUKA_DATASHEET,
              {"solved": 283, "failed": 17}, 2_791, 100, 573),
             ("kuka", np.full(7, 0.5), {"solved": 196, "failed": 104}, 4_500, 300, 1_330),
             ("ur5", np.full(6, 0.5), {"solved": 300}, 1_500, 300, 1_123),

@@ -10,7 +10,7 @@ from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, admitted, l1_distance
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch, transform_of
 
-from conftest import U, exact_sqrt, kuka_on_axis_queries, outcome_bits
+from conftest import KUKA_DATASHEET, U, exact_sqrt, kuka_on_axis_queries, outcome_bits
 
 
 def fk_arrays(model, theta) -> list:
@@ -18,10 +18,9 @@ def fk_arrays(model, theta) -> list:
     return [transform_of(frame) for frame in fk_frames(model, theta)]
 
 
-DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
 LIMITS = {
     "default": None,
-    "datasheet": np.column_stack([-DATASHEET, DATASHEET]),
+    "datasheet": np.column_stack([-KUKA_DATASHEET, KUKA_DATASHEET]),
     "0.5rad": np.tile([-0.5, 0.5], (7, 1)),
 }
 
@@ -65,6 +64,14 @@ class TestCachedChain:
             with pytest.raises(TypeError, match="does not support item assignment"):
                 getattr(chain, field)[0] = 1.0
 
+    def test_chain_cannot_be_assigned_to(self, kuka_model):
+        chain = kuka.make_chain(kuka_model)
+        for field in chain._fields:
+            with pytest.raises(AttributeError):
+                setattr(chain, field, None)
+        with pytest.raises(AttributeError):
+            chain.joints[1].max_angle = 0.0
+
     def test_equal_models_share_one_chain(self):
         tight = np.tile([-0.5, 0.5], (7, 1))
         default = kuka.make_chain(robots.kuka_model())
@@ -82,6 +89,24 @@ class TestCachedChain:
                 solve_ik(kuka_model, IKQuery(t_des, theta_init, config))
         assert kuka.make_chain(kuka_model) is chain
         assert [np.array(chain.positions).tobytes(), chain.anchor_dir, chain.joints] == before
+
+
+class TestSeedCandidates:
+    def test_near_twins_collapse_in_enumeration_order(self, kuka_model, monkeypatch):
+        # an arm is kept unless each of its angles lies within _TWIN_TOL of
+        # a kept seed's; a NaN difference is not apart
+        tol = kuka._TWIN_TOL
+        arms = [
+            (0.1, -0.2, 0.3, 0.4),
+            (0.1 + 0.5 * tol, -0.2, 0.3 - 0.9 * tol, 0.4),  # twin of the first
+            (0.1, -0.2, 0.3, 0.4 + 2.0 * tol),  # apart in theta4 alone
+            (0.1 + 2.0 * tol, -0.2, 0.3, 0.4),  # apart in theta1 alone
+            (0.1, -0.2, 0.3, 0.4 + 1.5 * tol),  # twin of the third only
+            (math.nan, -0.2, 0.3, 0.4),
+        ]
+        monkeypatch.setattr(kuka, "arm_angles", lambda *args, **kwargs: ((a, None) for a in arms))
+        seeds = kuka.seed_candidates_from_chain(kuka.make_chain(kuka_model), kuka_model)
+        assert seeds == [arms[0], arms[2], arms[3]]
 
 
 class TestBendMagnitudes:
@@ -195,7 +220,7 @@ class TestAngleRecovery:
             theta = rng.uniform(-math.pi, math.pi, 7)
             if abs(math.sin(theta[3])) < 1e-3:
                 continue
-            p3, _ = kuka.wrist_analytic(theta[:4], kuka_model)
+            p3, _ = kuka.wrist_analytic(kuka_model)(theta[:4])
             local = np.linalg.inv(fk_arrays(kuka_model, theta[:2])[-1]) @ np.append(p3, 1.0)
             assert abs(kuka.theta3_root(theta[3], local) - theta[2]) <= 1e-9
 
@@ -234,7 +259,7 @@ class TestAngleRecovery:
 
 class TestWristAnalytic:
     def test_zero_configuration(self, kuka_model):
-        p, _ = kuka.wrist_analytic(np.zeros(4), kuka_model)
+        p, _ = kuka.wrist_analytic(kuka_model)(np.zeros(4))
         want = [0.0, 0.0, float(np.sum(kuka_model.link_lengths[:3]))]
         assert np.allclose(p, want, atol=1e-12)
 
@@ -242,7 +267,7 @@ class TestWristAnalytic:
         rng = np.random.default_rng(4)
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 7)
-            p, _ = kuka.wrist_analytic(theta[:4], kuka_model)
+            p, _ = kuka.wrist_analytic(kuka_model)(theta[:4])
             frames = fk_arrays(kuka_model, theta)
             assert np.allclose(p, frames[5][:3, 3], atol=1e-10)
 
@@ -251,14 +276,14 @@ class TestWristAnalytic:
         h = 1e-6
         for _ in range(100):
             theta = rng.uniform(-math.pi, math.pi, 4)
-            jac = np.array(kuka.wrist_analytic(theta, kuka_model)[1])
+            jac = np.array(kuka.wrist_analytic(kuka_model)(theta)[1])
             for i in range(4):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
                 fd = (
-                    np.array(kuka.wrist_analytic(tp, kuka_model)[0])
-                    - np.array(kuka.wrist_analytic(tm, kuka_model)[0])
+                    np.array(kuka.wrist_analytic(kuka_model)(tp)[0])
+                    - np.array(kuka.wrist_analytic(kuka_model)(tm)[0])
                 ) / (2 * h)
                 assert np.allclose(jac[:, i], fd, rtol=1e-4, atol=1e-8)
 

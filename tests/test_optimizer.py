@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -285,7 +284,7 @@ class TestMinimizeOnSeededProblems:
         rng = np.random.default_rng(33)
         for k in range(60):
             theta1 = float(rng.uniform(-math.pi, math.pi))
-            position = partial(elbow_analytic, theta1=theta1, model=ur5_model)
+            position = elbow_analytic(theta1, ur5_model)
             target = np.array(position(rng.uniform(-math.pi, math.pi, 2))[0])
             if k % 3 == 0:  # mostly beyond the reach
                 target = target * 3.0
@@ -296,7 +295,7 @@ class TestMinimizeOnSeededProblems:
 
     def test_kuka_wrist_map(self, kuka_model):
         rng = np.random.default_rng(34)
-        position = partial(wrist_analytic, model=kuka_model)
+        position = wrist_analytic(kuka_model)
         for k in range(40):
             target = np.array(position(rng.uniform(-2.0, 2.0, 4))[0])
             if k % 4 == 0:
@@ -305,6 +304,62 @@ class TestMinimizeOnSeededProblems:
             if k % 4:
                 assert result.status is OptStatus.TOLERANCE_REACHED
 
+
+
+class TestOpenBox:
+    """A variable whose bounds are both infinite is never clipped nor held:
+    its run takes the same steps, bit for bit, as under a finite box that
+    never binds."""
+
+    @staticmethod
+    def bits(result) -> tuple:
+        return np.array(result.x).tobytes(), np.float64(result.f).tobytes(), result.iterations, result.status
+
+    def assert_same_under_a_wide_box(self, position, target, x0):
+        evals = []
+
+        def recorded(x):
+            evals.append(list(x))
+            return position(x)
+
+        n = len(x0)
+        open_run = minimize(recorded, target, x0, [(-math.inf, math.inf)] * n, 1e-12)
+        reached = np.array(evals)
+        # every point the open run evaluated lies strictly inside this box
+        bounds = np.column_stack([reached.min(axis=0) - 1.0, reached.max(axis=0) + 1.0])
+        evals.clear()
+        boxed_run = minimize(recorded, target, x0, bounds, 1e-12)
+        assert np.array(evals).tobytes() == reached.tobytes()
+        assert self.bits(boxed_run) == self.bits(open_run)
+        return open_run
+
+    def test_robot_maps(self, ur5_model, kuka_model):
+        rng = np.random.default_rng(35)
+        statuses = set()
+        for k in range(60):
+            theta1 = float(rng.uniform(-math.pi, math.pi))
+            maps = ((elbow_analytic(theta1, ur5_model), 2), (wrist_analytic(kuka_model), 4))
+            for position, n in maps:
+                target = np.array(position(rng.uniform(-2.0, 2.0, n).tolist())[0])
+                if k % 3 == 0:  # mostly beyond the reach
+                    target = target * 3.0
+                x0 = rng.uniform(-2.0, 2.0, n).tolist()
+                statuses.add(self.assert_same_under_a_wide_box(position, target, x0).status)
+        assert {OptStatus.TOLERANCE_REACHED, OptStatus.STALLED} <= statuses
+
+    def test_seeded_linear_and_sine_maps(self):
+        rng = np.random.default_rng(36)
+        for k in range(100):
+            n = 2 if k % 2 else 4
+            a = rng.normal(size=(3, n))
+            if k % 4 < 2:  # p = A sin(x)
+                def position(x, a=a):
+                    return (a @ np.sin(x)).tolist(), (a * np.cos(x)).tolist()
+            else:
+                def position(x, a=a):
+                    return (a @ np.asarray(x)).tolist(), a.tolist()
+            target = a @ rng.normal(size=n) * 2.0
+            self.assert_same_under_a_wide_box(position, target, rng.normal(size=n).tolist())
 
 
 def _np_minimize(position, target, x0, bounds, stop_value):

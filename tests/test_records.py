@@ -12,8 +12,10 @@ import pytest
 import fabrik_sqp
 from fabrik_sqp import IKQuery, SolverConfig, benchmark, kuka_model, solve_ik, ur5_model
 
+from conftest import KUKA_DATASHEET
+
 SRC = Path(fabrik_sqp.__file__).resolve().parent.parent
-DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
+TESTS = Path(__file__).resolve().parent
 
 # A seeded subset of both robots: the default combined modes, the UR5's
 # FABRIK-only mode, and one tight-limit model per robot, so the hinge and
@@ -26,7 +28,8 @@ import numpy as np
 import fabrik_sqp as pkg
 from fabrik_sqp import benchmark
 
-half = np.radians([170, 120, 170, 120, 170, 120, 175])
+from conftest import KUKA_DATASHEET as half
+
 sets = [
     (pkg.ur5_model(), 40, pkg.SolverConfig()),
     (pkg.ur5_model(), 30, pkg.SolverConfig(use_optimizer=False, sweep_cap=100)),
@@ -73,7 +76,7 @@ class TestRecordsIndependentOfBlasKernel:
         if len(kernels) < 2:
             pytest.skip("fewer than two OpenBLAS kernels run on this CPU")
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS), env.get("PYTHONPATH", "")])
         runs = {
             kernel: subprocess.Popen(
                 [sys.executable, "-c", RECORDS_SCRIPT], env={**env, "OPENBLAS_CORETYPE": kernel},
@@ -121,7 +124,7 @@ class TestNudgeStability:
         "robot, limits, n, ceilings",
         [
             ("kuka", None, 1000, {"x": 41, "y": 51}),
-            ("kuka", np.column_stack([-DATASHEET, DATASHEET]), 300, {"x": 18, "y": 16}),
+            ("kuka", np.column_stack([-KUKA_DATASHEET, KUKA_DATASHEET]), 300, {"x": 18, "y": 16}),
             ("ur5", None, 1000, {"x": 0, "y": 0}),
         ],
         ids=["kuka-random", "kuka-datasheet", "ur5-random"],

@@ -542,3 +542,25 @@ class TestReducedChainLayOut:
     def _solves_without_raising(model):
         for t_des, theta_init in benchmark.generate_queries(model, 5, 7).queries:
             assert solve_ik(model, IKQuery(t_des=t_des, theta_init=theta_init)).status in IKStatus
+
+
+class TestPlaneChainPerModel:
+    """The UR5 sets its plane chains' per-model part once and normalizes
+    each plane normal once: each chain is still the one `lay_out_chain`
+    lays out from the plane, field for field."""
+
+    @pytest.mark.parametrize("limits", [None, np.tile([-0.5, 0.5], (6, 1))], ids=["default", "0.5rad"])
+    def test_ur5_plane_chain_is_lay_out_chain(self, limits):
+        model = ur5_model(limits)
+        rng = np.random.default_rng(8)
+        angles = np.linspace(-math.pi, math.pi, 181).tolist() + rng.uniform(-4.0, 4.0, 100).tolist()
+        for theta1 in angles:
+            frame = ur5.planar_frame(theta1, np.eye(4)[:3].tolist(), np.zeros(3), model)
+            joints = tuple(fabrik.Hinge(frame.z2d, *model.limit_pairs[k]) for k in (1, 2))
+            want = fabrik.lay_out_chain(model.shoulder, frame.v_init, model.arm_lengths[1:], joints)
+            got = ur5.make_chain(frame, model)
+            assert type(got) is type(want)
+            for field, a, b in zip(want._fields, got, want):
+                # repr tells every float apart, signed zeros included
+                assert type(a) is type(b) and repr(a) == repr(b), field
+            assert [type(j) for j in got.joints] == [fabrik.Hinge] * 2

@@ -205,8 +205,8 @@ class TestFoldVariants:
             assert folds[0] == (theta2, theta3)
             (m2, m3) = folds[1]
             assert m3 == -theta3
-            want = ur5.elbow_analytic((theta2, theta3), theta1, ur5_model)[0]
-            got = ur5.elbow_analytic((m2, m3), theta1, ur5_model)[0]
+            want = ur5.elbow_analytic(theta1, ur5_model)((theta2, theta3))[0]
+            got = ur5.elbow_analytic(theta1, ur5_model)((m2, m3))[0]
             assert np.allclose(got, want, atol=1e-12)
 
     def test_straight_chain_has_one_fold(self, ur5_model):
@@ -222,7 +222,7 @@ def _plane_chain(theta1, model):
 class TestElbowOptimize:
     def test_seeds_already_solving_return_immediately(self, ur5_model):
         theta = np.array([0.3, -0.7, 1.2, 0.0, 0.0, 0.0])
-        target = ur5.elbow_analytic((-0.7, 1.2), 0.3, ur5_model)[0]
+        target = ur5.elbow_analytic(0.3, ur5_model)((-0.7, 1.2))[0]
         result, x = ur5.elbow_optimize(
             0.3, target, (-0.7, 1.2), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
@@ -233,7 +233,7 @@ class TestElbowOptimize:
     def test_reach_boundary_gives_full_extension(self, ur5_model):
         l2, l3 = ur5_model.link_lengths[1], ur5_model.link_lengths[2]
         theta1 = 0.5
-        target = ur5.elbow_analytic((0.4, 0.0), theta1, ur5_model)[0]  # straight elbow
+        target = ur5.elbow_analytic(theta1, ur5_model)((0.4, 0.0))[0]  # straight elbow
         result, x = ur5.elbow_optimize(
             theta1, target, (0.2, 0.9), ur5_model, ur5_model.joint_limits[1:3], 1e-12
         )
@@ -287,7 +287,7 @@ class TestElbowOptimize:
         for _ in range(100):
             theta1, theta2, theta3 = rng.uniform(-math.pi, math.pi, 3)
             chain = _plane_chain(theta1, ur5_model)
-            tip = ur5.elbow_analytic((theta2, theta3), theta1, ur5_model)[0]
+            tip = ur5.elbow_analytic(theta1, ur5_model)((theta2, theta3))[0]
             assert fabrik.within_reach(chain, tip, 1e-15)
             # along the ray from the shoulder through the tip
             ray = np.subtract(tip, chain.base)
@@ -329,15 +329,15 @@ class TestElbowOptimize:
         for _ in range(100):
             theta1 = rng.uniform(-math.pi, math.pi)
             x = rng.uniform(-math.pi, math.pi, 2)
-            jac = np.array(ur5.elbow_analytic(x, theta1, ur5_model)[1])
+            jac = np.array(ur5.elbow_analytic(theta1, ur5_model)(x)[1])
             assert jac.shape == (3, 2)
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
                 fd = (
-                    np.array(ur5.elbow_analytic(xp, theta1, ur5_model)[0])
-                    - np.array(ur5.elbow_analytic(xm, theta1, ur5_model)[0])
+                    np.array(ur5.elbow_analytic(theta1, ur5_model)(xp)[0])
+                    - np.array(ur5.elbow_analytic(theta1, ur5_model)(xm)[0])
                 ) / (2 * h)
                 assert jac[:, i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 

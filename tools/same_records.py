@@ -65,12 +65,6 @@ SKIPPED = REFERENCE + 1  # index of the branches skipped unsolved
 SOLVED = SKIPPED + 1  # index of the branches FABRIK ran on, None where not recorded
 PICK_MOVE = 1e-3  # rad: a pick that moves farther than this is reported
 SHOWN = 5  # differing solves printed per workload
-DATASHEET = np.radians([170, 120, 170, 120, 170, 120, 175])  # KUKA LBR iiwa 14
-TIGHT = {  # name: (robot, joint limits)
-    "kuka-datasheet": ("kuka", np.column_stack([-DATASHEET, DATASHEET])),
-    "kuka-0.5rad": ("kuka", np.tile([-0.5, 0.5], (7, 1))),
-    "ur5-0.5rad": ("ur5", np.tile([-0.5, 0.5], (6, 1))),
-}
 TIGHT_QUERIES = 300
 ON_AXIS = (300, 0)  # kuka-on-axis queries and seed, as the test solves them
 
@@ -115,9 +109,9 @@ def with_candidates(pkg, solve) -> list:
     return [(*record(r), *logged) for r, logged in zip(results, log)]
 
 
-def tight_records(pkg) -> dict:
+def tight_records(pkg, tight: dict) -> dict:
     out = {}
-    for name, (robot, limits) in TIGHT.items():
+    for name, (robot, limits) in tight.items():
         model = getattr(pkg, f"{robot}_model")(limits)
         queries = pkg.benchmark.generate_queries(model, TIGHT_QUERIES, SEED)
         out[name] = with_candidates(pkg, lambda: [
@@ -127,20 +121,28 @@ def tight_records(pkg) -> dict:
     return out
 
 
-def on_axis_queries() -> list:
-    """The kuka-on-axis (t_des, theta_init) pairs, built with this checkout's package."""
+def checkout_inputs() -> tuple[list, dict]:
+    """The kuka-on-axis (t_des, theta_init) pairs, built with this
+    checkout's package, and the tight-limit sets, {name: (robot, joint
+    limits)}, the KUKA's datasheet limits read from tests/conftest.py."""
     paths = [str(ROOT / "src"), str(ROOT / "tests")]
     sys.path[:0] = paths
     try:
         pkg = bench.import_package()
         import conftest
-        return [(t, th) for t, th, _ in conftest.kuka_on_axis_queries(pkg.kuka_model(), *ON_AXIS)]
+        on_axis = [(t, th) for t, th, _ in conftest.kuka_on_axis_queries(pkg.kuka_model(), *ON_AXIS)]
+        half = conftest.KUKA_DATASHEET
+        return on_axis, {
+            "kuka-datasheet": ("kuka", np.column_stack([-half, half])),
+            "kuka-0.5rad": ("kuka", np.tile([-0.5, 0.5], (7, 1))),
+            "ur5-0.5rad": ("ur5", np.tile([-0.5, 0.5], (6, 1))),
+        }
     finally:
         for path in paths:
             sys.path.remove(path)
 
 
-def records(src: Path, on_axis: list) -> dict:
+def records(src: Path, on_axis: list, tight: dict) -> dict:
     """{workload: [(status, sweeps, opt_used, opt_iters, error, theta,
     candidates, reference, skipped, solved), ...]} with the package under src."""
     sys.path.insert(0, str(src))
@@ -154,7 +156,7 @@ def records(src: Path, on_axis: list) -> dict:
                 r for fn, args in bench._requests(inputs, calibrate=False) for r in fn(*args)[0]
             ])
         pkg = inputs.pkg
-        out.update(tight_records(pkg))
+        out.update(tight_records(pkg, tight))
         model = pkg.kuka_model()
         out["kuka-on-axis"] = with_candidates(pkg, lambda: [
             pkg.solve_ik(model, pkg.IKQuery(t_des, theta_init)) for t_des, theta_init in on_axis
@@ -288,10 +290,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     args = parser.parse_args(argv)
-    on_axis = on_axis_queries()
+    on_axis, tight = checkout_inputs()
     with tempfile.TemporaryDirectory() as tmp:
-        theirs = records(export(args.rev, Path(tmp)), on_axis)
-    ours = records(ROOT / "src", on_axis)
+        theirs = records(export(args.rev, Path(tmp)), on_axis, tight)
+    ours = records(ROOT / "src", on_axis, tight)
     total = outcomes = 0
     for name, mine in ours.items():
         diffs = differing(theirs[name], mine)
