@@ -15,23 +15,21 @@ interval. Hinges carry a fixed world axis; ball joints use the cross
 product of the adjacent link directions as the correction axis and a
 cone half-angle as the limit.
 
-A chain's links are checked once, where they come from: `RobotModel`
-checks the links of both robots' reduced chains when the model is built,
-and `straight_chain` checks every other chain (the CLI's, the demos'),
-including a minimum link length well above the sweeps' 1e-12 coincidence
-scale, a maximum reach that keeps their squares finite and a lay-out
-that keeps every link. The reductions lay their chains out straight
-with `lay_out_chain`, the same arithmetic without the checks (the UR5
-lays its chain out once per model and `relaid` turns it into each
-working plane), and the sweeps start from them as laid out: the forward phase pins the tip at
-the target, so only `solve`'s zero-sweep test and `_reach`'s
-coincident-point rule read a two-link start's tip. The sweeps,
-`pre_bend` and the full-extension shortcut trust the chain and only
-move its points, (x, y, z) float rows from lay-out to recovery; the
-constants set where it is laid out ride along. Every vector is a float
-3-tuple (see the `geometry` docstring). Reach is decided once, before
-any sweep: `within_reach` asks for the target within the solve's
-tolerance of the shell the chain's end sweeps.
+A chain's links are checked once, where it is built: `straight_chain`
+builds every chain (the CLI's, the demos' and both reductions', which
+each robot builds once per model) and checks a minimum link length well
+above the sweeps' 1e-12 coincidence scale, a maximum reach that keeps
+their squares finite and a lay-out that keeps every link. The UR5's
+`relaid` turns its model's chain into each working plane, whose lay-out
+`robots.LAYOUT_MARGIN` covers. The sweeps start from a chain as laid
+out: the forward phase pins the tip at the target, so only `solve`'s
+zero-sweep test and `_reach`'s coincident-point rule read a two-link
+start's tip. The sweeps, `pre_bend` and the full-extension shortcut
+trust the chain and only move its points, (x, y, z) float rows from
+lay-out to recovery; the constants set where it is laid out ride along.
+Every vector is a float 3-tuple (see the `geometry` docstring). Reach is
+decided once, before any sweep: `within_reach` asks for the target
+within the solve's tolerance of the shell the chain's end sweeps.
 """
 from __future__ import annotations
 
@@ -147,35 +145,17 @@ def _lay_out(base: tuple, direction: tuple, lengths) -> tuple:
     return tuple((bx + c * dx, by + c * dy, bz + c * dz) for c in accumulate((0.0, *lengths)))
 
 
-def _laid_out(base, direction, lengths, joints, anchor_dir) -> ChainState:
-    """The chain laid straight from base along the unit direction, its
-    constants set once: the lengths and base as floats, their `fsum` as
-    its reach and each joint's can-clamp flag."""
-    base, rows, joints = tuple(map(float, base)), tuple(map(float, lengths)), tuple(joints)
-    can_clamp = tuple(not joint.unconstrained for joint in joints)
-    return ChainState(_lay_out(base, direction, rows), rows, joints, base, math.fsum(rows),
-                      can_clamp, anchor_dir)
-
-
 def relaid(chain: ChainState, direction: tuple, axis: tuple) -> ChainState:
-    """A hinge chain laid out again as `lay_out_chain` lays it, along the unit
-    `direction`, its hinges turned about the unit `axis`: its constants carry over."""
+    """A hinge chain laid out again along the unit `direction`, its anchor, its
+    hinges turned about the unit `axis`: its constants carry over."""
     joints = tuple(Hinge._make((axis, joint.lo, joint.hi)) for joint in chain.joints)
     return ChainState(_lay_out(chain.base, direction, chain.lengths), chain.lengths, joints,
                       chain.base, chain.reach, chain.can_clamp, direction)
 
 
-def lay_out_chain(base, direction, lengths, joints) -> ChainState:
-    """The chain of `straight_chain` without its checks, anchored along its
-    own direction, for links checked where they were built
-    (`robots.RobotModel`): base, direction and lengths are sequences of
-    floats; the direction is normalized here."""
-    direction = unit(direction)
-    return _laid_out(base, direction, lengths, joints, direction)
-
-
 def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainState:
-    """Chain laid out straight from base along a direction, checked.
+    """Every chain: laid out straight from base along a direction, checked,
+    its constants set once (the lengths' `fsum` as its reach, can_clamp).
 
     Lengths of at least MIN_LINK_LENGTH summing to at most
     MAX_CHAIN_REACH, one per joint; non-zero, finite 3-vector direction
@@ -198,7 +178,10 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
         raise ValueError("base and direction must be 3-vectors")
     direction = unit(direction)
     anchor = None if anchor_dir is None else unit(anchor_dir)
-    chain = _laid_out(base, direction, lengths, joints, anchor)
+    base, rows, joints = tuple(base.tolist()), tuple(lengths.tolist()), tuple(joints)
+    can_clamp = tuple(not joint.unconstrained for joint in joints)
+    chain = ChainState(_lay_out(base, direction, rows), rows, joints, base, math.fsum(rows),
+                       can_clamp, anchor)
     laid = np.linalg.norm(np.diff(chain.positions, axis=0), axis=1)
     if not np.all(np.abs(laid - lengths) <= 1e-9 * lengths):
         raise ValueError("a link is too short to lay out at this base")

@@ -14,7 +14,7 @@ import numpy as np
 from .fabrik import check_cap, check_tolerance
 from .geometry import ROTATION_EXACT_TOL, CartesianError, check_rotation, polar_rotation
 from .geometry import require_transform, wrap_angle
-from .robots import KUKA, UR5, RobotModel
+from .robots import KUKA, UR5, RobotModel, joint_vector
 
 DEFAULT_EPS_TOL = 1e-6
 DEFAULT_SWITCH_INDEX = {UR5: 5, KUKA: 15}
@@ -103,14 +103,10 @@ class IKResult:
 
 
 def check_joint_vector(model: RobotModel, theta, name: str) -> tuple:
-    """theta as a float tuple; ValueError unless it has one finite entry
-    per joint within the model's limits, to 1e-12."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dof,):
-        raise ValueError(
-            f"{name} must have {model.dof} entries for {model.name}, got {theta.shape}"
-        )
-    values = tuple(theta.tolist())
+    """theta as a float tuple; ValueError, naming it `name`, unless it has
+    one finite entry per joint (`robots.joint_vector`) within the model's
+    limits, to 1e-12."""
+    values = tuple(joint_vector(model, theta, name))
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
     if not model.within_limits(values, tol=1e-12):

@@ -45,14 +45,13 @@ def wrist_target(rows, model: RobotModel) -> tuple:
 
 @lru_cache(maxsize=8)
 def make_chain(model: RobotModel) -> fabrik.ChainState:
-    """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT, laid out
-    from the links the model checked (`robots.LAYOUT_MARGIN` covers it).
-
-    One chain per model, shared by every solve: it holds only tuples.
-    """
+    """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT, built by
+    `fabrik.straight_chain` once per model and shared by every solve: it
+    holds only tuples."""
     elbow_cone = min(math.pi, max(map(abs, model.limit_pairs[3])))
     joints = (fabrik.Ball(), fabrik.Ball(elbow_cone))
-    return fabrik.lay_out_chain(model.shoulder, DEFAULT_V_INIT, model.arm_lengths[1:], joints)
+    return fabrik.straight_chain(model.shoulder, DEFAULT_V_INIT, model.arm_lengths[1:], joints,
+                                 anchor_dir=DEFAULT_V_INIT)
 
 
 # --- closed-form geometry ---------------------------------------------------

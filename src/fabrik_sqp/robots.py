@@ -184,11 +184,11 @@ def _link_lengths(name, dh: tuple[DHRow, ...]) -> list[float]:
         )
     if lengths[1] + lengths[2] > MAX_CHAIN_REACH:
         raise ValueError(f"{name} reduced-chain reach l2 + l3 must be at most {MAX_CHAIN_REACH:g} m")
-    # The reductions lay their chains out unchecked (`fabrik.lay_out_chain`), so this
-    # is `fabrik.straight_chain`'s rule, checked once: every laid link within 1e-9 of
-    # its length. Its links err by <= 3u M (u = 2**-53), M the largest coordinate:
-    # l2 + l3 in any UR5 plane (the height is exact), l1 + l2 + l3 up the KUKA's z.
-    # So L >= LAYOUT_MARGIN * M errs by <= 3.3e-10 L (UR5, measured: fails < ~2e-7 M).
+    # `fabrik.straight_chain` checks a reduced chain once, at the first solve, and the UR5 lays it
+    # out again per plane (`fabrik.relaid`), so this is its rule for every plane, checked at load:
+    # every laid link within 1e-9 of its length. Its links err by <= 3u M (u = 2**-53), M the
+    # largest coordinate: l2 + l3 in any UR5 plane (the height is exact), l1 + l2 + l3 up the
+    # KUKA's z. So L >= LAYOUT_MARGIN * M errs by <= 3.3e-10 L (UR5, measured: fails < ~2e-7 M).
     top = lengths[1] + lengths[2] + (lengths[0] if name == KUKA else 0.0)
     if min(lengths[1], lengths[2]) < LAYOUT_MARGIN * top:
         raise ValueError(f"{name} reduced-chain links l2 and l3 must each be at least"
@@ -304,17 +304,17 @@ def load_model_file(path: str) -> RobotModel:
 
 # --- forward kinematics -----------------------------------------------------
 
-def _joint_angles(model: RobotModel, theta) -> list[float]:
-    """theta as floats, one per joint; ValueError for any other shape."""
+def joint_vector(model: RobotModel, theta, name: str) -> list[float]:
+    """theta as floats, one per joint; ValueError, naming it `name`, for any other shape."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
-        raise ValueError(f"{model.name} expects {model.dof} joint angles, got shape {theta.shape}")
+        raise ValueError(f"{name} must have {model.dof} entries for {model.name}, got {theta.shape}")
     return theta.tolist()
 
 
 def forward_kinematics(model: RobotModel, theta) -> np.ndarray:
     """End-effector pose as the product of the link transforms, a 4x4 ndarray."""
-    return transform_of(fk_frames(model, _joint_angles(model, theta))[-1])
+    return transform_of(fk_frames(model, joint_vector(model, theta, "theta"))[-1])
 
 
 def fk_frames(model: RobotModel, theta) -> list[tuple]:
@@ -333,5 +333,5 @@ def fk_frames(model: RobotModel, theta) -> list[tuple]:
 def pose_mismatch(model: RobotModel, theta, t_des) -> float:
     """Acceptance metric D = eps_rot + eps_pos for a candidate joint vector."""
     rows = require_transform(t_des)
-    frame = fk_frames(model, _joint_angles(model, theta))[-1]
+    frame = fk_frames(model, joint_vector(model, theta, "theta"))[-1]
     return frame_error(frame, rows[:3]).total

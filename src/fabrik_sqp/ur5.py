@@ -104,17 +104,19 @@ def iteration_target(frame: PlanarFrame, l5d, model: RobotModel) -> tuple:
 
 @lru_cache(maxsize=8)
 def _plane_chain(model: RobotModel) -> fabrik.ChainState:
-    """What every plane's chain shares, set once per model: its base, links,
-    reach and can-clamp flags, laid out along x with both hinges about z."""
+    """What every plane's chain shares, built once per model by
+    `fabrik.straight_chain`: its base, links, reach and can-clamp flags,
+    laid out along x with both hinges about z."""
+    direction = (1.0, 0.0, 0.0)
     joints = tuple(fabrik.Hinge((0.0, 0.0, 1.0), *model.limit_pairs[k]) for k in (1, 2))
-    return fabrik.lay_out_chain(model.shoulder, (1.0, 0.0, 0.0), model.arm_lengths[1:], joints)
+    return fabrik.straight_chain(model.shoulder, direction, model.arm_lengths[1:], joints,
+                                 anchor_dir=direction)
 
 
 def make_chain(frame: PlanarFrame, model: RobotModel) -> fabrik.ChainState:
-    """Two-link elbow chain in the working plane, laid out straight along
-    v_init from the links the model checked (`robots.LAYOUT_MARGIN`
-    covers every plane), as `fabrik.lay_out_chain` lays it out. Both
-    hinges turn about the plane normal, normalized once."""
+    """Two-link elbow chain in the working plane: the model's chain laid out
+    again by `fabrik.relaid`, straight along v_init (`robots.LAYOUT_MARGIN`
+    covers every plane), both hinges about the plane normal, normalized once."""
     return fabrik.relaid(_plane_chain(model), unit(frame.v_init), unit(frame.z2d))
 
 

@@ -400,7 +400,7 @@ class TestStartBend:
                 else Ball(rng.uniform(0.1, math.pi)) for _ in range(2)
             ]
             base, direction = rng.normal(size=3), rng.normal(size=3)
-            straight = fabrik.lay_out_chain(base, direction, lengths, joints)
+            straight = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
             bent = pre_bend(straight, axis=rng.normal(size=3))
             target = base + unit(rng.normal(size=3)) * straight.reach * rng.uniform() ** (1 / 3)
             if (min(math.dist(target, c.end) for c in (straight, bent)) <= 1e-6
@@ -566,8 +566,8 @@ class TestChainFormat:
         frame = ur5.planar_frame(0.3, np.eye(4)[:3].tolist(), np.zeros(3), ur5_model)
         built = [
             two_link_chain(),
-            fabrik.lay_out_chain(np.zeros(3), np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.5]),
-                                 (Ball(), Hinge(Z, -2.0, 2.0))),
+            straight_chain(np.zeros(3), np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.5]),
+                           (Ball(), Hinge(Z, -2.0, 2.0)), anchor_dir=np.array([0.0, 2.0, 0.0])),
             ur5.make_chain(frame, ur5_model),
             kuka.make_chain(kuka_model),
         ]
@@ -791,7 +791,7 @@ def _signed_zero_vectors(rng, count):
 
 
 class TestFloatPathsAgainstExactArithmetic:
-    """`_lay_out` (and so `straight_chain` and `lay_out_chain`), `pre_bend`
+    """`_lay_out` (and so `straight_chain` and `relaid`), `pre_bend`
     and `rotate_about_axis` against their formulas in exact arithmetic,
     on seeded draws with negative, 0.0 and -0.0 components."""
 
@@ -809,17 +809,6 @@ class TestFloatPathsAgainstExactArithmetic:
                 want = [Fraction(b) + reach * Fraction(d) for b, d in zip(base.tolist(), direction)]
                 assert within(point, want, bound), (k, point)
                 reach += Fraction(lengths[k]) if k < lengths.size else 0
-
-    def test_straight_chain_and_unchecked_lay_out_agree(self):
-        rng = np.random.default_rng(32)
-        for base, direction in zip(*(_signed_zero_vectors(rng, 500) for _ in range(2))):
-            lengths = rng.uniform(0.2, 1.5, int(rng.integers(1, 7)))
-            joints = (Ball(),) * lengths.size
-            # lay_out_chain anchors the chain along its own direction
-            checked = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
-            laid = fabrik.lay_out_chain(base, direction, lengths, joints)
-            for field in ("positions", "lengths", "base", "reach", "can_clamp", "anchor_dir"):
-                assert getattr(laid, field) == getattr(checked, field)
 
     def test_pre_bend(self):
         rng = np.random.default_rng(33)

@@ -492,10 +492,10 @@ def _table(robot, row, field, value):
 
 class TestReducedChainLayOut:
     """A table the constructor accepts lays its reduced chain out in every
-    solve; one it would not lay out is rejected when it is built. The
-    reductions lay their chains out without checks, so each is compared
-    with the checked `fabrik.straight_chain` of the same inputs, which
-    raises on a link the lay-out loses."""
+    solve; one it would not lay out is rejected when it is built. The UR5
+    lays its chain out again per plane without checks (`fabrik.relaid`),
+    so each chain is compared with the checked `fabrik.straight_chain` of
+    the same inputs, which raises on a link the lay-out loses."""
 
     @pytest.mark.parametrize(
         "robot, row, field, value",
@@ -546,18 +546,19 @@ class TestReducedChainLayOut:
 
 class TestPlaneChainPerModel:
     """The UR5 sets its plane chains' per-model part once and normalizes
-    each plane normal once: each chain is still the one `lay_out_chain`
+    each plane normal once: each chain is still the one `straight_chain`
     lays out from the plane, field for field."""
 
     @pytest.mark.parametrize("limits", [None, np.tile([-0.5, 0.5], (6, 1))], ids=["default", "0.5rad"])
-    def test_ur5_plane_chain_is_lay_out_chain(self, limits):
+    def test_ur5_plane_chain_is_straight_chain(self, limits):
         model = ur5_model(limits)
         rng = np.random.default_rng(8)
         angles = np.linspace(-math.pi, math.pi, 181).tolist() + rng.uniform(-4.0, 4.0, 100).tolist()
         for theta1 in angles:
             frame = ur5.planar_frame(theta1, np.eye(4)[:3].tolist(), np.zeros(3), model)
             joints = tuple(fabrik.Hinge(frame.z2d, *model.limit_pairs[k]) for k in (1, 2))
-            want = fabrik.lay_out_chain(model.shoulder, frame.v_init, model.arm_lengths[1:], joints)
+            want = fabrik.straight_chain(model.shoulder, frame.v_init, model.arm_lengths[1:], joints,
+                                         anchor_dir=frame.v_init)
             got = ur5.make_chain(frame, model)
             assert type(got) is type(want)
             for field, a, b in zip(want._fields, got, want):

@@ -410,7 +410,7 @@ class TestSolve:
         assert 1 <= folds <= events.count("sweeps") <= detail.branches - detail.skipped
         assert len(detail.candidates) == 2 * folds
 
-    def test_start_chain_laid_out_once_per_plane(self, ur5_model, monkeypatch):
+    def test_start_chain_made_once_per_plane(self, ur5_model, monkeypatch):
         # counted at the module attributes, where the benchmark's layer
         # trace hooks them: the sweeps start from the straight chain as
         # laid out, so `pre_bend` never sees it
@@ -441,8 +441,9 @@ class TestSolve:
             for frame, chain in made:
                 # straight along the plane's zero-pose arm direction
                 assert frame.start is chain
-                laid = fabrik.lay_out_chain(ur5_model.shoulder, frame.v_init,
-                                            ur5_model.arm_lengths[1:], chain.joints)
+                laid = fabrik.straight_chain(ur5_model.shoulder, frame.v_init,
+                                             ur5_model.arm_lengths[1:], chain.joints,
+                                             anchor_dir=frame.v_init)
                 assert chain.positions == laid.positions
                 upper, fore = chain.link_directions()
                 assert signed_angle(upper, fore, chain.joints[1].axis) == pytest.approx(0.0, abs=1e-12)

@@ -3,8 +3,8 @@
     python3 tools/paired_bench.py REV --workload ur5-fabrik-only --pairs 10 \\
         --seeds 7 13 --seconds 10 --out pairs.json
 
-Exports the package source of REV with `git archive`, as
-`tools/same_records.py` does, next to a copy of this checkout's
+Exports the package source of REV with `git archive` (`export`, which
+`tools/same_records.py` imports), next to a copy of this checkout's
 perfbench/ and BENCHMARK.json, so both sides run the same benchmark
 code with the same settings. The change side is this checkout (the
 working tree, uncommitted edits included). For every seed and workload
@@ -44,15 +44,12 @@ WIN_SHARE = 0.9  # share of pairs the change must win for a gain
 
 
 def export(rev: str, into: Path) -> Path:
-    """REV's src/ beside this checkout's perfbench/ and BENCHMARK.json."""
+    """The new directory `into`, holding REV's src/ as `git archive` gives it."""
     into.mkdir()
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    shutil.copytree(ROOT / "perfbench", into / "perfbench",
-                    ignore=shutil.ignore_patterns("results", "__pycache__"))
-    shutil.copy(ROOT / "BENCHMARK.json", into)
     return into
 
 
@@ -142,7 +139,8 @@ def report(entry: dict) -> None:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("rev", help="git revision of the parent side, e.g. HEAD~1")
     # a repeated flag adds its values to the earlier ones
     parser.add_argument("--workload", nargs="+", action="extend", required=True,
@@ -166,7 +164,11 @@ def main(argv=None) -> int:
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.rev],
                          capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": export(rev, Path(tmp) / "parent"), "change": ROOT}
+        parent = export(rev, Path(tmp) / "parent")
+        shutil.copytree(ROOT / "perfbench", parent / "perfbench",
+                        ignore=shutil.ignore_patterns("results", "__pycache__"))
+        shutil.copy(ROOT / "BENCHMARK.json", parent)
+        trees = {"parent": parent, "change": ROOT}
         result = {
             "parent_rev": rev,
             "change": "this checkout's working tree",

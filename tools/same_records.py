@@ -3,8 +3,9 @@
     python3 tools/same_records.py REV
 
 Exports the package source of REV with `git archive` into a temporary
-directory, then solves the same inputs with REV's package and with this
-checkout's (the working tree, uncommitted edits included):
+directory (`export`, from tools/paired_bench.py), then solves the same
+inputs with REV's package and with this checkout's (the working tree,
+uncommitted edits included):
 
 - the seed-7 perfbench workloads, whose definitions come from this
   checkout's perfbench/bench.py;
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import subprocess
 import sys
 import tempfile
 from operator import itemgetter
@@ -55,6 +55,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import bench  # noqa: E402
+from paired_bench import export  # noqa: E402
 
 SEED = 7
 FIELDS = ("status", "sweeps", "opt_used", "opt_iters", "error")
@@ -164,14 +165,6 @@ def records(src: Path, on_axis: list, tight: dict) -> dict:
         return out
     finally:
         sys.path.remove(str(src))
-
-
-def export(rev: str, into: Path) -> Path:
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return into / "src"
 
 
 def same_bits(x, y) -> bool:
@@ -287,12 +280,13 @@ def accounting(theirs: list, ours: list) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     args = parser.parse_args(argv)
     on_axis, tight = checkout_inputs()
     with tempfile.TemporaryDirectory() as tmp:
-        theirs = records(export(args.rev, Path(tmp)), on_axis, tight)
+        theirs = records(export(args.rev, Path(tmp) / "rev") / "src", on_axis, tight)
     ours = records(ROOT / "src", on_axis, tight)
     total = outcomes = 0
     for name, mine in ours.items():
