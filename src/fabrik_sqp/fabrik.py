@@ -358,12 +358,14 @@ def check_cap(value, name: str) -> int:
 
 def within_reach(chain: ChainState, target, eps: float) -> bool:
     """The one reach rule: the target's distance d from the base within eps
-    of the shell an unlimited chain's end sweeps, hole - eps <= d <= reach
-    + eps with hole = max(0, 2 * longest link - reach). Limits only shrink
-    the shell, so no solve gets within eps of a target it refuses. False
-    for a NaN d or one above MAX_TARGET_GAP, whatever eps is."""
+    of the shell an unlimited chain's end sweeps, hole - eps <= d and d -
+    reach <= eps with hole = max(0, 2 * longest link - reach). Limits only
+    shrink the shell, so no solve gets within eps of a target it refuses;
+    at the outer edge d - reach is `solve`'s own miss. False for a NaN d
+    or one above MAX_TARGET_GAP, whatever eps is."""
     hole = max(0.0, 2.0 * max(chain.lengths) - chain.reach)
-    return hole - eps <= math.dist(target, chain.base) <= min(chain.reach + eps, MAX_TARGET_GAP)
+    gap = math.dist(target, chain.base)
+    return hole - eps <= gap <= MAX_TARGET_GAP and gap - chain.reach <= eps
 
 
 def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOutcome:
@@ -371,9 +373,9 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
 
     A target on or beyond the reach sphere (within fp noise) gets the
     chain laid straight toward it in one sweep, FABRIK's out-of-reach
-    case; callers ask `within_reach` first. A non-finite target, or one
-    more than MAX_TARGET_GAP from the base, raises ValueError. The
-    outcome's chain is built once, on return.
+    case, missing it by |d - reach|; callers ask `within_reach` first. A
+    non-finite target, or one more than MAX_TARGET_GAP from the base,
+    raises ValueError. The outcome's chain is built once, on return.
     """
     eps_tol = check_tolerance(eps_tol, "eps_tol")
     iter_cap = check_cap(iter_cap, "iter_cap")
@@ -388,7 +390,7 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
         # unique solution, or the closest the chain gets
         direction = unit([(t - b) / gap for t, b in zip(tip, base)])
         stretched = chain.moved(_lay_out(base, direction, chain.lengths))
-        dist = norm(sub(stretched.end, tip))
+        dist = abs(gap - reach)
         return FabrikOutcome(dist <= eps_tol, 1, dist, stretched, ((1, dist),))
 
     dist = norm(sub(chain.end, tip))

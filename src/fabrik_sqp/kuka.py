@@ -295,6 +295,9 @@ class Branch:
         self.target = wrist_target(rows, model)
         self.start = make_chain(model)
 
+    def rest_within(self, eps: float) -> float:  # the target bounds no joint either
+        return self.rest
+
     @cached_property
     def bend_axis(self) -> tuple | None:
         """The axis that re-bends the optimizer's seed toward theta_init,

@@ -26,6 +26,9 @@ A branch is any object with:
   that every candidate of the branch shares, known before any sweep
 - ``rest``: a float, known before any sweep, at or below the sum of
   every candidate's L1 terms of the joints ``fixed`` leaves out
+- ``rest_within(eps)``: a float, never below ``rest``, at or below that
+  sum for every candidate of any reduced solution whose chain end lies
+  within eps of ``target``
 - ``from_chain(chain)``: the reduced solution of a converged chain
 - ``optimize(seed_chain, stop)``: ``(opt_results, reduced)`` with
   every optimizer run in order and the reduced solution, or None when
@@ -89,7 +92,9 @@ def solve(
     than SELECT_TIE_TOL is skipped: ``select_candidate(distances)``
     picks the first admitted candidate within that tolerance of the
     nearest, so none of its candidates could be picked. A reachable
-    branch or a group with floor inf is skipped too (a rest is finite).
+    branch or a group with floor inf is skipped too (a rest is finite),
+    and, once some candidate is admitted, a reachable branch whose fixed
+    pairs' distance plus its ``rest_within(eps)`` exceeds that bound.
     FABRIK runs first on each other reachable branch, capped at the
     config's sweep budget; a branch it leaves unconverged goes to the
     branch's optimizer when the config enables it. Every
@@ -125,7 +130,8 @@ def solve(
         if not fabrik.within_reach(branch.start, branch.target, eps):
             continue
         detail.reachable = True
-        if floor == math.inf:
+        if floor == math.inf or nearest < math.inf and (
+                floor_of(branch.fixed) + branch.rest_within(eps) > nearest + SELECT_TIE_TOL):
             detail.skipped += 1
             continue
         detail.solved += 1

@@ -148,7 +148,7 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize(
         "robot, sweeps, solved, failed",
-        [("ur5", 73_963, 959, 41), ("kuka", 35_699, 799, 201)],
+        [("ur5", 58_624, 959, 41), ("kuka", 35_699, 799, 201)],
     )
     def test_seed_7_fabrik_only_totals(self, robot, sweeps, solved, failed):
         # pins the sweep arithmetic end to end: any change to a reach

@@ -466,7 +466,10 @@ class TestSolve:
         # 2 * 2 - 3 = 1 that the end never enters
         chain = straight_chain(np.zeros(3), (1.0, 0.0, 0.0), (2.0, 1.0), (Ball(), Ball()))
         eps = 1e-6
-        inner, outer = 1.0 - eps, 3.0 + eps
+        # the outer edge is the last float whose gap - reach is at most
+        # eps; 3.0 + eps rounds 1.4e-16 past it
+        inner, outer = 1.0 - eps, np.nextafter(3.0 + eps, 0.0)
+        assert outer - 3.0 <= eps < np.nextafter(outer, math.inf) - 3.0
         for gap in (inner, 1.0, 2.0, 3.0, outer):
             assert fabrik.within_reach(chain, (0.0, gap, 0.0), eps)
         for gap in (0.0, 0.5, np.nextafter(inner, 0.0), np.nextafter(outer, math.inf)):
@@ -492,6 +495,26 @@ class TestSolve:
             with pytest.raises(ValueError, match="target must be finite"):
                 solve(chain, np.array([gap, 0.0, 0.0]), 1e300, 50)
         assert fabrik.within_reach(chain, (fabrik.MAX_TARGET_GAP, 0.0, 0.0), 1e300)
+
+    def test_outer_edge_decided_on_one_float(self):
+        # within_reach and the straight chain both read gap - reach, so
+        # the chain lands within eps of every target the rule passes at
+        # the outer edge and of none it refuses; 2.000001 lies 1.4e-16
+        # past the edge of links 1 and 1 at eps 1e-6
+        chain = two_link_chain()
+        eps = 1e-6
+        assert not fabrik.within_reach(chain, (2.000001, 0.0, 0.0), eps)
+        passed = 0
+        for direction in ((1.0, 0.0, 0.0), (0.6, 0.8, 0.0), (0.0, -0.6, 0.8)):
+            gap = 2.0 + eps - 4 * math.ulp(2.0)  # four floats below the edge
+            for _ in range(8):
+                target = tuple(gap * u for u in direction)
+                reach = fabrik.within_reach(chain, target, eps)
+                out = solve(chain, np.array(target), eps, 50)
+                assert out.iterations == 1 and out.converged == reach
+                passed += reach
+                gap = math.nextafter(gap, math.inf)
+        assert 0 < passed < 24
 
     @pytest.mark.filterwarnings("error")
     def test_target_beyond_the_largest_gap_rejected(self):

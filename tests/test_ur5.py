@@ -587,6 +587,64 @@ class TestBranchSkip:
                                     checked += 1
         assert checked > 5_000 and dropped > 0
 
+    def test_elbow_rest_never_exceeds_a_candidate_distance(self):
+        """`admitted` over a branch's fixed pairs plus its
+        `rest_within(eps)` is never above the distance of a candidate whose
+        chain end lies within eps of the branch target. The ends lie on the
+        eps circle about the target (radially out and in, at the tangents
+        from the shoulder and at random) and inside it, each solved by
+        `_two_link_ik` in both folds, with the mirror `fold_variants` adds;
+        the targets are the branch's own and ones within eps of full
+        extension, of the hole edge and of psi's peak, at two tolerances;
+        the references lie far away, near, and whole turns away."""
+        rng = np.random.default_rng(38)
+        checked = tightened = 0
+        for half in (math.pi, 0.5, 2 * math.pi):
+            model = robots.ur5_model(np.tile([-half, half], (6, 1)))
+            pairs = model.limit_pairs
+            _, l2, l3 = model.arm_lengths
+            for t_des, theta_init in benchmark.generate_queries(model, 3, 7).queries:
+                top = t_des[:3].tolist()
+                for branch in ur5.branches(top, tuple(theta_init.tolist()), model):
+                    # the plane's axes about the shoulder: v_init, and z2d x v_init = -z
+                    axes = np.array([branch.frame.v_init, (0.0, 0.0, -1.0)])
+                    own = axes @ np.subtract(branch.target, model.shoulder)
+                    phi = math.atan2(own[1], own[0])
+                    for eps in (1e-6, 1e-3):
+                        edges = (l2 + l3 - eps, l2 + l3, l2 + l3 + eps, l2 - l3 - eps, l2 - l3,
+                                 l2 - l3 + eps, math.sqrt(l2 * l2 - l3 * l3))
+                        for target in (own, *(d * np.array([math.cos(phi), math.sin(phi)]) for d in edges)):
+                            out = math.atan2(target[1], target[0])
+                            tangent = math.pi / 2 + math.asin(min(1.0, eps / np.hypot(*target)))
+                            # the target itself, then radially out and in, the tangents and
+                            # random turns on the eps circle, and two random points inside it
+                            turns = (0.0, 0.0, math.pi, tangent, -tangent, *rng.uniform(-math.pi, math.pi, 4))
+                            radii = (0.0, *[eps] * 6, *eps * rng.uniform(size=2))
+                            target3 = tuple((model.shoulder + target @ axes).tolist())
+                            for turn, radius in zip(turns, radii):
+                                end = target + radius * np.array([math.cos(out + turn), math.sin(out + turn)])
+                                for reduced in _two_link_ik(end, l2, l3):
+                                    (_, recover), = branch.candidates(reduced)
+                                    for raw in recover():
+                                        wrapped = [wrap_angle(t) for t in raw]
+                                        near = np.add(wrapped, rng.normal(size=6) * 1e-15)
+                                        far = rng.uniform(-math.pi, math.pi, 6), rng.uniform(-half, half, 6)
+                                        steps = 2 * math.pi * rng.integers(-1, 2, size=6)
+                                        for reference in (*far, near, near + steps):
+                                            reference = tuple(reference.tolist())
+                                            bound = ur5.Branch(branch.frame, branch.l5d, top,
+                                                               branch.bend_axis, model, reference)
+                                            bound.target = target3
+                                            floor = admitted(bound.fixed, pairs, reference)[1]
+                                            if floor is None:
+                                                continue
+                                            rest = bound.rest_within(eps)
+                                            assert rest >= bound.rest
+                                            assert floor + rest <= l1_distance(wrapped, reference)
+                                            checked += 1
+                                            tightened += rest > bound.rest
+        assert checked > 10_000 and tightened > checked // 4
+
     @pytest.mark.parametrize(
         "limits, config",
         [
@@ -644,14 +702,36 @@ class TestBranchSkip:
         assert tracked() == shipped
 
 
+def _two_link_ik(point, l2, l3):
+    """Both folds (theta2, theta3) that put the end of links l2 and l3,
+    hinged at the origin, at a plane point (angles from the x axis), or
+    none for a point off their annulus. theta3 comes from its half-angle
+    tangent, which keeps full precision at both edges of the annulus."""
+    d = math.hypot(*point)
+    outside, inside = (l2 + l3 - d) * (l2 + l3 + d), (d - l2 + l3) * (d + l2 - l3)
+    if outside < 0.0 or inside < 0.0:
+        return []
+    half = math.atan2(math.sqrt(outside), math.sqrt(inside))
+    folds = []
+    for theta3 in (2.0 * half, -2.0 * half):
+        psi = math.atan2(l3 * math.sin(theta3), l2 + l3 * math.cos(theta3))
+        theta2 = math.atan2(point[1], point[0]) - psi
+        tip = l2 * np.array([math.cos(theta2), math.sin(theta2)])
+        tip += l3 * np.array([math.cos(theta2 + theta3), math.sin(theta2 + theta3)])
+        assert np.allclose(tip, point, rtol=0.0, atol=1e-12)
+        folds.append((theta2, theta3))
+    return folds
+
+
 def _skip_nothing(monkeypatch):
-    """No branch fixes a joint or bounds the rest, so no floor exceeds
-    any distance or is out of limits."""
+    """No branch fixes a joint or bounds the rest, by the wrist or by the
+    elbow, so no floor exceeds any distance or is out of limits."""
     branches = ur5.branches
 
     def unfixed(*args):
         for branch in branches(*args):
             branch.fixed, branch.rest = (), 0.0
+            branch.rest_within = lambda eps: 0.0
             yield branch
 
     monkeypatch.setattr(ur5, "branches", unfixed)
