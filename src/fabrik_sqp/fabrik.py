@@ -323,7 +323,7 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
 class FabrikOutcome(NamedTuple):
     converged: bool
     iterations: int  # full forward+backward sweeps
-    dist: float  # end-to-target distance after the last sweep
+    dist: float  # end-to-target distance after the last sweep; see solve
     chain: ChainState
     trace: tuple = ()  # ((n, dist), ...), one entry per sweep
 
@@ -373,9 +373,10 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
 
     A target on or beyond the reach sphere (within fp noise) gets the
     chain laid straight toward it in one sweep, FABRIK's out-of-reach
-    case, missing it by |d - reach|; callers ask `within_reach` first. A
-    non-finite target, or one more than MAX_TARGET_GAP from the base,
-    raises ValueError. The outcome's chain is built once, on return.
+    case, with dist the computed |d - reach|, not the measured miss;
+    callers ask `within_reach` first. A non-finite target, or one more
+    than MAX_TARGET_GAP from the base, raises ValueError. The outcome's
+    chain is built once, on return.
     """
     eps_tol = check_tolerance(eps_tol, "eps_tol")
     iter_cap = check_cap(iter_cap, "iter_cap")

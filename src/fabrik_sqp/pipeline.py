@@ -122,8 +122,8 @@ def solve(
         d = admitted(pairs, model.limit_pairs, reference)[1]
         return math.inf if d is None else d
 
-    floors = ((floor_of(b.fixed) + b.rest, i, b) for i, b in enumerate(enumerated))
-    for floor, index, branch in sorted(floors):
+    floors = ((floor_of(b.fixed), i, b) for i, b in enumerate(enumerated))
+    for floor, index, fixed, branch in sorted((f + b.rest, i, f, b) for f, i, b in floors):
         if floor > nearest + SELECT_TIE_TOL:
             detail.skipped += 1
             continue
@@ -131,7 +131,7 @@ def solve(
             continue
         detail.reachable = True
         if floor == math.inf or nearest < math.inf and (
-                floor_of(branch.fixed) + branch.rest_within(eps) > nearest + SELECT_TIE_TOL):
+                fixed + branch.rest_within(eps) > nearest + SELECT_TIE_TOL):
             detail.skipped += 1
             continue
         detail.solved += 1

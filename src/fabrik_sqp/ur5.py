@@ -12,11 +12,10 @@ and each fold of the elbow chain sets theta4 to close that sum (Hawkins
 2013). So theta1, theta5 and theta6, plus the circular distance of that
 sum from the reference's, bound each branch's L1 distance to theta_init
 from below, and the pipeline solves the branches nearest-first, skipping
-those that cannot win, by theta2-theta4 too once a candidate is admitted:
-the branch target fixes both elbow folds to within eps. Every candidate
-is exact, the wrist singularity included; the returned vector is the
-candidate within the joint limits closest to theta_init in L1 norm,
-after one pose check.
+those that cannot win (by theta2-theta4 too, once a candidate is
+admitted). Every candidate is exact, the wrist singularity included; the
+returned vector is the candidate within the joint limits closest to
+theta_init in L1 norm, after one pose check.
 """
 from __future__ import annotations
 
@@ -207,10 +206,9 @@ class Branch:
     w3 and w4, sum modulo 2 pi. For a reference r whose r2 + r3 + r4 is
     `r234`, |w2 - r2| + |w3 - r3| + |w4 - r4| is thus at least the
     circular distance from theta234 to r234, under any limits; that
-    distance less REST_MARGIN is its ``rest``; `rest_within` bounds each
-    of the three terms from the target, only when asked. ``start`` is its
-    plane's straight chain, and ``bend_axis`` re-bends the optimizer's
-    seed toward the reference fold."""
+    distance less REST_MARGIN is its ``rest``, which `rest_within` tightens
+    from the target. ``start`` is its plane's straight chain, and
+    ``bend_axis`` re-bends the optimizer's seed toward the reference fold."""
 
     def __init__(self, frame: PlanarFrame, l5d, rows, bend_axis, model, reference=(0.0,) * 6):
         self.frame = frame
@@ -225,32 +223,25 @@ class Branch:
         self.rest = abs(wrap_angle(self.wrist[0] - r234)) - REST_MARGIN
 
     def rest_within(self, eps: float) -> float:
-        """The rest tightened by the elbow: a chain end within eps of the
-        target, at distance d and angle phi from the shoulder in the plane,
-        has |theta3| in [acos c(d + eps), acos c(d - eps)] by the law of
-        cosines, and theta2 = phi' - s psi(|theta3|) for the fold's sign s,
-        |phi' - phi| <= asin(eps / d) and psi(t) = atan2(l3 sin t, l2 + l3
-        cos t), which peaks at asin(l3 / l2); theta4 closes theta234. A
-        term is at least its interval centre's circular distance from the
-        reference less the half-width, each cosine widened by 1e-12 and each
-        angle by 1e-9 rad against rounding. Flat, as helpers triple its cost."""
+        """`rest`, tightened by the intervals theta2, theta3 and theta4 keep
+        for any chain end within eps of the target: cosines widened by 1e-12
+        and angles by 1e-9 rad against rounding, squares taken as products
+        (** 2 overflows). Flat, as helpers triple its cost."""
         (_, l2, l3), (_, r2, r3, r4, _, _) = self.model.arm_lengths, self.reference
         (x, y, z), (sx, sy, sz), (ux, uy, _) = self.target, self.model.shoulder, self.frame.v_init
         r, w = (x - sx) * ux + (y - sy) * uy, sz - z  # along v_init and z2d x v_init = -z
-        d, pi, tau = math.sqrt(r * r + w * w), math.pi, math.tau
-        k, q, near = 2.0 * l2 * l3, l2 * l2 + l3 * l3, d - eps if d > eps else 0.0
-        cos_lo, cos_hi = ((d + eps) ** 2 - q) / k + 1e-12, (near * near - q) / k - 1e-12
+        d, phi, pi, tau = math.sqrt(r * r + w * w), math.atan2(w, r), math.pi, math.tau
+        k, q, far, near = 2.0 * l2 * l3, l2 * l2 + l3 * l3, d + eps, d - eps if d > eps else 0.0
+        cos_lo, cos_hi = (far * far - q) / k + 1e-12, (near * near - q) / k - 1e-12
         cos_lo = 1.0 if cos_lo > 1.0 else -1.0 if cos_lo < -1.0 else cos_lo
         cos_hi = 1.0 if cos_hi > 1.0 else -1.0 if cos_hi < -1.0 else cos_hi
         lo, hi = math.acos(cos_lo), math.acos(cos_hi)
         psi_lo = math.atan2(l3 * math.sin(lo), l2 + l3 * cos_lo)
         psi_hi = math.atan2(l3 * math.sin(hi), l2 + l3 * cos_hi)
         low, top = (psi_lo, psi_hi) if psi_lo < psi_hi else (psi_hi, psi_lo)
-        if cos_hi <= -l3 / l2 <= cos_lo:
-            top = math.asin(l3 / l2)
-        h3 = (hi - lo) / 2.0 + 1e-9
+        top = math.asin(l3 / l2) if cos_hi <= -l3 / l2 <= cos_lo else top  # psi's peak
+        h3, mid3, mid_psi = (hi - lo) / 2.0 + 1e-9, (lo + hi) / 2.0, (low + top) / 2.0
         h2 = (math.asin(eps / d) if d > eps else pi) + (top - low) / 2.0 + 2e-9
-        mid3, mid_psi, phi = (lo + hi) / 2.0, (low + top) / 2.0, math.atan2(w, r)
         sums = []
         for s in (1.0, -1.0):  # the folds
             c2, c3 = phi - s * mid_psi, s * mid3

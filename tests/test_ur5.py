@@ -596,7 +596,16 @@ class TestBranchSkip:
         `_two_link_ik` in both folds, with the mirror `fold_variants` adds;
         the targets are the branch's own and ones within eps of full
         extension, of the hole edge and of psi's peak, at two tolerances;
-        the references lie far away, near, and whole turns away."""
+        the references lie far away, near, and whole turns away.
+
+        The bound: a chain end within eps of a target at distance d and
+        angle phi from the shoulder in the plane has |theta3| in [acos
+        c(d + eps), acos c(d - eps)], c(r) = (r^2 - l2^2 - l3^2) / (2 l2
+        l3), by the law of cosines, and theta2 = phi' - s psi(|theta3|)
+        for the fold's sign s, with |phi' - phi| <= asin(eps / d) and psi(t)
+        = atan2(l3 sin t, l2 + l3 cos t), which peaks at asin(l3 / l2);
+        theta4 closes theta234. Each term is at least its interval centre's
+        circular distance from the reference less the half-width."""
         rng = np.random.default_rng(38)
         checked = tightened = 0
         for half in (math.pi, 0.5, 2 * math.pi):
@@ -644,6 +653,23 @@ class TestBranchSkip:
                                             checked += 1
                                             tightened += rest > bound.rest
         assert checked > 10_000 and tightened > checked // 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_eps_admits_and_bounds_without_overflow(self, ur5_model):
+        # at eps 1e300 every branch target is in reach and the first branch
+        # admits a candidate at once, so the later ones ask rest_within,
+        # whose (d + eps) squared is inf: its intervals span every angle,
+        # so it returns the rest, and no OverflowError escapes the solve
+        config = SolverConfig(eps_tol=1e300)
+        asked = 0
+        for t_des, theta_init in benchmark.generate_queries(ur5_model, 5, 7).queries:
+            result, detail = ur5.solve_detailed(IKQuery(t_des, theta_init, config), ur5_model)
+            assert result.status is IKStatus.SOLVED and detail.reachable
+            rows, reference = t_des[:3].tolist(), tuple(theta_init.tolist())
+            for branch in ur5.branches(rows, reference, ur5_model):
+                assert branch.rest_within(1e300) == branch.rest
+                asked += 1
+        assert asked == 20
 
     @pytest.mark.parametrize(
         "limits, config",
