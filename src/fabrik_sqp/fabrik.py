@@ -7,7 +7,9 @@ base, push base-to-tip). Both phases are one reach step, `_reach`, run
 from opposite ends. Each point update is a convex blend that preserves
 the link length; when the angle at the joint next to the point being
 placed violates its limit, the retained point is pre-rotated about the
-joint axis by the excess before blending.
+joint axis by the excess before blending. `solve` sweeps a two-link
+chain that cannot clamp (every chain of both robots at the default
+limits) in one fused step, `_fused_sweep`, with `_reach`'s floats.
 
 Joint angles are measured between consecutive link directions in
 base-to-tip orientation, so both phases clamp the same physical
@@ -24,9 +26,10 @@ their squares finite and a lay-out that keeps every link. The UR5's
 `robots.LAYOUT_MARGIN` covers. The sweeps start from a chain as laid
 out: the forward phase pins the tip at the target, so only `solve`'s
 zero-sweep test and `_reach`'s coincident-point rule read a two-link
-start's tip. The sweeps, `pre_bend` and the full-extension shortcut
-trust the chain and only move its points, (x, y, z) float rows from
-lay-out to recovery; the constants set where it is laid out ride along.
+start's tip. The sweeps, `pre_bend` and `solve`'s shortcuts at the
+shell's edges trust the chain and only move its points, (x, y, z) float
+rows from lay-out to recovery; the constants set where it is laid out
+ride along.
 Every vector is a float 3-tuple (see the `geometry` docstring). Reach is
 decided once, before any sweep: `within_reach` asks for the target
 within the solve's tolerance of the shell the chain's end sweeps.
@@ -273,6 +276,30 @@ def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: 
     return q
 
 
+def _fused_sweep(elbow, tip, base, upper: float, fore: float) -> tuple | None:
+    """Both phases of a two-link chain that cannot clamp, `_reach`'s floats in
+    its order, as (x, y, z) float rows; None when a distance is below 1e-12.
+    The forward phase's base point is skipped: only `_reach`'s coincident rule reads it."""
+    (ex, ey, ez), (tx, ty, tz), (bx, by, bz) = elbow, tip, base
+    vx, vy, vz = ex - tx, ey - ty, ez - tz
+    d = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if d < 1e-12:
+        return None
+    s = fore / d
+    vx, vy, vz = tx + s * vx - bx, ty + s * vy - by, tz + s * vz - bz
+    d = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if d < 1e-12:
+        return None
+    s = upper / d
+    ex, ey, ez = bx + s * vx, by + s * vy, bz + s * vz
+    vx, vy, vz = tx - ex, ty - ey, tz - ez
+    d = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if d < 1e-12:
+        return None
+    s = fore / d
+    return base, (ex, ey, ez), (ex + s * vx, ey + s * vy, ez + s * vz)
+
+
 def forward_phase(chain: ChainState, target) -> ChainState:
     """Anchor the end at the target and pull the chain tip-to-base."""
     return chain.moved(_reach(chain, chain.positions, tuple(map(float, target)), True))
@@ -374,7 +401,9 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     A target on or beyond the reach sphere (within fp noise) gets the
     chain laid straight toward it in one sweep, FABRIK's out-of-reach
     case, with dist the computed |d - reach|, not the measured miss;
-    callers ask `within_reach` first. A non-finite target, or one more
+    callers ask `within_reach` first. A two-link chain that cannot clamp
+    meets a target within eps of its hole's edge folded back, in one
+    sweep, with dist the measured miss. A non-finite target, or one more
     than MAX_TARGET_GAP from the base, raises ValueError. The outcome's
     chain is built once, on return.
     """
@@ -398,10 +427,19 @@ def solve(chain: ChainState, target, eps_tol: float, iter_cap: int) -> FabrikOut
     if dist <= eps_tol:
         return FabrikOutcome(True, 0, dist, chain)
     q = chain.positions
+    upper, fore, hole = chain.lengths[0], chain.lengths[-1], 2.0 * max(chain.lengths) - reach
+    fused = len(q) == 3 and not any(chain.can_clamp)
+    if fused and hole > 0.0 and abs(gap - hole) <= eps_tol and gap > 0.0:
+        # the inner edge of the shell: folded back, the longer link toward the target
+        sign, direction = 1.0 if upper > fore else -1.0, unit([(t - b) / gap for t, b in zip(tip, base)])
+        folded = chain.moved(_lay_out(base, direction, (sign * upper, -sign * fore)))
+        dist = math.dist(folded.end, tip)
+        return FabrikOutcome(dist <= eps_tol, 1, dist, folded, ((1, dist),))
     trace = []
     n = 0
     while n < iter_cap:
-        q = _reach(chain, _reach(chain, q, tip, True), base, False)
+        q = (fused and _fused_sweep(q[1], tip, base, upper, fore)
+             or _reach(chain, _reach(chain, q, tip, True), base, False))
         n += 1
         x, y, z = q[-1]
         dx, dy, dz = x - tx, y - ty, z - tz

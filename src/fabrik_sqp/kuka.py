@@ -4,13 +4,15 @@ Under a full pose constraint only the shoulder-elbow-wrist portion of
 the chain has to be iterated: the wrist target is the EE position minus
 the flange link, and the spherical wrist closes the orientation exactly
 afterwards. FABRIK runs on a two-link chain in 3-D (ball-joint shoulder,
-free elbow); if it misses the sweep budget, a four-variable
-box-constrained minimization of the wrist distance takes over, seeded
-with the angles implied by the current chain. All seven joint angles are
-then recovered in closed form: theta1-theta4 from the elbow and wrist
-points, every arm sign branch enumerated, and theta5-theta7 as the exact
-Rz Ry Rz split of the wrist rotation, one triple per theta6 sign (Shimizu
-et al. 2008). The arm angles are known before the wrist, so each arm is
+free elbow); if it misses the sweep budget, a box-constrained
+minimization of the wrist distance takes over, seeded with the angles
+implied by the current chain: at a box open for joints 1-4 on the two
+angles of the vertical plane through the base axis and the wrist
+target, at any other on theta1-theta4. All seven joint angles are then
+recovered in closed form: theta1-theta4 from the elbow and wrist points,
+every arm sign branch enumerated, and theta5-theta7 as the exact Rz Ry
+Rz split of the wrist rotation, one triple per theta6 sign (Shimizu et
+al. 2008). The arm angles are known before the wrist, so each arm is
 one candidate group whose theta1-theta4 are its fixed joints: by the
 pipeline's one joint rule (`iktypes.admitted`) their terms of the L1
 distance to theta_init bound all its candidates from below, so the
@@ -30,6 +32,7 @@ from .geometry import cross, dedup_angles, dot, norm, sub, unit, wrap_angle
 from .iktypes import IKQuery, l1_distance, prepare_query, select_candidate
 from .optimizer import minimize
 from .robots import IDENTITY_ROWS, RobotModel, dh_step, fk_frames, pose_mismatch
+from .ur5 import elbow_analytic
 
 _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
@@ -90,6 +93,16 @@ def wrist_analytic(model: RobotModel):
         return p, jac
 
     return position
+
+
+def plane_angles(azimuth: float, elbow, wrist, model: RobotModel) -> tuple[float, float]:
+    """(a, b), the x of `ur5.elbow_analytic` at theta1 = azimuth, for an elbow and a wrist, 3
+    floats each: the upper arm's angle below the horizontal -(cos, sin) of the azimuth, and the
+    elbow's bend. At theta1 = azimuth and theta3 = 0 the KUKA's theta2 is -(a + pi/2), theta4 -b."""
+    c1, s1 = math.cos(azimuth), math.sin(azimuth)
+    (ex, ey, ez), (wx, wy, wz) = elbow, wrist
+    down = math.atan2(model.arm_lengths[0] - ez, -(c1 * ex + s1 * ey))
+    return down, math.atan2(ez - wz, -(c1 * (wx - ex) + s1 * (wy - ey))) - down
 
 
 # --- angle recovery ---------------------------------------------------------
@@ -319,22 +332,31 @@ class Branch:
         return chain.positions[1], chain.positions[2]
 
     def optimize(self, seed_chain: fabrik.ChainState, stop: float):
+        """Run the seeds nearest the reference first, until one reaches the stop value: on
+        target-on-axis geometry several converge to mirror folds, and the warm-start fold keeps
+        tracking continuous. At a box open for joints 1-4 theta1 and theta3 never move, so each
+        run is on the two angles of `plane_angles` in the target's vertical plane (on the base axis,
+        the seed's theta1 plane)."""
         model = self.model
-        position = wrist_analytic(model)
+        wrist = wrist_analytic(model)
         bounds = model.optimizer_box[:4]
-        # try the seed closest to the reference configuration first:
-        # on degenerate (target-on-axis) geometry several seeds converge
-        # to mirror folds, and the warm-start fold keeps tracking
-        # trajectories continuous
         seeds = seed_candidates_from_chain(seed_chain, model)
         seeds.sort(key=partial(l1_distance, b=self.reference[:4]))
+        planar = all(lo == -math.inf and hi == math.inf for lo, hi in bounds)
+        tx, ty, _ = self.target
+        azimuth = math.atan2(ty, tx) if math.hypot(tx, ty) > 1e-12 else None
         results = []
         for seed in seeds[:12]:
-            results.append(minimize(position, self.target, seed, bounds, stop))
+            position, x0, box = wrist, seed, bounds
+            if planar:
+                az = seed[0] if azimuth is None else azimuth
+                position, box = elbow_analytic(az, model), bounds[1::2]
+                x0 = plane_angles(az, elbow_position(model, *seed[:2]), wrist(seed)[0], model)
+            results.append(minimize(position, self.target, x0, box, stop))
             if results[-1].f <= stop:
                 th = results[-1].x
-                p3, _ = position(th)
-                return results, (elbow_position(model, th[0], th[1]), p3)
+                elbow = elbow_position(model, *((az, -th[0] - math.pi / 2) if planar else th[:2]))
+                return results, (elbow, position(th)[0])
         return results, None
 
     def arms(self, reduced):

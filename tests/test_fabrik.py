@@ -567,6 +567,114 @@ class TestSolve:
         assert np.array_equal(a.chain.positions, b.chain.positions)
         assert a.trace == b.trace
 
+    @pytest.mark.parametrize("lengths", [(2.0, 1.0), (1.0, 2.0)])
+    def test_hole_edge_target_meets_the_folded_chain_in_one_sweep(self, lengths):
+        # unequal links leave a hole of radius 1 about the base; a target
+        # within eps of its edge, on either side, is met by the chain
+        # folded back, its longer link toward the target, where 10,000
+        # sweeps stopped 1e-4 short of 1.0000001
+        eps = 1e-6
+        chain = pre_bend(straight_chain(np.zeros(3), (1.0, 0.0, 0.0), lengths, (Ball(), Ball())))
+        elbow = 2.0 if lengths[0] > lengths[1] else -1.0
+        for gap in (1.0000001, 0.9999995, 1.0 + 0.99 * eps, 1.0 - 0.99 * eps):
+            for u in ((1.0, 0.0, 0.0), (0.0, 0.6, -0.8)):
+                target = np.multiply(gap, u)
+                assert fabrik.within_reach(chain, target, eps)
+                out = solve(chain, target, eps, 10_000)
+                assert out.converged and out.iterations == 1 and out.trace == ((1, out.dist),)
+                assert out.dist == math.dist(out.chain.end, target) <= eps
+                assert np.allclose(out.chain.positions, [np.zeros(3), np.multiply(elbow, u), u],
+                                   rtol=0.0, atol=1e-15)
+        # beyond the band the sweeps run; a cone that cannot fold never folds
+        assert solve(chain, np.array([1.0 + 3 * eps, 0.0, 0.0]), eps, 10_000).iterations > 1
+        cone = straight_chain(np.zeros(3), (1.0, 0.0, 0.0), lengths, (Ball(), Ball(3.0)))
+        assert not solve(pre_bend(cone), np.array([1.0000001, 0.0, 0.0]), eps, 50).converged
+
+
+def _bits(rows) -> list:
+    return [c.hex() for row in rows for c in row]
+
+
+class TestFusedSweep:
+    """`solve` steps a two-link chain that cannot clamp with `_fused_sweep`:
+    its chain, dist, sweep count and trace are those of a loop of
+    `backward_phase(forward_phase(...))`, bit for bit, on seeded chains
+    with and without an anchor, targets inside the shell, at its edges
+    and past them, and starts with coincident points."""
+
+    @staticmethod
+    def phases(chain, target, eps, cap):
+        """`solve`'s sweep loop run as whole phases: its chain, dist and trace."""
+        tx, ty, tz = target = tuple(map(float, target))
+        q, trace = chain, []
+        while len(trace) < cap:
+            q = backward_phase(forward_phase(q, target))
+            x, y, z = q.end
+            dx, dy, dz = x - tx, y - ty, z - tz
+            trace.append((len(trace) + 1, math.sqrt(dx * dx + dy * dy + dz * dz)))
+            if trace[-1][1] <= eps:
+                break
+        return q, trace[-1][1], tuple(trace)
+
+    def check(self, chain, target, eps=1e-9, cap=40):
+        out = solve(chain, np.array(target), eps, cap)
+        assert out.iterations >= 1  # solve swept
+        want, dist, trace = self.phases(chain, target, eps, cap)
+        assert _bits(out.chain.positions) == _bits(want.positions)
+        assert out.dist.hex() == dist.hex() and out.trace == trace
+        assert out.iterations == len(trace) and out.converged == (dist <= eps)
+
+    @staticmethod
+    def random_two_link(rng, anchor):
+        lengths = rng.uniform(0.2, 1.5, 2)
+        base = rng.normal(size=3)
+        joints = tuple(Ball() if rng.integers(0, 2) else Hinge(rng.normal(size=3)) for _ in lengths)
+        positions = base + np.cumsum([np.zeros(3), *(unit(rng.normal(size=3)) * l for l in lengths)], axis=0)
+        return chain_state(positions, lengths, joints, base, unit(rng.normal(size=3)) if anchor else None)
+
+    @pytest.mark.parametrize("anchor", [True, False], ids=["anchored", "free"])
+    def test_solve_is_the_phases_bits(self, anchor):
+        rng = np.random.default_rng(41 + anchor)
+        for _ in range(150):
+            chain = self.random_two_link(rng, anchor)
+            assert not any(chain.can_clamp)
+            hole = abs(chain.lengths[0] - chain.lengths[1])
+            # inside the shell, at its edges (outside the fold band) and inside the hole
+            gaps = (rng.uniform(hole, chain.reach), chain.reach * (1.0 - 1e-9), hole * (1.0 + 1e-6),
+                    hole * (1.0 - 1e-6), hole * rng.uniform(0.0, 1.0))
+            for gap in gaps:
+                self.check(chain, chain.base + gap * unit(rng.normal(size=3)))
+
+    def test_each_step_is_the_phases_bits(self):
+        # past the reach solve lays the chain straight; the step itself
+        # agrees with the phases there too, from any points
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            chain = self.random_two_link(rng, rng.integers(0, 2))
+            gap = rng.uniform(0.0, 3.0) * chain.reach
+            target = tuple((chain.base + gap * unit(rng.normal(size=3))).tolist())
+            step = fabrik._fused_sweep(chain.positions[1], target, chain.base, *chain.lengths)
+            assert _bits(step) == _bits(backward_phase(forward_phase(chain, target)).positions)
+
+    @pytest.mark.parametrize("anchor", [None, (0.0, 0.6, 0.8)], ids=["free", "anchored"])
+    @pytest.mark.parametrize("elbow", [-1.0, 3.0], ids=["second", "third"])
+    def test_coincident_points_take_the_phases(self, anchor, elbow):
+        # links 1 and 1, target (1, 0, 0): from an elbow at (-1, 0, 0) the
+        # forward phase puts it on the base, the sweep's second distance 0;
+        # from (3, 0, 0) the backward phase puts it on the target, its third
+        chain = chain_state([(0.0, 0.0, 0.0), (elbow, 0.0, 0.0), (0.3, 0.2, 0.1)], (1.0, 1.0),
+                            (Ball(), Ball()), (0.0, 0.0, 0.0), anchor)
+        target = (1.0, 0.0, 0.0)
+        assert fabrik._fused_sweep(chain.positions[1], target, chain.base, 1.0, 1.0) is None
+        self.check(chain, target)
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            # the first distance is 0: the start's elbow sits on the target
+            chain = self.random_two_link(rng, rng.integers(0, 2))
+            target = chain.positions[1]
+            assert fabrik._fused_sweep(target, target, chain.base, *chain.lengths) is None
+            self.check(chain, target)
+
 
 class TestChainFormat:
     """Every chain the package builds holds its points as a tuple of

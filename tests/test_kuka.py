@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fabrik_sqp import benchmark, kuka, robots, solve_ik, tracking
+from fabrik_sqp import benchmark, fabrik, kuka, robots, solve_ik, tracking, ur5
 from fractions import Fraction
 
 from fabrik_sqp.geometry import make_transform, wrap_angle
 from fabrik_sqp.iktypes import IKQuery, IKStatus, SolverConfig, admitted, l1_distance
+from fabrik_sqp.optimizer import minimize
 from fabrik_sqp.robots import fk_frames, forward_kinematics, pose_mismatch, transform_of
 
 from conftest import KUKA_DATASHEET, U, exact_sqrt, kuka_on_axis_queries, outcome_bits
@@ -490,3 +491,53 @@ def _recover_every_arm(monkeypatch):
         return [((), recover) for _, recover in candidates(self, reduced)]
 
     monkeypatch.setattr(kuka.Branch, "candidates", every_arm)
+
+
+class TestPlaneRun:
+    """At an open box `Branch.optimize` runs each seed on the two angles
+    of `plane_angles` through `ur5.elbow_analytic`; any other box runs
+    `wrist_analytic`'s four."""
+
+    def test_two_angle_run_reaches_the_target_as_the_four_variable_one(self, kuka_model):
+        # the seeds the pipeline hands the optimizer on 300 seed-7 queries,
+        # each run both ways from the same seed
+        eps = 1e-6
+        cap, stop = SolverConfig().fabrik_cap("kuka"), eps * eps
+        wrist = kuka.wrist_analytic(kuka_model)
+        runs, iterations = 0, [0, 0]
+        for t_des, theta_init in benchmark.generate_queries(kuka_model, 300, 7).queries:
+            branch = kuka.Branch(t_des[:3].tolist(), tuple(theta_init.tolist()), kuka_model)
+            out = fabrik.solve(branch.start, branch.target, eps, cap)
+            if out.converged:
+                continue
+            tx, ty, _ = branch.target
+            azimuth = math.atan2(ty, tx)
+            chain = fabrik.pre_bend(out.chain, axis=branch.bend_axis)
+            for seed in kuka.seed_candidates_from_chain(chain, kuka_model):
+                four = minimize(wrist, branch.target, seed, kuka_model.optimizer_box[:4], stop)
+                x0 = kuka.plane_angles(azimuth, kuka.elbow_position(kuka_model, *seed[:2]),
+                                       wrist(seed)[0], kuka_model)
+                plane = ur5.elbow_analytic(azimuth, kuka_model)
+                two = minimize(plane, branch.target, x0, ((-math.inf, math.inf),) * 2, stop)
+                assert four.f <= stop and two.f <= stop
+                assert math.dist(plane(two.x)[0], branch.target) <= eps
+                runs += 1
+                iterations[0] += two.iterations
+                iterations[1] += four.iterations
+        assert runs > 100
+        print(f"\n{runs} runs: two-angle {iterations[0]} iterations, four-variable {iterations[1]}")
+
+    @pytest.mark.parametrize("limits, variables", [(None, 2), (LIMITS["datasheet"], 4)],
+                             ids=["default", "datasheet"])
+    def test_box_decides_the_map(self, limits, variables, monkeypatch):
+        model = robots.kuka_model(limits)
+        sizes = []
+
+        def recorded(position, target, x0, bounds, stop):
+            sizes.append((len(x0), len(bounds)))
+            return minimize(position, target, x0, bounds, stop)
+
+        monkeypatch.setattr(kuka, "minimize", recorded)
+        for t_des, theta_init in benchmark.generate_queries(model, 40, 7).queries:
+            kuka.solve_detailed(IKQuery(t_des, theta_init, SolverConfig()), model)
+        assert sizes and set(sizes) == {(variables, variables)}

@@ -123,7 +123,7 @@ class TestNudgeStability:
     @pytest.mark.parametrize(
         "robot, limits, n, ceilings",
         [
-            ("kuka", None, 1000, {"x": 41, "y": 51}),
+            ("kuka", None, 1000, {"x": 10, "y": 17}),
             ("kuka", np.column_stack([-KUKA_DATASHEET, KUKA_DATASHEET]), 300, {"x": 18, "y": 16}),
             ("ur5", None, 1000, {"x": 0, "y": 0}),
         ],
