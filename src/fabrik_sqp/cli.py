@@ -14,7 +14,7 @@ import numpy as np
 
 from . import benchmark as bench_mod
 from . import fabrik, kuka, solve_ik, tracking
-from .geometry import make_transform
+from .geometry import make_transform, perpendicular_axis
 from .iktypes import DEFAULT_EPS_TOL, IKQuery, IKStatus, SolverConfig
 from .robots import RobotModel, get_model, json_numbers, load_model_file
 
@@ -152,8 +152,8 @@ def cmd_trace(args) -> int:
         lengths = _parse_floats(args.links, None, "--links")
         base = _parse_floats(args.base, 3, "--base")
         direction = _parse_floats(args.v_init, 3, "--v-init")
-        joints = tuple(fabrik.Ball() for _ in lengths)
         try:
+            joints = (fabrik.Hinge(perpendicular_axis(direction)),) * len(lengths)
             chain = fabrik.straight_chain(base, direction, lengths, joints)
         except ValueError as exc:
             raise CliError(f"--links: {exc}") from exc
@@ -161,7 +161,7 @@ def cmd_trace(args) -> int:
         model = _resolve_model(args)
         if model.name != "kuka":
             raise CliError("trace needs --links for chains other than the kuka reduction")
-        chain = kuka.make_chain(model)
+        chain = kuka.plane_chain(model, target.tolist())
     if not fabrik.within_reach(chain, target, args.eps):
         print("error: target is out of the chain's reach", file=sys.stderr)
         return EXIT_UNREACHABLE

@@ -13,17 +13,20 @@ limits) in one fused step, `_fused_sweep`, with `_reach`'s floats.
 
 Joint angles are measured between consecutive link directions in
 base-to-tip orientation, so both phases clamp the same physical
-interval. Hinges carry a fixed world axis; ball joints use the cross
-product of the adjacent link directions as the correction axis and a
-cone half-angle as the limit.
+interval. Every joint is a `Hinge`: signed limits about a fixed world
+axis, which a clamp turns about. Both robots' reduced chains are hinge
+pairs in a vertical plane through the base axis, which the sweeps never
+leave; the UR5's planes are its theta1 branches, the KUKA's the wrist
+target's.
 
 A chain's links are checked once, where it is built: `straight_chain`
 builds every chain (the CLI's, the demos' and both reductions', which
 each robot builds once per model) and checks a minimum link length well
 above the sweeps' 1e-12 coincidence scale, a maximum reach that keeps
-their squares finite and a lay-out that keeps every link. The UR5's
-`relaid` turns its model's chain into each working plane, whose lay-out
-`robots.LAYOUT_MARGIN` covers. The sweeps start from a chain as laid
+their squares finite and a lay-out that keeps every link. `relaid`
+turns the UR5's model chain into each working plane, whose lay-out
+`robots.LAYOUT_MARGIN` covers, and the KUKA's into the wrist target's
+plane when its elbow can clamp. The sweeps start from a chain as laid
 out: the forward phase pins the tip at the target, so only `solve`'s
 zero-sweep test and `_reach`'s coincident-point rule read a two-link
 start's tip. The sweeps, `pre_bend` and `solve`'s shortcuts at the
@@ -39,7 +42,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -47,7 +49,6 @@ import numpy as np
 
 from .geometry import (
     clamped_arccos,
-    cross,
     dot,
     norm,
     perpendicular_axis,
@@ -83,21 +84,6 @@ class Hinge(NamedTuple("_Hinge", [("axis", tuple), ("lo", float), ("hi", float)]
     @property
     def unconstrained(self) -> bool:
         return self.lo <= -_FULL and self.hi >= _FULL
-
-
-@dataclass(frozen=True)
-class Ball:
-    """3-DOF joint limited by a cone half-angle (pi = unconstrained)."""
-
-    max_angle: float = math.pi
-
-    def __post_init__(self):
-        if not self.max_angle >= 0.0:  # NaN fails too
-            raise ValueError("ball cone half-angle max_angle must be at least 0")
-
-    @property
-    def unconstrained(self) -> bool:
-        return self.max_angle >= _FULL
 
 
 class ChainState(NamedTuple):
@@ -149,7 +135,7 @@ def _lay_out(base: tuple, direction: tuple, lengths) -> tuple:
 
 
 def relaid(chain: ChainState, direction: tuple, axis: tuple) -> ChainState:
-    """A hinge chain laid out again along the unit `direction`, its anchor, its
+    """The chain laid out again along the unit `direction`, its anchor, its
     hinges turned about the unit `axis`: its constants carry over."""
     joints = tuple(Hinge._make((axis, joint.lo, joint.hi)) for joint in chain.joints)
     return ChainState(_lay_out(chain.base, direction, chain.lengths), chain.lengths, joints,
@@ -191,40 +177,15 @@ def straight_chain(base, direction, lengths, joints, anchor_dir=None) -> ChainSt
     return chain
 
 
-def ball_joint_axis(l_in, l_out) -> tuple:
-    """Correction axis of a ball joint: normalized cross of the unit link
-    directions entering and leaving it.
-
-    Falls back to a deterministic perpendicular of the incoming link when
-    the links are collinear.
+def _limit_correction(l_in, l_out, joint: Hinge) -> float:
+    """The turn about the hinge's axis that lands its angle from l_in to
+    l_out, the unit link directions entering and leaving it in base-to-tip
+    orientation, inside [lo, hi]: 0.0 when it is inside. The sweeps call
+    it only for a joint that can clamp (not `unconstrained`); the Hinge
+    checked lo < hi when it was built.
     """
-    cx, cy, cz = cross(l_in, l_out)
-    n = math.sqrt(cx * cx + cy * cy + cz * cz)
-    if n < 1e-9:
-        return perpendicular_axis(l_in)
-    return (cx / n, cy / n, cz / n)
-
-
-def _limit_correction(l_in, l_out, joint):
-    """(delta, axis) needed to clamp the joint angle, or None when legal.
-
-    l_in/l_out are the unit link directions entering and leaving the
-    joint, in base-to-tip orientation. The sweeps call it only for a
-    joint that can clamp (not `unconstrained`).
-    """
-    if isinstance(joint, Hinge):
-        phi = signed_angle(l_in, l_out, joint.axis)
-        # the excess that lands phi inside [lo, hi]; the Hinge checked
-        # lo < hi when it was built
-        delta = min(max(phi, joint.lo), joint.hi) - phi
-        if delta == 0.0:
-            return None
-        return delta, joint.axis
-    # ball joint: bend angle is non-negative, only the cone bound applies
-    phi = clamped_arccos(dot(l_in, l_out))
-    if phi <= joint.max_angle:
-        return None
-    return joint.max_angle - phi, ball_joint_axis(l_in, l_out)
+    phi = signed_angle(l_in, l_out, joint.axis)
+    return min(max(phi, joint.lo), joint.hi) - phi
 
 
 def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: bool) -> list:
@@ -264,13 +225,13 @@ def _reach(chain: ChainState, positions: tuple | list, start: tuple, tip_first: 
                 q[i] = (x + length * bx, y + length * by, z + length * bz)
                 continue
             bx, by, bz = back
+            joint = chain.joints[p]
             if tip_first:
-                corr = _limit_correction((-vx / d, -vy / d, -vz / d), (-bx, -by, -bz), chain.joints[p])
+                delta = -_limit_correction((-vx / d, -vy / d, -vz / d), (-bx, -by, -bz), joint)
             else:
-                corr = _limit_correction(back, (vx / d, vy / d, vz / d), chain.joints[p])
-            if corr is not None:
-                delta, axis = corr
-                vx, vy, vz = rotate_about_axis(axis, -delta if tip_first else delta, (vx, vy, vz))
+                delta = _limit_correction(back, (vx / d, vy / d, vz / d), joint)
+            if delta:
+                vx, vy, vz = rotate_about_axis(joint.axis, delta, (vx, vy, vz))
         s = length / d
         q[i] = (x + s * vx, y + s * vy, z + s * vz)
     return q
@@ -320,9 +281,9 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
     Link k is turned by k * PRE_BEND about the axis from the first
     link's direction, taken with link k's own sense. The bend axis may
     be supplied by the caller (it resolves which way a degenerate,
-    on-axis problem folds); otherwise the first hinge axis is used, so
-    hinge chains stay in their working plane, and ball chains fall back
-    to a deterministic perpendicular. Other chains are returned unchanged.
+    on-axis problem folds, and keeps a chain in its working plane);
+    otherwise it is the first link's deterministic perpendicular. Other
+    chains are returned unchanged.
     """
     if len(chain.positions) < 3:
         return chain
@@ -331,12 +292,7 @@ def pre_bend(chain: ChainState, axis=None) -> ChainState:
         for b in dirs[i + 1:]:
             if clamped_arccos(abs(dot(a, b))) >= COLLINEAR_TOL:
                 return chain
-    if axis is None:
-        axis = next((joint.axis for joint in chain.joints if isinstance(joint, Hinge)), None)
-        if axis is None:
-            axis = perpendicular_axis(dirs[0])
-    else:
-        axis = unit(axis)
+    axis = perpendicular_axis(dirs[0]) if axis is None else unit(axis)
     first, lengths = dirs[0], chain.lengths
     q = list(chain.positions[:2])
     for k in range(1, len(lengths)):

@@ -98,7 +98,7 @@ def perpendicular_axis(d) -> tuple:
 
 def rotate_about_axis(axis, theta: float, v) -> tuple:
     """Rotate v by theta around a unit axis (Rodrigues form): a `Hinge`'s,
-    or the normalized one of `fabrik.ball_joint_axis` or `fabrik.pre_bend`."""
+    or the normalized one of `fabrik.pre_bend`."""
     c = math.cos(theta)
     s = math.sin(theta)
     (ax, ay, az), (vx, vy, vz) = axis, v

@@ -40,8 +40,8 @@ class SolverConfig:
     per-robot switch index (5 for the UR5, 15 for the KUKA), or 900
     sweeps without the optimizer. The re-bend of the optimizer's seed,
     the KUKA chain's initial direction and the optimizer's iteration cap
-    are fixed in the modules that use them; the KUKA chain's shoulder is
-    an unconstrained ball, and its elbow cone comes from the theta4
+    are fixed in the modules that use them; the KUKA chain's shoulder
+    hinge is unconstrained, and its elbow's limits come from the theta4
     limits.
     """
 

@@ -3,24 +3,25 @@
 Under a full pose constraint only the shoulder-elbow-wrist portion of
 the chain has to be iterated: the wrist target is the EE position minus
 the flange link, and the spherical wrist closes the orientation exactly
-afterwards. FABRIK runs on a two-link chain in 3-D (ball-joint shoulder,
-free elbow); if it misses the sweep budget, a box-constrained
-minimization of the wrist distance takes over, seeded with the angles
-implied by the current chain: at a box open for joints 1-4 on the two
-angles of the vertical plane through the base axis and the wrist
-target, at any other on theta1-theta4. All seven joint angles are then
-recovered in closed form: theta1-theta4 from the elbow and wrist points,
-every arm sign branch enumerated, and theta5-theta7 as the exact Rz Ry
-Rz split of the wrist rotation, one triple per theta6 sign (Shimizu et
-al. 2008). The arm angles are known before the wrist, so each arm is
-one candidate group whose theta1-theta4 are its fixed joints: by the
-pipeline's one joint rule (`iktypes.admitted`) their terms of the L1
-distance to theta_init bound all its candidates from below, so the
-pipeline recovers the wrist only of an arm within the joint limits
-whose floor can still win. Each FK prefix is built once: frame 2 per
-(theta1, theta2), frame 4 per recovered arm. Every candidate is exact,
-so no sign is guessed; the pipeline checks the pose of the selected one
-only. Points and frames are floats (see the `geometry` docstring).
+afterwards. FABRIK runs on a two-link hinge chain (free shoulder, elbow
+within the theta4 limits) that never leaves the vertical plane through
+the base axis and the wrist target; if it misses the sweep budget, a
+box-constrained minimization of the wrist distance takes over, seeded
+with the angles implied by the current chain: at a box open for joints
+1-4 on the two angles of that plane, at any other on theta1-theta4. All
+seven joint angles are then recovered in closed form: theta1-theta4 from
+the elbow and wrist points, every arm sign branch enumerated, and
+theta5-theta7 as the exact Rz Ry Rz split of the wrist rotation, one
+triple per theta6 sign (Shimizu et al. 2008). The arm angles are known
+before the wrist, so each arm is one candidate group whose theta1-theta4
+are its fixed joints: by the pipeline's one joint rule
+(`iktypes.admitted`) their terms of the L1 distance to theta_init bound
+all its candidates from below, so the pipeline recovers the wrist only
+of an arm within the joint limits whose floor can still win. Each FK
+prefix is built once: frame 2 per (theta1, theta2), frame 4 per
+recovered arm. Every candidate is exact, so no sign is guessed; the
+pipeline checks the pose of the selected one only. Points and frames are
+floats (see the `geometry` docstring).
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ _DEDUP_TOL = 1e-9
 _SIN_TOL = 1e-9
 _TWIN_TOL = 1e-4  # rad: seeds closer than this in every joint are one seed
 DEFAULT_V_INIT = (0.0, 0.0, 1.0)
+XZ_NORMAL = (0.0, 1.0, 0.0)  # the hinge axis of a chain in the xz-plane
 
 
 def wrist_target(rows, model: RobotModel) -> tuple:
@@ -48,13 +50,30 @@ def wrist_target(rows, model: RobotModel) -> tuple:
 
 @lru_cache(maxsize=8)
 def make_chain(model: RobotModel) -> fabrik.ChainState:
-    """Straight shoulder-elbow-wrist chain along DEFAULT_V_INIT, built by
+    """Straight shoulder-elbow-wrist hinge pair along DEFAULT_V_INIT, built by
     `fabrik.straight_chain` once per model and shared by every solve: it
-    holds only tuples."""
-    elbow_cone = min(math.pi, max(map(abs, model.limit_pairs[3])))
-    joints = (fabrik.Ball(), fabrik.Ball(elbow_cone))
+    holds only tuples. The shoulder is unconstrained and the elbow bends at
+    most the largest |theta4| limit either way, both about the xz-plane's
+    normal (see `plane_chain`)."""
+    bend = min(math.pi, max(map(abs, model.limit_pairs[3])))
+    joints = (fabrik.Hinge(XZ_NORMAL), fabrik.Hinge(XZ_NORMAL, -bend, bend))
     return fabrik.straight_chain(model.shoulder, DEFAULT_V_INIT, model.arm_lengths[1:], joints,
                                  anchor_dir=DEFAULT_V_INIT)
+
+
+def plane_chain(model: RobotModel, target) -> fabrik.ChainState:
+    """`make_chain`'s chain for a wrist target, 3 floats: when its elbow can
+    clamp, turned by `fabrik.relaid` about the unit normal of the vertical
+    plane through the base axis and the target (the xz-plane's, kept, for a
+    target on the axis). The sweeps keep the chain in that plane, where the
+    elbow's hinge bends as a cone of the same half-angle would; an
+    unclamped joint's axis is never read."""
+    chain = make_chain(model)
+    tx, ty, _ = target
+    r = math.hypot(tx, ty)
+    if not any(chain.can_clamp) or r <= 1e-12:
+        return chain
+    return fabrik.relaid(chain, DEFAULT_V_INIT, (-ty / r, tx / r, 0.0))
 
 
 # --- closed-form geometry ---------------------------------------------------
@@ -296,7 +315,7 @@ def reference_elbow(model: RobotModel, reference_arms, p3) -> tuple | None:
 
 class Branch:
     """The one shoulder-elbow-wrist chain, aimed at the wrist target;
-    ``start`` is the model's straight chain, as `make_chain` lays it out."""
+    ``start`` is the model's straight chain, as `plane_chain` gives it."""
 
     fixed = ()  # the branch fixes no joint before its sweeps
     rest = 0.0  # nor bounds the other terms of a distance
@@ -306,7 +325,7 @@ class Branch:
         self.reference = reference
         self.model = model
         self.target = wrist_target(rows, model)
-        self.start = make_chain(model)
+        self.start = plane_chain(model, self.target)
 
     def rest_within(self, eps: float) -> float:  # the target bounds no joint either
         return self.rest

@@ -296,15 +296,14 @@ class TestCriterion7PropertySuites:
         for _ in range(2500):
             m = int(rng.integers(3, 6))
             lengths = rng.uniform(0.2, 1.5, m - 1)
-            kinds = rng.integers(0, 2)
-            if kinds:
-                axis = unit(rng.normal(size=3))
-                joints = tuple(
-                    fabrik.Hinge(axis, rng.uniform(-math.pi, -0.2), rng.uniform(0.2, math.pi))
-                    for _ in range(m - 1)
-                )
-            else:
-                joints = tuple(fabrik.Ball(rng.uniform(0.5, math.pi)) for _ in range(m - 1))
+            # hinges about one axis, or each about its own, within its own limits
+            shared = rng.integers(0, 2)
+            axis = unit(rng.normal(size=3))
+            joints = tuple(
+                fabrik.Hinge(axis if shared else rng.normal(size=3),
+                             rng.uniform(-math.pi, -0.2), rng.uniform(0.2, math.pi))
+                for _ in range(m - 1)
+            )
             base = rng.normal(size=3)
             chain = fabrik.straight_chain(base, unit(rng.normal(size=3)), lengths, joints)
             scattered = np.asarray(chain.positions) + rng.normal(scale=0.15, size=(m, 3))

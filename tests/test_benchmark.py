@@ -283,6 +283,23 @@ class TestMonotonicity:
         rates = [r.success_rate for r in reports]
         assert rates[0] <= rates[1] <= rates[2]
 
+    @pytest.mark.parametrize("robot", ["kuka", "ur5"])
+    def test_error_constraint_trend_in_counts(self, robot):
+        # the paper's error-constraint trend: as eps tightens the combined
+        # solver keeps every query, and FABRIK alone never gains one
+        model = get_model(robot)
+        queries = bm.generate_queries(model, 60, 7)
+        modes = [bm.parse_mode("combined"), bm.parse_mode("fabrik:100")]
+        counts = {mode.label: [] for mode in modes}
+        for eps in (1e-2, 1e-4, 1e-6, 1e-9):
+            for report in bm.run_benchmark(model, queries, modes, eps_tol=eps):
+                counts[report.mode.label].append(report.solved)
+        print(f"\n{robot} solved of 60 at eps 1e-2, 1e-4, 1e-6, 1e-9: {counts}")
+        assert counts["combined"] == [60] * 4
+        fabrik_only = counts["fabrik:100"]
+        assert all(a >= b for a, b in zip(fabrik_only, fabrik_only[1:]))
+        assert fabrik_only[-1] < 60
+
     def test_mode_parsing(self):
         mode = bm.parse_mode("fabrik:250")
         assert mode.kind == "fabrik" and mode.param == 250

@@ -4,13 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fabrik_sqp import fabrik, geometry, kuka, ur5
+from fabrik_sqp import fabrik, geometry, kuka, robots, ur5
 from fabrik_sqp.fabrik import (
-    Ball,
     Hinge,
     backward_phase,
     _limit_correction,
-    ball_joint_axis,
     forward_phase,
     pre_bend,
     solve,
@@ -18,7 +16,7 @@ from fabrik_sqp.fabrik import (
 )
 from fabrik_sqp.geometry import perpendicular_axis, rotate_about_axis, signed_angle
 
-from conftest import U, chain_state, exact_rotate, exact_sqrt, exact_unit, rows, within
+from conftest import KUKA_DATASHEET, U, chain_state, exact_rotate, exact_sqrt, exact_unit, rows, within
 from conftest import unit_array as unit
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -36,10 +34,10 @@ def link_lengths(chain):
     return np.linalg.norm(np.diff(chain.positions, axis=0), axis=1)
 
 
-def ball_chain(positions, base=(0.0, 0.0, 0.0), anchor_dir=None):
-    """Unconstrained chain at the given positions, unit links."""
+def free_chain(positions, base=(0.0, 0.0, 0.0), anchor_dir=None):
+    """Chain of unconstrained hinges at the given positions, unit links."""
     n = len(positions) - 1
-    return chain_state(positions, np.ones(n), (Ball(),) * n, base, anchor_dir)
+    return chain_state(positions, np.ones(n), (Hinge(Z),) * n, base, anchor_dir)
 
 
 class TestHinge:
@@ -56,20 +54,16 @@ class TestHinge:
     def test_axis_normalized(self):
         assert np.array_equal(Hinge([0.0, 0.0, 2.0]).axis, Z)
 
-
-class TestBall:
-    @pytest.mark.parametrize("max_angle", [math.nan, -0.5])
-    def test_cone_half_angle_must_be_non_negative(self, max_angle):
-        # the only check of a cone: _limit_correction trusts it
-        with pytest.raises(ValueError, match="max_angle must be at least 0"):
-            Ball(max_angle)
-
-    def test_rigid_cone_builds(self):
-        assert not Ball(0.0).unconstrained
+    def test_unconstrained_only_at_the_full_range(self):
+        # the sweeps skip the clamp of an unconstrained hinge; any
+        # narrower one, however little, can clamp
+        assert Hinge(Z).unconstrained and Hinge(Z, -4.0, 4.0).unconstrained
+        for lo, hi in ((-math.pi, 3.0), (-3.0, math.pi), (-1e-9, 1e-9)):
+            assert not Hinge(Z, lo, hi).unconstrained
 
 
 class TestClampCorrection:
-    """The hinge clamp of `_limit_correction`: the excess that lands the
+    """The clamp of `_limit_correction`: the excess that lands the
     joint angle from the +x link to l_out inside [-1, 1]."""
 
     @staticmethod
@@ -77,64 +71,26 @@ class TestClampCorrection:
         return _limit_correction(np.array([1.0, 0.0, 0.0]), np.array(l_out), Hinge(Z, -1.0, 1.0))
 
     def test_inside(self):
-        assert self.correction([math.cos(0.5), math.sin(0.5), 0.0]) is None
+        assert self.correction([math.cos(0.5), math.sin(0.5), 0.0]) == 0.0
 
     def test_above(self):
         # the angle to +y is atan2(1, 0) = pi/2 exactly
-        delta, axis = self.correction([0.0, 1.0, 0.0])
-        assert delta == 1.0 - math.pi / 2
-        assert np.array_equal(axis, Z)
+        assert self.correction([0.0, 1.0, 0.0]) == 1.0 - math.pi / 2
 
     def test_below(self):
-        delta, axis = self.correction([0.0, -1.0, 0.0])
-        assert delta == -1.0 + math.pi / 2
-        assert np.array_equal(axis, Z)
+        assert self.correction([0.0, -1.0, 0.0]) == -1.0 + math.pi / 2
 
-
-def corner_axis(p0, p1, p2):
-    """ball_joint_axis at p1 of the links p0 -> p1 -> p2."""
-    p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
-    return ball_joint_axis(unit(p1 - p0), unit(p2 - p1))
-
-
-class TestBallJointAxis:
-    def test_planar_corner(self):
-        axis = corner_axis([0, 0, 0], [1, 0, 0], [1, 1, 0])
-        assert np.allclose(axis, [0, 0, 1], atol=1e-12)
-
-    def test_vertical_corner(self):
-        axis = corner_axis([0, 0, 0], [0, 0, 1], [0, 1, 1])
-        assert np.allclose(axis, [-1, 0, 0], atol=1e-12)
-
-    def test_orthogonal_to_both_links(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            p0, p1 = rng.normal(size=3), rng.normal(size=3)
-            p2 = rng.normal(size=3)
-            axis = corner_axis(p0, p1, p2)
-            assert abs(np.dot(axis, unit(p1 - p0))) <= 1e-12 or np.allclose(
-                np.cross(unit(p1 - p0), unit(p2 - p1)), 0, atol=1e-9
-            )
-            if not np.allclose(np.cross(unit(p1 - p0), unit(p2 - p1)), 0, atol=1e-9):
-                assert abs(np.dot(axis, unit(p2 - p1))) <= 1e-12
-
-    def test_collinear_fallback_deterministic(self):
-        a1 = corner_axis([0, 0, 0], [1, 0, 0], [2, 0, 0])
-        a2 = corner_axis([0, 0, 0], [1, 0, 0], [2, 0, 0])
-        assert np.array_equal(a1, a2)
-        assert abs(np.dot(a1, [1, 0, 0])) <= 1e-12
-        assert abs(np.linalg.norm(a1) - 1.0) <= 1e-12
-
-    def test_cone_clamp_turns_about_the_axis(self):
-        # a 90-degree bend at a 30-degree cone: the clamp turns the
-        # outgoing link back by 60 degrees about the corner axis
-        l_in, l_out = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-        delta, axis = fabrik._limit_correction(l_in, l_out, Ball(math.pi / 6))
-        assert delta == pytest.approx(-math.pi / 3, abs=1e-15)
-        assert np.array_equal(axis, ball_joint_axis(l_in, l_out))
-        clamped = rotate_about_axis(axis, delta, l_out)
-        assert math.acos(float(np.dot(l_in, clamped))) == pytest.approx(math.pi / 6, abs=1e-12)
-        assert fabrik._limit_correction(l_in, l_out, Ball(math.pi / 2 + 1e-9)) is None
+    def test_clamp_turns_about_the_axis(self):
+        # a 90-degree bend at a +-30-degree hinge: the clamp turns the
+        # outgoing link back by 60 degrees about the hinge's axis, either way
+        l_in = np.array([1.0, 0.0, 0.0])
+        for sign in (1.0, -1.0):
+            l_out = np.array([0.0, sign, 0.0])
+            delta = _limit_correction(l_in, l_out, Hinge(Z, -math.pi / 6, math.pi / 6))
+            assert delta == pytest.approx(-sign * math.pi / 3, abs=1e-15)
+            clamped = rotate_about_axis(tuple(Z), delta, l_out)
+            assert math.acos(float(np.dot(l_in, clamped))) == pytest.approx(math.pi / 6, abs=1e-12)
+        assert _limit_correction(l_in, np.array([0.0, 1.0, 0.0]), Hinge(Z, -1.0, math.pi / 2 + 1e-9)) == 0.0
 
 
 class TestForwardPhase:
@@ -182,14 +138,14 @@ class TestForwardPhase:
     def test_coincident_point_extends_past_the_placed_link(self):
         # the middle point lands on the old base, which then extends
         # straight past the link just placed
-        chain = ball_chain([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        chain = free_chain([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
         out = forward_phase(chain, np.array([-1.0, 0.0, 0.0]))
         assert np.array_equal(out.positions, [[1, 0, 0], [0, 0, 0], [-1, 0, 0]])
 
     def test_coincident_point_at_the_target_keeps_its_old_direction(self):
         # the target sits on the point next to the end: no link is placed
         # yet, so the first link keeps its old direction
-        chain = ball_chain([[0, 0, 0], [1, 0, 0]])
+        chain = free_chain([[0, 0, 0], [1, 0, 0]])
         out = forward_phase(chain, np.zeros(3))
         assert np.array_equal(out.positions, [[-1, 0, 0], [0, 0, 0]])
 
@@ -203,7 +159,7 @@ class TestStraightChain:
         rng = np.random.default_rng(23)
         for _ in range(3000):
             points = rng.normal(size=(int(rng.integers(2, 6)), 3)) * 10.0 ** rng.uniform(-6, 3)
-            chain = ball_chain(points)
+            chain = free_chain(points)
             diffs = np.diff(points, axis=0)
             want = diffs / np.linalg.norm(diffs, axis=1)[:, None]
             assert np.array(chain.link_directions()).tobytes() == want.tobytes()
@@ -246,14 +202,14 @@ class TestStraightChain:
     )
     def test_link_absorbed_by_rounding_rejected(self, base, lengths):
         with pytest.raises(ValueError, match="too short"):
-            straight_chain(np.array(base), self.X, lengths, (Ball(), Ball()))
+            straight_chain(np.array(base), self.X, lengths, (Hinge(Z), Hinge(Z)))
 
     def test_link_below_the_minimum_rejected(self):
         short = 0.5 * fabrik.MIN_LINK_LENGTH
         with pytest.raises(ValueError, match="too short"):
-            straight_chain(np.zeros(3), self.X, [short, short], (Ball(), Ball()))
+            straight_chain(np.zeros(3), self.X, [short, short], (Hinge(Z), Hinge(Z)))
         chain = straight_chain(
-            np.zeros(3), self.X, [fabrik.MIN_LINK_LENGTH] * 2, (Ball(), Ball())
+            np.zeros(3), self.X, [fabrik.MIN_LINK_LENGTH] * 2, (Hinge(Z), Hinge(Z))
         )
         assert np.array_equal(chain.lengths, [fabrik.MIN_LINK_LENGTH] * 2)
 
@@ -265,11 +221,11 @@ class TestStraightChain:
     def test_reach_above_the_maximum_rejected(self, lengths):
         # pytest turns numpy's overflow warning into an error
         with pytest.raises(ValueError, match="reach .* at most 1e\\+150"):
-            straight_chain(np.zeros(3), self.X, lengths, (Ball(), Ball()))
+            straight_chain(np.zeros(3), self.X, lengths, (Hinge(Z), Hinge(Z)))
 
     def test_reach_at_the_maximum_accepted(self):
         half = 0.5 * fabrik.MAX_CHAIN_REACH
-        chain = straight_chain(np.zeros(3), self.X, [half, half], (Ball(), Ball()))
+        chain = straight_chain(np.zeros(3), self.X, [half, half], (Hinge(Z), Hinge(Z)))
         assert chain.reach == fabrik.MAX_CHAIN_REACH
 
     def test_direction_and_anchor_normalized(self):
@@ -318,12 +274,12 @@ class TestBackwardPhase:
 
 
     def test_coincident_point_extends_past_the_placed_link(self):
-        chain = ball_chain([[0, 0, 0], [1, 0, 0], [1, 0, 0]])
+        chain = free_chain([[0, 0, 0], [1, 0, 0], [1, 0, 0]])
         out = backward_phase(chain)
         assert np.array_equal(out.positions, [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
 
     def test_coincident_point_at_the_base_follows_the_anchor(self):
-        chain = ball_chain([[0, 0, 0], [0, 0, 0], [1, 0, 0]], anchor_dir=[0, 1, 0])
+        chain = free_chain([[0, 0, 0], [0, 0, 0], [1, 0, 0]], anchor_dir=[0, 1, 0])
         out = backward_phase(chain)
         assert np.array_equal(out.positions[:2], [[0, 0, 0], [0, 1, 0]])
         assert np.allclose(link_lengths(out), [1.0, 1.0], atol=1e-15)
@@ -331,7 +287,7 @@ class TestBackwardPhase:
     def test_coincident_point_at_the_base_keeps_its_old_direction(self):
         # no anchor: the first link keeps its old direction, and the next
         # point, now on the new pivot, extends past it
-        chain = ball_chain([[-1, 0, 0], [0, 0, 0], [1, 0, 0]])
+        chain = free_chain([[-1, 0, 0], [0, 0, 0], [1, 0, 0]])
         out = backward_phase(chain)
         assert np.array_equal(out.positions, [[0, 0, 0], [1, 0, 0], [2, 0, 0]])
 
@@ -364,9 +320,12 @@ class TestPreBend:
         assert pre_bend(bent) is bent
 
     def test_hinge_chain_stays_in_plane(self):
-        chain = two_link_chain(axis=Z)
-        bent = pre_bend(chain)
-        assert np.allclose(np.asarray(bent.positions)[:, 2], 0.0, atol=1e-15)
+        # about the given axis: the chain's hinges are not read
+        y = np.array([0.0, 1.0, 0.0])
+        chain = two_link_chain(axis=y)
+        bent = pre_bend(chain, axis=y)
+        assert np.allclose(np.asarray(bent.positions)[:, 1], 0.0, atol=1e-15)
+        assert not np.allclose(np.asarray(bent.positions)[:, 2], 0.0, atol=1e-6)
 
     def test_unbent_chain_oscillates_where_bent_converges(self):
         # target on the chain's own line: the straight chain cycles
@@ -396,8 +355,8 @@ class TestStartBend:
             lengths = rng.uniform(0.2, 1.5, 2)
             axis = unit(rng.normal(size=3))
             joints = [
-                Hinge(axis, *np.sort(rng.uniform(-math.pi, math.pi, 2))) if rng.integers(0, 2)
-                else Ball(rng.uniform(0.1, math.pi)) for _ in range(2)
+                Hinge(axis if rng.integers(0, 2) else rng.normal(size=3),
+                      *np.sort(rng.uniform(-math.pi, math.pi, 2))) for _ in range(2)
             ]
             base, direction = rng.normal(size=3), rng.normal(size=3)
             straight = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
@@ -464,7 +423,7 @@ class TestSolve:
     def test_within_reach_is_the_eps_band_about_the_shell(self):
         # links 2 and 1 from the origin: reach 3, and a hole of radius
         # 2 * 2 - 3 = 1 that the end never enters
-        chain = straight_chain(np.zeros(3), (1.0, 0.0, 0.0), (2.0, 1.0), (Ball(), Ball()))
+        chain = straight_chain(np.zeros(3), (1.0, 0.0, 0.0), (2.0, 1.0), (Hinge(Z), Hinge(Z)))
         eps = 1e-6
         # the outer edge is the last float whose gap - reach is at most
         # eps; 3.0 + eps rounds 1.4e-16 past it
@@ -574,7 +533,7 @@ class TestSolve:
         # folded back, its longer link toward the target, where 10,000
         # sweeps stopped 1e-4 short of 1.0000001
         eps = 1e-6
-        chain = pre_bend(straight_chain(np.zeros(3), (1.0, 0.0, 0.0), lengths, (Ball(), Ball())))
+        chain = pre_bend(straight_chain(np.zeros(3), (1.0, 0.0, 0.0), lengths, (Hinge(Z), Hinge(Z))))
         elbow = 2.0 if lengths[0] > lengths[1] else -1.0
         for gap in (1.0000001, 0.9999995, 1.0 + 0.99 * eps, 1.0 - 0.99 * eps):
             for u in ((1.0, 0.0, 0.0), (0.0, 0.6, -0.8)):
@@ -585,10 +544,10 @@ class TestSolve:
                 assert out.dist == math.dist(out.chain.end, target) <= eps
                 assert np.allclose(out.chain.positions, [np.zeros(3), np.multiply(elbow, u), u],
                                    rtol=0.0, atol=1e-15)
-        # beyond the band the sweeps run; a cone that cannot fold never folds
+        # beyond the band the sweeps run; an elbow that cannot fold never folds
         assert solve(chain, np.array([1.0 + 3 * eps, 0.0, 0.0]), eps, 10_000).iterations > 1
-        cone = straight_chain(np.zeros(3), (1.0, 0.0, 0.0), lengths, (Ball(), Ball(3.0)))
-        assert not solve(pre_bend(cone), np.array([1.0000001, 0.0, 0.0]), eps, 50).converged
+        stiff = straight_chain(np.zeros(3), (1.0, 0.0, 0.0), lengths, (Hinge(Z), Hinge(Z, -3.0, 3.0)))
+        assert not solve(pre_bend(stiff), np.array([1.0000001, 0.0, 0.0]), eps, 50).converged
 
 
 def _bits(rows) -> list:
@@ -628,7 +587,7 @@ class TestFusedSweep:
     def random_two_link(rng, anchor):
         lengths = rng.uniform(0.2, 1.5, 2)
         base = rng.normal(size=3)
-        joints = tuple(Ball() if rng.integers(0, 2) else Hinge(rng.normal(size=3)) for _ in lengths)
+        joints = tuple(Hinge(Z) if rng.integers(0, 2) else Hinge(rng.normal(size=3)) for _ in lengths)
         positions = base + np.cumsum([np.zeros(3), *(unit(rng.normal(size=3)) * l for l in lengths)], axis=0)
         return chain_state(positions, lengths, joints, base, unit(rng.normal(size=3)) if anchor else None)
 
@@ -663,7 +622,7 @@ class TestFusedSweep:
         # forward phase puts it on the base, the sweep's second distance 0;
         # from (3, 0, 0) the backward phase puts it on the target, its third
         chain = chain_state([(0.0, 0.0, 0.0), (elbow, 0.0, 0.0), (0.3, 0.2, 0.1)], (1.0, 1.0),
-                            (Ball(), Ball()), (0.0, 0.0, 0.0), anchor)
+                            (Hinge(Z), Hinge(Z)), (0.0, 0.0, 0.0), anchor)
         target = (1.0, 0.0, 0.0)
         assert fabrik._fused_sweep(chain.positions[1], target, chain.base, 1.0, 1.0) is None
         self.check(chain, target)
@@ -677,15 +636,17 @@ class TestFusedSweep:
 
 
 class TestChainFormat:
-    """Every chain the package builds holds its points as a tuple of
-    (x, y, z) Python floats, its base, anchor and hinge axes as float
-    3-tuples and its lengths as a float tuple; a moved chain carries the
-    reach and can-clamp flags its builder set, the same objects."""
+    """Every chain the package builds is made of hinges and holds its
+    points as a tuple of (x, y, z) Python floats, its base, anchor and
+    hinge axes as float 3-tuples and its lengths as a float tuple; a
+    moved chain carries the reach and can-clamp flags its builder set,
+    the same objects."""
 
     @staticmethod
     def assert_format(chain, built):
         assert type(chain.positions) is tuple
-        axes = [joint.axis for joint in chain.joints if isinstance(joint, Hinge)]
+        assert all(type(joint) is Hinge for joint in chain.joints)
+        axes = [joint.axis for joint in chain.joints]
         anchor = [] if chain.anchor_dir is None else [chain.anchor_dir]
         for row in (*chain.positions, chain.base, *axes, *anchor):
             assert type(row) is tuple and len(row) == 3
@@ -698,9 +659,11 @@ class TestChainFormat:
         built = [
             two_link_chain(),
             straight_chain(np.zeros(3), np.array([0.0, 2.0, 0.0]), np.array([1.0, 0.5]),
-                           (Ball(), Hinge(Z, -2.0, 2.0)), anchor_dir=np.array([0.0, 2.0, 0.0])),
+                           (Hinge(Z), Hinge(Z, -2.0, 2.0)), anchor_dir=np.array([0.0, 2.0, 0.0])),
             ur5.make_chain(frame, ur5_model),
             kuka.make_chain(kuka_model),
+            kuka.plane_chain(robots.kuka_model(np.column_stack([-KUKA_DATASHEET, KUKA_DATASHEET])),
+                             (0.3, 0.4, 0.5)),
         ]
         for chain in built:
             assert type(chain.reach) is float
@@ -727,14 +690,15 @@ class TestChainFormat:
 class TestPhaseProperties:
     """Randomized sweeps: length preservation, anchoring, limit respect."""
 
-    def random_chain(self, rng, hinge=True):
-        """Scattered chain; hinge chains are planar (links perp. the axis),
-        which is the geometry the solvers build and the regime where the
-        clamp corrections are exact."""
+    def random_chain(self, rng, planar=True):
+        """Scattered chain; planar chains share one hinge axis and have
+        their links perpendicular to it, which is the geometry the solvers
+        build and the regime where the clamp corrections are exact. The
+        others turn each joint about its own axis, within its own limits."""
         m = int(rng.integers(3, 6))
         lengths = rng.uniform(0.2, 1.5, m - 1)
         base = rng.normal(size=3)
-        if hinge:
+        if planar:
             axis = unit(rng.normal(size=3))
             u = unit(np.cross(axis, unit(rng.normal(size=3)) if abs(axis[0]) < 0.9 else np.array([1.0, 0.0, 0.0])))
             v = np.cross(axis, u)
@@ -750,26 +714,28 @@ class TestPhaseProperties:
                 positions.append(positions[-1] + step)
             direction = unit(positions[1] - positions[0])
             return chain_state(positions, lengths, joints, base, anchor_dir=u)
-        joints = tuple(Ball(rng.uniform(0.5, math.pi)) for _ in range(m - 1))
+        joints = tuple(Hinge(rng.normal(size=3), rng.uniform(-math.pi, -0.5), rng.uniform(0.5, math.pi))
+                       for _ in range(m - 1))
         direction = unit(rng.normal(size=3))
         chain = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
         scattered = np.asarray(chain.positions) + rng.normal(scale=0.2, size=(m, 3))
         scattered[0] = base
         return chain_state(scattered, lengths, joints, base, anchor_dir=direction)
 
-    def _planar_target(self, rng, chain):
-        # keep hinge-chain targets in the working plane
-        axis = np.array(chain.joints[0].axis) if isinstance(chain.joints[0], Hinge) else None
+    def _target(self, rng, chain, planar=True):
+        # keep planar chains' targets in their working plane
         offset = rng.normal(size=3) * 0.8
-        if axis is not None:
+        if planar:
+            axis = np.array(chain.joints[0].axis)
             offset = offset - float(np.dot(offset, axis)) * axis
         return chain.base + offset
 
     def test_lengths_and_anchors_over_random_phases(self):
         rng = np.random.default_rng(11)
         for trial in range(2000):
-            chain = self.random_chain(rng, hinge=bool(trial % 2))
-            target = self._planar_target(rng, chain)
+            planar = bool(trial % 2)
+            chain = self.random_chain(rng, planar)
+            target = self._target(rng, chain, planar)
             fwd = forward_phase(chain, target)
             assert np.array_equal(fwd.positions[-1], target)
             assert np.max(np.abs(np.linalg.norm(np.diff(fwd.positions, axis=0), axis=1) - chain.lengths)) <= 1e-9
@@ -780,8 +746,8 @@ class TestPhaseProperties:
     def test_hinge_limits_respected_after_sweep(self):
         rng = np.random.default_rng(12)
         for _ in range(300):
-            chain = self.random_chain(rng, hinge=True)
-            target = self._planar_target(rng, chain)
+            chain = self.random_chain(rng)
+            target = self._target(rng, chain)
             out = backward_phase(forward_phase(chain, target))
             dirs = out.link_directions()
             joints = out.joints
@@ -800,8 +766,9 @@ class TestPhaseProperties:
 # magnitudes involved.
 
 def random_chain(rng):
-    """A chain of 2 to 6 links at scattered points: hinges with narrow
-    limits, ball cones, unconstrained joints, anchored and free bases."""
+    """A chain of 2 to 6 links at scattered points: hinges about scattered
+    axes with narrow limits, symmetric limits or none, anchored and free
+    bases."""
     n = int(rng.integers(2, 7))
     lengths = rng.uniform(0.2, 1.5, n)
     base = rng.normal(size=3)
@@ -812,9 +779,10 @@ def random_chain(rng):
             lo = rng.uniform(-1.5, 0.3)
             joints.append(Hinge(rng.normal(size=3), lo, lo + rng.uniform(0.05, 1.5)))
         elif kind == 1:
-            joints.append(Ball(rng.uniform(0.1, 1.5)))
+            bend = rng.uniform(0.1, 1.5)
+            joints.append(Hinge(rng.normal(size=3), -bend, bend))
         else:
-            joints.append(Hinge(rng.normal(size=3)) if rng.integers(0, 2) else Ball())
+            joints.append(Hinge(rng.normal(size=3)))
     anchor = unit(rng.normal(size=3)) if rng.integers(0, 2) else None
     steps = np.array([unit(rng.normal(size=3)) * length for length in lengths])
     positions = base + np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
@@ -945,8 +913,7 @@ class TestFloatPathsAgainstExactArithmetic:
         rng = np.random.default_rng(33)
         for base, direction, axis in zip(*(_signed_zero_vectors(rng, 800) for _ in range(3))):
             lengths = rng.uniform(0.2, 1.5, int(rng.integers(2, 7)))
-            kinds = rng.integers(0, 2, lengths.size)
-            joints = tuple(Hinge(axis) if kind else Ball() for kind in kinds)
+            joints = (Hinge(axis),) * lengths.size
             chain = straight_chain(base, direction, lengths, joints, anchor_dir=direction)
             # straight, or folded: each later link along or against the first
             senses = np.where(rng.integers(0, 2, lengths.size), 1.0, -1.0)
@@ -954,14 +921,13 @@ class TestFloatPathsAgainstExactArithmetic:
             chain = chain.moved(fabrik._lay_out(chain.base, chain.anchor_dir, (senses * lengths).tolist()))
             given = axis * rng.uniform(0.5, 2.0) if rng.integers(0, 2) else None
             bent = pre_bend(chain, axis=given).positions
-            # the bend axis: the given one normalized, else the first
-            # hinge's, else the perpendicular of the first link
+            # the bend axis: the given one normalized, else the
+            # perpendicular of the first link, whatever the hinges' axis
             first = exact_unit([Fraction(b) - Fraction(a) for a, b in zip(*chain.positions[:2])])
             if given is not None:
                 used = [float(c) for c in exact_unit(given)]
             else:
-                hinges = [joint.axis for joint in joints if isinstance(joint, Hinge)]
-                used = hinges[0] if hinges else perpendicular_axis(chain.link_directions()[0])
+                used = perpendicular_axis(chain.link_directions()[0])
             assert bent[:2] == chain.positions[:2]
             for k in range(1, lengths.size):
                 turned = exact_rotate(used, k * fabrik.PRE_BEND, [float(c) for c in first])

@@ -71,7 +71,7 @@ class TestCachedChain:
             with pytest.raises(AttributeError):
                 setattr(chain, field, None)
         with pytest.raises(AttributeError):
-            chain.joints[1].max_angle = 0.0
+            chain.joints[1].hi = 0.0
 
     def test_equal_models_share_one_chain(self):
         tight = np.tile([-0.5, 0.5], (7, 1))
@@ -79,8 +79,8 @@ class TestCachedChain:
         assert kuka.make_chain(robots.kuka_model()) is default
         narrow = kuka.make_chain(robots.kuka_model(tight))
         assert kuka.make_chain(robots.kuka_model(tight.copy())) is narrow
-        # the limits are part of the key: they set the elbow cone
-        assert narrow is not default and narrow.joints[1].max_angle == 0.5
+        # the limits are part of the key: they set the elbow's limits
+        assert narrow is not default and narrow.joints[1][1:] == (-0.5, 0.5)
 
     def test_solves_leave_the_chain_unchanged(self, kuka_model):
         chain = kuka.make_chain(kuka_model)
@@ -90,6 +90,47 @@ class TestCachedChain:
                 solve_ik(kuka_model, IKQuery(t_des, theta_init, config))
         assert kuka.make_chain(kuka_model) is chain
         assert [np.array(chain.positions).tobytes(), chain.anchor_dir, chain.joints] == before
+
+
+class TestPlaneChain:
+    """Where its elbow can clamp, a branch starts from `plane_chain`: its
+    hinges turn about the unit normal of the wrist target's vertical
+    plane. The sweeps keep the chain in that plane, where the elbow's
+    hinge bends as a cone of the same half-angle about the chain would."""
+
+    @pytest.mark.parametrize("limits", ["datasheet", "0.5rad"])
+    def test_sweeps_keep_the_plane_and_the_elbow_cone(self, limits):
+        model = robots.kuka_model(LIMITS[limits])
+        config = SolverConfig()
+        eps, cap = config.eps_tol, config.fabrik_cap("kuka")
+        cone = max(map(abs, model.limit_pairs[3]))
+        off_plane = over_cone = 0.0
+        chains = at_cone = 0
+        for t_des, theta_init in benchmark.generate_queries(model, 300, 7).queries:
+            branch = kuka.Branch(t_des[:3].tolist(), tuple(theta_init.tolist()), model)
+            if not fabrik.within_reach(branch.start, branch.target, eps):
+                continue
+            tx, ty, _ = branch.target
+            normal = (-ty / math.hypot(tx, ty), tx / math.hypot(tx, ty), 0.0)
+            assert [joint.axis for joint in branch.start.joints] == [normal] * 2
+            outcome = fabrik.solve(branch.start, branch.target, eps, cap)
+            # the chains solve sweeps, each phase of each sweep
+            q = branch.start
+            for _ in range(outcome.iterations):
+                forward = fabrik.forward_phase(q, branch.target)
+                q = fabrik.backward_phase(forward)
+                for chain in (forward, q):
+                    off_plane = max(off_plane, *(abs(np.dot(normal, p)) for p in chain.positions))
+                    upper, fore = chain.link_directions()
+                    bend = math.atan2(np.linalg.norm(np.cross(upper, fore)), np.dot(upper, fore))
+                    over_cone = max(over_cone, bend - cone)
+                    at_cone += bend >= cone - 1e-12
+                    chains += 1
+            assert q.positions == outcome.chain.positions
+        print(f"\n{limits}: {chains} chains, {at_cone} at the cone, off the plane <= "
+              f"{off_plane:.1e} m, over the cone <= {over_cone:.1e} rad")
+        assert chains > 1000 and at_cone > 0  # the elbow clamped
+        assert off_plane <= 1e-12 and over_cone <= 1e-12
 
 
 class TestSeedCandidates:

@@ -18,8 +18,8 @@ SRC = Path(fabrik_sqp.__file__).resolve().parent.parent
 TESTS = Path(__file__).resolve().parent
 
 # A seeded subset of both robots: the default combined modes, the UR5's
-# FABRIK-only mode, and one tight-limit model per robot, so the hinge and
-# cone clamps of the sweeps run. Prints the SHA-256 of every record's
+# FABRIK-only mode, and one tight-limit model per robot, so the hinge
+# clamps of both robots' sweeps run. Prints the SHA-256 of every record's
 # status, counters, error, pick and enumerated candidates.
 RECORDS_SCRIPT = """
 import hashlib
